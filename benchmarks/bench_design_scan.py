@@ -4,8 +4,9 @@ Three claims of the design layer (``repro.design``), measured and asserted:
 
 * **Throughput.**  A ``>= 10^5``-point device grid (gate capacitance x
   junction capacitance x temperature) runs through the analytic engine via
-  the ordinary ``Engine``/``Session`` protocol — bind + on/off solves per
-  point, no special fast path — and the end-to-end rate is recorded.
+  the ordinary scan path — each chunk is one device table and one
+  ``Engine.solve_devices`` call for its on/off biases — and the end-to-end
+  rate is recorded in-process and with the chunk fan-out.
 * **Resume bit-identity.**  A checkpointed scan killed mid-run (armed
   ``design.chunk`` fault) must resume from its persisted chunks and produce
   a feasibility map *byte-identical* to an uninterrupted run, while
@@ -25,7 +26,8 @@ Environment overrides (used by the CI smoke run):
 ``REPRO_BENCH_DESIGN_TEMPS``
     Temperature axis length (default 2).
 ``REPRO_BENCH_DESIGN_WORKERS``
-    Worker processes for the big-grid chunk fan-out (default 4).
+    Worker processes for the big-grid chunk fan-out (default 4; the grid
+    is also timed in-process).
 ``REPRO_BENCH_DESIGN_SAMPLES``
     Tolerance-MC samples per point in the determinism check (default 24).
 """
@@ -127,20 +129,24 @@ def _comparable(feasibility) -> str:
 
 
 def measure_throughput() -> dict:
-    """Time the big grid end-to-end and derive points per second."""
+    """Time the big grid end-to-end, in-process and fanned out."""
     spec = grid_spec()
-    scan = DeviceScan(spec)
     start = time.perf_counter()
-    feasibility = scan.run(workers=WORKERS)
+    serial = DeviceScan(spec).run(workers=1)
+    serial_s = time.perf_counter() - start
+    start = time.perf_counter()
+    feasibility = DeviceScan(spec).run(workers=WORKERS)
     elapsed = time.perf_counter() - start
-    counts = feasibility.counts()
     return {
         "grid_points": len(spec),
         "workers": WORKERS,
         "elapsed_s": round(elapsed, 3),
         "points_per_s": round(len(spec) / elapsed, 1),
+        "serial_elapsed_s": round(serial_s, 3),
+        "serial_points_per_s": round(len(spec) / serial_s, 1),
+        "workers_identical": _comparable(serial) == _comparable(feasibility),
         "feasible_fraction": round(feasibility.feasible_fraction, 4),
-        "counts": counts,
+        "counts": feasibility.counts(),
         "engine": feasibility.engine,
     }
 
@@ -198,7 +204,7 @@ def run_benchmark() -> dict:
         "benchmark": "design_scan",
         "workload": f"{throughput['grid_points']}-point device grid "
                     "(gate x junction capacitance x temperature), "
-                    "analytic engine, on/off solves per point",
+                    "analytic engine, one batched on/off solve per chunk",
         "throughput": throughput,
         "resume": resume,
         "tolerance_mc": tolerance,
@@ -216,7 +222,8 @@ def test_design_scan_benchmark():
     print(f"grid           : {throughput['grid_points']} points, "
           f"{throughput['workers']} workers")
     print(f"elapsed        : {throughput['elapsed_s']:.2f} s "
-          f"({throughput['points_per_s']:.0f} points/s)")
+          f"({throughput['points_per_s']:.0f} points/s; in-process "
+          f"{throughput['serial_points_per_s']:.0f} points/s)")
     print(f"feasible       : {throughput['feasible_fraction'] * 100:.1f}%")
     resume = payload["resume"]
     print(f"resume         : killed after {resume['chunks_before_kill']} "
@@ -229,6 +236,7 @@ def test_design_scan_benchmark():
           f"{tolerance['identical_across_workers']}")
     print(f"written to     : {OUTPUT_PATH}")
     assert throughput["points_per_s"] > 0
+    assert throughput["workers_identical"]
     assert resume["killed_mid_run"]
     assert resume["bit_identical"]
     assert resume["chunks_resumed"] > 0

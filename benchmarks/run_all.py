@@ -5,7 +5,10 @@ the repository root; those files only ever hold the *latest* numbers.  This
 driver runs them all (or, with ``--merge-only``, just collects the existing
 files) and appends one timestamped snapshot combining every payload to
 ``BENCH_trajectory.json``, so the performance history survives across PRs
-instead of being overwritten:
+instead of being overwritten.  Each snapshot is stamped with the commit
+(``git rev-parse HEAD``), ``os.cpu_count()``, the Python and NumPy versions
+and the resolved ``jit_backend()``, so snapshots taken on different hosts or
+commits can be told apart:
 
 .. code-block:: console
 
@@ -18,9 +21,13 @@ so every PR leaves a (noisy but monotone-comparable) snapshot behind.
 
 import argparse
 import json
+import os
+import platform
+import subprocess
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TRAJECTORY_PATH = REPO_ROOT / "BENCH_trajectory.json"
@@ -34,7 +41,36 @@ BENCHMARK_MODULES = (
     "bench_master_solver",
     "bench_engine_dispatch",
     "bench_jit_kernel",
+    "bench_resilience_overhead",
+    "bench_design_scan",
 )
+
+
+def git_commit() -> Optional[str]:
+    """``git rev-parse HEAD`` of the checkout, ``None`` outside a work tree."""
+    try:
+        completed = subprocess.run(["git", "rev-parse", "HEAD"],
+                                   cwd=REPO_ROOT, capture_output=True,
+                                   text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    commit = completed.stdout.strip()
+    return commit if completed.returncode == 0 and commit else None
+
+
+def host_metadata() -> dict:
+    """Commit, CPU count, interpreter/NumPy versions and the JIT backend."""
+    import numpy
+
+    from repro.montecarlo.jit import jit_backend
+
+    return {
+        "commit": git_commit(),
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "jit_backend": jit_backend(),
+    }
 
 
 def run_benchmarks() -> dict:
@@ -73,6 +109,7 @@ def append_snapshot(payloads: dict) -> dict:
         history = []
     snapshot = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        "meta": host_metadata(),
         "benchmarks": payloads,
     }
     history.append(snapshot)

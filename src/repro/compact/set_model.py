@@ -30,6 +30,14 @@ from ..core.rates import orthodox_rate, orthodox_rate_vec
 from ..errors import CircuitError
 
 
+def _lowest(*values) -> float:
+    """Smallest of scalar parameters, element-wise over array parameters."""
+    if any(isinstance(value, np.ndarray) for value in values):
+        return min((float(np.min(value)) for value in values
+                    if np.size(value)), default=math.inf)
+    return min(values)
+
+
 @dataclass(frozen=True)
 class AnalyticSETModel:
     """Analytic compact model of a metallic SET (three-charge-state window).
@@ -41,6 +49,11 @@ class AnalyticSETModel:
     class as the MIB / Wang-Porod SPICE macro-models: fast and smooth, exact
     in the sequential low-charge regime, but blind to co-tunnelling and to
     interactions between SETs.
+
+    Every parameter may also be a NumPy array: the model then stands for a
+    whole batch of devices, one per element, and :meth:`drain_current`
+    broadcasts the parameters against the terminal voltages (see
+    :attr:`batched`).
 
     Parameters
     ----------
@@ -65,13 +78,23 @@ class AnalyticSETModel:
     temperature: float = 1.0
 
     def __post_init__(self) -> None:
-        if min(self.drain_capacitance, self.source_capacitance,
-               self.gate_capacitance) <= 0.0:
+        """Validate the parameters (element-wise for array parameters)."""
+        if _lowest(self.drain_capacitance, self.source_capacitance,
+                   self.gate_capacitance) <= 0.0:
             raise CircuitError("capacitances must be positive")
-        if min(self.drain_resistance, self.source_resistance) <= 0.0:
+        if _lowest(self.drain_resistance, self.source_resistance) <= 0.0:
             raise CircuitError("resistances must be positive")
-        if self.temperature < 0.0:
+        if _lowest(self.temperature) < 0.0:
             raise CircuitError("temperature must be non-negative")
+
+    @property
+    def batched(self) -> bool:
+        """Whether any parameter is array-valued (a batch of devices)."""
+        return any(isinstance(value, np.ndarray) for value in (
+            self.drain_capacitance, self.source_capacitance,
+            self.gate_capacitance, self.drain_resistance,
+            self.source_resistance, self.background_charge,
+            self.temperature))
 
     @property
     def total_capacitance(self) -> float:
@@ -127,15 +150,31 @@ class AnalyticSETModel:
         integer charge states bracketing the induced charge are blended
         linearly by its fractional part.
 
-        Scalar arguments take the original closed-form path and return a
-        ``float``; NumPy-array arguments broadcast through a vectorized
-        replica of the same branch structure (element-wise identical to the
-        scalar results) and return an array — this is what lets a dense
-        stability map evaluate in one call instead of ``len(vd) * len(vg)``
-        scalar calls.
+        Scalar arguments on a scalar model take the original closed-form
+        path and return a ``float`` (the path the Newton solver and other
+        per-point callers use).  NumPy-array arguments, or a
+        :attr:`batched` model, broadcast through a vectorized replica of the
+        same branch structure and return an array — this is what lets a
+        dense stability map, or a whole batch of devices, evaluate in one
+        call instead of one scalar call per point.
+
+        Array and scalar paths are *not* bit-identical.  They perform the
+        same floating-point operations in the same order except for the
+        exponential inside the orthodox rate, where NumPy's SIMD ``exp`` may
+        differ from ``math.exp`` by an ulp (see
+        :func:`~repro.core.rates.orthodox_rate_vec`).  The contract:
+
+        * at ``T = 0`` no rate needs the exponential and the paths are
+          bit-identical;
+        * wherever ``e |V_ds| >= 3 k_B T`` the currents agree within 4096
+          ulp (about ``1e-12`` relative; device-scan grids in the blockade
+          regime typically see under 10 ulp);
+        * closer to zero drain bias the current is a near-cancellation of
+          opposing flows, so only the *absolute* difference stays small
+          (a few ulp of the larger flow), not the relative one.
         """
         if (np.ndim(drain_voltage) == 0 and np.ndim(gate_voltage) == 0
-                and np.ndim(source_voltage) == 0):
+                and np.ndim(source_voltage) == 0 and not self.batched):
             induced = self._induced_charge(drain_voltage, gate_voltage,
                                            source_voltage)
             base = math.floor(induced)

@@ -77,15 +77,21 @@ def orthodox_rate(delta_f: float, resistance: float, temperature: float) -> floa
     return prefactor * (-delta_f) / (1.0 - math.exp(x))
 
 
-def orthodox_rate_vec(delta_f, resistance, temperature: float,
+def orthodox_rate_vec(delta_f, resistance, temperature,
                       out: "np.ndarray | None" = None) -> np.ndarray:
     """Array-valued :func:`orthodox_rate` over whole event tables.
 
     Evaluates ``Gamma = (-dF / e^2 R) / (1 - exp(dF / kT))`` element-wise with
     the same analytic limits as the scalar reference — the ``T = 0`` step
     function, the ``|dF| << kT`` series expansion and the ``exp`` overflow
-    guards — applied branch for branch, so each element equals the scalar
-    result exactly (same floating-point operations in the same order).
+    guards — applied branch for branch, with the same floating-point
+    operations in the same order.
+
+    Contract against the scalar reference: every branch except the general
+    one is bit-identical (so ``T = 0`` tables match exactly).  The general
+    branch calls NumPy's ``exp``, whose SIMD implementation may differ from
+    ``math.exp`` by an ulp or so; such elements then differ from
+    :func:`orthodox_rate` by a few ulp (relative error below ``1e-15``).
 
     Parameters
     ----------
@@ -94,10 +100,15 @@ def orthodox_rate_vec(delta_f, resistance, temperature: float,
     resistance:
         Tunnel resistances in ohm (scalar or broadcastable with ``delta_f``).
     temperature:
-        Temperature in kelvin (``>= 0``), shared by all elements.
+        Temperature in kelvin (``>= 0``): a scalar shared by all elements, or
+        an array broadcasting against ``delta_f`` (one temperature per
+        element, ``T = 0`` entries taking the step-function branch).
     out:
         Optional preallocated output array of the broadcast shape.
     """
+    if np.ndim(temperature) != 0:
+        return _orthodox_rate_vec_temperatures(delta_f, resistance,
+                                               temperature, out)
     df = np.asarray(delta_f, dtype=float)
     res = np.asarray(resistance, dtype=float)
     if np.any(res <= 0.0):
@@ -125,6 +136,45 @@ def orthodox_rate_vec(delta_f, resistance, temperature: float,
     out[general] = prefactor[general] * (-df[general]) / (1.0 - np.exp(x[general]))
     out[small] = prefactor[small] * thermal * (1.0 - 0.5 * x[small])
     out[underflow] = -df[underflow] * prefactor[underflow]
+    return out
+
+
+def _orthodox_rate_vec_temperatures(delta_f, resistance, temperature,
+                                    out: "np.ndarray | None") -> np.ndarray:
+    """:func:`orthodox_rate_vec` with one temperature per element.
+
+    The same branches as the scalar-temperature path, selected per element:
+    ``T = 0`` elements take the step function, the others the series
+    expansion, the overflow guards or the general form.
+    """
+    df = np.asarray(delta_f, dtype=float)
+    res = np.asarray(resistance, dtype=float)
+    temperature = np.asarray(temperature, dtype=float)
+    if np.any(res <= 0.0):
+        raise ReproError("tunnel resistances must be positive")
+    if np.any(temperature < 0.0):
+        raise ReproError("temperatures must be non-negative")
+
+    prefactor = 1.0 / (E_CHARGE**2 * res)
+    df, prefactor, temperature = np.broadcast_arrays(df, prefactor,
+                                                     temperature)
+    if out is None:
+        out = np.empty(df.shape, dtype=float)
+
+    frozen = temperature == 0.0
+    thermal = BOLTZMANN * temperature
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = df / thermal
+    small = ~frozen & (np.abs(x) < _EXPANSION_THRESHOLD)
+    underflow = ~frozen & (x < -_EXP_OVERFLOW)
+    general = ~(frozen | small | underflow | (x > _EXP_OVERFLOW))
+
+    out[...] = 0.0  # the x > _EXP_OVERFLOW branch and uphill T = 0 events
+    out[general] = prefactor[general] * (-df[general]) / (1.0 - np.exp(x[general]))
+    out[small] = prefactor[small] * thermal[small] * (1.0 - 0.5 * x[small])
+    out[underflow] = -df[underflow] * prefactor[underflow]
+    downhill = frozen & (df < 0.0)
+    out[downhill] = df[downhill] * -prefactor[downhill]
     return out
 
 

@@ -14,18 +14,25 @@ Every constraint evaluates one :class:`DesignPoint` to a
 :class:`ConstraintVerdict` carrying the measured value, the threshold, a
 boolean, and a signed dimensionless **margin** (positive = satisfied with
 room; the feasibility map's robustness margin is the minimum hard-constraint
-margin per point).  Constraints serialise to the plain dicts stored inside
-:class:`~repro.design.spec.DesignSpec`, so the set is part of the spec's
-content hash.
+margin per point).  A constraint's :meth:`Constraint.measure` is one array
+implementation: a design point whose fields are arrays (a
+:class:`~repro.engines.base.DeviceTable` as its device) is a whole batch of
+points, which is how device scans classify a chunk in one pass
+(:meth:`Constraint.assess`).  Constraints serialise to the plain dicts
+stored inside :class:`~repro.design.spec.DesignSpec`, so the set is part of
+the spec's content hash.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..devices.set_transistor import SETTransistor
+from ..engines.base import DeviceTable
 from ..errors import ValidationError
 
 #: The two constraint kinds.
@@ -36,9 +43,27 @@ KINDS = ("hard", "diagnostic")
 _CURRENT_FLOOR = 1e-30
 
 
+def _decades(ratio: np.ndarray, defined: np.ndarray) -> np.ndarray:
+    """``log10(ratio)`` where ``defined``, NaN elsewhere.
+
+    Each element goes through ``math.log10``: NumPy's SIMD ``log10`` can
+    differ from it in the last ulp, and margins must not depend on whether
+    a point was classified alone or in a batch, nor on the host's SIMD.
+    """
+    ratio, defined = np.broadcast_arrays(ratio, defined)
+    decades = np.full(ratio.shape, math.nan)
+    decades[defined] = [math.log10(value)
+                        for value in ratio[defined].tolist()]
+    return decades
+
+
 @dataclass(frozen=True)
 class DesignPoint:
     """Everything a constraint may look at for one grid point.
+
+    Every field may instead be an array (with a
+    :class:`~repro.engines.base.DeviceTable` as the device): the point then
+    stands for one batch of grid points, one per row.
 
     Parameters
     ----------
@@ -54,11 +79,11 @@ class DesignPoint:
         failed under the failure policy, or no constraint needed currents).
     """
 
-    device: SETTransistor
-    temperature: float
-    drain_voltage: float
-    on_current: float = math.nan
-    off_current: float = math.nan
+    device: Union[SETTransistor, DeviceTable]
+    temperature: Any
+    drain_voltage: Any
+    on_current: Any = math.nan
+    off_current: Any = math.nan
 
 
 @dataclass(frozen=True)
@@ -119,7 +144,9 @@ class Constraint:
 
     Subclasses set the class attributes ``type_name`` (registry key),
     ``default_kind``, and ``requires_currents`` (whether evaluation needs
-    the engine-computed on/off currents), and implement :meth:`measure`.
+    the engine-computed on/off currents), and implement :meth:`measure`
+    with array operations, so one implementation serves a single point and
+    a batch alike.
     """
 
     type_name = ""
@@ -138,9 +165,35 @@ class Constraint:
 
     # ------------------------------------------------------------- protocol
 
-    def measure(self, point: DesignPoint) -> Tuple[float, float]:
-        """Return ``(value, margin)`` for one design point."""
+    def measure(self, point: DesignPoint) -> Tuple[np.ndarray, np.ndarray]:
+        """Return ``(value, margin)`` arrays for a point or a batch.
+
+        Undefined margins (a non-positive ratio, a dead device) are NaN.
+        """
         raise NotImplementedError
+
+    def assess(self, point: DesignPoint
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Classify a point or a batch of points in one pass.
+
+        Parameters
+        ----------
+        point:
+            The grid point(s) under evaluation (scalar or array fields).
+
+        Returns
+        -------
+        (numpy.ndarray, numpy.ndarray, numpy.ndarray)
+            ``(value, margin, satisfied)``: value and margin are NaN where
+            either is not finite (an unknown verdict); ``satisfied`` is
+            ``margin >= 0`` where known and ``False`` elsewhere.
+        """
+        with np.errstate(all="ignore"):
+            value, margin = self.measure(point)
+        known = np.isfinite(value) & np.isfinite(margin)
+        value = np.where(known, value, math.nan)
+        margin = np.where(known, margin, math.nan)
+        return value, margin, known & (margin >= 0.0)
 
     def evaluate(self, point: DesignPoint) -> ConstraintVerdict:
         """Classify one design point.
@@ -156,13 +209,12 @@ class Constraint:
             Unknown (NaN value/margin, unsatisfied) when the measured value
             is not finite; otherwise satisfied iff ``margin >= 0``.
         """
-        value, margin = self.measure(point)
-        if not math.isfinite(value) or not math.isfinite(margin):
-            return ConstraintVerdict.unknown(self.type_name, self.kind,
-                                             self.threshold)
+        value, margin, satisfied = self.assess(point)
         return ConstraintVerdict(name=self.type_name, kind=self.kind,
-                                 value=value, threshold=self.threshold,
-                                 satisfied=margin >= 0.0, margin=margin)
+                                 value=float(value),
+                                 threshold=self.threshold,
+                                 satisfied=bool(satisfied),
+                                 margin=float(margin))
 
     def to_dict(self) -> Dict[str, Any]:
         """Canonical declaration dict (what :class:`DesignSpec` stores)."""
@@ -180,9 +232,9 @@ class GainConstraint(Constraint):
 
     type_name = "gain"
 
-    def measure(self, point: DesignPoint) -> Tuple[float, float]:
+    def measure(self, point: DesignPoint) -> Tuple[np.ndarray, np.ndarray]:
         """Gain and its threshold-relative margin (closed form, no engine)."""
-        value = point.device.voltage_gain
+        value = np.asarray(point.device.voltage_gain, dtype=float)
         scale = max(abs(self.threshold), 1e-12)
         return value, (value - self.threshold) / scale
 
@@ -197,16 +249,14 @@ class OnOffRatioConstraint(Constraint):
     type_name = "on_off_ratio"
     requires_currents = True
 
-    def measure(self, point: DesignPoint) -> Tuple[float, float]:
+    def measure(self, point: DesignPoint) -> Tuple[np.ndarray, np.ndarray]:
         """On/off ratio and its margin in decades."""
-        on = abs(point.on_current)
-        off = max(abs(point.off_current), _CURRENT_FLOOR)
-        if not math.isfinite(on) or not math.isfinite(off):
-            return math.nan, math.nan
+        on = np.abs(np.asarray(point.on_current, dtype=float))
+        off = np.maximum(np.abs(np.asarray(point.off_current, dtype=float)),
+                         _CURRENT_FLOOR)
         ratio = on / off
-        if ratio <= 0.0 or self.threshold <= 0.0:
-            return ratio, math.nan
-        return ratio, math.log10(ratio / self.threshold)
+        defined = (ratio > 0.0) & (self.threshold > 0.0)
+        return ratio, _decades(ratio / self.threshold, defined)
 
 
 class MaxTemperatureConstraint(Constraint):
@@ -228,13 +278,14 @@ class MaxTemperatureConstraint(Constraint):
         if self.kt_margin <= 0.0:
             raise ValidationError("max_temperature kt_margin must be > 0")
 
-    def measure(self, point: DesignPoint) -> Tuple[float, float]:
+    def measure(self, point: DesignPoint) -> Tuple[np.ndarray, np.ndarray]:
         """Maximum operating temperature and its headroom in decades."""
-        value = point.device.max_operating_temperature(margin=self.kt_margin)
-        required = self.threshold * point.temperature
-        if value <= 0.0 or required <= 0.0:
-            return value, math.nan
-        return value, math.log10(value / required)
+        value = np.asarray(
+            point.device.max_operating_temperature(margin=self.kt_margin),
+            dtype=float)
+        required = self.threshold * np.asarray(point.temperature, dtype=float)
+        defined = (value > 0.0) & (required > 0.0)
+        return value, _decades(value / required, defined)
 
     def to_dict(self) -> Dict[str, Any]:
         """Canonical declaration dict including the ``kt_margin`` knob."""
@@ -253,14 +304,11 @@ class OnCurrentConstraint(Constraint):
     type_name = "on_current"
     requires_currents = True
 
-    def measure(self, point: DesignPoint) -> Tuple[float, float]:
+    def measure(self, point: DesignPoint) -> Tuple[np.ndarray, np.ndarray]:
         """On-current magnitude and its margin in decades."""
-        value = abs(point.on_current)
-        if not math.isfinite(value):
-            return math.nan, math.nan
-        if value <= 0.0 or self.threshold <= 0.0:
-            return value, math.nan
-        return value, math.log10(value / self.threshold)
+        value = np.abs(np.asarray(point.on_current, dtype=float))
+        defined = (value > 0.0) & (self.threshold > 0.0)
+        return value, _decades(value / self.threshold, defined)
 
 
 class ModulationDepthConstraint(Constraint):
@@ -275,16 +323,12 @@ class ModulationDepthConstraint(Constraint):
     default_kind = "diagnostic"
     requires_currents = True
 
-    def measure(self, point: DesignPoint) -> Tuple[float, float]:
+    def measure(self, point: DesignPoint) -> Tuple[np.ndarray, np.ndarray]:
         """Modulation depth and its linear margin."""
-        on = abs(point.on_current)
-        off = abs(point.off_current)
-        if not math.isfinite(on) or not math.isfinite(off):
-            return math.nan, math.nan
+        on = np.abs(np.asarray(point.on_current, dtype=float))
+        off = np.abs(np.asarray(point.off_current, dtype=float))
         total = on + off
-        if total <= 0.0:
-            return math.nan, math.nan
-        value = (on - off) / total
+        value = np.where(total > 0.0, (on - off) / total, math.nan)
         return value, value - self.threshold
 
 

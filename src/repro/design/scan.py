@@ -1,13 +1,21 @@
 """Device scans: checkpointed feasibility classification over design grids.
 
 A :class:`DeviceScan` executes one :class:`~repro.design.spec.DesignSpec`:
-it walks the Cartesian device/environment grid in row-major order, builds
-the concrete device at every point, runs the on/off operating points
-through the bound :class:`~repro.engines.base.Session` of any registered
-engine, classifies the point against the spec's constraint set, and (when
+it walks the Cartesian device/environment grid in row-major order, solves
+the on/off operating points of every device through any registered
+engine, classifies each point against the spec's constraint set, and (when
 the spec declares component tolerances) estimates the per-point
 Monte-Carlo yield.  The result is a
 :class:`~repro.design.feasibility.FeasibilityMap`.
+
+Each chunk is evaluated as one batch: its grid points become the rows of a
+:class:`~repro.engines.base.DeviceTable` (built with ``numpy.divmod`` over
+the axis strides), one :meth:`~repro.engines.base.Engine.solve_devices`
+call solves every on/off bias — a single array evaluation on the analytic
+engine, the per-device ``bind`` + ``solve`` loop elsewhere — and the
+constraints classify the whole chunk in one array pass.  Tolerance Monte
+Carlo batches points x samples the same way, from standard variates drawn
+once per scan.
 
 Execution discipline mirrors the resilience layer:
 
@@ -28,18 +36,19 @@ Execution discipline mirrors the resilience layer:
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..constants import E_CHARGE
-from ..devices.set_transistor import SETTransistor
-from ..engines.base import BiasPoint, Engine
+from ..engines.base import DeviceTable, Engine
 from ..errors import ValidationError
 from ..io.results import ResultCache, content_hash
 from ..resilience.faults import inject
@@ -52,7 +61,7 @@ from .feasibility import (
     FeasibilityMap,
     merge_chunk_payloads,
 )
-from .spec import DEVICE_PARAMETERS, DesignSpec
+from .spec import DesignSpec
 from .tolerance import ToleranceModel
 
 _LOG = logging.getLogger("repro.design")
@@ -135,12 +144,61 @@ class DesignChunk:
     key: str
 
 
-class _PointEvaluator:
-    """Evaluates single grid points of one spec against one engine.
+#: Devices per engine call — bounds the memory of the array temporaries
+#: on large chunks and of tolerance MC's points x samples tables.
+_BATCH_ROWS = 1 << 16
 
-    Precomputes everything loop-invariant — axis grids, the constraint
-    set, the tolerance model, capability flags — so the per-point work is
-    just device construction, the engine solves, and the verdicts.
+
+@dataclass
+class _Outcome:
+    """Per-row results of one evaluated batch of grid points.
+
+    ``errors`` maps row -> the exception that row's evaluation raised (its
+    device could not be built, or its engine solve failed); the array
+    slots of such rows hold whatever the batch computed and are only
+    meaningful once the row is cleared or re-evaluated.
+    """
+
+    verdicts: np.ndarray
+    robustness: np.ndarray
+    margins: np.ndarray
+    on_currents: np.ndarray
+    off_currents: np.ndarray
+    yields: Optional[np.ndarray]
+    errors: Dict[int, Exception]
+
+    def clear(self, row: int) -> None:
+        """Turn one row into a failed/skipped slot (unknown, NaN)."""
+        self.verdicts[row] = UNKNOWN
+        for values in (self.robustness, self.on_currents,
+                       self.off_currents, self.yields):
+            if values is not None:
+                values[row] = math.nan
+        self.margins[:, row] = math.nan
+
+    def adopt(self, row: int, single: "_Outcome") -> None:
+        """Replace one row with the single-row outcome of a re-evaluation."""
+        self.verdicts[row] = single.verdicts[0]
+        self.margins[:, row] = single.margins[:, 0]
+        for mine, theirs in ((self.robustness, single.robustness),
+                             (self.on_currents, single.on_currents),
+                             (self.off_currents, single.off_currents),
+                             (self.yields, single.yields)):
+            if mine is not None and theirs is not None:
+                mine[row] = theirs[0]
+        self.errors.pop(row, None)
+        if 0 in single.errors:
+            self.errors[row] = single.errors[0]
+
+
+class _ChunkEvaluator:
+    """Evaluates batches of grid points of one spec against one engine.
+
+    Precomputes everything loop-invariant — axis grids and strides, the
+    constraint set, the tolerance model and its standard variates,
+    capability flags — so one batch costs one device-table construction,
+    one :meth:`~repro.engines.base.Engine.solve_devices` call for the
+    on/off biases, and one array pass per constraint.
     """
 
     def __init__(self, spec: DesignSpec, engine: Engine) -> None:
@@ -149,6 +207,8 @@ class _PointEvaluator:
         self.constraints: Tuple[Constraint, ...] = \
             build_constraints(spec.constraints)
         self.hard = tuple(c for c in self.constraints if c.kind == "hard")
+        self.is_hard = np.array([c.kind == "hard" for c in self.constraints],
+                                dtype=bool)
         self.needs_currents = any(c.requires_currents
                                   for c in self.constraints)
         self.yield_needs_currents = any(c.requires_currents
@@ -165,146 +225,187 @@ class _PointEvaluator:
         for grid in reversed(self.grids):
             self.strides.insert(0, stride)
             stride *= len(grid)
+        self.gate_fractions = np.array([spec.on_gate_fraction,
+                                        spec.off_gate_fraction])
+        budget = spec.budget
+        self.budget = {"max_events": budget.max_events,
+                       "warmup_events": budget.warmup_events,
+                       "replicas": budget.replicas}
 
     # ------------------------------------------------------------- geometry
 
-    def point_overrides(self, flat_index: int) -> Dict[str, float]:
-        """Swept parameter values at one flat index (row-major)."""
-        overrides = {}
-        remainder = flat_index
+    def inputs(self, flat: np.ndarray) -> Tuple[DeviceTable, np.ndarray]:
+        """The device table and drain voltages of a batch of flat indices."""
+        columns: Dict[str, np.ndarray] = {}
+        temperature = np.full(len(flat), float(self.spec.temperature))
+        drains = np.full(len(flat), float(self.spec.drain_voltage))
+        background = None
+        remainder = flat
         for parameter, grid, stride in zip(self.parameters, self.grids,
                                            self.strides):
-            position, remainder = divmod(remainder, stride)
-            overrides[parameter] = float(grid[position])
-        return overrides
-
-    def point_inputs(self, flat_index: int
-                     ) -> Tuple[SETTransistor, float, float,
-                                Optional[float]]:
-        """``(device, temperature, drain_voltage, background_charge)``."""
-        overrides = self.point_overrides(flat_index)
-        temperature = overrides.pop("temperature", self.spec.temperature)
-        drain_voltage = overrides.pop("drain_voltage",
-                                      self.spec.drain_voltage)
-        charge_e = overrides.pop("background_charge_e", None)
-        background = None if charge_e is None else charge_e * E_CHARGE
-        device = replace(self.base, **overrides) if overrides else self.base
-        return device, float(temperature), float(drain_voltage), background
+            position, remainder = np.divmod(remainder, stride)
+            values = grid[position]
+            if parameter == "temperature":
+                temperature = values
+            elif parameter == "drain_voltage":
+                drains = values
+            elif parameter == "background_charge_e":
+                background = values * E_CHARGE
+            else:
+                columns[parameter] = values
+        seeds = None
+        if self.stochastic:
+            seeds = np.array([derive_point_seed(self.spec.seed, int(index))
+                              for index in flat], dtype=np.int64)
+        return DeviceTable(self.base, columns, temperature, background,
+                           seeds), drains
 
     # ------------------------------------------------------------ evaluation
 
-    def solve_currents(self, device: SETTransistor, temperature: float,
-                       drain_voltage: float,
-                       background_charge: Optional[float],
-                       seed: Optional[int]) -> Tuple[float, float]:
-        """On/off drain currents of one concrete device."""
-        budget = self.spec.budget
-        session = self.engine.bind(device, temperature=temperature,
-                                   seed=seed,
-                                   background_charge=background_charge,
-                                   max_events=budget.max_events,
-                                   warmup_events=budget.warmup_events,
-                                   replicas=budget.replicas)
-        period = device.gate_period
-        on = session.solve(BiasPoint(self.spec.on_gate_fraction * period,
-                                     drain_voltage)).current
-        off = session.solve(BiasPoint(self.spec.off_gate_fraction * period,
-                                      drain_voltage)).current
-        return float(on), float(off)
+    def solve(self, table: DeviceTable, drains: np.ndarray, rows: np.ndarray
+              ) -> Tuple[np.ndarray, np.ndarray, Dict[int, Exception]]:
+        """On/off drain currents of ``rows`` (NaN elsewhere), plus failures.
 
-    def classify(self, device: SETTransistor, temperature: float,
-                 drain_voltage: float, on: float,
-                 off: float) -> Dict[str, Any]:
-        """Run the constraint set over one evaluated device."""
-        point = DesignPoint(device=device, temperature=temperature,
-                            drain_voltage=drain_voltage, on_current=on,
-                            off_current=off)
-        verdicts = [constraint.evaluate(point)
-                    for constraint in self.constraints]
-        hard = [v for v, c in zip(verdicts, self.constraints)
-                if c.kind == "hard"]
-        if any(not v.satisfied and math.isfinite(v.margin) for v in hard):
-            code = INFEASIBLE
-        elif any(not math.isfinite(v.margin) for v in hard):
-            code = UNKNOWN
-        else:
-            code = FEASIBLE
-        finite = [v.margin for v in hard if math.isfinite(v.margin)]
-        robustness = min(finite) if finite and code != UNKNOWN else math.nan
-        return {"verdict": code, "robustness": robustness,
-                "margins": [v.margin for v in verdicts],
-                "verdicts": verdicts}
-
-    def is_feasible(self, device: SETTransistor, temperature: float,
-                    drain_voltage: float,
-                    background_charge: Optional[float],
-                    seed: Optional[int]) -> bool:
-        """Whether one concrete device satisfies every hard constraint."""
-        on = off = math.nan
-        if self.yield_needs_currents:
-            on, off = self.solve_currents(device, temperature,
-                                          drain_voltage, background_charge,
-                                          seed)
-        point = DesignPoint(device=device, temperature=temperature,
-                            drain_voltage=drain_voltage, on_current=on,
-                            off_current=off)
-        return all(constraint.evaluate(point).satisfied
-                   for constraint in self.hard)
-
-    def point_yield(self, flat_index: int) -> float:
-        """Per-point tolerance-MC yield in ``[0, 1]``.
-
-        Each sample deviates the point's device through the spec's
-        tolerance model (per-element SHA-256 seed streams — the draws are
-        common random numbers across grid points, so neighbouring points
-        see the same component lot) and re-checks the hard constraints.
+        One :meth:`~repro.engines.base.Engine.solve_devices` call covers
+        each block of up to ``_BATCH_ROWS`` rows; if it raises, each row of
+        the block is solved on its own so only the failing rows degrade
+        (NaN currents, their exception recorded).
         """
-        device, temperature, drain_voltage, background = \
-            self.point_inputs(flat_index)
-        seed = derive_point_seed(self.spec.seed, flat_index) \
-            if self.stochastic else None
-        feasible = 0
-        for sample in range(self.spec.tolerance_samples):
+        currents = np.full((len(table), 2), math.nan)
+        errors: Dict[int, Exception] = {}
+        for first in range(0, len(rows), _BATCH_ROWS):
+            block = rows[first:first + _BATCH_ROWS]
+            batch = table.take(block)
+            gates = self.gate_fractions * batch.gate_period[:, None]
             try:
-                deviated = self.tolerance.sample_device(
-                    device, self.spec.seed, sample)
-                if self.is_feasible(deviated, temperature, drain_voltage,
-                                    background, seed):
-                    feasible += 1
-            except Exception:  # noqa: BLE001 - an unbuildable deviated
-                # device (e.g. a tolerance band crossing zero capacitance)
-                # is an infeasible sample, not a scan abort.
-                continue
-        return feasible / self.spec.tolerance_samples
+                currents[block] = self.engine.solve_devices(
+                    batch, gates, drains[block, None], **self.budget)
+            except Exception as error:  # noqa: BLE001 - isolate failing rows
+                if len(block) == 1:
+                    errors[int(block[0])] = error
+                    continue
+                for position, row in enumerate(block):
+                    try:
+                        currents[row] = self.engine.solve_devices(
+                            batch.take([position]),
+                            gates[position:position + 1],
+                            drains[row], **self.budget)[0]
+                    except Exception as row_error:  # noqa: BLE001
+                        errors[int(row)] = row_error
+        return currents[:, 0], currents[:, 1], errors
 
-    def evaluate(self, flat_index: int) -> Dict[str, Any]:
-        """Fully evaluate one grid point (constraints + optional yield)."""
-        inject("design.point")
-        device, temperature, drain_voltage, background = \
-            self.point_inputs(flat_index)
-        on = off = math.nan
+    def classify(self, table: DeviceTable, drains: np.ndarray,
+                 on: np.ndarray, off: np.ndarray,
+                 constraints: Sequence[Constraint]
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+        """Margins and satisfaction of ``constraints``, one row each."""
+        point = DesignPoint(device=table, temperature=table.temperature,
+                            drain_voltage=drains, on_current=on,
+                            off_current=off)
+        margins = np.empty((len(constraints), len(table)))
+        satisfied = np.empty((len(constraints), len(table)), dtype=bool)
+        for row, constraint in enumerate(constraints):
+            _, margins[row], satisfied[row] = constraint.assess(point)
+        return margins, satisfied
+
+    def verdicts(self, margins: np.ndarray, satisfied: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+        """Verdict codes and robustness margins from the constraint rows."""
+        hard_margins = margins[self.is_hard]
+        finite = np.isfinite(hard_margins)
+        infeasible = np.any(~satisfied[self.is_hard] & finite, axis=0)
+        unknown = ~infeasible & np.any(~finite, axis=0)
+        codes = np.where(infeasible, INFEASIBLE,
+                         np.where(unknown, UNKNOWN, FEASIBLE))
+        lowest = np.min(np.where(finite, hard_margins, np.inf), axis=0,
+                        initial=np.inf)
+        robustness = np.where(unknown | ~np.any(finite, axis=0), math.nan,
+                              lowest)
+        return codes.astype(np.int8), robustness
+
+    def evaluate(self, flat: np.ndarray) -> _Outcome:
+        """Fully evaluate a batch of grid points (constraints + yields)."""
+        table, drains = self.inputs(flat)
+        rejected = table.rejected()
+        errors: Dict[int, Exception] = {}
+        for row in np.flatnonzero(rejected):
+            try:
+                table.device(int(row))
+            except Exception as error:  # noqa: BLE001 - reported per point
+                errors[int(row)] = error
+        on, off = np.full((2, len(table)), math.nan)
         if self.needs_currents:
-            seed = derive_point_seed(self.spec.seed, flat_index) \
-                if self.stochastic else None
-            on, off = self.solve_currents(device, temperature,
-                                          drain_voltage, background, seed)
-        outcome = self.classify(device, temperature, drain_voltage, on, off)
-        outcome["on_current"] = on
-        outcome["off_current"] = off
+            on, off, failed = self.solve(table, drains,
+                                         np.flatnonzero(~rejected))
+            errors.update(failed)
+        margins, satisfied = self.classify(table, drains, on, off,
+                                           self.constraints)
+        verdicts, robustness = self.verdicts(margins, satisfied)
+        yields = None
         if self.tolerance:
-            outcome["yield"] = self.point_yield(flat_index)
-        return outcome
+            counts = self.feasible_samples(table, drains)
+            yields = counts / self.spec.tolerance_samples
+        return _Outcome(verdicts=verdicts, robustness=robustness,
+                        margins=margins, on_currents=on, off_currents=off,
+                        yields=yields, errors=errors)
 
+    # ------------------------------------------------------------ tolerance
 
-def _unknown_point(n_constraints: int, with_yield: bool) -> Dict[str, Any]:
-    """The payload slot of a failed/skipped point."""
-    outcome: Dict[str, Any] = {
-        "verdict": UNKNOWN, "robustness": math.nan,
-        "margins": [math.nan] * n_constraints,
-        "on_current": math.nan, "off_current": math.nan}
-    if with_yield:
-        outcome["yield"] = math.nan
-    return outcome
+    @functools.cached_property
+    def draws(self) -> Dict[str, np.ndarray]:
+        """Each toleranced element's standard variates (drawn once)."""
+        return self.tolerance.draws(self.spec.seed,
+                                    self.spec.tolerance_samples)
+
+    def feasible(self, table: DeviceTable, drains: np.ndarray,
+                 buildable: np.ndarray) -> np.ndarray:
+        """Which rows satisfy every hard constraint.
+
+        Unbuildable rows, and rows whose engine solve fails, are
+        infeasible — a deviated device that cannot exist is a failed
+        sample, not a scan abort.
+        """
+        feasible = buildable.copy()
+        on, off = np.full((2, len(table)), math.nan)
+        if self.yield_needs_currents and feasible.any():
+            on, off, failed = self.solve(table, drains,
+                                         np.flatnonzero(feasible))
+            feasible[list(failed)] = False
+        _, satisfied = self.classify(table, drains, on, off, self.hard)
+        return feasible & np.all(satisfied, axis=0)
+
+    def feasible_samples(self, table: DeviceTable,
+                         drains: np.ndarray) -> np.ndarray:
+        """Tolerance-MC feasible-sample counts, one per row.
+
+        Every row's samples deviate its device through the spec's
+        tolerance model with common random numbers (sample ``i`` of every
+        row uses the same standard variates, so neighbouring points see
+        the same component lot) and re-check the hard constraints, as one
+        points x samples table at a time.
+        """
+        samples = self.spec.tolerance_samples
+        counts = np.zeros(len(table), dtype=np.int64)
+        block = max(1, _BATCH_ROWS // samples)
+        for first in range(0, len(table), block):
+            rows = np.arange(first, min(first + block, len(table)))
+            lot = table.take(np.repeat(rows, samples))
+            columns = dict(lot.columns)
+            buildable = np.ones(len(lot), dtype=bool)
+            for element, standard in self.draws.items():
+                if element not in columns \
+                        and getattr(self.base, element) is None:
+                    # sample_device refuses to deviate an unset optional.
+                    buildable[:] = False
+                    continue
+                nominal = lot.column(element).reshape(len(rows), samples)
+                columns[element] = self.tolerance.deviations[element] \
+                    .deviate(nominal, standard).ravel()
+            lot = dataclasses.replace(lot, columns=columns)
+            feasible = self.feasible(lot, np.repeat(drains[rows], samples),
+                                     buildable & ~lot.rejected())
+            counts[rows] = feasible.reshape(len(rows), samples).sum(axis=1)
+        return counts
 
 
 class DeviceScan:
@@ -335,7 +436,7 @@ class DeviceScan:
         self.cache = cache
         self.policy = policy
         self.engine = resolve_engine(spec.engine)
-        self._evaluator = _PointEvaluator(spec, self.engine)
+        self._evaluator = _ChunkEvaluator(spec, self.engine)
         #: Chunks recomputed / served from cache / lost to a chunk-level
         #: failure during the last :meth:`run` call.
         self.chunks_computed = 0
@@ -374,57 +475,59 @@ class DeviceScan:
     # ------------------------------------------------------------ execution
 
     def _compute_chunk(self, start: int, count: int) -> Dict[str, Any]:
-        """Evaluate one chunk's points and assemble its payload."""
+        """Evaluate one chunk's points and assemble its payload.
+
+        The whole chunk is evaluated as one batch first; the per-point
+        policy walk then fires the ``design.point`` fault site once per
+        point in flat-index order and applies retries, ``max_failures`` and
+        skips exactly as a point-by-point evaluation would, re-evaluating
+        a failed point on its own when it is retried.
+        """
         inject("design.chunk")
         evaluator = self._evaluator
-        n_constraints = len(evaluator.constraints)
-        with_yield = bool(evaluator.tolerance)
         policy = self.policy
-        outcomes: List[Dict[str, Any]] = []
+        outcome = evaluator.evaluate(np.arange(start, start + count))
+        attempts = 1 if policy is None else 1 + policy.max_retries
         statuses: List[str] = []
         failures = 0
-        give_up = False
-        for flat_index in range(start, start + count):
-            if give_up:
-                outcomes.append(_unknown_point(n_constraints, with_yield))
+        for row in range(count):
+            if policy is not None and policy.max_failures is not None \
+                    and failures > policy.max_failures:
+                outcome.clear(row)
                 statuses.append("skipped")
                 continue
-            if policy is None:
-                outcomes.append(evaluator.evaluate(flat_index))
-                statuses.append("ok")
-                continue
-            attempts = 1 + policy.max_retries
-            outcome: Optional[Dict[str, Any]] = None
             for attempt in range(attempts):
                 try:
-                    outcome = evaluator.evaluate(flat_index)
+                    inject("design.point")
+                    if attempt and row in outcome.errors:
+                        outcome.adopt(row, evaluator.evaluate(
+                            np.array([start + row])))
+                    if row in outcome.errors:
+                        raise outcome.errors[row]
                     break
                 except Exception as error:  # noqa: BLE001 - policy run
+                    if policy is None:
+                        raise
                     _LOG.debug("design point %d attempt %d failed: %r",
-                               flat_index, attempt + 1, error)
-            if outcome is None:
-                failures += 1
-                outcomes.append(_unknown_point(n_constraints, with_yield))
-                statuses.append("failed")
-                if policy.max_failures is not None \
-                        and failures > policy.max_failures:
-                    give_up = True
+                               start + row, attempt + 1, error)
             else:
-                outcomes.append(outcome)
-                statuses.append("ok")
+                failures += 1
+                outcome.clear(row)
+                statuses.append("failed")
+                continue
+            statuses.append("ok")
         payload: Dict[str, Any] = {
             "engine": self.engine.name,
             "start": start,
-            "verdicts": [o["verdict"] for o in outcomes],
-            "robustness": [o["robustness"] for o in outcomes],
-            "margins": [[o["margins"][row] for o in outcomes]
-                        for row in range(n_constraints)],
-            "on_currents": [o["on_current"] for o in outcomes],
-            "off_currents": [o["off_current"] for o in outcomes],
+            "verdicts": outcome.verdicts.tolist(),
+            "robustness": outcome.robustness.tolist(),
+            "margins": outcome.margins.tolist(),
+            "on_currents": outcome.on_currents.tolist(),
+            "off_currents": outcome.off_currents.tolist(),
             "statuses": statuses,
         }
-        if with_yield:
-            payload["yields"] = [o["yield"] for o in outcomes]
+        if outcome.yields is not None:
+            payload["yields"] = outcome.yields.tolist()
         return payload
 
     def _valid_payload(self, chunk: DesignChunk,
@@ -616,42 +719,32 @@ def analyze_yield(spec: DesignSpec, flat_index: int = 0) -> YieldReport:
     YieldReport
         Seeded Monte-Carlo yield plus the worst-case corner sweep.
     """
-    evaluator = _PointEvaluator(spec, resolve_engine(spec.engine))
+    evaluator = _ChunkEvaluator(spec, resolve_engine(spec.engine))
     if not evaluator.tolerance:
         raise ValidationError(
             "yield analysis needs a spec with component tolerances")
-    device, temperature, drain_voltage, background = \
-        evaluator.point_inputs(flat_index)
-    seed = derive_point_seed(spec.seed, flat_index) \
-        if evaluator.stochastic else None
-    feasible = 0
-    for sample in range(spec.tolerance_samples):
-        try:
-            deviated = evaluator.tolerance.sample_device(device, spec.seed,
-                                                         sample)
-            if evaluator.is_feasible(deviated, temperature, drain_voltage,
-                                     background, seed):
-                feasible += 1
-        except Exception:  # noqa: BLE001 - unbuildable sample = infeasible
-            continue
+    point, drains = evaluator.inputs(np.array([flat_index]))
+    feasible = int(evaluator.feasible_samples(point, drains)[0])
+    assignments = [assignment for assignment, _ in
+                   evaluator.tolerance.corner_devices(point.device(0))]
     corners: List[Dict[str, Any]] = []
-    worst_case = True
-    for assignment, corner_device in \
-            evaluator.tolerance.corner_devices(device):
-        try:
-            corner_ok = evaluator.is_feasible(corner_device, temperature,
-                                              drain_voltage, background,
-                                              seed)
-        except Exception:  # noqa: BLE001 - unbuildable corner = infeasible
-            corner_ok = False
-        worst_case = worst_case and corner_ok
-        corners.append({"assignment": dict(assignment),
-                        "feasible": corner_ok})
+    if assignments:
+        rows = np.zeros(len(assignments), dtype=int)
+        corner_table = point.take(rows)
+        corner_table = dataclasses.replace(corner_table, columns={
+            **corner_table.columns,
+            **{name: [a[name] for a in assignments]
+               for name in assignments[0]}})
+        corner_ok = evaluator.feasible(corner_table, drains[rows],
+                                       ~corner_table.rejected())
+        corners = [{"assignment": dict(assignment), "feasible": bool(ok)}
+                   for assignment, ok in zip(assignments, corner_ok)]
     return YieldReport(
-        point=evaluator.point_overrides(flat_index),
+        point=spec.point_parameters(flat_index),
         samples=spec.tolerance_samples, feasible_samples=feasible,
         yield_fraction=feasible / spec.tolerance_samples,
-        corners=tuple(corners), worst_case_feasible=worst_case)
+        corners=tuple(corners),
+        worst_case_feasible=all(c["feasible"] for c in corners))
 
 
 __all__ = [

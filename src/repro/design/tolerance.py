@@ -16,6 +16,13 @@ worst-case/Monte-Carlo harnesses do:
   element ``e`` is a pure function of ``(root seed, e, i)`` — never of axis
   iteration order, worker count, or how many other elements are toleranced —
   so tolerance-MC yield is bit-reproducible across any execution schedule.
+
+Scans draw every sample of every point at once: :meth:`ToleranceModel.draws`
+takes each element's standard uniform or normal variate per sample from its
+seed stream once, and :meth:`ComponentDeviation.deviate` maps those variates
+onto whole arrays of nominal values with the same arithmetic
+``Generator.uniform``/``Generator.normal`` perform, so the batch equals
+:meth:`ToleranceModel.sample_device` value for value.
 """
 
 from __future__ import annotations
@@ -176,6 +183,57 @@ class ComponentDeviation:
             return float(np.clip(rng.normal(centre, sigma), low, high))
         return float(rng.uniform(low, high))
 
+    def standard_draw(self, rng: np.random.Generator) -> float:
+        """The standard variate :meth:`sample` consumes from ``rng``.
+
+        ``rng.uniform(low, high)`` is ``low + (high - low) * rng.random()``
+        and ``rng.normal(centre, sigma)`` is
+        ``centre + sigma * rng.standard_normal()``, so drawing the standard
+        variate once lets :meth:`deviate` rebuild :meth:`sample` for any
+        nominal value.
+        """
+        if self.distribution == "normal":
+            return float(rng.standard_normal())
+        return float(rng.random())
+
+    def deviate(self, nominal: np.ndarray,
+                standard: np.ndarray) -> np.ndarray:
+        """Array-valued :meth:`sample` from precomputed standard variates.
+
+        Parameters
+        ----------
+        nominal:
+            Nominal values (any shape).
+        standard:
+            Standard variates from :meth:`standard_draw`, broadcastable
+            against ``nominal``.
+
+        Returns
+        -------
+        numpy.ndarray
+            The deviated values, bit-identical to :meth:`sample` on the
+            generator the variates came from.
+        """
+        nominal = np.asarray(nominal, dtype=float)
+        standard = np.asarray(standard, dtype=float)
+        if self.kind == "none":
+            return np.broadcast_to(nominal, np.broadcast_shapes(
+                nominal.shape, standard.shape)).copy()
+        if self.kind == "tolerance":
+            low = nominal * (1.0 - self.tolerance)
+            high = nominal * (1.0 + self.tolerance)
+            low, high = np.minimum(low, high), np.maximum(low, high)
+        else:
+            low = np.full(nominal.shape, self.minimum)
+            high = np.full(nominal.shape, self.maximum)
+        if self.distribution == "normal":
+            centre = 0.5 * (low + high)
+            sigma = (high - low) / 6.0
+            value = np.clip(centre + sigma * standard, low, high)
+        else:
+            value = low + (high - low) * standard
+        return np.where(high <= low, low, value)
+
     # ------------------------------------------------------------- documents
 
     def to_dict(self) -> Dict[str, Any]:
@@ -293,6 +351,31 @@ class ToleranceModel:
         if not overrides:
             return device
         return dataclasses.replace(device, **overrides)
+
+    def draws(self, root_seed: int, samples: int) -> Dict[str, np.ndarray]:
+        """Every deviating element's standard variates, one per sample.
+
+        Parameters
+        ----------
+        root_seed:
+            The design spec's root seed.
+        samples:
+            Number of Monte-Carlo samples.
+
+        Returns
+        -------
+        dict
+            Element name -> array of ``samples`` standard variates, drawn
+            from the same :func:`derive_element_seed` streams
+            :meth:`sample_device` uses.
+        """
+        return {
+            element: np.array([
+                deviation.standard_draw(np.random.default_rng(
+                    derive_element_seed(root_seed, element, sample)))
+                for sample in range(samples)])
+            for element, deviation in self.deviations.items()
+            if deviation.kind != "none"}
 
     def corner_devices(
             self, device: SETTransistor

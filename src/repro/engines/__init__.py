@@ -12,8 +12,10 @@ pattern is always the same three steps::
 * :func:`get_engine` / :func:`list_engines` / :func:`register_engine` —
   the registry every layer (scenarios, CLI, benchmarks) resolves through;
 * :class:`Engine` — ``capabilities()`` for introspection (exactness class,
-  stochasticity, ensemble support, cost model) and ``bind()`` for creating
-  sessions;
+  stochasticity, ensemble support, cost model), ``bind()`` for creating
+  sessions, and ``solve_devices()`` for solving a whole
+  :class:`DeviceTable` of devices at once (one array evaluation on the
+  analytic engine, a per-device ``bind`` + ``solve`` loop elsewhere);
 * :class:`Session` — ``solve(bias)``, ``sweep(axes, workers=...)``, and the
   incremental ``stream(axes)`` iterator, all structure-reusing;
 * :class:`Observables` / :class:`SweepResult` — the common result model
@@ -32,6 +34,7 @@ from .base import (
     EXACTNESS_STOCHASTIC_FULL,
     BiasPoint,
     CostModel,
+    DeviceTable,
     Engine,
     EngineCapabilities,
     Observables,
@@ -62,6 +65,7 @@ def analytic_model_for(device, temperature, background_charge=None):
 __all__ = [
     "BiasPoint",
     "CostModel",
+    "DeviceTable",
     "EXACTNESS_APPROXIMATE",
     "EXACTNESS_CLASSES",
     "EXACTNESS_EXACT_SEQUENTIAL",

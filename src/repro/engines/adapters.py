@@ -46,12 +46,14 @@ from .base import (
     EXACTNESS_STOCHASTIC_FULL,
     BiasPoint,
     CostModel,
+    DeviceTable,
     Engine,
     EngineCapabilities,
     Observables,
     Session,
     SweepAxes,
     SweepResult,
+    _bias_grid,
 )
 from .registry import register_engine
 
@@ -177,9 +179,12 @@ class AnalyticSession(Session):
                           temperatures) -> np.ndarray:
         """Closed-form currents at one bias point across many temperatures.
 
-        Each temperature costs one microsecond-scale model evaluation —
-        this is what the ``supports_temperature_array`` capability
-        advertises.
+        All temperatures are evaluated in one array-temperature model
+        evaluation — this is what the ``supports_temperature_array``
+        capability advertises.  The currents follow the array path of
+        :meth:`~repro.compact.set_model.AnalyticSETModel.drain_current`, so
+        they may differ from per-temperature :meth:`solve` calls by a few
+        ulp.
 
         Parameters
         ----------
@@ -210,13 +215,12 @@ class AnalyticSession(Session):
                 f"{type(base_model).__name__} cannot be re-evaluated at "
                 "a new temperature (not a dataclass with a "
                 "'temperature' field); bind from a device instead")
-        currents = []
-        for temperature in np.asarray(temperatures, dtype=float).ravel():
-            model = dataclasses.replace(base_model,
-                                        temperature=float(temperature))
-            currents.append(float(model.drain_current(bias.drain_voltage,
-                                                      bias.gate_voltage)))
-        return np.asarray(currents, dtype=float)
+        model = dataclasses.replace(
+            base_model,
+            temperature=np.asarray(temperatures, dtype=float).ravel())
+        return np.asarray(model.drain_current(bias.drain_voltage,
+                                              bias.gate_voltage),
+                          dtype=float)
 
     def _model_at(self, bias: BiasPoint):
         """The session model, rebuilt only when a per-point offset differs."""
@@ -260,6 +264,34 @@ class AnalyticEngine(Engine):
                                    background_charge=background_charge)
         return AnalyticSession(model, device=device, temperature=temperature,
                                background_charge=background_charge)
+
+    def solve_devices(self, table: DeviceTable, gates, drains, *,
+                      max_events: int = 20_000, warmup_events: int = 1_000,
+                      replicas: int = 0) -> np.ndarray:
+        """The whole batch in one array-parameter ``drain_current`` call.
+
+        Every row's compact-model twin becomes one element of a batched
+        :class:`~repro.compact.set_model.AnalyticSETModel`, so the currents
+        follow the model's array path: equal to per-row :meth:`bind` +
+        ``solve`` within the few-ulp contract documented on
+        :meth:`~repro.compact.set_model.AnalyticSETModel.drain_current`.
+        See :meth:`Engine.solve_devices` for the parameters.
+        """
+        from ..compact.set_model import AnalyticSETModel
+
+        gates, drains = _bias_grid(table, gates, drains)
+        if not len(table):
+            return np.empty(gates.shape)
+        # One device per row: parameters broadcast along the bias columns.
+        model = AnalyticSETModel(
+            drain_capacitance=table.c_drain[:, None],
+            source_capacitance=table.c_source[:, None],
+            gate_capacitance=table.gate_capacitance[:, None],
+            drain_resistance=table.r_drain[:, None],
+            source_resistance=table.r_source[:, None],
+            background_charge=table.offset_charge[:, None],
+            temperature=table.temperature[:, None])
+        return np.asarray(model.drain_current(drains, gates), dtype=float)
 
 
 # ======================================================================

@@ -28,11 +28,22 @@ name through :mod:`repro.engines.registry` (``get_engine``/``list_engines``).
 from __future__ import annotations
 
 import abc
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
+from ..constants import BOLTZMANN, E_CHARGE
 from ..devices.set_transistor import SETTransistor
 from ..errors import ValidationError
 from ..io.results import SweepRecord
@@ -338,6 +349,218 @@ class SweepResult:
                            metadata=merged)
 
 
+#: :class:`SETTransistor` fields a :class:`DeviceTable` column may carry.
+_DEVICE_FIELDS = tuple(f.name for f in dataclasses.fields(SETTransistor))
+
+
+@dataclass(frozen=True, eq=False)
+class DeviceTable:
+    """A batch of devices in column form, with per-row operating conditions.
+
+    Row ``i`` stands for ``base`` with each column's ``i``-th value
+    substituted (what :meth:`device` builds with ``dataclasses.replace``),
+    bound at ``temperature[i]`` with island offset
+    ``background_charge[i]`` and seed ``seeds[i]``.  The resolved
+    per-junction parameters (:attr:`c_drain`, :attr:`r_source`, ...) and
+    the figures of merit mirror :class:`SETTransistor` element-wise, so
+    array code can read a table wherever it would read a device.
+
+    Parameters
+    ----------
+    base:
+        The device every row starts from.
+    columns:
+        Mapping :class:`SETTransistor` field name -> per-row values.
+    temperature:
+        Per-row temperature in kelvin.
+    background_charge:
+        Per-row island offset charge in coulomb; ``None``: every row keeps
+        its device's own offset.
+    seeds:
+        Per-row seeds for stochastic engines; ``None``: unseeded.
+    """
+
+    base: SETTransistor
+    columns: Mapping[str, np.ndarray]
+    temperature: np.ndarray
+    background_charge: Optional[np.ndarray] = None
+    seeds: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        """Coerce the columns to float arrays and check their lengths."""
+        temperature = np.asarray(self.temperature, dtype=float).ravel()
+        object.__setattr__(self, "temperature", temperature)
+        unknown = sorted(set(self.columns) - set(_DEVICE_FIELDS))
+        if unknown:
+            raise ValidationError(
+                f"device table columns {unknown} are not SETTransistor "
+                f"fields; choose from {_DEVICE_FIELDS}")
+        object.__setattr__(self, "columns", {
+            name: np.asarray(values, dtype=float).ravel()
+            for name, values in self.columns.items()})
+        if self.background_charge is not None:
+            object.__setattr__(self, "background_charge", np.asarray(
+                self.background_charge, dtype=float).ravel())
+        if self.seeds is not None:
+            object.__setattr__(self, "seeds",
+                               np.asarray(self.seeds, dtype=np.int64).ravel())
+        for label, values in [("background_charge", self.background_charge),
+                              ("seeds", self.seeds),
+                              *self.columns.items()]:
+            if values is not None and len(values) != len(temperature):
+                raise ValidationError(
+                    f"device table column {label!r} has {len(values)} rows, "
+                    f"expected {len(temperature)}")
+
+    def __len__(self) -> int:
+        """Number of rows (devices)."""
+        return len(self.temperature)
+
+    # -------------------------------------------------------------- columns
+
+    def column(self, name: str) -> np.ndarray:
+        """Per-row values of one :class:`SETTransistor` field.
+
+        Fields without a column repeat the base device's value (NaN where
+        the base leaves an optional field unset).
+        """
+        if name in self.columns:
+            return self.columns[name]
+        value = getattr(self.base, name)
+        return np.full(len(self), np.nan if value is None else float(value))
+
+    def _resolved(self, override: str, fallback: str) -> np.ndarray:
+        """A per-junction field, falling back to the symmetric one."""
+        if override in self.columns or getattr(self.base, override) is not None:
+            return self.column(override)
+        return self.column(fallback)
+
+    @property
+    def c_drain(self) -> np.ndarray:
+        """Drain-junction capacitances in farad."""
+        return self._resolved("drain_capacitance", "junction_capacitance")
+
+    @property
+    def c_source(self) -> np.ndarray:
+        """Source-junction capacitances in farad."""
+        return self._resolved("source_capacitance", "junction_capacitance")
+
+    @property
+    def r_drain(self) -> np.ndarray:
+        """Drain-junction tunnel resistances in ohm."""
+        return self._resolved("drain_resistance", "junction_resistance")
+
+    @property
+    def r_source(self) -> np.ndarray:
+        """Source-junction tunnel resistances in ohm."""
+        return self._resolved("source_resistance", "junction_resistance")
+
+    @property
+    def gate_capacitance(self) -> np.ndarray:
+        """Gate capacitances in farad."""
+        return self.column("gate_capacitance")
+
+    @property
+    def offset_charge(self) -> np.ndarray:
+        """Island offset charge each row is bound at, in coulomb."""
+        if self.background_charge is not None:
+            return self.background_charge
+        return self.column("background_charge")
+
+    @property
+    def total_capacitance(self) -> np.ndarray:
+        """Total island capacitances ``C_sigma`` in farad."""
+        total = self.c_drain + self.c_source + self.gate_capacitance
+        if "second_gate_capacitance" in self.columns \
+                or self.base.second_gate_capacitance is not None:
+            total = total + self.column("second_gate_capacitance")
+        return total
+
+    @property
+    def gate_period(self) -> np.ndarray:
+        """Coulomb-oscillation gate periods ``e / C_g`` in volt."""
+        return E_CHARGE / self.gate_capacitance
+
+    @property
+    def voltage_gain(self) -> np.ndarray:
+        """Intrinsic voltage gains ``C_g / C_drain``."""
+        return self.gate_capacitance / self.c_drain
+
+    def max_operating_temperature(self, margin: float = 40.0) -> np.ndarray:
+        """Highest usable temperatures (K), one per row.
+
+        Same arithmetic as :meth:`SETTransistor.max_operating_temperature`.
+        """
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return E_CHARGE**2 / (2.0 * self.total_capacitance) \
+                / (margin * BOLTZMANN)
+
+    # ----------------------------------------------------------------- rows
+
+    def rejected(self) -> np.ndarray:
+        """Rows whose device :class:`SETTransistor` would refuse to build."""
+        mask = np.zeros(len(self), dtype=bool)
+        for name in ("junction_capacitance", "gate_capacitance",
+                     "junction_resistance"):
+            if name in self.columns:
+                mask |= self.columns[name] <= 0.0
+        return mask
+
+    def device(self, row: int) -> SETTransistor:
+        """The concrete device of one row."""
+        if not self.columns:
+            return self.base
+        return dataclasses.replace(self.base, **{
+            name: float(values[row]) for name, values in self.columns.items()})
+
+    def bind_options(self, row: int) -> Dict[str, Any]:
+        """The per-row :meth:`Engine.bind` keywords of one row."""
+        return {
+            "temperature": float(self.temperature[row]),
+            "seed": None if self.seeds is None else int(self.seeds[row]),
+            "background_charge": None if self.background_charge is None
+            else float(self.background_charge[row]),
+        }
+
+    def take(self, rows) -> "DeviceTable":
+        """The sub-table of the given row indices (or boolean mask)."""
+        return DeviceTable(
+            base=self.base,
+            columns={name: values[rows]
+                     for name, values in self.columns.items()},
+            temperature=self.temperature[rows],
+            background_charge=None if self.background_charge is None
+            else self.background_charge[rows],
+            seeds=None if self.seeds is None else self.seeds[rows])
+
+
+def _bias_grid(table: DeviceTable, gates,
+               drains) -> Tuple[np.ndarray, np.ndarray]:
+    """Validate and broadcast the per-row biases of a batch solve.
+
+    Parameters
+    ----------
+    table:
+        The device batch.
+    gates:
+        Gate voltages, shape ``(len(table), biases)``.
+    drains:
+        Drain voltages broadcastable to the shape of ``gates``.
+
+    Returns
+    -------
+    (numpy.ndarray, numpy.ndarray)
+        ``gates`` and ``drains`` as float arrays of the same 2-D shape.
+    """
+    gates = np.asarray(gates, dtype=float)
+    if gates.ndim != 2 or gates.shape[0] != len(table):
+        raise ValidationError(
+            f"gates must have shape ({len(table)}, biases), got "
+            f"{gates.shape}")
+    drains = np.broadcast_to(np.asarray(drains, dtype=float), gates.shape)
+    return gates, drains
+
+
 class Session(abc.ABC):
     """A backend bound to one device and one set of operating conditions.
 
@@ -543,10 +766,49 @@ class Engine(abc.ABC):
             The bound, structure-reusing compute session.
         """
 
+    def solve_devices(self, table: DeviceTable, gates, drains, *,
+                      max_events: int = 20_000, warmup_events: int = 1_000,
+                      replicas: int = 0) -> np.ndarray:
+        """Drain currents of a batch of devices, each at its own biases.
+
+        The default binds one session per row and solves the row's biases
+        in column order — the per-device ``bind`` + ``solve`` loop, so it
+        returns exactly what the engine's sessions return.  Engines that
+        can evaluate a whole batch in one array computation override it.
+
+        Parameters
+        ----------
+        table:
+            The devices with their temperatures, offsets and seeds.
+        gates:
+            Gate voltages, shape ``(len(table), biases)``.
+        drains:
+            Drain voltages broadcastable to the shape of ``gates``.
+        max_events, warmup_events, replicas:
+            Budgets forwarded to :meth:`bind`.
+
+        Returns
+        -------
+        numpy.ndarray
+            Drain currents in ampere, the shape of ``gates``.
+        """
+        gates, drains = _bias_grid(table, gates, drains)
+        currents = np.empty(gates.shape)
+        for row in range(len(table)):
+            session = self.bind(table.device(row), max_events=max_events,
+                                warmup_events=warmup_events,
+                                replicas=replicas, **table.bind_options(row))
+            for column in range(gates.shape[1]):
+                currents[row, column] = session.solve(BiasPoint(
+                    float(gates[row, column]),
+                    float(drains[row, column]))).current
+        return currents
+
 
 __all__ = [
     "BiasPoint",
     "CostModel",
+    "DeviceTable",
     "EXACTNESS_APPROXIMATE",
     "EXACTNESS_CLASSES",
     "EXACTNESS_EXACT_SEQUENTIAL",

@@ -16,6 +16,7 @@ corrupted or truncated artifact is treated as a miss and evicted.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -193,6 +194,38 @@ CACHE_FORMAT_VERSION = 2
 CACHE_KEY_FIELD = "__cache_key__"
 
 
+@functools.lru_cache(maxsize=None)
+def source_digest(root: Optional[str] = None) -> str:
+    """SHA-256 digest of the ``repro`` package's Python sources.
+
+    Folded into the default :class:`ResultCache` code version, so any
+    change to result-defining code — not just a package version bump —
+    turns every previously cached artifact into a miss.  Computed lazily
+    on first use (never at import, so start-up does not pay for it) and
+    memoised per process and root.
+
+    Parameters
+    ----------
+    root:
+        Package directory to digest; ``None`` means the installed
+        ``repro`` package.
+
+    Returns
+    -------
+    str
+        Hex digest over every ``*.py`` file's relative path and bytes, in
+        sorted path order.
+    """
+    base = Path(root) if root is not None else Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(base.rglob("*.py")):
+        digest.update(path.relative_to(base).as_posix().encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
 def content_hash(payload: Union[str, bytes, Mapping]) -> str:
     """SHA-256 content hash of a string, bytes, or JSON-able mapping.
 
@@ -233,19 +266,17 @@ class ResultCache:
     root:
         Directory holding the artifacts (created on first use).
     code_version:
-        Version tag folded into every key.  Defaults to the package version
-        plus :data:`CACHE_FORMAT_VERSION`, so upgrading the package or the
-        artifact format invalidates the whole cache instead of serving
+        Version tag folded into every key.  Defaults to the package version,
+        :data:`CACHE_FORMAT_VERSION` and the :func:`source_digest` of the
+        package, so editing any module, upgrading the package or changing
+        the artifact format invalidates the whole cache instead of serving
         results computed by older code.
     """
 
     def __init__(self, root: Union[str, Path],
                  code_version: Optional[str] = None) -> None:
-        from .. import __version__
-
         self.root = Path(root)
-        self.code_version = code_version if code_version is not None \
-            else f"{__version__}+fmt{CACHE_FORMAT_VERSION}"
+        self._code_version = code_version
         #: Loads served from a valid artifact.
         self.hits = 0
         #: Loads that found no (usable) artifact.
@@ -254,6 +285,16 @@ class ResultCache:
         self.evictions = 0
         #: Stores that degraded to a no-op on an I/O failure.
         self.store_failures = 0
+
+    @property
+    def code_version(self) -> str:
+        """The version tag folded into every key (see the class docs)."""
+        if self._code_version is None:
+            from .. import __version__
+
+            self._code_version = (f"{__version__}+fmt{CACHE_FORMAT_VERSION}"
+                                  f"+src{source_digest()[:16]}")
+        return self._code_version
 
     def stats(self) -> Dict[str, int]:
         """The hit/miss/eviction/store-failure counters as a plain dict."""
@@ -404,4 +445,4 @@ class ResultCache:
 
 
 __all__ = ["CACHE_FORMAT_VERSION", "CACHE_KEY_FIELD", "ExperimentRecord",
-           "ResultCache", "SweepRecord", "content_hash"]
+           "ResultCache", "SweepRecord", "content_hash", "source_digest"]

@@ -4,8 +4,27 @@ import numpy as np
 import pytest
 
 from repro.compact import AnalyticSETModel, MasterEquationSETModel, SETDevice, TunableSETModel
-from repro.constants import E_CHARGE
+from repro.constants import BOLTZMANN, E_CHARGE
 from repro.errors import CircuitError
+
+#: Documented array-vs-scalar bound of ``drain_current`` where
+#: ``e |V_ds| >= 3 k_B T``.
+ARRAY_MAX_ULP = 4096
+
+
+def random_devices(rng, count):
+    """Array parameters of ``count`` random (asymmetric, offset) devices."""
+    def log_uniform(low, high):
+        return np.exp(rng.uniform(np.log(low), np.log(high), count))
+
+    return dict(drain_capacitance=log_uniform(1e-19, 5e-18),
+                source_capacitance=log_uniform(1e-19, 5e-18),
+                gate_capacitance=log_uniform(2e-19, 1e-17),
+                drain_resistance=log_uniform(1e5, 1e8),
+                source_resistance=log_uniform(1e5, 1e8),
+                background_charge=rng.uniform(-1.0, 1.0, count) * E_CHARGE,
+                temperature=rng.choice([0.0, 0.1, 1.0, 4.0, 30.0, 300.0],
+                                       count))
 
 
 class TestAnalyticModel:
@@ -171,6 +190,65 @@ class TestVectorizedAnalyticModel:
         gates = np.linspace(0.0, 0.08, 3)
         grid = model.drain_current_map(drains, gates)
         assert grid.shape == (4, 3)
+
+
+class TestBatchedAnalyticModel:
+    """Array-valued parameters: one model instance per batch of devices."""
+
+    def scalar_twins(self, parameters, drains, gates):
+        return np.array([
+            AnalyticSETModel(**{name: float(values[row])
+                                for name, values in parameters.items()}
+                             ).drain_current(float(drains[row]),
+                                             float(gates[row]))
+            for row in range(len(drains))])
+
+    def test_batch_matches_per_device_models_within_the_ulp_contract(self):
+        rng = np.random.default_rng(17)
+        parameters = random_devices(rng, 3000)
+        drains = rng.uniform(-0.1, 0.1, 3000)
+        gates = rng.uniform(-0.3, 0.3, 3000)
+        batched = AnalyticSETModel(**parameters).drain_current(drains, gates)
+        scalar = self.scalar_twins(parameters, drains, gates)
+        temperature = parameters["temperature"]
+        biased = E_CHARGE * np.abs(drains) >= 3.0 * BOLTZMANN * temperature
+        np.testing.assert_array_max_ulp(batched[biased], scalar[biased],
+                                        maxulp=ARRAY_MAX_ULP)
+        frozen = temperature == 0.0
+        np.testing.assert_array_equal(batched[frozen], scalar[frozen])
+
+    def test_scalar_voltages_on_a_batched_model_return_an_array(self):
+        model = AnalyticSETModel(temperature=np.array([0.5, 2.0, 20.0]))
+        assert model.batched
+        currents = model.drain_current(0.005, 0.0)
+        assert currents.shape == (3,)
+        assert currents[2] > currents[0]   # thermal activation
+        assert not AnalyticSETModel().batched
+
+    def test_parameters_broadcast_against_voltage_grids(self):
+        gates = np.linspace(0.0, 0.1, 4)
+        model = AnalyticSETModel(
+            gate_capacitance=np.array([[1e-18], [2e-18]]), temperature=1.0)
+        grid = model.drain_current(0.02, gates[None, :])
+        assert grid.shape == (2, 4)
+        reference = AnalyticSETModel(gate_capacitance=2e-18,
+                                     temperature=1.0).drain_current(
+                                         0.02, gates)
+        np.testing.assert_array_equal(grid[1], reference)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("source_capacitance", np.array([1e-18, 0.0])),
+        ("drain_resistance", np.array([1e6, -1.0])),
+        ("temperature", np.array([1.0, -0.1])),
+    ])
+    def test_validation_is_element_wise(self, field, bad):
+        with pytest.raises(CircuitError):
+            AnalyticSETModel(**{field: bad})
+
+    def test_tunable_model_still_rebuilds_from_scalar_parameters(self):
+        model = TunableSETModel(temperature=1.0)
+        model.background_charge = 0.1 * E_CHARGE
+        assert isinstance(model.drain_current(0.02, 0.01), float)
 
 
 class TestMasterEquationModelMap:

@@ -92,6 +92,71 @@ class TestOrthodoxRateVec:
             orthodox_rate_vec(np.zeros(3), 1e6, -0.5)
 
 
+class TestOrthodoxRateVecUlpContract:
+    """The documented array-vs-scalar contract: NumPy's SIMD ``exp`` may
+    differ from ``math.exp`` by an ulp, which costs at most a few ulp in
+    the rate wherever ``|dF| >= kT``; every other branch is exact."""
+
+    @pytest.mark.parametrize("temperature", [0.05, 1.0, 300.0])
+    def test_within_four_ulp_where_the_exponent_is_not_small(self,
+                                                             temperature):
+        rng = np.random.default_rng(7)
+        x = rng.uniform(1.0, 600.0, size=5000) * rng.choice([-1.0, 1.0],
+                                                            size=5000)
+        deltas = x * BOLTZMANN * temperature
+        resistances = rng.uniform(1e5, 1e8, size=5000)
+        vec = orthodox_rate_vec(deltas, resistances, temperature)
+        ref = scalar_reference(deltas, resistances, temperature)
+        np.testing.assert_array_max_ulp(vec, ref, maxulp=4)
+
+    def test_small_exponents_lose_precision_as_kt_over_df(self):
+        # 1 - exp(x) cancels for |x| < 1: both paths lose ~1/|x| ulp.
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-1.0, 1.0, size=5000)
+        vec = orthodox_rate_vec(x * KT_1K, RESISTANCE, 1.0)
+        ref = scalar_reference(x * KT_1K, [RESISTANCE] * len(x), 1.0)
+        ulp = np.abs(vec - ref) / np.spacing(np.maximum(vec, ref))
+        assert np.all(ulp * np.minimum(np.abs(x), 1.0) <= 8.0)
+
+
+class TestOrthodoxRateVecTemperatureArray:
+    def test_per_element_temperatures_match_the_scalar_reference(self):
+        rng = np.random.default_rng(21)
+        temperatures = rng.choice([0.0, 0.05, 1.0, 30.0, 300.0], size=400)
+        deltas = rng.uniform(-5.0, 5.0, size=400) * KT_1K
+        resistances = rng.uniform(1e5, 1e8, size=400)
+        vec = orthodox_rate_vec(deltas, resistances, temperatures)
+        ref = np.array([orthodox_rate(df, r, t) for df, r, t in
+                        zip(deltas, resistances, temperatures)])
+        np.testing.assert_allclose(vec, ref, rtol=1e-12, atol=0.0)
+        frozen = temperatures == 0.0
+        np.testing.assert_array_equal(vec[frozen], ref[frozen])
+
+    def test_every_branch_is_exact_against_the_scalar_path(self):
+        # Step function, series expansion and overflow guards per element.
+        deltas = np.array([-1e-20, 0.0, 1e-20, 1e-12 * KT_1K,
+                           -1e-12 * KT_1K, 501.0 * KT_1K, -501.0 * KT_1K])
+        temperatures = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+        vec = orthodox_rate_vec(deltas, RESISTANCE, temperatures)
+        for value, df, t in zip(vec, deltas, temperatures):
+            assert value == orthodox_rate(float(df), RESISTANCE, float(t))
+
+    def test_temperatures_broadcast_against_energies(self):
+        deltas = np.linspace(-2.0, 2.0, 5) * KT_1K
+        temperatures = np.array([[0.5], [1.0], [2.0]])
+        grid = orthodox_rate_vec(deltas, RESISTANCE, temperatures)
+        assert grid.shape == (3, 5)
+        for row, temperature in enumerate(temperatures[:, 0]):
+            np.testing.assert_allclose(
+                grid[row], orthodox_rate_vec(deltas, RESISTANCE,
+                                             float(temperature)),
+                rtol=1e-15, atol=0.0)
+
+    def test_negative_temperatures_rejected(self):
+        with pytest.raises(ReproError):
+            orthodox_rate_vec(np.zeros(2), 1e6, np.array([1.0, -0.5]))
+
+
 class TestCotunnelingRateVec:
     @pytest.mark.parametrize("temperature", [0.0, 0.1, 4.2])
     def test_matches_scalar_on_random_channels(self, temperature):

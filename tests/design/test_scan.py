@@ -197,3 +197,54 @@ class TestStochasticScans:
         different = DeviceScan(
             DesignSpec.from_dict({**spec.to_dict(), "seed": 10})).run()
         assert first.on_currents.tolist() != different.on_currents.tolist()
+
+
+class TestBatchFailureIsolation:
+    """One chunk is one batch, but failures stay per point."""
+
+    def test_unbuildable_points_fail_alone_under_policy(self):
+        from repro.resilience import FailurePolicy
+
+        spec = make_spec(axes=[{"parameter": "gate_capacitance",
+                                "values": [2e-18, -1e-18, 3e-18]}])
+        feasibility = DeviceScan(
+            spec, policy=FailurePolicy(max_retries=1)).run()
+        assert feasibility.statuses == ("ok", "failed", "ok")
+        assert feasibility.verdicts[1] == UNKNOWN
+        clean = DeviceScan(make_spec(axes=[{
+            "parameter": "gate_capacitance",
+            "values": [2e-18, 3e-18]}])).run()
+        assert feasibility.on_currents[[0, 2]].tolist() == \
+            clean.on_currents.tolist()
+
+    def test_unbuildable_points_abort_without_policy(self):
+        from repro.errors import CircuitError
+
+        spec = make_spec(axes=[{"parameter": "gate_capacitance",
+                                "values": [2e-18, -1e-18]}])
+        with pytest.raises(CircuitError, match="gate_capacitance"):
+            DeviceScan(spec).run()
+
+    def test_engine_rejections_degrade_only_their_rows(self):
+        from repro.resilience import FailurePolicy
+
+        spec = make_spec(axes=[{"parameter": "drain_resistance",
+                                "values": [1e6, -1e6, 2e6]}])
+        feasibility = DeviceScan(spec, policy=FailurePolicy()).run()
+        assert feasibility.statuses == ("ok", "failed", "ok")
+        assert np.isfinite(feasibility.on_currents[[0, 2]]).all()
+        assert np.isnan(feasibility.on_currents[1])
+
+    def test_blocked_engine_calls_give_the_same_map(self, monkeypatch):
+        from repro.design import scan as scan_module
+        from repro.resilience import FailurePolicy
+
+        spec = make_spec(axes=[{"parameter": "drain_resistance",
+                                "values": [1e6, 2e6, 3e6, -1e6, 4e6]}],
+                         tolerances=TOLERANCES, tolerance_samples=3,
+                         chunk_size=5)
+        whole = comparable(DeviceScan(spec, policy=FailurePolicy()).run())
+        monkeypatch.setattr(scan_module, "_BATCH_ROWS", 2)
+        blocked = DeviceScan(spec, policy=FailurePolicy()).run()
+        assert blocked.statuses == ("ok", "ok", "ok", "failed", "ok")
+        assert comparable(blocked) == whole

@@ -13,6 +13,7 @@ import pytest
 from repro.devices import SETTransistor
 from repro.engines import (
     BiasPoint,
+    DeviceTable,
     Observables,
     SweepAxes,
     SweepResult,
@@ -137,6 +138,28 @@ class TestEngineContract:
             with pytest.raises(ValidationError,
                                match="temperature arrays"):
                 session.temperature_sweep(bias, temperatures)
+
+    def test_solve_devices_matches_per_device_sessions(self, name, device):
+        # Two devices, each at its own temperature, offset, seed and biases.
+        table = DeviceTable(device, {"gate_capacitance": [2e-18, 3e-18]},
+                            temperature=[TEMPERATURE, 2.0],
+                            background_charge=[0.0, 1e-20], seeds=[5, 6])
+        gates = np.outer(table.gate_period, [0.5, 0.3])
+        budget = dict(max_events=400, warmup_events=50, replicas=3)
+        batched = get_engine(name).solve_devices(table, gates,
+                                                 DRAIN_VOLTAGE, **budget)
+        looped = np.empty(gates.shape)
+        for row in range(len(table)):
+            session = get_engine(name).bind(table.device(row), **budget,
+                                            **table.bind_options(row))
+            for column, gate in enumerate(gates[row]):
+                looped[row, column] = session.solve(
+                    BiasPoint(float(gate), DRAIN_VOLTAGE)).current
+        assert batched.shape == (2, 2)
+        if name == "analytic":
+            np.testing.assert_array_max_ulp(batched, looped, maxulp=4096)
+        else:
+            np.testing.assert_array_equal(batched, looped)
 
     def test_sweep_result_bridges_to_a_sweep_record(self, name, device, axes):
         result = bind(name, device).sweep(axes)
@@ -377,3 +400,46 @@ class TestDeprecationShims:
             shimmed = legacy(device, TEMPERATURE)
         assert len(recorded) == 1
         assert shimmed == modern(device, TEMPERATURE)
+
+
+class TestDeviceTable:
+    """The column-form device batch behind ``Engine.solve_devices``."""
+
+    def test_resolved_parameters_mirror_the_device(self, device):
+        table = DeviceTable(device, {"drain_capacitance": [0.5e-18, 2e-18],
+                                     "junction_resistance": [1e6, 3e6]},
+                            temperature=[1.0, 1.0])
+        for row in range(len(table)):
+            built = table.device(row)
+            assert table.c_drain[row] == built.c_drain
+            assert table.c_source[row] == built.c_source
+            assert table.r_drain[row] == built.r_drain
+            assert table.total_capacitance[row] == built.total_capacitance
+            assert table.voltage_gain[row] == built.voltage_gain
+            assert table.max_operating_temperature(20.0)[row] == \
+                built.max_operating_temperature(20.0)
+
+    def test_rejected_rows_are_the_devices_that_cannot_be_built(self,
+                                                               device):
+        table = DeviceTable(device, {"gate_capacitance": [2e-18, -1e-18,
+                                                          3e-18]},
+                            temperature=[1.0, 1.0, 1.0])
+        assert table.rejected().tolist() == [False, True, False]
+        with pytest.raises(Exception, match="gate_capacitance"):
+            table.device(1)
+        kept = table.take(~table.rejected())
+        assert len(kept) == 2
+        assert kept.gate_capacitance.tolist() == [2e-18, 3e-18]
+
+    def test_malformed_tables_are_refused(self, device):
+        from repro.errors import ValidationError
+
+        with pytest.raises(ValidationError, match="not SETTransistor"):
+            DeviceTable(device, {"capacitance": [1e-18]}, temperature=[1.0])
+        with pytest.raises(ValidationError, match="rows"):
+            DeviceTable(device, {"gate_capacitance": [1e-18, 2e-18]},
+                        temperature=[1.0])
+        table = DeviceTable(device, {}, temperature=[1.0, 2.0])
+        with pytest.raises(ValidationError, match="shape"):
+            get_engine("analytic").solve_devices(table, [0.0, 0.1],
+                                                 DRAIN_VOLTAGE)

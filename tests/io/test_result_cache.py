@@ -1,11 +1,26 @@
 """Tests for the content-hash result cache (hit/miss, corruption, concurrency)."""
 
 import json
+import shutil
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.io import ResultCache, content_hash
+from repro.io.results import source_digest
+
+#: Prints whether importing repro computed the source digest, then a key.
+_KEY_PROBE = """
+import sys
+from repro.io.results import ResultCache, source_digest
+cache = ResultCache(sys.argv[1])
+print(source_digest.cache_info().currsize)
+print(cache.key_for("spec"))
+"""
 
 
 class TestContentHash:
@@ -42,6 +57,41 @@ class TestResultCache:
         new = ResultCache(tmp_path, code_version="2.0")
         old.store(old.key_for(spec_hash), {"payload": 1})
         assert new.load(new.key_for(spec_hash)) is None
+
+    def test_default_key_folds_in_the_source_digest(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        assert cache.code_version.endswith(f"+src{source_digest()[:16]}")
+        assert cache.code_version.startswith(f"{repro.__version__}+fmt")
+
+    def test_editing_a_module_changes_the_key(self, tmp_path):
+        package = tmp_path / "src" / "repro"
+        shutil.copytree(Path(repro.__file__).parent, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+
+        def probe():
+            completed = subprocess.run(
+                [sys.executable, "-c", _KEY_PROBE, str(tmp_path / "cache")],
+                env={"PYTHONPATH": str(tmp_path / "src"),
+                     "PYTHONDONTWRITEBYTECODE": "1"},
+                capture_output=True, text=True, check=True)
+            computed_at_import, key = completed.stdout.split()
+            # Lazy: building a cache does not digest the sources.
+            assert computed_at_import == "0"
+            return key
+
+        original = probe()
+        assert probe() == original
+        module = package / "core" / "rates.py"
+        module.write_text(module.read_text() + "\n# edited\n")
+        assert probe() != original
+
+    def test_source_digest_covers_every_module(self, tmp_path):
+        for name in ("a.py", "sub/b.py"):
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_text("x = 1\n")
+        before = source_digest(str(tmp_path))
+        (tmp_path / "sub" / "b.py").rename(tmp_path / "sub" / "c.py")
+        assert source_digest.__wrapped__(str(tmp_path)) != before
 
     def test_corrupted_artifact_is_evicted_and_reported_as_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
