@@ -262,9 +262,12 @@ def cotunneling_rate_vec(delta_f, intermediate_energy_1, intermediate_energy_2,
                          temperature: float) -> np.ndarray:
     """Array-valued :func:`cotunneling_rate` over whole channel tables.
 
-    Element-wise identical to the scalar reference, including the "first-order
+    Branch for branch the scalar reference, including the "first-order
     already allowed" guard (non-positive virtual-state energies give a zero
-    rate) and every thermal limit.
+    rate) and every thermal limit.  As for :func:`orthodox_rate_vec`, only
+    NumPy's ``exp`` in the general thermal branch can make a result differ
+    from the scalar one (by a few ulp where ``|dF| >= kT``, more as
+    ``dF -> 0``).
     """
     df = np.asarray(delta_f, dtype=float)
     e1 = np.asarray(intermediate_energy_1, dtype=float)
