@@ -6,7 +6,11 @@ benchmark measures what compiling the inner advance loop buys on top: the
 C/ctypes build otherwise) against the numpy fast path it replays bit for
 bit, plus the aggregate throughput of sequential compiled replicas at
 R = 1 / 64 / 256 (near-linear scaling: the per-event cost must not grow
-with the replica count).
+with the replica count).  Those long runs enter the native loop only once
+per random-block refill, which hides the cost of an entry, so a
+sweep-scale measurement sits beside them: a 129-point Id-Vg sweep at
+2 000 events per point on ``montecarlo-jit`` and ``ensemble-jit``
+(R = 16), reporting points/s and native entries per point.
 
 The numbers go to ``BENCH_jit.json`` in the repository root so the
 performance trajectory is tracked across PRs (``benchmarks/run_all.py``
@@ -20,6 +24,9 @@ import os
 import time
 from pathlib import Path
 
+import numpy as np
+
+from repro.engines import SweepAxes, get_engine
 from repro.montecarlo import MonteCarloSimulator, jit_backend, jit_compiled
 
 try:
@@ -36,6 +43,14 @@ JIT_EVENTS = int(os.environ.get("REPRO_BENCH_JIT_EVENTS", "2000000"))
 NUMPY_EVENTS = int(os.environ.get("REPRO_BENCH_JIT_NUMPY_EVENTS", "200000"))
 REPLICA_EVENTS = int(os.environ.get("REPRO_BENCH_JIT_REPLICA_EVENTS", "20000"))
 REPLICA_COUNTS = (1, 64, 256)
+SWEEP_POINTS = int(os.environ.get("REPRO_BENCH_JIT_SWEEP_POINTS", "129"))
+SWEEP_EVENTS = 2_000
+SWEEP_WARMUP_EVENTS = 200
+SWEEP_REPEATS = 3
+SWEEP_REPLICAS = 16
+#: Sweep engines and their bind options.
+SWEEP_ENGINES = (("montecarlo-jit", {}),
+                 ("ensemble-jit", {"replicas": SWEEP_REPLICAS}))
 REQUIRED_SPEEDUP = 10.0
 #: The numpy fast path's events/s recorded in BENCH_kernel.json at PR 1 —
 #: the absolute reference the >= 10x ISSUE target is stated against.
@@ -77,6 +92,40 @@ def measure_replicas(replicas: int, events_per_replica: int) -> float:
     return result.total_events / elapsed
 
 
+def measure_sweep(engine: str, options: dict) -> dict:
+    """Points/s and native entries per point of a warm Id-Vg sweep.
+
+    The session sweeps once untimed (native build, estimator set-up), then
+    the best of :data:`SWEEP_REPEATS` timed sweeps is kept.  Entries are
+    counted by wrapping the kernel's replica-loop callable.
+    """
+    device = standard_transistor()
+    axes = SweepAxes(np.linspace(0.0, 2.0 * device.gate_period,
+                                 SWEEP_POINTS), DRAIN_VOLTAGE)
+    session = get_engine(engine).bind(
+        device, temperature=TEMPERATURE, seed=3, max_events=SWEEP_EVENTS,
+        warmup_events=SWEEP_WARMUP_EVENTS, **options)
+    session.sweep(axes)
+    kernel = session.simulator.kernel
+    advance = kernel._jit_advance
+    entries = []
+
+    def counted(*arguments):
+        entries.append(1)
+        return advance(*arguments)
+
+    kernel._jit_advance = counted
+    best = float("inf")
+    for _ in range(SWEEP_REPEATS):
+        entries.clear()
+        start = time.perf_counter()
+        session.sweep(axes)
+        best = min(best, time.perf_counter() - start)
+    return {"points_per_second": round(SWEEP_POINTS / best, 1),
+            "native_entries_per_point": round(len(entries) / SWEEP_POINTS,
+                                              2)}
+
+
 def run_benchmark() -> dict:
     compiled = measure_single(jit=True, events=JIT_EVENTS)
     numpy_path = measure_single(jit=False, events=NUMPY_EVENTS)
@@ -84,6 +133,8 @@ def run_benchmark() -> dict:
         str(replicas): round(measure_replicas(replicas, REPLICA_EVENTS), 1)
         for replicas in REPLICA_COUNTS
     }
+    sweeps = {engine: measure_sweep(engine, options)
+              for engine, options in SWEEP_ENGINES}
     payload = {
         "benchmark": "jit_kernel",
         "device": "reference SET (1 aF junctions, 2 aF gate, 1 Mohm)",
@@ -102,6 +153,13 @@ def run_benchmark() -> dict:
         "jit_event_budget": JIT_EVENTS,
         "numpy_event_budget": NUMPY_EVENTS,
         "replica_event_budget": REPLICA_EVENTS,
+        "sweep": {
+            "points": SWEEP_POINTS,
+            "events_per_point": SWEEP_EVENTS,
+            "warmup_events_per_point": SWEEP_WARMUP_EVENTS,
+            "replicas": SWEEP_REPLICAS,
+            "engines": sweeps,
+        },
     }
     OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     return payload
@@ -120,7 +178,15 @@ def test_jit_kernel_throughput():
           "PR 1 baseline)")
     for replicas, rate in payload["replica_scaling_events_per_second"].items():
         print(f"R = {replicas:>4s}   : {rate:>12,.0f} events/s aggregate")
+    for engine, sweep in payload["sweep"]["engines"].items():
+        print(f"{engine:<14s} sweep: {sweep['points_per_second']:>8,.0f} "
+              f"points/s, {sweep['native_entries_per_point']:.2f} native "
+              "entries/point")
     print(f"written to : {OUTPUT_PATH}")
+    # One native call per replica-loop run: an R = 16 point (warm-up plus
+    # estimate) must not enter the native loop once per replica.
+    ensemble = payload["sweep"]["engines"]["ensemble-jit"]
+    assert ensemble["native_entries_per_point"] < payload["sweep"]["replicas"]
     if not payload["compiled"]:
         import pytest
 

@@ -10,20 +10,27 @@ per call over the flat arrays exported by the kernel's
 
 Backend ladder
 --------------
-Three interchangeable implementations of the same advance loop exist, picked
-at first use (override with ``REPRO_JIT_BACKEND``):
+Three interchangeable implementations of the same loop exist, picked at
+first use (override with ``REPRO_JIT_BACKEND``).  Each is one callable: the
+replica loop :func:`_advance_replicas_py` around the event loop
+:func:`_advance_py`, so a scalar run (one replica) and an ``R``-replica
+ensemble run enter the backend through the same function.
 
 ``numba``
     :func:`numba.njit` with ``cache=True`` applied to the *same* Python
-    source as the interpreted fallback, so the compiled artefact shares the
-    tested control flow line for line.  Optional — the import is gated, not
-    ``try/except``-ed at call sites.
+    source as the interpreted fallback (the event loop registered as
+    jitable first, then the replica loop that calls it), so the compiled
+    artefact shares the tested control flow line for line.  Optional — the
+    import is gated, not ``try/except``-ed at call sites.
 ``cc``
     A line-for-line C translation compiled on demand with the system C
     compiler (``cc``/``gcc``) into a per-source-hash shared library loaded
     through :mod:`ctypes`.  No third-party dependency; IEEE semantics are
     preserved (no ``-ffast-math``), which is what makes the seeded replay
-    tests bit-exact.
+    tests bit-exact.  The shim declares ``c_void_p`` arguments and caches
+    each argument's array with its ``.ctypes.data`` address, re-reading the
+    address only when a different array object arrives (holding the array
+    keeps the address valid), so a re-entry costs the bare foreign call.
 ``python``
     The interpreted loop itself.  Always available; slow, but the
     correctness reference for the re-entry protocol.
@@ -47,10 +54,32 @@ driver, returning a status code:
 ``STATUS_NEED_LINK``      a (configuration, event) transition is unlinked
 ========================  ====================================================
 
-All resumable state lives in two small register arrays (``ireg``/``freg``,
-see the ``REG_*``/``FREG_*`` indices) so the driver can refill a buffer or
-link a successor and re-enter mid-event.  Buffer refills happen exactly at
-the consumption points, preserving the scalar path's interleaved draw order
+``STATUS_DONE`` and ``STATUS_BLOCKED`` end one replica; the replica loop
+commits it and moves on, returning ``STATUS_DONE`` after the last.  The
+other three codes return to the driver at once.
+
+All resumable state lives in two small register arrays (``ireg``/``freg``)
+so the driver can refill a buffer or link a successor and re-enter
+mid-event:
+
+=========================  ===================================================
+``REG_SLOT``               cursor slot of the advancing replica
+``REG_EVENTS``             events that replica executed in this run
+``REG_EXP_POS``            read position in the exponential block buffer
+``REG_UNI_POS``            read position in the uniform block buffer
+``REG_PENDING_EVENT``      selected-but-unapplied event (-1: none)
+``REG_STALLS``             consecutive zero-progress iterations
+``REG_REPLICA``            replica currently advancing
+``REG_LOADED``             whether that replica's state is in the registers
+``FREG_TIME``              the replica's clock
+``FREG_PENDING_WAIT``      drawn-but-unapplied waiting time (-1.0: none)
+``FREG_START``             the replica's clock at the start of this run
+``FREG_DURATION``          per-replica time budget (+inf: unbounded)
+=========================  ===================================================
+
+A run therefore costs one native entry plus one per refill or link, however
+many replicas it advances.  Buffer refills happen exactly at the
+consumption points, preserving the scalar path's interleaved draw order
 from the shared generator — the property that makes an event-for-event
 replay of :meth:`MonteCarloKernel.step` possible.
 """
@@ -58,6 +87,7 @@ replay of :meth:`MonteCarloKernel.step` possible.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import subprocess
@@ -81,7 +111,9 @@ REG_EXP_POS = 2         #: read position in the exponential block buffer
 REG_UNI_POS = 3         #: read position in the uniform block buffer
 REG_PENDING_EVENT = 4   #: selected-but-unapplied event index (-1: none)
 REG_STALLS = 5          #: consecutive zero-progress iterations
-IREG_SIZE = 6
+REG_REPLICA = 6         #: replica currently advancing
+REG_LOADED = 7          #: whether that replica's state is in the registers
+IREG_SIZE = 8
 
 #: ``freg`` (float64) register layout shared by all backends.
 FREG_TIME = 0           #: simulated clock
@@ -219,15 +251,59 @@ def _advance_py(totals, cumulative, last_selectable, successor_slots,
     return status
 
 
+def _advance_replicas_py(totals, cumulative, last_selectable,
+                         successor_slots, transfer_matrix, slots, times,
+                         counts, transfers, exp_buf, uni_buf, ireg, freg,
+                         max_events):
+    """Advance every replica in order until done or the driver is needed.
+
+    Each backend's single entry point: replica ``r`` runs from
+    ``slots[r]``/``times[r]`` to its budget through :func:`_advance_py`;
+    its final slot and clock are written back, its executed events added
+    to ``counts[r]`` and its transfers to row ``r`` of ``transfers``, and
+    the next replica starts.  ``REG_REPLICA``/``REG_LOADED`` persist across
+    re-entries, so a refill or link request mid-replica resumes that
+    replica exactly where it stopped.  Replicas run in order and share the
+    block buffers, so the random stream is consumed exactly as by one
+    driver call per replica.
+    """
+    n_replicas = slots.shape[0]
+    while ireg[REG_REPLICA] < n_replicas:
+        replica = ireg[REG_REPLICA]
+        if ireg[REG_LOADED] == 0:
+            ireg[REG_SLOT] = slots[replica]
+            ireg[REG_EVENTS] = 0
+            ireg[REG_PENDING_EVENT] = -1
+            ireg[REG_STALLS] = 0
+            freg[FREG_TIME] = times[replica]
+            freg[FREG_PENDING_WAIT] = -1.0
+            freg[FREG_START] = times[replica]
+            ireg[REG_LOADED] = 1
+        status = _advance_py(totals, cumulative, last_selectable,
+                             successor_slots, transfer_matrix,
+                             transfers[replica], exp_buf, uni_buf, ireg,
+                             freg, max_events)
+        if status != STATUS_DONE and status != STATUS_BLOCKED:
+            return status
+        slots[replica] = ireg[REG_SLOT]
+        times[replica] = freg[FREG_TIME]
+        counts[replica] += ireg[REG_EVENTS]
+        ireg[REG_LOADED] = 0
+        ireg[REG_REPLICA] = replica + 1
+    return STATUS_DONE
+
+
 # ----------------------------------------------------------------- C backend
 
-#: Line-for-line C translation of :func:`_advance_py`.  Compiled without any
-#: fast-math flag: IEEE double semantics must match numpy scalar arithmetic
-#: exactly for the seeded replay tests to hold bit for bit.
+#: Line-for-line C translation of :func:`_advance_py` (``advance``) and of
+#: :func:`_advance_replicas_py` (the exported entry point).
+#: Compiled without any fast-math flag: IEEE double semantics must match
+#: numpy scalar arithmetic exactly for the seeded replay tests to hold bit
+#: for bit.
 _C_SOURCE = r"""
 #include <math.h>
 
-long long repro_mc_advance(
+static long long advance(
     const double *totals,
     const double *cumulative,
     const long long *last_selectable,
@@ -324,6 +400,45 @@ long long repro_mc_advance(
     freg[1] = wait;
     return status;
 }
+
+long long repro_mc_advance_replicas(
+    const double *totals,
+    const double *cumulative,
+    const long long *last_selectable,
+    const long long *successor_slots,
+    const double *transfer_matrix,
+    long long *slots, double *times, long long *counts, double *transfers,
+    const double *exp_buf, const double *uni_buf,
+    long long *ireg, double *freg,
+    long long exp_len, long long uni_len, long long max_events,
+    long long n_replicas, long long n_events, long long n_junctions)
+{
+    while (ireg[6] < n_replicas) {
+        long long replica = ireg[6];
+        if (ireg[7] == 0) {
+            ireg[0] = slots[replica];
+            ireg[1] = 0;
+            ireg[4] = -1;
+            ireg[5] = 0;
+            freg[0] = times[replica];
+            freg[1] = -1.0;
+            freg[2] = times[replica];
+            ireg[7] = 1;
+        }
+        long long status = advance(
+            totals, cumulative, last_selectable, successor_slots,
+            transfer_matrix, transfers + replica * n_junctions,
+            exp_buf, exp_len, uni_buf, uni_len, ireg, freg,
+            max_events, n_events, n_junctions);
+        if (status != 0 && status != 1) return status;  /* DONE, BLOCKED */
+        slots[replica] = ireg[0];
+        times[replica] = freg[0];
+        counts[replica] += ireg[1];
+        ireg[7] = 0;
+        ireg[6] = replica + 1;
+    }
+    return 0;  /* DONE */
+}
 """
 
 
@@ -361,11 +476,14 @@ def _compile_cc_library() -> Optional[Path]:
         library = directory / f"mc_advance_{digest}.so"
         if library.exists():
             return library
+        # Per-process scratch names: a concurrent build never compiles a
+        # half-written source or loads a half-written library.
+        stem = f".mc_advance_{digest}.{os.getpid()}"
+        source = directory / f"{stem}.c"
+        scratch = directory / f"{stem}.so"
         try:
             directory.mkdir(parents=True, exist_ok=True)
-            source = directory / f"mc_advance_{digest}.c"
             source.write_text(_C_SOURCE)
-            scratch = directory / f".mc_advance_{digest}.{os.getpid()}.so"
             subprocess.run(
                 [compiler, "-O2", "-fPIC", "-shared", "-o", str(scratch),
                  str(source), "-lm"],
@@ -374,6 +492,12 @@ def _compile_cc_library() -> Optional[Path]:
             return library
         except (OSError, subprocess.SubprocessError):
             continue
+        finally:
+            for leftover in (source, scratch):
+                try:
+                    leftover.unlink()
+                except OSError:
+                    pass
     return None
 
 
@@ -384,46 +508,54 @@ def _load_cc_advance() -> Optional[Callable]:
         return None
     try:
         library = ctypes.CDLL(str(library_path))
-        native = library.repro_mc_advance
+        native = library.repro_mc_advance_replicas
     except (OSError, AttributeError):
         return None
-    double_p = ctypes.POINTER(ctypes.c_double)
-    int64_p = ctypes.POINTER(ctypes.c_longlong)
-    int64 = ctypes.c_longlong
-    native.restype = int64
-    native.argtypes = [double_p, double_p, int64_p, int64_p, double_p,
-                       double_p, double_p, int64, double_p, int64,
-                       int64_p, double_p, int64, int64, int64]
+    native.restype = ctypes.c_longlong
+    native.argtypes = [ctypes.c_void_p] * 13 + [ctypes.c_longlong] * 6
+    #: ``(array, address)`` last passed in each array position.  Holding the
+    #: array keeps its buffer alive, so the address stays valid until a
+    #: different array object takes the position; the pair is swapped as
+    #: one tuple, so concurrent callers at worst re-read an address.
+    held = [(None, 0)] * 13
 
     def advance(totals, cumulative, last_selectable, successor_slots,
-                transfer_matrix, transfers, exp_buf, uni_buf,
-                ireg, freg, max_events):
-        """ctypes shim matching :func:`_advance_py`'s signature."""
-        return int(native(
-            totals.ctypes.data_as(double_p),
-            cumulative.ctypes.data_as(double_p),
-            last_selectable.ctypes.data_as(int64_p),
-            successor_slots.ctypes.data_as(int64_p),
-            transfer_matrix.ctypes.data_as(double_p),
-            transfers.ctypes.data_as(double_p),
-            exp_buf.ctypes.data_as(double_p), int64(exp_buf.shape[0]),
-            uni_buf.ctypes.data_as(double_p), int64(uni_buf.shape[0]),
-            ireg.ctypes.data_as(int64_p),
-            freg.ctypes.data_as(double_p),
-            int64(max_events), int64(cumulative.shape[1]),
-            int64(transfer_matrix.shape[1])))
+                transfer_matrix, slots, times, counts, transfers, exp_buf,
+                uni_buf, ireg, freg, max_events):
+        """ctypes shim matching the replica loop's signature."""
+        addresses = []
+        for position, array in enumerate((
+                totals, cumulative, last_selectable, successor_slots,
+                transfer_matrix, slots, times, counts, transfers, exp_buf,
+                uni_buf, ireg, freg)):
+            cached = held[position]
+            if cached[0] is not array:
+                cached = held[position] = (array, array.ctypes.data)
+            addresses.append(cached[1])
+        return native(*addresses, exp_buf.shape[0], uni_buf.shape[0],
+                      max_events, slots.shape[0], cumulative.shape[1],
+                      transfer_matrix.shape[1])
 
     return advance
 
 
+@functools.lru_cache(maxsize=None)
 def _load_numba_advance() -> Optional[Callable]:
-    """Compile :func:`_advance_py` with numba; ``None`` when unavailable."""
+    """Compile the replica loop with numba; ``None`` when unavailable.
+
+    ``register_jitable`` makes the event loop compile wherever jitted code
+    calls it, so :func:`_advance_replicas_py` compiles unchanged while both
+    functions stay plain Python for the interpreted backend.  Memoised so
+    re-resolution (``clear_backend_cache``) registers the event loop once.
+    """
     try:
         import numba
+        from numba.extending import register_jitable
     except ImportError:
         return None
     try:
-        return numba.njit(cache=True)(_advance_py)
+        register_jitable(_advance_py)
+        return numba.njit(cache=True)(_advance_replicas_py)
     except Exception:  # pragma: no cover - defensive against numba quirks
         return None
 
@@ -433,7 +565,7 @@ def _load_numba_advance() -> Optional[Callable]:
 _LOADERS: Dict[str, Callable[[], Optional[Callable]]] = {
     BACKEND_NUMBA: _load_numba_advance,
     BACKEND_CC: _load_cc_advance,
-    BACKEND_PYTHON: lambda: _advance_py,
+    BACKEND_PYTHON: lambda: _advance_replicas_py,
 }
 
 #: Resolved ``(name, callable)`` per requested backend (``None`` key = auto).
@@ -441,7 +573,7 @@ _resolved: Dict[Optional[str], Tuple[str, Callable]] = {}
 
 
 def resolve_advance(backend: Optional[str] = None) -> Tuple[str, Callable]:
-    """The advance loop of ``backend`` (default: the best available).
+    """The replica loop of ``backend`` (default: the best available).
 
     Resolution order for the default request is numba, then the C backend,
     then the interpreted Python loop (which always succeeds), overridable
@@ -457,7 +589,8 @@ def resolve_advance(backend: Optional[str] = None) -> Tuple[str, Callable]:
     Returns
     -------
     (name, callable):
-        The backend that actually loaded and its advance function.
+        The backend that actually loaded and its replica-loop function
+        (the signature of :func:`_advance_replicas_py`).
 
     Raises
     ------
@@ -532,7 +665,9 @@ __all__ = [
     "IREG_SIZE",
     "REG_EVENTS",
     "REG_EXP_POS",
+    "REG_LOADED",
     "REG_PENDING_EVENT",
+    "REG_REPLICA",
     "REG_SLOT",
     "REG_STALLS",
     "REG_UNI_POS",

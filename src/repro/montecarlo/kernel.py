@@ -65,12 +65,8 @@ from .cotunneling import CotunnelTable, enumerate_cotunnel_candidates
 from .events import CotunnelCandidate, TrapCandidate, TunnelCandidate
 from .jit import (
     FREG_DURATION,
-    FREG_PENDING_WAIT,
     FREG_SIZE,
-    FREG_START,
-    FREG_TIME,
     IREG_SIZE,
-    REG_EVENTS,
     REG_EXP_POS,
     REG_PENDING_EVENT,
     REG_SLOT,
@@ -1036,37 +1032,37 @@ class MonteCarloKernel:
         cursor.refresh()
         cursor.successor_slots[slot, event] = child_slot
 
-    def _drive_compiled(self, cursor: _EnsembleCursor, slot: int, time: float,
+    def _drive_compiled(self, cursor: _EnsembleCursor, slots: np.ndarray,
+                        times: np.ndarray, counts: np.ndarray,
                         transfers: np.ndarray, max_events: Optional[int],
-                        duration: Optional[float]) -> Tuple[int, float, int]:
-        """Run the compiled advance loop to completion for one trajectory.
+                        duration: Optional[float]) -> None:
+        """Run every replica through the compiled loop.
 
-        The native loop returns whenever it needs Python — a random block
-        refill or a successor link — and is re-entered with the updated
-        buffers/cursor arrays (the cursor's dense mirrors are re-fetched
-        per call because :meth:`_EnsembleCursor.refresh` reallocates them).
-        Buffer refills replicate the scalar accessors exactly: refill with
-        one ``_random_block`` draw at the consumption point, restart at
-        position zero.  Returns ``(slot, time, executed_events)``.
+        Replica ``r`` starts at cursor slot ``slots[r]`` and clock
+        ``times[r]``.  One native call advances the replicas in order, each
+        to its own budget, updating ``slots``, ``times``, ``counts`` and
+        the rows of ``transfers`` in place.  The loop returns early only when
+        it needs Python — a random block refill or a successor link — and
+        is re-entered with the updated buffers/cursor arrays (the cursor's
+        dense mirrors are re-fetched per call because
+        :meth:`_EnsembleCursor.refresh` reallocates them); the replica
+        registers resume the interrupted replica mid-event.  Buffer refills
+        replicate the scalar accessors exactly: refill with one
+        ``_random_block`` draw at the consumption point, restart at
+        position zero.
         """
-        advance = self._jit_advance
         budget = (1 << 62) if max_events is None else int(max_events)
         ireg = np.zeros(IREG_SIZE, dtype=np.int64)
-        ireg[REG_SLOT] = slot
         ireg[REG_EXP_POS] = self._exp_position
         ireg[REG_UNI_POS] = self._uniform_position
-        ireg[REG_PENDING_EVENT] = -1
         freg = np.zeros(FREG_SIZE)
-        freg[FREG_TIME] = time
-        freg[FREG_PENDING_WAIT] = -1.0
-        freg[FREG_START] = time
         freg[FREG_DURATION] = np.inf if duration is None else float(duration)
         while True:
-            status = advance(cursor.totals, cursor.cumulative,
-                             cursor.last_selectable, cursor.successor_slots,
-                             self._transfer_matrix, transfers,
-                             self._exp_buffer, self._uniform_buffer,
-                             ireg, freg, budget)
+            status = self._jit_advance(
+                cursor.totals, cursor.cumulative, cursor.last_selectable,
+                cursor.successor_slots, self._transfer_matrix, slots,
+                times, counts, transfers, self._exp_buffer,
+                self._uniform_buffer, ireg, freg, budget)
             if status == STATUS_NEED_EXP:
                 self._exp_buffer = \
                     self.rng.standard_exponential(self._random_block)
@@ -1081,8 +1077,6 @@ class MonteCarloKernel:
                 break
         self._exp_position = int(ireg[REG_EXP_POS])
         self._uniform_position = int(ireg[REG_UNI_POS])
-        return (int(ireg[REG_SLOT]), float(freg[FREG_TIME]),
-                int(ireg[REG_EVENTS]))
 
     def run_compiled(self, state: SimulationState,
                      max_events: Optional[int] = None,
@@ -1092,9 +1086,10 @@ class MonteCarloKernel:
         Executes events until the budgets are exhausted, replaying the
         scalar :meth:`step` trajectory bit for bit (same random stream,
         same waiting times, same selections, same censoring and blockade
-        semantics).  Returns the number of executed events; ``state`` is
-        updated exactly as a sequence of :meth:`step` calls would have
-        left it.
+        semantics).  This is the one-replica case of
+        :meth:`run_ensemble_compiled`'s driver.  Returns the number of
+        executed events; ``state`` is updated exactly as a sequence of
+        :meth:`step` calls would have left it.
         """
         self._require_compiled()
         circuit = self.circuit
@@ -1104,18 +1099,21 @@ class MonteCarloKernel:
                 circuit.charge_version != self._offsets_version:
             self._refresh_offsets(state)
         cursor, slot = self._scalar_cursor_for(state.electrons)
-        transfers = np.zeros(len(self._junction_order))
-        slot, time, events = self._drive_compiled(cursor, slot,
-                                                  float(state.time), transfers,
-                                                  max_events, duration)
-        state.time = time
-        state.electrons = cursor.configurations[slot].copy()
+        slots = np.array([slot], dtype=np.int64)
+        times = np.array([float(state.time)])
+        counts = np.zeros(1, dtype=np.int64)
+        transfers = np.zeros((1, len(self._junction_order)))
+        self._drive_compiled(cursor, slots, times, counts, transfers,
+                             max_events, duration)
+        state.time = float(times[0])
+        state.electrons = cursor.configurations[slots[0]].copy()
         tallies = state.electron_transfers
         for name, column in self._junction_order.items():
             # The per-event transfer values are small integers, so the
             # aggregated float sums are exact and match the scalar path's
             # one-increment-per-event accumulation bitwise.
-            tallies[name] += transfers[column]
+            tallies[name] += transfers[0, column]
+        events = int(counts[0])
         state.event_count += events
         return events
 
@@ -1124,12 +1122,13 @@ class MonteCarloKernel:
                               duration: Optional[float] = None) -> int:
         """Advance every replica through the compiled loop, in place.
 
-        Replicas run sequentially (sharing the memoised rate tables and
-        the block random buffers), each to its own per-replica budget; a
-        single-replica ensemble therefore consumes the random stream in
-        exactly the scalar order and replays :meth:`run_compiled` — and by
-        extension the scalar :meth:`step` path — event for event.  Returns
-        the total number of executed events.
+        Replicas run sequentially inside one native call (sharing the
+        memoised rate tables and the block random buffers), each to its own
+        per-replica budget; a single-replica ensemble therefore consumes the
+        random stream in exactly the scalar order and replays
+        :meth:`run_compiled` — and by extension the scalar :meth:`step`
+        path — event for event.  Returns the total number of executed
+        events.
         """
         self._require_compiled()
         if self._voltages is None or \
@@ -1139,22 +1138,24 @@ class MonteCarloKernel:
                 self.circuit.charge_version != self._offsets_version:
             self._refresh_offsets(_TRAPLESS)
         cursor = self._ensure_cursor(ensemble)
-        transfers = ensemble.electron_transfers
-        if not transfers.flags.c_contiguous or transfers.dtype != np.float64:
-            transfers = np.ascontiguousarray(transfers, dtype=float)
-            ensemble.electron_transfers = transfers
-        executed = 0
-        for replica in range(ensemble.replica_count):
-            slot, time, events = self._drive_compiled(
-                cursor, int(cursor.slots[replica]),
-                float(ensemble.times[replica]), transfers[replica],
-                max_events, duration)
-            cursor.slots[replica] = slot
-            ensemble.times[replica] = time
-            ensemble.event_counts[replica] += events
-            ensemble.electrons[replica] = cursor.configurations[slot]
-            executed += events
-        return executed
+        # The native loop writes through raw addresses: hand it contiguous
+        # arrays of the exact dtypes (a no-op for kernel-built ensembles).
+        ensemble.times = np.ascontiguousarray(ensemble.times, dtype=float)
+        ensemble.event_counts = np.ascontiguousarray(ensemble.event_counts,
+                                                     dtype=np.int64)
+        ensemble.electron_transfers = np.ascontiguousarray(
+            ensemble.electron_transfers, dtype=float)
+        before = int(ensemble.event_counts.sum())
+        try:
+            self._drive_compiled(cursor, cursor.slots, ensemble.times,
+                                 ensemble.event_counts,
+                                 ensemble.electron_transfers, max_events,
+                                 duration)
+        finally:
+            # Finished replicas keep their progress even if a re-entry
+            # raised, so the interpreted fallback continues them.
+            ensemble.electrons[:] = cursor.configurations[cursor.slots]
+        return int(ensemble.event_counts.sum()) - before
 
     def _step_reference(self, state: SimulationState,
                         max_waiting_time: Optional[float] = None

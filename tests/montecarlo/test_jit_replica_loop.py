@@ -1,0 +1,291 @@
+"""Tests for the replica loop of the compiled advance kernel.
+
+Every compiled Monte-Carlo run — one scalar trajectory or an ``R``-replica
+ensemble — is one call of the backend's replica loop plus the re-entries it
+genuinely needs (random block refills, successor links).  These tests pin:
+
+* the seeded sweep outputs of the engines, as SHA-256 digests recorded
+  before the replica loop moved into the kernel, on the active backend and
+  on the interpreted reference loop;
+* bit-for-bit agreement of ``R > 1`` ensembles between the active backend
+  and the interpreted reference loop (event and duration budgets, a
+  blockaded device, a mid-session bias change, an ensemble sweep);
+* the native-entry budget: a warm ensemble run enters the backend fewer
+  times than it has replicas, and a warm scalar run exactly once;
+* kernels driven from several threads at once through the shared backend;
+* concurrent C builds into one empty cache directory.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.constants import E_CHARGE
+from repro.devices import SETTransistor
+from repro.engines import SweepAxes, get_engine
+from repro.montecarlo import MonteCarloSimulator
+from repro.montecarlo.jit import (
+    BACKEND_CC,
+    BACKEND_PYTHON,
+    _find_compiler,
+    clear_backend_cache,
+    jit_backend,
+)
+
+TEMPERATURE = 1.0
+DRAIN_VOLTAGE = 0.05
+GATE_VOLTAGE = 0.04
+
+#: SHA-256 of ``currents.tobytes() + stderrs.tobytes()`` of the seeded
+#: 129-point sweeps of :func:`pinned_sweep`, recorded with the per-replica
+#: Python driver the replica loop replaced (identical on the C and the
+#: interpreted backend).
+PINNED_DIGESTS = {
+    "montecarlo-jit":
+        "e8682e66b9c4b12a0d0256a90b33ac7f0f4a8b790363648dc9a3840811cd3e72",
+    "ensemble-jit":
+        "bf628920c89d62d2cf686f1c940bd804f04cba6931116fed07dc764f97c11e8b",
+}
+
+
+def make_simulator(seed=11, jit=True, drain_voltage=DRAIN_VOLTAGE,
+                   gate_voltage=GATE_VOLTAGE, temperature=TEMPERATURE):
+    transistor = SETTransistor(junction_capacitance=1e-18,
+                               gate_capacitance=2e-18,
+                               junction_resistance=1e6)
+    circuit = transistor.build_circuit(drain_voltage=drain_voltage,
+                                       gate_voltage=gate_voltage)
+    return MonteCarloSimulator(circuit, temperature=temperature, seed=seed,
+                               jit=jit)
+
+
+def pinned_sweep(engine, **options):
+    """Currents and stderrs of a seeded 129-point Id-Vg sweep."""
+    device = SETTransistor(junction_capacitance=1e-18,
+                           gate_capacitance=2e-18, junction_resistance=1e6)
+    c_sigma = 2 * device.junction_capacitance + device.gate_capacitance
+    axes = SweepAxes(np.linspace(0.0, 2.0 * device.gate_period, 129),
+                     0.2 * E_CHARGE / c_sigma)
+    session = get_engine(engine).bind(device, temperature=2.0, seed=2024,
+                                      max_events=2000, warmup_events=200,
+                                      **options)
+    return session.sweep(axes)
+
+
+def digest(result):
+    return hashlib.sha256(result.currents.tobytes()
+                          + result.stderrs.tobytes()).hexdigest()
+
+
+def assert_identical_ensembles(native, reference):
+    """Bitwise comparison of two :class:`EnsembleResult` runs."""
+    np.testing.assert_array_equal(native.durations, reference.durations)
+    np.testing.assert_array_equal(native.event_counts, reference.event_counts)
+    np.testing.assert_array_equal(native.electron_transfers,
+                                  reference.electron_transfers)
+    np.testing.assert_array_equal(native.final_electrons,
+                                  reference.final_electrons)
+
+
+@pytest.fixture
+def python_backend(monkeypatch):
+    """Force the interpreted backend for one test, restoring afterwards."""
+    monkeypatch.setenv("REPRO_JIT_BACKEND", BACKEND_PYTHON)
+    clear_backend_cache()
+    yield
+    monkeypatch.delenv("REPRO_JIT_BACKEND", raising=False)
+    clear_backend_cache()
+
+
+class TestPinnedSweepDigests:
+    @pytest.mark.parametrize("engine, options", [
+        ("montecarlo-jit", {}), ("ensemble-jit", {"replicas": 16})])
+    def test_active_backend_reproduces_the_pinned_sweep(self, engine,
+                                                        options):
+        assert digest(pinned_sweep(engine, **options)) == \
+            PINNED_DIGESTS[engine]
+
+    @pytest.mark.parametrize("engine, options", [
+        ("montecarlo-jit", {}), ("ensemble-jit", {"replicas": 16})])
+    def test_interpreted_loop_reproduces_the_pinned_sweep(
+            self, engine, options, python_backend):
+        assert jit_backend() == BACKEND_PYTHON
+        assert digest(pinned_sweep(engine, **options)) == \
+            PINNED_DIGESTS[engine]
+
+
+def run_on_both_backends(run, **simulator_options):
+    """``run(simulator)`` on the active backend and on the reference loop."""
+    native = run(make_simulator(jit=True, **simulator_options))
+    reference = run(make_simulator(jit=BACKEND_PYTHON, **simulator_options))
+    return native, reference
+
+
+class TestReplicaLoopMatchesTheReference:
+    def test_event_budgets(self):
+        def run(simulator):
+            ensemble = simulator.new_ensemble(8)
+            first = simulator.run_ensemble(max_events=700, ensemble=ensemble)
+            second = simulator.run_ensemble(max_events=1_300,
+                                            ensemble=ensemble)
+            return first, second
+
+        native, reference = run_on_both_backends(run, seed=51)
+        for native_run, reference_run in zip(native, reference):
+            assert_identical_ensembles(native_run, reference_run)
+        assert np.all(native[1].event_counts == 1_300)
+
+    def test_duration_budgets_censor_identically(self):
+        window = 0.5 * make_simulator(seed=53, jit=BACKEND_PYTHON).\
+            run_ensemble(replicas=8, max_events=1_000).durations.mean()
+
+        def run(simulator):
+            # The second window starts from each replica's own clock.
+            ensemble = simulator.new_ensemble(8)
+            return [simulator.run_ensemble(duration=window, ensemble=ensemble)
+                    for _ in range(2)]
+
+        native, reference = run_on_both_backends(run, seed=53)
+        for native_run, reference_run in zip(native, reference):
+            assert_identical_ensembles(native_run, reference_run)
+            # Every replica stopped on the clock, not on an event budget.
+            np.testing.assert_array_equal(native_run.durations >= window,
+                                          True)
+            assert native_run.event_counts.min() > 0
+
+    @pytest.mark.parametrize("budget", [{"max_events": 500},
+                                        {"duration": 1e-6}])
+    def test_blockaded_device_at_zero_temperature(self, budget):
+        def run(simulator):
+            return simulator.run_ensemble(replicas=4, **budget)
+
+        native, reference = run_on_both_backends(
+            run, seed=55, temperature=0.0, drain_voltage=0.002,
+            gate_voltage=0.0)
+        assert_identical_ensembles(native, reference)
+        np.testing.assert_array_equal(native.event_counts, 0)
+
+    def test_bias_change_mid_session(self):
+        def run(simulator):
+            ensemble = simulator.new_ensemble(6)
+            before = simulator.run_ensemble(max_events=800,
+                                            ensemble=ensemble)
+            simulator.circuit.set_source_voltage("VD", 0.15)
+            after = simulator.run_ensemble(max_events=800, ensemble=ensemble)
+            return before, after
+
+        native, reference = run_on_both_backends(run, seed=57)
+        for native_run, reference_run in zip(native, reference):
+            assert_identical_ensembles(native_run, reference_run)
+        assert not np.array_equal(native[0].electron_transfers,
+                                  native[1].electron_transfers)
+
+    def test_ensemble_sweep(self):
+        gates = np.linspace(0.0, 0.08, 9)
+
+        def run(simulator):
+            return simulator.sweep_source("VG", gates, "J_drain",
+                                          max_events=1_600, warmup_events=160,
+                                          ensemble=16)
+
+        native, reference = run_on_both_backends(run, seed=59)
+        for native_array, reference_array in zip(native, reference):
+            np.testing.assert_array_equal(native_array, reference_array)
+
+
+def count_native_entries(simulator):
+    """Wrap the kernel's replica loop; the returned list grows per entry."""
+    kernel = simulator.kernel
+    advance = kernel._jit_advance
+    entries = []
+
+    def counted(*arguments):
+        entries.append(1)
+        return advance(*arguments)
+
+    kernel._jit_advance = counted
+    return entries
+
+
+class TestNativeEntryBudget:
+    def test_warm_ensemble_run_enters_fewer_times_than_replicas(self):
+        simulator = make_simulator(seed=61)
+        ensemble = simulator.new_ensemble(16)
+        simulator.run_ensemble(max_events=300, ensemble=ensemble)
+        entries = count_native_entries(simulator)
+        result = simulator.run_ensemble(max_events=100, ensemble=ensemble)
+        assert result.total_events == 16 * 100
+        assert 1 <= len(entries) < 16
+
+    def test_warm_scalar_run_enters_exactly_once(self):
+        simulator = make_simulator(seed=63)
+        state = simulator.new_state()
+        simulator.run(max_events=1_000, state=state)
+        entries = count_native_entries(simulator)
+        assert simulator.run(max_events=200, state=state).event_count == 200
+        assert len(entries) == 1
+
+
+def test_threads_sharing_the_backend_keep_their_own_arrays():
+    # The C shim caches the last array and address per argument position
+    # process-wide; kernels driven from several threads at once (the foreign
+    # call releases the interpreter lock) must still each advance their own
+    # arrays.  Every bias point rebuilds the rate tables and every short
+    # run allocates fresh registers, so positions change owner constantly;
+    # a shim that stored array and address separately fails (or crashes)
+    # here.
+    gates = np.linspace(0.0, 0.08, 100)
+    seeds = range(71, 79)
+
+    def sweep(seed):
+        return make_simulator(seed=seed).sweep_source(
+            "VG", gates, "J_drain", max_events=200, warmup_events=20)
+
+    expected = [sweep(seed) for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(seeds)) as pool:
+            concurrent = list(pool.map(sweep, seeds, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for alone, together in zip(expected, concurrent):
+        for alone_array, together_array in zip(alone, together):
+            np.testing.assert_array_equal(alone_array, together_array)
+
+
+@pytest.mark.skipif(_find_compiler() is None, reason="no C compiler")
+def test_concurrent_c_builds_share_one_cache_directory(tmp_path):
+    cache = tmp_path / "cache"
+    start = tmp_path / "start"
+    script = textwrap.dedent(f"""
+        import time
+        from pathlib import Path
+        from repro.montecarlo.jit import resolve_advance
+        while not Path({str(start)!r}).exists():
+            time.sleep(0.005)
+        print(resolve_advance({BACKEND_CC!r})[0])
+    """)
+    source_root = Path(__file__).resolve().parents[2] / "src"
+    environment = dict(os.environ, REPRO_JIT_CACHE_DIR=str(cache),
+                       PYTHONPATH=str(source_root))
+    builds = [subprocess.Popen([sys.executable, "-c", script],
+                               env=environment, stdout=subprocess.PIPE,
+                               stderr=subprocess.PIPE, text=True)
+              for _ in range(2)]
+    start.touch()
+    outputs = [build.communicate(timeout=300) for build in builds]
+    for build, (stdout, stderr) in zip(builds, outputs):
+        assert build.returncode == 0, stderr
+        assert stdout.strip() == BACKEND_CC
+    libraries = list(cache.iterdir())
+    assert len(libraries) == 1
+    assert libraries[0].name.startswith("mc_advance_")
+    assert libraries[0].suffix == ".so"
