@@ -1,12 +1,17 @@
 """Design-scan throughput, checkpoint resume, and tolerance-MC determinism.
 
-Three claims of the design layer (``repro.design``), measured and asserted:
+Four claims of the design layer (``repro.design``), measured and asserted:
 
 * **Throughput.**  A ``>= 10^5``-point device grid (gate capacitance x
   junction capacitance x temperature) runs through the analytic engine via
   the ordinary scan path — each chunk is one device table and one
   ``Engine.solve_devices`` call for its on/off biases — and the end-to-end
   rate is recorded in-process and with the chunk fan-out.
+* **Cached throughput.**  The same grid scanned cold into a fresh
+  :class:`~repro.io.results.ResultCache` (every chunk stored) and then
+  replayed warm (every chunk loaded); both rates and the artifact bytes
+  per point are recorded, and both maps must equal the uncached map byte
+  for byte.
 * **Resume bit-identity.**  A checkpointed scan killed mid-run (armed
   ``design.chunk`` fault) must resume from its persisted chunks and produce
   a feasibility map *byte-identical* to an uninterrupted run, while
@@ -37,12 +42,13 @@ import os
 import tempfile
 import time
 from pathlib import Path
+from typing import Tuple
 
 import numpy as np
 
-from repro.design import DesignSpec, DeviceScan
+from repro.design import DesignSpec, DeviceScan, FeasibilityMap
 from repro.errors import FaultInjected
-from repro.io.results import ResultCache
+from repro.io.results import ResultCache, source_digest
 from repro.resilience import FaultInjector
 
 try:
@@ -128,8 +134,12 @@ def _comparable(feasibility) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def measure_throughput() -> dict:
-    """Time the big grid end-to-end, in-process and fanned out."""
+def measure_throughput() -> Tuple[dict, FeasibilityMap]:
+    """Time the big grid end-to-end, in-process and fanned out.
+
+    Returns the summary and the in-process map (the reference for
+    :func:`measure_cached`).
+    """
     spec = grid_spec()
     start = time.perf_counter()
     serial = DeviceScan(spec).run(workers=1)
@@ -148,6 +158,43 @@ def measure_throughput() -> dict:
         "feasible_fraction": round(feasibility.feasible_fraction, 4),
         "counts": feasibility.counts(),
         "engine": feasibility.engine,
+    }, serial
+
+
+def measure_cached(reference: FeasibilityMap) -> dict:
+    """Scan the big grid cold into a fresh cache, then replay it warm.
+
+    Both runs are in-process; the package-source digest folded into cache
+    keys (memoised per process) is computed before timing.  Raises
+    ``AssertionError`` unless both maps equal ``reference`` byte for byte.
+    """
+    spec = grid_spec()
+    expected = _comparable(reference)
+    with tempfile.TemporaryDirectory() as directory:
+        cache = ResultCache(directory)
+        source_digest()
+        start = time.perf_counter()
+        cold = DeviceScan(spec, cache=cache).run()
+        cold_s = time.perf_counter() - start
+        artifact_bytes = sum(path.stat().st_size
+                             for path in Path(directory).glob("*.json"))
+        start = time.perf_counter()
+        replay = DeviceScan(spec, cache=cache)
+        warm = replay.run()
+        warm_s = time.perf_counter() - start
+    chunks = len(replay.chunk_plan())
+    assert replay.chunks_resumed == chunks, "warm replay recomputed chunks"
+    assert _comparable(cold) == expected, "cached map differs from uncached"
+    assert _comparable(warm) == expected, "replayed map differs from uncached"
+    return {
+        "grid_points": len(spec),
+        "chunks": chunks,
+        "cold_elapsed_s": round(cold_s, 3),
+        "cold_points_per_s": round(len(spec) / cold_s, 1),
+        "warm_elapsed_s": round(warm_s, 3),
+        "warm_points_per_s": round(len(spec) / warm_s, 1),
+        "artifact_bytes_per_point": round(artifact_bytes / len(spec), 2),
+        "identical_to_uncached": True,
     }
 
 
@@ -196,8 +243,9 @@ def check_tolerance_determinism() -> dict:
 
 
 def run_benchmark() -> dict:
-    """Run all three measurements and write ``BENCH_design.json``."""
-    throughput = measure_throughput()
+    """Run all four measurements and write ``BENCH_design.json``."""
+    throughput, reference = measure_throughput()
+    cached = measure_cached(reference)
     resume = check_resume()
     tolerance = check_tolerance_determinism()
     payload = {
@@ -206,6 +254,7 @@ def run_benchmark() -> dict:
                     "(gate x junction capacitance x temperature), "
                     "analytic engine, one batched on/off solve per chunk",
         "throughput": throughput,
+        "cached": cached,
         "resume": resume,
         "tolerance_mc": tolerance,
     }
@@ -225,6 +274,10 @@ def test_design_scan_benchmark():
           f"({throughput['points_per_s']:.0f} points/s; in-process "
           f"{throughput['serial_points_per_s']:.0f} points/s)")
     print(f"feasible       : {throughput['feasible_fraction'] * 100:.1f}%")
+    cached = payload["cached"]
+    print(f"cached         : cold {cached['cold_points_per_s']:.0f} "
+          f"points/s, warm {cached['warm_points_per_s']:.0f} points/s, "
+          f"{cached['artifact_bytes_per_point']:.1f} artifact bytes/point")
     resume = payload["resume"]
     print(f"resume         : killed after {resume['chunks_before_kill']} "
           f"chunks, recomputed {resume['chunks_recomputed_on_resume']}, "

@@ -50,7 +50,7 @@ import numpy as np
 from ..constants import E_CHARGE
 from ..engines.base import DeviceTable, Engine
 from ..errors import ValidationError
-from ..io.results import ResultCache, content_hash
+from ..io.results import ResultCache, column_length, content_hash
 from ..resilience.faults import inject
 from ..resilience.policy import FailurePolicy
 from .constraints import Constraint, DesignPoint, build_constraints
@@ -519,15 +519,15 @@ class DeviceScan:
         payload: Dict[str, Any] = {
             "engine": self.engine.name,
             "start": start,
-            "verdicts": outcome.verdicts.tolist(),
-            "robustness": outcome.robustness.tolist(),
-            "margins": outcome.margins.tolist(),
-            "on_currents": outcome.on_currents.tolist(),
-            "off_currents": outcome.off_currents.tolist(),
+            "verdicts": outcome.verdicts,
+            "robustness": outcome.robustness,
+            "margins": outcome.margins,
+            "on_currents": outcome.on_currents,
+            "off_currents": outcome.off_currents,
             "statuses": statuses,
         }
         if outcome.yields is not None:
-            payload["yields"] = outcome.yields.tolist()
+            payload["yields"] = outcome.yields
         return payload
 
     def _valid_payload(self, chunk: DesignChunk,
@@ -535,14 +535,10 @@ class DeviceScan:
         """Whether a cached payload is shaped like this chunk's result."""
         if payload is None:
             return False
-        verdicts = payload.get("verdicts")
-        if not isinstance(verdicts, list) or len(verdicts) != chunk.count:
-            return False
-        margins = payload.get("margins")
-        if not isinstance(margins, list) \
-                or len(margins) != len(self._evaluator.constraints):
-            return False
-        return payload.get("engine") == self.engine.name
+        return column_length(payload.get("verdicts")) == chunk.count \
+            and column_length(payload.get("margins")) \
+            == len(self._evaluator.constraints) \
+            and payload.get("engine") == self.engine.name
 
     def run(self, *, workers: int = 1) -> FeasibilityMap:
         """Run (or resume) the scan and return its feasibility map.

@@ -11,21 +11,32 @@ be archived and re-plotted without re-running the simulation.
 dispatch is skipped entirely.  Writes are atomic (temp file +
 ``os.replace``), so concurrent writers cannot corrupt an artifact, and a
 corrupted or truncated artifact is treated as a miss and evicted.
+
+An artifact is one compact JSON document.  Top-level ``numpy`` array values
+of a payload (the chunk columns of checkpointed sweeps and design scans) are
+stored as typed binary columns, ``{"__ndarray__": [dtype, shape, base64]}``,
+holding the array's raw bytes.  They round-trip bit for bit (NaN payloads,
+signed zeros and subnormals included) and cost a fraction of one JSON
+number per float to write and parse.  Only boolean, integer and
+floating-point dtypes are accepted on load, so a cache file can never make
+the reader build Python objects.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import functools
 import hashlib
 import io
 import json
 import logging
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -187,11 +198,62 @@ class ExperimentRecord:
 #: so stale-format artifacts read as misses instead of parse errors.
 #: Version 2 embeds the artifact's own cache key (:data:`CACHE_KEY_FIELD`)
 #: so a renamed/copied artifact is detected as corruption instead of served.
-CACHE_FORMAT_VERSION = 2
+#: Version 3 stores top-level array values as binary columns
+#: (:data:`NDARRAY_TAG`) and writes compact JSON.
+CACHE_FORMAT_VERSION = 3
 
 #: Reserved payload field carrying the artifact's own cache key (integrity
 #: check against renamed or copied artifacts); stripped on load.
 CACHE_KEY_FIELD = "__cache_key__"
+
+#: Tag of a binary array column: ``{NDARRAY_TAG: [dtype.str, shape, b64]}``.
+NDARRAY_TAG = "__ndarray__"
+
+#: ``dtype.kind`` codes a column may carry: bool, signed and unsigned
+#: integers, floats.  Object, string, void and datetime columns are refused.
+_COLUMN_KINDS = frozenset("biuf")
+
+
+class _ColumnError(ValueError):
+    """A tagged column in an artifact that does not decode to an array."""
+
+
+def _encode_column(array: np.ndarray) -> Dict[str, List[Any]]:
+    """One array as a tagged binary column (see :data:`NDARRAY_TAG`)."""
+    if array.dtype.kind not in _COLUMN_KINDS:
+        raise TypeError(f"cannot cache a {array.dtype} array; column dtypes "
+                        f"must be bool, integer or float")
+    raw = np.ascontiguousarray(array).tobytes()
+    return {NDARRAY_TAG: [array.dtype.str, list(array.shape),
+                          base64.b64encode(raw).decode("ascii")]}
+
+
+def _decode_column(tag: Mapping[str, Any]) -> np.ndarray:
+    """Invert :func:`_encode_column`; :class:`_ColumnError` when malformed."""
+    fields = tag[NDARRAY_TAG]
+    if len(tag) != 1 or not isinstance(fields, list) or len(fields) != 3:
+        raise _ColumnError("malformed column tag")
+    dtype_str, shape, encoded = fields
+    if not isinstance(dtype_str, str) or not isinstance(encoded, str):
+        raise _ColumnError("malformed column tag")
+    if not isinstance(shape, list) or not all(
+            type(extent) is int and extent >= 0 for extent in shape):
+        raise _ColumnError(f"bad column shape {shape!r}")
+    try:
+        dtype = np.dtype(dtype_str)
+    except (TypeError, ValueError) as error:
+        raise _ColumnError(f"unknown column dtype {dtype_str!r}") from error
+    if dtype.kind not in _COLUMN_KINDS or dtype.str != dtype_str:
+        raise _ColumnError(f"refused column dtype {dtype_str!r}")
+    try:
+        raw = base64.b64decode(encoded, validate=True)
+    except ValueError as error:  # binascii.Error, or non-ASCII text
+        raise _ColumnError(f"invalid base64: {error}") from error
+    expected = dtype.itemsize * math.prod(shape)
+    if len(raw) != expected:
+        raise _ColumnError(f"{len(raw)} bytes for a {dtype_str} column of "
+                           f"shape {tuple(shape)} ({expected} expected)")
+    return np.frombuffer(bytearray(raw), dtype=dtype).reshape(shape)
 
 
 @functools.lru_cache(maxsize=None)
@@ -250,8 +312,27 @@ def content_hash(payload: Union[str, bytes, Mapping]) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+def column_length(value: Any) -> Optional[int]:
+    """Length of a cached column (a list or an array of rank >= 1).
+
+    ``None`` for anything else, so payload validators can compare the
+    result against an expected length without type-checking first.
+    """
+    if isinstance(value, list) \
+            or (isinstance(value, np.ndarray) and value.ndim):
+        return len(value)
+    return None
+
+
 class ResultCache:
     """Content-addressed JSON artifact store (spec hash -> result payload).
+
+    Each artifact is one compact JSON object: the payload plus its own key
+    under :data:`CACHE_KEY_FIELD`.  Top-level ``numpy`` array values are
+    written as binary columns tagged :data:`NDARRAY_TAG` and come back from
+    :meth:`load` as (writable) arrays with the same dtype, shape and bytes;
+    only bool, integer and float dtypes are accepted.  Everything else in a
+    payload is plain JSON and comes back as plain JSON.
 
     Failure semantics: the cache *degrades, it never crashes a run*.  A
     corrupted/truncated/mis-keyed artifact is evicted and served as a miss;
@@ -314,8 +395,8 @@ class ResultCache:
         """Load the payload stored under ``key``; ``None`` on miss.
 
         A corrupted artifact (truncated write from a crashed process, manual
-        edit, disk fault) is evicted and reported as a miss so the caller
-        recomputes instead of crashing.
+        edit, disk fault, a binary column that does not decode) is evicted
+        and reported as a miss so the caller recomputes instead of crashing.
 
         Parameters
         ----------
@@ -357,6 +438,12 @@ class ResultCache:
             return self._evict(
                 path, f"key mismatch: artifact claims {str(embedded)[:16]}…, "
                       f"filed under {key[:16]}…")
+        for name, value in payload.items():
+            if isinstance(value, dict) and NDARRAY_TAG in value:
+                try:
+                    payload[name] = _decode_column(value)
+                except _ColumnError as error:
+                    return self._evict(path, f"column {name!r}: {error}")
         self.hits += 1
         return payload
 
@@ -388,7 +475,8 @@ class ResultCache:
             Cache key from :meth:`key_for`.
         payload:
             JSON-serialisable mapping to store (must not already contain
-            :data:`CACHE_KEY_FIELD`).
+            :data:`CACHE_KEY_FIELD`); top-level array values must have a
+            bool, integer or float dtype and are stored as binary columns.
 
         Returns
         -------
@@ -399,9 +487,11 @@ class ResultCache:
         from ..resilience.faults import inject
 
         path = self.path_for(key)
-        stamped = dict(payload)
+        stamped = {name: _encode_column(value)
+                   if isinstance(value, np.ndarray) else value
+                   for name, value in payload.items()}
         stamped[CACHE_KEY_FIELD] = key
-        text = json.dumps(stamped, sort_keys=True, indent=1)
+        text = json.dumps(stamped, sort_keys=True, separators=(",", ":"))
         temp_name: Optional[str] = None
         try:
             inject("cache.store")
@@ -431,11 +521,17 @@ class ResultCache:
         return path
 
     def clear(self) -> int:
-        """Delete every artifact; returns the number removed."""
+        """Delete every artifact and temp file; returns the number removed.
+
+        Temp files (``.<key16>-*.tmp``) are what a writer killed between
+        creating its temp file and moving it into place leaves behind.  A
+        store still in flight during :meth:`clear` loses its temp file and
+        degrades like any other failed store.
+        """
         removed = 0
         if not self.root.is_dir():
             return removed
-        for path in self.root.glob("*.json"):
+        for path in [*self.root.glob("*.json"), *self.root.glob(".*.tmp")]:
             try:
                 path.unlink()
                 removed += 1
@@ -445,4 +541,5 @@ class ResultCache:
 
 
 __all__ = ["CACHE_FORMAT_VERSION", "CACHE_KEY_FIELD", "ExperimentRecord",
-           "ResultCache", "SweepRecord", "content_hash", "source_digest"]
+           "NDARRAY_TAG", "ResultCache", "SweepRecord", "column_length",
+           "content_hash", "source_digest"]

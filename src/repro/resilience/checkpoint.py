@@ -38,7 +38,7 @@ import numpy as np
 from ..devices.set_transistor import SETTransistor
 from ..engines.base import Engine, SweepAxes, SweepResult
 from ..errors import CheckpointError
-from ..io.results import ResultCache
+from ..io.results import ResultCache, column_length
 from .execution import run_policy_sweep
 from .faults import inject
 from .policy import FailurePolicy, PointRecord
@@ -208,9 +208,9 @@ class CheckpointedSweep:
             result = session.sweep(chunk.axes, workers=workers)
         payload: Dict[str, Any] = {
             "engine": result.engine,
-            "currents": [float(value) for value in result.currents],
+            "currents": np.asarray(result.currents, dtype=float),
             "stderrs": None if result.stderrs is None
-            else [float(value) for value in result.stderrs],
+            else np.asarray(result.stderrs, dtype=float),
         }
         statuses = getattr(result, "statuses", None)
         if statuses is not None:
@@ -222,11 +222,8 @@ class CheckpointedSweep:
         """Whether a cached chunk payload is shaped like this chunk's result."""
         if payload is None:
             return False
-        currents = payload.get("currents")
-        if not isinstance(currents, list) \
-                or len(currents) != len(chunk.axes):
-            return False
-        return payload.get("engine") == self.engine.name
+        return column_length(payload.get("currents")) == len(chunk.axes) \
+            and payload.get("engine") == self.engine.name
 
     def run(self, *, workers: int = 1) -> SweepResult:
         """Run (or resume) the sweep, persisting each finished chunk.
@@ -244,8 +241,8 @@ class CheckpointedSweep:
         """
         self.chunks_computed = 0
         self.chunks_resumed = 0
-        currents: List[float] = []
-        stderr_chunks: List[Optional[List[float]]] = []
+        current_chunks: List[np.ndarray] = []
+        stderr_chunks: List[Optional[np.ndarray]] = []
         statuses: List[PointRecord] = []
         any_statuses = False
         for chunk in self.chunk_plan():
@@ -259,7 +256,7 @@ class CheckpointedSweep:
                 self.cache.store(chunk.key, payload)
                 self.chunks_computed += 1
             assert payload is not None
-            currents.extend(payload["currents"])
+            current_chunks.append(np.asarray(payload["currents"], float))
             stderr_chunks.append(payload.get("stderrs"))
             chunk_statuses = payload.get("statuses")
             if chunk_statuses is not None:
@@ -275,8 +272,10 @@ class CheckpointedSweep:
                 for chunk_values in stderr_chunks])
         else:
             stderrs = None
+        currents = np.concatenate(current_chunks) if current_chunks \
+            else np.empty(0)
         return SweepResult(
-            axes=self.axes, currents=np.asarray(currents, dtype=float),
+            axes=self.axes, currents=currents,
             stderrs=stderrs, engine=self.engine.name,
             statuses=tuple(statuses) if any_statuses else None)
 

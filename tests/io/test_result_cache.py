@@ -1,17 +1,23 @@
 """Tests for the content-hash result cache (hit/miss, corruption, concurrency)."""
 
+import base64
 import json
 import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import repro
 from repro.io import ResultCache, content_hash
-from repro.io.results import source_digest
+from repro.io.results import NDARRAY_TAG, source_digest
 
 #: Prints whether importing repro computed the source digest, then a key.
 _KEY_PROBE = """
@@ -277,3 +283,124 @@ class TestCacheIntegrityAndCounters:
         healthy = ResultCache(tmp_path / "cache")
         healthy.store(key, {"payload": 1})
         assert healthy.load(key) == {"payload": 1}
+
+
+#: Dtypes the round-trip property draws from (both byte orders of float64).
+COLUMN_DTYPES = st.sampled_from([np.float64, np.dtype(">f8"), np.float32,
+                                 np.int8, np.int64, np.uint16, np.bool_])
+
+#: Float64 edge values: NaN (quiet, negative, non-canonical payload),
+#: signed zeros, infinities and subnormals.
+EDGE_FLOATS = np.concatenate([
+    np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324,
+              -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308]),
+    np.array([0x7FF0000000000001, 0xFFF8DEADBEEF0001],
+             dtype=np.uint64).view(np.float64)])
+
+
+def assert_bit_identical(loaded, original):
+    assert isinstance(loaded, np.ndarray)
+    assert loaded.dtype == original.dtype
+    assert loaded.shape == original.shape
+    assert loaded.tobytes() == original.tobytes()
+
+
+class TestBinaryColumns:
+    """Top-level arrays are stored as typed binary columns, bit for bit."""
+
+    @given(array=hnp.arrays(COLUMN_DTYPES,
+                            hnp.array_shapes(min_dims=0, max_dims=2,
+                                             min_side=0, max_side=6)))
+    @example(array=EDGE_FLOATS)
+    @example(array=EDGE_FLOATS.reshape(2, 6))
+    @example(array=np.array([-128, 0, 127], dtype=np.int8))
+    @example(array=np.empty(0))
+    @example(array=np.empty((3, 0), dtype=np.int8))
+    @settings(max_examples=120, deadline=None)
+    def test_store_load_round_trip_is_bit_exact(self, array):
+        with tempfile.TemporaryDirectory() as root:
+            cache = ResultCache(root)
+            key = cache.key_for("column")
+            cache.store(key, {"column": array, "label": "x"})
+            loaded = cache.load(key)
+        assert loaded["label"] == "x"
+        assert_bit_identical(loaded["column"], array)
+        assert loaded["column"].flags.writeable
+
+    def test_non_contiguous_arrays_round_trip(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = cache.key_for("strided")
+        array = np.arange(12.0).reshape(3, 4).T
+        cache.store(key, {"column": array})
+        assert_bit_identical(cache.load(key)["column"], array.copy())
+
+    def test_columns_are_tagged_binary_on_disk(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = cache.key_for("tagged")
+        cache.store(key, {"column": np.arange(3, dtype=np.int8),
+                          "plain": [1.5, 2.5]})
+        artifact = json.loads(cache.path_for(key).read_text())
+        assert artifact["column"] == {NDARRAY_TAG: ["|i1", [3], "AAEC"]}
+        assert artifact["plain"] == [1.5, 2.5]
+
+    def test_object_arrays_are_refused_at_store(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        with pytest.raises(TypeError, match="cannot cache"):
+            cache.store(cache.key_for("x"),
+                        {"column": np.array([{}, None], dtype=object)})
+        assert list(tmp_path.iterdir()) == []
+
+
+def _retag(cache, key, tag):
+    """Replace the stored ``column`` entry with ``tag``, key intact."""
+    path = cache.path_for(key)
+    artifact = json.loads(path.read_text())
+    artifact["column"] = tag
+    path.write_text(json.dumps(artifact))
+
+
+#: Base64 of 32 zero bytes: the right size for a ``[4]`` column of 8-byte
+#: items, so each case below is malformed in exactly one respect.
+ZEROS_32 = base64.b64encode(bytes(32)).decode("ascii")
+
+
+class TestMalformedColumns:
+    """A column that does not decode is corruption: evicted, a miss."""
+
+    @pytest.mark.parametrize("tag", [
+        pytest.param({NDARRAY_TAG: ["<f8", [4], ZEROS_32[:20] + "*"
+                                                + ZEROS_32[20:]]},
+                     id="invalid-base64"),
+        pytest.param({NDARRAY_TAG: ["<f8", [5], ZEROS_32]},
+                     id="byte-count-mismatch"),
+        pytest.param({NDARRAY_TAG: ["<x8", [4], ZEROS_32]},
+                     id="unknown-dtype"),
+        pytest.param({NDARRAY_TAG: ["|O", [4], ZEROS_32]},
+                     id="object-dtype"),
+        pytest.param({NDARRAY_TAG: ["<f8", [4]]}, id="tag-missing-field"),
+        pytest.param({NDARRAY_TAG: ["<f8", [4], ZEROS_32], "extra": 1},
+                     id="tag-extra-key"),
+        pytest.param({NDARRAY_TAG: ["<f8", [-2, -2], ZEROS_32]},
+                     id="tag-bad-shape"),
+    ])
+    def test_malformed_column_is_evicted_as_a_miss(self, tmp_path, tag):
+        cache = ResultCache(tmp_path)
+        key = cache.key_for("column")
+        cache.store(key, {"column": np.zeros(4)})
+        _retag(cache, key, tag)
+        assert cache.load(key) is None
+        assert not cache.path_for(key).exists()
+        assert cache.evictions == 1
+        assert cache.misses == 1
+
+
+class TestClearRemovesOrphanedTempFiles:
+    def test_clear_removes_and_counts_temp_files(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = cache.key_for("x")
+        cache.store(key, {"payload": 1})
+        # What a writer killed between mkstemp and os.replace leaves.
+        orphan = tmp_path / f".{key[:16]}-k1ll3d.tmp"
+        orphan.write_text('{"payload": 2')
+        assert cache.clear() == 2
+        assert list(tmp_path.iterdir()) == []
