@@ -51,7 +51,6 @@ from .scan import (
     DeviceScan,
     YieldReport,
     analyze_yield,
-    derive_point_seed,
     resolve_engine,
 )
 from .spec import (
@@ -64,7 +63,6 @@ from .spec import (
 from .tolerance import (
     ComponentDeviation,
     ToleranceModel,
-    derive_element_seed,
 )
 
 __all__ = [
@@ -89,8 +87,6 @@ __all__ = [
     "analyze_yield",
     "build_constraint",
     "build_constraints",
-    "derive_element_seed",
-    "derive_point_seed",
     "merge_chunk_payloads",
     "resolve_engine",
 ]

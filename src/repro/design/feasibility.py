@@ -319,7 +319,7 @@ class FeasibilityMap:
 
 
 def merge_chunk_payloads(chunks: Sequence[Mapping[str, Any]],
-                         total: int) -> Dict[str, Any]:
+                         total: int, n_constraints: int) -> Dict[str, Any]:
     """Merge per-chunk scan payloads into full-grid flat arrays.
 
     Parameters
@@ -331,6 +331,9 @@ def merge_chunk_payloads(chunks: Sequence[Mapping[str, Any]],
         their slots at the UNKNOWN / NaN / ``"skipped"`` defaults.
     total:
         Total number of grid points.
+    n_constraints:
+        Number of constraint rows in ``margins`` (passed in, so a map whose
+        every chunk was lost still has its full shape).
 
     Returns
     -------
@@ -338,9 +341,6 @@ def merge_chunk_payloads(chunks: Sequence[Mapping[str, Any]],
         Flat arrays covering the whole grid (``margins`` is a list of
         per-constraint rows).
     """
-    n_constraints = 0
-    for chunk in chunks:
-        n_constraints = max(n_constraints, len(chunk.get("margins", ())))
     verdicts = np.full(total, UNKNOWN, dtype=np.int8)
     robustness = np.full(total, np.nan)
     margins = np.full((n_constraints, total), np.nan)
@@ -355,8 +355,7 @@ def merge_chunk_payloads(chunks: Sequence[Mapping[str, Any]],
         stop = start + count
         verdicts[start:stop] = np.asarray(chunk["verdicts"], dtype=np.int8)
         robustness[start:stop] = np.asarray(chunk["robustness"], dtype=float)
-        for row, values in enumerate(chunk.get("margins", ())):
-            margins[row, start:stop] = np.asarray(values, dtype=float)
+        margins[:, start:stop] = np.asarray(chunk["margins"], dtype=float)
         on_currents[start:stop] = np.asarray(chunk["on_currents"],
                                              dtype=float)
         off_currents[start:stop] = np.asarray(chunk["off_currents"],

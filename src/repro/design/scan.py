@@ -19,17 +19,17 @@ once per scan.
 
 Execution discipline mirrors the resilience layer:
 
-* the grid is sharded into fixed-size **chunks**, each persisted through a
-  :class:`~repro.io.results.ResultCache` under a content hash of
-  everything that determines its numbers — a killed scan resumes
-  bit-identically, and identical chunks across scans dedup;
+* the grid is sharded into fixed-size **chunks**, keyed by a content hash
+  of everything that determines their numbers and run by
+  :func:`~repro.resilience.chunks.run_chunks` — a killed scan resumes
+  bit-identically, identical chunks across scans dedup, and a chunk lost
+  under a policy leaves a *partial* map that a re-run completes;
 * per-point failures **degrade** under an optional
   :class:`~repro.resilience.policy.FailurePolicy` (unknown verdict, NaN
-  margins, ``failed`` status) instead of aborting the scan; a chunk-level
-  crash under policy yields a *partial* map whose missing chunk stays
-  uncached, so a re-run recomputes exactly that chunk;
+  margins, ``failed`` status) instead of aborting the scan;
 * stochastic engines get SHA-256-derived per-point seeds
-  (:func:`derive_point_seed`) and the tolerance model draws from
+  (:func:`~repro.io.results.derive_seed` of the root seed, ``"design-point"``
+  and the flat index) and the tolerance model draws from
   per-element seed streams — both independent of iteration order and
   worker count, so any execution schedule produces the same map.
 """
@@ -38,10 +38,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -50,7 +48,9 @@ import numpy as np
 from ..constants import E_CHARGE
 from ..engines.base import DeviceTable, Engine
 from ..errors import ValidationError
-from ..io.results import ResultCache, column_length, content_hash
+from ..io.results import ResultCache, column_length, content_hash, \
+    derive_seed
+from ..resilience.chunks import ChunkCounts, run_chunks
 from ..resilience.faults import inject
 from ..resilience.policy import FailurePolicy
 from .constraints import Constraint, DesignPoint, build_constraints
@@ -65,29 +65,6 @@ from .spec import DesignSpec
 from .tolerance import ToleranceModel
 
 _LOG = logging.getLogger("repro.design")
-
-
-def derive_point_seed(root_seed: int, flat_index: int) -> int:
-    """Deterministic per-point engine seed for stochastic scans.
-
-    Parameters
-    ----------
-    root_seed:
-        The design spec's root seed.
-    flat_index:
-        Row-major grid index of the point.
-
-    Returns
-    -------
-    int
-        A 32-bit seed — SHA-256 of ``"{root_seed}:design-point:{flat}"`` —
-        stable across processes and independent of execution order (the
-        ``design-point`` token keeps the stream disjoint from the
-        checkpoint layer's per-chunk seeds).
-    """
-    token = f"{root_seed}:design-point:{flat_index}"
-    digest = hashlib.sha256(token.encode()).digest()
-    return int.from_bytes(digest[:4], "big")
 
 
 def resolve_engine(name: str) -> Engine:
@@ -255,7 +232,8 @@ class _ChunkEvaluator:
                 columns[parameter] = values
         seeds = None
         if self.stochastic:
-            seeds = np.array([derive_point_seed(self.spec.seed, int(index))
+            seeds = np.array([derive_seed(self.spec.seed, "design-point",
+                                          int(index))
                               for index in flat], dtype=np.int64)
         return DeviceTable(self.base, columns, temperature, background,
                            seeds), drains
@@ -408,7 +386,7 @@ class _ChunkEvaluator:
         return counts
 
 
-class DeviceScan:
+class DeviceScan(ChunkCounts):
     """A checkpointed, policy-aware feasibility scan of one design spec.
 
     Parameters
@@ -437,11 +415,10 @@ class DeviceScan:
         self.policy = policy
         self.engine = resolve_engine(spec.engine)
         self._evaluator = _ChunkEvaluator(spec, self.engine)
-        #: Chunks recomputed / served from cache / lost to a chunk-level
-        #: failure during the last :meth:`run` call.
-        self.chunks_computed = 0
-        self.chunks_resumed = 0
-        self.chunks_failed = 0
+
+    def __reduce__(self) -> Tuple[Any, Tuple[DesignSpec]]:
+        """Pickle as ``(spec, policy)``: pool workers compute, never cache."""
+        return functools.partial(DeviceScan, policy=self.policy), (self.spec,)
 
     # ------------------------------------------------------------- identity
 
@@ -474,7 +451,7 @@ class DeviceScan:
 
     # ------------------------------------------------------------ execution
 
-    def _compute_chunk(self, start: int, count: int) -> Dict[str, Any]:
+    def _compute_chunk(self, chunk: DesignChunk) -> Dict[str, Any]:
         """Evaluate one chunk's points and assemble its payload.
 
         The whole chunk is evaluated as one batch first; the per-point
@@ -486,6 +463,7 @@ class DeviceScan:
         inject("design.chunk")
         evaluator = self._evaluator
         policy = self.policy
+        start, count = chunk.start, chunk.count
         outcome = evaluator.evaluate(np.arange(start, start + count))
         attempts = 1 if policy is None else 1 + policy.max_retries
         statuses: List[str] = []
@@ -531,10 +509,8 @@ class DeviceScan:
         return payload
 
     def _valid_payload(self, chunk: DesignChunk,
-                       payload: Optional[Mapping]) -> bool:
+                       payload: Mapping[str, Any]) -> bool:
         """Whether a cached payload is shaped like this chunk's result."""
-        if payload is None:
-            return False
         return column_length(payload.get("verdicts")) == chunk.count \
             and column_length(payload.get("margins")) \
             == len(self._evaluator.constraints) \
@@ -557,109 +533,23 @@ class DeviceScan:
             from checkpoints, and partial (``unknown`` verdicts,
             ``skipped`` statuses) when chunks were lost under the policy.
         """
-        self.chunks_computed = 0
-        self.chunks_resumed = 0
-        self.chunks_failed = 0
-        plan = self.chunk_plan()
-        payloads: Dict[int, Mapping[str, Any]] = {}
-        pending: List[DesignChunk] = []
-        for chunk in plan:
-            cached = None if self.cache is None \
-                else self.cache.load(chunk.key)
-            if self._valid_payload(chunk, cached):
-                assert cached is not None
-                payloads[chunk.start] = cached
-                self.chunks_resumed += 1
-                _LOG.info("design: resumed chunk %d [%s]", chunk.index,
-                          chunk.key[:12])
-            else:
-                pending.append(chunk)
-        if workers > 1 and len(pending) > 1:
-            self._compute_parallel(pending, payloads, workers)
-        else:
-            for chunk in pending:
-                payload = self._guarded_compute(chunk)
-                if payload is not None:
-                    payloads[chunk.start] = payload
+        payloads = run_chunks(self.chunk_plan(), self._compute_chunk,
+                              self._valid_payload, cache=self.cache,
+                              policy=self.policy, workers=workers,
+                              counts=self)
+        constraints = self._evaluator.constraints
         merged = merge_chunk_payloads(
-            [payloads[start] for start in sorted(payloads)], len(self.spec))
-        constraints = tuple(
-            {"name": c.type_name, "kind": c.kind, "threshold": c.threshold}
-            for c in self._evaluator.constraints)
+            [payload for payload in payloads if payload is not None],
+            len(self.spec), len(constraints))
         return FeasibilityMap(
             spec_hash=self.spec.content_hash(), engine=self.engine.name,
             axes=tuple((axis.parameter, tuple(axis.grid().tolist()))
                        for axis in self.spec.axes),
-            constraints=constraints,
+            constraints=tuple(
+                {"name": c.type_name, "kind": c.kind,
+                 "threshold": c.threshold} for c in constraints),
             chunks_computed=self.chunks_computed,
             chunks_resumed=self.chunks_resumed, **merged)
-
-    def _guarded_compute(self,
-                         chunk: DesignChunk) -> Optional[Dict[str, Any]]:
-        """Compute one chunk, honouring the chunk-level failure contract."""
-        try:
-            payload = self._compute_chunk(chunk.start, chunk.count)
-        except Exception:
-            if self.policy is None:
-                raise
-            self.chunks_failed += 1
-            _LOG.warning("design: chunk %d lost under policy; the map "
-                         "will be partial", chunk.index)
-            return None
-        self._store(chunk, payload)
-        self.chunks_computed += 1
-        return payload
-
-    def _compute_parallel(self, pending: Sequence[DesignChunk],
-                          payloads: Dict[int, Mapping[str, Any]],
-                          workers: int) -> None:
-        """Fan pending chunks out over a process pool."""
-        spec_payload = self.spec.to_dict()
-        policy_payload = None if self.policy is None \
-            else self.policy.as_dict()
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    (chunk, pool.submit(_compute_chunk_worker, spec_payload,
-                                        policy_payload, chunk.start,
-                                        chunk.count))
-                    for chunk in pending]
-                for chunk, future in futures:
-                    try:
-                        payload = future.result()
-                    except Exception:
-                        if self.policy is None:
-                            raise
-                        self.chunks_failed += 1
-                        continue
-                    payloads[chunk.start] = payload
-                    self._store(chunk, payload)
-                    self.chunks_computed += 1
-        except Exception:
-            if self.policy is None:
-                raise
-            # Pool-level breakage (e.g. a crashed worker) degrades to the
-            # serial path for whatever is still missing.
-            for chunk in pending:
-                if chunk.start not in payloads:
-                    payload = self._guarded_compute(chunk)
-                    if payload is not None:
-                        payloads[chunk.start] = payload
-
-    def _store(self, chunk: DesignChunk, payload: Dict[str, Any]) -> None:
-        """Persist one finished chunk (no-op without a cache)."""
-        if self.cache is not None:
-            self.cache.store(chunk.key, payload)
-
-
-def _compute_chunk_worker(spec_payload: Mapping, policy_payload: Optional[
-        Mapping], start: int, count: int) -> Dict[str, Any]:
-    """Process-pool entry point: rebuild the scan and compute one chunk."""
-    spec = DesignSpec.from_dict(spec_payload)
-    policy = None if policy_payload is None \
-        else FailurePolicy(**dict(policy_payload))
-    scan = DeviceScan(spec, cache=None, policy=policy)
-    return scan._compute_chunk(start, count)
 
 
 @dataclass(frozen=True)
@@ -748,6 +638,5 @@ __all__ = [
     "DeviceScan",
     "YieldReport",
     "analyze_yield",
-    "derive_point_seed",
     "resolve_engine",
 ]

@@ -11,11 +11,12 @@ worst-case/Monte-Carlo harnesses do:
 * **worst-case corners**: the Cartesian product of every element's extreme
   values (the classic corner analysis);
 * **seeded sampling**: Monte-Carlo samples where each element draws from its
-  *own* SHA-256-derived seed stream (:func:`derive_element_seed`, the same
-  discipline as the checkpoint layer's per-chunk seeds).  Sample ``i`` of
-  element ``e`` is a pure function of ``(root seed, e, i)`` — never of axis
-  iteration order, worker count, or how many other elements are toleranced —
-  so tolerance-MC yield is bit-reproducible across any execution schedule.
+  *own* SHA-256-derived seed stream (:func:`~repro.io.results.derive_seed`
+  of the root seed, element name and sample index, the same function that
+  seeds checkpoint chunks).  Sample ``i`` of element ``e`` is a pure
+  function of ``(root seed, e, i)`` — never of axis iteration order, worker
+  count, or how many other elements are toleranced — so tolerance-MC yield
+  is bit-reproducible across any execution schedule.
 
 Scans draw every sample of every point at once: :meth:`ToleranceModel.draws`
 takes each element's standard uniform or normal variate per sample from its
@@ -28,7 +29,6 @@ onto whole arrays of nominal values with the same arithmetic
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Tuple
@@ -37,6 +37,7 @@ import numpy as np
 
 from ..devices.set_transistor import SETTransistor
 from ..errors import ValidationError
+from ..io.results import derive_seed
 
 #: Deviation kinds (mirrors the spicelib ``DeviationType`` vocabulary).
 DEVIATION_KINDS = ("tolerance", "minmax", "none")
@@ -46,33 +47,6 @@ DISTRIBUTIONS = ("uniform", "normal")
 
 #: Refuse corner enumerations larger than this (2**10 elements).
 _MAX_CORNERS = 1024
-
-
-def derive_element_seed(root_seed: int, element: str,
-                        sample_index: int) -> int:
-    """Deterministic per-element, per-sample seed.
-
-    Parameters
-    ----------
-    root_seed:
-        The design spec's root seed.
-    element:
-        Device parameter name (e.g. ``"junction_capacitance"``).
-    sample_index:
-        Monte-Carlo sample ordinal (0-based).
-
-    Returns
-    -------
-    int
-        A 32-bit seed: SHA-256 of ``"{root_seed}:{element}:{sample_index}"``,
-        stable across processes, platforms, and Python versions.  Because
-        the stream is keyed on the element *name* and sample *index* — not
-        on draw order — tolerance draws are independent of axis iteration
-        order and worker count.
-    """
-    token = f"{root_seed}:{element}:{sample_index}"
-    digest = hashlib.sha256(token.encode()).digest()
-    return int.from_bytes(digest[:4], "big")
 
 
 @dataclass(frozen=True)
@@ -338,14 +312,14 @@ class ToleranceModel:
         -------
         SETTransistor
             The deviated device (each toleranced element drawn from its own
-            :func:`derive_element_seed` stream).
+            :func:`~repro.io.results.derive_seed` stream).
         """
         overrides: Dict[str, float] = {}
         for element, deviation in self.deviations.items():
             if deviation.kind == "none":
                 continue
             rng = np.random.default_rng(
-                derive_element_seed(root_seed, element, sample_index))
+                derive_seed(root_seed, element, sample_index))
             overrides[element] = deviation.sample(
                 self._nominal(device, element), rng)
         if not overrides:
@@ -366,13 +340,13 @@ class ToleranceModel:
         -------
         dict
             Element name -> array of ``samples`` standard variates, drawn
-            from the same :func:`derive_element_seed` streams
+            from the same :func:`~repro.io.results.derive_seed` streams
             :meth:`sample_device` uses.
         """
         return {
             element: np.array([
                 deviation.standard_draw(np.random.default_rng(
-                    derive_element_seed(root_seed, element, sample)))
+                    derive_seed(root_seed, element, sample)))
                 for sample in range(samples)])
             for element, deviation in self.deviations.items()
             if deviation.kind != "none"}
@@ -421,5 +395,4 @@ __all__ = [
     "DEVIATION_KINDS",
     "DISTRIBUTIONS",
     "ToleranceModel",
-    "derive_element_seed",
 ]

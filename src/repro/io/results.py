@@ -312,6 +312,21 @@ def content_hash(payload: Union[str, bytes, Mapping]) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+def derive_seed(root: Any, *tokens: Any) -> int:
+    """Deterministic 32-bit seed from a root seed and position tokens.
+
+    The seed is the first four bytes (big-endian) of the SHA-256 digest of
+    ``":".join(map(str, (root, *tokens)))``, so it is stable across
+    processes, platforms and Python versions, and depends on *where* a
+    draw sits (chunk start, grid index, element and sample) rather than on
+    execution order.  The token forms in use are ``(root, start)`` for
+    checkpoint chunks, ``(root, "design-point", index)`` for design-scan
+    points and ``(root, element, sample)`` for tolerance draws.
+    """
+    token = ":".join(map(str, (root, *tokens)))
+    return int.from_bytes(hashlib.sha256(token.encode()).digest()[:4], "big")
+
+
 def column_length(value: Any) -> Optional[int]:
     """Length of a cached column (a list or an array of rank >= 1).
 
@@ -542,4 +557,4 @@ class ResultCache:
 
 __all__ = ["CACHE_FORMAT_VERSION", "CACHE_KEY_FIELD", "ExperimentRecord",
            "NDARRAY_TAG", "ResultCache", "SweepRecord", "column_length",
-           "content_hash", "source_digest"]
+           "content_hash", "derive_seed", "source_digest"]

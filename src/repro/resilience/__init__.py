@@ -4,7 +4,7 @@ The paper's headline workloads are hour-scale stochastic and sparse-solver
 jobs; this package is what lets them survive the failures such jobs actually
 hit — a solver that will not converge at one bias point, a crashed worker
 pool, a preempted process, a corrupted cache artifact — without giving up
-determinism or the engines' fast paths.  Four pieces:
+determinism or the engines' fast paths.  Five pieces:
 
 * :mod:`~repro.resilience.policy` — :class:`FailurePolicy` (retry/backoff,
   per-point timeouts, failure budgets, the non-finite health guard) and the
@@ -15,6 +15,9 @@ determinism or the engines' fast paths.  Four pieces:
 * :mod:`~repro.resilience.checkpoint` — :class:`CheckpointedSweep`:
   content-hashed, deterministically seeded chunks persisted through the
   result cache, so killed sweeps resume bit-identically;
+* :mod:`~repro.resilience.chunks` — :func:`run_chunks`, the one chunk
+  executor (cache round trip, counters, process pool, chunk-failure
+  contract) behind checkpointed sweeps and design scans;
 * :mod:`~repro.resilience.faults` + :mod:`~repro.resilience.events` — the
   deterministic fault-injection harness driving the chaos test suite, and
   the structured degradation events every fallback rung emits.
@@ -62,7 +65,7 @@ _LAZY = {
     "stream_with_policy": "execution",
     "CheckpointedSweep": "checkpoint",
     "SweepChunk": "checkpoint",
-    "derive_chunk_seed": "checkpoint",
+    "run_chunks": "chunks",
     "run_checkpointed_sweep": "checkpoint",
 }
 
@@ -103,12 +106,12 @@ __all__ = [
     "VALID_STATUSES",
     "active_injector",
     "capture_degradations",
-    "derive_chunk_seed",
     "emit_degradation",
     "empty_records",
     "inject",
     "inject_value",
     "run_checkpointed_sweep",
+    "run_chunks",
     "run_policy_sweep",
     "solve_point_with_policy",
     "stream_with_policy",

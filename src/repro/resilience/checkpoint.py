@@ -13,23 +13,22 @@ chunk from the cache and recomputes only the unfinished ones, and the merged
 uninterrupted run.
 
 Stochastic engines stay bit-reproducible because each chunk gets a
-*deterministic derived seed* — SHA-256 of the root seed and the chunk's
-start index — instead of sharing one warm random stream whose state would
-depend on how many chunks already ran.  Whatever chunk size you pick, the
-result is a pure function of ``(spec, root seed, chunk size)``; the chunk
-size is part of the content hash, so results computed at different chunk
-sizes never alias in the cache.
+*deterministic derived seed* — :func:`~repro.io.results.derive_seed` of
+the root seed and the chunk's start index — instead of sharing one warm
+random stream whose state would depend on how many chunks already ran.
+Whatever chunk size you pick, the result is a pure function of ``(spec,
+root seed, chunk size)``; the chunk size is part of the content hash, so
+results computed at different chunk sizes never alias in the cache.
 
-This is the foundation for the distributed sweep fabric (ROADMAP item 5):
-chunks are independent, content-addressed work units that any worker can
-compute and any coordinator can merge.
+Chunks run through :func:`~repro.resilience.chunks.run_chunks` under its
+chunk-failure contract; a chunk lost under a policy comes back as NaN
+currents (and NaN stderrs where the engine reports them) with ``skipped``
+status records.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import logging
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -38,34 +37,12 @@ import numpy as np
 from ..devices.set_transistor import SETTransistor
 from ..engines.base import Engine, SweepAxes, SweepResult
 from ..errors import CheckpointError
-from ..io.results import ResultCache, column_length
+from ..io.results import ResultCache, column_length, content_hash, \
+    derive_seed
+from .chunks import ChunkCounts, run_chunks
 from .execution import run_policy_sweep
 from .faults import inject
-from .policy import FailurePolicy, PointRecord
-
-_LOG = logging.getLogger("repro.resilience")
-
-
-def derive_chunk_seed(root_seed: Optional[int],
-                      start: int) -> Optional[int]:
-    """Deterministic per-chunk seed from the root seed and chunk start index.
-
-    Parameters
-    ----------
-    root_seed:
-        The sweep's root seed; ``None`` stays ``None`` (unseeded engines).
-    start:
-        Flat index of the chunk's first sweep point.
-
-    Returns
-    -------
-    int or None
-        A 32-bit seed, stable across processes and Python versions.
-    """
-    if root_seed is None:
-        return None
-    digest = hashlib.sha256(f"{root_seed}:{start}".encode()).digest()
-    return int.from_bytes(digest[:4], "big")
+from .policy import FailurePolicy, PointRecord, empty_records
 
 
 @dataclass(frozen=True)
@@ -93,7 +70,7 @@ class SweepChunk:
     key: str
 
 
-class CheckpointedSweep:
+class CheckpointedSweep(ChunkCounts):
     """A resumable gate sweep persisted chunk by chunk through a result cache.
 
     Parameters
@@ -109,7 +86,9 @@ class CheckpointedSweep:
     temperature:
         Operating temperature in kelvin.
     seed:
-        Root seed; each chunk derives its own via :func:`derive_chunk_seed`.
+        Root seed; each chunk derives its own as
+        :func:`~repro.io.results.derive_seed` of the root seed and the
+        chunk's start index.
     chunk_size:
         Sweep points per chunk (the resume granularity).
     policy:
@@ -145,10 +124,6 @@ class CheckpointedSweep:
         self.max_events = int(max_events)
         self.warmup_events = int(warmup_events)
         self.replicas = int(replicas)
-        #: Chunks recomputed by the last :meth:`run` call.
-        self.chunks_computed = 0
-        #: Chunks served from the cache by the last :meth:`run` call.
-        self.chunks_resumed = 0
 
     # ------------------------------------------------------------ identity
 
@@ -174,8 +149,6 @@ class CheckpointedSweep:
 
     def chunk_plan(self) -> List[SweepChunk]:
         """The sweep's chunks, in order, with derived seeds and cache keys."""
-        from ..io.results import content_hash
-
         chunks: List[SweepChunk] = []
         gates = self.axes.gate_voltages
         for ordinal, start in enumerate(range(0, len(gates),
@@ -185,7 +158,8 @@ class CheckpointedSweep:
             key = self.cache.key_for(
                 content_hash(self._chunk_context(start, slice_gates)))
             chunks.append(SweepChunk(index=ordinal, start=start, axes=axes,
-                                     seed=derive_chunk_seed(self.seed, start),
+                                     seed=None if self.seed is None
+                                     else derive_seed(self.seed, start),
                                      key=key))
         return chunks
 
@@ -206,22 +180,17 @@ class CheckpointedSweep:
                                       workers=workers)
         else:
             result = session.sweep(chunk.axes, workers=workers)
-        payload: Dict[str, Any] = {
-            "engine": result.engine,
-            "currents": np.asarray(result.currents, dtype=float),
-            "stderrs": None if result.stderrs is None
-            else np.asarray(result.stderrs, dtype=float),
-        }
-        statuses = getattr(result, "statuses", None)
-        if statuses is not None:
-            payload["statuses"] = [record.as_dict() for record in statuses]
+        payload: Dict[str, Any] = {"engine": result.engine,
+                                   "currents": result.currents,
+                                   "stderrs": result.stderrs}
+        if result.statuses is not None:
+            payload["statuses"] = [record.as_dict()
+                                   for record in result.statuses]
         return payload
 
     def _valid_payload(self, chunk: SweepChunk,
-                       payload: Optional[Dict]) -> bool:
+                       payload: Dict[str, Any]) -> bool:
         """Whether a cached chunk payload is shaped like this chunk's result."""
-        if payload is None:
-            return False
         return column_length(payload.get("currents")) == len(chunk.axes) \
             and payload.get("engine") == self.engine.name
 
@@ -231,53 +200,44 @@ class CheckpointedSweep:
         Parameters
         ----------
         workers:
-            Worker processes forwarded to each chunk's sweep.
+            Worker processes forwarded to each chunk's sweep (chunks
+            themselves run one after another in this process).
 
         Returns
         -------
         SweepResult
             The merged full-axes result; bit-identical whether or not the
-            run resumed from checkpoints.
+            run resumed from checkpoints, and partial (NaN currents,
+            ``skipped`` statuses) where chunks were lost under the policy.
         """
-        self.chunks_computed = 0
-        self.chunks_resumed = 0
-        current_chunks: List[np.ndarray] = []
-        stderr_chunks: List[Optional[np.ndarray]] = []
-        statuses: List[PointRecord] = []
-        any_statuses = False
-        for chunk in self.chunk_plan():
-            payload = self.cache.load(chunk.key)
-            if self._valid_payload(chunk, payload):
-                self.chunks_resumed += 1
-                _LOG.info("checkpoint: resumed chunk %d [%s]",
-                          chunk.index, chunk.key[:12])
-            else:
-                payload = self._compute_chunk(chunk, workers=workers)
-                self.cache.store(chunk.key, payload)
-                self.chunks_computed += 1
-            assert payload is not None
-            current_chunks.append(np.asarray(payload["currents"], float))
-            stderr_chunks.append(payload.get("stderrs"))
-            chunk_statuses = payload.get("statuses")
-            if chunk_statuses is not None:
-                any_statuses = True
-                for entry in chunk_statuses:
-                    record = PointRecord.from_dict(entry)
-                    statuses.append(dataclasses.replace(
-                        record, index=record.index + chunk.start))
-        if any(values is not None for values in stderr_chunks):
-            stderrs: Optional[np.ndarray] = np.concatenate([
-                np.full(len(chunk_values), np.nan)
-                if chunk_values is None else np.asarray(chunk_values, float)
-                for chunk_values in stderr_chunks])
-        else:
-            stderrs = None
-        currents = np.concatenate(current_chunks) if current_chunks \
-            else np.empty(0)
+        plan = self.chunk_plan()
+        payloads = run_chunks(
+            plan, lambda chunk: self._compute_chunk(chunk, workers=workers),
+            self._valid_payload, cache=self.cache, policy=self.policy,
+            workers=1, counts=self)
+        reported = any(payload is not None and payload.get("stderrs")
+                       is not None for payload in payloads)
+        currents, stderrs, statuses = [], [], []
+        for chunk, payload in zip(plan, payloads):
+            count = len(chunk.axes)
+            if payload is None:  # lost under the policy
+                payload = {"currents": np.full(count, np.nan),
+                           "statuses": [record.as_dict()
+                                        for record in empty_records(count)]}
+            currents.append(payload["currents"])
+            if reported:
+                stderrs.append(np.full(count, np.nan)
+                               if payload.get("stderrs") is None
+                               else payload["stderrs"])
+            statuses.extend(PointRecord.from_dict(
+                {**entry, "index": entry["index"] + chunk.start})
+                for entry in payload.get("statuses") or ())
         return SweepResult(
-            axes=self.axes, currents=currents,
-            stderrs=stderrs, engine=self.engine.name,
-            statuses=tuple(statuses) if any_statuses else None)
+            axes=self.axes,
+            currents=np.concatenate(currents) if currents else np.empty(0),
+            stderrs=np.concatenate(stderrs) if reported else None,
+            engine=self.engine.name,
+            statuses=None if self.policy is None else tuple(statuses))
 
 
 def run_checkpointed_sweep(engine: Union[str, Engine], device: SETTransistor,
@@ -313,6 +273,5 @@ def run_checkpointed_sweep(engine: Union[str, Engine], device: SETTransistor,
 __all__ = [
     "CheckpointedSweep",
     "SweepChunk",
-    "derive_chunk_seed",
     "run_checkpointed_sweep",
 ]

@@ -29,11 +29,12 @@ timeouts for genuinely hung solvers, not as a routine budget.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from .policy import (
     FailurePolicy,
     PointRecord,
     _shared_records,
+    empty_records,
 )
 
 
@@ -166,51 +168,59 @@ def _fast_sweep(session: Session, axes: SweepAxes,
     return session.sweep(axes, workers=1)
 
 
-def _merge_stderr(stderrs: Optional[np.ndarray], index: int,
-                  value: Optional[float]) -> Optional[np.ndarray]:
-    """Write one salvaged stderr into the (possibly absent) stderr array."""
-    if value is None:
-        if stderrs is not None:
-            stderrs[index] = np.nan
-        return stderrs
-    if stderrs is None:
-        return stderrs
-    stderrs[index] = value
-    return stderrs
+def _solve_points(session: Session, axes: SweepAxes, indices: Sequence[int],
+                  policy: FailurePolicy
+                  ) -> Iterator[Tuple[int, Optional[Observables],
+                                      PointRecord]]:
+    """Solve ``indices`` one by one: ``(index, observables, record)`` each.
 
-
-def _salvage_sweep(session: Session, axes: SweepAxes,
-                   policy: FailurePolicy) -> SweepResult:
-    """Per-point execution of the whole sweep (the fast path raised)."""
-    n_points = len(axes)
-    currents = np.full(n_points, np.nan)
-    stderr_values: List[Optional[float]] = [None] * n_points
-    records: List[PointRecord] = []
+    Observables are ``None`` for an abandoned point.  Once more than
+    ``max_failures`` points have been abandoned, the remaining indices are
+    yielded unsolved with ``skipped`` records.
+    """
     failures = 0
-    stopped = False
-    for index, bias in enumerate(axes.bias_points()):
-        if stopped:
-            records.append(PointRecord(index=index, status=STATUS_SKIPPED,
-                                       attempts=0))
+    for index in indices:
+        if policy.max_failures is not None \
+                and failures > policy.max_failures:
+            yield index, None, PointRecord(index=index, status=STATUS_SKIPPED,
+                                           attempts=0)
             continue
+        bias = BiasPoint(gate_voltage=axes.gate_voltages[index],
+                         drain_voltage=axes.drain_voltage)
         observed, record = solve_point_with_policy(session, bias, index,
                                                    policy)
-        records.append(record)
-        if observed is None:
-            failures += 1
-            if policy.max_failures is not None \
-                    and failures > policy.max_failures:
-                stopped = True
+        failures += observed is None
+        yield index, observed, record
+
+
+def _salvage_sweep(session: Session, seed: SweepResult,
+                   indices: Sequence[int],
+                   policy: FailurePolicy) -> SweepResult:
+    """Re-solve ``indices`` of ``seed`` point by point; other points stay.
+
+    ``seed`` is the fast sweep with its shared records, or a blank result
+    (NaN currents, ``skipped`` records) when the fast path raised.  A
+    re-solved point that is abandoned gets NaN current and stderr; a point
+    skipped by the ``max_failures`` budget keeps ``seed``'s values.
+    """
+    axes = seed.axes
+    currents = np.array(seed.currents, dtype=float)
+    reported = seed.stderrs is not None
+    stderrs = np.full(len(axes), np.nan) if seed.stderrs is None \
+        else np.array(seed.stderrs, dtype=float)
+    records = list(seed.statuses)
+    for index, observed, record in _solve_points(session, axes, indices,
+                                                 policy):
+        records[index] = record
+        if record.status == STATUS_SKIPPED:
             continue
-        currents[index] = observed.current
-        stderr_values[index] = observed.stderr
-    if any(value is not None for value in stderr_values):
-        stderrs: Optional[np.ndarray] = np.asarray(
-            [np.nan if value is None else value for value in stderr_values])
-    else:
-        stderrs = None
-    return SweepResult(axes=axes, currents=currents, stderrs=stderrs,
-                       engine=session.engine_name, statuses=tuple(records))
+        stderr = None if observed is None else observed.stderr
+        currents[index] = np.nan if observed is None else observed.current
+        stderrs[index] = np.nan if stderr is None else stderr
+        reported = reported or stderr is not None
+    return SweepResult(axes=axes, currents=currents,
+                       stderrs=stderrs if reported else None,
+                       engine=seed.engine, statuses=tuple(records))
 
 
 def run_policy_sweep(session: Session, axes: SweepAxes,
@@ -248,38 +258,18 @@ def run_policy_sweep(session: Session, axes: SweepAxes,
             fast = _fast_sweep(session, axes, workers)
     except Exception as error:
         emit_degradation("sweep.fast", "salvage:per-point", repr(error))
-        return _salvage_sweep(session, axes, policy)
+        blank = SweepResult(axes=axes, currents=np.full(n_points, np.nan),
+                            stderrs=None, engine=session.engine_name,
+                            statuses=empty_records(n_points))
+        return _salvage_sweep(session, blank, range(n_points), policy)
     # The broadcast path cannot attribute a degradation event to one point,
     # so a degraded fast sweep marks every point degraded (detail says why).
     status = STATUS_DEGRADED if events else STATUS_OK
-    detail = _event_detail(events)
-    records = list(_shared_records(n_points, status, detail))
-    currents = np.array(fast.currents, dtype=float, copy=True)
-    stderrs = None if fast.stderrs is None \
-        else np.array(fast.stderrs, dtype=float, copy=True)
-    if policy.health_guard:
-        failures = 0
-        for index in np.flatnonzero(~np.isfinite(currents)).tolist():
-            if policy.max_failures is not None \
-                    and failures > policy.max_failures:
-                records[index] = PointRecord(index=index,
-                                             status=STATUS_SKIPPED,
-                                             attempts=0)
-                continue
-            bias = BiasPoint(gate_voltage=axes.gate_voltages[index],
-                             drain_voltage=axes.drain_voltage)
-            observed, record = solve_point_with_policy(session, bias, index,
-                                                       policy)
-            records[index] = record
-            if observed is None:
-                failures += 1
-                currents[index] = np.nan
-                stderrs = _merge_stderr(stderrs, index, None)
-                continue
-            currents[index] = observed.current
-            stderrs = _merge_stderr(stderrs, index, observed.stderr)
-    return SweepResult(axes=axes, currents=currents, stderrs=stderrs,
-                       engine=fast.engine, statuses=tuple(records))
+    fast = dataclasses.replace(fast, statuses=_shared_records(
+        n_points, status, _event_detail(events)))
+    unhealthy = np.flatnonzero(~np.isfinite(fast.currents)).tolist() \
+        if policy.health_guard else []
+    return _salvage_sweep(session, fast, unhealthy, policy)
 
 
 def stream_with_policy(session: Session, axes: SweepAxes,
@@ -309,27 +299,16 @@ def stream_with_policy(session: Session, axes: SweepAxes,
     (gate_voltage, Observables)
         One pair per attempted point, in axis order.
     """
-    failures = 0
-    points = list(axes.bias_points())
-    for index, bias in enumerate(points):
-        observed, record = solve_point_with_policy(session, bias, index,
-                                                   policy)
+    for index, observed, record in _solve_points(session, axes,
+                                                 range(len(axes)), policy):
         if on_status is not None:
             on_status(record)
+        if record.status == STATUS_SKIPPED:
+            continue
         if observed is None:
-            failures += 1
             observed = Observables(current=float("nan"),
                                    engine=session.engine_name)
-            if policy.max_failures is not None \
-                    and failures > policy.max_failures:
-                yield bias.gate_voltage, observed
-                if on_status is not None:
-                    for rest in range(index + 1, len(points)):
-                        on_status(PointRecord(index=rest,
-                                              status=STATUS_SKIPPED,
-                                              attempts=0))
-                return
-        yield bias.gate_voltage, observed
+        yield axes.gate_voltages[index], observed
 
 
 __all__ = [

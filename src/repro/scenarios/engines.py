@@ -13,18 +13,11 @@ is the thin scenario-side glue:
   pre-resolved engine plus :meth:`EngineContext.session` /
   :meth:`EngineContext.sweep` conveniences that fold the spec's seed and
   budget into :meth:`~repro.engines.base.Engine.bind`.
-
-The pre-protocol entry points (:meth:`EngineContext.id_vg`,
-:func:`analytic_model_for`) keep working as thin deprecation shims; see the
-migration guide in ``docs/engines.md``.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Optional, Sequence
 
 from ..devices.set_transistor import SETTransistor
 from ..engines import (
@@ -50,37 +43,6 @@ _STOCHASTIC_MARKERS = ("stderr", "noise", "bits", "entropy", "telegraph",
 #: milliseconds for a master-equation solve — the ~100x gap measured in
 #: BENCH_master.json).
 _ANALYTIC_POINT_CUTOFF = 4096
-
-
-def analytic_model_for(device: SETTransistor, temperature: float,
-                       background_charge: Optional[float] = None):
-    """Deprecated alias of :func:`repro.engines.analytic_model_for`.
-
-    .. deprecated::
-        Import :func:`repro.engines.analytic_model_for` (or bind the
-        ``analytic`` engine via :func:`repro.engines.get_engine`) instead.
-
-    Parameters
-    ----------
-    device:
-        The SET whose parameters to mirror.
-    temperature:
-        Model temperature in kelvin.
-    background_charge:
-        Optional override of the device's offset charge, in coulomb.
-
-    Returns
-    -------
-    repro.compact.set_model.AnalyticSETModel
-        The equivalent analytic model.
-    """
-    from ..engines.adapters import analytic_model_for as _impl
-
-    warnings.warn(
-        "repro.scenarios.engines.analytic_model_for is deprecated; use "
-        "repro.engines.analytic_model_for (or get_engine('analytic').bind)",
-        DeprecationWarning, stacklevel=2)
-    return _impl(device, temperature, background_charge=background_charge)
 
 
 def _cheapest(engines):
@@ -294,45 +256,5 @@ class EngineContext:
         axes = SweepAxes(gate_voltages, drain_voltage)
         return bound.sweep(axes, workers=self.spec.budget.workers)
 
-    # ------------------------------------------------------ deprecated shims
 
-    def id_vg(self, device: SETTransistor, gate_voltages: Sequence[float],
-              drain_voltage: float,
-              temperature: Optional[float] = None,
-              background_charge: Optional[float] = None
-              ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """Deprecated tuple-returning alias of :meth:`sweep`.
-
-        .. deprecated::
-            Call :meth:`sweep` (or bind a session directly) and use the
-            returned :class:`~repro.engines.base.SweepResult`.
-
-        Parameters
-        ----------
-        device:
-            The SET to sweep.
-        gate_voltages:
-            Gate bias values, in volt.
-        drain_voltage:
-            Fixed drain bias, in volt.
-        temperature:
-            Override of ``spec.temperature``.
-        background_charge:
-            Optional island offset charge in coulomb.
-
-        Returns
-        -------
-        (gates, currents, stderrs):
-            Swept voltages, drain currents in ampere, and the per-point
-            standard errors (``None`` for the deterministic engines).
-        """
-        warnings.warn(
-            "EngineContext.id_vg is deprecated; use EngineContext.sweep "
-            "(which returns a repro.engines.SweepResult)",
-            DeprecationWarning, stacklevel=2)
-        return self.sweep(device, gate_voltages, drain_voltage,
-                          temperature=temperature,
-                          background_charge=background_charge).astuple()
-
-
-__all__ = ["EngineContext", "analytic_model_for", "select_engine"]
+__all__ = ["EngineContext", "select_engine"]

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from repro.design import ComponentDeviation, ToleranceModel
-from repro.design.scan import derive_point_seed
-from repro.design.tolerance import derive_element_seed
 from repro.devices import SETTransistor
 from repro.errors import ValidationError
+from repro.io.results import derive_seed
 
 
 def device():
@@ -71,29 +70,29 @@ class TestSeedStreams:
         # Frozen expected values: SHA-256 of "root:element:index", first
         # four bytes big-endian.  Any change here silently invalidates
         # every cached tolerance-MC result — hence the exact pin.
-        assert [derive_element_seed(11, "junction_capacitance", i)
+        assert [derive_seed(11, "junction_capacitance", i)
                 for i in range(3)] == [698088888, 2913784054, 3114029091]
-        assert [derive_element_seed(11, "gate_capacitance", i)
+        assert [derive_seed(11, "gate_capacitance", i)
                 for i in range(3)] == [604451560, 3708266821, 1854056977]
-        assert derive_element_seed(0, "junction_resistance", 0) == 2320333318
+        assert derive_seed(0, "junction_resistance", 0) == 2320333318
 
     def test_point_seed_values_are_pinned(self):
-        assert [derive_point_seed(1, i) for i in range(3)] == \
+        assert [derive_seed(1, "design-point", i) for i in range(3)] == \
             [1871769058, 2455947983, 2628273256]
-        assert derive_point_seed(42, 7) == 110351515
+        assert derive_seed(42, "design-point", 7) == 110351515
 
     def test_streams_are_keyed_not_ordered(self):
         # Seeds depend only on (root, element, index) — never on the order
         # anything is asked for.
-        forward = [derive_element_seed(3, "gate_capacitance", i)
+        forward = [derive_seed(3, "gate_capacitance", i)
                    for i in range(8)]
-        backward = [derive_element_seed(3, "gate_capacitance", i)
+        backward = [derive_seed(3, "gate_capacitance", i)
                     for i in reversed(range(8))]
         assert forward == list(reversed(backward))
-        assert derive_element_seed(3, "gate_capacitance", 0) != \
-            derive_element_seed(3, "junction_capacitance", 0)
-        assert derive_element_seed(3, "gate_capacitance", 0) != \
-            derive_element_seed(4, "gate_capacitance", 0)
+        assert derive_seed(3, "gate_capacitance", 0) != \
+            derive_seed(3, "junction_capacitance", 0)
+        assert derive_seed(3, "gate_capacitance", 0) != \
+            derive_seed(4, "gate_capacitance", 0)
 
 
 class TestToleranceModel:

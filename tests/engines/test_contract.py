@@ -371,37 +371,6 @@ class TestDesignScanEntryPoints:
             DeviceScan(spec).run().payload_json()
 
 
-class TestDeprecationShims:
-    def test_engine_context_id_vg_warns_exactly_once_and_delegates(self,
-                                                                   device):
-        from repro.scenarios import ScenarioSpec
-        from repro.scenarios.engines import EngineContext
-
-        spec = ScenarioSpec(name="_shim_check", engine="analytic",
-                            temperature=TEMPERATURE)
-        context = EngineContext(spec)
-        gates = np.linspace(0.0, device.gate_period, 5)
-        with pytest.warns(DeprecationWarning, match="id_vg") as recorded:
-            swept, currents, stderrs = context.id_vg(device, gates,
-                                                     DRAIN_VOLTAGE)
-        assert len(recorded) == 1
-        modern = context.sweep(device, gates, DRAIN_VOLTAGE)
-        assert np.array_equal(swept, modern.gates)
-        assert np.array_equal(currents, modern.currents)
-        assert stderrs is None and modern.stderrs is None
-
-    def test_scenarios_analytic_model_for_warns_and_matches_the_new_home(
-            self, device):
-        from repro.engines import analytic_model_for as modern
-        from repro.scenarios.engines import analytic_model_for as legacy
-
-        with pytest.warns(DeprecationWarning,
-                          match="repro.engines") as recorded:
-            shimmed = legacy(device, TEMPERATURE)
-        assert len(recorded) == 1
-        assert shimmed == modern(device, TEMPERATURE)
-
-
 class TestDeviceTable:
     """The column-form device batch behind ``Engine.solve_devices``."""
 

@@ -6,12 +6,11 @@ import pytest
 from repro.devices import SETTransistor
 from repro.engines import SweepAxes, engine_names
 from repro.errors import CheckpointError, FaultInjected
-from repro.io.results import ResultCache
+from repro.io.results import ResultCache, derive_seed
 from repro.resilience import (
     CheckpointedSweep,
     FailurePolicy,
     FaultInjector,
-    derive_chunk_seed,
     run_checkpointed_sweep,
 )
 
@@ -49,17 +48,19 @@ def assert_results_identical(reference, resumed):
 
 
 class TestDerivedSeeds:
-    def test_none_root_seed_stays_none(self):
-        assert derive_chunk_seed(None, 0) is None
+    def test_none_root_seed_stays_none(self, device, axes, tmp_path):
+        sweep = checkpointed("analytic", device, axes,
+                             ResultCache(tmp_path), seed=None)
+        assert [chunk.seed for chunk in sweep.chunk_plan()] == [None, None]
 
     def test_deterministic_and_start_dependent(self):
-        assert derive_chunk_seed(123, 0) == derive_chunk_seed(123, 0)
-        assert derive_chunk_seed(123, 0) != derive_chunk_seed(123, 2)
-        assert derive_chunk_seed(123, 0) != derive_chunk_seed(124, 0)
+        assert derive_seed(123, 0) == derive_seed(123, 0)
+        assert derive_seed(123, 0) != derive_seed(123, 2)
+        assert derive_seed(123, 0) != derive_seed(124, 0)
 
     def test_fits_in_32_bits(self):
         for start in range(0, 64, 8):
-            seed = derive_chunk_seed(99, start)
+            seed = derive_seed(99, start)
             assert 0 <= seed < 2 ** 32
 
 

@@ -51,6 +51,7 @@ SCOPED_MODULES = [
     "src/repro/compact/sweep.py",
     "src/repro/resilience/__init__.py",
     "src/repro/resilience/checkpoint.py",
+    "src/repro/resilience/chunks.py",
     "src/repro/resilience/events.py",
     "src/repro/resilience/execution.py",
     "src/repro/resilience/faults.py",
@@ -79,7 +80,6 @@ SECTIONED_CALLABLES = {
      "MasterEquationSETModel.drain_current_map"),
     ("src/repro/compact/set_model.py", "TunableSETModel.drain_current_map"),
     ("src/repro/scenarios/engines.py", "select_engine"),
-    ("src/repro/scenarios/engines.py", "EngineContext.id_vg"),
     ("src/repro/scenarios/engines.py", "EngineContext.session"),
     ("src/repro/scenarios/engines.py", "EngineContext.sweep"),
     ("src/repro/engines/base.py", "Engine.bind"),
@@ -92,6 +92,7 @@ SECTIONED_CALLABLES = {
     ("src/repro/io/results.py", "ResultCache.load"),
     ("src/repro/io/results.py", "ResultCache.store"),
     ("src/repro/design/scan.py", "DeviceScan.run"),
+    ("src/repro/resilience/chunks.py", "run_chunks"),
     ("src/repro/design/scan.py", "analyze_yield"),
     ("src/repro/design/feasibility.py", "FeasibilityMap.from_payload"),
 }
