@@ -10,7 +10,8 @@ with the replica count).  Those long runs enter the native loop only once
 per random-block refill, which hides the cost of an entry, so a
 sweep-scale measurement sits beside them: a 129-point Id-Vg sweep at
 2 000 events per point on ``montecarlo-jit`` and ``ensemble-jit``
-(R = 16), reporting points/s and native entries per point.
+(R = 16), reporting points/s and native entries per point split into run,
+refill and link entries (asserting at most one run entry per point).
 
 The numbers go to ``BENCH_jit.json`` in the repository root so the
 performance trajectory is tracked across PRs (``benchmarks/run_all.py``
@@ -28,6 +29,13 @@ import numpy as np
 
 from repro.engines import SweepAxes, get_engine
 from repro.montecarlo import MonteCarloSimulator, jit_backend, jit_compiled
+from repro.montecarlo.jit import (
+    STATUS_BLOCKED,
+    STATUS_DONE,
+    STATUS_NEED_EXP,
+    STATUS_NEED_LINK,
+    STATUS_NEED_UNIFORM,
+)
 
 try:
     from .conftest import print_experiment_header, standard_transistor
@@ -97,7 +105,11 @@ def measure_sweep(engine: str, options: dict) -> dict:
 
     The session sweeps once untimed (native build, estimator set-up), then
     the best of :data:`SWEEP_REPEATS` timed sweeps is kept.  Entries are
-    counted by wrapping the kernel's replica-loop callable.
+    counted by wrapping the kernel's replica-loop callable and split by the
+    status each returns: *run* entries finish a point's phase schedule,
+    *refill* entries ask for a random block, *link* entries for a successor
+    configuration.  Every point is one phased call, so a sweep must make at
+    most one run entry per point.
     """
     device = standard_transistor()
     axes = SweepAxes(np.linspace(0.0, 2.0 * device.gate_period,
@@ -108,22 +120,33 @@ def measure_sweep(engine: str, options: dict) -> dict:
     session.sweep(axes)
     kernel = session.simulator.kernel
     advance = kernel._jit_advance
-    entries = []
+    statuses = []
 
     def counted(*arguments):
-        entries.append(1)
-        return advance(*arguments)
+        status = advance(*arguments)
+        statuses.append(status)
+        return status
 
     kernel._jit_advance = counted
     best = float("inf")
     for _ in range(SWEEP_REPEATS):
-        entries.clear()
+        statuses.clear()
         start = time.perf_counter()
         session.sweep(axes)
         best = min(best, time.perf_counter() - start)
+    kinds = {"run": (STATUS_DONE, STATUS_BLOCKED),
+             "refill": (STATUS_NEED_EXP, STATUS_NEED_UNIFORM),
+             "link": (STATUS_NEED_LINK,)}
+    per_point = {kind: sum(status in codes for status in statuses)
+                 / SWEEP_POINTS for kind, codes in kinds.items()}
+    assert per_point["run"] <= 1.0, (
+        f"{engine}: {per_point['run']:.2f} run entries per point; every "
+        "sweep point should be one phased native call")
     return {"points_per_second": round(SWEEP_POINTS / best, 1),
-            "native_entries_per_point": round(len(entries) / SWEEP_POINTS,
-                                              2)}
+            "native_entries_per_point": round(len(statuses) / SWEEP_POINTS,
+                                              2),
+            **{f"{kind}_entries_per_point": round(value, 2)
+               for kind, value in per_point.items()}}
 
 
 def run_benchmark() -> dict:
@@ -181,7 +204,9 @@ def test_jit_kernel_throughput():
     for engine, sweep in payload["sweep"]["engines"].items():
         print(f"{engine:<14s} sweep: {sweep['points_per_second']:>8,.0f} "
               f"points/s, {sweep['native_entries_per_point']:.2f} native "
-              "entries/point")
+              f"entries/point ({sweep['run_entries_per_point']:.2f} run, "
+              f"{sweep['refill_entries_per_point']:.2f} refill, "
+              f"{sweep['link_entries_per_point']:.2f} link)")
     print(f"written to : {OUTPUT_PATH}")
     # One native call per replica-loop run: an R = 16 point (warm-up plus
     # estimate) must not enter the native loop once per replica.

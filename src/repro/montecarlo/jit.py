@@ -40,6 +40,20 @@ active — that is the availability flag the ``montecarlo-jit`` /
 ``ensemble-jit`` engines expose through capability introspection, so
 ``select_engine`` adopts them only when the speedup is real.
 
+Phase schedule
+--------------
+One call runs a whole *schedule*: an int64 array of per-replica event
+budgets, one per phase (the scalar estimator's warm-up and its ten blocks;
+the ensemble estimator's warm-up and its estimate window; a plain run is a
+one-phase schedule).  Phases run phase-major — every replica finishes phase
+``p`` before any starts ``p + 1`` — so the random stream is consumed
+exactly as by one driver call per phase.  When replica ``r`` finishes phase
+``p`` its clock, cumulative event count and transfer row are snapshotted
+into row ``p + 1`` of the ``phase_times`` / ``phase_counts`` /
+``phase_transfers`` outputs (row ``0`` holds the start state and is the
+caller's), so per-phase charges and durations are row differences.  An
+optional time budget (``FREG_DURATION``) applies to every phase.
+
 Re-entry protocol
 -----------------
 The native loop cannot call back into Python (for RNG block refills or
@@ -47,15 +61,16 @@ lazy successor linking), so it runs until it either finishes or needs the
 driver, returning a status code:
 
 ========================  ====================================================
-``STATUS_DONE``           budget exhausted (events or duration)
+``STATUS_DONE``           every phase of every replica ran to its budget
 ``STATUS_BLOCKED``        no event has a positive rate and no time budget
 ``STATUS_NEED_EXP``       the exponential block buffer is exhausted
 ``STATUS_NEED_UNIFORM``   the uniform block buffer is exhausted
 ``STATUS_NEED_LINK``      a (configuration, event) transition is unlinked
 ========================  ====================================================
 
-``STATUS_DONE`` and ``STATUS_BLOCKED`` end one replica; the replica loop
-commits it and moves on, returning ``STATUS_DONE`` after the last.  The
+``STATUS_DONE`` and ``STATUS_BLOCKED`` end one replica's phase inside the
+event loop; the replica loop commits and snapshots it and moves on,
+returning ``STATUS_DONE`` after the last phase of the last replica.  The
 other three codes return to the driver at once.
 
 All resumable state lives in two small register arrays (``ireg``/``freg``)
@@ -64,24 +79,28 @@ mid-event:
 
 =========================  ===================================================
 ``REG_SLOT``               cursor slot of the advancing replica
-``REG_EVENTS``             events that replica executed in this run
+``REG_EVENTS``             events that replica executed in this phase
 ``REG_EXP_POS``            read position in the exponential block buffer
 ``REG_UNI_POS``            read position in the uniform block buffer
 ``REG_PENDING_EVENT``      selected-but-unapplied event (-1: none)
 ``REG_STALLS``             consecutive zero-progress iterations
 ``REG_REPLICA``            replica currently advancing
 ``REG_LOADED``             whether that replica's state is in the registers
+``REG_PHASE``              schedule phase currently running
 ``FREG_TIME``              the replica's clock
 ``FREG_PENDING_WAIT``      drawn-but-unapplied waiting time (-1.0: none)
-``FREG_START``             the replica's clock at the start of this run
-``FREG_DURATION``          per-replica time budget (+inf: unbounded)
+``FREG_START``             the replica's clock at the start of this phase
+``FREG_DURATION``          per-replica, per-phase time budget (+inf: none)
 =========================  ===================================================
 
-A run therefore costs one native entry plus one per refill or link, however
-many replicas it advances.  Buffer refills happen exactly at the
-consumption points, preserving the scalar path's interleaved draw order
-from the shared generator — the property that makes an event-for-event
-replay of :meth:`MonteCarloKernel.step` possible.
+A schedule therefore costs one native entry plus one per refill or link,
+however many replicas and phases it advances.  ``REG_PHASE`` and
+``REG_REPLICA`` also tell a driver whose re-entry raised how far the
+schedule got: replicas below ``REG_REPLICA`` have finished phase
+``REG_PHASE``, the others only the phases before it.  Buffer refills happen
+exactly at the consumption points, preserving the scalar path's interleaved
+draw order from the shared generator — the property that makes an
+event-for-event replay of :meth:`MonteCarloKernel.step` possible.
 """
 
 from __future__ import annotations
@@ -113,13 +132,14 @@ REG_PENDING_EVENT = 4   #: selected-but-unapplied event index (-1: none)
 REG_STALLS = 5          #: consecutive zero-progress iterations
 REG_REPLICA = 6         #: replica currently advancing
 REG_LOADED = 7          #: whether that replica's state is in the registers
-IREG_SIZE = 8
+REG_PHASE = 8           #: schedule phase currently running
+IREG_SIZE = 9
 
 #: ``freg`` (float64) register layout shared by all backends.
 FREG_TIME = 0           #: simulated clock
 FREG_PENDING_WAIT = 1   #: drawn-but-unapplied waiting time (-1.0: none)
-FREG_START = 2          #: clock value at run start
-FREG_DURATION = 3       #: time budget (+inf: unbounded)
+FREG_START = 2          #: clock value at phase start
+FREG_DURATION = 3       #: per-phase time budget (+inf: unbounded)
 FREG_SIZE = 4
 
 #: Recognised ``REPRO_JIT_BACKEND`` values.
@@ -253,43 +273,58 @@ def _advance_py(totals, cumulative, last_selectable, successor_slots,
 
 def _advance_replicas_py(totals, cumulative, last_selectable,
                          successor_slots, transfer_matrix, slots, times,
-                         counts, transfers, exp_buf, uni_buf, ireg, freg,
-                         max_events):
-    """Advance every replica in order until done or the driver is needed.
+                         counts, transfers, schedule, phase_times,
+                         phase_counts, phase_transfers, exp_buf, uni_buf,
+                         ireg, freg):
+    """Advance every replica through every phase until done or the driver is needed.
 
-    Each backend's single entry point: replica ``r`` runs from
-    ``slots[r]``/``times[r]`` to its budget through :func:`_advance_py`;
-    its final slot and clock are written back, its executed events added
-    to ``counts[r]`` and its transfers to row ``r`` of ``transfers``, and
-    the next replica starts.  ``REG_REPLICA``/``REG_LOADED`` persist across
-    re-entries, so a refill or link request mid-replica resumes that
-    replica exactly where it stopped.  Replicas run in order and share the
-    block buffers, so the random stream is consumed exactly as by one
-    driver call per replica.
+    Each backend's single entry point.  Phase ``p`` runs replica ``r`` from
+    ``slots[r]``/``times[r]`` for at most ``schedule[p]`` events through
+    :func:`_advance_py`; its final slot and clock are written back, its
+    executed events added to ``counts[r]`` and its transfers to row ``r``
+    of ``transfers``, and the three are snapshotted into row ``p + 1`` of
+    ``phase_times``/``phase_counts``/``phase_transfers``.  Every replica
+    finishes phase ``p`` before any starts ``p + 1``.  ``REG_PHASE``,
+    ``REG_REPLICA`` and ``REG_LOADED`` persist across re-entries, so a
+    refill or link request mid-replica resumes that replica exactly where
+    it stopped.  Replicas run in order and share the block buffers, so the
+    random stream is consumed exactly as by one driver call per phase
+    covering all replicas.
     """
+    n_phases = schedule.shape[0]
     n_replicas = slots.shape[0]
-    while ireg[REG_REPLICA] < n_replicas:
-        replica = ireg[REG_REPLICA]
-        if ireg[REG_LOADED] == 0:
-            ireg[REG_SLOT] = slots[replica]
-            ireg[REG_EVENTS] = 0
-            ireg[REG_PENDING_EVENT] = -1
-            ireg[REG_STALLS] = 0
-            freg[FREG_TIME] = times[replica]
-            freg[FREG_PENDING_WAIT] = -1.0
-            freg[FREG_START] = times[replica]
-            ireg[REG_LOADED] = 1
-        status = _advance_py(totals, cumulative, last_selectable,
-                             successor_slots, transfer_matrix,
-                             transfers[replica], exp_buf, uni_buf, ireg,
-                             freg, max_events)
-        if status != STATUS_DONE and status != STATUS_BLOCKED:
-            return status
-        slots[replica] = ireg[REG_SLOT]
-        times[replica] = freg[FREG_TIME]
-        counts[replica] += ireg[REG_EVENTS]
-        ireg[REG_LOADED] = 0
-        ireg[REG_REPLICA] = replica + 1
+    n_junctions = transfers.shape[1]
+    while ireg[REG_PHASE] < n_phases:
+        phase = ireg[REG_PHASE]
+        while ireg[REG_REPLICA] < n_replicas:
+            replica = ireg[REG_REPLICA]
+            if ireg[REG_LOADED] == 0:
+                ireg[REG_SLOT] = slots[replica]
+                ireg[REG_EVENTS] = 0
+                ireg[REG_PENDING_EVENT] = -1
+                ireg[REG_STALLS] = 0
+                freg[FREG_TIME] = times[replica]
+                freg[FREG_PENDING_WAIT] = -1.0
+                freg[FREG_START] = times[replica]
+                ireg[REG_LOADED] = 1
+            status = _advance_py(totals, cumulative, last_selectable,
+                                 successor_slots, transfer_matrix,
+                                 transfers[replica], exp_buf, uni_buf, ireg,
+                                 freg, schedule[phase])
+            if status != STATUS_DONE and status != STATUS_BLOCKED:
+                return status
+            slots[replica] = ireg[REG_SLOT]
+            times[replica] = freg[FREG_TIME]
+            counts[replica] += ireg[REG_EVENTS]
+            phase_times[phase + 1, replica] = times[replica]
+            phase_counts[phase + 1, replica] = counts[replica]
+            for junction in range(n_junctions):
+                phase_transfers[phase + 1, replica, junction] = \
+                    transfers[replica, junction]
+            ireg[REG_LOADED] = 0
+            ireg[REG_REPLICA] = replica + 1
+        ireg[REG_REPLICA] = 0
+        ireg[REG_PHASE] = phase + 1
     return STATUS_DONE
 
 
@@ -408,34 +443,47 @@ long long repro_mc_advance_replicas(
     const long long *successor_slots,
     const double *transfer_matrix,
     long long *slots, double *times, long long *counts, double *transfers,
+    const long long *schedule, double *phase_times, long long *phase_counts,
+    double *phase_transfers,
     const double *exp_buf, const double *uni_buf,
     long long *ireg, double *freg,
-    long long exp_len, long long uni_len, long long max_events,
+    long long exp_len, long long uni_len, long long n_phases,
     long long n_replicas, long long n_events, long long n_junctions)
 {
-    while (ireg[6] < n_replicas) {
-        long long replica = ireg[6];
-        if (ireg[7] == 0) {
-            ireg[0] = slots[replica];
-            ireg[1] = 0;
-            ireg[4] = -1;
-            ireg[5] = 0;
-            freg[0] = times[replica];
-            freg[1] = -1.0;
-            freg[2] = times[replica];
-            ireg[7] = 1;
+    while (ireg[8] < n_phases) {
+        long long phase = ireg[8];
+        while (ireg[6] < n_replicas) {
+            long long replica = ireg[6];
+            if (ireg[7] == 0) {
+                ireg[0] = slots[replica];
+                ireg[1] = 0;
+                ireg[4] = -1;
+                ireg[5] = 0;
+                freg[0] = times[replica];
+                freg[1] = -1.0;
+                freg[2] = times[replica];
+                ireg[7] = 1;
+            }
+            double *row = transfers + replica * n_junctions;
+            long long status = advance(
+                totals, cumulative, last_selectable, successor_slots,
+                transfer_matrix, row, exp_buf, exp_len, uni_buf, uni_len,
+                ireg, freg, schedule[phase], n_events, n_junctions);
+            if (status != 0 && status != 1) return status;  /* DONE, BLOCKED */
+            slots[replica] = ireg[0];
+            times[replica] = freg[0];
+            counts[replica] += ireg[1];
+            long long snapshot = (phase + 1) * n_replicas + replica;
+            phase_times[snapshot] = times[replica];
+            phase_counts[snapshot] = counts[replica];
+            for (long long junction = 0; junction < n_junctions; junction++)
+                phase_transfers[snapshot * n_junctions + junction] =
+                    row[junction];
+            ireg[7] = 0;
+            ireg[6] = replica + 1;
         }
-        long long status = advance(
-            totals, cumulative, last_selectable, successor_slots,
-            transfer_matrix, transfers + replica * n_junctions,
-            exp_buf, exp_len, uni_buf, uni_len, ireg, freg,
-            max_events, n_events, n_junctions);
-        if (status != 0 && status != 1) return status;  /* DONE, BLOCKED */
-        slots[replica] = ireg[0];
-        times[replica] = freg[0];
-        counts[replica] += ireg[1];
-        ireg[7] = 0;
-        ireg[6] = replica + 1;
+        ireg[6] = 0;
+        ireg[8] = phase + 1;
     }
     return 0;  /* DONE */
 }
@@ -512,28 +560,30 @@ def _load_cc_advance() -> Optional[Callable]:
     except (OSError, AttributeError):
         return None
     native.restype = ctypes.c_longlong
-    native.argtypes = [ctypes.c_void_p] * 13 + [ctypes.c_longlong] * 6
+    native.argtypes = [ctypes.c_void_p] * 17 + [ctypes.c_longlong] * 6
     #: ``(array, address)`` last passed in each array position.  Holding the
     #: array keeps its buffer alive, so the address stays valid until a
     #: different array object takes the position; the pair is swapped as
     #: one tuple, so concurrent callers at worst re-read an address.
-    held = [(None, 0)] * 13
+    held = [(None, 0)] * 17
 
     def advance(totals, cumulative, last_selectable, successor_slots,
-                transfer_matrix, slots, times, counts, transfers, exp_buf,
-                uni_buf, ireg, freg, max_events):
+                transfer_matrix, slots, times, counts, transfers, schedule,
+                phase_times, phase_counts, phase_transfers, exp_buf, uni_buf,
+                ireg, freg):
         """ctypes shim matching the replica loop's signature."""
         addresses = []
         for position, array in enumerate((
                 totals, cumulative, last_selectable, successor_slots,
-                transfer_matrix, slots, times, counts, transfers, exp_buf,
-                uni_buf, ireg, freg)):
+                transfer_matrix, slots, times, counts, transfers, schedule,
+                phase_times, phase_counts, phase_transfers, exp_buf, uni_buf,
+                ireg, freg)):
             cached = held[position]
             if cached[0] is not array:
                 cached = held[position] = (array, array.ctypes.data)
             addresses.append(cached[1])
         return native(*addresses, exp_buf.shape[0], uni_buf.shape[0],
-                      max_events, slots.shape[0], cumulative.shape[1],
+                      schedule.shape[0], slots.shape[0], cumulative.shape[1],
                       transfer_matrix.shape[1])
 
     return advance
@@ -667,6 +717,7 @@ __all__ = [
     "REG_EXP_POS",
     "REG_LOADED",
     "REG_PENDING_EVENT",
+    "REG_PHASE",
     "REG_REPLICA",
     "REG_SLOT",
     "REG_STALLS",

@@ -68,7 +68,10 @@ from .jit import (
     FREG_SIZE,
     IREG_SIZE,
     REG_EXP_POS,
+    REG_LOADED,
     REG_PENDING_EVENT,
+    REG_PHASE,
+    REG_REPLICA,
     REG_SLOT,
     REG_UNI_POS,
     STATUS_NEED_EXP,
@@ -82,6 +85,9 @@ Candidate = Union[TunnelCandidate, CotunnelCandidate, TrapCandidate]
 #: Stand-in state for trapless ensemble rate evaluations (the rate helpers
 #: only consult ``state.trap_occupancy``, which is empty here by design).
 _TRAPLESS = SimulationState(time=0.0, electrons=np.empty(0, dtype=np.int64))
+
+#: Event budget of a phase limited only by time (or by a blockade).
+UNBOUNDED_EVENTS = 1 << 62
 
 
 @dataclass(slots=True)
@@ -119,6 +125,41 @@ class EnsembleStep:
     advanced: int
 
 
+class PhaseRecord:
+    """Replica state at every boundary of a phased run.
+
+    A phased run advances ``R`` replicas through a *schedule* of per-replica
+    event budgets, phase-major (every replica finishes phase ``p`` before
+    any starts ``p + 1``).  Row ``0`` of ``times``/``counts``/``transfers``
+    holds each replica's clock, event count and per-junction transfer row
+    at the start (written by the caller), row ``p + 1`` the same at the end
+    of phase ``p`` — so a phase's duration, events and transferred charge
+    are row differences.  ``phase``/``replica`` record how far a run got:
+    replicas below ``replica`` have finished phase ``phase``, the others
+    only the phases before it (``phase == len(schedule)`` once complete).
+    """
+
+    __slots__ = ("key", "schedule", "times", "counts", "transfers", "phase",
+                 "replica")
+
+    def __init__(self, schedule: Sequence[int], replicas: int,
+                 junctions: int) -> None:
+        self.key = (tuple(schedule), replicas)
+        self.schedule = np.array(schedule, dtype=np.int64)
+        rows = self.schedule.size + 1
+        self.times = np.zeros((rows, replicas))
+        self.counts = np.zeros((rows, replicas), dtype=np.int64)
+        self.transfers = np.zeros((rows, replicas, junctions))
+        self.phase = 0
+        self.replica = 0
+
+    def store(self, row: int, times, counts, transfers) -> None:
+        """Snapshot the replicas' clocks, counts and transfer rows."""
+        self.times[row] = times
+        self.counts[row] = counts
+        self.transfers[row] = transfers
+
+
 class _EnsembleCursor:
     """Per-ensemble bookkeeping linking replicas to memoised rate entries.
 
@@ -130,22 +171,21 @@ class _EnsembleCursor:
     Python loop over replicas or configurations: event selection is one
     broadcast comparison against the gathered cumulative rows and successor
     lookup one 2-D gather, with a slow-path resolution only the first time a
-    (configuration, event) transition is taken.  The cursor is valid for one
-    kernel cache epoch; a bias/offset change invalidates it wholesale
-    (detected through ``epoch``).
+    (configuration, event) transition is taken.  The mirrors grow by
+    capacity doubling and survive :meth:`reset`, so the compiled loop keeps
+    receiving the same array objects; only rows of registered slots are
+    meaningful.  The cursor is valid for one kernel cache epoch; a
+    bias/offset change invalidates it wholesale (detected through
+    ``epoch``) and re-keys it.
     """
 
     __slots__ = ("epoch", "slots", "entries", "slot_of", "n_events",
                  "n_islands", "totals", "cumulative", "last_selectable",
-                 "successor_slots", "configurations", "_dirty")
+                 "successor_slots", "configurations", "_mirrored")
 
     def __init__(self, epoch: int, slots: np.ndarray,
                  entries: List["_RateEntry"], n_events: int,
                  n_islands: int) -> None:
-        self.epoch = epoch
-        self.slots = slots
-        self.entries: List["_RateEntry"] = []
-        self.slot_of: dict = {}
         self.n_events = n_events
         self.n_islands = n_islands
         self.totals = np.empty(0)
@@ -157,7 +197,18 @@ class _EnsembleCursor:
         #: ``configurations[s]`` is slot ``s``'s canonical electron vector,
         #: used to detect external mutation of ``ensemble.electrons``.
         self.configurations = np.empty((0, n_islands), dtype=np.int64)
-        self._dirty = False
+        self._mirrored = 0
+        self.reset(epoch, slots, entries)
+
+    def reset(self, epoch: int, slots: np.ndarray,
+              entries: List["_RateEntry"]) -> None:
+        """Re-key the cursor to ``entries`` of a new epoch, in place."""
+        self.successor_slots[:self._mirrored] = -1
+        self._mirrored = 0
+        self.epoch = epoch
+        self.slots = slots
+        self.entries: List["_RateEntry"] = []
+        self.slot_of: dict = {}
         for entry in entries:
             self.register(entry)
         self.refresh()
@@ -179,39 +230,43 @@ class _EnsembleCursor:
             slot = len(self.entries)
             self.entries.append(entry)
             self.slot_of[id(entry)] = slot
-            self._dirty = True
         return slot
 
     def refresh(self) -> None:
-        """Rebuild the dense per-slot mirrors after new slots were added."""
-        if not self._dirty:
-            return
-        known = self.totals.size
+        """Mirror slots registered since the last refresh into the arrays."""
+        known = self._mirrored
         count = len(self.entries)
-        totals = np.empty(count)
-        # Pad with +inf so a padded column can never be counted by the
-        # threshold comparison (rows always fill the row when trapless).
-        cumulative = np.full((count, self.n_events), np.inf)
-        last = np.empty(count, dtype=np.int64)
-        successors = np.full((count, self.n_events), -1, dtype=np.int64)
-        configurations = np.empty((count, self.n_islands), dtype=np.int64)
-        totals[:known] = self.totals
-        cumulative[:known] = self.cumulative
-        last[:known] = self.last_selectable
-        successors[:known] = self.successor_slots
-        configurations[:known] = self.configurations
+        if count == known:
+            return
+        capacity = self.totals.size
+        if count > capacity:
+            capacity = max(count, 2 * capacity, 4)
+            totals = np.zeros(capacity)
+            # Pad with +inf so a padded column can never be counted by the
+            # threshold comparison (rows always fill the row when trapless).
+            cumulative = np.full((capacity, self.n_events), np.inf)
+            last = np.full(capacity, -1, dtype=np.int64)
+            successors = np.full((capacity, self.n_events), -1,
+                                 dtype=np.int64)
+            configurations = np.zeros((capacity, self.n_islands),
+                                      dtype=np.int64)
+            totals[:known] = self.totals[:known]
+            cumulative[:known] = self.cumulative[:known]
+            last[:known] = self.last_selectable[:known]
+            successors[:known] = self.successor_slots[:known]
+            configurations[:known] = self.configurations[:known]
+            self.totals = totals
+            self.cumulative = cumulative
+            self.last_selectable = last
+            self.successor_slots = successors
+            self.configurations = configurations
         for slot in range(known, count):
             entry = self.entries[slot]
-            totals[slot] = entry.total
-            cumulative[slot, :entry.cumulative.size] = entry.cumulative
-            last[slot] = entry.last_selectable
-            configurations[slot] = entry.electrons
-        self.totals = totals
-        self.cumulative = cumulative
-        self.last_selectable = last
-        self.successor_slots = successors
-        self.configurations = configurations
-        self._dirty = False
+            self.totals[slot] = entry.total
+            self.cumulative[slot, :entry.cumulative.size] = entry.cumulative
+            self.last_selectable[slot] = entry.last_selectable
+            self.configurations[slot] = entry.electrons
+        self._mirrored = count
 
 
 class _RateEntry:
@@ -382,6 +437,15 @@ class MonteCarloKernel:
         #: Cursor reused by :meth:`run_compiled` across calls (same dense
         #: mirrors as the ensemble cursor, with a single tracked slot).
         self._scalar_cursor: Optional[_EnsembleCursor] = None
+        # Native-call arguments kept across calls: the C shim re-reads an
+        # argument's address only when a different array object arrives.
+        self._ireg = np.zeros(IREG_SIZE, dtype=np.int64)
+        self._freg = np.zeros(FREG_SIZE)
+        self._scalar_slots = np.zeros(1, dtype=np.int64)
+        self._scalar_times = np.zeros(1)
+        self._scalar_counts = np.zeros(1, dtype=np.int64)
+        self._scalar_transfers = np.zeros((1, len(self._junction_order)))
+        self._phase_record: Optional[PhaseRecord] = None
 
     @property
     def jit_backend(self) -> Optional[str]:
@@ -771,16 +835,29 @@ class MonteCarloKernel:
 
         Replicas are grouped by configuration first, so each distinct
         configuration is keyed into the memo exactly once no matter how many
-        replicas currently occupy it.
+        replicas currently occupy it.  Slots are numbered in lexicographic
+        configuration order.  After a bias change the distinct
+        configurations come from the stale cursor's slots (the common case:
+        nobody edited ``ensemble.electrons``), and the stale cursor is
+        re-keyed in place so its mirror arrays are reused.
         """
-        cursor = ensemble.cursor
-        if isinstance(cursor, _EnsembleCursor) and \
-                cursor.epoch == self._cache_epoch and \
-                cursor.matches(ensemble.electrons):
-            return cursor
         electrons = np.ascontiguousarray(ensemble.electrons, dtype=np.int64)
         ensemble.electrons = electrons
-        unique, inverse = np.unique(electrons, axis=0, return_inverse=True)
+        cursor = ensemble.cursor
+        stale = isinstance(cursor, _EnsembleCursor)
+        if stale and cursor.matches(electrons):
+            if cursor.epoch == self._cache_epoch:
+                return cursor
+            distinct, inverse = np.unique(cursor.slots, return_inverse=True)
+            unique = cursor.configurations[distinct]
+            order = np.lexsort(unique.T[::-1])
+            unique = unique[order]
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size)
+            inverse = rank[inverse]
+        else:
+            unique, inverse = np.unique(electrons, axis=0,
+                                        return_inverse=True)
         entries: List[_RateEntry] = []
         for row in unique:
             row = np.ascontiguousarray(row)
@@ -789,10 +866,13 @@ class MonteCarloKernel:
             if entry is None:
                 entry = self._build_entry(key, row.copy(), None, _TRAPLESS)
             entries.append(entry)
-        cursor = _EnsembleCursor(self._cache_epoch,
-                                 inverse.reshape(-1).astype(np.int64), entries,
-                                 self._n_events, self.model.island_count)
-        ensemble.cursor = cursor
+        slots = inverse.reshape(-1).astype(np.int64)
+        if stale:
+            cursor.reset(self._cache_epoch, slots, entries)
+        else:
+            cursor = _EnsembleCursor(self._cache_epoch, slots, entries,
+                                     self._n_events, self.model.island_count)
+            ensemble.cursor = cursor
         return cursor
 
     def step_ensemble(self, ensemble: EnsembleState,
@@ -1001,8 +1081,8 @@ class MonteCarloKernel:
 
         Reuses one cursor across :meth:`run_compiled` calls so the dense
         mirrors and successor links warm up once; a cache-epoch bump (bias
-        or offset change) rebuilds it from scratch, exactly like the
-        ensemble cursor revalidation.
+        or offset change) re-keys it in place, exactly like the ensemble
+        cursor revalidation.
         """
         electrons = np.ascontiguousarray(electrons, dtype=np.int64)
         key = self._entry_key(electrons)
@@ -1010,12 +1090,12 @@ class MonteCarloKernel:
         if entry is None:
             entry = self._build_entry(key, electrons.copy(), None, _TRAPLESS)
         cursor = self._scalar_cursor
-        if not (isinstance(cursor, _EnsembleCursor)
-                and cursor.epoch == self._cache_epoch):
-            cursor = _EnsembleCursor(self._cache_epoch,
-                                     np.empty(0, dtype=np.int64), [entry],
-                                     self._n_events, self.model.island_count)
-            self._scalar_cursor = cursor
+        if cursor is None:
+            cursor = self._scalar_cursor = _EnsembleCursor(
+                self._cache_epoch, self._scalar_slots, [entry],
+                self._n_events, self.model.island_count)
+        elif cursor.epoch != self._cache_epoch:
+            cursor.reset(self._cache_epoch, self._scalar_slots, [entry])
         slot = cursor.register(entry)
         cursor.refresh()
         return cursor, slot
@@ -1032,65 +1112,103 @@ class MonteCarloKernel:
         cursor.refresh()
         cursor.successor_slots[slot, event] = child_slot
 
+    def phase_record(self, schedule: Sequence[int],
+                     replicas: int = 1) -> PhaseRecord:
+        """A :class:`PhaseRecord` for ``schedule`` over ``replicas`` replicas.
+
+        The record of the previous request is handed out again when the
+        schedule and replica count repeat (one sweep point after another),
+        so the compiled loop keeps receiving the same output arrays; it is
+        therefore only valid until the next request.
+        """
+        record = self._phase_record
+        if record is None or record.key != (tuple(schedule), replicas):
+            record = self._phase_record = PhaseRecord(
+                schedule, replicas, len(self._junction_order))
+        record.phase = 0
+        record.replica = 0
+        return record
+
     def _drive_compiled(self, cursor: _EnsembleCursor, slots: np.ndarray,
                         times: np.ndarray, counts: np.ndarray,
-                        transfers: np.ndarray, max_events: Optional[int],
+                        transfers: np.ndarray, record: PhaseRecord,
                         duration: Optional[float]) -> None:
-        """Run every replica through the compiled loop.
+        """Run every replica through every phase of ``record.schedule``.
 
         Replica ``r`` starts at cursor slot ``slots[r]`` and clock
-        ``times[r]``.  One native call advances the replicas in order, each
-        to its own budget, updating ``slots``, ``times``, ``counts`` and
-        the rows of ``transfers`` in place.  The loop returns early only when
-        it needs Python — a random block refill or a successor link — and
-        is re-entered with the updated buffers/cursor arrays (the cursor's
-        dense mirrors are re-fetched per call because
-        :meth:`_EnsembleCursor.refresh` reallocates them); the replica
-        registers resume the interrupted replica mid-event.  Buffer refills
-        replicate the scalar accessors exactly: refill with one
-        ``_random_block`` draw at the consumption point, restart at
-        position zero.
+        ``times[r]``.  One native call advances the replicas phase by phase,
+        each to its own per-phase budget, updating ``slots``, ``times``,
+        ``counts`` and the rows of ``transfers`` in place and snapshotting
+        them into ``record`` at every phase boundary.  The loop returns
+        early only when it needs Python — a random block refill or a
+        successor link — and is re-entered with the updated buffers/cursor
+        arrays (re-fetched per call because :meth:`_EnsembleCursor.refresh`
+        may grow them); the registers resume the interrupted replica
+        mid-event.  Buffer refills replicate the scalar accessors exactly:
+        refill with one ``_random_block`` draw at the consumption point,
+        restart at position zero.
+
+        If a re-entry raises, the interrupted replica's transfer row is
+        restored from its phase-start snapshot, so every replica is left
+        exactly at a phase boundary recorded by ``record.phase``/
+        ``record.replica``.
         """
-        budget = (1 << 62) if max_events is None else int(max_events)
-        ireg = np.zeros(IREG_SIZE, dtype=np.int64)
+        if record.times.shape[1] != slots.shape[0] or \
+                record.transfers.shape[2] != transfers.shape[1]:
+            # The native loop writes the record through raw addresses.
+            raise SimulationError(
+                f"phase record for {record.times.shape[1]} replica(s) and "
+                f"{record.transfers.shape[2]} junction(s) cannot snapshot "
+                f"{slots.shape[0]} replica(s) and {transfers.shape[1]}")
+        ireg = self._ireg
+        freg = self._freg
+        ireg.fill(0)
+        freg.fill(0.0)
         ireg[REG_EXP_POS] = self._exp_position
         ireg[REG_UNI_POS] = self._uniform_position
-        freg = np.zeros(FREG_SIZE)
         freg[FREG_DURATION] = np.inf if duration is None else float(duration)
-        while True:
-            status = self._jit_advance(
-                cursor.totals, cursor.cumulative, cursor.last_selectable,
-                cursor.successor_slots, self._transfer_matrix, slots,
-                times, counts, transfers, self._exp_buffer,
-                self._uniform_buffer, ireg, freg, budget)
-            if status == STATUS_NEED_EXP:
-                self._exp_buffer = \
-                    self.rng.standard_exponential(self._random_block)
-                ireg[REG_EXP_POS] = 0
-            elif status == STATUS_NEED_UNIFORM:
-                self._uniform_buffer = self.rng.random(self._random_block)
-                ireg[REG_UNI_POS] = 0
-            elif status == STATUS_NEED_LINK:
-                self._link_compiled(cursor, int(ireg[REG_SLOT]),
-                                    int(ireg[REG_PENDING_EVENT]))
-            else:
-                break
-        self._exp_position = int(ireg[REG_EXP_POS])
-        self._uniform_position = int(ireg[REG_UNI_POS])
+        try:
+            while True:
+                status = self._jit_advance(
+                    cursor.totals, cursor.cumulative, cursor.last_selectable,
+                    cursor.successor_slots, self._transfer_matrix, slots,
+                    times, counts, transfers, record.schedule, record.times,
+                    record.counts, record.transfers, self._exp_buffer,
+                    self._uniform_buffer, ireg, freg)
+                if status == STATUS_NEED_EXP:
+                    self._exp_buffer = self._refill(
+                        self.rng.standard_exponential, self._exp_buffer)
+                    ireg[REG_EXP_POS] = 0
+                elif status == STATUS_NEED_UNIFORM:
+                    self._uniform_buffer = self._refill(
+                        self.rng.random, self._uniform_buffer)
+                    ireg[REG_UNI_POS] = 0
+                elif status == STATUS_NEED_LINK:
+                    self._link_compiled(cursor, int(ireg[REG_SLOT]),
+                                        int(ireg[REG_PENDING_EVENT]))
+                else:
+                    break
+        finally:
+            self._exp_position = int(ireg[REG_EXP_POS])
+            self._uniform_position = int(ireg[REG_UNI_POS])
+            record.phase = int(ireg[REG_PHASE])
+            record.replica = int(ireg[REG_REPLICA])
+            if ireg[REG_LOADED]:
+                transfers[record.replica] = \
+                    record.transfers[record.phase, record.replica]
 
-    def run_compiled(self, state: SimulationState,
-                     max_events: Optional[int] = None,
-                     duration: Optional[float] = None) -> int:
-        """Advance a scalar state through the compiled loop, in place.
+    def _refill(self, sampler, buffer: np.ndarray) -> np.ndarray:
+        """One ``_random_block`` draw, into ``buffer`` when it is block-sized.
 
-        Executes events until the budgets are exhausted, replaying the
-        scalar :meth:`step` trajectory bit for bit (same random stream,
-        same waiting times, same selections, same censoring and blockade
-        semantics).  This is the one-replica case of
-        :meth:`run_ensemble_compiled`'s driver.  Returns the number of
-        executed events; ``state`` is updated exactly as a sequence of
-        :meth:`step` calls would have left it.
+        Filling in place draws the same stream as a fresh block and keeps
+        the array the compiled loop already holds the address of.
         """
+        if buffer.size == self._random_block:
+            return sampler(out=buffer)
+        return sampler(self._random_block)
+
+    def _refresh_compiled(self, state: SimulationState) -> None:
+        """Guards and O(1) cache revalidation before a compiled run."""
         self._require_compiled()
         circuit = self.circuit
         if self._voltages is None or circuit.bias_version != self._bias_version:
@@ -1098,45 +1216,60 @@ class MonteCarloKernel:
         if self._offsets is None or \
                 circuit.charge_version != self._offsets_version:
             self._refresh_offsets(state)
+
+    def run_compiled(self, state: SimulationState, record: PhaseRecord,
+                     duration: Optional[float] = None) -> None:
+        """Advance a scalar state through a phased compiled run, in place.
+
+        Executes ``record.schedule`` phase by phase, replaying the scalar
+        :meth:`step` trajectory bit for bit (same random stream, same
+        waiting times, same selections, same censoring and blockade
+        semantics) — one :meth:`step` loop per phase, each stopped by its
+        event budget or ``duration``.  This is the one-replica case of
+        :meth:`run_ensemble_compiled`'s driver.  ``record`` row 0 must hold
+        ``(state.time, 0, zeros)``: counts and transfers are recorded
+        relative to the start.  ``state`` is updated exactly as a sequence
+        of :meth:`step` calls would have left it — after an exception, as
+        of the last completed phase.
+        """
+        self._refresh_compiled(state)
         cursor, slot = self._scalar_cursor_for(state.electrons)
-        slots = np.array([slot], dtype=np.int64)
-        times = np.array([float(state.time)])
-        counts = np.zeros(1, dtype=np.int64)
-        transfers = np.zeros((1, len(self._junction_order)))
-        self._drive_compiled(cursor, slots, times, counts, transfers,
-                             max_events, duration)
-        state.time = float(times[0])
-        state.electrons = cursor.configurations[slots[0]].copy()
-        tallies = state.electron_transfers
-        for name, column in self._junction_order.items():
-            # The per-event transfer values are small integers, so the
-            # aggregated float sums are exact and match the scalar path's
-            # one-increment-per-event accumulation bitwise.
-            tallies[name] += transfers[0, column]
-        events = int(counts[0])
-        state.event_count += events
-        return events
+        slots = self._scalar_slots
+        times = self._scalar_times
+        counts = self._scalar_counts
+        transfers = self._scalar_transfers
+        slots[0] = slot
+        times[0] = state.time
+        counts[0] = 0
+        transfers.fill(0.0)
+        try:
+            self._drive_compiled(cursor, slots, times, counts, transfers,
+                                 record, duration)
+        finally:
+            state.time = float(times[0])
+            state.electrons = cursor.configurations[slots[0]].copy()
+            tallies = state.electron_transfers
+            for name, column in self._junction_order.items():
+                # The per-event transfer values are small integers, so the
+                # aggregated float sums are exact and match the scalar
+                # path's one-increment-per-event accumulation bitwise.
+                tallies[name] += transfers[0, column]
+            state.event_count += int(counts[0])
 
     def run_ensemble_compiled(self, ensemble: EnsembleState,
-                              max_events: Optional[int] = None,
-                              duration: Optional[float] = None) -> int:
-        """Advance every replica through the compiled loop, in place.
+                              record: PhaseRecord,
+                              duration: Optional[float] = None) -> None:
+        """Advance every replica through a phased compiled run, in place.
 
-        Replicas run sequentially inside one native call (sharing the
-        memoised rate tables and the block random buffers), each to its own
-        per-replica budget; a single-replica ensemble therefore consumes the
-        random stream in exactly the scalar order and replays
-        :meth:`run_compiled` — and by extension the scalar :meth:`step`
-        path — event for event.  Returns the total number of executed
-        events.
+        Replicas run sequentially inside one native call per phase-major
+        schedule (sharing the memoised rate tables and the block random
+        buffers), each to its own per-phase budget; a single-replica
+        ensemble therefore consumes the random stream in exactly the scalar
+        order and replays :meth:`run_compiled` — and by extension the scalar
+        :meth:`step` path — event for event.  ``record`` row 0 must hold the
+        ensemble's times, event counts and transfers at the start.
         """
-        self._require_compiled()
-        if self._voltages is None or \
-                self.circuit.bias_version != self._bias_version:
-            self._refresh_bias()
-        if self._offsets is None or \
-                self.circuit.charge_version != self._offsets_version:
-            self._refresh_offsets(_TRAPLESS)
+        self._refresh_compiled(_TRAPLESS)
         cursor = self._ensure_cursor(ensemble)
         # The native loop writes through raw addresses: hand it contiguous
         # arrays of the exact dtypes (a no-op for kernel-built ensembles).
@@ -1145,17 +1278,15 @@ class MonteCarloKernel:
                                                      dtype=np.int64)
         ensemble.electron_transfers = np.ascontiguousarray(
             ensemble.electron_transfers, dtype=float)
-        before = int(ensemble.event_counts.sum())
         try:
             self._drive_compiled(cursor, cursor.slots, ensemble.times,
                                  ensemble.event_counts,
-                                 ensemble.electron_transfers, max_events,
+                                 ensemble.electron_transfers, record,
                                  duration)
         finally:
-            # Finished replicas keep their progress even if a re-entry
-            # raised, so the interpreted fallback continues them.
+            # Finished phases keep their progress even if a re-entry
+            # raised, so the interpreted fallback continues from them.
             ensemble.electrons[:] = cursor.configurations[cursor.slots]
-        return int(ensemble.event_counts.sum()) - before
 
     def _step_reference(self, state: SimulationState,
                         max_waiting_time: Optional[float] = None

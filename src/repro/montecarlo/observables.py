@@ -126,10 +126,14 @@ def block_average(values: Sequence[float], weights: Sequence[float],
     if blocks == 0:
         raise AnalysisError("no usable blocks for averaging")
     ratios = values_array / weights_array
-    mean = float(np.average(ratios, weights=weights_array))
+    # Weighted means spelled out as np.average computes them (same sums,
+    # same order, so bit-identical) without its per-call dispatch cost.
+    total_weight = weights_array.sum()
+    mean = float((ratios * weights_array).sum() / total_weight)
     if blocks == 1:
         return mean, float("inf"), 1
-    variance = float(np.average((ratios - mean) ** 2, weights=weights_array))
+    variance = float(((ratios - mean) ** 2 * weights_array).sum()
+                     / total_weight)
     stderr = float(np.sqrt(variance / (blocks - 1)))
     return mean, stderr, blocks
 

@@ -35,7 +35,7 @@ from ..circuit.validation import validate_circuit
 from ..constants import E_CHARGE
 from ..errors import SimulationError
 from .events import TrapCandidate
-from .kernel import MonteCarloKernel
+from .kernel import UNBOUNDED_EVENTS, MonteCarloKernel, PhaseRecord
 from .observables import (
     CurrentEstimate,
     EnsembleResult,
@@ -50,6 +50,24 @@ from .state import (
     initial_ensemble,
     initial_state,
 )
+
+
+def _budget(max_events: Optional[int]) -> int:
+    """A phase's event budget (unbounded when only time limits it)."""
+    return UNBOUNDED_EVENTS if max_events is None else int(max_events)
+
+
+def _phase_result(record: PhaseRecord, phase: int,
+                  ensemble: EnsembleState) -> EnsembleResult:
+    """What phase ``phase`` of an ensemble's phased run did, per replica."""
+    return EnsembleResult(
+        durations=record.times[phase + 1] - record.times[phase],
+        event_counts=record.counts[phase + 1] - record.counts[phase],
+        electron_transfers=(record.transfers[phase + 1]
+                            - record.transfers[phase]),
+        junction_names=ensemble.junction_names,
+        final_electrons=ensemble.electrons.copy(),
+    )
 
 
 class MonteCarloSimulator:
@@ -103,6 +121,9 @@ class MonteCarloSimulator:
                                        fast_path=fast_path,
                                        resync_interval=resync_interval,
                                        jit=jit)
+        #: Transfer column of each junction (the circuit's junction order).
+        self._junction_column = {junction.name: column for column, junction
+                                 in enumerate(circuit.junctions())}
 
     # ------------------------------------------------------------------- runs
 
@@ -147,36 +168,84 @@ class MonteCarloSimulator:
             raise SimulationError("specify max_events and/or duration")
         if state is None:
             state = self.new_state()
+        if record_events or occupation is not None or not self._compiled():
+            # Per-event hooks, traps or the numpy kernel: the step loop.
+            return self._run_interpreted(state, max_events, duration,
+                                         record_events, occupation)
+        # Compiled fast path: same trajectory, same random stream, no
+        # per-event Python (and the step loop after a kernel fault).
+        start_time = state.time
+        start_events = state.event_count
+        self._run_phases(state, [_budget(max_events)], duration)
+        return TrajectoryResult(
+            duration=state.time - start_time,
+            event_count=state.event_count - start_events,
+            electron_transfers=dict(state.electron_transfers),
+            final_electrons=state.electron_tuple(),
+            records=[],
+            trap_flips=0,
+        )
 
-        if (self.kernel.jit_enabled and not record_events
-                and occupation is None and not self.kernel.traps):
-            # Compiled fast path: same trajectory, same random stream, no
-            # per-event Python.  Falls back to the loop below whenever a
-            # consumer needs per-event hooks — or, below, when the compiled
-            # kernel itself faults (the state is only committed at the end
-            # of a compiled run, so the interpreted loop continues the same
-            # trajectory from the untouched state).
-            start_time = state.time
-            start_events = state.event_count
+    def _compiled(self) -> bool:
+        """Whether runs go through the kernel's compiled advance loop."""
+        return self.kernel.jit_enabled and not self.kernel.traps
+
+    def _fall_back(self, error: Exception) -> None:
+        """Drop to the interpreted path after a compiled-kernel fault."""
+        from ..resilience.events import emit_degradation
+
+        self.kernel.disable_jit()
+        emit_degradation("jit.run_compiled", "fallback:numpy", repr(error))
+
+    def _run_phases(self, state: SimulationState, schedule: Sequence[int],
+                    duration: Optional[float] = None) -> PhaseRecord:
+        """Advance ``state`` through a schedule of event budgets, in place.
+
+        Phase ``p`` runs until ``schedule[p]`` events executed (or
+        ``duration`` elapsed, or a blockade); the returned record holds the
+        clock, the event count and the per-junction transfers at every
+        phase boundary (counts and transfers relative to the start).  With
+        the compiled kernel the whole schedule is one native call.
+        Otherwise — numpy kernel, charge traps, or after a compiled-kernel
+        fault, from the last phase boundary the compiled run reached — the
+        interpreted :meth:`~repro.montecarlo.kernel.MonteCarloKernel.step`
+        loop runs the remaining phases one by one and fills the same
+        record, so the estimators have one code path.
+        """
+        record = self.kernel.phase_record(schedule)
+        junctions = list(self._junction_column)
+        start_events = state.event_count
+        start_transfers = [state.electron_transfers[name]
+                           for name in junctions]
+        record.store(0, state.time, 0, 0.0)
+        if self._compiled():
+            # A fault leaves the state at the last phase boundary the
+            # compiled run reached (the kernel commits completed phases),
+            # and the interpreted loop below continues from there.
             try:
-                self.kernel.run_compiled(state, max_events=max_events,
-                                         duration=duration)
+                self.kernel.run_compiled(state, record, duration)
             except Exception as error:
-                from ..resilience.events import emit_degradation
-
-                self.kernel.disable_jit()
-                emit_degradation("jit.run_compiled", "fallback:numpy",
-                                 repr(error))
+                self._fall_back(error)
             else:
-                return TrajectoryResult(
-                    duration=state.time - start_time,
-                    event_count=state.event_count - start_events,
-                    electron_transfers=dict(state.electron_transfers),
-                    final_electrons=state.electron_tuple(),
-                    records=[],
-                    trap_flips=0,
-                )
+                return record
+        for phase in range(record.phase, len(schedule)):
+            self._run_interpreted(state, int(record.schedule[phase]),
+                                  duration)
+            tallies = state.electron_transfers
+            record.store(phase + 1, state.time,
+                         state.event_count - start_events,
+                         [tallies[name] - start
+                          for name, start in zip(junctions,
+                                                 start_transfers)])
+        return record
 
+    def _run_interpreted(self, state: SimulationState,
+                         max_events: Optional[int],
+                         duration: Optional[float],
+                         record_events: bool = False,
+                         occupation: Optional[OccupationStatistics] = None
+                         ) -> TrajectoryResult:
+        """The per-event :meth:`run` loop over the kernel's ``step``."""
         start_time = state.time
         start_events = state.event_count
         records: List[EventRecord] = []
@@ -280,36 +349,50 @@ class MonteCarloSimulator:
                 raise SimulationError("specify replicas or an ensemble state")
             ensemble = self.new_ensemble(replicas)
 
-        start_times = ensemble.times.copy()
-        start_counts = ensemble.event_counts.copy()
-        start_transfers = ensemble.electron_transfers.copy()
-        if self.kernel.jit_enabled and not self.kernel.traps:
-            # Compiled path: each replica runs its whole budget through the
-            # native loop (shared rate memo, sequential replicas).  An
-            # R = 1 ensemble replays the scalar compiled run bit for bit.
-            # On a compiled-kernel fault the interpreted loop below picks up
-            # where the native one stopped: budgets are measured against the
-            # start_* snapshots, so partially advanced replicas finish their
-            # remaining budget instead of re-running it.
-            try:
-                self.kernel.run_ensemble_compiled(ensemble,
-                                                  max_events=max_events,
-                                                  duration=duration)
-            except Exception as error:
-                from ..resilience.events import emit_degradation
+        record = self._run_ensemble_phases(ensemble, [_budget(max_events)],
+                                           duration)
+        return _phase_result(record, 0, ensemble)
 
-                self.kernel.disable_jit()
-                emit_degradation("jit.run_compiled", "fallback:numpy",
-                                 repr(error))
+    def _run_ensemble_phases(self, ensemble: EnsembleState,
+                             schedule: Sequence[int],
+                             duration: Optional[float] = None
+                             ) -> PhaseRecord:
+        """Advance every replica through a schedule of per-replica budgets.
+
+        The ensemble counterpart of :meth:`_run_phases`: phase-major (every
+        replica finishes phase ``p`` before any starts ``p + 1``), one
+        native call on the compiled kernel, and the batched interpreted
+        loop phase by phase otherwise — or, after a compiled-kernel fault,
+        from the phase boundary each replica reached.  An R = 1 ensemble
+        replays the scalar run bit for bit.  The record's rows hold the
+        ensemble's absolute clocks, event counts and transfer rows.
+        """
+        record = self.kernel.phase_record(schedule, ensemble.replica_count)
+        record.store(0, ensemble.times, ensemble.event_counts,
+                     ensemble.electron_transfers)
+        if self._compiled():
+            try:
+                self.kernel.run_ensemble_compiled(ensemble, record, duration)
+            except Exception as error:
+                self._fall_back(error)
             else:
-                return EnsembleResult(
-                    durations=ensemble.times - start_times,
-                    event_counts=ensemble.event_counts - start_counts,
-                    electron_transfers=(ensemble.electron_transfers
-                                        - start_transfers),
-                    junction_names=ensemble.junction_names,
-                    final_electrons=ensemble.electrons.copy(),
-                )
+                return record
+        for phase in range(record.phase, len(schedule)):
+            # Budgets are metered from each replica's phase-start row, so
+            # replicas that already finished this phase natively stay put.
+            self._advance_ensemble_interpreted(
+                ensemble, int(record.schedule[phase]), duration,
+                record.times[phase], record.counts[phase])
+            record.store(phase + 1, ensemble.times, ensemble.event_counts,
+                         ensemble.electron_transfers)
+        return record
+
+    def _advance_ensemble_interpreted(self, ensemble: EnsembleState,
+                                      max_events: int,
+                                      duration: Optional[float],
+                                      start_times: np.ndarray,
+                                      start_counts: np.ndarray) -> None:
+        """The batched :meth:`run_ensemble` loop over ``step_ensemble``."""
         count = ensemble.replica_count
         finished = np.zeros(count, dtype=bool)
         step_ensemble = self.kernel.step_ensemble
@@ -332,8 +415,7 @@ class MonteCarloSimulator:
                 executed += 1
 
         while True:
-            if max_events is not None:
-                finished |= (ensemble.event_counts - start_counts) >= max_events
+            finished |= (ensemble.event_counts - start_counts) >= max_events
             budgets = None
             if duration is not None:
                 elapsed = ensemble.times - start_times
@@ -353,14 +435,6 @@ class MonteCarloSimulator:
                     break
             else:
                 stall_strikes = 0
-
-        return EnsembleResult(
-            durations=ensemble.times - start_times,
-            event_counts=ensemble.event_counts - start_counts,
-            electron_transfers=ensemble.electron_transfers - start_transfers,
-            junction_names=ensemble.junction_names,
-            final_electrons=ensemble.electrons.copy(),
-        )
 
     # -------------------------------------------------------------- stationary
 
@@ -412,15 +486,11 @@ class MonteCarloSimulator:
             if replicas < 1:
                 raise SimulationError(
                     "need at least 1 replica for an ensemble estimate")
-            ensemble = self.new_ensemble(replicas)
-            if warmup_events > 0:
-                self.run_ensemble(max_events=warmup_events, ensemble=ensemble)
-            return self._estimate_current_ensemble(ensemble, junction_name,
-                                                   max_events)
-        state = self.new_state()
-        if warmup_events > 0:
-            self.run(max_events=warmup_events, state=state)
-        return self._estimate_current(state, junction_name, max_events, blocks)
+            return self._estimate_current_ensemble(
+                self.new_ensemble(replicas), junction_name, warmup_events,
+                max_events)
+        return self._estimate_current(self.new_state(), junction_name,
+                                      warmup_events, max_events, blocks)
 
     def _check_estimator_args(self, junction_name: str, blocks: int) -> None:
         if not self.circuit.has_element(junction_name):
@@ -429,63 +499,60 @@ class MonteCarloSimulator:
             raise SimulationError("need at least 2 blocks for an error estimate")
 
     def _estimate_current(self, state: SimulationState, junction_name: str,
-                          max_events: int, blocks: int) -> CurrentEstimate:
-        """Block-averaged current estimate continuing from ``state``.
+                          warmup_events: int, max_events: int,
+                          blocks: int) -> CurrentEstimate:
+        """Warm-up plus block-averaged current estimate continuing from ``state``.
 
-        The mean is the whole-window charge over the whole-window duration
-        (mathematically the duration-weighted block mean, but computed from
-        the run's start/end counters so it is *bit-identical* to the
-        ensemble estimator's total-ratio form at equal trajectories); block
-        averaging supplies the standard error.
+        One phased run: the warm-up, then ``blocks`` equal event blocks.
+        Block charges and durations are differences of the record's phase
+        boundaries; blocks after a blockade are empty (zero duration) and
+        drop out with the other zero-duration blocks.  The mean is the
+        whole-window charge over the whole-window duration (mathematically
+        the duration-weighted block mean, but in the ratio-of-sums form
+        shared with the ensemble estimator, so the two are *bit-identical*
+        at equal trajectories); block averaging supplies the standard
+        error.
         """
         per_block = max(1, max_events // blocks)
-        charges: List[float] = []
-        durations: List[float] = []
-        total_events = 0
-        window_start_transfer = state.electron_transfers[junction_name]
-        window_start_time = state.time
-        for _ in range(blocks):
-            before_transfer = state.electron_transfers[junction_name]
-            before_time = state.time
-            result = self.run(max_events=per_block, state=state)
-            total_events += result.event_count
-            transferred = state.electron_transfers[junction_name] - before_transfer
-            elapsed = state.time - before_time
-            charges.append(-transferred * E_CHARGE)
-            durations.append(elapsed)
-            if result.event_count == 0:
-                # Blockaded: no more events will ever occur.
-                break
-
-        usable = [(charge, dt) for charge, dt in zip(charges, durations) if dt > 0.0]
-        if not usable:
+        record = self._run_phases(state, [warmup_events] + [per_block] * blocks)
+        column = self._junction_column[junction_name]
+        # Rows 1..blocks+1 bound the blocks (row 1 ends the warm-up).
+        transferred = record.transfers[1:, 0, column]
+        clock = record.times[1:, 0]
+        charges = -np.diff(transferred) * E_CHARGE
+        durations = np.diff(clock)
+        events = int(record.counts[-1, 0] - record.counts[1, 0])
+        usable = durations > 0.0
+        if not usable.any():
             return CurrentEstimate(mean=0.0, stderr=0.0, blocks=0, duration=0.0,
-                                   events=total_events)
-        _, stderr, block_count = block_average(
-            [charge for charge, _ in usable], [dt for _, dt in usable])
-        total_charge = -(state.electron_transfers[junction_name]
-                         - window_start_transfer) * E_CHARGE
-        total_elapsed = state.time - window_start_time
+                                   events=events)
+        _, stderr, block_count = block_average(charges[usable],
+                                               durations[usable])
+        total_charge = -(transferred[-1] - transferred[0]) * E_CHARGE
+        total_elapsed = clock[-1] - clock[0]
         return CurrentEstimate(
             mean=float(total_charge / total_elapsed),
             stderr=stderr,
             blocks=block_count,
-            duration=float(sum(dt for _, dt in usable)),
-            events=total_events,
+            duration=float(sum(durations[usable].tolist())),
+            events=events,
         )
 
     def _estimate_current_ensemble(self, ensemble: EnsembleState,
-                                   junction_name: str,
+                                   junction_name: str, warmup_events: int,
                                    max_events: int) -> CurrentEstimate:
-        """Replica-spread current estimate continuing from ``ensemble``.
+        """Warm-up plus replica-spread current estimate continuing from ``ensemble``.
 
+        One phased run: every replica's warm-up, then the estimate window.
         The total ``max_events`` budget is divided evenly over the replicas,
         so scalar and ensemble estimates at equal budgets do comparable
         amounts of stochastic work.
         """
         per_replica = max(1, max_events // ensemble.replica_count)
-        result = self.run_ensemble(max_events=per_replica, ensemble=ensemble)
-        return result.current_estimate(junction_name)
+        record = self._run_ensemble_phases(ensemble,
+                                           [warmup_events, per_replica])
+        return _phase_result(record, 1, ensemble).current_estimate(
+            junction_name)
 
     def sweep_source(self, source: str, values: Sequence[float],
                      junction_name: str, max_events: int = 20_000,
@@ -554,27 +621,20 @@ class MonteCarloSimulator:
                     # Zero the clocks per point for the same float64
                     # resolution reason as the scalar warm-start path below.
                     ensemble_state.times[:] = 0.0
-                    if warmup_events > 0:
-                        self.run_ensemble(max_events=warmup_events,
-                                          ensemble=ensemble_state)
                     estimate = self._estimate_current_ensemble(
-                        ensemble_state, junction_name, max_events)
-                elif warm_start:
-                    if state is None:
+                        ensemble_state, junction_name, warmup_events,
+                        max_events)
+                else:
+                    if state is None or not warm_start:
                         state = self.new_state()
                     # Zero the clock per point: a blockaded point advances the
                     # simulated time by ~1/rate (astronomical), after which
                     # float64 can no longer resolve nanosecond increments and
                     # every elapsed-time difference would collapse to zero.
                     state.time = 0.0
-                    if warmup_events > 0:
-                        self.run(max_events=warmup_events, state=state)
                     estimate = self._estimate_current(state, junction_name,
+                                                      warmup_events,
                                                       max_events, blocks=10)
-                else:
-                    estimate = self.stationary_current(junction_name,
-                                                       max_events=max_events,
-                                                       warmup_events=warmup_events)
                 currents[position] = estimate.mean
                 errors[position] = estimate.stderr
         finally:

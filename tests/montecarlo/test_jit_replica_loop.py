@@ -1,8 +1,9 @@
 """Tests for the replica loop of the compiled advance kernel.
 
 Every compiled Monte-Carlo run — one scalar trajectory or an ``R``-replica
-ensemble — is one call of the backend's replica loop plus the re-entries it
-genuinely needs (random block refills, successor links).  These tests pin:
+ensemble, one phase or a whole estimator schedule (warm-up plus blocks) — is
+one call of the backend's replica loop plus the re-entries it genuinely
+needs (random block refills, successor links).  These tests pin:
 
 * the seeded sweep outputs of the engines, as SHA-256 digests recorded
   before the replica loop moved into the kernel, on the active backend and
@@ -10,7 +11,11 @@ genuinely needs (random block refills, successor links).  These tests pin:
 * bit-for-bit agreement of ``R > 1`` ensembles between the active backend
   and the interpreted reference loop (event and duration budgets, a
   blockaded device, a mid-session bias change, an ensemble sweep);
-* the native-entry budget: a warm ensemble run enters the backend fewer
+* the phased call's edge cases: a T = 0 blockade that begins inside the
+  estimate window (empty later blocks), and a re-entry fault that must
+  leave every replica at a phase boundary for the interpreted fallback;
+* the native-entry budget: one finishing entry per sweep point (every other
+  entry a refill or a link), a warm ensemble run enters the backend fewer
   times than it has replicas, and a warm scalar run exactly once;
 * kernels driven from several threads at once through the shared backend;
 * concurrent C builds into one empty cache directory.
@@ -30,10 +35,16 @@ import pytest
 from repro.constants import E_CHARGE
 from repro.devices import SETTransistor
 from repro.engines import SweepAxes, get_engine
+from repro.resilience.events import capture_degradations
 from repro.montecarlo import MonteCarloSimulator
 from repro.montecarlo.jit import (
     BACKEND_CC,
     BACKEND_PYTHON,
+    STATUS_BLOCKED,
+    STATUS_DONE,
+    STATUS_NEED_EXP,
+    STATUS_NEED_LINK,
+    STATUS_NEED_UNIFORM,
     _find_compiler,
     clear_backend_cache,
     jit_backend,
@@ -200,6 +211,109 @@ class TestReplicaLoopMatchesTheReference:
             np.testing.assert_array_equal(native_array, reference_array)
 
 
+def fail_after_refills(kernel, refills):
+    """Make the kernel's replica loop raise on re-entry after ``refills`` refills."""
+    advance = kernel._jit_advance
+    seen = []
+
+    def flaky(*arguments):
+        if len(seen) >= refills:
+            raise RuntimeError("injected re-entry fault")
+        status = advance(*arguments)
+        if status in (STATUS_NEED_EXP, STATUS_NEED_UNIFORM):
+            seen.append(status)
+        return status
+
+    kernel._jit_advance = flaky
+
+
+def assert_consistent_phases(kernel, record, replica, initial_electrons,
+                             final_electrons):
+    """Every phase's tallies are those of its own events, counted once."""
+    phase_events = np.diff(record.counts[:, replica])
+    np.testing.assert_array_equal(phase_events, record.schedule)
+    # One event moves one electron through one junction, so the net
+    # per-junction tallies of a phase can never exceed its event count.
+    phase_transfers = np.diff(record.transfers[:, replica], axis=0)
+    assert np.all(np.abs(phase_transfers).sum(axis=1) <= phase_events)
+    # The island charge moved exactly as the junction tallies say.
+    tally_to_islands = np.linalg.lstsq(
+        kernel._transfer_matrix, kernel._delta_n_matrix.astype(float),
+        rcond=None)[0]
+    moved = (record.transfers[-1, replica] - record.transfers[0, replica]) \
+        @ tally_to_islands
+    np.testing.assert_array_equal(np.rint(moved).astype(np.int64),
+                                  final_electrons - initial_electrons)
+
+
+class TestPhasedCall:
+    """Edge cases of running a whole phase schedule in one native call."""
+
+    #: At T = 0 and 2 mV drain bias the island sits in blockade at both gate
+    #: values; each gate step leaves it two electrons away from its new
+    #: ground state, so a point with no warm-up relaxes in its first two
+    #: events and every later block of the estimate window is empty.
+    BLOCKADE_GATES = [0.0, 0.18, 0.0, 0.18, 0.18, 0.0]
+
+    def blockade_simulator(self, jit):
+        return make_simulator(seed=5, jit=jit, temperature=0.0,
+                              drain_voltage=0.002, gate_voltage=0.0)
+
+    def test_the_blockade_begins_inside_the_estimate_window(self):
+        simulator = self.blockade_simulator(jit=True)
+        state = simulator.new_state()
+        simulator.circuit.set_source_voltage("VG", 0.18)
+        result = simulator.run(max_events=10, state=state)
+        assert 0 < result.event_count < 10
+        assert simulator.run(max_events=10, state=state).event_count == 0
+
+    @pytest.mark.parametrize("ensemble", [None, 2])
+    def test_blockade_inside_the_window_is_bit_identical(self, ensemble):
+        def sweep(jit):
+            _, currents, stderrs = self.blockade_simulator(jit).sweep_source(
+                "VG", self.BLOCKADE_GATES, "J_drain", max_events=10,
+                warmup_events=0, ensemble=ensemble)
+            return currents.tobytes() + stderrs.tobytes()
+
+        native = sweep(True)
+        assert native == sweep(BACKEND_PYTHON)
+        if ensemble is None:
+            # The scalar estimator's numpy step path replays it too (an
+            # R > 1 numpy ensemble interleaves replicas per macro-step).
+            assert native == sweep(False)
+
+    def test_reentry_fault_resumes_a_trajectory_at_a_phase_boundary(self):
+        simulator = make_simulator(seed=65)
+        state = simulator.new_state()
+        initial = state.electrons.copy()
+        fail_after_refills(simulator.kernel, 4)
+        with capture_degradations() as events:
+            record = simulator._run_phases(state, [3_000, 3_000, 3_000])
+        assert record.phase == 1
+        assert [event.action for event in events] == ["fallback:numpy"]
+        assert not simulator.kernel.jit_enabled
+        assert state.event_count == 9_000
+        assert_consistent_phases(simulator.kernel, record, 0, initial,
+                                 state.electrons)
+
+    def test_reentry_fault_resumes_every_replica_at_a_phase_boundary(self):
+        simulator = make_simulator(seed=67)
+        ensemble = simulator.new_ensemble(4)
+        initial = ensemble.electrons.copy()
+        fail_after_refills(simulator.kernel, 5)
+        with capture_degradations() as events:
+            record = simulator._run_ensemble_phases(ensemble, [1_500, 1_500])
+        # The fault struck in the window phase after some replicas had
+        # finished it natively.
+        assert record.phase == 1 and record.replica >= 1
+        assert [event.action for event in events] == ["fallback:numpy"]
+        np.testing.assert_array_equal(ensemble.event_counts, 3_000)
+        for replica in range(4):
+            assert_consistent_phases(simulator.kernel, record, replica,
+                                     initial[replica],
+                                     ensemble.electrons[replica])
+
+
 def count_native_entries(simulator):
     """Wrap the kernel's replica loop; the returned list grows per entry."""
     kernel = simulator.kernel
@@ -214,7 +328,51 @@ def count_native_entries(simulator):
     return entries
 
 
+def count_native_statuses(kernel):
+    """Wrap the kernel's replica loop; the returned list grows per status."""
+    advance = kernel._jit_advance
+    statuses = []
+
+    def counted(*arguments):
+        status = advance(*arguments)
+        statuses.append(status)
+        return status
+
+    kernel._jit_advance = counted
+    return statuses
+
+
+def assert_one_run_entry_per_point(engine, options, points=33):
+    """A warm-started sweep makes one finishing native entry per point."""
+    device = SETTransistor(junction_capacitance=1e-18,
+                           gate_capacitance=2e-18, junction_resistance=1e6)
+    axes = SweepAxes(np.linspace(0.0, device.gate_period, points), 0.02)
+    session = get_engine(engine).bind(device, temperature=2.0, seed=31,
+                                      max_events=1_000, warmup_events=100,
+                                      **options)
+    statuses = count_native_statuses(session.simulator.kernel)
+    session.sweep(axes)
+    finishing = [status for status in statuses
+                 if status in (STATUS_DONE, STATUS_BLOCKED)]
+    assert len(finishing) == points
+    assert set(statuses) - {STATUS_DONE, STATUS_BLOCKED} <= {
+        STATUS_NEED_EXP, STATUS_NEED_UNIFORM, STATUS_NEED_LINK}
+
+
+SWEEP_ENGINES = [("montecarlo-jit", {}), ("ensemble-jit", {"replicas": 8})]
+
+
 class TestNativeEntryBudget:
+    @pytest.mark.parametrize("engine, options", SWEEP_ENGINES)
+    def test_sweep_point_is_one_run_entry(self, engine, options):
+        assert_one_run_entry_per_point(engine, options)
+
+    @pytest.mark.parametrize("engine, options", SWEEP_ENGINES)
+    def test_sweep_point_is_one_run_entry_on_the_interpreted_loop(
+            self, engine, options, python_backend):
+        assert jit_backend() == BACKEND_PYTHON
+        assert_one_run_entry_per_point(engine, options)
+
     def test_warm_ensemble_run_enters_fewer_times_than_replicas(self):
         simulator = make_simulator(seed=61)
         ensemble = simulator.new_ensemble(16)
@@ -237,10 +395,10 @@ def test_threads_sharing_the_backend_keep_their_own_arrays():
     # The C shim caches the last array and address per argument position
     # process-wide; kernels driven from several threads at once (the foreign
     # call releases the interpreter lock) must still each advance their own
-    # arrays.  Every bias point rebuilds the rate tables and every short
-    # run allocates fresh registers, so positions change owner constantly;
-    # a shim that stored array and address separately fails (or crashes)
-    # here.
+    # arrays.  Every kernel passes its own registers, cursor mirrors and
+    # phase records, so with eight threads the positions change owner
+    # constantly; a shim that stored array and address separately fails
+    # (or crashes) here.
     gates = np.linspace(0.0, 0.08, 100)
     seeds = range(71, 79)
 

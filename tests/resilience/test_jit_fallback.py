@@ -73,6 +73,31 @@ class TestJitFallback:
         np.testing.assert_array_equal(degraded.currents, reference.currents)
         np.testing.assert_array_equal(degraded.stderrs, reference.stderrs)
 
+    @pytest.mark.parametrize("engine, options", [
+        ("montecarlo-jit", {}), ("ensemble-jit", {"replicas": 1})])
+    def test_fault_mid_sweep_is_bit_identical_to_the_clean_sweep(
+            self, device, engine, options):
+        # Every sweep point is one compiled call; failing the fifth leaves
+        # the first four compiled and runs the rest on the numpy path,
+        # which replays the compiled trajectory bit for bit (for R > 1 the
+        # numpy ensemble interleaves replicas per macro-step instead).
+        axes = SweepAxes(np.linspace(0.0, device.gate_period, 9),
+                         DRAIN_VOLTAGE)
+        clean = get_engine(engine).bind(device, **options,
+                                        **BIND_KWARGS).sweep(axes)
+        session = get_engine(engine).bind(device, **options, **BIND_KWARGS)
+        chaos = FaultInjector()
+        chaos.arm("jit.run_compiled", error=RuntimeError("injected"),
+                  after=4)
+        with chaos, capture_degradations() as events:
+            degraded = session.sweep(axes)
+        assert chaos.fired("jit.run_compiled") == 1
+        assert [(e.site, e.action) for e in events] == [
+            ("jit.run_compiled", "fallback:numpy")]
+        assert not session.simulator.kernel.jit_enabled
+        np.testing.assert_array_equal(degraded.currents, clean.currents)
+        np.testing.assert_array_equal(degraded.stderrs, clean.stderrs)
+
     def test_clean_compiled_run_emits_no_degradation(self, device, axes):
         session = get_engine("montecarlo-jit").bind(device, **BIND_KWARGS)
         with capture_degradations() as events:
