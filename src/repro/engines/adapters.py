@@ -1,4 +1,4 @@
-"""The four built-in engines expressed as :class:`~repro.engines.base.Engine` adapters.
+"""The six built-in engines expressed as :class:`~repro.engines.base.Engine` adapters.
 
 Each adapter wraps one existing backend without re-implementing any physics:
 
@@ -478,7 +478,8 @@ class MonteCarloSession(_CircuitSession):
         axes:
             Gate axis plus fixed drain bias.
         workers:
-            Worker processes partitioning the bias points.
+            Worker processes partitioning the bias points; seeded results
+            depend on ``workers`` but not on the host's CPU count.
         policy:
             Optional failure policy; routes through the fault-tolerant
             executor (see :meth:`Session.sweep`).

@@ -618,6 +618,7 @@ class Session(abc.ABC):
             Gate axis plus fixed drain bias.
         workers:
             Worker processes for point fan-out (``1`` = in-process).
+            Seeded results depend on ``workers`` but not on the host.
 
         Returns
         -------

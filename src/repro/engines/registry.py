@@ -6,7 +6,7 @@ engines through this one mapping — adding a backend means registering one
 introspection, ``auto`` selection, ``python -m repro engines``, and the
 conformance test suite pick it up without further wiring.
 
-The four built-in adapters (:mod:`repro.engines.adapters`) are registered
+The six built-in adapters (:mod:`repro.engines.adapters`) are registered
 lazily on first access, so importing :mod:`repro` stays cheap.
 """
 
@@ -86,8 +86,8 @@ def get_engine(name: str) -> "Engine":
     ----------
     name:
         Registry name (``"analytic"``, ``"master"``, ``"montecarlo"``,
-        ``"ensemble"``, or any name registered via
-        :func:`register_engine`).
+        ``"ensemble"``, ``"montecarlo-jit"``, ``"ensemble-jit"``, or any
+        name registered via :func:`register_engine`).
 
     Returns
     -------

@@ -31,7 +31,7 @@ cached window.
 
 from __future__ import annotations
 
-import os
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -213,8 +213,10 @@ class MasterEquationSolver:
             fails before the first solve rather than after it.
         workers:
             Number of worker processes.  ``1`` (default) runs in-process;
-            larger values partition the sweep points over a process pool, each
-            worker solving an independent circuit copy.
+            larger values split the sweep points into
+            ``min(workers, len(values))`` contiguous chunks, whatever the
+            host's CPU count, each solved on an independent circuit copy in
+            a process pool.  A worker error or a broken pool propagates.
 
         Returns
         -------
@@ -224,8 +226,9 @@ class MasterEquationSolver:
         self._check_junction(junction_name)
         values_array = np.asarray(values, dtype=float)
         if workers > 1 and values_array.size > 1:
-            return self._sweep_source_parallel(source, values_array,
-                                               junction_name, workers)
+            parts = self._fan_out(_sweep_source_chunk, values_array, workers,
+                                  source, junction_name)
+            return values_array, np.concatenate(parts)
         currents = np.empty(values_array.size)
         snapshot = self.circuit.bias_snapshot()
         try:
@@ -263,7 +266,8 @@ class MasterEquationSolver:
         junction_name:
             Junction whose current is recorded (validated up front).
         workers:
-            Optional process pool; the map is partitioned over drain rows.
+            Optional process pool; the drain rows are split like the points
+            of :meth:`sweep_source`.
 
         Returns
         -------
@@ -275,9 +279,10 @@ class MasterEquationSolver:
         gate_array = np.asarray(gate_values, dtype=float)
         drain_array = np.asarray(drain_values, dtype=float)
         if workers > 1 and drain_array.size > 1:
-            return self._sweep_gate_drain_parallel(
-                gate_source, drain_source, gate_array, drain_array,
-                junction_name, workers)
+            rows = self._fan_out(_sweep_gate_drain_chunk, drain_array,
+                                 workers, gate_source, drain_source,
+                                 gate_array, junction_name)
+            return gate_array, drain_array, np.vstack(rows)
         currents = np.empty((drain_array.size, gate_array.size))
         snapshot = self.circuit.bias_snapshot()
         try:
@@ -327,92 +332,42 @@ class MasterEquationSolver:
         ground_key = tuple(int(v) for v in ground)
         return table, table.space.index.get(ground_key, 0)
 
-    def _sweep_source_parallel(self, source: str, values: np.ndarray,
-                               junction_name: str, workers: int
-                               ) -> Tuple[np.ndarray, np.ndarray]:
-        workers = min(int(workers), values.size, os.cpu_count() or 1)
-        chunks = [chunk for chunk in np.array_split(values, workers)
-                  if chunk.size]
-        payloads = [self._worker_payload(source, None, list(chunk), None,
-                                         junction_name)
-                    for chunk in chunks]
-        results = _run_worker_pool(_sweep_source_chunk, payloads)
-        if results is None:   # no usable process pool: degrade gracefully
-            return self.sweep_source(source, values, junction_name, workers=1)
-        return values, np.concatenate([np.asarray(part) for part in results])
+    def _fan_out(self, worker, points: np.ndarray, workers: int,
+                 *sweep_args) -> list:
+        """Run ``worker`` on ``workers`` shares of ``points`` in a pool.
 
-    def _sweep_gate_drain_parallel(self, gate_source: str, drain_source: str,
-                                   gate_values: np.ndarray,
-                                   drain_values: np.ndarray,
-                                   junction_name: str, workers: int
-                                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        workers = min(int(workers), drain_values.size, os.cpu_count() or 1)
-        chunks = [chunk for chunk in np.array_split(drain_values, workers)
-                  if chunk.size]
-        payloads = [self._worker_payload(gate_source, drain_source,
-                                         list(gate_values), list(chunk),
-                                         junction_name)
-                    for chunk in chunks]
-        results = _run_worker_pool(_sweep_gate_drain_chunk, payloads)
-        if results is None:
-            return self.sweep_gate_drain(gate_source, drain_source,
-                                         gate_values, drain_values,
-                                         junction_name, workers=1)
-        currents = np.vstack([np.asarray(part) for part in results])
-        return gate_values, drain_values, currents
+        Each share gets its own process and solver copy; the contract is
+        :func:`~repro.resilience.chunks.fan_out`'s.
+        """
+        from ..resilience.chunks import fan_out, split_points
 
-    def _worker_payload(self, source, drain_source, values, drain_values,
-                        junction_name):
-        return (self.circuit.copy(), self.temperature,
-                self.builder.extra_electrons, self.builder._explicit_space,
-                self.method, source, drain_source, values, drain_values,
-                junction_name)
+        solver_args = (self.circuit.copy(), self.temperature,
+                       self.builder.extra_electrons,
+                       self.builder._explicit_space, self.method)
+        return fan_out(functools.partial(worker, solver_args, sweep_args),
+                       split_points(points, workers))
 
 
-def _run_worker_pool(worker, payloads):
-    """Map ``worker`` over ``payloads`` in a process pool (None on failure).
-
-    Pool-infrastructure failures — no forking allowed, a worker killed by the
-    OS (e.g. OOM on a large window), an unpicklable payload — return ``None``
-    so the caller can degrade to the serial path.  Exceptions raised *by the
-    solver inside a worker* (``SolverError`` etc.) propagate unchanged.
-    """
-    import pickle
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    try:
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            return list(pool.map(worker, payloads))
-    except (OSError, ImportError, BrokenProcessPool, pickle.PicklingError):
-        return None
-
-
-def _payload_solver(payload):
-    (circuit, temperature, extra_electrons, state_space, method,
-     *_rest) = payload
+def _chunk_solver(solver_args) -> MasterEquationSolver:
+    circuit, temperature, extra_electrons, state_space, method = solver_args
     return MasterEquationSolver(circuit, temperature,
                                 extra_electrons=extra_electrons,
                                 state_space=state_space, method=method)
 
 
-def _sweep_source_chunk(payload) -> List[float]:
-    """Worker body of :meth:`MasterEquationSolver._sweep_source_parallel`."""
-    solver = _payload_solver(payload)
-    (_, _, _, _, _, source, _, values, _, junction_name) = payload
-    _, currents = solver.sweep_source(source, values, junction_name, workers=1)
-    return [float(value) for value in currents]
+def _sweep_source_chunk(solver_args, sweep_args, chunk) -> np.ndarray:
+    """Worker body of a fanned-out :meth:`MasterEquationSolver.sweep_source`."""
+    source, junction_name = sweep_args
+    return _chunk_solver(solver_args).sweep_source(
+        source, chunk.points, junction_name)[1]
 
 
-def _sweep_gate_drain_chunk(payload) -> List[List[float]]:
-    """Worker body of :meth:`MasterEquationSolver._sweep_gate_drain_parallel`."""
-    solver = _payload_solver(payload)
-    (_, _, _, _, _, gate_source, drain_source, gate_values, drain_values,
-     junction_name) = payload
-    _, _, currents = solver.sweep_gate_drain(gate_source, drain_source,
-                                             gate_values, drain_values,
-                                             junction_name, workers=1)
-    return [[float(value) for value in row] for row in currents]
+def _sweep_gate_drain_chunk(solver_args, sweep_args, chunk) -> np.ndarray:
+    """Worker body of a fanned-out :meth:`MasterEquationSolver.sweep_gate_drain`."""
+    gate_source, drain_source, gate_values, junction_name = sweep_args
+    return _chunk_solver(solver_args).sweep_gate_drain(
+        gate_source, drain_source, gate_values, chunk.points,
+        junction_name)[2]
 
 
 # ======================================================================

@@ -25,7 +25,7 @@ estimator.
 
 from __future__ import annotations
 
-import os
+import functools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -582,9 +582,12 @@ class MonteCarloSimulator:
             behaviour.
         workers:
             Number of worker processes.  ``1`` (default) runs in-process;
-            larger values partition the bias points over a process pool, each
-            worker simulating an independent circuit copy with a seed derived
-            from this simulator's seed.
+            larger values split the bias points into
+            ``min(workers, len(values))`` contiguous chunks, each simulated
+            on an independent circuit copy in a process pool with a seed
+            drawn from this simulator's generator.  Seeded results therefore
+            depend on ``workers`` but not on the host's CPU count.  A worker
+            error or a broken pool propagates.
         ensemble:
             Optional replica count.  When set (>= 2), every bias point is
             estimated from an ``R``-replica batched ensemble run (replica
@@ -603,9 +606,10 @@ class MonteCarloSimulator:
             raise SimulationError(
                 "need at least 1 replica for an ensemble estimate")
         if workers > 1 and len(values) > 1:
-            return self._sweep_parallel(source, values, junction_name,
-                                        max_events, warmup_events, warm_start,
-                                        workers, ensemble)
+            return self._sweep_parallel(
+                values, workers, source=source, junction_name=junction_name,
+                max_events=max_events, warmup_events=warmup_events,
+                warm_start=warm_start, ensemble=ensemble)
 
         original = dict(self.circuit.source_voltages())
         currents = np.empty(len(values))
@@ -643,18 +647,13 @@ class MonteCarloSimulator:
                     self.circuit.set_source_voltage(node_name, voltage)
         return np.asarray(values, dtype=float), currents, errors
 
-    def _sweep_parallel(self, source: str, values: Sequence[float],
-                        junction_name: str, max_events: int,
-                        warmup_events: int, warm_start: bool, workers: int,
-                        ensemble: Optional[int] = None
+    def _sweep_parallel(self, values: Sequence[float], workers: int,
+                        **sweep_options
                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Partition the bias points over a process pool."""
-        from concurrent.futures import ProcessPoolExecutor
+        """Split the bias points over a process pool, one seed per chunk."""
+        from ..resilience.chunks import fan_out, split_points
 
-        workers = min(int(workers), len(values), os.cpu_count() or 1)
-        chunks = [list(chunk) for chunk in np.array_split(np.asarray(values, float),
-                                                          workers)]
-        chunks = [chunk for chunk in chunks if chunk]
+        chunks = split_points(values, workers)
         # Worker seeds come from this simulator's generator, not its fixed
         # seed, so repeated sweeps on the same simulator produce independent
         # estimates (as the serial path does) while staying reproducible for
@@ -662,50 +661,26 @@ class MonteCarloSimulator:
         root = np.random.SeedSequence(int(self.rng.integers(2**63)))
         seeds = [int(child.generate_state(1)[0])
                  for child in root.spawn(len(chunks))]
-        payloads = [
-            (self.circuit.copy(), self.temperature,
-             self.kernel.include_cotunneling, self.kernel.fast_path,
-             self.kernel.resync_interval, self.jit, source, chunk,
-             junction_name, max_events, warmup_events, warm_start, seed,
-             ensemble)
-            for chunk, seed in zip(chunks, seeds)
-        ]
-        currents: List[float] = []
-        errors: List[float] = []
-        try:
-            with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-                for chunk_result in pool.map(_sweep_chunk, payloads):
-                    for mean, stderr in chunk_result:
-                        currents.append(mean)
-                        errors.append(stderr)
-        except (OSError, ImportError):
-            # No usable process pool in this environment: degrade gracefully.
-            return self.sweep_source(source, values, junction_name,
-                                     max_events=max_events,
-                                     warmup_events=warmup_events,
-                                     warm_start=warm_start, workers=1,
-                                     ensemble=ensemble)
-        return (np.asarray(values, dtype=float), np.asarray(currents),
-                np.asarray(errors))
+        simulator_args = dict(
+            circuit=self.circuit.copy(), temperature=self.temperature,
+            include_cotunneling=self.kernel.include_cotunneling,
+            validate=False, fast_path=self.kernel.fast_path,
+            resync_interval=self.kernel.resync_interval, jit=self.jit)
+        parts = fan_out(functools.partial(_sweep_chunk, simulator_args,
+                                          seeds, sweep_options), chunks)
+        return (np.asarray(values, dtype=float),
+                np.concatenate([currents for currents, _ in parts]),
+                np.concatenate([errors for _, errors in parts]))
 
 
-def _sweep_chunk(payload) -> List[Tuple[float, float]]:
-    """Worker body of :meth:`MonteCarloSimulator._sweep_parallel` (picklable)."""
-    (circuit, temperature, include_cotunneling, fast_path, resync_interval,
-     jit, source, values, junction_name, max_events, warmup_events,
-     warm_start, seed, ensemble) = payload
-    simulator = MonteCarloSimulator(circuit, temperature, seed=seed,
-                                    include_cotunneling=include_cotunneling,
-                                    validate=False, fast_path=fast_path,
-                                    resync_interval=resync_interval, jit=jit)
-    out: List[Tuple[float, float]] = []
-    _, currents, errors = simulator.sweep_source(
-        source, values, junction_name, max_events=max_events,
-        warmup_events=warmup_events, warm_start=warm_start, workers=1,
-        ensemble=ensemble)
-    for mean, stderr in zip(currents, errors):
-        out.append((float(mean), float(stderr)))
-    return out
+def _sweep_chunk(simulator_args, seeds, sweep_options,
+                 chunk) -> Tuple[np.ndarray, np.ndarray]:
+    """Worker body of a fanned-out :meth:`MonteCarloSimulator.sweep_source`."""
+    simulator = MonteCarloSimulator(seed=seeds[chunk.index],
+                                    **simulator_args)
+    _, currents, errors = simulator.sweep_source(values=chunk.points,
+                                                 **sweep_options)
+    return currents, errors
 
 
 __all__ = ["MonteCarloSimulator"]

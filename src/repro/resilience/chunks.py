@@ -1,11 +1,13 @@
-"""One executor for content-hashed, resumable chunk runs.
+"""The one executor and process pool for chunked work.
 
 Design scans (:class:`~repro.design.scan.DeviceScan`) and checkpointed
 sweeps (:class:`~repro.resilience.checkpoint.CheckpointedSweep`) both shard
 their work into chunks whose numbers are a pure function of their cache
-key.  :func:`run_chunks` owns what they share: the cache round trip, the
-computed / resumed / failed counts, the resume log line and the process
-pool.  Its chunk-failure contract:
+key; the ``workers=N`` sweeps of the master-equation and Monte-Carlo tiers
+shard their points with :func:`split_points` and run them through
+:func:`fan_out`.  :func:`run_chunks` owns what they share: the cache round
+trip, the computed / resumed / failed counts, the resume log line and the
+process pool.  Its chunk-failure contract:
 
 * without a policy, the first exception propagates, whether ``compute`` or
   the pool raised it; chunks finished earlier stay persisted;
@@ -13,20 +15,29 @@ pool.  Its chunk-failure contract:
   counted failed and left uncached, so a re-run recomputes exactly it;
 * with a policy, a broken pool (a crashed worker, a dispatch or pickling
   error) recomputes every unfinished chunk serially under this contract.
+
+Degradation events that ``compute`` emits inside a pool worker come back
+with its payload and are re-emitted in the parent, so a policy capturing
+events there sees a degraded worker exactly as it sees a degraded
+in-process chunk.
 """
 
 from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..io.results import ResultCache
+from .events import DegradationEvent, capture_degradations, emit_degradation
 from .policy import FailurePolicy
 
 _LOG = logging.getLogger("repro.resilience")
 
-Payload = Mapping[str, Any]
+#: One chunk's result; a mapping wherever a cache stores it.
+Payload = Any
 
 
 class ChunkCounts:
@@ -43,19 +54,28 @@ class ChunkCounts:
 
 def _attempt(compute: Callable[[Any], Payload],
              chunk: Any) -> Tuple[Optional[Payload], Optional[Exception]]:
-    """Compute one chunk, returning what ``compute`` raised as a value.
-
-    Also the pool's entry point, so an exception out of ``future.result()``
-    is always the pool's own, never a chunk's.
-    """
+    """Compute one chunk, returning what ``compute`` raised as a value."""
     try:
         return compute(chunk), None
     except Exception as error:  # noqa: BLE001 - judged by the contract
         return None, error
 
 
+def _pooled_attempt(compute: Callable[[Any], Payload],
+                    chunk: Any) -> Tuple[Any, Any, List[DegradationEvent]]:
+    """The pool's entry point: :func:`_attempt` plus its degradation events.
+
+    Events emitted in a worker reach no subscriber of the parent, so they
+    travel back with the payload.  An exception out of ``future.result()``
+    is therefore always the pool's own, never a chunk's.
+    """
+    with capture_degradations() as events:
+        payload, error = _attempt(compute, chunk)
+    return payload, error, events
+
+
 def run_chunks(chunks: Sequence[Any], compute: Callable[[Any], Payload],
-               valid: Callable[[Any, Payload], bool], *,
+               valid: Optional[Callable[[Any, Payload], bool]], *,
                cache: Optional[ResultCache], policy: Optional[FailurePolicy],
                workers: int, counts: ChunkCounts) -> List[Optional[Payload]]:
     """Resume or compute every chunk of a plan.
@@ -69,6 +89,7 @@ def run_chunks(chunks: Sequence[Any], compute: Callable[[Any], Payload],
         Computes one chunk's payload; it must pickle when ``workers > 1``.
     valid:
         Whether a cached payload fits the chunk; if not, it is recomputed.
+        Never called without a cache.
     cache:
         Where finished chunks persist; ``None`` loads and stores nothing.
     policy:
@@ -116,10 +137,14 @@ def run_chunks(chunks: Sequence[Any], compute: Callable[[Any], Payload],
         finished = 0
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_attempt, compute, chunk)
+                futures = [pool.submit(_pooled_attempt, compute, chunk)
                            for chunk in pending]
                 for chunk, future in zip(pending, futures):
-                    finish(chunk, *future.result())
+                    payload, error, events = future.result()
+                    for event in events:
+                        emit_degradation(event.site, event.action,
+                                         event.detail)
+                    finish(chunk, payload, error)
                     finished += 1
         except Exception:
             if policy is None:
@@ -132,4 +157,35 @@ def run_chunks(chunks: Sequence[Any], compute: Callable[[Any], Payload],
     return payloads
 
 
-__all__ = ["ChunkCounts", "run_chunks"]
+class PointChunk(NamedTuple):
+    """One contiguous share of a fanned-out sweep's points."""
+
+    index: int
+    points: np.ndarray
+
+
+def split_points(values: Sequence[float], workers: int) -> List[PointChunk]:
+    """Split sweep points into ``min(workers, len(values))`` chunks, in order.
+
+    The split depends on ``workers`` and the point count only, never on the
+    host's CPU count, so seeded per-chunk results do not move between
+    hosts.
+    """
+    shares = np.array_split(np.asarray(values, dtype=float),
+                            min(int(workers), len(values)))
+    return [PointChunk(index, share) for index, share in enumerate(shares)]
+
+
+def fan_out(compute: Callable[[PointChunk], Any],
+            chunks: Sequence[PointChunk]) -> List[Any]:
+    """Compute every chunk on its own pool worker; results in chunk order.
+
+    No cache and no policy: a worker's exception or a broken pool
+    propagates (the session policy layer recovers it serially).
+    """
+    return run_chunks(chunks, compute, None, cache=None, policy=None,
+                      workers=len(chunks), counts=ChunkCounts())
+
+
+__all__ = ["ChunkCounts", "PointChunk", "fan_out", "run_chunks",
+           "split_points"]

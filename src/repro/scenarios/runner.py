@@ -1,7 +1,7 @@
 """The scenario runner: cache-aware, engine-dispatching execution.
 
 :class:`ScenarioRunner` is the orchestration layer between the declarative
-registry and the four engines.  Per run it
+registry and the six built-in engines.  Per run it
 
 1. resolves the scenario and applies an optional engine override,
 2. consults the content-hash result cache (spec hash + code version); a hit

@@ -1,9 +1,11 @@
 """The shared chunk executor and its one chunk-failure contract.
 
-``run_chunks`` runs both design scans and checkpointed sweeps.  These tests
-cover what the callers' own suites do not: a pool that cannot dispatch, a
-pool worker killed mid-scan, a scan that loses every chunk, and a
-checkpointed sweep that loses a chunk under a policy.
+``run_chunks`` runs design scans, checkpointed sweeps and the ``workers=N``
+fan-outs of the master-equation and Monte-Carlo sweeps.  These tests cover
+what the callers' own suites do not: a pool that cannot dispatch, a pool
+worker killed mid-run under every caller, degradation evidence coming back
+from pool workers, a scan that loses every chunk, and a checkpointed sweep
+that loses a chunk under a policy.
 """
 
 import functools
@@ -18,19 +20,26 @@ import pytest
 
 from repro.design import UNKNOWN, DeviceScan
 from repro.devices import SETTransistor
-from repro.engines import SweepAxes
+from repro.devices.set_transistor import DRAIN_JUNCTION, GATE_SOURCE
+from repro.engines import SweepAxes, get_engine
 from repro.io.results import ResultCache
+from repro.master import steadystate
+from repro.montecarlo import MonteCarloSimulator
+from repro.montecarlo.jit import jit_compiled
 from repro.resilience import (
     CheckpointedSweep,
     FailurePolicy,
     FaultInjector,
+    STATUS_DEGRADED,
     STATUS_SKIPPED,
     chunks,
 )
 from repro.resilience.chunks import ChunkCounts, run_chunks
+from repro.resilience.events import capture_degradations
 
 from ..design.conftest import make_spec
 from ..design.test_scan import comparable
+from .test_worker_digests import PINNED_DIGESTS, digest, seeded_sweep
 
 #: The test process; forked pool workers see a different pid.
 _PARENT = os.getpid()
@@ -126,6 +135,93 @@ class TestCrashedWorker:
         resumer = DeviceScan(spec, cache=cache)
         assert comparable(resumer.run(workers=2)) == clean
         assert resumer.chunks_resumed == scan.chunks_computed
+
+
+def _gates(device, count):
+    return np.linspace(0.0, device.gate_period, count)
+
+
+def _design_scan(device):
+    DeviceScan(make_spec()).run(workers=2)
+
+
+def _master_sweep(device):
+    solver = steadystate.MasterEquationSolver(
+        device.build_circuit(drain_voltage=2e-3), temperature=1.0)
+    solver.sweep_source(GATE_SOURCE, _gates(device, 4), DRAIN_JUNCTION,
+                        workers=2)
+
+
+def _montecarlo_sweep(device):
+    simulator = MonteCarloSimulator(device.build_circuit(drain_voltage=2e-3),
+                                    temperature=1.0, seed=5)
+    simulator.sweep_source(GATE_SOURCE, _gates(device, 4), DRAIN_JUNCTION,
+                           max_events=100, warmup_events=10, workers=2)
+
+
+class TestEveryCallerSharesOnePool:
+    """Every ``workers=N`` fan-out runs on the one pool and its contract."""
+
+    @pytest.mark.parametrize("run", [_design_scan, _master_sweep,
+                                     _montecarlo_sweep])
+    def test_without_policy_a_crashed_worker_propagates(
+            self, fork_pool, monkeypatch, device, run):
+        monkeypatch.setattr(chunks, "_attempt", _crash_worker_on_chunk_one)
+        with pytest.raises(BrokenProcessPool):
+            run(device)
+
+    def test_policed_session_sweep_recovers_serially_with_one_event(
+            self, fork_pool, monkeypatch, device):
+        axes = SweepAxes(_gates(device, 4), 2e-3)
+        serial = get_engine("master").bind(device, temperature=1.0).sweep(
+            axes)
+        monkeypatch.setattr(chunks, "_attempt", _crash_worker_on_chunk_one)
+        session = get_engine("master").bind(device, temperature=1.0)
+        with capture_degradations() as events:
+            recovered = session.sweep(axes, workers=2,
+                                      policy=FailurePolicy())
+        assert np.array_equal(recovered.currents, serial.currents)
+        assert [(e.site, e.action) for e in events] == [
+            ("executor.pool", "recover:serial")]
+        assert {r.status for r in recovered.statuses} == {STATUS_DEGRADED}
+
+    @pytest.mark.parametrize("engine, options", [
+        ("montecarlo", {}), ("ensemble", {"replicas": 4})])
+    def test_seeded_split_ignores_the_host_cpu_count(
+            self, monkeypatch, device, engine, options):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        result = seeded_sweep(device, engine, **options)
+        assert digest(result.currents, result.stderrs) == \
+            PINNED_DIGESTS[engine]
+
+
+class TestWorkerDegradationEvidence:
+    """A fallback taken inside a pool worker reaches the parent's policy."""
+
+    def policed_statuses(self, session, device, site):
+        axes = SweepAxes(_gates(device, 4), 2e-3)
+        chaos = FaultInjector()
+        chaos.arm(site, error=RuntimeError("injected"), times=None)
+        with chaos, capture_degradations() as events:
+            result = session.sweep(axes, workers=2, policy=FailurePolicy())
+        assert site in {event.site for event in events}
+        return {record.status for record in result.statuses}
+
+    def test_master_sparse_fallback_in_a_worker_is_degraded(
+            self, monkeypatch, device):
+        monkeypatch.setattr(steadystate, "DENSE_STATE_CUTOFF", 0)
+        session = get_engine("master").bind(device, temperature=1.0)
+        assert self.policed_statuses(session, device,
+                                     "steadystate.splu") == {STATUS_DEGRADED}
+
+    @pytest.mark.skipif(not jit_compiled(),
+                        reason="no native jit backend loaded")
+    def test_jit_fallback_in_a_worker_is_degraded(self, device):
+        session = get_engine("montecarlo-jit").bind(
+            device, temperature=1.0, seed=5, max_events=100,
+            warmup_events=10)
+        assert self.policed_statuses(session, device,
+                                     "jit.run_compiled") == {STATUS_DEGRADED}
 
 
 class TestEveryChunkLost:
