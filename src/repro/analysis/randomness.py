@@ -14,12 +14,23 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy import special
 
 from ..errors import AnalysisError
 
 #: Conventional significance level for accepting a stream as random.
 SIGNIFICANCE_LEVEL = 0.01
+
+
+def _erfc(x: float) -> float:
+    from scipy import special
+
+    return float(special.erfc(x))
+
+
+def _gammaincc(a: float, x: float) -> float:
+    from scipy import special
+
+    return float(special.gammaincc(a, x))
 
 
 def _as_bits(bits: Sequence[int]) -> np.ndarray:
@@ -38,7 +49,7 @@ def monobit_test(bits: Sequence[int]) -> float:
         raise AnalysisError("monobit test needs at least 100 bits")
     partial_sum = np.sum(2 * array - 1)
     statistic = abs(partial_sum) / math.sqrt(array.size)
-    return float(special.erfc(statistic / math.sqrt(2.0)))
+    return _erfc(statistic / math.sqrt(2.0))
 
 
 def block_frequency_test(bits: Sequence[int], block_size: int = 128) -> float:
@@ -52,7 +63,7 @@ def block_frequency_test(bits: Sequence[int], block_size: int = 128) -> float:
     trimmed = array[:blocks * block_size].reshape(blocks, block_size)
     proportions = trimmed.mean(axis=1)
     chi_squared = 4.0 * block_size * np.sum((proportions - 0.5) ** 2)
-    return float(special.gammaincc(blocks / 2.0, chi_squared / 2.0))
+    return _gammaincc(blocks / 2.0, chi_squared / 2.0)
 
 
 def runs_test(bits: Sequence[int]) -> float:
@@ -69,7 +80,7 @@ def runs_test(bits: Sequence[int]) -> float:
     denominator = 2.0 * math.sqrt(2.0 * array.size) * proportion * (1.0 - proportion)
     if denominator == 0.0:
         return 0.0
-    return float(special.erfc(numerator / denominator))
+    return _erfc(numerator / denominator)
 
 
 def longest_run_of_ones_test(bits: Sequence[int]) -> float:
@@ -95,7 +106,7 @@ def longest_run_of_ones_test(bits: Sequence[int]) -> float:
                          minlength=categories.size).astype(float)
     expected = blocks * np.asarray(probabilities)
     chi_squared = float(np.sum((counts - expected) ** 2 / expected))
-    return float(special.gammaincc((categories.size - 1) / 2.0, chi_squared / 2.0))
+    return _gammaincc((categories.size - 1) / 2.0, chi_squared / 2.0)
 
 
 def _longest_runs(blocks: np.ndarray) -> np.ndarray:
@@ -125,7 +136,7 @@ def serial_correlation_test(bits: Sequence[int], lag: int = 1) -> float:
         return 0.0
     correlation = float(np.sum(x * y) / variance)
     statistic = abs(correlation) * math.sqrt(array.size)
-    return float(special.erfc(statistic / math.sqrt(2.0)))
+    return _erfc(statistic / math.sqrt(2.0))
 
 
 def serial_correlation_profile(bits: Sequence[int],
@@ -185,7 +196,7 @@ def approximate_entropy_test(bits: Sequence[int], block_length: int = 2) -> floa
 
     ap_en = phi(block_length) - phi(block_length + 1)
     chi_squared = 2.0 * n * (math.log(2.0) - ap_en)
-    return float(special.gammaincc(2 ** (block_length - 1), chi_squared / 2.0))
+    return _gammaincc(2 ** (block_length - 1), chi_squared / 2.0)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ of the device/environment grid it records a three-valued **verdict**
 or outside the feasible window the point sits; fragile designs have small
 positive margins), every constraint's individual margin, the on/off
 operating currents, an optional per-point tolerance **yield**, and a
-per-point status string (``ok`` / ``failed`` / ``skipped``) mirroring the
-resilience layer's point records.
+per-point status string (``ok`` / ``degraded`` / ``failed`` / ``skipped``)
+mirroring the resilience layer's point records.
 
 Maps are plain-payload serialisable (:meth:`FeasibilityMap.to_payload` /
 :meth:`from_payload`) so they flow through the result cache, the CLI's
@@ -65,7 +65,8 @@ class FeasibilityMap:
         Flat float arrays of the operating currents (NaN where the scan
         skipped the engine solves).
     statuses:
-        Per-point status strings: ``"ok"``, ``"failed"``, or ``"skipped"``.
+        Per-point status strings: ``"ok"``, ``"degraded"``, ``"failed"``, or
+        ``"skipped"``.
     yields:
         Optional flat float array of per-point tolerance-MC yield in
         ``[0, 1]`` (``None`` when the spec declares no tolerances).

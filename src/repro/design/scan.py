@@ -26,7 +26,8 @@ Execution discipline mirrors the resilience layer:
   under a policy leaves a *partial* map that a re-run completes;
 * per-point failures **degrade** under an optional
   :class:`~repro.resilience.policy.FailurePolicy` (unknown verdict, NaN
-  margins, ``failed`` status) instead of aborting the scan;
+  margins, ``failed`` status) instead of aborting the scan, and points
+  solved through a fallback rung report a ``degraded`` status;
 * stochastic engines get SHA-256-derived per-point seeds
   (:func:`~repro.io.results.derive_seed` of the root seed, ``"design-point"``
   and the flat index) and the tolerance model draws from
@@ -51,6 +52,7 @@ from ..errors import ValidationError
 from ..io.results import ResultCache, column_length, content_hash, \
     derive_seed
 from ..resilience.chunks import ChunkCounts, run_chunks
+from ..resilience.events import capture_degradations
 from ..resilience.faults import inject
 from ..resilience.policy import FailurePolicy
 from .constraints import Constraint, DesignPoint, build_constraints
@@ -133,7 +135,9 @@ class _Outcome:
     ``errors`` maps row -> the exception that row's evaluation raised (its
     device could not be built, or its engine solve failed); the array
     slots of such rows hold whatever the batch computed and are only
-    meaningful once the row is cleared or re-evaluated.
+    meaningful once the row is cleared or re-evaluated.  ``degraded``
+    flags rows whose numbers came through a fallback rung (a degradation
+    event was emitted while the batch was evaluated).
     """
 
     verdicts: np.ndarray
@@ -143,6 +147,7 @@ class _Outcome:
     off_currents: np.ndarray
     yields: Optional[np.ndarray]
     errors: Dict[int, Exception]
+    degraded: np.ndarray
 
     def clear(self, row: int) -> None:
         """Turn one row into a failed/skipped slot (unknown, NaN)."""
@@ -163,6 +168,7 @@ class _Outcome:
                              (self.yields, single.yields)):
             if mine is not None and theirs is not None:
                 mine[row] = theirs[0]
+        self.degraded[row] = single.degraded[0]
         self.errors.pop(row, None)
         if 0 in single.errors:
             self.errors[row] = single.errors[0]
@@ -302,7 +308,12 @@ class _ChunkEvaluator:
         return codes.astype(np.int8), robustness
 
     def evaluate(self, flat: np.ndarray) -> _Outcome:
-        """Fully evaluate a batch of grid points (constraints + yields)."""
+        """Fully evaluate a batch of grid points (constraints + yields).
+
+        A batched solve cannot attribute a degradation event to one row,
+        so any event emitted while the batch is solved marks every row of
+        the batch degraded.
+        """
         table, drains = self.inputs(flat)
         rejected = table.rejected()
         errors: Dict[int, Exception] = {}
@@ -312,20 +323,22 @@ class _ChunkEvaluator:
             except Exception as error:  # noqa: BLE001 - reported per point
                 errors[int(row)] = error
         on, off = np.full((2, len(table)), math.nan)
-        if self.needs_currents:
-            on, off, failed = self.solve(table, drains,
-                                         np.flatnonzero(~rejected))
-            errors.update(failed)
-        margins, satisfied = self.classify(table, drains, on, off,
-                                           self.constraints)
-        verdicts, robustness = self.verdicts(margins, satisfied)
-        yields = None
-        if self.tolerance:
-            counts = self.feasible_samples(table, drains)
-            yields = counts / self.spec.tolerance_samples
+        with capture_degradations() as events:
+            if self.needs_currents:
+                on, off, failed = self.solve(table, drains,
+                                             np.flatnonzero(~rejected))
+                errors.update(failed)
+            margins, satisfied = self.classify(table, drains, on, off,
+                                               self.constraints)
+            verdicts, robustness = self.verdicts(margins, satisfied)
+            yields = None
+            if self.tolerance:
+                counts = self.feasible_samples(table, drains)
+                yields = counts / self.spec.tolerance_samples
         return _Outcome(verdicts=verdicts, robustness=robustness,
                         margins=margins, on_currents=on, off_currents=off,
-                        yields=yields, errors=errors)
+                        yields=yields, errors=errors,
+                        degraded=np.full(len(table), bool(events)))
 
     # ------------------------------------------------------------ tolerance
 
@@ -493,7 +506,7 @@ class DeviceScan(ChunkCounts):
                 outcome.clear(row)
                 statuses.append("failed")
                 continue
-            statuses.append("ok")
+            statuses.append("degraded" if outcome.degraded[row] else "ok")
         payload: Dict[str, Any] = {
             "engine": self.engine.name,
             "start": start,

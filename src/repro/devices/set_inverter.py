@@ -21,7 +21,7 @@ Two paper claims hang off this device:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +29,9 @@ from ..circuit.netlist import Circuit
 from ..constants import E_CHARGE
 from ..core.energy import EnergyModel
 from ..errors import AnalysisError, CircuitError
-from ..master.steadystate import MasterEquationSolver, SteadyStateSolution
+
+if TYPE_CHECKING:
+    from ..master.steadystate import SteadyStateSolution
 
 #: Node names used by every inverter circuit.
 UPPER_ISLAND = "island_up"
@@ -159,6 +161,8 @@ class SETInverter:
                        offsets: Optional[Dict[str, float]] = None,
                        extra_electrons: int = 2) -> float:
         """Steady-state output voltage (volt) for one input voltage."""
+        from ..master.steadystate import MasterEquationSolver
+
         circuit = self.build_circuit(input_voltage, offsets=offsets)
         model = EnergyModel(circuit)
         solver = MasterEquationSolver(circuit, temperature=temperature,

@@ -25,7 +25,6 @@ import numpy as np
 from ..constants import E_CHARGE
 from ..devices.set_transistor import DRAIN_JUNCTION, SETTransistor
 from ..errors import EncodingError
-from ..master.steadystate import MasterEquationSolver
 
 
 @dataclass(frozen=True)
@@ -131,6 +130,8 @@ class DirectCodedSETLogic(LogicEncoding):
         self.threshold_current = 0.5 * (low + high)
 
     def _current(self, gate_voltage: float, background_charge: float) -> float:
+        from ..master.steadystate import MasterEquationSolver
+
         circuit = self.transistor.build_circuit(
             drain_voltage=self.drain_voltage, gate_voltage=gate_voltage,
             background_charge=background_charge)

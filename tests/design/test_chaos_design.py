@@ -6,7 +6,9 @@ import pytest
 from repro.design import UNKNOWN, DeviceScan
 from repro.errors import FaultInjected
 from repro.io.results import ResultCache
+from repro.master import steadystate
 from repro.resilience import FailurePolicy, FaultInjector
+from repro.resilience.events import capture_degradations
 from repro.resilience.faults import SITES
 
 from .conftest import make_spec
@@ -72,6 +74,33 @@ class TestMidScanCrash:
         assert not healed.is_partial
         assert comparable(healed) == comparable(
             DeviceScan(spec, policy=policy).run())
+
+
+class TestFallbackEvidence:
+    """Points solved through a fallback rung read ``degraded``."""
+
+    def master_spec(self):
+        return make_spec(engine="master",
+                         axes=[{"parameter": "gate_capacitance",
+                                "start": 5e-19, "stop": 5e-18, "points": 4,
+                                "spacing": "log"}], chunk_size=2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sparse_fallback_marks_master_points_degraded(
+            self, monkeypatch, workers):
+        monkeypatch.setattr(steadystate, "DENSE_STATE_CUTOFF", 0)
+        spec = self.master_spec()
+        clean = DeviceScan(spec, policy=FailurePolicy()).run(workers=workers)
+        assert set(clean.statuses) == {"ok"}
+        chaos = FaultInjector()
+        chaos.arm("steadystate.splu", error=RuntimeError("injected"),
+                  times=None)
+        with chaos, capture_degradations() as events:
+            degraded = DeviceScan(spec, policy=FailurePolicy()).run(
+                workers=workers)
+        assert "steadystate.splu" in {event.site for event in events}
+        assert set(degraded.statuses) == {"degraded"}
+        assert np.array_equal(degraded.verdicts, clean.verdicts)
 
 
 class TestPointDegradation:
