@@ -173,6 +173,9 @@ class EnergyModel:
             self._events.append(TunnelEvent(junction, +1))
             self._events.append(TunnelEvent(junction, -1))
         self._table: Optional[EventTable] = None
+        #: Energy evaluations made by :meth:`ground_states` walks so far, a
+        #: cost counter the benchmarks read.
+        self.walk_steps = 0
 
     # ------------------------------------------------------------- basic maps
 
@@ -402,21 +405,61 @@ class EnergyModel:
         finds the true ground state; for larger circuits it is a good starting
         configuration for the stochastic simulators.
         """
+        return self.ground_states((max_electrons,), voltages, offsets)[0]
+
+    def ground_states(self, limits: Sequence[int],
+                      voltages: Optional[np.ndarray] = None,
+                      offsets: Optional[np.ndarray] = None
+                      ) -> List[np.ndarray]:
+        """Where one greedy walk stops under each of several electron limits.
+
+        Element ``i`` equals ``ground_state(limits[i], voltages, offsets)``
+        exactly.  A walk under a smaller limit (and so a smaller step budget
+        ``(2 limit + 1) ** islands``) is a prefix of the walk under a larger
+        one, so a single walk under the largest limit records every stop
+        point.  The source voltages, offset charges and ``B V`` are fixed
+        for the walk; each step performs the same floating-point operations
+        as :meth:`event_delta_f`.
+        """
         electrons = self.zero_state()
+        stops: List[Optional[np.ndarray]] = [None] * len(limits)
         if not self._events:
-            return electrons
+            return [electrons] * len(limits)
         table = self.table
-        budget = (2 * max_electrons + 1) ** max(1, self.island_count)
-        for _ in range(budget):
-            deltas = self.event_delta_f(electrons, voltages, offsets)
-            best = int(np.argmin(deltas))
+        system = self.system
+        if voltages is None:
+            voltages = system.cached_source_voltages()
+        if offsets is None:
+            offsets = system.cached_offset_charges()
+        bias = system.external_charge(voltages)
+        inverse = system.inverse
+        pool = np.concatenate((np.zeros(self.island_count), voltages))
+        potentials = pool[:self.island_count]
+        islands = max(1, self.island_count)
+        budgets = [(2 * limit + 1) ** islands for limit in limits]
+        top = max(limits)
+        for step in range(max(budgets)):
+            for index, budget in enumerate(budgets):
+                if step == budget and stops[index] is None:
+                    stops[index] = electrons
+            self.walk_steps += 1
+            # event_delta_f: phi = C^-1 ((-n e + q0) + B V), then the table.
+            charges = -electrons.astype(float) * E_CHARGE + offsets
+            potentials[:] = inverse @ (charges + bias)
+            deltas = E_CHARGE * (pool.take(table._from_gather)
+                                 - pool.take(table._to_gather)) + table.reorg
+            best = int(deltas.argmin())
             if deltas[best] >= 0.0:
-                return electrons
+                break
             candidate = electrons + table.delta_n[best]
-            if np.any(np.abs(candidate) > max_electrons):
-                return electrons
+            reach = int(np.abs(candidate).max(initial=0))
+            for index, limit in enumerate(limits):
+                if reach > limit and stops[index] is None:
+                    stops[index] = electrons
+            if reach > top:
+                break
             electrons = candidate
-        return electrons
+        return [electrons if stop is None else stop for stop in stops]
 
     # --------------------------------------------------- closed-form helpers
 

@@ -35,6 +35,8 @@ _EXPANSION_THRESHOLD = 1e-9
 #: Exponents beyond this value are treated as infinite to avoid overflow.
 _EXP_OVERFLOW = 500.0
 
+_E_SQUARED = E_CHARGE**2
+
 
 def orthodox_rate(delta_f: float, resistance: float, temperature: float) -> float:
     """First-order tunnel rate of the orthodox theory, in events per second.
@@ -55,9 +57,9 @@ def orthodox_rate(delta_f: float, resistance: float, temperature: float) -> floa
         ``-dF / (e^2 R)`` for downhill events and exactly ``0`` for uphill
         events; at ``dF = 0`` (finite ``T``) it is ``kT / (e^2 R)``.
     """
-    if resistance <= 0.0:
+    if not resistance > 0.0:
         raise ReproError(f"tunnel resistance must be positive, got {resistance!r}")
-    if temperature < 0.0:
+    if not temperature >= 0.0:
         raise ReproError(f"temperature must be non-negative, got {temperature!r}")
 
     prefactor = 1.0 / (E_CHARGE**2 * resistance)
@@ -84,8 +86,14 @@ def orthodox_rate_vec(delta_f, resistance, temperature,
     Evaluates ``Gamma = (-dF / e^2 R) / (1 - exp(dF / kT))`` element-wise with
     the same analytic limits as the scalar reference — the ``T = 0`` step
     function, the ``|dF| << kT`` series expansion and the ``exp`` overflow
-    guards — applied branch for branch, with the same floating-point
-    operations in the same order.
+    guards.  The kernel is mask-free: the general form runs on the whole
+    array, with the exponent clamped to ``[-500, 500]`` so that no element
+    can overflow, underflow or divide by zero, and the limit branches then
+    overwrite their elements through ``np.copyto(..., where=...)``.  Every
+    element still goes through the same floating-point operations, in the
+    same order, as its branch in the scalar reference.  Below the clamp
+    (``dF < -500 kT``) the general form is the limit itself, because
+    ``1 - exp(-500)`` rounds to exactly ``1.0``.
 
     Contract against the scalar reference: every branch except the general
     one is bit-identical (so ``T = 0`` tables match exactly).  The general
@@ -105,38 +113,61 @@ def orthodox_rate_vec(delta_f, resistance, temperature,
         element, ``T = 0`` entries taking the step-function branch).
     out:
         Optional preallocated output array of the broadcast shape.
+
+    Raises
+    ------
+    ReproError
+        If a resistance is not positive or a temperature is negative; NaN
+        fails both checks.
     """
-    if np.ndim(temperature) != 0:
+    if not isinstance(temperature, float) and np.ndim(temperature) != 0:
         return _orthodox_rate_vec_temperatures(delta_f, resistance,
                                                temperature, out)
     df = np.asarray(delta_f, dtype=float)
     res = np.asarray(resistance, dtype=float)
-    if np.any(res <= 0.0):
+    if not (res > 0.0).all():
         raise ReproError("tunnel resistances must be positive")
-    if temperature < 0.0:
+    if not temperature >= 0.0:
         raise ReproError(f"temperature must be non-negative, got {temperature!r}")
 
-    prefactor = 1.0 / (E_CHARGE**2 * res)
-    df, prefactor = np.broadcast_arrays(df, prefactor)
+    prefactor = 1.0 / (_E_SQUARED * res)
+    if df.shape != prefactor.shape:
+        df, prefactor = np.broadcast_arrays(df, prefactor)
     if out is None:
         out = np.empty(df.shape, dtype=float)
 
     if temperature == 0.0:
         np.multiply(df, -prefactor, out=out)
-        out[df >= 0.0] = 0.0
+        np.copyto(out, 0.0, where=df >= 0.0)
         return out
 
     thermal = BOLTZMANN * temperature
     x = df / thermal
     small = np.abs(x) < _EXPANSION_THRESHOLD
-    underflow = x < -_EXP_OVERFLOW
-    general = ~(small | underflow | (x > _EXP_OVERFLOW))
-
-    out[...] = 0.0  # the x > _EXP_OVERFLOW branch
-    out[general] = prefactor[general] * (-df[general]) / (1.0 - np.exp(x[general]))
+    if not small.any():
+        _general_rate(df, prefactor, x, None, out)
+        return out
+    _general_rate(df, prefactor, x, small, out)
     out[small] = prefactor[small] * thermal * (1.0 - 0.5 * x[small])
-    out[underflow] = -df[underflow] * prefactor[underflow]
     return out
+
+
+def _general_rate(df: np.ndarray, prefactor: np.ndarray, x: np.ndarray,
+                  exempt, out: np.ndarray) -> None:
+    """Fill ``out`` with the general form, and zero where ``x > 500``.
+
+    ``exempt`` (a mask, or ``None``) marks elements that another branch
+    overwrites afterwards.  Their exponent is replaced by 1, so that
+    ``1 - exp`` cannot vanish there.
+    """
+    np.maximum(x, -_EXP_OVERFLOW, out=out)
+    np.minimum(out, _EXP_OVERFLOW, out=out)
+    if exempt is not None:
+        np.copyto(out, 1.0, where=exempt)
+    np.exp(out, out=out)
+    np.subtract(1.0, out, out=out)
+    np.divide(prefactor * -df, out, out=out)
+    np.copyto(out, 0.0, where=x > _EXP_OVERFLOW)
 
 
 def _orthodox_rate_vec_temperatures(delta_f, resistance, temperature,
@@ -145,36 +176,38 @@ def _orthodox_rate_vec_temperatures(delta_f, resistance, temperature,
 
     The same branches as the scalar-temperature path, selected per element:
     ``T = 0`` elements take the step function, the others the series
-    expansion, the overflow guards or the general form.
+    expansion, the overflow guards or the general form.  ``T = 0`` elements
+    divide by a stand-in ``kT = 1`` so that no division by zero occurs;
+    the step function then overwrites them.
     """
     df = np.asarray(delta_f, dtype=float)
     res = np.asarray(resistance, dtype=float)
     temperature = np.asarray(temperature, dtype=float)
-    if np.any(res <= 0.0):
+    if not (res > 0.0).all():
         raise ReproError("tunnel resistances must be positive")
-    if np.any(temperature < 0.0):
+    if not (temperature >= 0.0).all():
         raise ReproError("temperatures must be non-negative")
 
-    prefactor = 1.0 / (E_CHARGE**2 * res)
-    df, prefactor, temperature = np.broadcast_arrays(df, prefactor,
-                                                     temperature)
+    prefactor = 1.0 / (_E_SQUARED * res)
+    if not df.shape == prefactor.shape == temperature.shape:
+        df, prefactor, temperature = np.broadcast_arrays(df, prefactor,
+                                                         temperature)
     if out is None:
         out = np.empty(df.shape, dtype=float)
 
     frozen = temperature == 0.0
     thermal = BOLTZMANN * temperature
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = df / thermal
-    small = ~frozen & (np.abs(x) < _EXPANSION_THRESHOLD)
-    underflow = ~frozen & (x < -_EXP_OVERFLOW)
-    general = ~(frozen | small | underflow | (x > _EXP_OVERFLOW))
-
-    out[...] = 0.0  # the x > _EXP_OVERFLOW branch and uphill T = 0 events
-    out[general] = prefactor[general] * (-df[general]) / (1.0 - np.exp(x[general]))
-    out[small] = prefactor[small] * thermal[small] * (1.0 - 0.5 * x[small])
-    out[underflow] = -df[underflow] * prefactor[underflow]
-    downhill = frozen & (df < 0.0)
-    out[downhill] = df[downhill] * -prefactor[downhill]
+    np.copyto(thermal, 1.0, where=frozen)
+    x = df / thermal
+    small = np.abs(x) < _EXPANSION_THRESHOLD
+    small &= ~frozen
+    _general_rate(df, prefactor, x, small | frozen, out)
+    if small.any():
+        out[small] = prefactor[small] * thermal[small] * (1.0 - 0.5 * x[small])
+    if frozen.any():
+        out[frozen] = 0.0
+        downhill = frozen & (df < 0.0)
+        out[downhill] = df[downhill] * -prefactor[downhill]
     return out
 
 

@@ -26,7 +26,7 @@ from scipy import sparse
 from ..circuit.netlist import Circuit
 from ..core.energy import EnergyModel
 from ..errors import StateSpaceError
-from .statespace import StateSpace, auto_state_space
+from .statespace import StateSpace, auto_state_space, build_state_space
 from .transitions import TransitionTable
 
 
@@ -109,6 +109,20 @@ class RateMatrixBuilder:
                                    or cached.space.states == space.states):
             return cached
         table = TransitionTable(self.model, space, self.temperature)
+        self._cached_table = table
+        return table
+
+    def window_table(self, bounds: List[Tuple[int, int]]) -> TransitionTable:
+        """The (cached) transition structure of an automatic box window.
+
+        Reuses the cached table when its window is exactly the box
+        ``bounds``; otherwise enumerates the box and caches the new table.
+        """
+        cached = self._cached_table
+        if cached is not None and cached.box == bounds:
+            return cached
+        table = TransitionTable(self.model, build_state_space(bounds),
+                                self.temperature)
         self._cached_table = table
         return table
 

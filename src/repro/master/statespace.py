@@ -98,16 +98,33 @@ def auto_window_bounds(model: EnergyModel, extra_electrons: int = 3,
     :class:`~repro.master.transitions.TransitionTable` still covers the new
     operating point without enumerating the window again.
     """
+    bounds, ground, _ = auto_window(model, extra_electrons, voltages, offsets)
+    return bounds, ground
+
+
+def auto_window(model: EnergyModel, extra_electrons: int = 3,
+                voltages: Optional[np.ndarray] = None,
+                offsets: Optional[np.ndarray] = None,
+                start_limit: int = 5
+                ) -> Tuple[List[Tuple[int, int]], np.ndarray, np.ndarray]:
+    """Window bounds and two ground states from one greedy walk.
+
+    Returns ``(bounds, centre, start)``: the window is centred on the walk
+    under the limit ``extra_electrons + 5``, and ``start`` is where the same
+    walk stops under ``start_limit`` (what ``model.ground_state(start_limit)``
+    returns), the state a stationary solve starts from.
+    """
     if extra_electrons < 1:
         raise StateSpaceError(
             f"extra_electrons must be at least 1, got {extra_electrons!r}"
         )
     if model.island_count == 0:
         raise StateSpaceError("the circuit has no islands; nothing to enumerate")
-    ground = model.ground_state(max_electrons=extra_electrons + 5,
-                                voltages=voltages, offsets=offsets)
-    bounds = [(int(n) - extra_electrons, int(n) + extra_electrons) for n in ground]
-    return bounds, ground
+    start, centre = model.ground_states((start_limit, extra_electrons + 5),
+                                        voltages, offsets)
+    bounds = [(int(n) - extra_electrons, int(n) + extra_electrons)
+              for n in centre]
+    return bounds, centre, start
 
 
 def auto_state_space(model: EnergyModel, extra_electrons: int = 3,
@@ -133,4 +150,4 @@ def auto_state_space(model: EnergyModel, extra_electrons: int = 3,
 
 
 __all__ = ["StateSpace", "build_state_space", "auto_state_space",
-           "auto_window_bounds", "MAX_STATES"]
+           "auto_window", "auto_window_bounds", "MAX_STATES"]

@@ -7,9 +7,12 @@ island occupation probabilities and mean island charges/potentials.
 
 Two solver backends share one algorithm:
 
-* ``method="dense"`` — the original NumPy path (``np.linalg.solve`` plus a
-  networkx reducibility analysis).  It is the correctness baseline and the
-  default for small windows.
+* ``method="dense"`` — the original NumPy path (``np.linalg.solve``).  It is
+  the correctness baseline and the default for small windows.  A cheap
+  numpy reachability test recognises the common case, a reachable set that
+  is one closed class, and solves it directly; only a genuinely reducible
+  chain runs the closed-class analysis, through the same
+  ``scipy.sparse.csgraph`` components the sparse path uses.
 * ``method="sparse"`` — ``scipy.sparse`` throughout: the generator is a CSR
   matrix, reachability and closed communicating classes come from
   ``scipy.sparse.csgraph`` (BFS + strongly connected components), and the
@@ -21,19 +24,20 @@ Two solver backends share one algorithm:
 ``method="auto"`` (the default) picks dense below
 :data:`DENSE_STATE_CUTOFF` states and sparse above.
 
-Sweeps (:meth:`MasterEquationSolver.sweep_source`,
-:meth:`MasterEquationSolver.sweep_gate_drain`) reuse the
-:class:`~repro.master.transitions.TransitionTable` across operating points:
-per point only the rate values are refreshed and one linear system is solved;
-the window is re-enumerated only when the ground state drifts out of the
-cached window.
+Every operating point — :meth:`MasterEquationSolver.solve` and each point of
+:meth:`MasterEquationSolver.sweep_source` and
+:meth:`MasterEquationSolver.sweep_gate_drain` — goes through one per-point
+routine: one greedy ground-state walk places the window and the start state,
+the cached :class:`~repro.master.transitions.TransitionTable` is reused while
+the window stays put, only the rate values are refreshed, and one linear
+system is solved.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -46,7 +50,7 @@ from ..errors import ConvergenceError, SolverError
 from ..resilience.events import emit_degradation
 from ..resilience.faults import inject
 from .builder import RateMatrixBuilder, Transition
-from .statespace import StateSpace, auto_window_bounds, build_state_space
+from .statespace import StateSpace, auto_window
 from .transitions import TransitionTable
 
 #: ``method="auto"`` switches from the dense to the sparse backend above this
@@ -84,10 +88,19 @@ class SteadyStateSolution:
     temperature: float
     space: StateSpace
     probabilities: np.ndarray
-    transitions: List[Transition]
     #: Conventional current (ampere) flowing from ``node_a`` to ``node_b`` of
     #: each junction, keyed by junction name.
     junction_currents: Dict[str, float] = field(default_factory=dict)
+    #: Builds :attr:`transitions` on first access.
+    transition_source: Optional[Callable[[], List[Transition]]] = field(
+        default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def transitions(self) -> List[Transition]:
+        """Every transition with a positive rate (built on first access)."""
+        if self.transition_source is None:
+            return []
+        return self.transition_source()
 
     @property
     def state_count(self) -> int:
@@ -157,21 +170,16 @@ class MasterEquationSolver:
     def solve(self, voltages: Optional[np.ndarray] = None,
               offsets: Optional[np.ndarray] = None) -> SteadyStateSolution:
         """Solve for the stationary distribution at the current operating point."""
-        table = self.builder.transition_table(voltages=voltages, offsets=offsets)
-        rates, delta = table.rates(voltages, offsets)
-        ground = self.builder.model.ground_state(voltages=voltages,
-                                                 offsets=offsets)
-        ground_key = tuple(int(v) for v in ground)
-        initial_index = table.space.index.get(ground_key, 0)
-        probabilities = self._stationary(table, rates, initial_index)
-        currents = table.junction_currents(probabilities, rates)
+        table, rates, delta, probabilities = self._solve_point(voltages,
+                                                               offsets)
         return SteadyStateSolution(
             circuit_name=self.circuit.name,
             temperature=self.temperature,
             space=table.space,
             probabilities=probabilities,
-            transitions=table.transitions_list(rates, delta),
-            junction_currents=currents,
+            junction_currents=table.junction_currents(probabilities, rates),
+            transition_source=functools.partial(table.transitions_list,
+                                                rates, delta),
         )
 
     def current(self, junction_name: str,
@@ -179,6 +187,37 @@ class MasterEquationSolver:
                 offsets: Optional[np.ndarray] = None) -> float:
         """Convenience: stationary current through one junction, in ampere."""
         return self.solve(voltages=voltages, offsets=offsets).current(junction_name)
+
+    def _solve_point(self, voltages: Optional[np.ndarray] = None,
+                     offsets: Optional[np.ndarray] = None, *,
+                     start_at_centre: bool = False):
+        """Table, rates, free energies and stationary probabilities at a point.
+
+        The one per-point routine behind :meth:`solve` and every sweep point.
+        One greedy walk places the automatic window (reusing the cached table
+        while the window stays put) and gives the start state of the
+        stationary solve.  :meth:`solve` starts where the walk stops under
+        :meth:`~repro.core.energy.EnergyModel.ground_state`'s default limit;
+        the sweeps (``start_at_centre``) start from the window centre.  The
+        two states differ only when the walk runs past five electrons or
+        exhausts its step budget, and the start matters only on a reducible
+        chain.
+        """
+        builder = self.builder
+        if builder._explicit_space is not None:
+            start = builder.model.ground_state(voltages=voltages,
+                                               offsets=offsets)
+            table = builder.transition_table()
+        else:
+            bounds, centre, start = auto_window(
+                builder.model, builder.extra_electrons, voltages, offsets)
+            table = builder.window_table(bounds)
+            if start_at_centre:
+                start = centre
+        rates, delta = table.rates(voltages, offsets)
+        initial_index = table.space.index.get(tuple(start.tolist()), 0)
+        return table, rates, delta, self._stationary(table, rates,
+                                                     initial_index)
 
     def _resolve_method(self, state_count: int) -> str:
         return resolve_solver_method(self.method, state_count)
@@ -232,12 +271,10 @@ class MasterEquationSolver:
         currents = np.empty(values_array.size)
         snapshot = self.circuit.bias_snapshot()
         try:
-            table: Optional[TransitionTable] = None
             for position, value in enumerate(values_array):
                 self.circuit.set_source_voltage(source, float(value))
-                table, initial_index = self._point_table(table)
-                rates, _ = table.rates()
-                probabilities = self._stationary(table, rates, initial_index)
+                table, rates, _, probabilities = self._solve_point(
+                    start_at_centre=True)
                 currents[position] = table.junction_currents(
                     probabilities, rates)[junction_name]
         finally:
@@ -286,16 +323,13 @@ class MasterEquationSolver:
         currents = np.empty((drain_array.size, gate_array.size))
         snapshot = self.circuit.bias_snapshot()
         try:
-            table: Optional[TransitionTable] = None
             for row, drain_value in enumerate(drain_array):
                 self.circuit.set_source_voltage(drain_source, float(drain_value))
                 for column, gate_value in enumerate(gate_array):
                     self.circuit.set_source_voltage(gate_source,
                                                     float(gate_value))
-                    table, initial_index = self._point_table(table)
-                    rates, _ = table.rates()
-                    probabilities = self._stationary(table, rates,
-                                                     initial_index)
+                    table, rates, _, probabilities = self._solve_point(
+                        start_at_centre=True)
                     currents[row, column] = table.junction_currents(
                         probabilities, rates)[junction_name]
         finally:
@@ -311,26 +345,6 @@ class MasterEquationSolver:
                 f"unknown junction {junction_name!r}; known junctions: "
                 f"{sorted(known)}"
             )
-
-    def _point_table(self, table: Optional[TransitionTable]
-                     ) -> Tuple[TransitionTable, int]:
-        """Table valid at the circuit's current operating point.
-
-        Reuses ``table`` whenever the automatic window of the new point fits
-        inside it (for the default half-width that means: as long as the
-        ground state has not moved); otherwise the window is re-enumerated.
-        """
-        builder = self.builder
-        if builder._explicit_space is not None:
-            ground = builder.model.ground_state()
-            table = builder.transition_table()
-        else:
-            bounds, ground = auto_window_bounds(
-                builder.model, extra_electrons=builder.extra_electrons)
-            if table is None or not table.covers_window(bounds):
-                table = builder.transition_table(build_state_space(bounds))
-        ground_key = tuple(int(v) for v in ground)
-        return table, table.space.index.get(ground_key, 0)
 
     def _fan_out(self, worker, points: np.ndarray, workers: int,
                  *sweep_args) -> list:
@@ -371,8 +385,7 @@ def _sweep_gate_drain_chunk(solver_args, sweep_args, chunk) -> np.ndarray:
 
 
 # ======================================================================
-# Dense backend (the correctness baseline; kept verbatim from the
-# original implementation apart from the shared docstring).
+# Dense backend (the correctness baseline).
 # ======================================================================
 
 
@@ -391,8 +404,10 @@ def _solve_stationary(matrix: np.ndarray, initial_index: int = 0) -> np.ndarray:
     4. weights the classes by the probability of being absorbed into them when
        starting from ``initial_index``.
 
-    For an irreducible chain this reduces to the textbook ``M p = 0`` with
-    normalisation.
+    When every forward-reachable state can reach ``initial_index`` back, the
+    reachable set is one closed class and steps 2 and 4 are skipped: this is
+    the textbook ``M p = 0`` with normalisation on that set, and the common
+    case by far.
     """
     size = matrix.shape[0]
     if size == 0:
@@ -404,26 +419,33 @@ def _solve_stationary(matrix: np.ndarray, initial_index: int = 0) -> np.ndarray:
 
     adjacency = matrix > 0.0
     np.fill_diagonal(adjacency, False)
-
-    reachable = _forward_reachable(adjacency, initial_index)
-    reachable_list = sorted(reachable)
-    local = {state: position for position, state in enumerate(reachable_list)}
-    sub_adjacency = adjacency[np.ix_(reachable_list, reachable_list)]
-    classes = _closed_classes(sub_adjacency)
-
-    probabilities = np.zeros(size)
-    if len(classes) == 1 and len(classes[0]) == len(reachable_list):
-        # Irreducible on the reachable set: single linear solve.
-        block = matrix[np.ix_(reachable_list, reachable_list)]
-        probabilities[reachable_list] = _irreducible_stationary(block)
+    forward = _reach(adjacency, initial_index)
+    if _reach(adjacency.T, initial_index)[forward].all():
+        if forward.all():
+            return _irreducible_stationary(matrix)
+        reachable = np.flatnonzero(forward)
+        probabilities = np.zeros(size)
+        probabilities[reachable] = _irreducible_stationary(
+            matrix[np.ix_(reachable, reachable)])
         return probabilities
 
+    reachable_list = np.flatnonzero(forward)
+    sub_graph = sparse.csr_matrix(adjacency[np.ix_(reachable_list,
+                                                   reachable_list)].T)
+    classes = _closed_classes(sub_graph)
+    # Order the classes as a depth-first search over the states in index
+    # order first reaches them: the absorption weights are summed in this
+    # order, so it fixes their last bits.
+    rank = _discovery_rank(sub_graph)
+    classes.sort(key=lambda members: rank[members].min())
+    initial_local = int(np.searchsorted(reachable_list, initial_index))
     weights = _absorption_weights(matrix, reachable_list, classes,
-                                  local[initial_index])
+                                  initial_local)
+    probabilities = np.zeros(size)
     for class_states, weight in zip(classes, weights):
         if weight <= 0.0:
             continue
-        global_states = [reachable_list[position] for position in class_states]
+        global_states = reachable_list[class_states]
         block = matrix[np.ix_(global_states, global_states)]
         # Within a closed class the generator restricted to the class is a
         # proper generator (no leakage), so the plain stationary solve applies.
@@ -434,53 +456,73 @@ def _solve_stationary(matrix: np.ndarray, initial_index: int = 0) -> np.ndarray:
     return probabilities / total
 
 
-def _forward_reachable(adjacency: np.ndarray, start: int) -> set:
-    """Indices reachable from ``start`` following ``adjacency[j, i]`` edges i->j."""
-    reachable = {start}
-    frontier = [start]
-    while frontier:
-        node = frontier.pop()
-        successors = np.nonzero(adjacency[:, node])[0]
-        for successor in successors:
-            state = int(successor)
-            if state not in reachable:
-                reachable.add(state)
-                frontier.append(state)
-    return reachable
+def _reach(adjacency: np.ndarray, start: int) -> np.ndarray:
+    """Mask of the states reachable from ``start`` along ``adjacency``.
 
-
-def _closed_classes(adjacency: np.ndarray) -> List[List[int]]:
-    """Closed communicating classes of the sub-chain described by ``adjacency``.
-
-    ``adjacency[j, i]`` is True when a direct transition i -> j exists.
+    ``adjacency[j, i]`` is True when a direct transition i -> j exists; pass
+    the transpose for the states that can reach ``start``.
     """
-    import networkx as nx
-
-    graph = nx.DiGraph()
     size = adjacency.shape[0]
-    graph.add_nodes_from(range(size))
-    sources, targets = np.nonzero(adjacency.T)
-    graph.add_edges_from(zip(sources.tolist(), targets.tolist()))
-    closed: List[List[int]] = []
-    for component in nx.strongly_connected_components(graph):
-        members = set(component)
-        is_closed = True
-        for node in members:
-            for successor in graph.successors(node):
-                if successor not in members:
-                    is_closed = False
-                    break
-            if not is_closed:
-                break
-        if is_closed:
-            closed.append(sorted(members))
-    if not closed:
+    reached = np.zeros(size, dtype=bool)
+    reached[start] = True
+    count = 1
+    while count < size:
+        reached |= adjacency @ reached
+        grown = int(np.count_nonzero(reached))
+        if grown == count:
+            break
+        count = grown
+    return reached
+
+
+def _closed_classes(graph: sparse.csr_matrix) -> List[np.ndarray]:
+    """Closed communicating classes of the chain with edges ``graph[i, j]``.
+
+    Each class is an ascending index array; the classes come in the order
+    of their strongly connected component labels.
+    """
+    component_count, labels = csgraph.connected_components(
+        graph, directed=True, connection="strong")
+    # A strongly connected component is a *closed* class iff the condensation
+    # has no edge leaving it.
+    coo = graph.tocoo()
+    leaving = labels[coo.row] != labels[coo.col]
+    open_component = np.zeros(component_count, dtype=bool)
+    open_component[labels[coo.row[leaving]]] = True
+    classes = [np.nonzero(labels == component)[0]
+               for component in np.nonzero(~open_component)[0]]
+    if not classes:
         raise SolverError("no closed communicating class found")
-    return closed
+    return classes
 
 
-def _absorption_weights(matrix: np.ndarray, reachable_list: List[int],
-                        classes: List[List[int]], initial_local: int) -> List[float]:
+def _discovery_rank(graph: sparse.csr_matrix) -> np.ndarray:
+    """Preorder rank of each state in a depth-first forest over ``graph``.
+
+    The forest starts a tree at each not yet visited state in index order
+    and follows successors in index order.  A new tree rooted at ``root``
+    visits its new states in the order of a fresh search from ``root``:
+    everything an earlier tree visited is closed under successors, so
+    re-entering it discovers nothing.
+    """
+    size = graph.shape[0]
+    graph.sort_indices()
+    rank = np.full(size, -1, dtype=np.int64)
+    seen = 0
+    for root in range(size):
+        if rank[root] >= 0:
+            continue
+        order = csgraph.depth_first_order(graph, root, directed=True,
+                                          return_predecessors=False)
+        fresh = order[rank[order] < 0]
+        rank[fresh] = np.arange(seen, seen + fresh.size)
+        seen += fresh.size
+    return rank
+
+
+def _absorption_weights(matrix: np.ndarray, reachable_list: np.ndarray,
+                        classes: List[np.ndarray],
+                        initial_local: int) -> List[float]:
     """Probability of ending up in each closed class when starting from one state."""
     class_of: Dict[int, int] = {}
     for class_index, members in enumerate(classes):
@@ -532,9 +574,9 @@ def _irreducible_stationary(block: np.ndarray) -> np.ndarray:
         probabilities = vh[-1]
         if probabilities.sum() < 0:
             probabilities = -probabilities
-    if np.any(~np.isfinite(probabilities)):
+    if not np.isfinite(probabilities).all():
         raise SolverError("stationary solve produced non-finite probabilities")
-    probabilities = np.clip(probabilities, 0.0, None)
+    probabilities = np.maximum(probabilities, 0.0)
     total = probabilities.sum()
     if total <= 0.0:
         raise SolverError("stationary distribution sums to zero")
@@ -566,20 +608,7 @@ def _solve_stationary_sparse(matrix: sparse.csr_matrix,
     graph = _edge_graph(matrix)
     reachable_list = np.sort(csgraph.breadth_first_order(
         graph, initial_index, directed=True, return_predecessors=False))
-    sub_graph = graph[reachable_list][:, reachable_list]
-    component_count, labels = csgraph.connected_components(
-        sub_graph, directed=True, connection="strong")
-
-    # A strongly connected component is a *closed* class iff the condensation
-    # has no edge leaving it.
-    sub_coo = sub_graph.tocoo()
-    leaving = labels[sub_coo.row] != labels[sub_coo.col]
-    open_component = np.zeros(component_count, dtype=bool)
-    open_component[labels[sub_coo.row[leaving]]] = True
-    classes = [np.nonzero(labels == component)[0]
-               for component in np.nonzero(~open_component)[0]]
-    if not classes:
-        raise SolverError("no closed communicating class found")
+    classes = _closed_classes(graph[reachable_list][:, reachable_list])
 
     probabilities = np.zeros(size)
     if len(classes) == 1 and classes[0].size == reachable_list.size:

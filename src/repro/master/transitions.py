@@ -77,6 +77,13 @@ class TransitionTable:
         self.states = states
         self.lows = states.min(axis=0) if state_count else np.zeros(0, np.int64)
         self.highs = states.max(axis=0) if state_count else np.zeros(0, np.int64)
+        #: Per-island ``(low, high)`` bounds when the window is a full box
+        #: (every window :func:`~repro.master.statespace.build_state_space`
+        #: enumerates), else ``None``.
+        self.box: Optional[List[Tuple[int, int]]] = None
+        if state_count == int(np.prod(self.highs - self.lows + 1)):
+            self.box = [(int(low), int(high))
+                        for low, high in zip(self.lows, self.highs)]
 
         # ---- vectorized target lookup ----------------------------------
         # Configurations are encoded with mixed-radix codes over the bounding
@@ -105,6 +112,8 @@ class TransitionTable:
         self.pair_event = pair_event.astype(np.int64)
         self.pair_target = order[positions[found]].astype(np.int64)
         self.pair_count = int(self.pair_source.size)
+        #: Row-major index of each pair's generator entry ``(target, source)``.
+        self._flat_pair = self.pair_target * state_count + self.pair_source
 
         # ---- bias-independent energy ingredients -----------------------
         # pool0 = (C^-1 (-n e), 0 for source terminals): the state-dependent
@@ -202,17 +211,20 @@ class TransitionTable:
         return (matrix - sparse.diags(outflow)).tocsr()
 
     def dense_generator(self, rates: np.ndarray) -> np.ndarray:
-        """Generator as a dense NumPy array (columns sum to zero)."""
+        """Generator as a dense NumPy array (columns sum to zero).
+
+        Both sums are flat ``bincount`` calls, which add the rates into each
+        entry one by one in pair order, starting from zero.
+        """
         live = rates > 0.0
-        rows = self.pair_target[live]
-        cols = self.pair_source[live]
         values = rates[live]
         size = self.space.size
-        matrix = np.zeros((size, size))
-        np.add.at(matrix, (rows, cols), values)
-        outflow = np.bincount(cols, weights=values, minlength=size)
-        matrix[np.arange(size), np.arange(size)] -= outflow
-        return matrix
+        matrix = np.bincount(self._flat_pair[live], weights=values,
+                             minlength=size * size)
+        outflow = np.bincount(self.pair_source[live], weights=values,
+                              minlength=size)
+        matrix[::size + 1] -= outflow
+        return matrix.reshape(size, size)
 
     # ---------------------------------------------------------- observables
 
@@ -255,22 +267,6 @@ class TransitionTable:
             rate=float(rates[p]),
             delta_f=float(delta[p]),
         ) for p in live]
-
-    # ------------------------------------------------------------- queries
-
-    def covers_window(self, bounds) -> bool:
-        """Whether per-island ``(low, high)`` bounds fit inside this window.
-
-        Only meaningful for box windows (everything
-        :func:`~repro.master.statespace.build_state_space` produces); used by
-        the sweep drivers to decide when a window rebuild is needed.
-        """
-        if self.space.size != int(np.prod(self.highs - self.lows + 1)):
-            return False
-        for island, (low, high) in enumerate(bounds):
-            if low < self.lows[island] or high > self.highs[island]:
-                return False
-        return True
 
 
 __all__ = ["TransitionTable"]

@@ -139,6 +139,60 @@ class TestGroundState:
             assert model.quadratic_free_energy(np.array([n])) >= ground_energy - 1e-30
 
 
+def reference_walk(model, max_electrons, voltages=None, offsets=None):
+    """The greedy walk step by step through :meth:`event_delta_f`."""
+    electrons = model.zero_state()
+    budget = (2 * max_electrons + 1) ** max(1, model.island_count)
+    for _ in range(budget):
+        deltas = model.event_delta_f(electrons, voltages, offsets)
+        best = int(np.argmin(deltas))
+        if deltas[best] >= 0.0:
+            return electrons
+        candidate = electrons + model.table.delta_n[best]
+        if np.any(np.abs(candidate) > max_electrons):
+            return electrons
+        electrons = candidate
+    return electrons
+
+
+class TestGroundStates:
+    """One walk records the stop point of every limit, bit for bit."""
+
+    LIMITS = (1, 2, 5, 8)
+
+    @pytest.mark.parametrize("gate_periods", [0.0, 0.6, 2.2, 6.4, -7.3])
+    @pytest.mark.parametrize("drain", [0.0, 0.01, 0.3, 2.0])
+    def test_set_walk_matches_reference(self, gate_periods, drain):
+        period = E_CHARGE / 2e-18
+        model = EnergyModel(build_set_circuit(
+            drain_voltage=drain, gate_voltage=gate_periods * period))
+        expected = [reference_walk(model, limit) for limit in self.LIMITS]
+        actual = model.ground_states(self.LIMITS)
+        for want, got in zip(expected, actual):
+            assert np.array_equal(want, got)
+
+    @pytest.mark.parametrize("bias", [0.0, 0.05, 0.4, -1.5])
+    def test_double_dot_walk_with_explicit_bias(self, bias):
+        model = EnergyModel(build_double_dot_circuit())
+        voltages = model.system.source_voltage_vector()
+        for node, value in (("lead", bias), ("gate_a", 0.3), ("gate_b", -0.2)):
+            voltages[model.system.source_index[node]] = value
+        offsets = np.array([0.2, -0.4]) * E_CHARGE
+        expected = [reference_walk(model, limit, voltages, offsets)
+                    for limit in self.LIMITS]
+        actual = model.ground_states(self.LIMITS, voltages, offsets)
+        for want, got in zip(expected, actual):
+            assert np.array_equal(want, got)
+        assert np.array_equal(model.ground_state(2, voltages, offsets),
+                              expected[1])
+
+    def test_walks_that_leave_the_limit_stop_early(self):
+        period = E_CHARGE / 2e-18
+        model = EnergyModel(build_set_circuit(gate_voltage=6.4 * period))
+        small, large = model.ground_states((5, 8))
+        assert small[0] == 5 and large[0] == 6
+
+
 class TestValidationOfInputs:
     def test_wrong_electron_vector_length_raises(self):
         model = EnergyModel(build_set_circuit())
