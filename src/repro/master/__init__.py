@@ -3,7 +3,7 @@
 from .builder import RateMatrixBuilder, Transition
 from .dynamics import EvolutionResult, MasterEquationDynamics
 from .statespace import (MAX_STATES, StateSpace, auto_state_space,
-                         auto_window_bounds, build_state_space)
+                         auto_window, build_state_space)
 from .steadystate import (DENSE_STATE_CUTOFF, MasterEquationSolver,
                           SteadyStateSolution)
 from .transitions import TransitionTable
@@ -20,6 +20,6 @@ __all__ = [
     "Transition",
     "TransitionTable",
     "auto_state_space",
-    "auto_window_bounds",
+    "auto_window",
     "build_state_space",
 ]

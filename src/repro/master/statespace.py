@@ -88,31 +88,19 @@ def build_state_space(bounds: Sequence[Tuple[int, int]]) -> StateSpace:
     return StateSpace(states=states, index=index)
 
 
-def auto_window_bounds(model: EnergyModel, extra_electrons: int = 3,
-                       voltages: Optional[np.ndarray] = None,
-                       offsets: Optional[np.ndarray] = None
-                       ) -> Tuple[List[Tuple[int, int]], np.ndarray]:
-    """Bounds of the automatic window plus the ground state that centres it.
-
-    The sweep drivers use this to decide whether a cached
-    :class:`~repro.master.transitions.TransitionTable` still covers the new
-    operating point without enumerating the window again.
-    """
-    bounds, ground, _ = auto_window(model, extra_electrons, voltages, offsets)
-    return bounds, ground
-
-
 def auto_window(model: EnergyModel, extra_electrons: int = 3,
                 voltages: Optional[np.ndarray] = None,
-                offsets: Optional[np.ndarray] = None,
-                start_limit: int = 5
+                offsets: Optional[np.ndarray] = None
                 ) -> Tuple[List[Tuple[int, int]], np.ndarray, np.ndarray]:
     """Window bounds and two ground states from one greedy walk.
 
     Returns ``(bounds, centre, start)``: the window is centred on the walk
     under the limit ``extra_electrons + 5``, and ``start`` is where the same
-    walk stops under ``start_limit`` (what ``model.ground_state(start_limit)``
-    returns), the state a stationary solve starts from.
+    walk stops under :meth:`~repro.core.energy.EnergyModel.ground_state`'s
+    default limit of 5, the state a stationary solve starts from.  The
+    solver uses the bounds to decide whether its cached
+    :class:`~repro.master.transitions.TransitionTable` still serves the new
+    operating point without enumerating the window again.
     """
     if extra_electrons < 1:
         raise StateSpaceError(
@@ -120,7 +108,7 @@ def auto_window(model: EnergyModel, extra_electrons: int = 3,
         )
     if model.island_count == 0:
         raise StateSpaceError("the circuit has no islands; nothing to enumerate")
-    start, centre = model.ground_states((start_limit, extra_electrons + 5),
+    start, centre = model.ground_states((5, extra_electrons + 5),
                                         voltages, offsets)
     bounds = [(int(n) - extra_electrons, int(n) + extra_electrons)
               for n in centre]
@@ -144,10 +132,9 @@ def auto_state_space(model: EnergyModel, extra_electrons: int = 3,
         Optional overrides of the circuit's source voltages / offset charges
         (used by sweeps so the window follows the operating point).
     """
-    bounds, _ = auto_window_bounds(model, extra_electrons=extra_electrons,
-                                   voltages=voltages, offsets=offsets)
+    bounds, _, _ = auto_window(model, extra_electrons, voltages, offsets)
     return build_state_space(bounds)
 
 
 __all__ = ["StateSpace", "build_state_space", "auto_state_space",
-           "auto_window", "auto_window_bounds", "MAX_STATES"]
+           "auto_window", "MAX_STATES"]

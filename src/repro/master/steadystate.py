@@ -190,7 +190,9 @@ class MasterEquationSolver:
 
     def _solve_point(self, voltages: Optional[np.ndarray] = None,
                      offsets: Optional[np.ndarray] = None, *,
-                     start_at_centre: bool = False):
+                     start_at_centre: bool = False
+                     ) -> Tuple[TransitionTable, np.ndarray, np.ndarray,
+                                np.ndarray]:
         """Table, rates, free energies and stationary probabilities at a point.
 
         The one per-point routine behind :meth:`solve` and every sweep point.
@@ -198,10 +200,10 @@ class MasterEquationSolver:
         while the window stays put) and gives the start state of the
         stationary solve.  :meth:`solve` starts where the walk stops under
         :meth:`~repro.core.energy.EnergyModel.ground_state`'s default limit;
-        the sweeps (``start_at_centre``) start from the window centre.  The
-        two states differ only when the walk runs past five electrons or
-        exhausts its step budget, and the start matters only on a reducible
-        chain.
+        on an automatic window the sweeps (``start_at_centre``) start from
+        the window centre.  The two states differ only when the walk runs
+        past five electrons or exhausts its step budget, and the start
+        matters only on a reducible chain.
         """
         builder = self.builder
         if builder._explicit_space is not None:
@@ -460,18 +462,23 @@ def _reach(adjacency: np.ndarray, start: int) -> np.ndarray:
     """Mask of the states reachable from ``start`` along ``adjacency``.
 
     ``adjacency[j, i]`` is True when a direct transition i -> j exists; pass
-    the transpose for the states that can reach ``start``.
+    the transpose for the states that can reach ``start``.  Breadth first:
+    each level reads only the frontier's columns, so a whole search reads
+    each column at most once.
     """
     size = adjacency.shape[0]
     reached = np.zeros(size, dtype=bool)
     reached[start] = True
+    frontier = np.array([start])
     count = 1
     while count < size:
-        reached |= adjacency @ reached
-        grown = int(np.count_nonzero(reached))
-        if grown == count:
+        hits = adjacency[:, frontier].any(axis=1)
+        hits[reached] = False
+        frontier = np.flatnonzero(hits)
+        if not frontier.size:
             break
-        count = grown
+        reached[frontier] = True
+        count += frontier.size
     return reached
 
 
