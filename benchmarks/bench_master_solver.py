@@ -20,6 +20,12 @@ throughput (solved bias points per second) on a coupled double dot with a
 
 and writes the numbers to ``BENCH_master.json`` in the repository root so the
 performance trajectory is tracked across PRs, next to ``BENCH_kernel.json``.
+
+A second, small-window row (``small_window``) times the per-point cost that
+dominates ordinary use: the reference SET on its automatic 7-state window,
+a 129-point gate sweep and the same points through ``solve``, with the
+greedy ground-state walk's energy evaluations per point and the cost of one
+``orthodox_rate_vec`` call over the window's transitions.
 Run it either through pytest (``pytest benchmarks/bench_master_solver.py -s``)
 or directly (``PYTHONPATH=src python benchmarks/bench_master_solver.py``).
 
@@ -40,6 +46,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.circuit import Circuit
+from repro.core.rates import orthodox_rate_vec
+from repro.devices import SETTransistor
+from repro.devices.set_transistor import DRAIN_JUNCTION, GATE_SOURCE
 from repro.master import MasterEquationSolver, build_state_space
 
 try:
@@ -59,6 +68,13 @@ REQUIRED_SPEEDUP = 5.0
 REQUIRED_AGREEMENT = 1e-10
 
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_master.json"
+
+#: The small-window row: reference SET, 129 gate points over two periods.
+SMALL_TEMPERATURE = 2.0
+SMALL_DRAIN_VOLTAGE = 5e-3
+SMALL_GATE_POINTS = 129
+SMALL_REPEATS = 5
+RATE_CALLS = 2_000
 
 
 def build_double_dot(bias_voltage: float = BIAS_VOLTAGE) -> Circuit:
@@ -129,6 +145,59 @@ def measure_dense(points: int) -> tuple:
     return points / elapsed, currents
 
 
+def best_time(function, repeats: int = SMALL_REPEATS) -> float:
+    """Shortest wall time of ``repeats`` calls of ``function``."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        function()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def measure_small_window() -> dict:
+    """Per-point cost of the reference SET on its automatic window."""
+    device = SETTransistor()
+    circuit = device.build_circuit(drain_voltage=SMALL_DRAIN_VOLTAGE)
+    solver = MasterEquationSolver(circuit, SMALL_TEMPERATURE)
+    gates = np.linspace(0.0, 2.0 * device.gate_period, SMALL_GATE_POINTS)
+
+    def solve_points():
+        currents = np.empty(gates.size)
+        for position, gate in enumerate(gates):
+            circuit.set_source_voltage(GATE_SOURCE, float(gate))
+            currents[position] = solver.solve().current(DRAIN_JUNCTION)
+        return currents
+
+    model = solver.builder.model
+    steps_before = model.walk_steps
+    _, swept = solver.sweep_source(GATE_SOURCE, gates, DRAIN_JUNCTION)
+    walk_steps = model.walk_steps - steps_before
+    if not np.array_equal(swept, solve_points()):
+        raise AssertionError("sweep and per-point solves differ")
+    sweep_s = best_time(lambda: solver.sweep_source(GATE_SOURCE, gates,
+                                                    DRAIN_JUNCTION))
+    solve_s = best_time(solve_points)
+
+    table = solver.builder._cached_table
+    _, delta = table.rates()
+    rate_s = best_time(lambda: [orthodox_rate_vec(delta, table.resistance,
+                                                  SMALL_TEMPERATURE)
+                                for _ in range(RATE_CALLS)])
+    return {
+        "device": "reference SET (1 aF junctions, 2 aF gate, 1 MOhm)",
+        "temperature_K": SMALL_TEMPERATURE,
+        "drain_voltage_V": SMALL_DRAIN_VOLTAGE,
+        "state_count": table.space.size,
+        "pair_count": table.pair_count,
+        "gate_points": SMALL_GATE_POINTS,
+        "sweep_points_per_second": round(SMALL_GATE_POINTS / sweep_s, 1),
+        "solve_points_per_second": round(SMALL_GATE_POINTS / solve_s, 1),
+        "walk_steps_per_point": round(walk_steps / SMALL_GATE_POINTS, 3),
+        "rate_vec_us_per_call": round(rate_s / RATE_CALLS * 1e6, 2),
+    }
+
+
 def run_benchmark() -> dict:
     state_count = benchmark_window().size
     sparse_pps, sparse_currents = measure_sparse(SPARSE_POINTS)
@@ -149,6 +218,7 @@ def run_benchmark() -> dict:
         "sparse_point_budget": SPARSE_POINTS,
         "dense_point_budget": len(dense_currents),
         "relative_current_agreement": agreement,
+        "small_window": measure_small_window(),
     }
     OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     return payload
@@ -163,6 +233,13 @@ def test_master_sweep_throughput():
     print(f"dense baseline  : {payload['dense_points_per_second']:>12,.5f} points/s")
     print(f"speedup         : {payload['speedup']:>12,.1f}x")
     print(f"agreement       : {payload['relative_current_agreement']:>12.2e} (relative)")
+    small = payload["small_window"]
+    print(f"small window    : {small['state_count']:>12,} states, "
+          f"{small['pair_count']} transitions")
+    print(f"  sweep         : {small['sweep_points_per_second']:>12,.1f} points/s")
+    print(f"  solve         : {small['solve_points_per_second']:>12,.1f} points/s")
+    print(f"  walk steps    : {small['walk_steps_per_point']:>12.3f} per point")
+    print(f"  rate kernel   : {small['rate_vec_us_per_call']:>12.2f} us per call")
     print(f"written to      : {OUTPUT_PATH}")
     assert payload["speedup"] >= REQUIRED_SPEEDUP
     assert payload["relative_current_agreement"] <= REQUIRED_AGREEMENT
