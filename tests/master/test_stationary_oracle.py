@@ -4,9 +4,9 @@ The dense backend once found the reachable set with a Python breadth-first
 search and the closed communicating classes with networkx, at every point.
 It now tests irreducibility with numpy and runs the class analysis through
 ``scipy.sparse.csgraph`` only on reducible chains.  The earlier path is kept
-here verbatim as the oracle: on random reducible generators (transient
-states, several closed classes, unreachable states) both must return the
-same probabilities bit for bit.
+here as the oracle: on random reducible generators (transient states,
+several closed classes, unreachable states) both must return the same
+probabilities bit for bit.
 """
 
 import os
