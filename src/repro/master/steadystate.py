@@ -468,9 +468,9 @@ def _reach_both_ways(adjacency: np.ndarray, start: int
 
     ``adjacency[j, i]`` is True when a direct transition i -> j exists.  Up
     to :data:`_CLOSURE_STATES` states, ``log2(size)`` boolean squarings of
-    the adjacency matrix give both at once; above, two breadth-first
-    searches, whose cost does not grow with the number of levels times the
-    matrix size.
+    the adjacency matrix give both at once in a handful of numpy calls.
+    Squaring costs grow as ``size**3``, so larger windows run two
+    breadth-first searches, each reading every column at most once.
     """
     size = adjacency.shape[0]
     if size > _CLOSURE_STATES:
