@@ -60,10 +60,6 @@ DENSE_STATE_CUTOFF = 400
 
 _METHODS = ("auto", "dense", "sparse")
 
-#: Window size up to which the dense solve finds reachability by squaring the
-#: boolean adjacency matrix; above it, breadth-first search is cheaper.
-_CLOSURE_STATES = 32
-
 #: Largest transient block the reducible-chain fallback may densify when the
 #: sparse LU factorisation fails; beyond it a dense copy would defeat the
 #: point of the sparse path (8 N^2 bytes), so the solver raises instead.
@@ -425,7 +421,8 @@ def _solve_stationary(matrix: np.ndarray, initial_index: int = 0) -> np.ndarray:
 
     adjacency = matrix > 0.0
     np.fill_diagonal(adjacency, False)
-    forward, backward = _reach_both_ways(adjacency, initial_index)
+    forward = _reach(adjacency, initial_index)
+    backward = _reach(adjacency.T, initial_index)
     if backward[forward].all():
         if forward.all():
             return _irreducible_stationary(matrix)
@@ -460,27 +457,6 @@ def _solve_stationary(matrix: np.ndarray, initial_index: int = 0) -> np.ndarray:
     if total <= 0.0:
         raise SolverError("stationary distribution sums to zero")
     return probabilities / total
-
-
-def _reach_both_ways(adjacency: np.ndarray, start: int
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """Masks of the states ``start`` reaches and of the states reaching it.
-
-    ``adjacency[j, i]`` is True when a direct transition i -> j exists.  Up
-    to :data:`_CLOSURE_STATES` states, ``log2(size)`` boolean squarings of
-    the adjacency matrix give both at once in a handful of numpy calls.
-    Squaring costs grow as ``size**3``, so larger windows run two
-    breadth-first searches, each reading every column at most once.
-    """
-    size = adjacency.shape[0]
-    if size > _CLOSURE_STATES:
-        return _reach(adjacency, start), _reach(adjacency.T, start)
-    closure = adjacency | np.eye(size, dtype=bool)
-    span = 1
-    while span < size - 1:
-        closure = closure @ closure
-        span *= 2
-    return closure[:, start], closure[start]
 
 
 def _reach(adjacency: np.ndarray, start: int) -> np.ndarray:

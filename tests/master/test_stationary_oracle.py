@@ -101,8 +101,8 @@ def reducible_generator(seed):
     """
     rng = np.random.default_rng(seed)
     class_sizes = rng.integers(1, 5, size=rng.integers(1, 6))
-    # Some windows exceed the size up to which the dense solve squares the
-    # adjacency matrix, so both reachability searches are compared.
+    # Most windows are a few states, as in a single-SET sweep; some carry
+    # tens of transient states, so the reachability search runs deep.
     transient = int(rng.integers(1, 8) if rng.random() < 0.7
                     else rng.integers(30, 50))
     stray = int(rng.integers(0, 3))
