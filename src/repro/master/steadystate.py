@@ -88,18 +88,16 @@ class SteadyStateSolution:
     temperature: float
     space: StateSpace
     probabilities: np.ndarray
+    #: Builds :attr:`transitions` on first access.
+    transition_source: Callable[[], List[Transition]] = field(repr=False,
+                                                              compare=False)
     #: Conventional current (ampere) flowing from ``node_a`` to ``node_b`` of
     #: each junction, keyed by junction name.
     junction_currents: Dict[str, float] = field(default_factory=dict)
-    #: Builds :attr:`transitions` on first access.
-    transition_source: Optional[Callable[[], List[Transition]]] = field(
-        default=None, repr=False, compare=False)
 
     @functools.cached_property
     def transitions(self) -> List[Transition]:
         """Every transition with a positive rate (built on first access)."""
-        if self.transition_source is None:
-            return []
         return self.transition_source()
 
     @property
