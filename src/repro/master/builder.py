@@ -26,7 +26,8 @@ from scipy import sparse
 from ..circuit.netlist import Circuit
 from ..core.energy import EnergyModel
 from ..errors import StateSpaceError
-from .statespace import StateSpace, auto_state_space, build_state_space
+from .statespace import (StateSpace, auto_state_space, auto_window,
+                         build_state_space)
 from .transitions import TransitionTable
 
 
@@ -99,11 +100,16 @@ class RateMatrixBuilder:
 
         The expensive part — target lookup, index pairs, static energies — is
         computed once per window and reused as long as consecutive calls
-        resolve to the same window (same object, or an automatic window with
-        identical states).  Only the rate values change with the bias.
+        resolve to the same window (the same space or states, or the same
+        automatic box through :meth:`window_table`).  Only the rate values
+        change with the bias.
         """
         if space is None:
-            space = self.state_space(voltages, offsets)
+            space = self._explicit_space
+        if space is None:
+            bounds, _, _ = auto_window(self.model, self.extra_electrons,
+                                       voltages, offsets)
+            return self.window_table(bounds)
         cached = self._cached_table
         if cached is not None and (cached.space is space
                                    or cached.space.states == space.states):
