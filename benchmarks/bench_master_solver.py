@@ -24,7 +24,8 @@ performance trajectory is tracked across PRs, next to ``BENCH_kernel.json``.
 A second, small-window row (``small_window``) times the per-point cost that
 dominates ordinary use: the reference SET on its automatic 7-state window,
 a 129-point gate sweep and the same points through ``solve``, with the
-greedy ground-state walk's energy evaluations per point and the cost of one
+greedy ground-state walks and their energy evaluations per point (counted
+outside the timed runs) and the cost of one
 ``orthodox_rate_vec`` call over the window's transitions.
 Run it either through pytest (``pytest benchmarks/bench_master_solver.py -s``)
 or directly (``PYTHONPATH=src python benchmarks/bench_master_solver.py``).
@@ -155,6 +156,55 @@ def best_time(function, repeats: int = SMALL_REPEATS) -> float:
     return min(times)
 
 
+def replayed_walk_steps(model, limit: int, stop: np.ndarray) -> int:
+    """Energy evaluations of the greedy ground-state walk under ``limit``.
+
+    Replays the walk of :meth:`~repro.core.energy.EnergyModel.ground_states`
+    one public :meth:`~repro.core.energy.EnergyModel.event_delta_f` call per
+    step and checks that it stops at ``stop``, where the walk stopped.
+    """
+    circuit_system = model.system
+    voltages = circuit_system.source_voltage_vector()
+    offsets = circuit_system.offset_charge_vector()
+    electrons = model.zero_state()
+    budget = (2 * limit + 1) ** max(1, model.island_count)
+    steps = budget
+    for step in range(budget):
+        deltas = model.event_delta_f(electrons, voltages, offsets)
+        best = int(deltas.argmin())
+        candidate = electrons + model.table.delta_n[best]
+        if deltas[best] >= 0.0 or np.abs(candidate).max(initial=0) > limit:
+            steps = step + 1
+            break
+        electrons = candidate
+    if not np.array_equal(electrons, stop):
+        raise AssertionError("replayed walk stops elsewhere")
+    return steps
+
+
+def count_walks(model) -> dict:
+    """Count the ground-state walks of ``model`` and their energy evaluations.
+
+    Wraps the model's :meth:`~repro.core.energy.EnergyModel.ground_states`
+    (one call is one walk, under its largest limit) for the duration of a
+    measurement; the counts land in the returned dict.
+    """
+    counts = {"walks": 0, "steps": 0}
+    walk = model.ground_states
+
+    def counted(limits, voltages=None, offsets=None):
+        if voltages is not None or offsets is not None:
+            raise AssertionError("the small-window row walks at circuit bias")
+        stops = walk(limits, voltages, offsets)
+        top = max(range(len(limits)), key=lambda index: limits[index])
+        counts["walks"] += 1
+        counts["steps"] += replayed_walk_steps(model, limits[top], stops[top])
+        return stops
+
+    model.ground_states = counted
+    return counts
+
+
 def measure_small_window() -> dict:
     """Per-point cost of the reference SET on its automatic window."""
     device = SETTransistor()
@@ -170,9 +220,9 @@ def measure_small_window() -> dict:
         return currents
 
     model = solver.builder.model
-    steps_before = model.walk_steps
+    counts = count_walks(model)
     _, swept = solver.sweep_source(GATE_SOURCE, gates, DRAIN_JUNCTION)
-    walk_steps = model.walk_steps - steps_before
+    del model.ground_states
     if not np.array_equal(swept, solve_points()):
         raise AssertionError("sweep and per-point solves differ")
     sweep_s = best_time(lambda: solver.sweep_source(GATE_SOURCE, gates,
@@ -193,7 +243,8 @@ def measure_small_window() -> dict:
         "gate_points": SMALL_GATE_POINTS,
         "sweep_points_per_second": round(SMALL_GATE_POINTS / sweep_s, 1),
         "solve_points_per_second": round(SMALL_GATE_POINTS / solve_s, 1),
-        "walk_steps_per_point": round(walk_steps / SMALL_GATE_POINTS, 3),
+        "walks_per_point": round(counts["walks"] / SMALL_GATE_POINTS, 3),
+        "walk_steps_per_point": round(counts["steps"] / SMALL_GATE_POINTS, 3),
         "rate_vec_us_per_call": round(rate_s / RATE_CALLS * 1e6, 2),
     }
 
@@ -238,6 +289,7 @@ def test_master_sweep_throughput():
           f"{small['pair_count']} transitions")
     print(f"  sweep         : {small['sweep_points_per_second']:>12,.1f} points/s")
     print(f"  solve         : {small['solve_points_per_second']:>12,.1f} points/s")
+    print(f"  walks         : {small['walks_per_point']:>12.3f} per point")
     print(f"  walk steps    : {small['walk_steps_per_point']:>12.3f} per point")
     print(f"  rate kernel   : {small['rate_vec_us_per_call']:>12.2f} us per call")
     print(f"written to      : {OUTPUT_PATH}")

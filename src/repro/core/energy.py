@@ -173,9 +173,6 @@ class EnergyModel:
             self._events.append(TunnelEvent(junction, +1))
             self._events.append(TunnelEvent(junction, -1))
         self._table: Optional[EventTable] = None
-        #: Energy evaluations made by :meth:`ground_states` walks so far, a
-        #: cost counter the benchmarks read.
-        self.walk_steps = 0
 
     # ------------------------------------------------------------- basic maps
 
@@ -442,7 +439,6 @@ class EnergyModel:
             for index, budget in enumerate(budgets):
                 if step == budget and stops[index] is None:
                     stops[index] = electrons
-            self.walk_steps += 1
             # event_delta_f: phi = C^-1 ((-n e + q0) + B V), then the table.
             charges = -electrons.astype(float) * E_CHARGE + offsets
             potentials[:] = inverse @ (charges + bias)
