@@ -19,6 +19,7 @@ simulation rather than canned formulas.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -78,8 +79,9 @@ class SETTransistor:
             ("gate_capacitance", self.gate_capacitance),
             ("junction_resistance", self.junction_resistance),
         ):
-            if value <= 0.0:
-                raise CircuitError(f"{label} must be positive, got {value!r}")
+            if not 0.0 < value < math.inf:
+                raise CircuitError(
+                    f"{label} must be positive and finite, got {value!r}")
 
     # ------------------------------------------------------------ parameters
 

@@ -498,12 +498,17 @@ class DeviceTable:
     # ----------------------------------------------------------------- rows
 
     def rejected(self) -> np.ndarray:
-        """Rows whose device :class:`SETTransistor` would refuse to build."""
+        """Rows whose device :class:`SETTransistor` would refuse to build.
+
+        A row is rejected where a capacitance or resistance column is not
+        positive, or not finite (NaN or infinite).
+        """
         mask = np.zeros(len(self), dtype=bool)
         for name in ("junction_capacitance", "gate_capacitance",
                      "junction_resistance"):
             if name in self.columns:
-                mask |= self.columns[name] <= 0.0
+                values = self.columns[name]
+                mask |= ~((values > 0.0) & np.isfinite(values))
         return mask
 
     def device(self, row: int) -> SETTransistor:

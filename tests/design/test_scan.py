@@ -217,6 +217,29 @@ class TestBatchFailureIsolation:
         assert feasibility.on_currents[[0, 2]].tolist() == \
             clean.on_currents.tolist()
 
+    @pytest.mark.parametrize("parameter, good, bad", [
+        ("gate_capacitance", 2e-18, float("nan")),
+        ("junction_capacitance", 1e-18, float("inf")),
+        ("junction_resistance", 1e6, float("nan")),
+    ])
+    def test_non_finite_points_fail_alone_under_policy(self, parameter,
+                                                       good, bad):
+        from repro.devices import SETTransistor
+        from repro.engines import DeviceTable
+        from repro.resilience import FailurePolicy
+
+        table = DeviceTable(base=SETTransistor(),
+                            columns={parameter: np.array([good, bad, good])},
+                            temperature=np.ones(3))
+        assert table.rejected().tolist() == [False, True, False]
+        spec = make_spec(axes=[{"parameter": parameter,
+                                "values": [good, bad, 2.0 * good]}])
+        feasibility = DeviceScan(
+            spec, policy=FailurePolicy(max_retries=1)).run()
+        assert feasibility.statuses == ("ok", "failed", "ok")
+        assert feasibility.verdicts[1] == UNKNOWN
+        assert np.isfinite(feasibility.on_currents[[0, 2]]).all()
+
     def test_unbuildable_points_abort_without_policy(self):
         from repro.errors import CircuitError
 

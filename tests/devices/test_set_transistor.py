@@ -1,5 +1,7 @@
 """Tests for the SETTransistor device."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,16 @@ class TestFiguresOfMerit:
             SETTransistor(junction_capacitance=0.0)
         with pytest.raises(CircuitError):
             SETTransistor(junction_resistance=-1.0)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("junction_capacitance", math.inf),
+        ("gate_capacitance", math.nan),
+        ("junction_resistance", math.nan),
+        ("junction_resistance", math.inf),
+    ])
+    def test_non_finite_parameters_rejected(self, field, bad):
+        with pytest.raises(CircuitError, match="finite"):
+            SETTransistor(**{field: bad})
 
 
 class TestCircuitConstruction:
