@@ -20,6 +20,13 @@ Four claims of the design layer (``repro.design``), measured and asserted:
   yield must be identical for any worker count, because every element draws
   from its own SHA-256-derived seed stream.
 
+A small-batch row (``small_batch``) times the per-call cost of the analytic
+array path at the sizes the scans actually use: a 16-point
+``drain_current_map`` of the scalar reference model and a 512-row
+``AnalyticEngine.solve_devices`` batch.  It also counts the
+``orthodox_rate_vec`` calls per evaluation (outside the timed runs) and
+raises unless each evaluation makes exactly one.
+
 Results go to ``BENCH_design.json``.
 
 Environment overrides (used by the CI smoke run):
@@ -46,7 +53,10 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.compact import AnalyticSETModel, set_model
 from repro.design import DesignSpec, DeviceScan, FeasibilityMap
+from repro.devices import SETTransistor
+from repro.engines import DeviceTable, get_engine
 from repro.errors import FaultInjected
 from repro.io.results import ResultCache, source_digest
 from repro.resilience import FaultInjector
@@ -63,6 +73,12 @@ WORKERS = int(os.environ.get("REPRO_BENCH_DESIGN_WORKERS", "4"))
 SAMPLES = int(os.environ.get("REPRO_BENCH_DESIGN_SAMPLES", "24"))
 
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_design.json"
+
+#: The small-batch row: a 4 x 4 map and a 512-row device batch.
+MAP_AXIS_POINTS = 4
+BATCH_ROWS = 512
+SMALL_CALLS = 200
+SMALL_REPEATS = 5
 
 #: Constraint set of every benchmark scan; ``on_off_ratio`` forces the
 #: per-point engine solves (the scan cannot shortcut to closed forms).
@@ -242,8 +258,80 @@ def check_tolerance_determinism() -> dict:
     }
 
 
+def best_time(function, calls: int, repeats: int = SMALL_REPEATS) -> float:
+    """Shortest per-call wall time over ``repeats`` runs of ``calls`` calls."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(calls):
+            function()
+        times.append((time.perf_counter() - start) / calls)
+    return min(times)
+
+
+def rate_calls(function) -> int:
+    """``orthodox_rate_vec`` calls the compact model makes in ``function()``."""
+    kernel = set_model.orthodox_rate_vec
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return kernel(*args, **kwargs)
+
+    set_model.orthodox_rate_vec = counted
+    try:
+        function()
+    finally:
+        set_model.orthodox_rate_vec = kernel
+    return calls
+
+
+def measure_small_batch() -> dict:
+    """Per-call cost of the analytic array path on small batches.
+
+    Raises ``AssertionError`` unless the map and the batch solve each make
+    exactly one rate-kernel call.
+    """
+    model = AnalyticSETModel(temperature=1.0)
+    drains = np.linspace(-0.05, 0.05, MAP_AXIS_POINTS)
+    gates = np.linspace(0.0, 0.2, MAP_AXIS_POINTS)
+    rng = np.random.default_rng(3)
+    table = DeviceTable(
+        base=SETTransistor(),
+        columns={"gate_capacitance": 10.0 ** rng.uniform(-18.3, -17.1,
+                                                         BATCH_ROWS),
+                 "junction_capacitance": 10.0 ** rng.uniform(-18.7, -17.4,
+                                                             BATCH_ROWS)},
+        temperature=rng.uniform(0.5, 4.0, BATCH_ROWS))
+    engine = get_engine("analytic")
+    biases = np.full((BATCH_ROWS, 2), 0.02)
+    on_off = np.array([0.01, 0.002])
+
+    def evaluate_map():
+        return model.drain_current_map(drains, gates)
+
+    def evaluate_batch():
+        return engine.solve_devices(table, biases, on_off)
+
+    counts = [rate_calls(evaluate_map), rate_calls(evaluate_batch)]
+    if counts != [1, 1]:
+        raise AssertionError(f"rate-kernel calls per evaluation {counts}, "
+                             "expected one each")
+    map_s = best_time(evaluate_map, SMALL_CALLS)
+    batch_s = best_time(evaluate_batch, SMALL_CALLS // 4)
+    return {
+        "map_points": MAP_AXIS_POINTS**2,
+        "map_ms_per_call": round(map_s * 1e3, 4),
+        "batch_rows": BATCH_ROWS,
+        "batch_biases": on_off.size,
+        "batch_ms_per_call": round(batch_s * 1e3, 4),
+        "rate_calls_per_evaluation": max(counts),
+    }
+
+
 def run_benchmark() -> dict:
-    """Run all four measurements and write ``BENCH_design.json``."""
+    """Run all five measurements and write ``BENCH_design.json``."""
     throughput, reference = measure_throughput()
     cached = measure_cached(reference)
     resume = check_resume()
@@ -257,6 +345,7 @@ def run_benchmark() -> dict:
         "cached": cached,
         "resume": resume,
         "tolerance_mc": tolerance,
+        "small_batch": measure_small_batch(),
     }
     OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     return payload
@@ -287,6 +376,12 @@ def test_design_scan_benchmark():
     print(f"tolerance MC   : yield mean {tolerance['yield_mean']:.3f}, "
           f"identical across workers="
           f"{tolerance['identical_across_workers']}")
+    small = payload["small_batch"]
+    print(f"small batch    : {small['map_points']}-point map "
+          f"{small['map_ms_per_call']:.3f} ms, {small['batch_rows']}-row "
+          f"batch {small['batch_ms_per_call']:.3f} ms, "
+          f"{small['rate_calls_per_evaluation']} rate-kernel call per "
+          "evaluation")
     print(f"written to     : {OUTPUT_PATH}")
     assert throughput["points_per_s"] > 0
     assert throughput["workers_identical"]
@@ -294,6 +389,7 @@ def test_design_scan_benchmark():
     assert resume["bit_identical"]
     assert resume["chunks_resumed"] > 0
     assert tolerance["identical_across_workers"]
+    assert small["rate_calls_per_evaluation"] == 1
 
 
 if __name__ == "__main__":

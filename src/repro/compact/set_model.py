@@ -3,11 +3,12 @@
 The paper's §4 describes two simulator families.  This module provides the
 "SPICE with special SET models" side:
 
-* :class:`AnalyticSETModel` — a closed-form two-state orthodox model in the
-  spirit of the MIB (Mahapatra-Ionescu-Banerjee) and Wang-Porod analytic
-  models: it keeps only the two charge states adjacent to the nearest
-  degeneracy point and evaluates their sequential-tunnelling rates
-  analytically.  It is fast, smooth and captures the periodic Id-Vg
+* :class:`AnalyticSETModel` — a closed-form orthodox model in the spirit of
+  the MIB (Mahapatra-Ionescu-Banerjee) and Wang-Porod analytic models: it
+  solves the sequential-tunnelling balance of a three-charge-state window
+  analytically, for the two windows centred on the integer charge states
+  that bracket the induced island charge, and blends the two currents by
+  its fractional part.  It is fast, smooth and captures the periodic Id-Vg
   characteristic and the Coulomb blockade, but — exactly as the paper notes —
   it knows nothing about co-tunnelling or interacting SETs.
 * :class:`MasterEquationSETModel` — the same terminal interface backed by the
@@ -30,12 +31,21 @@ from ..core.rates import orthodox_rate, orthodox_rate_vec
 from ..errors import CircuitError
 
 
-def _lowest(*values) -> float:
-    """Smallest of scalar parameters, element-wise over array parameters."""
-    if any(isinstance(value, np.ndarray) for value in values):
-        return min((float(np.min(value)) for value in values
-                    if np.size(value)), default=math.inf)
-    return min(values)
+def _holds(check, *values) -> bool:
+    """Whether ``check`` holds for every value, element-wise for arrays.
+
+    Every check below is False for NaN, so NaN parameters fail it.
+    """
+    return all(bool(np.all(check(np.asarray(value, dtype=float))))
+               for value in values)
+
+
+def _positive_finite(value):
+    return (value > 0.0) & (value < math.inf)
+
+
+def _non_negative_finite(value):
+    return (value >= 0.0) & (value < math.inf)
 
 
 @dataclass(frozen=True)
@@ -79,13 +89,16 @@ class AnalyticSETModel:
 
     def __post_init__(self) -> None:
         """Validate the parameters (element-wise for array parameters)."""
-        if _lowest(self.drain_capacitance, self.source_capacitance,
-                   self.gate_capacitance) <= 0.0:
-            raise CircuitError("capacitances must be positive")
-        if _lowest(self.drain_resistance, self.source_resistance) <= 0.0:
-            raise CircuitError("resistances must be positive")
-        if _lowest(self.temperature) < 0.0:
-            raise CircuitError("temperature must be non-negative")
+        if not _holds(_positive_finite, self.drain_capacitance,
+                      self.source_capacitance, self.gate_capacitance):
+            raise CircuitError("capacitances must be positive and finite")
+        if not _holds(_positive_finite, self.drain_resistance,
+                      self.source_resistance):
+            raise CircuitError("resistances must be positive and finite")
+        if not _holds(_non_negative_finite, self.temperature):
+            raise CircuitError("temperature must be non-negative and finite")
+        if not _holds(np.isfinite, self.background_charge):
+            raise CircuitError("background charge must be finite")
 
     @property
     def batched(self) -> bool:
@@ -214,46 +227,43 @@ class AnalyticSETModel:
 
     def _drain_current_array(self, drain_voltage, gate_voltage,
                              source_voltage) -> np.ndarray:
-        """Vectorized :meth:`drain_current` (same branches, array-valued)."""
-        vd, vg, vs = np.broadcast_arrays(np.asarray(drain_voltage, dtype=float),
-                                         np.asarray(gate_voltage, dtype=float),
-                                         np.asarray(source_voltage, dtype=float))
-        # _induced_charge is pure arithmetic and broadcasts over arrays.
+        """Vectorized :meth:`drain_current`: both windows in one stacked pass.
+
+        The windows centred on ``base`` and ``base + 1`` (``base`` the floor
+        of the induced charge) need the rates into the island from the
+        states ``n = base - 1 .. base + 1`` and out of it from ``n + 1``: the
+        orthodox rates at ``+dF_in(n)`` and ``-dF_in(n)``.  One
+        :func:`~repro.core.rates.orthodox_rate_vec` call evaluates all
+        twelve, and both balances run in one pass over a leading window
+        axis, each element through the same floating-point operations as in
+        :meth:`_window_current`.
+        """
+        # Broadcast over every parameter too, so that the stacked operands
+        # below share one shape however the batch is laid out.
+        vd, vg, vs, *_, r_drain, r_source = np.broadcast_arrays(
+            drain_voltage, gate_voltage, source_voltage, self.drain_capacitance,
+            self.source_capacitance, self.gate_capacitance,
+            self.background_charge, self.temperature, self.drain_resistance,
+            self.source_resistance)
         induced = self._induced_charge(vd, vg, vs)
         base = np.floor(induced)
         fraction = induced - base
-        lower = self._window_current_array(base, vd, vg, vs)
-        upper = self._window_current_array(base + 1.0, vd, vg, vs)
-        blended = (1.0 - fraction) * lower + fraction * upper
-        return np.where(fraction <= 1e-12, lower, blended)
+        drain_in, source_in = self._in_energies(
+            np.add.outer([-1.0, 0.0, 1.0], base), vd, vg, vs)
+        # rates[lead, direction, n - base + 1]: direction 0 adds an electron
+        # in state n, direction 1 removes one from state n + 1.
+        rates = orthodox_rate_vec(
+            np.stack([drain_in, -drain_in, source_in, -source_in]).reshape(
+                (2, 2) + drain_in.shape),
+            np.stack([r_drain, r_source])[:, None, None], self.temperature)
+        (up_drain, down_drain), (up_source, down_source) = rates
+        up = up_drain + up_source
+        down = down_drain + down_source
 
-    def _window_current_array(self, centre, vd, vg, vs) -> np.ndarray:
-        """Vectorized :meth:`_window_current` over an array of window centres.
-
-        ``_in_energies`` is pure arithmetic and broadcasts over arrays, so the
-        scalar and array paths share the electrostatics verbatim.
-        """
-        up_drain, up_source, down_drain, down_source = {}, {}, {}, {}
-        for offset in (-1, 0, 1):
-            drain_in, source_in = self._in_energies(centre + offset, vd, vg, vs)
-            up_drain[offset] = orthodox_rate_vec(drain_in, self.drain_resistance,
-                                                 self.temperature)
-            up_source[offset] = orthodox_rate_vec(source_in,
-                                                  self.source_resistance,
-                                                  self.temperature)
-            drain_in_below, source_in_below = self._in_energies(
-                centre + offset - 1.0, vd, vg, vs)
-            down_drain[offset] = orthodox_rate_vec(-drain_in_below,
-                                                   self.drain_resistance,
-                                                   self.temperature)
-            down_source[offset] = orthodox_rate_vec(-source_in_below,
-                                                    self.source_resistance,
-                                                    self.temperature)
-
-        up_centre = up_drain[0] + up_source[0]
-        down_upper = down_drain[1] + down_source[1]
-        down_centre = down_drain[0] + down_source[0]
-        up_lower = up_drain[-1] + up_source[-1]
+        # Window axis first: index 0 is the window centred on base, 1 the
+        # one on base + 1.
+        up_centre, up_lower = up[1:], up[:2]
+        down_upper, down_centre = down[1:], down[:2]
         with np.errstate(divide="ignore", invalid="ignore"):
             weight_upper = np.where(
                 down_upper > 0.0, up_centre / down_upper,
@@ -279,12 +289,14 @@ class AnalyticSETModel:
                                          upper_infinite / share,
                                          weight_upper / divisor)
 
-        current = ((probability_centre * down_drain[0]
-                    - probability_lower * up_drain[-1])
-                   + (probability_upper * down_drain[1]
-                      - probability_centre * up_drain[0]))
+        current = ((probability_centre * down_drain[:2]
+                    - probability_lower * up_drain[:2])
+                   + (probability_upper * down_drain[1:]
+                      - probability_centre * up_drain[1:]))
         dead = ~any_infinite & (total <= 0.0)
-        return np.where(dead, 0.0, E_CHARGE * current)
+        lower, upper = np.where(dead, 0.0, E_CHARGE * current)
+        blended = (1.0 - fraction) * lower + fraction * upper
+        return np.where(fraction <= 1e-12, lower, blended)
 
     def _window_current(self, centre: int, drain_voltage: float, gate_voltage: float,
                         source_voltage: float) -> float:
@@ -365,7 +377,7 @@ class MasterEquationSETModel:
 
     Slower but exact within sequential tunnelling; used by the simulator
     comparison experiment (E7) as the accuracy reference and by hybrid
-    circuits when the two-state approximation is not good enough.
+    circuits when the analytic three-state windows are not good enough.
 
     Parameters
     ----------

@@ -1,5 +1,7 @@
 """Tests for the compact SET models (analytic two-state and master-equation-backed)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,21 @@ class TestBatchedAnalyticModel:
     ])
     def test_validation_is_element_wise(self, field, bad):
         with pytest.raises(CircuitError):
+            AnalyticSETModel(**{field: bad})
+
+    @pytest.mark.parametrize("field, bad", [
+        ("gate_capacitance", math.nan),
+        ("drain_capacitance", math.inf),
+        ("source_capacitance", np.array([1e-18, -math.inf])),
+        ("drain_resistance", math.nan),
+        ("source_resistance", np.array([1e6, math.inf])),
+        ("temperature", math.nan),
+        ("temperature", np.array([1.0, math.nan])),
+        ("background_charge", math.nan),
+        ("background_charge", np.array([0.0, math.inf])),
+    ])
+    def test_non_finite_parameters_are_rejected(self, field, bad):
+        with pytest.raises(CircuitError, match="finite"):
             AnalyticSETModel(**{field: bad})
 
     def test_tunable_model_still_rebuilds_from_scalar_parameters(self):
