@@ -10,8 +10,11 @@ with the replica count).  Those long runs enter the native loop only once
 per random-block refill, which hides the cost of an entry, so a
 sweep-scale measurement sits beside them: a 129-point Id-Vg sweep at
 2 000 events per point on ``montecarlo-jit`` and ``ensemble-jit``
-(R = 16), reporting points/s and native entries per point split into run,
-refill and link entries (asserting at most one run entry per point).
+(R = 16), reporting points/s, native entries per point split into run,
+refill and link entries (asserting at most one run entry per point), and
+rate evaluations per point — calls of the rate kernel from the Monte-Carlo
+kernel, which builds a point's rate tables in one stacked evaluation
+(raising above :data:`RATE_EVALUATION_LIMIT`).
 
 The numbers go to ``BENCH_jit.json`` in the repository root so the
 performance trajectory is tracked across PRs (``benchmarks/run_all.py``
@@ -29,6 +32,7 @@ import numpy as np
 
 from repro.engines import SweepAxes, get_engine
 from repro.montecarlo import MonteCarloSimulator, jit_backend, jit_compiled
+from repro.montecarlo import kernel as kernel_module
 from repro.montecarlo.jit import (
     STATUS_BLOCKED,
     STATUS_DONE,
@@ -60,6 +64,9 @@ SWEEP_REPLICAS = 16
 SWEEP_ENGINES = (("montecarlo-jit", {}),
                  ("ensemble-jit", {"replicas": SWEEP_REPLICAS}))
 REQUIRED_SPEEDUP = 10.0
+#: Most rate-kernel calls a sweep point may make: one stacked evaluation of
+#: the point's roots and their successors, plus the rare lazy build.
+RATE_EVALUATION_LIMIT = 1.2
 #: The numpy fast path's events/s recorded in BENCH_kernel.json at PR 1 —
 #: the absolute reference the >= 10x ISSUE target is stated against.
 RECORDED_BASELINE = 384474.2
@@ -127,13 +134,25 @@ def measure_sweep(engine: str, options: dict) -> dict:
         statuses.append(status)
         return status
 
+    rate_kernel = kernel_module.orthodox_rate_vec
+    evaluations = []
+
+    def counted_rates(*arguments, **options):
+        evaluations.append(1)
+        return rate_kernel(*arguments, **options)
+
     kernel._jit_advance = counted
+    kernel_module.orthodox_rate_vec = counted_rates
     best = float("inf")
-    for _ in range(SWEEP_REPEATS):
-        statuses.clear()
-        start = time.perf_counter()
-        session.sweep(axes)
-        best = min(best, time.perf_counter() - start)
+    try:
+        for _ in range(SWEEP_REPEATS):
+            statuses.clear()
+            evaluations.clear()
+            start = time.perf_counter()
+            session.sweep(axes)
+            best = min(best, time.perf_counter() - start)
+    finally:
+        kernel_module.orthodox_rate_vec = rate_kernel
     kinds = {"run": (STATUS_DONE, STATUS_BLOCKED),
              "refill": (STATUS_NEED_EXP, STATUS_NEED_UNIFORM),
              "link": (STATUS_NEED_LINK,)}
@@ -142,7 +161,14 @@ def measure_sweep(engine: str, options: dict) -> dict:
     assert per_point["run"] <= 1.0, (
         f"{engine}: {per_point['run']:.2f} run entries per point; every "
         "sweep point should be one phased native call")
+    rate_evaluations = len(evaluations) / SWEEP_POINTS
+    if rate_evaluations > RATE_EVALUATION_LIMIT:
+        raise RuntimeError(
+            f"{engine}: {rate_evaluations:.2f} rate evaluations per point; "
+            f"a point should build its rate tables in one stacked "
+            f"evaluation (limit {RATE_EVALUATION_LIMIT})")
     return {"points_per_second": round(SWEEP_POINTS / best, 1),
+            "rate_evaluations_per_point": round(rate_evaluations, 2),
             "native_entries_per_point": round(len(statuses) / SWEEP_POINTS,
                                               2),
             **{f"{kind}_entries_per_point": round(value, 2)
@@ -206,7 +232,9 @@ def test_jit_kernel_throughput():
               f"points/s, {sweep['native_entries_per_point']:.2f} native "
               f"entries/point ({sweep['run_entries_per_point']:.2f} run, "
               f"{sweep['refill_entries_per_point']:.2f} refill, "
-              f"{sweep['link_entries_per_point']:.2f} link)")
+              f"{sweep['link_entries_per_point']:.2f} link), "
+              f"{sweep['rate_evaluations_per_point']:.2f} rate "
+              "evaluations/point")
     print(f"written to : {OUTPUT_PATH}")
     # One native call per replica-loop run: an R = 16 point (warm-up plus
     # estimate) must not enter the native loop once per replica.

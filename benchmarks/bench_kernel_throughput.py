@@ -6,8 +6,9 @@ throughput (executed events per second) on the reference SET transistor for
 
 * the **fast path**: precomputed event tables, incremental electrostatics and
   memoised per-configuration rate tables, and
-* the **reference path**: the original per-candidate scalar implementation
-  (``fast_path=False``), kept as the correctness baseline,
+* the **reference path**: the original per-candidate scalar implementation,
+  kept as the correctness baseline in the test oracle
+  ``tests/montecarlo/reference_kernel.py``,
 
 and writes the numbers to ``BENCH_kernel.json`` in the repository root so the
 performance trajectory is tracked across PRs.  Run it either through pytest
@@ -17,6 +18,7 @@ performance trajectory is tracked across PRs.  Run it either through pytest
 
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -28,6 +30,9 @@ try:
     from .conftest import print_experiment_header, standard_transistor
 except ImportError:  # executed directly: python benchmarks/bench_kernel_throughput.py
     from conftest import print_experiment_header, standard_transistor
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from tests.montecarlo.reference_kernel import reference_simulator
 
 TEMPERATURE = 1.0
 DRAIN_VOLTAGE = 0.05
@@ -41,12 +46,12 @@ REQUIRED_SPEEDUP = 5.0
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
 
 
-def measure_events_per_second(fast_path: bool, events: int) -> float:
+def measure_events_per_second(reference: bool, events: int) -> float:
     """Steady-state events/second of one kernel flavour on the reference SET."""
     circuit = standard_transistor().build_circuit(drain_voltage=DRAIN_VOLTAGE,
                                                   gate_voltage=GATE_VOLTAGE)
-    simulator = MonteCarloSimulator(circuit, temperature=TEMPERATURE, seed=3,
-                                    fast_path=fast_path)
+    build = reference_simulator if reference else MonteCarloSimulator
+    simulator = build(circuit, temperature=TEMPERATURE, seed=3)
     state = simulator.new_state()
     simulator.run(max_events=WARMUP_EVENTS, state=state)
     start = time.perf_counter()
@@ -57,8 +62,8 @@ def measure_events_per_second(fast_path: bool, events: int) -> float:
 
 
 def run_benchmark() -> dict:
-    fast = measure_events_per_second(fast_path=True, events=FAST_EVENTS)
-    reference = measure_events_per_second(fast_path=False,
+    fast = measure_events_per_second(reference=False, events=FAST_EVENTS)
+    reference = measure_events_per_second(reference=True,
                                           events=REFERENCE_EVENTS)
     payload = {
         "benchmark": "kernel_throughput",

@@ -39,17 +39,17 @@ The layers underneath remain directly usable:
 
 Performance
 -----------
-The kinetic Monte-Carlo engine runs on a vectorized fast path by default:
-every tunnel event is flattened at kernel construction into precomputed NumPy
-event tables (terminal indices, reorganisation energies, resistances, update
-vectors), rates are evaluated through the array-valued
+The kinetic Monte-Carlo engine is vectorized: every tunnel event is
+flattened at kernel construction into precomputed NumPy event tables
+(terminal indices, reorganisation energies, resistances, update vectors),
+rates are evaluated through the array-valued
 :func:`repro.core.rates.orthodox_rate_vec` /
 :func:`repro.core.rates.cotunneling_rate_vec`, island potentials are updated
 incrementally after each event instead of re-solved, and the cumulative rate
 table of every visited charge configuration is memoised.  The original scalar
-implementation remains available as the *reference path*
-(``MonteCarloSimulator(..., fast_path=False)``) and the test-suite asserts
-both paths agree.  ``PERFORMANCE.md`` describes the design;
+implementation is kept as a test oracle
+(``tests/montecarlo/reference_kernel.py``) and the test-suite asserts both
+agree.  ``PERFORMANCE.md`` describes the design;
 ``benchmarks/bench_kernel_throughput.py`` measures the speedup (>= 5x on the
 reference SET) and records it in ``BENCH_kernel.json``.
 """

@@ -103,6 +103,9 @@ class EventTable:
         # Gather indices into the concatenated (potentials, voltages) pool.
         self._from_gather = np.empty(self.size, dtype=np.int64)
         self._to_gather = np.empty(self.size, dtype=np.int64)
+        #: Flat gather indices and tiled reorganisation energies per stack
+        #: height, for :meth:`delta_f` over stacked potentials.
+        self._stacked_gathers: Dict[int, Tuple[np.ndarray, ...]] = {}
 
         for k, event in enumerate(events):
             from_node = event.source_node
@@ -140,7 +143,11 @@ class EventTable:
         Element ``k`` equals
         :meth:`EnergyModel.free_energy_change_from_potentials` for event ``k``
         exactly (the same floating-point operations in the same order).
+        ``potentials`` may also be a ``(rows, islands)`` stack of potential
+        vectors; each output row then equals the single-vector result.
         """
+        if potentials.ndim > 1:
+            return self._stacked_delta_f(potentials, voltages)
         pool = np.concatenate((potentials, voltages))
         phi_from = pool[self._from_gather]
         phi_to = pool[self._to_gather]
@@ -150,6 +157,27 @@ class EventTable:
         out *= E_CHARGE
         out += self.reorg
         return out
+
+    def _stacked_delta_f(self, potentials: np.ndarray,
+                         voltages: np.ndarray) -> np.ndarray:
+        """:meth:`delta_f` of a stack, as flat gathers over one flat pool."""
+        rows, islands = potentials.shape
+        width = islands + voltages.size
+        gathers = self._stacked_gathers.get(rows)
+        if gathers is None:
+            starts = np.arange(rows)[:, None] * width
+            gathers = self._stacked_gathers[rows] = (
+                (starts + self._from_gather).ravel(),
+                (starts + self._to_gather).ravel(), np.tile(self.reorg, rows))
+        from_index, to_index, reorg = gathers
+        pool = np.empty((rows, width))
+        pool[:, :islands] = potentials
+        pool[:, islands:] = voltages
+        flat = pool.ravel()
+        out = flat[from_index] - flat[to_index]
+        out *= E_CHARGE
+        out += reorg
+        return out.reshape(rows, self.size)
 
 
 class EnergyModel:

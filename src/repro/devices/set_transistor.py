@@ -39,6 +39,13 @@ ISLAND = "dot"
 DRAIN_NODE = "drain"
 GATE_NODE = "gate"
 
+#: Fields that must be positive and finite; the per-junction overrides and
+#: the second gate only when set.
+POSITIVE_FIELDS = ("junction_capacitance", "gate_capacitance",
+                   "junction_resistance", "drain_capacitance",
+                   "source_capacitance", "drain_resistance",
+                   "source_resistance", "second_gate_capacitance")
+
 
 @dataclass(frozen=True)
 class SETTransistor:
@@ -55,12 +62,12 @@ class SETTransistor:
     junction_resistance:
         Tunnel resistance of each junction in ohm (symmetric device).
     drain_capacitance, source_capacitance, drain_resistance, source_resistance:
-        Optional per-junction overrides.
+        Optional per-junction overrides (positive and finite when set).
     background_charge:
         Static offset charge on the island in coulomb.
     second_gate_capacitance:
-        Optional second (control) gate capacitance; used by hybrid circuits
-        that need an extra tuning knob.
+        Optional second (control) gate capacitance (positive and finite
+        when set); used by hybrid circuits that need an extra tuning knob.
     """
 
     junction_capacitance: float = 1e-18
@@ -74,12 +81,9 @@ class SETTransistor:
     second_gate_capacitance: Optional[float] = None
 
     def __post_init__(self) -> None:
-        for label, value in (
-            ("junction_capacitance", self.junction_capacitance),
-            ("gate_capacitance", self.gate_capacitance),
-            ("junction_resistance", self.junction_resistance),
-        ):
-            if not 0.0 < value < math.inf:
+        for label in POSITIVE_FIELDS:
+            value = getattr(self, label)
+            if value is not None and not 0.0 < value < math.inf:
                 raise CircuitError(
                     f"{label} must be positive and finite, got {value!r}")
 
@@ -231,6 +235,7 @@ class SETTransistor:
 
 
 __all__ = [
+    "POSITIVE_FIELDS",
     "SETTransistor",
     "DRAIN_JUNCTION",
     "SOURCE_JUNCTION",

@@ -44,7 +44,7 @@ from typing import (
 import numpy as np
 
 from ..constants import BOLTZMANN, E_CHARGE
-from ..devices.set_transistor import SETTransistor
+from ..devices.set_transistor import POSITIVE_FIELDS, SETTransistor
 from ..errors import ValidationError
 from ..io.results import SweepRecord
 from ..resilience.policy import FailurePolicy, PointRecord
@@ -500,12 +500,12 @@ class DeviceTable:
     def rejected(self) -> np.ndarray:
         """Rows whose device :class:`SETTransistor` would refuse to build.
 
-        A row is rejected where a capacitance or resistance column is not
-        positive, or not finite (NaN or infinite).
+        A row is rejected where a capacitance or resistance column —
+        symmetric or a per-junction override — is not positive, or not
+        finite (NaN or infinite).
         """
         mask = np.zeros(len(self), dtype=bool)
-        for name in ("junction_capacitance", "gate_capacitance",
-                     "junction_resistance"):
+        for name in POSITIVE_FIELDS:
             if name in self.columns:
                 values = self.columns[name]
                 mask |= ~((values > 0.0) & np.isfinite(values))

@@ -98,8 +98,8 @@ class CotunnelTable:
     def channel_energies(self, delta_f: np.ndarray
                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(total, E1, E2)`` for every channel, given the elementary ``dF`` vector."""
-        first = delta_f[self.first_index]
-        second = delta_f[self.second_index]
+        first = delta_f[..., self.first_index]
+        second = delta_f[..., self.second_index]
         return first + second + self.cross, first, second
 
 

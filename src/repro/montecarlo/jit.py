@@ -108,6 +108,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import operator
 import os
 import subprocess
 import tempfile
@@ -561,30 +562,23 @@ def _load_cc_advance() -> Optional[Callable]:
         return None
     native.restype = ctypes.c_longlong
     native.argtypes = [ctypes.c_void_p] * 17 + [ctypes.c_longlong] * 6
-    #: ``(array, address)`` last passed in each array position.  Holding the
-    #: array keeps its buffer alive, so the address stays valid until a
-    #: different array object takes the position; the pair is swapped as
-    #: one tuple, so concurrent callers at worst re-read an address.
-    held = [(None, 0)] * 17
+    #: ``(arrays, addresses)`` of the last call, swapped as one tuple so
+    #: concurrent callers always read a consistent pair.  Holding the arrays
+    #: keeps their buffers alive, so an address stays valid while its array
+    #: is held; a call re-reads only the addresses of arrays that changed.
+    last = [((None,) * 17, (0,) * 17)]
 
-    def advance(totals, cumulative, last_selectable, successor_slots,
-                transfer_matrix, slots, times, counts, transfers, schedule,
-                phase_times, phase_counts, phase_transfers, exp_buf, uni_buf,
-                ireg, freg):
+    def advance(*arrays):
         """ctypes shim matching the replica loop's signature."""
-        addresses = []
-        for position, array in enumerate((
-                totals, cumulative, last_selectable, successor_slots,
-                transfer_matrix, slots, times, counts, transfers, schedule,
-                phase_times, phase_counts, phase_transfers, exp_buf, uni_buf,
-                ireg, freg)):
-            cached = held[position]
-            if cached[0] is not array:
-                cached = held[position] = (array, array.ctypes.data)
-            addresses.append(cached[1])
-        return native(*addresses, exp_buf.shape[0], uni_buf.shape[0],
-                      schedule.shape[0], slots.shape[0], cumulative.shape[1],
-                      transfer_matrix.shape[1])
+        held, addresses = last[0]
+        if not all(map(operator.is_, arrays, held)):
+            addresses = tuple(
+                address if array is previous else array.ctypes.data
+                for array, previous, address in zip(arrays, held, addresses))
+            last[0] = (arrays, addresses)
+        return native(*addresses, arrays[13].shape[0], arrays[14].shape[0],
+                      arrays[9].shape[0], arrays[5].shape[0],
+                      arrays[1].shape[1], arrays[4].shape[1])
 
     return advance
 

@@ -6,30 +6,34 @@ The kernel implements the classic rejection-free (Gillespie / BKL) algorithm:
 2. draw the waiting time from an exponential distribution with the total rate,
 3. pick one event with probability proportional to its rate and apply it.
 
-Two implementations of the hot path coexist:
+All events are evaluated through precomputed array tables: the free-energy
+changes of every tunnel event come from one gather over the island potentials
+(:class:`~repro.core.energy.EventTable`), the rates from the array-valued
+:func:`~repro.core.rates.orthodox_rate_vec` /
+:func:`~repro.core.rates.cotunneling_rate_vec`, and event selection from a
+single pass over the cumulative rate table.  Because the rates depend only on
+the charge configuration (the process is Markovian), every visited
+configuration is memoised as a :class:`_RateEntry` holding its island
+potentials, its cumulative rate table and links to the successor entries of
+each event.  Island potentials of a newly discovered configuration are
+obtained *incrementally* from the parent entry — the event's precomputed
+``delta_phi`` column combination of ``C^-1`` — instead of a full linear solve;
+a full re-solve every ``resync_interval`` new entries bounds floating-point
+drift.  The memo is invalidated on source-voltage or offset changes (detected
+in O(1) through the circuit's version counters) and keyed by trap occupation,
+so telegraph noise does not thrash it.  Waiting-time and selection randoms
+are drawn in blocks rather than one scalar at a time.
 
-* The **fast path** (default) evaluates all events through precomputed array
-  tables: the free-energy changes of every tunnel event come from one gather
-  over the island potentials (:class:`~repro.core.energy.EventTable`), the
-  rates from the array-valued :func:`~repro.core.rates.orthodox_rate_vec` /
-  :func:`~repro.core.rates.cotunneling_rate_vec`, and event selection from a
-  single pass over the cumulative rate table.  Because the rates depend only
-  on the charge configuration (the process is Markovian), every visited
-  configuration is memoised as a :class:`_RateEntry` holding its island
-  potentials, its cumulative rate table and links to the successor entries of
-  each event.  Island potentials of a newly discovered configuration are
-  obtained *incrementally* from the parent entry — the event's precomputed
-  ``delta_phi`` column combination of ``C^-1`` — instead of a full linear
-  solve; a full re-solve every ``resync_interval`` new entries bounds
-  floating-point drift.  The memo is invalidated on source-voltage or offset
-  changes (detected in O(1) through the circuit's version counters) and keyed
-  by trap occupation, so telegraph noise does not thrash it.  Waiting-time
-  and selection randoms are drawn in blocks rather than one scalar at a time.
-* The **reference path** (``fast_path=False``) is the original per-candidate
-  scalar implementation, kept verbatim as an independently-derived check; the
-  test-suite asserts both paths produce the same rates.
+After a bias change the root configurations of a run — the replicas' current
+configurations — get their rate tables from **one stacked rate evaluation**,
+together with *speculated* tables of their one-event successors (root
+potentials plus every event's ``delta_phi``, one broadcast add).  A successor
+discovered later adopts its speculated table only when its incrementally
+derived potentials equal the speculated ones byte for byte, so discovery
+order, the resync counter and the memo cap behave exactly as with one lazy
+evaluation per discovery.
 
-On top of the scalar fast path sits the **ensemble mode**
+On top of the scalar path sits the **ensemble mode**
 (:meth:`MonteCarloKernel.step_ensemble`): ``R`` independent replicas advance
 one event each per macro-step, with waiting times, event selection and state
 updates executed as batched NumPy operations over all replicas.  Replicas in
@@ -37,8 +41,8 @@ the same charge configuration share one memoised :class:`_RateEntry`, so the
 rate-table cost is paid once per *configuration* rather than once per
 replica, and the per-event Python overhead is amortised over the whole
 ensemble.  A single-replica ensemble consumes the block random buffers in
-exactly the scalar order, so ``R = 1`` reproduces the scalar fast path
-event for event — the correctness anchor the test-suite enforces.
+exactly the scalar order, so ``R = 1`` reproduces the scalar path event
+for event — the correctness anchor the test-suite enforces.
 
 The kernel is deliberately separated from the user-facing
 :class:`~repro.montecarlo.simulator.MonteCarloSimulator` so the same stepping
@@ -54,12 +58,7 @@ import numpy as np
 
 from ..circuit.netlist import Circuit
 from ..core.energy import EnergyModel
-from ..core.rates import (
-    cotunneling_rate,
-    cotunneling_rate_vec,
-    orthodox_rate,
-    orthodox_rate_vec,
-)
+from ..core.rates import cotunneling_rate_vec, orthodox_rate_vec
 from ..errors import SimulationError
 from .cotunneling import CotunnelTable, enumerate_cotunnel_candidates
 from .events import CotunnelCandidate, TrapCandidate, TunnelCandidate
@@ -198,15 +197,23 @@ class _EnsembleCursor:
         #: used to detect external mutation of ``ensemble.electrons``.
         self.configurations = np.empty((0, n_islands), dtype=np.int64)
         self._mirrored = 0
+        self.slots = slots
         self.reset(epoch, slots, entries)
 
     def reset(self, epoch: int, slots: np.ndarray,
               entries: List["_RateEntry"]) -> None:
-        """Re-key the cursor to ``entries`` of a new epoch, in place."""
+        """Re-key the cursor to ``entries`` of a new epoch, in place.
+
+        The slot array is updated in place when its length is unchanged,
+        so the compiled loop keeps receiving the same array object.
+        """
         self.successor_slots[:self._mirrored] = -1
         self._mirrored = 0
         self.epoch = epoch
-        self.slots = slots
+        if self.slots.shape == slots.shape:
+            self.slots[:] = slots
+        else:
+            self.slots = slots
         self.entries: List["_RateEntry"] = []
         self.slot_of: dict = {}
         for entry in entries:
@@ -221,7 +228,9 @@ class _EnsembleCursor:
         full re-key instead of silently stepping replicas with the rate
         tables of their old configurations.
         """
-        return bool(np.array_equal(self.configurations[self.slots], electrons))
+        current = self.configurations[self.slots]
+        return current.shape == electrons.shape \
+            and bool((current == electrons).all())
 
     def register(self, entry: "_RateEntry") -> int:
         """Slot of ``entry``, assigning a new one on first sight."""
@@ -270,16 +279,20 @@ class _EnsembleCursor:
 
 
 class _RateEntry:
-    """Memoised per-configuration data of the fast path.
+    """Memoised per-configuration rate data.
 
     ``electrons`` is the canonical configuration vector (never handed out
     without a copy), ``phi`` its island potentials, ``cumulative``/``total``
     the inclusive rate table used for event selection, and ``successors`` the
-    lazily linked entries reached by each tunnel / co-tunnel event.
+    lazily linked entries reached by each tunnel / co-tunnel event.  A root
+    entry of a stacked build also carries ``speculation``: its one-event
+    successors' potentials (row ``k`` for event ``k``), the stack's
+    cumulative rows, totals and last-selectable indices, and the stack row
+    of its event-0 successor (``None`` otherwise).
     """
 
     __slots__ = ("electrons", "phi", "cumulative", "total", "last_selectable",
-                 "successors")
+                 "successors", "speculation")
 
     def __init__(self, electrons: np.ndarray, phi: np.ndarray,
                  cumulative: np.ndarray, total: float, last_selectable: int,
@@ -290,6 +303,7 @@ class _RateEntry:
         self.total = total
         self.last_selectable = last_selectable
         self.successors: List[Optional["_RateEntry"]] = [None] * n_events
+        self.speculation: Optional[tuple] = None
 
 
 class MonteCarloKernel:
@@ -305,40 +319,30 @@ class MonteCarloKernel:
         NumPy random generator (the simulator owns the seed policy).
     include_cotunneling:
         Whether second-order (co-tunnelling) channels are simulated.
-    fast_path:
-        Use the vectorized event-table implementation (default).  Set to
-        ``False`` to run the scalar reference implementation instead.
     resync_interval:
         Number of incrementally-derived configurations between full
-        island-potential re-solves on the fast path (bounds floating-point
-        drift).  ``1`` re-solves for every new configuration.
+        island-potential re-solves (bounds floating-point drift).  ``1``
+        re-solves for every new configuration.
     jit:
         Enable the compiled advance loop (:mod:`repro.montecarlo.jit`) for
-        :meth:`run_compiled`/:meth:`run_ensemble_compiled`.  ``True`` picks
-        the best available backend (numba, then C, then the interpreted
-        reference loop); a string pins one backend by name.  Requires
-        ``fast_path=True``.
+        :meth:`run_phases`.  ``True`` picks the best available backend
+        (numba, then C, then the interpreted reference loop); a string pins
+        one backend by name.
     """
 
     def __init__(self, circuit: Circuit, temperature: float,
                  rng: np.random.Generator,
                  include_cotunneling: bool = False,
-                 fast_path: bool = True,
                  resync_interval: int = 1024,
                  jit: Union[bool, str] = False) -> None:
         if temperature < 0.0:
             raise SimulationError("temperature must be non-negative")
         if resync_interval < 1:
             raise SimulationError("resync_interval must be at least 1")
-        if jit and not fast_path:
-            raise SimulationError(
-                "the compiled advance loop drives the fast-path rate "
-                "tables; jit requires fast_path=True")
         self.circuit = circuit
         self.temperature = float(temperature)
         self.rng = rng
         self.include_cotunneling = include_cotunneling
-        self.fast_path = bool(fast_path)
         self.resync_interval = int(resync_interval)
         self.model = EnergyModel(circuit)
         self.tunnel_candidates = [TunnelCandidate(event)
@@ -392,18 +396,20 @@ class MonteCarloKernel:
             self._delta_n_matrix = np.vstack(
                 [np.asarray(delta, dtype=np.int64)
                  for delta in self._event_delta_n])
+            self._delta_phi_matrix = np.vstack(self._event_delta_phi)
         else:
             self._delta_n_matrix = np.zeros((0, n_islands), dtype=np.int64)
+            self._delta_phi_matrix = np.zeros((0, n_islands))
         self._transfer_matrix = np.zeros(
             (self._n_events, len(self._junction_order)), dtype=float)
+        #: ``k + 1`` per rate-table column (last positive-rate lookups).
+        self._positions = np.arange(1, self._n_events + self._n_traps + 1)
+        #: Tunnel resistances tiled to flattened stacked rate tables.
+        self._tiled_resistance: dict = {}
         for index, transfers in enumerate(self._event_transfers):
             for name, direction in transfers:
                 self._transfer_matrix[index, self._junction_order[name]] \
                     += direction
-
-        # ------------------------------------------- preallocated buffers
-        self._rates = np.zeros(self._n_events + self._n_traps, dtype=float)
-        self._delta_f = np.empty(self._n_tunnel, dtype=float)
 
         # ----------------------------------------------- cache bookkeeping
         self._voltages: Optional[np.ndarray] = None
@@ -434,17 +440,10 @@ class MonteCarloKernel:
 
             requested = None if jit is True else str(jit)
             self._jit_backend, self._jit_advance = resolve_advance(requested)
-        #: Cursor reused by :meth:`run_compiled` across calls (same dense
-        #: mirrors as the ensemble cursor, with a single tracked slot).
-        self._scalar_cursor: Optional[_EnsembleCursor] = None
         # Native-call arguments kept across calls: the C shim re-reads an
         # argument's address only when a different array object arrives.
         self._ireg = np.zeros(IREG_SIZE, dtype=np.int64)
         self._freg = np.zeros(FREG_SIZE)
-        self._scalar_slots = np.zeros(1, dtype=np.int64)
-        self._scalar_times = np.zeros(1)
-        self._scalar_counts = np.zeros(1, dtype=np.int64)
-        self._scalar_transfers = np.zeros((1, len(self._junction_order)))
         self._phase_record: Optional[PhaseRecord] = None
 
     @property
@@ -454,7 +453,7 @@ class MonteCarloKernel:
 
     @property
     def jit_enabled(self) -> bool:
-        """Whether :meth:`run_compiled`/:meth:`run_ensemble_compiled` work."""
+        """Whether :meth:`run_phases` works."""
         return self._jit_advance is not None
 
     # ---------------------------------------------------------------- caches
@@ -577,27 +576,57 @@ class MonteCarloKernel:
 
     def _rates_from_phi(self, phi: np.ndarray,
                         state: SimulationState) -> np.ndarray:
-        """Fill and return the shared rate buffer (tunnel | cotunnel | trap)."""
-        rates = self._rates
-        n_tunnel = self._n_tunnel
-        n_cot = self._n_cot
-        if n_tunnel:
-            delta_f = self._table.delta_f(phi, self._voltages, out=self._delta_f)
-            orthodox_rate_vec(delta_f, self._table.resistance, self.temperature,
-                              out=rates[:n_tunnel])
-        if n_cot:
-            total, first, second = self._cot_table.channel_energies(self._delta_f)
-            rates[n_tunnel:n_tunnel + n_cot] = cotunneling_rate_vec(
+        """Rate table (tunnel | cotunnel | trap) of one or many configurations.
+
+        ``phi`` is one potential vector or a ``(rows, islands)`` stack of
+        them; every rate is an element-wise function of its own row (the
+        tunnel rates are evaluated over the flattened stack), so a row of a
+        stacked evaluation equals the single-row evaluation bit for bit.
+        """
+        rows = phi.shape[:-1]
+        columns = []
+        if self._n_tunnel:
+            delta_f = self._table.delta_f(phi, self._voltages)
+            resistance = self._tiled_resistance.get(delta_f.size)
+            if resistance is None:
+                resistance = self._tiled_resistance[delta_f.size] = np.tile(
+                    self._table.resistance, delta_f.size // self._n_tunnel)
+            columns.append(orthodox_rate_vec(
+                delta_f.reshape(-1), resistance,
+                self.temperature).reshape(delta_f.shape))
+        if self._n_cot:
+            total, first, second = self._cot_table.channel_energies(delta_f)
+            columns.append(cotunneling_rate_vec(
                 total, first, second,
                 self._cot_table.resistance_1, self._cot_table.resistance_2,
-                self.temperature)
+                self.temperature))
         if self._n_traps:
             occupied = np.fromiter(
                 (state.trap_occupancy.get(trap.name, False) for trap in self.traps),
                 dtype=bool, count=self._n_traps)
-            rates[n_tunnel + n_cot:] = np.where(
-                occupied, self._trap_emission_rates, self._trap_capture_rates)
-        return rates
+            columns.append(np.broadcast_to(np.where(
+                occupied, self._trap_emission_rates, self._trap_capture_rates),
+                rows + (self._n_traps,)))
+        if len(columns) == 1:
+            return columns[0]
+        if not columns:
+            return np.empty(rows + (0,))
+        return np.concatenate(columns, axis=-1)
+
+    def _selection_tables(self, rates: np.ndarray
+                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cumulative rows, totals and last positive-rate indices of ``rates``.
+
+        Selection clamps to the last positive-rate index so a threshold that
+        rounds up to exactly the total can never pick a trailing forbidden
+        (zero-rate) event.
+        """
+        cumulative = np.cumsum(rates, axis=-1)
+        if not rates.shape[-1]:
+            return cumulative, np.zeros(rates.shape[:-1]), \
+                np.full(rates.shape[:-1], -1, dtype=np.int64)
+        last = ((rates > 0.0) * self._positions).max(axis=-1) - 1
+        return cumulative, cumulative[..., -1], last
 
     def _compute_rates(self, state: SimulationState) -> np.ndarray:
         """Full vectorized rate evaluation from an exact potential solve."""
@@ -614,8 +643,6 @@ class MonteCarloKernel:
         Tunnel and co-tunnel candidates with zero rate are filtered out (as in
         the reference implementation); trap candidates are always present.
         """
-        if not self.fast_path:
-            return self.candidate_rates_reference(state)
         rates = self._compute_rates(state)
         candidates: List[Candidate] = []
         kept: List[float] = []
@@ -653,21 +680,51 @@ class MonteCarloKernel:
         supplies incrementally derived potentials.
         """
         if phi is None:
-            phi = np.asarray(self.model.island_potentials(
-                electrons, self._voltages, self._offsets), dtype=float)
-            self._entries_since_resync = 0
-        rates = self._rates_from_phi(phi, state)
-        cumulative = np.cumsum(rates)
-        total = float(cumulative[-1]) if cumulative.size else 0.0
-        # Last positive-rate index: selection clamps to it so a threshold that
-        # rounds up to exactly the total can never pick a trailing forbidden
-        # (zero-rate) event, matching the reference path's filtered table.
-        positive = np.nonzero(rates > 0.0)[0]
-        last_selectable = int(positive[-1]) if positive.size else -1
-        entry = _RateEntry(electrons, phi, cumulative, total, last_selectable,
+            phi = self._exact_phi(electrons)
+        cumulative, total, last = self._selection_tables(
+            self._rates_from_phi(phi, state))
+        entry = _RateEntry(electrons, phi, cumulative, float(total), int(last),
                            self._n_events)
         self._store_entry(key, entry)
         return entry
+
+    def _exact_phi(self, electrons: np.ndarray) -> np.ndarray:
+        """Exactly solved island potentials (restarts the resync count)."""
+        self._entries_since_resync = 0
+        return np.asarray(self.model.island_potentials(
+            electrons, self._voltages, self._offsets), dtype=float)
+
+    def _build_roots(self, configurations: np.ndarray) -> List["_RateEntry"]:
+        """Memoised entries of root configurations, from one rate evaluation.
+
+        Called with an empty memo (a fresh bias point).  Every root gets
+        exactly solved potentials, as a lazy build would; its one-event
+        successors get speculated potentials ``phi + delta_phi[k]`` (one
+        broadcast add, the expression :meth:`_descend` evaluates) and all
+        rows share one stacked rate evaluation.  The successor rows are kept
+        on the root entry for :meth:`_descend` to adopt.
+        """
+        roots = len(configurations)
+        events = self._n_events
+        electrons = np.array(configurations, dtype=np.int64)
+        stack = np.empty((roots * (events + 1), electrons.shape[1]))
+        for root in range(roots):
+            stack[root] = self._exact_phi(electrons[root])
+        successors = stack[roots:].reshape(roots, events, -1)
+        np.add(stack[:roots, None, :], self._delta_phi_matrix, out=successors)
+        cumulative, totals, last = self._selection_tables(
+            self._rates_from_phi(stack, _TRAPLESS))
+        totals = totals.tolist()
+        last = last.tolist()
+        entries = []
+        for root in range(roots):
+            entry = _RateEntry(electrons[root], stack[root], cumulative[root],
+                               totals[root], last[root], events)
+            entry.speculation = (successors[root], cumulative, totals, last,
+                                 roots + root * events)
+            self._store_entry(self._entry_key(electrons[root]), entry)
+            entries.append(entry)
+        return entries
 
     def _descend(self, parent: "_RateEntry", index: int,
                  state: SimulationState) -> "_RateEntry":
@@ -677,7 +734,9 @@ class MonteCarloKernel:
         island potentials are the parent's plus the event's precomputed
         ``delta_phi`` (a column combination of ``C^-1``), skipping the full
         ``C^-1 (q + B V)`` solve.  Every ``resync_interval`` discoveries the
-        potentials are re-solved exactly to stop rounding drift.
+        potentials are re-solved exactly to stop rounding drift.  A successor
+        of a stacked root adopts its speculated rate row when the potentials
+        derived here equal the speculated ones byte for byte.
         """
         electrons = parent.electrons + self._event_delta_n[index]
         key = self._entry_key(electrons)
@@ -685,79 +744,19 @@ class MonteCarloKernel:
         if existing is not None:
             return existing
         if self._entries_since_resync >= self.resync_interval:
-            phi = None
-        else:
-            phi = parent.phi + self._event_delta_phi[index]
-            self._entries_since_resync += 1
-        return self._build_entry(key, electrons, phi, state)
-
-    # ------------------------------------------------- scalar reference path
-
-    def candidate_rates_reference(self, state: SimulationState
-                                  ) -> Tuple[List[Candidate], np.ndarray]:
-        """The pre-vectorization scalar implementation, kept as the reference.
-
-        Evaluates every candidate one at a time from freshly computed island
-        potentials, with no caching whatsoever.  The fast path must agree with
-        this element for element; the equivalence tests enforce it.
-        """
-        offsets = np.array(self.model.system.offset_charge_vector())
-        island_index = self.model.island_index
-        for trap in self.traps:
-            if state.trap_occupancy.get(trap.name, False):
-                offsets[island_index(trap.island)] += trap.coupling
-        voltages = self.model.system.source_voltage_vector()
-        potentials = self.model.island_potentials(state.electrons, voltages, offsets)
-        candidates: List[Candidate] = []
-        rates: List[float] = []
-
-        for candidate in self.tunnel_candidates:
-            delta_f = self.model.free_energy_change_from_potentials(
-                potentials, candidate.event, voltages)
-            rate = orthodox_rate(delta_f, candidate.event.junction.resistance,
-                                 self.temperature)
-            if rate > 0.0:
-                candidates.append(candidate)
-                rates.append(rate)
-
-        for candidate in self.cotunnel_candidates:
-            rate = self._cotunnel_rate(state, candidate, voltages, offsets)
-            if rate > 0.0:
-                candidates.append(candidate)
-                rates.append(rate)
-
-        for trap in self.traps:
-            occupied = state.trap_occupancy.get(trap.name, False)
-            if occupied:
-                candidates.append(TrapCandidate(trap, capture=False))
-                rates.append(1.0 / trap.emission_time)
-            else:
-                candidates.append(TrapCandidate(trap, capture=True))
-                rates.append(1.0 / trap.capture_time)
-
-        return candidates, np.array(rates, dtype=float)
-
-    def _cotunnel_rate(self, state: SimulationState, candidate: CotunnelCandidate,
-                       voltages: np.ndarray, offsets: np.ndarray) -> float:
-        first_cost = self.model.free_energy_change(state.electrons, candidate.first,
-                                                   voltages, offsets)
-        intermediate = self.model.apply_event(state.electrons, candidate.first)
-        second_from_intermediate = self.model.free_energy_change(
-            intermediate, candidate.second, voltages, offsets)
-        total = first_cost + second_from_intermediate
-        # Cost of the opposite ordering (second event first) as the other
-        # virtual state energy.
-        second_first_cost = self.model.free_energy_change(state.electrons,
-                                                          candidate.second,
-                                                          voltages, offsets)
-        return cotunneling_rate(
-            total,
-            intermediate_energy_1=first_cost,
-            intermediate_energy_2=second_first_cost,
-            resistance_1=candidate.first.junction.resistance,
-            resistance_2=candidate.second.junction.resistance,
-            temperature=self.temperature,
-        )
+            return self._build_entry(key, electrons, None, state)
+        phi = parent.phi + self._event_delta_phi[index]
+        self._entries_since_resync += 1
+        speculation = parent.speculation
+        if speculation is None \
+                or phi.tobytes() != speculation[0][index].tobytes():
+            return self._build_entry(key, electrons, phi, state)
+        _, cumulative, totals, last, first = speculation
+        row = first + index
+        entry = _RateEntry(electrons, phi, cumulative[row], totals[row],
+                           last[row], self._n_events)
+        self._store_entry(key, entry)
+        return entry
 
     # ------------------------------------------------------------------ steps
 
@@ -770,9 +769,6 @@ class MonteCarloKernel:
         exceeds ``max_waiting_time`` (in which case the state only advances in
         time and nothing is applied).
         """
-        if not self.fast_path:
-            return self._step_reference(state, max_waiting_time)
-
         # O(1) invalidation checks before consulting the memoised tables.
         circuit = self.circuit
         if self._voltages is None or circuit.bias_version != self._bias_version:
@@ -838,8 +834,9 @@ class MonteCarloKernel:
         replicas currently occupy it.  Slots are numbered in lexicographic
         configuration order.  After a bias change the distinct
         configurations come from the stale cursor's slots (the common case:
-        nobody edited ``ensemble.electrons``), and the stale cursor is
-        re-keyed in place so its mirror arrays are reused.
+        nobody edited ``ensemble.electrons``), the stale cursor is re-keyed in
+        place so its mirror arrays are reused, and the now empty memo gets
+        every root from one stacked build (:meth:`_build_roots`).
         """
         electrons = np.ascontiguousarray(ensemble.electrons, dtype=np.int64)
         ensemble.electrons = electrons
@@ -848,24 +845,31 @@ class MonteCarloKernel:
         if stale and cursor.matches(electrons):
             if cursor.epoch == self._cache_epoch:
                 return cursor
-            distinct, inverse = np.unique(cursor.slots, return_inverse=True)
-            unique = cursor.configurations[distinct]
-            order = np.lexsort(unique.T[::-1])
-            unique = unique[order]
-            rank = np.empty_like(order)
-            rank[order] = np.arange(order.size)
-            inverse = rank[inverse]
+            # The occupied slots in configuration order (ties by slot), as
+            # np.unique would sort the rows; a few Python operations are
+            # far cheaper than it at sweep-point replica counts.
+            configurations = cursor.configurations
+            occupied = cursor.slots.tolist()
+            distinct = sorted(set(occupied), key=lambda slot: (
+                configurations[slot].tolist(), slot))
+            rank = {slot: position for position, slot in enumerate(distinct)}
+            unique = configurations[distinct]
+            inverse = np.array([rank[slot] for slot in occupied],
+                               dtype=np.int64)
         else:
             unique, inverse = np.unique(electrons, axis=0,
                                         return_inverse=True)
-        entries: List[_RateEntry] = []
-        for row in unique:
-            row = np.ascontiguousarray(row)
-            key = self._entry_key(row)
-            entry = self._rate_cache.get(key)
-            if entry is None:
-                entry = self._build_entry(key, row.copy(), None, _TRAPLESS)
-            entries.append(entry)
+        if not self._rate_cache and len(unique) < self._rate_cache_limit:
+            entries = self._build_roots(unique)
+        else:
+            entries = []
+            for row in unique:
+                row = np.ascontiguousarray(row)
+                key = self._entry_key(row)
+                entry = self._rate_cache.get(key)
+                if entry is None:
+                    entry = self._build_entry(key, row.copy(), None, _TRAPLESS)
+                entries.append(entry)
         slots = inverse.reshape(-1).astype(np.int64)
         if stale:
             cursor.reset(self._cache_epoch, slots, entries)
@@ -902,10 +906,6 @@ class MonteCarloKernel:
 
         Returns the per-replica :class:`EnsembleStep` outcome.
         """
-        if not self.fast_path:
-            raise SimulationError(
-                "ensemble stepping requires the vectorized kernel "
-                "(fast_path=True)")
         if self._n_traps:
             raise SimulationError(
                 "ensemble stepping does not support charge traps; use the "
@@ -1061,45 +1061,6 @@ class MonteCarloKernel:
         """
         self._jit_advance = None
 
-    def _require_compiled(self) -> None:
-        """Common guards of the compiled entry points."""
-        from ..resilience.faults import inject
-
-        inject("jit.run_compiled")
-        if self._jit_advance is None:
-            raise SimulationError(
-                "compiled stepping is disabled; construct the kernel with "
-                "jit=True (or a backend name)")
-        if self._n_traps:
-            raise SimulationError(
-                "compiled stepping does not support charge traps; use the "
-                "scalar step() path for telegraph-noise simulations")
-
-    def _scalar_cursor_for(self, electrons: np.ndarray
-                           ) -> Tuple[_EnsembleCursor, int]:
-        """Cursor and slot describing a scalar state's configuration.
-
-        Reuses one cursor across :meth:`run_compiled` calls so the dense
-        mirrors and successor links warm up once; a cache-epoch bump (bias
-        or offset change) re-keys it in place, exactly like the ensemble
-        cursor revalidation.
-        """
-        electrons = np.ascontiguousarray(electrons, dtype=np.int64)
-        key = self._entry_key(electrons)
-        entry = self._rate_cache.get(key)
-        if entry is None:
-            entry = self._build_entry(key, electrons.copy(), None, _TRAPLESS)
-        cursor = self._scalar_cursor
-        if cursor is None:
-            cursor = self._scalar_cursor = _EnsembleCursor(
-                self._cache_epoch, self._scalar_slots, [entry],
-                self._n_events, self.model.island_count)
-        elif cursor.epoch != self._cache_epoch:
-            cursor.reset(self._cache_epoch, self._scalar_slots, [entry])
-        slot = cursor.register(entry)
-        cursor.refresh()
-        return cursor, slot
-
     def _link_compiled(self, cursor: _EnsembleCursor, slot: int,
                        event: int) -> None:
         """Resolve one unlinked (configuration, event) transition in place."""
@@ -1129,37 +1090,60 @@ class MonteCarloKernel:
         record.replica = 0
         return record
 
-    def _drive_compiled(self, cursor: _EnsembleCursor, slots: np.ndarray,
-                        times: np.ndarray, counts: np.ndarray,
-                        transfers: np.ndarray, record: PhaseRecord,
-                        duration: Optional[float]) -> None:
-        """Run every replica through every phase of ``record.schedule``.
+    def run_phases(self, ensemble: EnsembleState, record: PhaseRecord,
+                   duration: Optional[float] = None) -> None:
+        """Advance every replica through a phased compiled run, in place.
 
-        Replica ``r`` starts at cursor slot ``slots[r]`` and clock
-        ``times[r]``.  One native call advances the replicas phase by phase,
-        each to its own per-phase budget, updating ``slots``, ``times``,
-        ``counts`` and the rows of ``transfers`` in place and snapshotting
-        them into ``record`` at every phase boundary.  The loop returns
-        early only when it needs Python — a random block refill or a
-        successor link — and is re-entered with the updated buffers/cursor
-        arrays (re-fetched per call because :meth:`_EnsembleCursor.refresh`
-        may grow them); the registers resume the interrupted replica
-        mid-event.  Buffer refills replicate the scalar accessors exactly:
-        refill with one ``_random_block`` draw at the consumption point,
-        restart at position zero.
+        Replicas run through ``record.schedule`` phase-major (every replica
+        finishes phase ``p`` before any starts ``p + 1``), each to its own
+        per-phase event budget or ``duration``, sharing the memoised rate
+        tables and the block random buffers.  One native call advances the
+        whole schedule, updating the cursor slots, ``ensemble.times``,
+        ``event_counts`` and ``electron_transfers`` in place and
+        snapshotting them into ``record`` at every phase boundary; ``record``
+        row 0 must hold them at the start.  The loop returns early only when
+        it needs Python — a random block refill or a successor link — and is
+        re-entered with the updated buffers and cursor arrays (re-fetched per
+        call because :meth:`_EnsembleCursor.refresh` may grow them); the
+        registers resume the interrupted replica mid-event.  Refills
+        replicate the scalar accessors exactly (one ``_random_block`` draw at
+        the consumption point), so a single-replica ensemble replays the
+        scalar :meth:`step` trajectory event for event.
 
         If a re-entry raises, the interrupted replica's transfer row is
         restored from its phase-start snapshot, so every replica is left
-        exactly at a phase boundary recorded by ``record.phase``/
+        exactly at the phase boundary recorded by ``record.phase``/
         ``record.replica``.
         """
-        if record.times.shape[1] != slots.shape[0] or \
+        from ..resilience.faults import inject
+
+        inject("jit.run_compiled")
+        if self._jit_advance is None:
+            raise SimulationError(
+                "compiled stepping is disabled; construct the kernel with "
+                "jit=True (or a backend name)")
+        if self._n_traps:
+            raise SimulationError(
+                "compiled stepping does not support charge traps; use the "
+                "scalar step() path for telegraph-noise simulations")
+        self._refresh_bias()
+        self._refresh_offsets(_TRAPLESS)
+        cursor = self._ensure_cursor(ensemble)
+        # The native loop writes through raw addresses: hand it contiguous
+        # arrays of the exact dtypes (a no-op for kernel-built ensembles).
+        times = ensemble.times = np.ascontiguousarray(ensemble.times,
+                                                      dtype=float)
+        counts = ensemble.event_counts = np.ascontiguousarray(
+            ensemble.event_counts, dtype=np.int64)
+        transfers = ensemble.electron_transfers = np.ascontiguousarray(
+            ensemble.electron_transfers, dtype=float)
+        if record.times.shape[1] != times.shape[0] or \
                 record.transfers.shape[2] != transfers.shape[1]:
-            # The native loop writes the record through raw addresses.
             raise SimulationError(
                 f"phase record for {record.times.shape[1]} replica(s) and "
                 f"{record.transfers.shape[2]} junction(s) cannot snapshot "
-                f"{slots.shape[0]} replica(s) and {transfers.shape[1]}")
+                f"{times.shape[0]} replica(s) and {transfers.shape[1]}")
+        slots = cursor.slots
         ireg = self._ireg
         freg = self._freg
         ireg.fill(0)
@@ -1196,6 +1180,9 @@ class MonteCarloKernel:
             if ireg[REG_LOADED]:
                 transfers[record.replica] = \
                     record.transfers[record.phase, record.replica]
+            # Finished phases keep their progress even if a re-entry
+            # raised, so the interpreted fallback continues from them.
+            ensemble.electrons[:] = cursor.configurations[slots]
 
     def _refill(self, sampler, buffer: np.ndarray) -> np.ndarray:
         """One ``_random_block`` draw, into ``buffer`` when it is block-sized.
@@ -1206,114 +1193,6 @@ class MonteCarloKernel:
         if buffer.size == self._random_block:
             return sampler(out=buffer)
         return sampler(self._random_block)
-
-    def _refresh_compiled(self, state: SimulationState) -> None:
-        """Guards and O(1) cache revalidation before a compiled run."""
-        self._require_compiled()
-        circuit = self.circuit
-        if self._voltages is None or circuit.bias_version != self._bias_version:
-            self._refresh_bias()
-        if self._offsets is None or \
-                circuit.charge_version != self._offsets_version:
-            self._refresh_offsets(state)
-
-    def run_compiled(self, state: SimulationState, record: PhaseRecord,
-                     duration: Optional[float] = None) -> None:
-        """Advance a scalar state through a phased compiled run, in place.
-
-        Executes ``record.schedule`` phase by phase, replaying the scalar
-        :meth:`step` trajectory bit for bit (same random stream, same
-        waiting times, same selections, same censoring and blockade
-        semantics) — one :meth:`step` loop per phase, each stopped by its
-        event budget or ``duration``.  This is the one-replica case of
-        :meth:`run_ensemble_compiled`'s driver.  ``record`` row 0 must hold
-        ``(state.time, 0, zeros)``: counts and transfers are recorded
-        relative to the start.  ``state`` is updated exactly as a sequence
-        of :meth:`step` calls would have left it — after an exception, as
-        of the last completed phase.
-        """
-        self._refresh_compiled(state)
-        cursor, slot = self._scalar_cursor_for(state.electrons)
-        slots = self._scalar_slots
-        times = self._scalar_times
-        counts = self._scalar_counts
-        transfers = self._scalar_transfers
-        slots[0] = slot
-        times[0] = state.time
-        counts[0] = 0
-        transfers.fill(0.0)
-        try:
-            self._drive_compiled(cursor, slots, times, counts, transfers,
-                                 record, duration)
-        finally:
-            state.time = float(times[0])
-            state.electrons = cursor.configurations[slots[0]].copy()
-            tallies = state.electron_transfers
-            for name, column in self._junction_order.items():
-                # The per-event transfer values are small integers, so the
-                # aggregated float sums are exact and match the scalar
-                # path's one-increment-per-event accumulation bitwise.
-                tallies[name] += transfers[0, column]
-            state.event_count += int(counts[0])
-
-    def run_ensemble_compiled(self, ensemble: EnsembleState,
-                              record: PhaseRecord,
-                              duration: Optional[float] = None) -> None:
-        """Advance every replica through a phased compiled run, in place.
-
-        Replicas run sequentially inside one native call per phase-major
-        schedule (sharing the memoised rate tables and the block random
-        buffers), each to its own per-phase budget; a single-replica
-        ensemble therefore consumes the random stream in exactly the scalar
-        order and replays :meth:`run_compiled` — and by extension the scalar
-        :meth:`step` path — event for event.  ``record`` row 0 must hold the
-        ensemble's times, event counts and transfers at the start.
-        """
-        self._refresh_compiled(_TRAPLESS)
-        cursor = self._ensure_cursor(ensemble)
-        # The native loop writes through raw addresses: hand it contiguous
-        # arrays of the exact dtypes (a no-op for kernel-built ensembles).
-        ensemble.times = np.ascontiguousarray(ensemble.times, dtype=float)
-        ensemble.event_counts = np.ascontiguousarray(ensemble.event_counts,
-                                                     dtype=np.int64)
-        ensemble.electron_transfers = np.ascontiguousarray(
-            ensemble.electron_transfers, dtype=float)
-        try:
-            self._drive_compiled(cursor, cursor.slots, ensemble.times,
-                                 ensemble.event_counts,
-                                 ensemble.electron_transfers, record,
-                                 duration)
-        finally:
-            # Finished phases keep their progress even if a re-entry
-            # raised, so the interpreted fallback continues from them.
-            ensemble.electrons[:] = cursor.configurations[cursor.slots]
-
-    def _step_reference(self, state: SimulationState,
-                        max_waiting_time: Optional[float] = None
-                        ) -> Optional[KernelStep]:
-        """The pre-refactor scalar step, driven by :meth:`candidate_rates_reference`."""
-        candidates, rates = self.candidate_rates_reference(state)
-        total_rate = float(rates.sum()) if rates.size else 0.0
-        if total_rate <= 0.0:
-            if max_waiting_time is not None:
-                state.time += max_waiting_time
-            return None
-
-        waiting = float(self.rng.exponential(1.0 / total_rate))
-        if max_waiting_time is not None and waiting > max_waiting_time:
-            state.time += max_waiting_time
-            return None
-
-        threshold = self.rng.uniform(0.0, total_rate)
-        cumulative = np.cumsum(rates)
-        index = int(np.searchsorted(cumulative, threshold, side="right"))
-        index = min(index, len(candidates) - 1)
-        chosen = candidates[index]
-        state.time += waiting
-        chosen.apply(state, self.model)
-        state.event_count += 1
-        return KernelStep(waiting_time=waiting, candidate=chosen,
-                          total_rate=total_rate)
 
 
 __all__ = ["Candidate", "EnsembleStep", "KernelStep", "MonteCarloKernel"]

@@ -138,6 +138,118 @@ def block_average(values: Sequence[float], weights: Sequence[float],
     return mean, stderr, blocks
 
 
+@dataclass(frozen=True)
+class CurrentEstimates:
+    """Current estimates of many points at once (one array entry per point).
+
+    The fields are those of :class:`CurrentEstimate`, as ``(points,)``
+    arrays; :meth:`point` extracts one estimate.
+    """
+
+    means: np.ndarray
+    stderrs: np.ndarray
+    blocks: np.ndarray
+    durations: np.ndarray
+    events: np.ndarray
+
+    def point(self, index: int) -> CurrentEstimate:
+        """The estimate of point ``index``."""
+        return CurrentEstimate(mean=float(self.means[index]),
+                               stderr=float(self.stderrs[index]),
+                               blocks=int(self.blocks[index]),
+                               duration=float(self.durations[index]),
+                               events=int(self.events[index]))
+
+
+def _row_spread(values: np.ndarray, weights: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`block_average` standard errors of every row, vectorised.
+
+    Returns ``(stderrs, blocks, full)``: rows whose every block is usable
+    (``full``) are evaluated together with the same sums over the same
+    contiguous rows, so bit for bit as :func:`block_average` evaluates
+    them; rows with an empty (zero-weight) block go through
+    :func:`block_average` one by one, and rows without a usable block get
+    a zero error.
+    """
+    usable = weights > 0.0
+    blocks = usable.sum(axis=1)
+    width = values.shape[1]
+    stderrs = np.zeros(len(values))
+    full = blocks == width
+    if width == 1:
+        stderrs[full] = np.inf
+    elif full.any():
+        rows_v = values[full]
+        rows_w = weights[full]
+        ratios = rows_v / rows_w
+        total_weight = rows_w.sum(axis=1)
+        mean = (ratios * rows_w).sum(axis=1) / total_weight
+        variance = ((ratios - mean[:, None]) ** 2 * rows_w).sum(axis=1) \
+            / total_weight
+        stderrs[full] = np.sqrt(variance / (width - 1))
+    for row in np.nonzero(~full & (blocks > 0))[0]:
+        stderrs[row] = block_average(values[row], weights[row])[1]
+    return stderrs, blocks, full
+
+
+def block_estimates(transferred: np.ndarray, clock: np.ndarray,
+                    events: np.ndarray) -> CurrentEstimates:
+    """Block-averaged current estimates of single trajectories, one per row.
+
+    ``transferred`` and ``clock`` are ``(points, blocks + 1)``: a
+    junction's net electron tally and the clock at every block boundary of
+    each point's estimate window; ``events`` the window's event counts.
+    The mean is the whole-window charge over the whole-window duration
+    (mathematically the duration-weighted block mean, but in the
+    ratio-of-sums form shared with :func:`replica_estimates`, so the two
+    are bit-identical at equal trajectories); :func:`block_average`
+    supplies the standard error.  Blocks after a blockade are empty (zero
+    duration) and drop out; a row with no usable block reports zeros.
+    """
+    charges = -np.diff(transferred, axis=1) * E_CHARGE
+    durations = np.diff(clock, axis=1)
+    stderrs, blocks, _ = _row_spread(charges, durations)
+    empty = blocks == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        means = -(transferred[:, -1] - transferred[:, 0]) * E_CHARGE \
+            / (clock[:, -1] - clock[:, 0])
+    means[empty] = 0.0
+    # Left-to-right duration sums; the empty blocks add exact zeros.
+    totals = np.cumsum(durations, axis=1)[:, -1] if durations.shape[1] \
+        else np.zeros(len(durations))
+    totals[empty] = 0.0
+    return CurrentEstimates(means=means, stderrs=stderrs, blocks=blocks,
+                            durations=totals, events=np.asarray(events))
+
+
+def replica_estimates(charges: np.ndarray, durations: np.ndarray,
+                      events: np.ndarray) -> CurrentEstimates:
+    """Replica-spread current estimates, one per row.
+
+    ``charges`` and ``durations`` are ``(points, replicas)``: the
+    conventional charge each replica moved through a junction and the time
+    it advanced over the estimate window; ``events`` the window's total
+    event counts.  The replicas are independent trajectories, so the
+    weighted spread of their currents gives an unbiased standard error
+    without the block-length tuning of single-trajectory averaging (the
+    math is :func:`block_average`'s, with replicas as blocks).  The mean is
+    total charge over total duration of the replicas that advanced; a row
+    where none did reports zeros.
+    """
+    stderrs, blocks, full = _row_spread(charges, durations)
+    means = np.zeros(len(charges))
+    totals = np.zeros(len(charges))
+    totals[full] = durations[full].sum(axis=1)
+    means[full] = charges[full].sum(axis=1) / totals[full]
+    for row in np.nonzero(~full & (blocks > 0))[0]:
+        usable = durations[row] > 0.0
+        totals[row] = durations[row][usable].sum()
+        means[row] = charges[row][usable].sum() / totals[row]
+    return CurrentEstimates(means=means, stderrs=stderrs, blocks=blocks,
+                            durations=totals, events=np.asarray(events))
+
+
 @dataclass
 class EnsembleResult:
     """Batched record of an ensemble Monte-Carlo run (one row per replica).
@@ -197,33 +309,12 @@ class EnsembleResult:
     def current_estimate(self, junction_name: str) -> "CurrentEstimate":
         """Replica-spread current estimate through one junction.
 
-        The replicas are independent trajectories, so the weighted spread of
-        their per-replica currents gives an unbiased standard error without
-        the block-length tuning the single-trajectory
-        :func:`block_average` estimator needs; the math (duration-weighted
-        mean and spread) is shared with it, with replicas playing the role
-        of blocks.
+        The one-row case of :func:`replica_estimates`: an R = 1 ensemble
+        and a scalar run at the same seed report bit-identical currents.
         """
-        charges = self.transferred_charges(junction_name)
-        usable = self.durations > 0.0
-        if not usable.any():
-            return CurrentEstimate(mean=0.0, stderr=0.0, blocks=0,
-                                   duration=0.0, events=self.total_events)
-        _, stderr, replicas = block_average(charges[usable],
-                                            self.durations[usable])
-        # The mean as total charge over total duration: mathematically the
-        # duration-weighted replica mean block_average computes, but in the
-        # exact ratio-of-sums form shared with the scalar estimator, so an
-        # R = 1 ensemble and a scalar run at the same seed report
-        # bit-identical currents.
-        mean = float(charges[usable].sum() / self.durations[usable].sum())
-        return CurrentEstimate(
-            mean=mean,
-            stderr=stderr,
-            blocks=replicas,
-            duration=float(self.durations[usable].sum()),
-            events=self.total_events,
-        )
+        return replica_estimates(
+            self.transferred_charges(junction_name)[None],
+            self.durations[None], np.array([self.total_events])).point(0)
 
 
 @dataclass
@@ -255,9 +346,12 @@ class OccupationStatistics:
 
 __all__ = [
     "CurrentEstimate",
+    "CurrentEstimates",
     "EnsembleResult",
     "EventRecord",
     "OccupationStatistics",
     "TrajectoryResult",
     "block_average",
+    "block_estimates",
+    "replica_estimates",
 ]

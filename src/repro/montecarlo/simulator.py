@@ -10,7 +10,13 @@ path is :mod:`repro.compact`.
 Voltage sweeps are batched: :meth:`MonteCarloSimulator.sweep_source` carries a
 *warm* simulation state from one bias point to the next (the kernel's cached
 event tables and potentials survive the bias change) and can optionally fan
-the points out over worker processes.
+the points out over worker processes.  A point is one phased run (warm-up
+plus estimate blocks, or warm-up plus ensemble window) through one driver,
+:meth:`MonteCarloSimulator._run_phases`, for trajectories and ensembles
+alike; the sweep keeps every point's phase boundaries in one
+``(points, phases + 1, replicas)`` record and runs the current estimator
+once over all points (:func:`~repro.montecarlo.observables.block_estimates`
+or :func:`~repro.montecarlo.observables.replica_estimates`).
 
 Statistics are batched too: :meth:`MonteCarloSimulator.run_ensemble` advances
 ``R`` independent replicas through the kernel's batched
@@ -38,11 +44,13 @@ from .events import TrapCandidate
 from .kernel import UNBOUNDED_EVENTS, MonteCarloKernel, PhaseRecord
 from .observables import (
     CurrentEstimate,
+    CurrentEstimates,
     EnsembleResult,
     EventRecord,
     OccupationStatistics,
     TrajectoryResult,
-    block_average,
+    block_estimates,
+    replica_estimates,
 )
 from .state import (
     EnsembleState,
@@ -55,6 +63,63 @@ from .state import (
 def _budget(max_events: Optional[int]) -> int:
     """A phase's event budget (unbounded when only time limits it)."""
     return UNBOUNDED_EVENTS if max_events is None else int(max_events)
+
+
+#: Event blocks of a sweep point's single-trajectory estimate.
+SWEEP_BLOCKS = 10
+
+
+def _schedule(max_events: int, warmup_events: int, blocks: int,
+              replicas: Optional[int]) -> List[int]:
+    """A point's phases: warm-up, then event blocks or the ensemble window.
+
+    The total ``max_events`` budget is split evenly over the blocks of one
+    trajectory, or over the replicas of an ensemble, so scalar and ensemble
+    estimates at equal budgets do comparable amounts of stochastic work.
+    """
+    if replicas is None:
+        return [warmup_events] + [max(1, max_events // blocks)] * blocks
+    return [warmup_events, max(1, max_events // replicas)]
+
+
+class _PointRecords:
+    """Phase boundaries of many estimator points, for one estimator pass.
+
+    ``times``, ``counts`` and ``transferred`` (the estimated junction's
+    tally) are ``(points, phases + 1, replicas)`` stacks of the
+    :class:`PhaseRecord` rows of every point's phased run.
+    """
+
+    def __init__(self, points: int, schedule: Sequence[int],
+                 replicas: Optional[int], column: int) -> None:
+        shape = (points, len(schedule) + 1, replicas or 1)
+        self.ensemble = replicas is not None
+        self.column = column
+        self.times = np.zeros(shape)
+        self.counts = np.zeros(shape, dtype=np.int64)
+        self.transferred = np.zeros(shape)
+
+    def store(self, point: int, record: PhaseRecord) -> None:
+        """Keep the phase boundaries of point ``point``'s run."""
+        self.times[point] = record.times
+        self.counts[point] = record.counts
+        self.transferred[point] = record.transfers[:, :, self.column]
+
+    def estimates(self) -> CurrentEstimates:
+        """The current estimator, run once over every point.
+
+        A trajectory is block-averaged over its blocks (rows 1 onwards: row
+        1 ends the warm-up); an ensemble is estimated from its replica
+        spread over the last phase.
+        """
+        times, counts, transferred = self.times, self.counts, self.transferred
+        if self.ensemble:
+            return replica_estimates(
+                -(transferred[:, -1] - transferred[:, -2]) * E_CHARGE,
+                times[:, -1] - times[:, -2],
+                (counts[:, -1] - counts[:, -2]).sum(axis=1))
+        return block_estimates(transferred[:, 1:, 0], times[:, 1:, 0],
+                               counts[:, -1, 0] - counts[:, 1, 0])
 
 
 def _phase_result(record: PhaseRecord, phase: int,
@@ -89,16 +154,13 @@ class MonteCarloSimulator:
     validate:
         Set to ``False`` to skip circuit validation (used by tests that
         deliberately build pathological circuits).
-    fast_path:
-        Use the vectorized kernel implementation (default).  ``False`` runs
-        the scalar reference kernel — slower, kept for cross-checking.
     resync_interval:
-        Events between full island-potential re-solves on the fast path.
+        New configurations between full island-potential re-solves.
     jit:
         Route trap-free, record-free runs through the kernel's compiled
         advance loop (:mod:`repro.montecarlo.jit`).  ``True`` picks the
         best available backend; a string pins one by name.  The compiled
-        paths replay the numpy fast path event for event, so results are
+        paths replay the numpy step path event for event, so results are
         bit-identical at any given seed.
     """
 
@@ -106,7 +168,6 @@ class MonteCarloSimulator:
                  seed: Optional[int] = None,
                  include_cotunneling: bool = False,
                  validate: bool = True,
-                 fast_path: bool = True,
                  resync_interval: int = 1024,
                  jit: "bool | str" = False) -> None:
         if validate:
@@ -118,12 +179,13 @@ class MonteCarloSimulator:
         self.rng = np.random.default_rng(seed)
         self.kernel = MonteCarloKernel(circuit, temperature, self.rng,
                                        include_cotunneling=include_cotunneling,
-                                       fast_path=fast_path,
                                        resync_interval=resync_interval,
                                        jit=jit)
         #: Transfer column of each junction (the circuit's junction order).
         self._junction_column = {junction.name: column for column, junction
                                  in enumerate(circuit.junctions())}
+        #: One-replica ensemble a trajectory's compiled runs go through.
+        self._trajectory: Optional[EnsembleState] = None
 
     # ------------------------------------------------------------------- runs
 
@@ -197,47 +259,98 @@ class MonteCarloSimulator:
         self.kernel.disable_jit()
         emit_degradation("jit.run_compiled", "fallback:numpy", repr(error))
 
-    def _run_phases(self, state: SimulationState, schedule: Sequence[int],
+    def _run_phases(self, state: "SimulationState | EnsembleState",
+                    schedule: Sequence[int],
                     duration: Optional[float] = None) -> PhaseRecord:
-        """Advance ``state`` through a schedule of event budgets, in place.
+        """Advance a trajectory or an ensemble through a phase schedule.
 
-        Phase ``p`` runs until ``schedule[p]`` events executed (or
-        ``duration`` elapsed, or a blockade); the returned record holds the
-        clock, the event count and the per-junction transfers at every
-        phase boundary (counts and transfers relative to the start).  With
-        the compiled kernel the whole schedule is one native call.
-        Otherwise — numpy kernel, charge traps, or after a compiled-kernel
-        fault, from the last phase boundary the compiled run reached — the
-        interpreted :meth:`~repro.montecarlo.kernel.MonteCarloKernel.step`
-        loop runs the remaining phases one by one and fills the same
-        record, so the estimators have one code path.
+        The one per-point driver of both estimators.  Phase ``p`` runs until
+        every replica executed ``schedule[p]`` events (or ``duration``
+        elapsed, or a blockade), phase-major; the returned record holds the
+        clocks, event counts and per-junction transfers at every phase
+        boundary — an ensemble's absolute counters, a trajectory's counts
+        and transfers relative to the start.  With the compiled kernel the
+        whole schedule is one native call (a trajectory runs as a
+        one-replica ensemble, which replays it bit for bit).  Otherwise —
+        numpy kernel, charge traps, or after a compiled-kernel fault, from
+        the phase boundary each replica reached — the interpreted loops
+        (:meth:`_run_interpreted` for a trajectory,
+        :meth:`_advance_ensemble_interpreted` for an ensemble) run the
+        remaining phases one by one and fill the same record.
         """
-        record = self.kernel.phase_record(schedule)
-        junctions = list(self._junction_column)
-        start_events = state.event_count
-        start_transfers = [state.electron_transfers[name]
-                           for name in junctions]
-        record.store(0, state.time, 0, 0.0)
+        scalar = isinstance(state, SimulationState)
+        if scalar:
+            junctions = list(self._junction_column)
+            start_events = state.event_count
+            start_transfers = [state.electron_transfers[name]
+                               for name in junctions]
+            record = self.kernel.phase_record(schedule)
+            record.store(0, state.time, 0, 0.0)
+        else:
+            record = self.kernel.phase_record(schedule, state.replica_count)
+            record.store(0, state.times, state.event_counts,
+                         state.electron_transfers)
         if self._compiled():
-            # A fault leaves the state at the last phase boundary the
-            # compiled run reached (the kernel commits completed phases),
-            # and the interpreted loop below continues from there.
+            run = self._as_ensemble(state) if scalar else state
             try:
-                self.kernel.run_compiled(state, record, duration)
+                self.kernel.run_phases(run, record, duration)
             except Exception as error:
+                # Every replica is left at the last phase boundary it
+                # reached; the interpreted loop continues from there.
                 self._fall_back(error)
             else:
                 return record
+            finally:
+                if scalar:
+                    self._commit(run, state)
         for phase in range(record.phase, len(schedule)):
-            self._run_interpreted(state, int(record.schedule[phase]),
-                                  duration)
-            tallies = state.electron_transfers
-            record.store(phase + 1, state.time,
-                         state.event_count - start_events,
-                         [tallies[name] - start
-                          for name, start in zip(junctions,
-                                                 start_transfers)])
+            budget = int(record.schedule[phase])
+            if scalar:
+                self._run_interpreted(state, budget, duration)
+                tallies = state.electron_transfers
+                record.store(phase + 1, state.time,
+                             state.event_count - start_events,
+                             [tallies[name] - start
+                              for name, start in zip(junctions,
+                                                     start_transfers)])
+            else:
+                # Budgets are metered from each replica's phase-start row,
+                # so replicas that already finished this phase natively
+                # stay put.
+                self._advance_ensemble_interpreted(
+                    state, budget, duration, record.times[phase],
+                    record.counts[phase])
+                record.store(phase + 1, state.times, state.event_counts,
+                             state.electron_transfers)
         return record
+
+    def _as_ensemble(self, state: SimulationState) -> EnsembleState:
+        """``state`` loaded into the reused one-replica ensemble.
+
+        The clock and configuration are copied in; the event count and
+        transfers start from zero (:meth:`_commit` adds them back).
+        """
+        run = self._trajectory
+        if run is None:
+            run = self._trajectory = self.new_ensemble(1, state.electrons)
+        else:
+            run.electrons[0] = state.electrons
+        run.times[0] = state.time
+        run.event_counts[0] = 0
+        run.electron_transfers.fill(0.0)
+        return run
+
+    def _commit(self, run: EnsembleState, state: SimulationState) -> None:
+        """Write a one-replica run's progress back into ``state``."""
+        state.time = float(run.times[0])
+        state.electrons = run.electrons[0].copy()
+        tallies = state.electron_transfers
+        for name, column in self._junction_column.items():
+            # The per-event transfer values are small integers, so the
+            # aggregated float sums are exact and match the step loop's
+            # one-increment-per-event accumulation bitwise.
+            tallies[name] += run.electron_transfers[0, column]
+        state.event_count += int(run.event_counts[0])
 
     def _run_interpreted(self, state: SimulationState,
                          max_events: Optional[int],
@@ -349,43 +462,8 @@ class MonteCarloSimulator:
                 raise SimulationError("specify replicas or an ensemble state")
             ensemble = self.new_ensemble(replicas)
 
-        record = self._run_ensemble_phases(ensemble, [_budget(max_events)],
-                                           duration)
+        record = self._run_phases(ensemble, [_budget(max_events)], duration)
         return _phase_result(record, 0, ensemble)
-
-    def _run_ensemble_phases(self, ensemble: EnsembleState,
-                             schedule: Sequence[int],
-                             duration: Optional[float] = None
-                             ) -> PhaseRecord:
-        """Advance every replica through a schedule of per-replica budgets.
-
-        The ensemble counterpart of :meth:`_run_phases`: phase-major (every
-        replica finishes phase ``p`` before any starts ``p + 1``), one
-        native call on the compiled kernel, and the batched interpreted
-        loop phase by phase otherwise — or, after a compiled-kernel fault,
-        from the phase boundary each replica reached.  An R = 1 ensemble
-        replays the scalar run bit for bit.  The record's rows hold the
-        ensemble's absolute clocks, event counts and transfer rows.
-        """
-        record = self.kernel.phase_record(schedule, ensemble.replica_count)
-        record.store(0, ensemble.times, ensemble.event_counts,
-                     ensemble.electron_transfers)
-        if self._compiled():
-            try:
-                self.kernel.run_ensemble_compiled(ensemble, record, duration)
-            except Exception as error:
-                self._fall_back(error)
-            else:
-                return record
-        for phase in range(record.phase, len(schedule)):
-            # Budgets are metered from each replica's phase-start row, so
-            # replicas that already finished this phase natively stay put.
-            self._advance_ensemble_interpreted(
-                ensemble, int(record.schedule[phase]), duration,
-                record.times[phase], record.counts[phase])
-            record.store(phase + 1, ensemble.times, ensemble.event_counts,
-                         ensemble.electron_transfers)
-        return record
 
     def _advance_ensemble_interpreted(self, ensemble: EnsembleState,
                                       max_events: int,
@@ -482,77 +560,22 @@ class MonteCarloSimulator:
             count, simulated duration, and executed events behind it.
         """
         self._check_estimator_args(junction_name, blocks)
-        if replicas is not None:
-            if replicas < 1:
-                raise SimulationError(
-                    "need at least 1 replica for an ensemble estimate")
-            return self._estimate_current_ensemble(
-                self.new_ensemble(replicas), junction_name, warmup_events,
-                max_events)
-        return self._estimate_current(self.new_state(), junction_name,
-                                      warmup_events, max_events, blocks)
+        if replicas is not None and replicas < 1:
+            raise SimulationError(
+                "need at least 1 replica for an ensemble estimate")
+        schedule = _schedule(max_events, warmup_events, blocks, replicas)
+        records = _PointRecords(1, schedule, replicas,
+                                self._junction_column[junction_name])
+        state = self.new_state() if replicas is None \
+            else self.new_ensemble(replicas)
+        records.store(0, self._run_phases(state, schedule))
+        return records.estimates().point(0)
 
     def _check_estimator_args(self, junction_name: str, blocks: int) -> None:
-        if not self.circuit.has_element(junction_name):
+        if junction_name not in self._junction_column:
             raise SimulationError(f"unknown junction {junction_name!r}")
         if blocks < 2:
             raise SimulationError("need at least 2 blocks for an error estimate")
-
-    def _estimate_current(self, state: SimulationState, junction_name: str,
-                          warmup_events: int, max_events: int,
-                          blocks: int) -> CurrentEstimate:
-        """Warm-up plus block-averaged current estimate continuing from ``state``.
-
-        One phased run: the warm-up, then ``blocks`` equal event blocks.
-        Block charges and durations are differences of the record's phase
-        boundaries; blocks after a blockade are empty (zero duration) and
-        drop out with the other zero-duration blocks.  The mean is the
-        whole-window charge over the whole-window duration (mathematically
-        the duration-weighted block mean, but in the ratio-of-sums form
-        shared with the ensemble estimator, so the two are *bit-identical*
-        at equal trajectories); block averaging supplies the standard
-        error.
-        """
-        per_block = max(1, max_events // blocks)
-        record = self._run_phases(state, [warmup_events] + [per_block] * blocks)
-        column = self._junction_column[junction_name]
-        # Rows 1..blocks+1 bound the blocks (row 1 ends the warm-up).
-        transferred = record.transfers[1:, 0, column]
-        clock = record.times[1:, 0]
-        charges = -np.diff(transferred) * E_CHARGE
-        durations = np.diff(clock)
-        events = int(record.counts[-1, 0] - record.counts[1, 0])
-        usable = durations > 0.0
-        if not usable.any():
-            return CurrentEstimate(mean=0.0, stderr=0.0, blocks=0, duration=0.0,
-                                   events=events)
-        _, stderr, block_count = block_average(charges[usable],
-                                               durations[usable])
-        total_charge = -(transferred[-1] - transferred[0]) * E_CHARGE
-        total_elapsed = clock[-1] - clock[0]
-        return CurrentEstimate(
-            mean=float(total_charge / total_elapsed),
-            stderr=stderr,
-            blocks=block_count,
-            duration=float(sum(durations[usable].tolist())),
-            events=events,
-        )
-
-    def _estimate_current_ensemble(self, ensemble: EnsembleState,
-                                   junction_name: str, warmup_events: int,
-                                   max_events: int) -> CurrentEstimate:
-        """Warm-up plus replica-spread current estimate continuing from ``ensemble``.
-
-        One phased run: every replica's warm-up, then the estimate window.
-        The total ``max_events`` budget is divided evenly over the replicas,
-        so scalar and ensemble estimates at equal budgets do comparable
-        amounts of stochastic work.
-        """
-        per_replica = max(1, max_events // ensemble.replica_count)
-        record = self._run_ensemble_phases(ensemble,
-                                           [warmup_events, per_replica])
-        return _phase_result(record, 1, ensemble).current_estimate(
-            junction_name)
 
     def sweep_source(self, source: str, values: Sequence[float],
                      junction_name: str, max_events: int = 20_000,
@@ -562,6 +585,10 @@ class MonteCarloSimulator:
                      ensemble: Optional[int] = None
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sweep a voltage source and estimate the current at every point.
+
+        Every point is one phased run of :meth:`_run_phases`; the sweep keeps
+        all points' phase boundaries and runs the estimator of
+        :meth:`stationary_current` once, vectorised over the points.
 
         Parameters
         ----------
@@ -601,7 +628,7 @@ class MonteCarloSimulator:
             The applied bias values, the estimated currents in ampere, and
             their standard errors, as equal-length float arrays.
         """
-        self._check_estimator_args(junction_name, blocks=10)
+        self._check_estimator_args(junction_name, SWEEP_BLOCKS)
         if ensemble is not None and ensemble < 1:
             raise SimulationError(
                 "need at least 1 replica for an ensemble estimate")
@@ -612,40 +639,33 @@ class MonteCarloSimulator:
                 warm_start=warm_start, ensemble=ensemble)
 
         original = dict(self.circuit.source_voltages())
-        currents = np.empty(len(values))
-        errors = np.empty(len(values))
-        state: Optional[SimulationState] = None
-        ensemble_state: Optional[EnsembleState] = None
+        schedule = _schedule(max_events, warmup_events, SWEEP_BLOCKS,
+                             ensemble)
+        records = _PointRecords(len(values), schedule, ensemble,
+                                self._junction_column[junction_name])
+        state: "SimulationState | EnsembleState | None" = None
         try:
             for position, value in enumerate(values):
                 self.circuit.set_source_voltage(source, float(value))
-                if ensemble is not None:
-                    if ensemble_state is None or not warm_start:
-                        ensemble_state = self.new_ensemble(ensemble)
-                    # Zero the clocks per point for the same float64
-                    # resolution reason as the scalar warm-start path below.
-                    ensemble_state.times[:] = 0.0
-                    estimate = self._estimate_current_ensemble(
-                        ensemble_state, junction_name, warmup_events,
-                        max_events)
-                else:
-                    if state is None or not warm_start:
-                        state = self.new_state()
-                    # Zero the clock per point: a blockaded point advances the
-                    # simulated time by ~1/rate (astronomical), after which
-                    # float64 can no longer resolve nanosecond increments and
-                    # every elapsed-time difference would collapse to zero.
+                if state is None or not warm_start:
+                    state = self.new_state() if ensemble is None \
+                        else self.new_ensemble(ensemble)
+                # Zero the clocks per point: a blockaded point advances the
+                # simulated time by ~1/rate (astronomical), after which
+                # float64 can no longer resolve nanosecond increments and
+                # every elapsed-time difference would collapse to zero.
+                if ensemble is None:
                     state.time = 0.0
-                    estimate = self._estimate_current(state, junction_name,
-                                                      warmup_events,
-                                                      max_events, blocks=10)
-                currents[position] = estimate.mean
-                errors[position] = estimate.stderr
+                else:
+                    state.times[:] = 0.0
+                records.store(position, self._run_phases(state, schedule))
         finally:
             for node_name, voltage in original.items():
                 if node_name != "gnd":
                     self.circuit.set_source_voltage(node_name, voltage)
-        return np.asarray(values, dtype=float), currents, errors
+        estimates = records.estimates()
+        return np.asarray(values, dtype=float), estimates.means, \
+            estimates.stderrs
 
     def _sweep_parallel(self, values: Sequence[float], workers: int,
                         **sweep_options
@@ -664,8 +684,8 @@ class MonteCarloSimulator:
         simulator_args = dict(
             circuit=self.circuit.copy(), temperature=self.temperature,
             include_cotunneling=self.kernel.include_cotunneling,
-            validate=False, fast_path=self.kernel.fast_path,
-            resync_interval=self.kernel.resync_interval, jit=self.jit)
+            validate=False, resync_interval=self.kernel.resync_interval,
+            jit=self.jit)
         parts = fan_out(functools.partial(_sweep_chunk, simulator_args,
                                           seeds, sweep_options), chunks)
         return (np.asarray(values, dtype=float),

@@ -61,6 +61,24 @@ class TestFiguresOfMerit:
         with pytest.raises(CircuitError, match="finite"):
             SETTransistor(**{field: bad})
 
+    @pytest.mark.parametrize("field, bad", [
+        ("drain_capacitance", math.nan),
+        ("source_capacitance", 0.0),
+        ("drain_resistance", math.inf),
+        ("source_resistance", -1.0),
+        ("second_gate_capacitance", math.nan),
+    ])
+    def test_invalid_overrides_rejected(self, field, bad):
+        with pytest.raises(CircuitError, match=field):
+            SETTransistor(**{field: bad})
+
+    def test_valid_overrides_accepted(self):
+        device = SETTransistor(drain_capacitance=0.5e-18,
+                               source_capacitance=1.5e-18,
+                               drain_resistance=2e6, source_resistance=3e6,
+                               second_gate_capacitance=1e-18)
+        assert device.c_drain == 0.5e-18 and device.r_source == 3e6
+
 
 class TestCircuitConstruction:
     def test_standard_node_and_element_names(self, standard_transistor):

@@ -400,6 +400,20 @@ class TestDeviceTable:
         assert len(kept) == 2
         assert kept.gate_capacitance.tolist() == [2e-18, 3e-18]
 
+    @pytest.mark.parametrize("field, bad", [
+        ("drain_capacitance", np.nan),
+        ("source_capacitance", 0.0),
+        ("drain_resistance", np.inf),
+        ("source_resistance", -1.0),
+        ("second_gate_capacitance", np.nan),
+    ])
+    def test_invalid_override_rows_are_rejected(self, device, field, bad):
+        table = DeviceTable(device, {field: [1e-18, bad, 2e6]},
+                            temperature=[1.0, 1.0, 1.0])
+        assert table.rejected().tolist() == [False, True, False]
+        with pytest.raises(Exception, match=field):
+            table.device(1)
+
     def test_malformed_tables_are_refused(self, device):
         from repro.errors import ValidationError
 

@@ -214,13 +214,6 @@ class TestEnsembleStateAndGuards:
         with pytest.raises(SimulationError):
             simulator.new_ensemble(2)
 
-    def test_reference_kernel_is_rejected(self):
-        simulator = make_simulator(fast_path=False)
-        ensemble = initial_ensemble(simulator.circuit, simulator.kernel.model,
-                                    replicas=2)
-        with pytest.raises(SimulationError):
-            simulator.kernel.step_ensemble(ensemble)
-
     def test_replica_state_projection(self):
         simulator = make_simulator(seed=8)
         ensemble = simulator.new_ensemble(3)

@@ -91,10 +91,6 @@ class TestBackendResolution:
         assert jit_backend() == BACKEND_PYTHON
         assert not jit_compiled()
 
-    def test_jit_requires_the_fast_path(self):
-        with pytest.raises(SimulationError, match="fast_path"):
-            make_simulator(jit=True, fast_path=False)
-
 
 class TestEventForEventReplay:
     def test_compiled_run_replays_the_scalar_path(self):
@@ -233,9 +229,9 @@ class TestSimulatorRouting:
             self, monkeypatch):
         simulator = make_simulator(seed=2, jit=True)
         calls = []
-        original = simulator.kernel.run_compiled
+        original = simulator.kernel.run_phases
         monkeypatch.setattr(
-            simulator.kernel, "run_compiled",
+            simulator.kernel, "run_phases",
             lambda *args, **kwargs: calls.append(1) or
             original(*args, **kwargs))
         simulator.run(max_events=200)
@@ -248,6 +244,6 @@ class TestSimulatorRouting:
         def forbidden(*args, **kwargs):
             raise AssertionError("compiled path reached without jit=True")
 
-        monkeypatch.setattr(simulator.kernel, "run_compiled", forbidden)
+        monkeypatch.setattr(simulator.kernel, "run_phases", forbidden)
         result = simulator.run(max_events=200)
         assert result.event_count == 200

@@ -302,7 +302,7 @@ class TestPhasedCall:
         initial = ensemble.electrons.copy()
         fail_after_refills(simulator.kernel, 5)
         with capture_degradations() as events:
-            record = simulator._run_ensemble_phases(ensemble, [1_500, 1_500])
+            record = simulator._run_phases(ensemble, [1_500, 1_500])
         # The fault struck in the window phase after some replicas had
         # finished it natively.
         assert record.phase == 1 and record.replica >= 1

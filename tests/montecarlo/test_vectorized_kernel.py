@@ -1,10 +1,10 @@
 """Equivalence of the vectorized Monte-Carlo fast path with the scalar reference.
 
-The kernel keeps the original per-candidate scalar implementation as
-``candidate_rates_reference`` / ``fast_path=False``; everything here checks
-that the precomputed event tables, the incremental electrostatics and the
-memoised rate tables reproduce it — on fresh states exactly, after long
-incremental runs to tight tolerance.
+The original per-candidate scalar implementation lives on as a test oracle
+(:mod:`tests.montecarlo.reference_kernel`); everything here checks that the
+precomputed event tables, the incremental electrostatics and the memoised
+rate tables reproduce it — on fresh states exactly, after long incremental
+runs to tight tolerance.
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ from repro.core.rates import orthodox_rate
 from repro.montecarlo import MonteCarloKernel, MonteCarloSimulator, initial_state
 
 from ..conftest import build_double_dot_circuit, build_set_circuit
+from .reference_kernel import candidate_rates_reference, reference_simulator
 
 
 def make_kernel(circuit, temperature=1.0, seed=0, **kwargs):
@@ -36,7 +37,7 @@ def random_set_circuit(rng):
 
 def assert_rates_match(kernel, state, rtol=1e-12):
     fast_candidates, fast_rates = kernel.candidate_rates(state)
-    ref_candidates, ref_rates = kernel.candidate_rates_reference(state)
+    ref_candidates, ref_rates = candidate_rates_reference(kernel, state)
     assert [c.label for c in fast_candidates] == [c.label for c in ref_candidates]
     np.testing.assert_allclose(fast_rates, ref_rates, rtol=rtol, atol=0.0)
 
@@ -163,8 +164,8 @@ class TestFastPathTrajectories:
     def test_fast_and_reference_currents_agree_statistically(self):
         def current(fast):
             circuit = build_set_circuit(drain_voltage=0.05, gate_voltage=0.04)
-            simulator = MonteCarloSimulator(circuit, temperature=1.0, seed=17,
-                                            fast_path=fast)
+            build = MonteCarloSimulator if fast else reference_simulator
+            simulator = build(circuit, temperature=1.0, seed=17)
             return simulator.stationary_current("J_drain", max_events=8_000,
                                                 warmup_events=500)
 
