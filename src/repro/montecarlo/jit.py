@@ -560,25 +560,30 @@ def _load_cc_advance() -> Optional[Callable]:
         native = library.repro_mc_advance_replicas
     except (OSError, AttributeError):
         return None
+    # No argtypes: every call passes ready-made ctypes objects (17 pointers,
+    # then 6 sizes), which skips the per-argument conversion.
     native.restype = ctypes.c_longlong
-    native.argtypes = [ctypes.c_void_p] * 17 + [ctypes.c_longlong] * 6
-    #: ``(arrays, addresses)`` of the last call, swapped as one tuple so
+    #: ``(arrays, arguments)`` of the last call, swapped as one tuple so
     #: concurrent callers always read a consistent pair.  Holding the arrays
-    #: keeps their buffers alive, so an address stays valid while its array
-    #: is held; a call re-reads only the addresses of arrays that changed.
-    last = [((None,) * 17, (0,) * 17)]
+    #: keeps their buffers alive, so a pointer stays valid while its array is
+    #: held; a call rebuilds only the pointers of arrays that changed (an
+    #: array keeps its shape, so the sizes follow from the arrays).
+    last = [((None,) * 17, (None,) * 17)]
 
     def advance(*arrays):
         """ctypes shim matching the replica loop's signature."""
-        held, addresses = last[0]
+        held, arguments = last[0]
         if not all(map(operator.is_, arrays, held)):
-            addresses = tuple(
-                address if array is previous else array.ctypes.data
-                for array, previous, address in zip(arrays, held, addresses))
-            last[0] = (arrays, addresses)
-        return native(*addresses, arrays[13].shape[0], arrays[14].shape[0],
-                      arrays[9].shape[0], arrays[5].shape[0],
-                      arrays[1].shape[1], arrays[4].shape[1])
+            pointers = tuple(
+                pointer if array is previous
+                else ctypes.c_void_p(array.ctypes.data)
+                for array, previous, pointer in zip(arrays, held, arguments))
+            sizes = (arrays[13].shape[0], arrays[14].shape[0],
+                     arrays[9].shape[0], arrays[5].shape[0],
+                     arrays[1].shape[1], arrays[4].shape[1])
+            arguments = pointers + tuple(map(ctypes.c_longlong, sizes))
+            last[0] = (arrays, arguments)
+        return native(*arguments)
 
     return advance
 

@@ -180,7 +180,7 @@ class _EnsembleCursor:
 
     __slots__ = ("epoch", "slots", "entries", "slot_of", "n_events",
                  "n_islands", "totals", "cumulative", "last_selectable",
-                 "successor_slots", "configurations", "_mirrored")
+                 "successor_slots", "configurations", "seen", "_mirrored")
 
     def __init__(self, epoch: int, slots: np.ndarray,
                  entries: List["_RateEntry"], n_events: int,
@@ -193,9 +193,9 @@ class _EnsembleCursor:
         #: ``successor_slots[s, k]`` is the slot reached from slot ``s`` via
         #: event ``k``, or ``-1`` when that transition has not been taken yet.
         self.successor_slots = np.empty((0, n_events), dtype=np.int64)
-        #: ``configurations[s]`` is slot ``s``'s canonical electron vector,
-        #: used to detect external mutation of ``ensemble.electrons``.
+        #: ``configurations[s]`` is slot ``s``'s canonical electron vector.
         self.configurations = np.empty((0, n_islands), dtype=np.int64)
+        self.seen = b""
         self._mirrored = 0
         self.slots = slots
         self.reset(epoch, slots, entries)
@@ -226,11 +226,11 @@ class _EnsembleCursor:
         Guards against callers editing ``EnsembleState.electrons`` directly
         between runs (a documented public attribute): a mismatch forces a
         full re-key instead of silently stepping replicas with the rate
-        tables of their old configurations.
+        tables of their old configurations.  ``seen`` holds the bytes of the
+        electrons as the kernel last left them, always
+        ``configurations[slots]``.
         """
-        current = self.configurations[self.slots]
-        return current.shape == electrons.shape \
-            and bool((current == electrons).all())
+        return electrons.tobytes() == self.seen
 
     def register(self, entry: "_RateEntry") -> int:
         """Slot of ``entry``, assigning a new one on first sight."""
@@ -621,11 +621,16 @@ class MonteCarloKernel:
         rounds up to exactly the total can never pick a trailing forbidden
         (zero-rate) event.
         """
-        cumulative = np.cumsum(rates, axis=-1)
-        if not rates.shape[-1]:
+        width = rates.shape[-1]
+        cumulative = rates.cumsum(axis=-1)
+        if not width:
             return cumulative, np.zeros(rates.shape[:-1]), \
                 np.full(rates.shape[:-1], -1, dtype=np.int64)
-        last = ((rates > 0.0) * self._positions).max(axis=-1) - 1
+        positive = rates > 0.0
+        if positive.all():
+            last = np.full(rates.shape[:-1], width - 1)
+        else:
+            last = (positive * self._positions).max(axis=-1) - 1
         return cumulative, cumulative[..., -1], last
 
     def _compute_rates(self, state: SimulationState) -> np.ndarray:
@@ -706,7 +711,7 @@ class MonteCarloKernel:
         """
         roots = len(configurations)
         events = self._n_events
-        electrons = np.array(configurations, dtype=np.int64)
+        electrons = np.asarray(configurations, dtype=np.int64)
         stack = np.empty((roots * (events + 1), electrons.shape[1]))
         for root in range(roots):
             stack[root] = self._exact_phi(electrons[root])
@@ -845,17 +850,22 @@ class MonteCarloKernel:
         if stale and cursor.matches(electrons):
             if cursor.epoch == self._cache_epoch:
                 return cursor
-            # The occupied slots in configuration order (ties by slot), as
-            # np.unique would sort the rows; a few Python operations are
-            # far cheaper than it at sweep-point replica counts.
             configurations = cursor.configurations
-            occupied = cursor.slots.tolist()
-            distinct = sorted(set(occupied), key=lambda slot: (
-                configurations[slot].tolist(), slot))
-            rank = {slot: position for position, slot in enumerate(distinct)}
-            unique = configurations[distinct]
-            inverse = np.array([rank[slot] for slot in occupied],
-                               dtype=np.int64)
+            if cursor.slots.size == 1:
+                unique = configurations[cursor.slots]
+                inverse = np.zeros(1, dtype=np.int64)
+            else:
+                # The occupied slots in configuration order (ties by slot),
+                # as np.unique would sort the rows; a few Python operations
+                # are far cheaper than it at sweep-point replica counts.
+                occupied = cursor.slots.tolist()
+                distinct = sorted(set(occupied), key=lambda slot: (
+                    configurations[slot].tolist(), slot))
+                rank = {slot: position
+                        for position, slot in enumerate(distinct)}
+                unique = configurations[distinct]
+                inverse = np.array([rank[slot] for slot in occupied],
+                                   dtype=np.int64)
         else:
             unique, inverse = np.unique(electrons, axis=0,
                                         return_inverse=True)
@@ -870,13 +880,14 @@ class MonteCarloKernel:
                 if entry is None:
                     entry = self._build_entry(key, row.copy(), None, _TRAPLESS)
                 entries.append(entry)
-        slots = inverse.reshape(-1).astype(np.int64)
+        slots = np.asarray(inverse, dtype=np.int64).reshape(-1)
         if stale:
             cursor.reset(self._cache_epoch, slots, entries)
         else:
             cursor = _EnsembleCursor(self._cache_epoch, slots, entries,
                                      self._n_events, self.model.island_count)
             ensemble.cursor = cursor
+        cursor.seen = electrons.tobytes()
         return cursor
 
     def step_ensemble(self, ensemble: EnsembleState,
@@ -1017,6 +1028,7 @@ class MonteCarloKernel:
                     event_indices[proceed] = chosen
                 advanced = proceed_count
 
+        cursor.seen = ensemble.electrons.tobytes()
         return EnsembleStep(waiting_times=waiting_times,
                             event_indices=event_indices,
                             total_rates=totals, advanced=advanced)
@@ -1183,6 +1195,7 @@ class MonteCarloKernel:
             # Finished phases keep their progress even if a re-entry
             # raised, so the interpreted fallback continues from them.
             ensemble.electrons[:] = cursor.configurations[slots]
+            cursor.seen = ensemble.electrons.tobytes()
 
     def _refill(self, sampler, buffer: np.ndarray) -> np.ndarray:
         """One ``_random_block`` draw, into ``buffer`` when it is block-sized.
