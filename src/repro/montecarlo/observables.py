@@ -172,17 +172,15 @@ def _row_spread(values: np.ndarray, weights: np.ndarray
     :func:`block_average` one by one, and rows without a usable block get
     a zero error.
     """
-    usable = weights > 0.0
-    blocks = usable.sum(axis=1)
+    blocks = (weights > 0.0).sum(axis=1)
     width = values.shape[1]
     stderrs = np.zeros(len(values))
     full = blocks == width
     if width == 1:
         stderrs[full] = np.inf
     elif full.any():
-        rows_v = values[full]
         rows_w = weights[full]
-        ratios = rows_v / rows_w
+        ratios = values[full] / rows_w
         total_weight = rows_w.sum(axis=1)
         mean = (ratios * rows_w).sum(axis=1) / total_weight
         variance = ((ratios - mean[:, None]) ** 2 * rows_w).sum(axis=1) \
@@ -210,15 +208,12 @@ def block_estimates(transferred: np.ndarray, clock: np.ndarray,
     charges = -np.diff(transferred, axis=1) * E_CHARGE
     durations = np.diff(clock, axis=1)
     stderrs, blocks, _ = _row_spread(charges, durations)
-    empty = blocks == 0
     with np.errstate(divide="ignore", invalid="ignore"):
         means = -(transferred[:, -1] - transferred[:, 0]) * E_CHARGE \
             / (clock[:, -1] - clock[:, 0])
-    means[empty] = 0.0
+    means[blocks == 0] = 0.0
     # Left-to-right duration sums; the empty blocks add exact zeros.
-    totals = np.cumsum(durations, axis=1)[:, -1] if durations.shape[1] \
-        else np.zeros(len(durations))
-    totals[empty] = 0.0
+    totals = durations.cumsum(axis=1)[:, -1]
     return CurrentEstimates(means=means, stderrs=stderrs, blocks=blocks,
                             durations=totals, events=np.asarray(events))
 

@@ -69,30 +69,26 @@ def _budget(max_events: Optional[int]) -> int:
 SWEEP_BLOCKS = 10
 
 
-def _schedule(max_events: int, warmup_events: int, blocks: int,
-              replicas: Optional[int]) -> List[int]:
-    """A point's phases: warm-up, then event blocks or the ensemble window.
-
-    The total ``max_events`` budget is split evenly over the blocks of one
-    trajectory, or over the replicas of an ensemble, so scalar and ensemble
-    estimates at equal budgets do comparable amounts of stochastic work.
-    """
-    if replicas is None:
-        return [warmup_events] + [max(1, max_events // blocks)] * blocks
-    return [warmup_events, max(1, max_events // replicas)]
-
-
 class _PointRecords:
-    """Phase boundaries of many estimator points, for one estimator pass.
+    """The phase schedule of estimator points and their phase boundaries.
 
+    A point runs a warm-up, then ``blocks`` equal event blocks of one
+    trajectory or one window of an ensemble; the ``max_events`` budget is
+    split evenly over the blocks or over the replicas, so scalar and
+    ensemble estimates at equal budgets do comparable stochastic work.
     ``times``, ``counts`` and ``transferred`` (the estimated junction's
     tally) are ``(points, phases + 1, replicas)`` stacks of the
     :class:`PhaseRecord` rows of every point's phased run.
     """
 
-    def __init__(self, points: int, schedule: Sequence[int],
-                 replicas: Optional[int], column: int) -> None:
-        shape = (points, len(schedule) + 1, replicas or 1)
+    def __init__(self, points: int, max_events: int, warmup_events: int,
+                 blocks: int, replicas: Optional[int], column: int) -> None:
+        if replicas is None:
+            self.schedule = [warmup_events] \
+                + [max(1, max_events // blocks)] * blocks
+        else:
+            self.schedule = [warmup_events, max(1, max_events // replicas)]
+        shape = (points, len(self.schedule) + 1, replicas or 1)
         self.ensemble = replicas is not None
         self.column = column
         self.times = np.zeros(shape)
@@ -563,12 +559,11 @@ class MonteCarloSimulator:
         if replicas is not None and replicas < 1:
             raise SimulationError(
                 "need at least 1 replica for an ensemble estimate")
-        schedule = _schedule(max_events, warmup_events, blocks, replicas)
-        records = _PointRecords(1, schedule, replicas,
-                                self._junction_column[junction_name])
+        records = _PointRecords(1, max_events, warmup_events, blocks,
+                                replicas, self._junction_column[junction_name])
         state = self.new_state() if replicas is None \
             else self.new_ensemble(replicas)
-        records.store(0, self._run_phases(state, schedule))
+        records.store(0, self._run_phases(state, records.schedule))
         return records.estimates().point(0)
 
     def _check_estimator_args(self, junction_name: str, blocks: int) -> None:
@@ -639,9 +634,8 @@ class MonteCarloSimulator:
                 warm_start=warm_start, ensemble=ensemble)
 
         original = dict(self.circuit.source_voltages())
-        schedule = _schedule(max_events, warmup_events, SWEEP_BLOCKS,
-                             ensemble)
-        records = _PointRecords(len(values), schedule, ensemble,
+        records = _PointRecords(len(values), max_events, warmup_events,
+                                SWEEP_BLOCKS, ensemble,
                                 self._junction_column[junction_name])
         state: "SimulationState | EnsembleState | None" = None
         try:
@@ -658,7 +652,8 @@ class MonteCarloSimulator:
                     state.time = 0.0
                 else:
                     state.times[:] = 0.0
-                records.store(position, self._run_phases(state, schedule))
+                records.store(position,
+                              self._run_phases(state, records.schedule))
         finally:
             for node_name, voltage in original.items():
                 if node_name != "gnd":

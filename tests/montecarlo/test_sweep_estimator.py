@@ -62,7 +62,7 @@ def records(draw, replicas, phases):
 
 def sweep_estimates(times, counts, transfers, replicas):
     points, rows = times.shape[:2]
-    sweep = _PointRecords(points, [0] * (rows - 1), replicas, COLUMN)
+    sweep = _PointRecords(points, 0, 0, rows - 2, replicas, COLUMN)
     for point in range(points):
         sweep.store(point, SimpleNamespace(times=times[point],
                                            counts=counts[point],

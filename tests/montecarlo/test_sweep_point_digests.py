@@ -97,3 +97,19 @@ def test_double_dot_sweep_digest(jit, ensemble):
 def test_blockade_sweep_digest(jit, ensemble):
     assert blockade_sweep(jit, ensemble) == expected(
         BLOCKADE_DIGESTS, BLOCKADE_NUMPY_ENSEMBLE_DIGEST, jit, ensemble)
+
+
+def test_cotunnelling_double_dot_matches_the_step_path():
+    # Co-tunnel channels ride along in the stacked rate evaluation of a
+    # point's roots and successors; the numpy step path builds every rate
+    # row on its own, so equal sweeps mean equal rows, bit for bit.
+    def sweep(jit):
+        circuit = build_double_dot_circuit(bias_voltage=0.05)
+        simulator = MonteCarloSimulator(circuit, temperature=4.0, seed=7,
+                                        include_cotunneling=True, jit=jit)
+        _, currents, stderrs = simulator.sweep_source(
+            "VGA", np.linspace(0.0, 0.3, 13), "J_left", max_events=600,
+            warmup_events=60)
+        return digest(currents, stderrs)
+
+    assert sweep(True) == sweep(False)
