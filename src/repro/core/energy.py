@@ -104,7 +104,7 @@ class EventTable:
         self._from_gather = np.empty(self.size, dtype=np.int64)
         self._to_gather = np.empty(self.size, dtype=np.int64)
         #: Flat gather indices and tiled reorganisation energies per stack
-        #: height, for :meth:`delta_f` over stacked potentials.
+        #: height, for :meth:`delta_f`.
         self._stacked_gathers: Dict[int, Tuple[np.ndarray, ...]] = {}
 
         for k, event in enumerate(events):
@@ -136,32 +136,20 @@ class EventTable:
             self.reorg[k] = 0.5 * E_CHARGE**2 * (inv_ff + inv_tt - 2.0 * inv_ft)
             self.resistance[k] = event.junction.resistance
 
-    def delta_f(self, potentials: np.ndarray, voltages: np.ndarray,
-                out: Optional[np.ndarray] = None) -> np.ndarray:
+    def delta_f(self, potentials: np.ndarray,
+                voltages: np.ndarray) -> np.ndarray:
         """Free-energy change of every event, given the island potentials.
 
         Element ``k`` equals
         :meth:`EnergyModel.free_energy_change_from_potentials` for event ``k``
         exactly (the same floating-point operations in the same order).
         ``potentials`` may also be a ``(rows, islands)`` stack of potential
-        vectors; each output row then equals the single-vector result.
+        vectors; each output row then equals the single-vector result.  The
+        terminals are gathered from one flat pool of every row's potentials
+        followed by the source voltages.
         """
-        if potentials.ndim > 1:
-            return self._stacked_delta_f(potentials, voltages)
-        pool = np.concatenate((potentials, voltages))
-        phi_from = pool[self._from_gather]
-        phi_to = pool[self._to_gather]
-        if out is None:
-            return E_CHARGE * (phi_from - phi_to) + self.reorg
-        np.subtract(phi_from, phi_to, out=out)
-        out *= E_CHARGE
-        out += self.reorg
-        return out
-
-    def _stacked_delta_f(self, potentials: np.ndarray,
-                         voltages: np.ndarray) -> np.ndarray:
-        """:meth:`delta_f` of a stack, as flat gathers over one flat pool."""
-        rows, islands = potentials.shape
+        stack = potentials.reshape(-1, potentials.shape[-1])
+        rows, islands = stack.shape
         width = islands + voltages.size
         gathers = self._stacked_gathers.get(rows)
         if gathers is None:
@@ -171,13 +159,13 @@ class EventTable:
                 (starts + self._to_gather).ravel(), np.tile(self.reorg, rows))
         from_index, to_index, reorg = gathers
         pool = np.empty((rows, width))
-        pool[:, :islands] = potentials
+        pool[:, :islands] = stack
         pool[:, islands:] = voltages
         flat = pool.ravel()
         out = flat[from_index] - flat[to_index]
         out *= E_CHARGE
         out += reorg
-        return out.reshape(rows, self.size)
+        return out.reshape(potentials.shape[:-1] + (self.size,))
 
 
 class EnergyModel:

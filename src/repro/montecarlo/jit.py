@@ -560,14 +560,15 @@ def _load_cc_advance() -> Optional[Callable]:
         native = library.repro_mc_advance_replicas
     except (OSError, AttributeError):
         return None
-    # No argtypes: every call passes ready-made ctypes objects (17 pointers,
-    # then 6 sizes), which skips the per-argument conversion.
     native.restype = ctypes.c_longlong
+    native.argtypes = [ctypes.c_void_p] * 17 + [ctypes.c_longlong] * 6
     #: ``(arrays, arguments)`` of the last call, swapped as one tuple so
-    #: concurrent callers always read a consistent pair.  Holding the arrays
-    #: keeps their buffers alive, so a pointer stays valid while its array is
-    #: held; a call rebuilds only the pointers of arrays that changed (an
-    #: array keeps its shape, so the sizes follow from the arrays).
+    #: concurrent callers always read a consistent pair.  The arguments are
+    #: ready-made ctypes objects (17 pointers, then 6 sizes), which the call
+    #: passes without converting.  Holding the arrays keeps their buffers
+    #: alive, so a pointer stays valid while its array is held; a call
+    #: rebuilds only the pointers of arrays that changed (an array keeps its
+    #: shape, so the sizes follow from the arrays).
     last = [((None,) * 17, (None,) * 17)]
 
     def advance(*arrays):
