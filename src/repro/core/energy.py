@@ -104,7 +104,7 @@ class EventTable:
         self._from_gather = np.empty(self.size, dtype=np.int64)
         self._to_gather = np.empty(self.size, dtype=np.int64)
         #: Flat gather indices and tiled reorganisation energies per stack
-        #: height, for :meth:`delta_f`.
+        #: height, for :meth:`delta_f` over stacked potentials.
         self._stacked_gathers: Dict[int, Tuple[np.ndarray, ...]] = {}
 
         for k, event in enumerate(events):
@@ -144,12 +144,15 @@ class EventTable:
         :meth:`EnergyModel.free_energy_change_from_potentials` for event ``k``
         exactly (the same floating-point operations in the same order).
         ``potentials`` may also be a ``(rows, islands)`` stack of potential
-        vectors; each output row then equals the single-vector result.  The
-        terminals are gathered from one flat pool of every row's potentials
-        followed by the source voltages.
+        vectors; each output row then equals the single-vector result.  A
+        stack's terminals are gathered from one flat pool of every row's
+        potentials followed by the source voltages.
         """
-        stack = potentials.reshape(-1, potentials.shape[-1])
-        rows, islands = stack.shape
+        if potentials.ndim == 1:
+            pool = np.concatenate((potentials, voltages))
+            return E_CHARGE * (pool[self._from_gather]
+                               - pool[self._to_gather]) + self.reorg
+        rows, islands = potentials.shape
         width = islands + voltages.size
         gathers = self._stacked_gathers.get(rows)
         if gathers is None:
@@ -159,13 +162,13 @@ class EventTable:
                 (starts + self._to_gather).ravel(), np.tile(self.reorg, rows))
         from_index, to_index, reorg = gathers
         pool = np.empty((rows, width))
-        pool[:, :islands] = stack
+        pool[:, :islands] = potentials
         pool[:, islands:] = voltages
         flat = pool.ravel()
         out = flat[from_index] - flat[to_index]
         out *= E_CHARGE
         out += reorg
-        return out.reshape(potentials.shape[:-1] + (self.size,))
+        return out.reshape(rows, self.size)
 
 
 class EnergyModel:

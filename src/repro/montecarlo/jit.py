@@ -27,10 +27,11 @@ ensemble run enter the backend through the same function.
     compiler (``cc``/``gcc``) into a per-source-hash shared library loaded
     through :mod:`ctypes`.  No third-party dependency; IEEE semantics are
     preserved (no ``-ffast-math``), which is what makes the seeded replay
-    tests bit-exact.  The shim declares ``c_void_p`` arguments and caches
-    each argument's array with its ``.ctypes.data`` address, re-reading the
-    address only when a different array object arrives (holding the array
-    keeps the address valid), so a re-entry costs the bare foreign call.
+    tests bit-exact.  The shim declares ``c_void_p`` arguments and keeps
+    the last call's arrays with ready-made ``c_void_p`` pointers to them,
+    rebuilding a pointer only when a different array object arrives
+    (holding the array keeps the address valid), so a re-entry costs the
+    bare foreign call.
 ``python``
     The interpreted loop itself.  Always available; slow, but the
     correctness reference for the re-entry protocol.

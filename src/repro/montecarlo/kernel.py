@@ -195,6 +195,11 @@ class _EnsembleCursor:
         self.successor_slots = np.empty((0, n_events), dtype=np.int64)
         #: ``configurations[s]`` is slot ``s``'s canonical electron vector.
         self.configurations = np.empty((0, n_islands), dtype=np.int64)
+        #: Bytes of ``ensemble.electrons`` as the kernel last left them
+        #: (always ``configurations[slots]``): a caller editing the public
+        #: ``EnsembleState.electrons`` between runs changes them, which
+        #: forces a full re-key instead of stepping replicas with the rate
+        #: tables of their old configurations.
         self.seen = b""
         self._mirrored = 0
         self.slots = slots
@@ -219,18 +224,6 @@ class _EnsembleCursor:
         for entry in entries:
             self.register(entry)
         self.refresh()
-
-    def matches(self, electrons: np.ndarray) -> bool:
-        """Whether the slot mapping still describes ``electrons``.
-
-        Guards against callers editing ``EnsembleState.electrons`` directly
-        between runs (a documented public attribute): a mismatch forces a
-        full re-key instead of silently stepping replicas with the rate
-        tables of their old configurations.  ``seen`` holds the bytes of the
-        electrons as the kernel last left them, always
-        ``configurations[slots]``.
-        """
-        return electrons.tobytes() == self.seen
 
     def register(self, entry: "_RateEntry") -> int:
         """Slot of ``entry``, assigning a new one on first sight."""
@@ -847,7 +840,7 @@ class MonteCarloKernel:
         ensemble.electrons = electrons
         cursor = ensemble.cursor
         stale = isinstance(cursor, _EnsembleCursor)
-        if stale and cursor.matches(electrons):
+        if stale and electrons.tobytes() == cursor.seen:
             if cursor.epoch == self._cache_epoch:
                 return cursor
             configurations = cursor.configurations

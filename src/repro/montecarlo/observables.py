@@ -138,19 +138,21 @@ def block_average(values: Sequence[float], weights: Sequence[float],
     return mean, stderr, blocks
 
 
-@dataclass(frozen=True)
 class CurrentEstimates:
     """Current estimates of many points at once (one array entry per point).
 
     The fields are those of :class:`CurrentEstimate`, as ``(points,)``
-    arrays; :meth:`point` extracts one estimate.
+    arrays; :meth:`point` extracts one estimate.  (A plain class: a
+    dataclass would cost every ``import repro`` its class generation.)
     """
 
-    means: np.ndarray
-    stderrs: np.ndarray
-    blocks: np.ndarray
-    durations: np.ndarray
-    events: np.ndarray
+    __slots__ = ("means", "stderrs", "blocks", "durations", "events")
+
+    def __init__(self, means: np.ndarray, stderrs: np.ndarray,
+                 blocks: np.ndarray, durations: np.ndarray,
+                 events: np.ndarray) -> None:
+        self.means, self.stderrs, self.blocks = means, stderrs, blocks
+        self.durations, self.events = durations, events
 
     def point(self, index: int) -> CurrentEstimate:
         """The estimate of point ``index``."""
