@@ -23,6 +23,7 @@ from .estimator_oracle import block_estimate, replica_estimate
 JUNCTIONS = 2
 COLUMN = 1
 
+
 def random_record(rng, shape, empty, empty_points):
     """Phase boundaries of ``shape = (points, phases, replicas)`` increments.
 
