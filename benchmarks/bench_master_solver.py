@@ -23,10 +23,15 @@ performance trajectory is tracked across PRs, next to ``BENCH_kernel.json``.
 
 A second, small-window row (``small_window``) times the per-point cost that
 dominates ordinary use: the reference SET on its automatic 7-state window,
-a 129-point gate sweep and the same points through ``solve``, with the
-greedy ground-state walks and their energy evaluations per point (counted
-outside the timed runs) and the cost of one
-``orthodox_rate_vec`` call over the window's transitions.
+a 129-point gate sweep (one stacked solve) and the same points through
+``solve``, with the ground-state walks per sweep and their energy
+evaluations per point, the rate-kernel calls and ``np.linalg.solve`` calls
+per sweep (all counted outside the timed runs; the benchmark raises when a
+count exceeds its bound) and the cost of one ``orthodox_rate_vec`` call
+over the window's transitions.  A third row (``high_temperature``) sweeps
+the same SET at kT = E_C, where the automatic window widens until its
+boundary states hold no probability, and records the window size chosen
+and the cost per point.
 Run it either through pytest (``pytest benchmarks/bench_master_solver.py -s``)
 or directly (``PYTHONPATH=src python benchmarks/bench_master_solver.py``).
 
@@ -42,15 +47,17 @@ Environment overrides (used by the CI smoke run):
 import json
 import os
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from repro.circuit import Circuit
+from repro.constants import BOLTZMANN, E_CHARGE
 from repro.core.rates import orthodox_rate_vec
 from repro.devices import SETTransistor
 from repro.devices.set_transistor import DRAIN_JUNCTION, GATE_SOURCE
-from repro.master import MasterEquationSolver, build_state_space
+from repro.master import MasterEquationSolver, build_state_space, transitions
 
 try:
     from .conftest import print_experiment_header
@@ -76,6 +83,14 @@ SMALL_DRAIN_VOLTAGE = 5e-3
 SMALL_GATE_POINTS = 129
 SMALL_REPEATS = 5
 RATE_CALLS = 2_000
+#: The small sweep visits three windows (ground states 0, 1 and 2) and seven
+#: (window, reachable set) groups: one rate-kernel call per window and one
+#: LAPACK solve per group.
+MAX_RATE_CALLS_PER_SWEEP = 3
+MAX_SOLVE_CALLS_PER_SWEEP = 7
+
+#: The high-temperature row: the reference SET at kT = E_C.
+HOT_THERMAL_RATIO = 1.0
 
 
 def build_double_dot(bias_voltage: float = BIAS_VOLTAGE) -> Circuit:
@@ -156,16 +171,16 @@ def best_time(function, repeats: int = SMALL_REPEATS) -> float:
     return min(times)
 
 
-def replayed_walk_steps(model, limit: int, stop: np.ndarray) -> int:
+def replayed_walk_steps(model, limit: int, voltages: np.ndarray,
+                        stop: np.ndarray) -> int:
     """Energy evaluations of the greedy ground-state walk under ``limit``.
 
     Replays the walk of :meth:`~repro.core.energy.EnergyModel.ground_states`
-    one public :meth:`~repro.core.energy.EnergyModel.event_delta_f` call per
-    step and checks that it stops at ``stop``, where the walk stopped.
+    at ``voltages``, one public
+    :meth:`~repro.core.energy.EnergyModel.event_delta_f` call per step, and
+    checks that it stops at ``stop``, where the walk stopped.
     """
-    circuit_system = model.system
-    voltages = circuit_system.source_voltage_vector()
-    offsets = circuit_system.offset_charge_vector()
+    offsets = model.system.offset_charge_vector()
     electrons = model.zero_state()
     budget = (2 * limit + 1) ** max(1, model.island_count)
     steps = budget
@@ -186,23 +201,43 @@ def count_walks(model) -> dict:
     """Count the ground-state walks of ``model`` and their energy evaluations.
 
     Wraps the model's :meth:`~repro.core.energy.EnergyModel.ground_states`
-    (one call is one walk, under its largest limit) for the duration of a
-    measurement; the counts land in the returned dict.
+    (one call is one walk over a voltage stack, under its largest limit)
+    for the duration of a measurement; the counts land in the returned dict,
+    the energy evaluations replayed point by point.
     """
     counts = {"walks": 0, "steps": 0}
     walk = model.ground_states
 
     def counted(limits, voltages=None, offsets=None):
-        if voltages is not None or offsets is not None:
-            raise AssertionError("the small-window row walks at circuit bias")
         stops = walk(limits, voltages, offsets)
         top = max(range(len(limits)), key=lambda index: limits[index])
         counts["walks"] += 1
-        counts["steps"] += replayed_walk_steps(model, limits[top], stops[top])
+        stack = np.atleast_2d(model.system.source_voltage_vector()
+                              if voltages is None else voltages)
+        counts["steps"] += sum(
+            replayed_walk_steps(model, limits[top], row, stop)
+            for row, stop in zip(stack, np.atleast_2d(stops[top])))
         return stops
 
     model.ground_states = counted
     return counts
+
+
+@contextmanager
+def counting(module, name: str):
+    """Count the calls of ``module.name`` inside the ``with`` block."""
+    original = getattr(module, name)
+    calls: list = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    setattr(module, name, counted)
+    try:
+        yield calls
+    finally:
+        setattr(module, name, original)
 
 
 def measure_small_window() -> dict:
@@ -221,8 +256,20 @@ def measure_small_window() -> dict:
 
     model = solver.builder.model
     counts = count_walks(model)
-    _, swept = solver.sweep_source(GATE_SOURCE, gates, DRAIN_JUNCTION)
+    with counting(transitions, "orthodox_rate_vec") as rate_calls, \
+            counting(np.linalg, "solve") as solve_calls:
+        _, swept = solver.sweep_source(GATE_SOURCE, gates, DRAIN_JUNCTION)
     del model.ground_states
+    rate_calls_per_sweep = len(rate_calls)
+    solve_calls_per_sweep = len(solve_calls)
+    if rate_calls_per_sweep > MAX_RATE_CALLS_PER_SWEEP:
+        raise AssertionError(f"{rate_calls_per_sweep} rate-kernel calls per "
+                             f"sweep, expected at most "
+                             f"{MAX_RATE_CALLS_PER_SWEEP}")
+    if solve_calls_per_sweep > MAX_SOLVE_CALLS_PER_SWEEP:
+        raise AssertionError(f"{solve_calls_per_sweep} linear solves per "
+                             f"sweep, expected at most "
+                             f"{MAX_SOLVE_CALLS_PER_SWEEP}")
     if not np.array_equal(swept, solve_points()):
         raise AssertionError("sweep and per-point solves differ")
     sweep_s = best_time(lambda: solver.sweep_source(GATE_SOURCE, gates,
@@ -243,9 +290,35 @@ def measure_small_window() -> dict:
         "gate_points": SMALL_GATE_POINTS,
         "sweep_points_per_second": round(SMALL_GATE_POINTS / sweep_s, 1),
         "solve_points_per_second": round(SMALL_GATE_POINTS / solve_s, 1),
-        "walks_per_point": round(counts["walks"] / SMALL_GATE_POINTS, 3),
+        "walks_per_sweep": counts["walks"],
         "walk_steps_per_point": round(counts["steps"] / SMALL_GATE_POINTS, 3),
+        "rate_calls_per_sweep": rate_calls_per_sweep,
+        "solve_calls_per_sweep": solve_calls_per_sweep,
         "rate_vec_us_per_call": round(rate_s / RATE_CALLS * 1e6, 2),
+    }
+
+
+def measure_high_temperature() -> dict:
+    """The reference SET at kT = E_C: window size chosen and cost per point."""
+    device = SETTransistor()
+    temperature = HOT_THERMAL_RATIO * E_CHARGE ** 2 \
+        / (2.0 * device.total_capacitance * BOLTZMANN)
+    circuit = device.build_circuit(drain_voltage=SMALL_DRAIN_VOLTAGE)
+    solver = MasterEquationSolver(circuit, temperature)
+    gates = np.linspace(0.0, 2.0 * device.gate_period, SMALL_GATE_POINTS)
+    sweep_s = best_time(lambda: solver.sweep_source(GATE_SOURCE, gates,
+                                                    DRAIN_JUNCTION))
+    sizes = set()
+    for gate in gates[::16]:
+        circuit.set_source_voltage(GATE_SOURCE, float(gate))
+        sizes.add(solver.solve().state_count)
+    return {
+        "kT_over_EC": HOT_THERMAL_RATIO,
+        "temperature_K": round(temperature, 3),
+        "drain_voltage_V": SMALL_DRAIN_VOLTAGE,
+        "gate_points": SMALL_GATE_POINTS,
+        "state_counts": sorted(sizes),
+        "sweep_us_per_point": round(sweep_s / SMALL_GATE_POINTS * 1e6, 2),
     }
 
 
@@ -270,6 +343,7 @@ def run_benchmark() -> dict:
         "dense_point_budget": len(dense_currents),
         "relative_current_agreement": agreement,
         "small_window": measure_small_window(),
+        "high_temperature": measure_high_temperature(),
     }
     OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     return payload
@@ -289,12 +363,18 @@ def test_master_sweep_throughput():
           f"{small['pair_count']} transitions")
     print(f"  sweep         : {small['sweep_points_per_second']:>12,.1f} points/s")
     print(f"  solve         : {small['solve_points_per_second']:>12,.1f} points/s")
-    print(f"  walks         : {small['walks_per_point']:>12.3f} per point")
+    print(f"  walks         : {small['walks_per_sweep']:>12d} per sweep")
     print(f"  walk steps    : {small['walk_steps_per_point']:>12.3f} per point")
+    print(f"  rate calls    : {small['rate_calls_per_sweep']:>12d} per sweep")
+    print(f"  linear solves : {small['solve_calls_per_sweep']:>12d} per sweep")
     print(f"  rate kernel   : {small['rate_vec_us_per_call']:>12.2f} us per call")
+    hot = payload["high_temperature"]
+    print(f"kT = E_C        : {hot['state_counts']} states, "
+          f"{hot['sweep_us_per_point']:.1f} us per swept point")
     print(f"written to      : {OUTPUT_PATH}")
     assert payload["speedup"] >= REQUIRED_SPEEDUP
     assert payload["relative_current_agreement"] <= REQUIRED_AGREEMENT
+    assert small["walks_per_sweep"] == 1
 
 
 if __name__ == "__main__":

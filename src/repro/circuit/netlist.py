@@ -211,21 +211,15 @@ class Circuit:
         self._add_element(trap)
         return trap
 
-    def set_source_voltage(self, name_or_node: str, voltage: float) -> None:
-        """Update the voltage of a source element (by name) or source node.
+    def source_node(self, name_or_node: str, voltage: float = 0.0) -> str:
+        """The node :meth:`set_source_voltage` moves for ``name_or_node``.
 
-        Sweeping a gate or drain voltage is the bread-and-butter operation of
-        every experiment in the paper, so both the element name and the node
-        name are accepted.
+        Raises :class:`CircuitError` where :meth:`set_source_voltage` would
+        refuse to apply ``voltage``.
         """
         element = self._elements.get(name_or_node)
         if isinstance(element, VoltageSource):
-            node_name = element.node
-            self._elements[name_or_node] = VoltageSource(element.name, node_name,
-                                                         float(voltage))
-            self._nodes[node_name].voltage = float(voltage)
-            self.bias_version += 1
-            return
+            return element.node
         node = self.node(name_or_node)
         if not node.is_source:
             raise CircuitError(
@@ -233,10 +227,27 @@ class Circuit:
             )
         if node.kind is NodeKind.GROUND and voltage != 0.0:
             raise CircuitError("cannot bias the ground node away from 0 V")
-        node.voltage = float(voltage)
+        return node.name
+
+    def set_source_voltage(self, name_or_node: str, voltage: float) -> None:
+        """Update the voltage of a source element (by name) or source node.
+
+        Sweeping a gate or drain voltage is the bread-and-butter operation of
+        every experiment in the paper, so both the element name and the node
+        name are accepted.
+        """
+        node_name = self.source_node(name_or_node, voltage)
+        element = self._elements.get(name_or_node)
+        if isinstance(element, VoltageSource):
+            self._elements[name_or_node] = VoltageSource(element.name, node_name,
+                                                         float(voltage))
+            self._nodes[node_name].voltage = float(voltage)
+            self.bias_version += 1
+            return
+        self._nodes[node_name].voltage = float(voltage)
         self.bias_version += 1
         for element_name, element in list(self._elements.items()):
-            if isinstance(element, VoltageSource) and element.node == name_or_node:
+            if isinstance(element, VoltageSource) and element.node == node_name:
                 self._elements[element_name] = VoltageSource(element.name, element.node,
                                                              float(voltage))
 

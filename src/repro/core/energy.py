@@ -31,6 +31,17 @@ from ..errors import CircuitError
 from .capacitance import CapacitanceSystem
 
 
+#: Longest loop of states the greedy walk recognises (a double dot's
+#: lead -> dot -> dot -> ground cycle has three).
+_LOOP_LENGTH = 4
+
+#: ``e``, ``-e`` and ``0`` as 0-d arrays, the scalar operands of the walk.
+_WALK_CONSTANTS = tuple(np.array(value)
+                        for value in (E_CHARGE, -E_CHARGE, 0.0))
+for _constant in _WALK_CONSTANTS:
+    _constant.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class TunnelEvent:
     """One elementary tunnel event: an electron crossing one junction.
@@ -169,6 +180,34 @@ class EventTable:
         out *= E_CHARGE
         out += reorg
         return out.reshape(rows, self.size)
+
+
+def _loop_periods(trail: List[np.ndarray], candidate: np.ndarray,
+                  moves: np.ndarray) -> np.ndarray:
+    """Length of the loop each moving point's next state closes, else 0.
+
+    ``trail[-k]`` is where the stack stood ``k - 1`` events before the
+    candidates; a candidate equal to ``trail[-k]`` closes a loop of ``k``
+    states.  Only loops of up to :data:`_LOOP_LENGTH` states are seen.
+    """
+    periods = np.zeros(len(candidate), dtype=np.int64)
+    for length in range(min(_LOOP_LENGTH, len(trail)), 1, -1):
+        periods[moves & np.all(candidate == trail[-length], axis=1)] = length
+    return periods
+
+
+def _looped(trail: List[np.ndarray], periods: np.ndarray,
+            ahead: int) -> np.ndarray:
+    """Where each point stands ``ahead`` events after ``trail[-1]``.
+
+    A point with a loop of ``k`` states repeats ``trail[-k:]``; a point
+    with none (its walk has ended) stays at ``trail[-1]``.
+    """
+    position = trail[-1].copy()
+    for length in np.unique(periods[periods > 0]).tolist():
+        looping = periods == length
+        position[looping] = trail[(ahead - 1) % length - length][looping]
+    return position
 
 
 class EnergyModel:
@@ -436,45 +475,116 @@ class EnergyModel:
         point.  The source voltages, offset charges and ``B V`` are fixed
         for the walk; each step performs the same floating-point operations
         as :meth:`event_delta_f`.
+
+        ``voltages`` may also be a ``(points, sources)`` stack.  One walk then
+        steps every point at once, each point stopping on its own, and
+        element ``i`` is a ``(points, islands)`` array whose row ``p`` equals
+        the walk at ``voltages[p]``.  The matrix-vector products run per
+        point (``np.matmul`` over a stack of column vectors), so no point's
+        bits depend on the stack around it.
         """
-        electrons = self.zero_state()
-        stops: List[Optional[np.ndarray]] = [None] * len(limits)
-        if not self._events:
-            return [electrons] * len(limits)
-        table = self.table
         system = self.system
         if voltages is None:
             voltages = system.cached_source_voltages()
         if offsets is None:
             offsets = system.cached_offset_charges()
-        bias = system.external_charge(voltages)
-        inverse = system.inverse
-        pool = np.concatenate((np.zeros(self.island_count), voltages))
-        potentials = pool[:self.island_count]
-        islands = max(1, self.island_count)
-        budgets = [(2 * limit + 1) ** islands for limit in limits]
-        top = max(limits)
-        for step in range(max(budgets)):
-            for index, budget in enumerate(budgets):
-                if step == budget and stops[index] is None:
-                    stops[index] = electrons
+        stack = np.atleast_2d(np.asarray(voltages, dtype=float))
+        offsets = np.asarray(offsets, dtype=float)
+        # The walk carries electron numbers as floats (exact integers), so
+        # -n e multiplies the same doubles as -float(n) * e.
+        stops = np.zeros((len(limits), stack.shape[0], self.island_count))
+        if self._events:
+            self._walk(stack, offsets, limits, stops)
+        stops = stops.astype(np.int64)
+        return list(stops) if np.ndim(voltages) == 2 else list(stops[:, 0])
+
+    def _walk(self, stack: np.ndarray, offsets: np.ndarray,
+              limits: Sequence[int], stops: np.ndarray) -> None:
+        """The greedy walk of :meth:`ground_states` over a voltage stack.
+
+        Fills ``stops[i]`` with where each point's walk stops under
+        ``limits[i]``.  Every step evaluates the whole stack: a point whose
+        walk has ended stays where it is, and its next step takes the same
+        decision again.  Once every moving point goes round a loop of at
+        most :data:`_LOOP_LENGTH` states, the walk stops stepping: the
+        remaining steps would only repeat the loop.
+        """
+        table = self.table
+        system = self.system
+        points, islands = stack.shape[0], self.island_count
+        position = np.zeros((points, islands))
+        stopped = np.zeros((len(limits), points), dtype=bool)
+        bias = np.matmul(system.coupling, stack[..., np.newaxis])[..., 0]
+        pool = np.empty((points, islands + stack.shape[1]))
+        pool[:, islands:] = stack
+        potentials = pool[:, :islands, np.newaxis]
+        # Row and 0-d operands keep numpy on its quickest loops.
+        offsets = offsets[np.newaxis]
+        reorg = table.reorg[np.newaxis]
+        steps = table.delta_n.astype(float)
+        electron, charge, zero = _WALK_CONSTANTS
+        lowest, top = min(limits), max(limits)
+        budgets = [(2 * limit + 1) ** max(1, islands) for limit in limits]
+        last = max(budgets)
+        trail = [position]        # where the stack stood, latest last
+        for step in range(last):
+            if step in budgets:
+                for index, budget in enumerate(budgets):
+                    if step == budget:
+                        stops[index][~stopped[index]] = \
+                            position[~stopped[index]]
+                        stopped[index] = True
             # event_delta_f: phi = C^-1 ((-n e + q0) + B V), then the table.
-            charges = -electrons.astype(float) * E_CHARGE + offsets
-            potentials[:] = inverse @ (charges + bias)
-            deltas = E_CHARGE * (pool.take(table._from_gather)
-                                 - pool.take(table._to_gather)) + table.reorg
-            best = int(deltas.argmin())
-            if deltas[best] >= 0.0:
+            charges = position * charge
+            charges += offsets
+            charges += bias
+            np.matmul(system.inverse, charges[..., np.newaxis],
+                      out=potentials)
+            deltas = pool.take(table._from_gather, axis=1)
+            deltas -= pool.take(table._to_gather, axis=1)
+            deltas *= electron
+            deltas += reorg
+            moves = np.minimum.reduce(deltas, axis=1) >= zero
+            np.logical_not(moves, out=moves)
+            if not np.count_nonzero(moves):
                 break
-            candidate = electrons + table.delta_n[best]
-            reach = int(np.abs(candidate).max(initial=0))
-            for index, limit in enumerate(limits):
-                if reach > limit and stops[index] is None:
-                    stops[index] = electrons
-            if reach > top:
-                break
-            electrons = candidate
-        return [electrons if stop is None else stop for stop in stops]
+            candidate = steps.take(deltas.argmin(axis=1), axis=0)
+            candidate += position
+            # An event moves each electron number by at most one, so a
+            # candidate can pass a limit only from step ``lowest`` on.
+            if step >= lowest:
+                reach = np.abs(candidate)
+                farthest = float(np.maximum.reduce(reach, axis=None,
+                                                   initial=0.0))
+                if farthest > lowest:
+                    reach = reach.max(axis=1, initial=0.0)
+                    for index, limit in enumerate(limits):
+                        if farthest > limit:
+                            leaving = moves & (reach > limit) \
+                                & ~stopped[index]
+                            stops[index][leaving] = position[leaving]
+                            stopped[index] |= leaving
+                    moves &= reach <= top
+                    if not np.count_nonzero(moves):
+                        break
+                # A biased circuit conducts: its walk goes round a loop of
+                # states (in through one junction, out through another)
+                # until the budgets run out.  The next state depends only
+                # on the state, so once every moving point closes a loop,
+                # where each budget leaves it follows from the loop.
+                periods = _loop_periods(trail, candidate, moves)
+                if np.count_nonzero(periods) == np.count_nonzero(moves):
+                    for index, budget in enumerate(budgets):
+                        if step < budget < last:
+                            looped = _looped(trail, periods, budget - step)
+                            stops[index][~stopped[index]] = \
+                                looped[~stopped[index]]
+                            stopped[index] = True
+                    position = _looped(trail, periods, last - step)
+                    break
+            position = np.where(moves[:, np.newaxis], candidate, position)
+            trail = trail[1 - _LOOP_LENGTH:] + [position]
+        np.copyto(stops, position, where=~stopped[..., np.newaxis])
 
     # --------------------------------------------------- closed-form helpers
 

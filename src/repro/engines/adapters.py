@@ -343,8 +343,9 @@ class MasterSession(_CircuitSession):
     The underlying :class:`~repro.master.steadystate.MasterEquationSolver`
     builder caches its :class:`~repro.master.transitions.TransitionTable`
     across operating points, so per-point :meth:`solve` calls refresh only
-    rate values, and :meth:`sweep` runs the solver's structure-reusing
-    ``sweep_source`` fast path.
+    rate values, and :meth:`sweep` solves the whole gate axis as one stacked
+    batch through ``sweep_source``, bit-identical to the per-point loop it
+    replaced.
     """
 
     def __init__(self, device: SETTransistor, temperature: float,
@@ -365,7 +366,7 @@ class MasterSession(_CircuitSession):
 
     def sweep(self, axes: SweepAxes, *, workers: int = 1,
               policy: Optional[FailurePolicy] = None) -> SweepResult:
-        """Gate sweep on the solver's structure-reusing ``sweep_source`` path.
+        """Gate sweep as one stacked solve on the solver's ``sweep_source``.
 
         Parameters
         ----------

@@ -18,7 +18,7 @@ define
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -29,6 +29,12 @@ from ..errors import StateSpaceError
 from .statespace import (StateSpace, auto_state_space, auto_window,
                          build_state_space)
 from .transitions import TransitionTable
+
+#: Automatic-window tables a builder keeps, least recently used evicted
+#: first.  A 129-point sweep of the reference SET over two gate periods
+#: visits 3 windows at 2 K, 9 at kT = E_C and 15 at kT = 3 E_C (the
+#: widened ones included), so a repeated sweep rebuilds none.
+_WINDOW_TABLES = 16
 
 
 @dataclass(frozen=True)
@@ -83,6 +89,8 @@ class RateMatrixBuilder:
         self.extra_electrons = extra_electrons
         self._explicit_space = state_space
         self._cached_table: Optional[TransitionTable] = None
+        self._window_tables: Dict[Tuple[Tuple[int, int], ...],
+                                  TransitionTable] = {}
 
     def state_space(self, voltages: Optional[np.ndarray] = None,
                     offsets: Optional[np.ndarray] = None) -> StateSpace:
@@ -121,14 +129,19 @@ class RateMatrixBuilder:
     def window_table(self, bounds: List[Tuple[int, int]]) -> TransitionTable:
         """The (cached) transition structure of an automatic box window.
 
-        Reuses the cached table when its window is exactly the box
-        ``bounds``; otherwise enumerates the box and caches the new table.
+        Keeps the tables of the :data:`_WINDOW_TABLES` most recently used
+        boxes, keyed on their bounds, and enumerates a box only when it is
+        not among them.
         """
-        cached = self._cached_table
-        if cached is not None and cached.box == bounds:
-            return cached
-        table = TransitionTable(self.model, build_state_space(bounds),
-                                self.temperature)
+        tables = self._window_tables
+        key = tuple(bounds)
+        table = tables.pop(key, None)
+        if table is None:
+            table = TransitionTable(self.model, build_state_space(bounds),
+                                    self.temperature)
+            if len(tables) >= _WINDOW_TABLES:
+                del tables[next(iter(tables))]
+        tables[key] = table
         self._cached_table = table
         return table
 

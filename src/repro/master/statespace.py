@@ -102,6 +102,19 @@ def auto_window(model: EnergyModel, extra_electrons: int = 3,
     :class:`~repro.master.transitions.TransitionTable` still serves the new
     operating point without enumerating the window again.
     """
+    centre, start = walk_windows(model, extra_electrons, voltages, offsets)
+    return window_bounds(centre, extra_electrons), centre, start
+
+
+def walk_windows(model: EnergyModel, extra_electrons: int,
+                 voltages: Optional[np.ndarray] = None,
+                 offsets: Optional[np.ndarray] = None
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Window centres and start states of :func:`auto_window`, in one walk.
+
+    ``voltages`` may be a ``(points, sources)`` stack; both results are then
+    ``(points, islands)`` stacks from one walk over every point.
+    """
     if extra_electrons < 1:
         raise StateSpaceError(
             f"extra_electrons must be at least 1, got {extra_electrons!r}"
@@ -110,9 +123,13 @@ def auto_window(model: EnergyModel, extra_electrons: int = 3,
         raise StateSpaceError("the circuit has no islands; nothing to enumerate")
     start, centre = model.ground_states((5, extra_electrons + 5),
                                         voltages, offsets)
-    bounds = [(int(n) - extra_electrons, int(n) + extra_electrons)
-              for n in centre]
-    return bounds, centre, start
+    return centre, start
+
+
+def window_bounds(centre: np.ndarray,
+                  half_width: int) -> List[Tuple[int, int]]:
+    """Per-island ``(low, high)`` bounds of the box around ``centre``."""
+    return [(n - half_width, n + half_width) for n in centre.tolist()]
 
 
 def auto_state_space(model: EnergyModel, extra_electrons: int = 3,
@@ -137,4 +154,4 @@ def auto_state_space(model: EnergyModel, extra_electrons: int = 3,
 
 
 __all__ = ["StateSpace", "build_state_space", "auto_state_space",
-           "auto_window", "MAX_STATES"]
+           "auto_window", "walk_windows", "window_bounds", "MAX_STATES"]

@@ -24,18 +24,23 @@ Two solver backends share one algorithm:
 ``method="auto"`` (the default) picks dense below
 :data:`DENSE_STATE_CUTOFF` states and sparse above.
 
-Every operating point — :meth:`MasterEquationSolver.solve` and each point of
+Every operating point — :meth:`MasterEquationSolver.solve` and every point of
 :meth:`MasterEquationSolver.sweep_source` and
-:meth:`MasterEquationSolver.sweep_gate_drain` — goes through one per-point
-routine: one greedy ground-state walk places the window and the start state,
-the cached :class:`~repro.master.transitions.TransitionTable` is reused while
-the window stays put, only the rate values are refreshed, and one linear
-system is solved.
+:meth:`MasterEquationSolver.sweep_gate_drain` — goes through one stacked
+routine, ``solve`` being a stack of one: one greedy ground-state walk over
+the whole stack places each point's window and start state; the points that
+share a window share its cached
+:class:`~repro.master.transitions.TransitionTable`, one rate-kernel call and
+batched dense solves (one ``np.linalg.solve`` per reachable set), and the
+results equal one-point solves bit for bit.  An automatic window widens
+until its boundary states hold no probability worth keeping
+(:data:`BOUNDARY_MASS_TOLERANCE`); an explicit window is solved as given.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -50,7 +55,7 @@ from ..errors import ConvergenceError, SolverError
 from ..resilience.events import emit_degradation
 from ..resilience.faults import inject
 from .builder import RateMatrixBuilder, Transition
-from .statespace import StateSpace, auto_window
+from .statespace import MAX_STATES, StateSpace, walk_windows, window_bounds
 from .transitions import TransitionTable
 
 #: ``method="auto"`` switches from the dense to the sparse backend above this
@@ -64,6 +69,23 @@ _METHODS = ("auto", "dense", "sparse")
 #: sparse LU factorisation fails; beyond it a dense copy would defeat the
 #: point of the sparse path (8 N^2 bytes), so the solver raises instead.
 _DENSE_FALLBACK_LIMIT = 2_000
+
+#: Generator entries (points x states^2) one stacked dense solve holds at
+#: once: 2**18 float64 entries are 2 MiB, about 5 000 points of a 7-state
+#: window or one point of a 400-state one.
+_STACK_ELEMENTS = 2 ** 18
+
+#: Probability an automatic window may hold on its boundary states; above
+#: it the window grows by :data:`_WIDEN_STEP` electrons per island.
+BOUNDARY_MASS_TOLERANCE = 1e-13
+
+_WIDEN_STEP = 2
+
+#: One-point reachability plans (:func:`_stack_plan`) per window table,
+#: at most this many per table.
+_PLANS_PER_WINDOW = 64
+_ONE_POINT_PLANS: "weakref.WeakKeyDictionary[TransitionTable, dict]" = \
+    weakref.WeakKeyDictionary()
 
 
 def validate_solver_method(method: str) -> None:
@@ -133,6 +155,25 @@ class SteadyStateSolution:
             ) from None
 
 
+@dataclass
+class _WindowSolution:
+    """Stationary solutions of the stack points that share one window."""
+
+    table: TransitionTable
+    #: Positions of the points in the solved stack.
+    points: np.ndarray
+    #: ``(points, P)`` rates and free-energy changes.
+    rates: np.ndarray
+    delta: np.ndarray
+    #: ``(points, S)`` stationary probabilities.
+    probabilities: np.ndarray
+
+    def take(self, keep: np.ndarray) -> "_WindowSolution":
+        """The solutions of the points selected by the mask ``keep``."""
+        return _WindowSolution(self.table, self.points[keep], self.rates[keep],
+                               self.delta[keep], self.probabilities[keep])
+
+
 class MasterEquationSolver:
     """Steady-state master-equation solver for a single-electron circuit.
 
@@ -168,8 +209,13 @@ class MasterEquationSolver:
     def solve(self, voltages: Optional[np.ndarray] = None,
               offsets: Optional[np.ndarray] = None) -> SteadyStateSolution:
         """Solve for the stationary distribution at the current operating point."""
-        table, rates, delta, probabilities = self._solve_point(voltages,
-                                                               offsets)
+        if voltages is None:
+            voltages = self.builder.model.system.cached_source_voltages()
+        (window,) = self._solve_stack(
+            np.asarray(voltages, dtype=float)[np.newaxis], offsets)
+        table = window.table
+        rates, delta = window.rates[0], window.delta[0]
+        probabilities = window.probabilities[0]
         return SteadyStateSolution(
             circuit_name=self.circuit.name,
             temperature=self.temperature,
@@ -186,48 +232,92 @@ class MasterEquationSolver:
         """Convenience: stationary current through one junction, in ampere."""
         return self.solve(voltages=voltages, offsets=offsets).current(junction_name)
 
-    def _solve_point(self, voltages: Optional[np.ndarray] = None,
+    def _solve_stack(self, voltages: np.ndarray,
                      offsets: Optional[np.ndarray] = None, *,
-                     start_at_centre: bool = False
-                     ) -> Tuple[TransitionTable, np.ndarray, np.ndarray,
-                                np.ndarray]:
-        """Table, rates, free energies and stationary probabilities at a point.
+                     start_at_centre: bool = False) -> List[_WindowSolution]:
+        """Stationary solutions of a ``(points, sources)`` voltage stack.
 
-        The one per-point routine behind :meth:`solve` and every sweep point.
-        One greedy walk places the automatic window (reusing the cached table
-        while the window stays put) and gives the start state of the
-        stationary solve.  :meth:`solve` starts where the walk stops under
+        The one routine behind :meth:`solve` (one point) and every sweep.
+        One greedy walk over the stack places each point's automatic window
+        and gives its start state.  Points that share a window share one
+        :class:`~repro.master.transitions.TransitionTable`, one rate call
+        and one :func:`_stationary_stack` call.  :meth:`solve` starts where
+        the walk stops under
         :meth:`~repro.core.energy.EnergyModel.ground_state`'s default limit;
         on an automatic window the sweeps (``start_at_centre``) start from
         the window centre.  The two states differ only when the walk runs
         past five electrons or exhausts its step budget, and the start
         matters only on a reducible chain.
+
+        An automatic window whose boundary states hold more than
+        :data:`BOUNDARY_MASS_TOLERANCE` of the probability grows by
+        ``2`` electrons per island and its points are solved again, until
+        the mass is below the tolerance or a wider box would exceed
+        :data:`~repro.master.statespace.MAX_STATES`; then one
+        ``master.window_truncated`` degradation event reports the mass.
+        An explicit window is solved as given.
         """
         builder = self.builder
-        if builder._explicit_space is not None:
-            start = builder.model.ground_state(voltages=voltages,
-                                               offsets=offsets)
-            table = builder.transition_table()
+        model = builder.model
+        if offsets is None:
+            offsets = model.system.cached_offset_charges()
         else:
-            bounds, centre, start = auto_window(
-                builder.model, builder.extra_electrons, voltages, offsets)
-            table = builder.window_table(bounds)
-            if start_at_centre:
-                start = centre
+            offsets = np.asarray(offsets, dtype=float)
+        if builder._explicit_space is not None:
+            (starts,) = model.ground_states((5,), voltages, offsets)
+            return [self._solve_window(builder.transition_table(),
+                                       np.arange(len(voltages)), starts,
+                                       voltages, offsets)]
+        centres, starts = walk_windows(model, builder.extra_electrons,
+                                       voltages, offsets)
+        if start_at_centre:
+            starts = centres
+        half = builder.extra_electrons
+        pending = np.arange(len(voltages))
+        solved: List[_WindowSolution] = []
+        while pending.size:
+            wider: List[np.ndarray] = []
+            for points in _groups(centres, pending):
+                table = builder.window_table(window_bounds(centres[points[0]],
+                                                           half))
+                if points.size == len(voltages):    # one window, every point
+                    window = self._solve_window(table, points, starts,
+                                                voltages, offsets)
+                else:
+                    window = self._solve_window(table, points,
+                                                starts[points],
+                                                voltages[points], offsets)
+                mass = window.probabilities @ table.boundary
+                leaking = mass > BOUNDARY_MASS_TOLERANCE
+                if np.count_nonzero(leaking):
+                    if (2 * (half + _WIDEN_STEP) + 1) ** model.island_count \
+                            <= MAX_STATES:
+                        wider.append(points[leaking])
+                        window = window.take(~leaking)
+                    else:
+                        emit_degradation(
+                            "master.window_truncated", "keep:window",
+                            f"boundary mass {float(mass.max()):.3e} on a "
+                            f"{table.space.size}-state window; a wider "
+                            f"window would exceed {MAX_STATES} states")
+                if window.points.size:
+                    solved.append(window)
+            pending = np.concatenate(wider) if wider else pending[:0]
+            half += _WIDEN_STEP
+        return solved
+
+    def _solve_window(self, table: TransitionTable, points: np.ndarray,
+                      starts: np.ndarray, voltages: np.ndarray,
+                      offsets: np.ndarray) -> _WindowSolution:
+        """Rates and stationary probabilities of stack points on one window."""
         rates, delta = table.rates(voltages, offsets)
-        initial_index = table.space.index.get(tuple(start.tolist()), 0)
-        return table, rates, delta, self._stationary(table, rates,
-                                                     initial_index)
+        index = table.space.index
+        initial = [index.get(tuple(start), 0) for start in starts.tolist()]
+        probabilities = _stationary_stack(table, rates, initial, self.method)
+        return _WindowSolution(table, points, rates, delta, probabilities)
 
     def _resolve_method(self, state_count: int) -> str:
         return resolve_solver_method(self.method, state_count)
-
-    def _stationary(self, table: TransitionTable, rates: np.ndarray,
-                    initial_index: int) -> np.ndarray:
-        if self._resolve_method(table.space.size) == "dense":
-            return _solve_stationary(table.dense_generator(rates), initial_index)
-        return _solve_stationary_sparse(table.sparse_generator(rates),
-                                        initial_index)
 
     # ---------------------------------------------------------------- sweeps
 
@@ -236,10 +326,11 @@ class MasterEquationSolver:
                      workers: int = 1) -> Tuple[np.ndarray, np.ndarray]:
         """Sweep a voltage source and record one junction current.
 
-        The transition structure is reused across points: per point only the
-        rate values are refreshed and one stationary system is solved; the
-        window is re-enumerated only when the ground state drifts out of the
-        cached window.
+        The whole sweep is one stacked solve (see :meth:`_solve_stack`):
+        one ground-state walk over every point, then per window one rate
+        call over the window's points and batched stationary solves.  Each
+        current equals a :meth:`solve` of its point started from the window
+        centre, bit for bit.  The circuit's bias is left as it was.
 
         Parameters
         ----------
@@ -268,17 +359,8 @@ class MasterEquationSolver:
             parts = self._fan_out(_sweep_source_chunk, values_array, workers,
                                   source, junction_name)
             return values_array, np.concatenate(parts)
-        currents = np.empty(values_array.size)
-        snapshot = self.circuit.bias_snapshot()
-        try:
-            for position, value in enumerate(values_array):
-                self.circuit.set_source_voltage(source, float(value))
-                table, rates, _, probabilities = self._solve_point(
-                    start_at_centre=True)
-                currents[position] = table.junction_currents(
-                    probabilities, rates)[junction_name]
-        finally:
-            self.circuit.restore_bias(snapshot)
+        currents = self._sweep_currents(((source, values_array),),
+                                        junction_name)
         return values_array, currents
 
     def sweep_gate_drain(self, gate_source: str, drain_source: str,
@@ -289,10 +371,9 @@ class MasterEquationSolver:
                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Batched (gate, drain) map of one junction current.
 
-        The workhorse behind master-equation stability diagrams: one
-        transition table serves the whole grid (rebuilt only when the ground
-        state leaves the cached window), so each grid point costs one rate
-        refresh plus one sparse solve.
+        The workhorse behind master-equation stability diagrams: the whole
+        grid is one stacked solve, as in :meth:`sweep_source`, so each
+        window visited costs one rate call and batched stationary solves.
 
         Parameters
         ----------
@@ -320,23 +401,40 @@ class MasterEquationSolver:
                                  workers, gate_source, drain_source,
                                  gate_array, junction_name)
             return gate_array, drain_array, np.vstack(rows)
-        currents = np.empty((drain_array.size, gate_array.size))
-        snapshot = self.circuit.bias_snapshot()
-        try:
-            for row, drain_value in enumerate(drain_array):
-                self.circuit.set_source_voltage(drain_source, float(drain_value))
-                for column, gate_value in enumerate(gate_array):
-                    self.circuit.set_source_voltage(gate_source,
-                                                    float(gate_value))
-                    table, rates, _, probabilities = self._solve_point(
-                        start_at_centre=True)
-                    currents[row, column] = table.junction_currents(
-                        probabilities, rates)[junction_name]
-        finally:
-            self.circuit.restore_bias(snapshot)
-        return gate_array, drain_array, currents
+        currents = self._sweep_currents(
+            ((drain_source, np.repeat(drain_array, gate_array.size)),
+             (gate_source, np.tile(gate_array, drain_array.size))),
+            junction_name)
+        return gate_array, drain_array, currents.reshape(drain_array.size,
+                                                         gate_array.size)
 
     # ------------------------------------------------------------- internals
+
+    def _sweep_currents(self, swept: Sequence[Tuple[str, np.ndarray]],
+                        junction_name: str) -> np.ndarray:
+        """One junction's current at every point of a stacked sweep.
+
+        ``swept`` pairs each swept source with its value at every point; the
+        other sources keep the circuit's voltages.  Each source is resolved
+        and checked as :meth:`Circuit.set_source_voltage` would; the circuit
+        itself is left untouched.
+        """
+        count = swept[0][1].size
+        currents = np.empty(count)
+        if not count:
+            return currents
+        system = self.builder.model.system
+        voltages = np.tile(system.cached_source_voltages(), (count, 1))
+        for source, values in swept:
+            largest = float(np.abs(values).max())
+            node = self.circuit.source_node(source, largest)
+            voltages[:, system.source_index[node]] = values
+        for window in self._solve_stack(voltages, start_at_centre=True):
+            table = window.table
+            currents[window.points] = table.junction_current_series(
+                window.probabilities, window.rates)[
+                    :, table.junction_names.index(junction_name)]
+        return currents
 
     def _check_junction(self, junction_name: str) -> None:
         known = [junction.name for junction in self.circuit.junctions()]
@@ -382,6 +480,185 @@ def _sweep_gate_drain_chunk(solver_args, sweep_args, chunk) -> np.ndarray:
     return _chunk_solver(solver_args).sweep_gate_drain(
         gate_source, drain_source, gate_values, chunk.points,
         junction_name)[2]
+
+
+def _groups(keys: np.ndarray, points: np.ndarray) -> List[np.ndarray]:
+    """``points`` split by their rows of ``keys``, each part ascending."""
+    if points.size <= 1:
+        return [points] if points.size else []
+    rows = keys[points]
+    order = np.lexsort(rows.T[::-1])        # stable, first column first
+    rows = rows[order]
+    breaks = np.flatnonzero((rows[1:] != rows[:-1]).any(axis=1)) + 1
+    return np.split(points[order], breaks)
+
+
+# ======================================================================
+# Stacked stationary solve.
+# ======================================================================
+
+
+def _stationary_stack(table: TransitionTable, rates: np.ndarray,
+                      initial: Sequence[int], method: str) -> np.ndarray:
+    """Stationary probabilities of a ``(points, P)`` rate stack on one window.
+
+    Row ``p`` equals the one-point solve of ``rates[p]`` started from state
+    ``initial[p]`` bit for bit.  A window that ``method`` sends to the
+    sparse backend is solved point by point through
+    :func:`_solve_stationary_sparse` (its fallback ladder and fault sites
+    included); a dense window is solved in stacks of at most
+    :data:`_STACK_ELEMENTS` generator entries by :func:`_solve_dense_stack`.
+    """
+    count, size = rates.shape[0], table.space.size
+    if resolve_solver_method(method, size) == "sparse":
+        return np.array([
+            _solve_stationary_sparse(table.sparse_generator(row), start)
+            for row, start in zip(rates, initial)]).reshape(count, size)
+    step = max(1, _STACK_ELEMENTS // max(1, size * size))
+    if count <= step:
+        return _solve_dense_stack(table, rates, initial)
+    probabilities = np.empty((count, size))
+    for first in range(0, count, step):
+        chunk = slice(first, first + step)
+        probabilities[chunk] = _solve_dense_stack(table, rates[chunk],
+                                                  initial[chunk])
+    return probabilities
+
+
+def _solve_dense_stack(table: TransitionTable, rates: np.ndarray,
+                       initial: Sequence[int]) -> np.ndarray:
+    """:func:`_solve_stationary` over a stack of dense generators.
+
+    One reachability analysis (:func:`_stack_plan`) covers the stack.  Each
+    group of the plan is one ``np.linalg.solve`` over ``(G, r, r)`` matrices
+    (LAPACK solves each matrix as it would alone); a reducible point runs
+    :func:`_solve_stationary` by itself.
+    """
+    matrices = table.dense_generators(rates)
+    count, size = matrices.shape[:2]
+    if size <= 1:
+        return np.array([_solve_stationary(matrix, start)
+                         for matrix, start in zip(matrices, initial)]
+                        ).reshape(count, size)
+    reducible, groups = _stack_plan(table, rates, matrices, initial)
+    if not reducible.size and len(groups) == 1 \
+            and groups[0][1].size == size:
+        return _irreducible_stack(matrices)
+    probabilities = np.zeros((count, size))
+    for point in reducible:
+        probabilities[point] = _solve_stationary(matrices[point],
+                                                 initial[point])
+    for points, states in groups:
+        probabilities[points[:, np.newaxis], states] = _irreducible_stack(
+            matrices.take(points, 0).take(states, 1).take(states, 2))
+    return probabilities
+
+
+def _stack_plan(table: TransitionTable, rates: np.ndarray,
+                matrices: np.ndarray, initial: Sequence[int]
+                ) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
+    """:func:`_solve_plan` of a stack; one-point plans are remembered.
+
+    A plan depends only on which pair rates are positive and where each
+    point starts.  A stream of one-point solves across a gate range
+    revisits few such patterns: on the perfbench ``engine_sweeps`` master
+    stream (seed 11) 3 458 of 3 612 one-point dense solves (96%) reuse a
+    plan, which saves the two breadth-first searches.  A stack's pattern
+    recurs only when a whole sweep is repeated, so stacks are not
+    remembered.  Each window keeps at most :data:`_PLANS_PER_WINDOW` plans.
+    """
+    if len(initial) != 1:
+        return _solve_plan(matrices, initial)
+    plans = _ONE_POINT_PLANS.setdefault(table, {})
+    key = ((rates > 0.0).tobytes(), initial[0])
+    plan = plans.get(key)
+    if plan is None:
+        if len(plans) >= _PLANS_PER_WINDOW:
+            plans.clear()
+        plan = plans[key] = _solve_plan(matrices, initial)
+    return plan
+
+
+def _solve_plan(matrices: np.ndarray, initial: Sequence[int]
+                ) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
+    """The reducible points of a generator stack, and the others' classes.
+
+    Reachability in both directions is one breadth-first search over the
+    stack (:func:`_reach_stack`).  A point is reducible when it reaches a
+    state that cannot reach back; the other points are grouped by their
+    reachable set, which is one closed class.  Returns ``(reducible_points, [(points, states), ...])``.
+    """
+    size = matrices.shape[1]
+    adjacency = matrices > 0.0
+    diagonal = np.arange(size)
+    adjacency[:, diagonal, diagonal] = False
+    forward, backward = _reach_stack(adjacency, initial)
+    reducible = (forward > backward).any(axis=1)
+    closed = np.flatnonzero(~reducible)
+    patterns = forward.take(closed, axis=0)
+    return np.flatnonzero(reducible), [
+        (closed.take(group), np.flatnonzero(patterns[group[0]]))
+        for group in _groups(patterns, np.arange(closed.size))]
+
+
+def _reach_stack(adjacency: np.ndarray,
+                 initial: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """States each start reaches, and states that reach it, over a stack.
+
+    ``adjacency[p, j, i]`` is True when point ``p`` has a direct transition
+    i -> j.  Breadth first: each pass reads only the columns (forward) and
+    rows (backward) of the states some point reached in the pass before.
+    A stack of one runs :func:`_reach` in each direction, which takes fewer
+    array operations per pass.
+    """
+    count, size = adjacency.shape[:2]
+    if count == 1:
+        return (_reach(adjacency[0], initial[0])[np.newaxis],
+                _reach(adjacency[0].T, initial[0])[np.newaxis])
+    forward = np.zeros((count, size), dtype=bool)
+    forward[np.arange(count), initial] = True
+    backward = forward.copy()
+    new_forward, new_backward = forward, backward
+    while True:
+        columns = np.flatnonzero(new_forward.any(axis=0))
+        rows = np.flatnonzero(new_backward.any(axis=0))
+        if not columns.size and not rows.size:
+            return forward, backward
+        new_forward = (adjacency[:, :, columns]
+                       & new_forward[:, np.newaxis, columns]).any(axis=2)
+        new_forward &= ~forward
+        new_backward = (adjacency[:, rows, :]
+                        & new_backward[:, rows, np.newaxis]).any(axis=1)
+        new_backward &= ~backward
+        forward = forward | new_forward
+        backward = backward | new_backward
+
+
+def _irreducible_stack(blocks: np.ndarray) -> np.ndarray:
+    """:func:`_irreducible_stationary` of each block of a ``(G, r, r)`` stack.
+
+    One batched ``np.linalg.solve``; if LAPACK finds a singular block, every
+    block of the stack falls back to :func:`_irreducible_stationary` (and its
+    SVD rung) on its own.
+    """
+    count, size = blocks.shape[:2]
+    if size == 1:
+        return np.ones((count, 1))
+    augmented = blocks.copy()
+    augmented[:, -1, :] = 1.0
+    rhs = np.zeros((count, size, 1))
+    rhs[:, -1] = 1.0
+    try:
+        solved = np.linalg.solve(augmented, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        return np.array([_irreducible_stationary(block) for block in blocks])
+    if np.count_nonzero(np.isfinite(solved)) != solved.size:
+        raise SolverError("stationary solve produced non-finite probabilities")
+    np.maximum(solved, 0.0, out=solved)
+    total = solved.sum(axis=1, keepdims=True)
+    if np.count_nonzero(total <= 0.0):
+        raise SolverError("stationary distribution sums to zero")
+    return solved / total
 
 
 # ======================================================================
@@ -824,4 +1101,5 @@ def _power_iteration_stationary(block: sparse.spmatrix,
         f"{tolerance:g} within {max_iterations} iterations")
 
 
-__all__ = ["MasterEquationSolver", "SteadyStateSolution", "DENSE_STATE_CUTOFF"]
+__all__ = ["MasterEquationSolver", "SteadyStateSolution", "DENSE_STATE_CUTOFF",
+           "BOUNDARY_MASS_TOLERANCE"]

@@ -106,6 +106,11 @@ class TransitionTable:
         positions = np.searchsorted(sorted_codes, target_codes)
         positions = np.minimum(positions, max(state_count - 1, 0))
         found = in_box & (sorted_codes[positions] == target_codes)
+        #: 1.0 on the states that lie on a face of the window's bounding
+        #: box, else 0.0: ``probabilities @ boundary`` is the boundary mass.
+        self.boundary = np.logical_or.reduce(
+            (states == self.lows) | (states == self.highs), axis=1
+        ).astype(float)
 
         pair_source, pair_event = np.nonzero(found)        # state-major order
         self.pair_source = pair_source.astype(np.int64)
@@ -142,6 +147,8 @@ class TransitionTable:
                                    dtype=np.int64)
         self.pair_junction = event_junction[self.pair_event]
         self.pair_direction = event_direction[self.pair_event]
+        #: Charge a pair's event carries through its junction, ``-e dir``.
+        self._pair_charge = (-E_CHARGE) * self.pair_direction
         self._event_junction_names = [event.junction.name
                                       for event in table.events]
         self._event_directions = event_direction
@@ -160,13 +167,18 @@ class TransitionTable:
 
         With no explicit overrides the circuit's current bias/offsets are
         used and the result is cached against the circuit version counters:
-        repeated calls between bias changes are O(1).
+        repeated calls between bias changes are O(1).  ``voltages`` may be a
+        ``(points, sources)`` stack: one :func:`orthodox_rate_vec` call then
+        covers every point, and row ``p`` equals the result at
+        ``voltages[p]`` bit for bit (the products with ``B`` and ``C^-1``
+        run per point).
 
         Returns
         -------
         (rates, delta_f):
-            ``(P,)`` arrays aligned with the pair arrays.  Treat them as
-            read-only; they may be shared with the cache.
+            ``(P,)`` arrays aligned with the pair arrays, or ``(points, P)``
+            for a stack.  Treat them as read-only; they may be shared with
+            the cache.
         """
         system = self.model.system
         circuit = self.model.circuit
@@ -185,11 +197,24 @@ class TransitionTable:
         else:
             offsets = np.asarray(offsets, dtype=float)
 
-        phi_bias = system.inverse @ (offsets + system.coupling @ voltages)
-        pool_bias = np.concatenate([phi_bias, voltages])
-        bias_drop = pool_bias[self._from_gather] - pool_bias[self._to_gather]
-        delta = self.static_energy + E_CHARGE * bias_drop
-        rates = orthodox_rate_vec(delta, self.resistance, self.temperature)
+        stack = np.atleast_2d(voltages)
+        count = stack.shape[0]
+        # q0 + B V, then C^-1 (q0 + B V): per point, as in the one-point path.
+        induced = np.matmul(system.coupling, stack[..., np.newaxis])
+        induced += offsets[:, np.newaxis]
+        phi_bias = np.matmul(system.inverse, induced)[..., 0]
+        pool_bias = np.concatenate([phi_bias, stack], axis=1).ravel()
+        width = pool_bias.size // max(1, count)
+        delta = pool_bias.take(_stacked(self._from_gather, width, count))
+        delta -= pool_bias.take(_stacked(self._to_gather, width, count))
+        delta *= E_CHARGE
+        delta += _tiled(self.static_energy, count)
+        # One rate-kernel call over the flat stack: every row shares the
+        # kernel's branch choices, and each element its operations.
+        rates = orthodox_rate_vec(delta, _tiled(self.resistance, count),
+                                  self.temperature)
+        shape = np.shape(voltages)[:-1] + (self.pair_count,)
+        rates, delta = rates.reshape(shape), delta.reshape(shape)
         if key is not None:
             self._cache_key = key
             self._rate_cache = rates
@@ -211,30 +236,36 @@ class TransitionTable:
         return (matrix - sparse.diags(outflow)).tocsr()
 
     def dense_generator(self, rates: np.ndarray) -> np.ndarray:
-        """Generator as a dense NumPy array (columns sum to zero).
+        """Generator as a dense NumPy array (columns sum to zero)."""
+        return self.dense_generators(rates[np.newaxis])[0]
 
-        Both sums are flat ``bincount`` calls, which add the rates into each
-        entry one by one in pair order, starting from zero.
+    def dense_generators(self, rates: np.ndarray) -> np.ndarray:
+        """``(points, S, S)`` generators for a ``(points, P)`` rate stack.
+
+        Both sums are flat ``bincount`` calls over the whole stack, each
+        point's indices offset by its own block.  Every entry starts from
+        zero and adds its positive rates one by one in pair order (a pair
+        whose rate is not positive adds an exact ``0.0``), so each generator
+        equals the one-point assembly bit for bit.
         """
-        live = rates > 0.0
-        values = rates[live]
         size = self.space.size
-        matrix = np.bincount(self._flat_pair[live], weights=values,
-                             minlength=size * size)
-        outflow = np.bincount(self.pair_source[live], weights=values,
-                              minlength=size)
-        matrix[::size + 1] -= outflow
-        return matrix.reshape(size, size)
+        count = rates.shape[0]
+        values = np.where(rates > 0.0, rates, 0.0).ravel()
+        matrices = np.bincount(_stacked(self._flat_pair, size * size, count),
+                               weights=values, minlength=count * size * size)
+        outflow = np.bincount(_stacked(self.pair_source, size, count),
+                              weights=values, minlength=count * size)
+        diagonal = matrices.reshape(count, size * size)[:, ::size + 1]
+        diagonal -= outflow.reshape(count, size)
+        return matrices.reshape(count, size, size)
 
     # ---------------------------------------------------------- observables
 
     def junction_currents(self, probabilities: np.ndarray,
                           rates: np.ndarray) -> Dict[str, float]:
         """Conventional current per junction for a probability vector."""
-        flow = rates * probabilities[self.pair_source]
-        signed = (-E_CHARGE) * self.pair_direction * flow
-        totals = np.bincount(self.pair_junction, weights=signed,
-                             minlength=len(self.junction_names))
+        totals = self.junction_current_series(probabilities[np.newaxis],
+                                              rates)[0]
         return {name: float(totals[column])
                 for column, name in enumerate(self.junction_names)}
 
@@ -242,14 +273,21 @@ class TransitionTable:
                                 rates: np.ndarray) -> np.ndarray:
         """Currents for a ``(T, S)`` stack of probability vectors.
 
-        Returns ``(T, junction_count)`` with columns in ``junction_names``
-        order; used by the transient solver.
+        ``rates`` is one ``(P,)`` vector shared by every row (the transient
+        solver) or a ``(T, P)`` stack, one row per probability vector (the
+        stacked stationary solve).  Returns ``(T, junction_count)`` with
+        columns in ``junction_names`` order.  One flat ``bincount`` adds
+        each row's pair currents into its junctions in pair order, starting
+        from zero.
         """
-        flow = probabilities[:, self.pair_source] * rates[np.newaxis, :]
-        signed = (-E_CHARGE) * self.pair_direction * flow
-        currents = np.zeros((probabilities.shape[0], len(self.junction_names)))
-        np.add.at(currents.T, self.pair_junction, signed.T)
-        return currents
+        count = probabilities.shape[0]
+        junctions = len(self.junction_names)
+        signed = probabilities.take(self.pair_source, axis=1) * rates
+        signed *= self._pair_charge
+        return np.bincount(_stacked(self.pair_junction, junctions, count),
+                           weights=signed.ravel(),
+                           minlength=count * junctions).reshape(count,
+                                                                junctions)
 
     def transitions_list(self, rates: np.ndarray,
                          delta: np.ndarray) -> list:
@@ -267,6 +305,18 @@ class TransitionTable:
             rate=float(rates[p]),
             delta_f=float(delta[p]),
         ) for p in live]
+
+
+def _tiled(values: np.ndarray, count: int) -> np.ndarray:
+    """``values`` repeated for ``count`` points."""
+    return values if count == 1 else np.tile(values, count)
+
+
+def _stacked(indices: np.ndarray, stride: int, count: int) -> np.ndarray:
+    """``indices`` repeated for ``count`` points, offset by ``p * stride``."""
+    if count == 1:
+        return indices
+    return (np.arange(count)[:, np.newaxis] * stride + indices).ravel()
 
 
 __all__ = ["TransitionTable"]

@@ -128,6 +128,17 @@ class TestVoltageUpdates:
         with pytest.raises(CircuitError):
             circuit.set_source_voltage("dot", 0.1)
 
+    def test_source_node_resolves_without_biasing(self):
+        circuit = build_set_circuit()
+        version = circuit.bias_version
+        assert circuit.source_node("VG") == "gate"
+        assert circuit.source_node("drain", 0.05) == "drain"
+        assert circuit.source_node("gnd") == "gnd"
+        assert circuit.bias_version == version
+        for name, voltage in (("gnd", 0.1), ("dot", 0.0), ("nowhere", 0.0)):
+            with pytest.raises(CircuitError):
+                circuit.source_node(name, voltage)
+
 
 class TestOffsetCharges:
     def test_set_offset_charge(self):

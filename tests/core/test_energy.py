@@ -186,6 +186,28 @@ class TestGroundStates:
         assert np.array_equal(model.ground_state(2, voltages, offsets),
                               expected[1])
 
+    @pytest.mark.parametrize("circuit", ["set", "double_dot"])
+    def test_stacked_walk_matches_reference_rows(self, circuit):
+        """One walk over a voltage stack: points that conduct go round
+        loops of two or three states, others stop early or at a limit."""
+        if circuit == "set":
+            model = EnergyModel(build_set_circuit())
+            offsets = np.array([0.1]) * E_CHARGE
+        else:
+            model = EnergyModel(build_double_dot_circuit())
+            offsets = np.array([0.2, -0.4]) * E_CHARGE
+        rng = np.random.default_rng(11)
+        stack = np.tile(model.system.source_voltage_vector(), (60, 1))
+        for node in model.system.source_names[1:]:
+            stack[:, model.system.source_index[node]] = rng.choice(
+                [0.0, 0.02, 0.1, 0.4, -1.5, 3.0], size=60) \
+                * rng.uniform(0.5, 1.5, size=60)
+        actual = model.ground_states(self.LIMITS, stack, offsets)
+        for row, voltages in enumerate(stack):
+            for limit, got in zip(self.LIMITS, actual):
+                assert np.array_equal(
+                    got[row], reference_walk(model, limit, voltages, offsets))
+
     def test_walks_that_leave_the_limit_stop_early(self):
         period = E_CHARGE / 2e-18
         model = EnergyModel(build_set_circuit(gate_voltage=6.4 * period))

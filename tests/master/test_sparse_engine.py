@@ -11,9 +11,9 @@ import pytest
 from scipy import sparse
 
 from repro.constants import E_CHARGE
-from repro.errors import SolverError
+from repro.errors import CircuitError, SolverError
 from repro.master import (MasterEquationSolver, RateMatrixBuilder,
-                          TransitionTable, build_state_space)
+                          TransitionTable, build_state_space, steadystate)
 from repro.master.steadystate import (_solve_stationary,
                                       _solve_stationary_sparse)
 
@@ -257,20 +257,35 @@ class TestSweeps:
         circuit = build_set_circuit(drain_voltage=0.002, gate_voltage=0.123)
         solver = MasterEquationSolver(circuit, temperature=1.0)
         calls = {"count": 0}
-        original = MasterEquationSolver._stationary
+        original = steadystate._stationary_stack
 
-        def failing(self, table, rates, initial_index):
+        def failing(table, rates, initial, method):
             calls["count"] += 1
             if calls["count"] >= 2:
                 raise SolverError("injected mid-sweep failure")
-            return original(self, table, rates, initial_index)
+            return original(table, rates, initial, method)
 
-        monkeypatch.setattr(MasterEquationSolver, "_stationary", failing)
+        # The sweep's three gate values span two windows: two stationary
+        # steps, the second of which fails.
+        monkeypatch.setattr(steadystate, "_stationary_stack", failing)
         with pytest.raises(SolverError, match="injected"):
             solver.sweep_source("VG", [0.0, 0.05, 0.1], "J_drain")
-        # The try/finally snapshot covers the rebuild path: the original
-        # operating point must be back even though the sweep died mid-flight.
+        # The original operating point must be in place even though the
+        # sweep died mid-flight.
         assert circuit.node("gate").voltage == pytest.approx(0.123)
+
+    def test_sweep_checks_each_source_before_solving(self):
+        circuit = build_set_circuit(drain_voltage=0.002, gate_voltage=0.123)
+        solver = MasterEquationSolver(circuit, temperature=1.0)
+        version = circuit.bias_version
+        for source in ("dot", "missing"):
+            with pytest.raises(CircuitError):
+                solver.sweep_source(source, [0.0, 0.05], "J_drain")
+        with pytest.raises(CircuitError, match="ground"):
+            solver.sweep_source("gnd", [0.0, 0.0, 0.05], "J_drain")
+        _, currents = solver.sweep_source("gnd", [0.0, 0.0], "J_drain")
+        assert np.array_equal(currents, [solver.current("J_drain")] * 2)
+        assert circuit.bias_version == version
 
     def test_sweep_with_workers_matches_serial(self):
         circuit = build_set_circuit(drain_voltage=0.002)
