@@ -27,6 +27,14 @@ array path at the sizes the scans actually use: a 16-point
 ``orthodox_rate_vec`` calls per evaluation (outside the timed runs) and
 raises unless each evaluation makes exactly one.
 
+An exact-tier row (``exact_tier``) times ``MasterEngine.solve_devices``
+(one closed-form birth-death chain per point) over the big grid's devices
+at their on/off biases, in blocks of the grid's chunk size, in-process.
+It records the largest deviation from per-row ``master`` sessions on a
+random subsample of rows, as a fraction of each row's peak current, the
+sessions' own rate on that subsample, and the rate-kernel calls per
+block, raising above one.
+
 Results go to ``BENCH_design.json``.
 
 Environment overrides (used by the CI smoke run):
@@ -57,6 +65,7 @@ from repro.compact import AnalyticSETModel, set_model
 from repro.design import DesignSpec, DeviceScan, FeasibilityMap
 from repro.devices import SETTransistor
 from repro.engines import DeviceTable, get_engine
+from repro.engines.base import Engine
 from repro.errors import FaultInjected
 from repro.io.results import ResultCache, source_digest
 from repro.resilience import FaultInjector
@@ -79,6 +88,9 @@ MAP_AXIS_POINTS = 4
 BATCH_ROWS = 512
 SMALL_CALLS = 200
 SMALL_REPEATS = 5
+
+#: Rows of the big grid checked against per-row sessions.
+EXACT_SUBSAMPLE = 48
 
 #: Constraint set of every benchmark scan; ``on_off_ratio`` forces the
 #: per-point engine solves (the scan cannot shortcut to closed forms).
@@ -330,8 +342,63 @@ def measure_small_batch() -> dict:
     }
 
 
+def measure_exact_tier() -> dict:
+    """Throughput and agreement of the exact tier on the big grid.
+
+    Raises ``AssertionError`` if a block makes more than one rate-kernel
+    call (no window widens at the grid's temperatures).
+    """
+    spec = grid_spec()
+    grids = np.meshgrid(*[axis.grid() for axis in spec.axes], indexing="ij")
+    columns = {axis.parameter: grid.ravel()
+               for axis, grid in zip(spec.axes, grids)}
+    table = DeviceTable(spec.base_device(), columns,
+                        columns.pop("temperature"))
+    gates = np.outer(table.gate_period,
+                     [spec.on_gate_fraction, spec.off_gate_fraction])
+    drain = spec.drain_voltage
+    engine = get_engine("master")
+    blocks = [np.arange(first, min(first + spec.chunk_size, len(table)))
+              for first in range(0, len(table), spec.chunk_size)]
+    block_tables = [table.take(rows) for rows in blocks]
+
+    def evaluate(index):
+        return engine.solve_devices(block_tables[index], gates[blocks[index]],
+                                    drain)
+
+    calls = rate_calls(lambda: evaluate(0))
+    if calls > 1:
+        raise AssertionError(f"{calls} rate-kernel calls per block, "
+                             "expected one")
+    start = time.perf_counter()
+    currents = np.concatenate([evaluate(index)
+                               for index in range(len(blocks))])
+    elapsed = time.perf_counter() - start
+    rows = np.random.default_rng(7).choice(
+        len(table), min(EXACT_SUBSAMPLE, len(table)), replace=False)
+    sample = table.take(rows)
+    start = time.perf_counter()
+    looped = Engine.solve_devices(engine, sample, gates[rows], drain)
+    session_s = time.perf_counter() - start
+    peak = np.abs(looped).max(axis=1)
+    deviation = (np.abs(currents[rows] - looped).max(axis=1)
+                 / np.where(peak > 0.0, peak, 1.0))
+    return {
+        "grid_points": len(table),
+        "biases_per_point": gates.shape[1],
+        "rows_per_call": spec.chunk_size,
+        "elapsed_s": round(elapsed, 3),
+        "points_per_s": round(len(table) / elapsed, 1),
+        "us_per_point": round(elapsed / len(table) * 1e6, 3),
+        "sampled_rows": len(rows),
+        "session_points_per_s": round(len(rows) / session_s, 1),
+        "max_deviation_of_row_peak": float(f"{deviation.max():.3g}"),
+        "rate_calls_per_evaluation": calls,
+    }
+
+
 def run_benchmark() -> dict:
-    """Run all five measurements and write ``BENCH_design.json``."""
+    """Run all six measurements and write ``BENCH_design.json``."""
     throughput, reference = measure_throughput()
     cached = measure_cached(reference)
     resume = check_resume()
@@ -346,6 +413,7 @@ def run_benchmark() -> dict:
         "resume": resume,
         "tolerance_mc": tolerance,
         "small_batch": measure_small_batch(),
+        "exact_tier": measure_exact_tier(),
     }
     OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     return payload
@@ -382,6 +450,12 @@ def test_design_scan_benchmark():
           f"batch {small['batch_ms_per_call']:.3f} ms, "
           f"{small['rate_calls_per_evaluation']} rate-kernel call per "
           "evaluation")
+    exact = payload["exact_tier"]
+    print(f"exact tier     : {exact['points_per_s']:.0f} points/s "
+          f"({exact['biases_per_point']} biases each), max deviation "
+          f"{exact['max_deviation_of_row_peak']:.1e} of row peak over "
+          f"{exact['sampled_rows']} rows, "
+          f"{exact['rate_calls_per_evaluation']} rate-kernel call per block")
     print(f"written to     : {OUTPUT_PATH}")
     assert throughput["points_per_s"] > 0
     assert throughput["workers_identical"]
@@ -390,6 +464,8 @@ def test_design_scan_benchmark():
     assert resume["chunks_resumed"] > 0
     assert tolerance["identical_across_workers"]
     assert small["rate_calls_per_evaluation"] == 1
+    assert exact["rate_calls_per_evaluation"] == 1
+    assert exact["max_deviation_of_row_peak"] <= 1e-12
 
 
 if __name__ == "__main__":

@@ -10,7 +10,10 @@ The paper's §4 describes two simulator families.  This module provides the
   that bracket the induced island charge, and blends the two currents by
   its fractional part.  It is fast, smooth and captures the periodic Id-Vg
   characteristic and the Coulomb blockade, but — exactly as the paper notes —
-  it knows nothing about co-tunnelling or interacting SETs.
+  it knows nothing about co-tunnelling or interacting SETs.  Its
+  :meth:`~AnalyticSETModel.chain_current` solves the whole sequential
+  charge chain instead, in closed form: the ``master`` engine's device
+  batches.
 * :class:`MasterEquationSETModel` — the same terminal interface backed by the
   full master-equation solver (with a small operating-point cache), used when
   accuracy matters more than speed.
@@ -77,6 +80,9 @@ class AnalyticSETModel:
         Island offset charge in coulomb.
     temperature:
         Operating temperature in kelvin.
+    second_gate_capacitance:
+        Capacitance in farad of a grounded second gate; it adds to the
+        island's ``C_sigma`` but induces no charge.
     """
 
     drain_capacitance: float = 1e-18
@@ -86,12 +92,16 @@ class AnalyticSETModel:
     source_resistance: float = 1e6
     background_charge: float = 0.0
     temperature: float = 1.0
+    second_gate_capacitance: float = 0.0
 
     def __post_init__(self) -> None:
         """Validate the parameters (element-wise for array parameters)."""
         if not _holds(_positive_finite, self.drain_capacitance,
                       self.source_capacitance, self.gate_capacitance):
             raise CircuitError("capacitances must be positive and finite")
+        if not _holds(_non_negative_finite, self.second_gate_capacitance):
+            raise CircuitError(
+                "second-gate capacitance must be non-negative and finite")
         if not _holds(_positive_finite, self.drain_resistance,
                       self.source_resistance):
             raise CircuitError("resistances must be positive and finite")
@@ -107,12 +117,13 @@ class AnalyticSETModel:
             self.drain_capacitance, self.source_capacitance,
             self.gate_capacitance, self.drain_resistance,
             self.source_resistance, self.background_charge,
-            self.temperature))
+            self.temperature, self.second_gate_capacitance))
 
     @property
     def total_capacitance(self) -> float:
         """Total island capacitance in farad."""
-        return self.drain_capacitance + self.source_capacitance + self.gate_capacitance
+        return (self.drain_capacitance + self.source_capacitance
+                + self.gate_capacitance + self.second_gate_capacitance)
 
     @property
     def gate_period(self) -> float:
@@ -132,15 +143,17 @@ class AnalyticSETModel:
         c_drain = self.drain_capacitance
         c_source = self.source_capacitance
         c_gate = self.gate_capacitance
+        # The grounded second gate only loads the island.
+        c_shunt = c_gate + self.second_gate_capacitance
         c_total = self.total_capacitance
         q0 = self.background_charge
         scale = E_CHARGE / c_total
 
         drain_in = scale * (0.5 * E_CHARGE + n * E_CHARGE - q0
-                            + (c_source + c_gate) * drain_voltage
+                            + (c_source + c_shunt) * drain_voltage
                             - c_source * source_voltage - c_gate * gate_voltage)
         source_in = scale * (0.5 * E_CHARGE + n * E_CHARGE - q0
-                             + (c_drain + c_gate) * source_voltage
+                             + (c_drain + c_shunt) * source_voltage
                              - c_drain * drain_voltage - c_gate * gate_voltage)
         return drain_in, source_in
 
@@ -225,6 +238,46 @@ class AnalyticSETModel:
         return self._drain_current_array(drain, gate,
                                          np.asarray(source_voltage, dtype=float))
 
+    def _broadcast_voltages(self, drain_voltage, gate_voltage,
+                            source_voltage):
+        """The voltages broadcast against every parameter.
+
+        The stacked rate operands of :meth:`_bond_rates` then share one
+        shape however the batch is laid out.
+        """
+        vd, vg, vs, *_ = np.broadcast_arrays(
+            drain_voltage, gate_voltage, source_voltage, self.drain_capacitance,
+            self.source_capacitance, self.gate_capacitance,
+            self.second_gate_capacitance, self.background_charge,
+            self.temperature, self.drain_resistance, self.source_resistance)
+        return vd, vg, vs
+
+    def _bond_rates(self, offsets, base, vd, vg, vs):
+        """Orthodox rates across the bonds ``n -> n + 1``, ``n = base + offsets``.
+
+        One :func:`~repro.core.rates.orthodox_rate_vec` call over the
+        ``(lead, direction, offset)`` stack: direction 0 adds an electron
+        in state ``n`` (at ``+dF_in(n)``), direction 1 removes one from
+        state ``n + 1`` (at ``-dF_in(n)``).  ``vd``, ``vg`` and ``vs`` come
+        from :meth:`_broadcast_voltages`.
+
+        Returns
+        -------
+        tuple of numpy.ndarray
+            ``(up_drain, down_drain, up_source, down_source)``, each with
+            the offset axis first.
+        """
+        drain_in, source_in = self._in_energies(np.add.outer(offsets, base),
+                                                vd, vg, vs)
+        r_drain, r_source, _ = np.broadcast_arrays(
+            self.drain_resistance, self.source_resistance, vd)
+        rates = orthodox_rate_vec(
+            np.stack([drain_in, -drain_in, source_in, -source_in]).reshape(
+                (2, 2) + drain_in.shape),
+            np.stack([r_drain, r_source])[:, None, None], self.temperature)
+        (up_drain, down_drain), (up_source, down_source) = rates
+        return up_drain, down_drain, up_source, down_source
+
     def _drain_current_array(self, drain_voltage, gate_voltage,
                              source_voltage) -> np.ndarray:
         """Vectorized :meth:`drain_current`: both windows in one stacked pass.
@@ -238,25 +291,14 @@ class AnalyticSETModel:
         axis, each element through the same floating-point operations as in
         :meth:`_window_current`.
         """
-        # Broadcast over every parameter too, so that the stacked operands
-        # below share one shape however the batch is laid out.
-        vd, vg, vs, *_, r_drain, r_source = np.broadcast_arrays(
-            drain_voltage, gate_voltage, source_voltage, self.drain_capacitance,
-            self.source_capacitance, self.gate_capacitance,
-            self.background_charge, self.temperature, self.drain_resistance,
-            self.source_resistance)
+        vd, vg, vs = self._broadcast_voltages(drain_voltage, gate_voltage,
+                                              source_voltage)
         induced = self._induced_charge(vd, vg, vs)
         base = np.floor(induced)
         fraction = induced - base
-        drain_in, source_in = self._in_energies(
-            np.add.outer([-1.0, 0.0, 1.0], base), vd, vg, vs)
-        # rates[lead, direction, n - base + 1]: direction 0 adds an electron
-        # in state n, direction 1 removes one from state n + 1.
-        rates = orthodox_rate_vec(
-            np.stack([drain_in, -drain_in, source_in, -source_in]).reshape(
-                (2, 2) + drain_in.shape),
-            np.stack([r_drain, r_source])[:, None, None], self.temperature)
-        (up_drain, down_drain), (up_source, down_source) = rates
+        # Index n - base + 1 along the leading axis.
+        up_drain, down_drain, up_source, down_source = self._bond_rates(
+            [-1.0, 0.0, 1.0], base, vd, vg, vs)
         up = up_drain + up_source
         down = down_drain + down_source
 
@@ -297,6 +339,85 @@ class AnalyticSETModel:
         lower, upper = np.where(dead, 0.0, E_CHARGE * current)
         blended = (1.0 - fraction) * lower + fraction * upper
         return np.where(fraction <= 1e-12, lower, blended)
+
+    def chain_current(self, drain_voltage, gate_voltage, half_width: int,
+                      source_voltage=0.0
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Exact sequential-tunnelling current on ``2 half_width + 1`` states.
+
+        Under sequential tunnelling the island charge ``n`` is a
+        birth-death chain: no net flow crosses the cut between ``n`` and
+        ``n + 1``, so ``p(n + 1) / p(n) = Gamma+(n) / Gamma-(n + 1)`` with
+        both rates summed over the two junctions, and no linear solve is
+        needed.  The window holds the states within ``half_width`` of the
+        start ``s = ceil(n_induced - 1/2)`` (at ``T = 0`` the chain's closed
+        class holds it, unless a rate vanishes at an exact degeneracy).
+        One :func:`~repro.core.rates.orthodox_rate_vec`
+        call evaluates every rate of the ``(lead, direction, bond)`` stack;
+        the log-weights are cumulative sums of ``log(Gamma+ / Gamma-)``
+        outward from ``s``, normalised per point.
+
+        An exactly zero rate leading away from ``s`` cuts the chain: the
+        states beyond it are unreachable and get probability 0.  A zero
+        rate leading back towards ``s`` on a reachable bond makes the chain
+        *reducible* (mass flows away from ``s`` and is trapped); such a
+        point is only flagged, and its current is not meaningful.
+
+        Parameters
+        ----------
+        drain_voltage, gate_voltage, source_voltage:
+            Terminal voltages in volt, broadcastable with the parameters.
+        half_width:
+            States on each side of the start.
+
+        Returns
+        -------
+        (numpy.ndarray, numpy.ndarray, numpy.ndarray)
+            Drain-to-source currents in ampere, the probability held by the
+            two boundary states, and the reducible mask, each of the
+            broadcast shape.
+        """
+        vd, vg, vs = self._broadcast_voltages(drain_voltage, gate_voltage,
+                                              source_voltage)
+        start = np.ceil(self._induced_charge(vd, vg, vs) - 0.5)
+        # Bond j joins states start - half_width + j and one above it.
+        up_drain, down_drain, up_source, down_source = self._bond_rates(
+            np.arange(-half_width, half_width, dtype=float), start, vd, vg,
+            vs)
+        up = up_drain + up_source
+        down = down_drain + down_source
+
+        # Outward from the start: up the bonds above it, down those below.
+        outward = (up[half_width:], down[half_width - 1::-1])
+        inward = (down[half_width:], up[half_width - 1::-1])
+        log_weights = np.zeros((2 * half_width + 1,) + up.shape[1:])
+        reducible = np.zeros(up.shape[1:], dtype=bool)
+        sides = (log_weights[half_width + 1:],
+                 log_weights[half_width - 1::-1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for away, back, side in zip(outward, inward, sides):
+                reached = np.logical_and.accumulate(away > 0.0, axis=0)
+                trapped = reached & (back <= 0.0)
+                reducible |= trapped.any(axis=0)
+                reached &= ~trapped
+                np.cumsum(np.where(reached, np.log(away / back), -np.inf),
+                          axis=0, out=side)
+        log_weights -= log_weights.max(axis=0)
+        probabilities = np.exp(log_weights)
+        probabilities /= probabilities.sum(axis=0)
+
+        # The stationary current is the same through either junction: the
+        # electrons leaving to the drain or arriving from the source.  The
+        # junction with the larger resistance carries it with the least
+        # cancellation between its forward and backward flows.
+        to_drain = (probabilities[1:] * down_drain
+                    - probabilities[:-1] * up_drain).sum(axis=0)
+        from_source = (probabilities[:-1] * up_source
+                       - probabilities[1:] * down_source).sum(axis=0)
+        current = E_CHARGE * np.where(
+            self.source_resistance > self.drain_resistance, from_source,
+            to_drain)
+        return (current, probabilities[0] + probabilities[-1], reducible)
 
     def _window_current(self, centre: int, drain_voltage: float, gate_voltage: float,
                         source_voltage: float) -> float:

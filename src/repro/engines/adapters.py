@@ -6,7 +6,8 @@ Each adapter wraps one existing backend without re-implementing any physics:
   sweeps in one broadcast ``drain_current_map`` call;
 * ``master`` — :class:`repro.master.steadystate.MasterEquationSolver`, whose
   builder caches the transition structure so bound sessions refresh only
-  rate values between operating points;
+  rate values between operating points; device batches run as one
+  closed-form birth-death chain per point;
 * ``montecarlo`` — :class:`repro.montecarlo.simulator.MonteCarloSimulator`,
   warm-started sweeps carrying event tables and trajectory state across
   bias points;
@@ -26,10 +27,12 @@ these classes directly.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
 
+from ..constants import BOLTZMANN, E_CHARGE
 from ..devices.set_transistor import (
     DRAIN_JUNCTION,
     DRAIN_SOURCE,
@@ -38,6 +41,7 @@ from ..devices.set_transistor import (
     SETTransistor,
 )
 from ..errors import ValidationError
+from ..resilience.events import emit_degradation
 from ..resilience.faults import inject_value
 from ..resilience.policy import FailurePolicy
 from .base import (
@@ -63,8 +67,9 @@ def analytic_model_for(device: SETTransistor, temperature: float,
     """The compact-model twin of a :class:`SETTransistor`.
 
     One place owns the parameter mapping (junction/gate capacitances,
-    resistances, offset charge), so the ``analytic`` engine path and code
-    that builds compact models directly cannot drift apart.
+    resistances, offset charge, grounded second gate), so the ``analytic``
+    engine path and code that builds compact models directly cannot drift
+    apart; :func:`analytic_model_for_table` is its batched twin.
 
     Parameters
     ----------
@@ -91,7 +96,40 @@ def analytic_model_for(device: SETTransistor, temperature: float,
         background_charge=(device.background_charge
                            if background_charge is None
                            else background_charge),
-        temperature=float(temperature))
+        temperature=float(temperature),
+        second_gate_capacitance=device.second_gate_capacitance or 0.0)
+
+
+def analytic_model_for_table(table: DeviceTable, index=(slice(None), None)):
+    """The batched compact-model twin of a :class:`DeviceTable`.
+
+    The per-row parameters of :func:`analytic_model_for`, one device per
+    row, so every batched path maps a table the same way.
+
+    Parameters
+    ----------
+    table:
+        The device batch.
+    index:
+        Index applied to every per-row column; the default makes them
+        ``(rows, 1)`` columns that broadcast along the bias axis.
+
+    Returns
+    -------
+    repro.compact.set_model.AnalyticSETModel
+        A batched model (array parameters).
+    """
+    from ..compact.set_model import AnalyticSETModel
+
+    return AnalyticSETModel(
+        drain_capacitance=table.c_drain[index],
+        source_capacitance=table.c_source[index],
+        gate_capacitance=table.gate_capacitance[index],
+        drain_resistance=table.r_drain[index],
+        source_resistance=table.r_source[index],
+        background_charge=table.offset_charge[index],
+        temperature=table.temperature[index],
+        second_gate_capacitance=table.c_second_gate[index])
 
 
 # ======================================================================
@@ -277,20 +315,10 @@ class AnalyticEngine(Engine):
         :meth:`~repro.compact.set_model.AnalyticSETModel.drain_current`.
         See :meth:`Engine.solve_devices` for the parameters.
         """
-        from ..compact.set_model import AnalyticSETModel
-
         gates, drains = _bias_grid(table, gates, drains)
         if not len(table):
             return np.empty(gates.shape)
-        # One device per row: parameters broadcast along the bias columns.
-        model = AnalyticSETModel(
-            drain_capacitance=table.c_drain[:, None],
-            source_capacitance=table.c_source[:, None],
-            gate_capacitance=table.gate_capacitance[:, None],
-            drain_resistance=table.r_drain[:, None],
-            source_resistance=table.r_source[:, None],
-            background_charge=table.offset_charge[:, None],
-            temperature=table.temperature[:, None])
+        model = analytic_model_for_table(table)
         return np.asarray(model.drain_current(drains, gates), dtype=float)
 
 
@@ -394,7 +422,13 @@ class MasterSession(_CircuitSession):
 
 
 class MasterEngine(Engine):
-    """The exact sequential-tunnelling master equation as an engine."""
+    """The exact sequential-tunnelling master equation as an engine.
+
+    Sessions solve the circuit's master equation on an automatic
+    charge-state window.  Device batches (:meth:`solve_devices`) skip the
+    per-row sessions: a single-island SET is a birth-death chain, solved in
+    closed form for the whole table at array cost.
+    """
 
     name = "master"
 
@@ -406,7 +440,9 @@ class MasterEngine(Engine):
             stochastic=False,
             supports_ensemble=False,
             supports_temperature_array=False,
-            cost=CostModel(setup_s=5e-3, per_point_s=2.5e-4),
+            # A stacked sweep point: BENCH_master.json small_window runs
+            # 43 455 sweep points/s (129-point sweep, 7-state window).
+            cost=CostModel(setup_s=5e-3, per_point_s=2.3e-5),
             description="exact sequential tunnelling on a charge-state "
                         "window; sparse structure-reusing sweeps; the "
                         "correctness reference")
@@ -419,6 +455,88 @@ class MasterEngine(Engine):
         """Bind a solver-carrying session (stochastic knobs ignored)."""
         return MasterSession(device, temperature,
                              background_charge=background_charge)
+
+    def solve_devices(self, table: DeviceTable, gates, drains, *,
+                      max_events: int = 20_000, warmup_events: int = 1_000,
+                      replicas: int = 0) -> np.ndarray:
+        """The whole batch as one closed-form birth-death chain per point.
+
+        A single-island SET under sequential tunnelling is a birth-death
+        chain on the island charge, so each point's stationary state
+        follows from rate ratios alone
+        (:meth:`~repro.compact.set_model.AnalyticSETModel.chain_current`
+        on the batched twin of :func:`analytic_model_for_table`).  The
+        window handling mirrors a session's automatic window:
+
+        * ``2 K + 1`` states, with ``K`` from the table's largest
+          ``kT / E_C``; points whose boundary states hold more than
+          :data:`~repro.master.steadystate.BOUNDARY_MASS_TOLERANCE` are
+          solved again with ``K + 2``, only those points, until a wider
+          window would exceed :data:`~repro.master.statespace.MAX_STATES`
+          states, where one ``master.window_truncated`` degradation
+          reports the mass;
+        * a row with a reducible point (a zero rate that traps mass away
+          from the start state) is solved by the per-row session loop of
+          :meth:`Engine.solve_devices`, so it keeps the closed-class answer
+          bit for bit.
+
+        Every other point is within ``1e-12`` of its row's peak current
+        of an exact solution of the chain's rates.  Per-row sessions agree
+        to that on most devices; their dense solve forms the current as a
+        difference of larger junction flows and is off by up to ~1e-11 of
+        peak on random devices and ~1e-9 at a junction resistance ratio of
+        1000 with ``kT >> e|V_d|`` (see PERFORMANCE.md, "Exact
+        single-island tier").  See :meth:`Engine.solve_devices` for the
+        parameters.
+        """
+        from ..master.steadystate import (BOUNDARY_MASS_TOLERANCE,
+                                          MAX_STATES, widened_half)
+
+        gates, drains = _bias_grid(table, gates, drains)
+        currents = np.empty(gates.shape)
+        if not currents.size:
+            return currents
+        flat = currents.reshape(-1)
+        rows = np.repeat(np.arange(len(table)), gates.shape[1])
+        gate_points, drain_points = gates.ravel(), drains.ravel()
+        reducible = np.zeros(flat.size, dtype=bool)
+        half = min(_chain_half_width(table, BOUNDARY_MASS_TOLERANCE),
+                   (MAX_STATES - 1) // 2)
+        pending = np.arange(flat.size)
+        while pending.size:
+            model = analytic_model_for_table(table, rows[pending])
+            flat[pending], mass, reducible[pending] = model.chain_current(
+                drain_points[pending], gate_points[pending], half)
+            leaking = (mass > BOUNDARY_MASS_TOLERANCE) & ~reducible[pending]
+            pending = pending[leaking]
+            if pending.size:
+                wider = widened_half(half, 1, mass[leaking], 2 * half + 1)
+                if wider is None:
+                    break
+                half = wider
+        fallback = np.unique(rows[reducible])
+        if fallback.size:
+            currents[fallback] = super().solve_devices(
+                table.take(fallback), gates[fallback], drains[fallback],
+                max_events=max_events, warmup_events=warmup_events,
+                replicas=replicas)
+        return currents
+
+
+def _chain_half_width(table: DeviceTable, tolerance: float) -> int:
+    """Half-width of the first chain window for a device table.
+
+    The charge distribution falls off about as ``exp(-(n - n_x)^2 E_C /
+    kT)``, so a window of ``K >= 1 + sqrt(ln(1/tolerance) kT / E_C)``
+    states on each side leaves less than ``tolerance`` on its boundary at
+    the table's largest ``kT / E_C``; bias can spread the charge further,
+    which the boundary check catches.  Never below a session's ``3``.
+    """
+    thermal = BOLTZMANN * table.temperature * 2.0 \
+        * table.total_capacitance / E_CHARGE ** 2
+    # Invalid rows (NaN, negative) are left to the model's validation.
+    largest = float(np.max(thermal, where=thermal > 0.0, initial=0.0))
+    return max(3, math.ceil(1.0 + math.sqrt(-math.log(tolerance) * largest)))
 
 
 # ======================================================================
@@ -696,4 +814,5 @@ __all__ = [
     "MonteCarloJitEngine",
     "MonteCarloSession",
     "analytic_model_for",
+    "analytic_model_for_table",
 ]

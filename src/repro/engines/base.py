@@ -468,13 +468,18 @@ class DeviceTable:
         return self.column("background_charge")
 
     @property
-    def total_capacitance(self) -> np.ndarray:
-        """Total island capacitances ``C_sigma`` in farad."""
-        total = self.c_drain + self.c_source + self.gate_capacitance
+    def c_second_gate(self) -> np.ndarray:
+        """Second-gate capacitances in farad, 0 on rows without one."""
         if "second_gate_capacitance" in self.columns \
                 or self.base.second_gate_capacitance is not None:
-            total = total + self.column("second_gate_capacitance")
-        return total
+            return self.column("second_gate_capacitance")
+        return np.zeros(len(self))
+
+    @property
+    def total_capacitance(self) -> np.ndarray:
+        """Total island capacitances ``C_sigma`` in farad."""
+        return (self.c_drain + self.c_source + self.gate_capacitance
+                + self.c_second_gate)
 
     @property
     def gate_period(self) -> np.ndarray:
@@ -779,8 +784,13 @@ class Engine(abc.ABC):
 
         The default binds one session per row and solves the row's biases
         in column order — the per-device ``bind`` + ``solve`` loop, so it
-        returns exactly what the engine's sessions return.  Engines that
-        can evaluate a whole batch in one array computation override it.
+        returns exactly what the engine's sessions return (the stochastic
+        engines use it).  Engines that can evaluate a whole batch in one
+        array computation override it and state their agreement with the
+        loop: ``analytic`` within a few ulp of its scalar path, ``master``
+        (a closed-form birth-death chain per point) within the sessions'
+        own rounding, 1e-12 to 1e-9 of each row's peak current (see
+        :meth:`~repro.engines.adapters.MasterEngine.solve_devices`).
 
         Parameters
         ----------

@@ -88,6 +88,27 @@ _ONE_POINT_PLANS: "weakref.WeakKeyDictionary[TransitionTable, dict]" = \
     weakref.WeakKeyDictionary()
 
 
+def widened_half(half: int, island_count: int, mass: np.ndarray,
+                 states: int) -> Optional[int]:
+    """The half-width an automatic window grows to for its leaking points.
+
+    A window of ``half`` extra electrons per island grows by
+    :data:`_WIDEN_STEP`.  When the wider box would exceed
+    :data:`~repro.master.statespace.MAX_STATES` states, one
+    ``master.window_truncated`` degradation reports the largest boundary
+    ``mass`` on the current ``states``-state window and ``None`` is
+    returned: the window is kept.
+    """
+    wider = half + _WIDEN_STEP
+    if (2 * wider + 1) ** island_count <= MAX_STATES:
+        return wider
+    emit_degradation(
+        "master.window_truncated", "keep:window",
+        f"boundary mass {float(np.max(mass)):.3e} on a {states}-state "
+        f"window; a wider window would exceed {MAX_STATES} states")
+    return None
+
+
 def validate_solver_method(method: str) -> None:
     """Raise :class:`SolverError` unless ``method`` is a known backend."""
     if method not in _METHODS:
@@ -289,17 +310,11 @@ class MasterEquationSolver:
                                                 voltages[points], offsets)
                 mass = window.probabilities @ table.boundary
                 leaking = mass > BOUNDARY_MASS_TOLERANCE
-                if np.count_nonzero(leaking):
-                    if (2 * (half + _WIDEN_STEP) + 1) ** model.island_count \
-                            <= MAX_STATES:
-                        wider.append(points[leaking])
-                        window = window.take(~leaking)
-                    else:
-                        emit_degradation(
-                            "master.window_truncated", "keep:window",
-                            f"boundary mass {float(mass.max()):.3e} on a "
-                            f"{table.space.size}-state window; a wider "
-                            f"window would exceed {MAX_STATES} states")
+                if np.count_nonzero(leaking) and widened_half(
+                        half, model.island_count, mass,
+                        table.space.size) is not None:
+                    wider.append(points[leaking])
+                    window = window.take(~leaking)
                 if window.points.size:
                     solved.append(window)
             pending = np.concatenate(wider) if wider else pending[:0]
@@ -1102,4 +1117,4 @@ def _power_iteration_stationary(block: sparse.spmatrix,
 
 
 __all__ = ["MasterEquationSolver", "SteadyStateSolution", "DENSE_STATE_CUTOFF",
-           "BOUNDARY_MASS_TOLERANCE"]
+           "BOUNDARY_MASS_TOLERANCE", "widened_half"]

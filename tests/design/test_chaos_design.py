@@ -80,16 +80,46 @@ class TestFallbackEvidence:
     """Points solved through a fallback rung read ``degraded``."""
 
     def master_spec(self):
-        return make_spec(engine="master",
+        # Warm enough (kT/E_C ~ 0.6) that a +-3 window leaks probability.
+        return make_spec(engine="master", temperature=200.0,
                          axes=[{"parameter": "gate_capacitance",
                                 "start": 5e-19, "stop": 5e-18, "points": 4,
                                 "spacing": "log"}], chunk_size=2)
 
     @pytest.mark.parametrize("workers", [1, 2])
+    def test_truncated_window_marks_master_points_degraded(
+            self, monkeypatch, workers):
+        spec = self.master_spec()
+        with capture_degradations() as events:
+            clean = DeviceScan(spec, policy=FailurePolicy()).run(
+                workers=workers)
+        assert not events
+        assert set(clean.statuses) == {"ok"}
+        # Cap the windows at 7 states: the chain cannot widen and keeps
+        # the truncated window, as a session would.
+        monkeypatch.setattr(steadystate, "MAX_STATES", 7)
+        with capture_degradations() as events:
+            degraded = DeviceScan(spec, policy=FailurePolicy()).run(
+                workers=workers)
+        assert {event.site for event in events} == {"master.window_truncated"}
+        assert set(degraded.statuses) == {"degraded"}
+        assert np.array_equal(degraded.verdicts, clean.verdicts)
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_sparse_fallback_marks_master_points_degraded(
             self, monkeypatch, workers):
+        # At T = 0 and a -10 mV drain this offset makes the chain at gate 0
+        # reducible (see test_exact_tier), so each row is solved by
+        # per-row sessions; the on point conducts, so their sparse solve
+        # factorises a generator block.
         monkeypatch.setattr(steadystate, "DENSE_STATE_CUTOFF", 0)
-        spec = self.master_spec()
+        spec = make_spec(engine="master", temperature=0.0,
+                         drain_voltage=-0.010000000000000018,
+                         device={"background_charge": 9.010883170000001e-20},
+                         on_gate_fraction=0.94,
+                         axes=[{"parameter": "gate_capacitance",
+                                "start": 2e-18, "stop": 3e-18,
+                                "points": 2}], chunk_size=2)
         clean = DeviceScan(spec, policy=FailurePolicy()).run(workers=workers)
         assert set(clean.statuses) == {"ok"}
         chaos = FaultInjector()

@@ -133,3 +133,62 @@ class TestCapabilityDeclarations:
         assert set(ENGINES) <= set(known_engine_names())
         assert set(ENGINES) - {"auto"} <= set(engine_names())
         assert "auto" in known_engine_names()
+
+
+class TestAutoSelectionTables:
+    """``auto`` answers for the built-in registry, priced by its cost models.
+
+    Re-pricing an engine (``CostModel.per_point_s``) must not silently move
+    a selection: the design selector still picks ``analytic`` (1e-5 s per
+    point) over ``master``, and every scenario keeps its engine.
+    """
+
+    def test_design_auto_and_explicit_names(self):
+        from repro.design.scan import resolve_engine
+
+        assert resolve_engine("auto").name == "analytic"
+        for name in engine_names():
+            assert resolve_engine(name).name == name
+
+    def test_scenario_auto_table(self):
+        from repro.montecarlo.jit import jit_compiled
+        from repro.scenarios import Budget, ScenarioSpec, SweepAxis
+        from repro.scenarios.engines import select_engine
+        from repro.scenarios.registry import iter_scenarios
+
+        suffix = "-jit" if jit_compiled() else ""
+        library = {scenario.spec.name: select_engine(scenario.spec)
+                   for scenario in iter_scenarios()}
+        assert library == {
+            "background_charge_logic": "master",
+            "coulomb_oscillations": "master",
+            "design_margin_map": "master",
+            "electrometer": "master",
+            "gain_vs_temperature": "master",
+            "power_dissipation": "analytic",
+            "room_temperature_set": "analytic",
+            "set_rng": "montecarlo",
+            "setmos_quantizer": "analytic",
+            "simulator_comparison": "master",
+            "speed_limits": "master",
+            "tolerance_yield": "master",
+        }
+        rules = {
+            "deterministic": ScenarioSpec(name="x",
+                                          observables=("current_A",)),
+            "stochastic": ScenarioSpec(name="x",
+                                       observables=("current_stderr_A",)),
+            "replicas": ScenarioSpec(name="x",
+                                     observables=("shot_noise_A",),
+                                     budget=Budget(replicas=16)),
+            "fast_sweep": ScenarioSpec(
+                name="x", observables=("current_A",),
+                sweeps=(SweepAxis("VG", start=0.0, stop=1.0, points=200),
+                        SweepAxis("VD", start=0.0, stop=1.0, points=100)),
+                params={"fidelity": "fast"}),
+        }
+        assert {rule: select_engine(spec) for rule, spec in rules.items()} \
+            == {"deterministic": "master",
+                "stochastic": "montecarlo" + suffix,
+                "replicas": "ensemble" + suffix,
+                "fast_sweep": "analytic"}

@@ -9,8 +9,10 @@ per-device ``bind`` + ``solve`` path it replaces:
 * the analytic batch agrees with per-row sessions within the documented
   ulp contract of :meth:`AnalyticSETModel.drain_current` (bit-identical on
   ``T = 0`` rows);
-* the default ``solve_devices`` loop *is* the per-row path, so ``master``
-  and ``montecarlo`` return bit-identical currents;
+* the default ``solve_devices`` loop *is* the per-row path, so
+  ``montecarlo`` returns bit-identical currents; ``master``'s closed-form
+  chain stays within the sessions' own rounding of them
+  (``test_exact_tier.SESSION_BOUND`` of each row's peak);
 * batched tolerance deviations equal :meth:`ToleranceModel.sample_device`
   value for value;
 * a batched scan classifies every point as per-point constraint
@@ -31,6 +33,7 @@ from repro.devices import SETTransistor
 from repro.engines import BiasPoint, DeviceTable, get_engine
 
 from ..design.conftest import TOLERANCES, make_spec
+from .test_exact_tier import SESSION_BOUND, assert_within
 
 #: Documented bound of the analytic array path where ``e|V_d| >= 3 kT``.
 ARRAY_MAX_ULP = 4096
@@ -118,9 +121,13 @@ class TestSolveDevices:
         engine = get_engine(name)
         table, gates, drains = build_batch(draws, own_offset)
         budget = {"max_events": 300, "warmup_events": 30}
-        np.testing.assert_array_equal(
-            engine.solve_devices(table, gates, drains, **budget),
-            per_row(engine, table, gates, drains, **budget))
+        batched = engine.solve_devices(table, gates, drains, **budget)
+        looped = per_row(engine, table, gates, drains, **budget)
+        if name == "montecarlo":
+            np.testing.assert_array_equal(batched, looped)
+        else:
+            # master overrides the loop with its closed-form chain.
+            assert_within(batched, looped, SESSION_BOUND)
 
 
 deviations = st.one_of(
