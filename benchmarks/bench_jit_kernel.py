@@ -9,8 +9,8 @@ R = 1 / 64 / 256 (near-linear scaling: the per-event cost must not grow
 with the replica count).  Those long runs enter the native loop only once
 per random-block refill, which hides the cost of an entry, so a
 sweep-scale measurement sits beside them: a 129-point Id-Vg sweep at
-2 000 events per point on ``montecarlo-jit`` and ``ensemble-jit``
-(R = 16), reporting points/s, native entries per point split into run,
+2 000 events per point on ``montecarlo`` (which runs the compiled loop
+whenever a native backend loaded) and ``ensemble-jit`` (R = 16), reporting points/s, native entries per point split into run,
 refill and link entries (asserting at most one run entry per point), and
 rate evaluations per point — calls of the rate kernel from the Monte-Carlo
 kernel, which builds a point's rate tables in one stacked evaluation
@@ -61,7 +61,7 @@ SWEEP_WARMUP_EVENTS = 200
 SWEEP_REPEATS = 3
 SWEEP_REPLICAS = 16
 #: Sweep engines and their bind options.
-SWEEP_ENGINES = (("montecarlo-jit", {}),
+SWEEP_ENGINES = (("montecarlo", {}),
                  ("ensemble-jit", {"replicas": SWEEP_REPLICAS}))
 REQUIRED_SPEEDUP = 10.0
 #: Most rate-kernel calls a sweep point may make: one stacked evaluation of

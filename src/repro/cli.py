@@ -36,6 +36,7 @@ from .scenarios import (
     default_cache_dir,
     get_scenario,
     iter_scenarios,
+    known_engine_names,
     scenario_names,
 )
 
@@ -202,14 +203,20 @@ def _command_describe(arguments) -> int:
     return 0
 
 
+def _unknown_engine(name: Optional[str]) -> bool:
+    """Report an ``--engine`` value that no spec would accept."""
+    known = known_engine_names()
+    if name is None or name in known:
+        return False
+    print(f"unknown engine {name!r}; registered engines: {list(known)} "
+          "(see 'repro engines')", file=sys.stderr)
+    return True
+
+
 def _command_run(arguments) -> int:
     """Implement ``repro run``."""
-    if arguments.engine is not None:
-        known = ["auto"] + engine_names()
-        if arguments.engine not in known:
-            print(f"unknown engine {arguments.engine!r}; registered "
-                  f"engines: {known} (see 'repro engines')", file=sys.stderr)
-            return 2
+    if _unknown_engine(arguments.engine):
+        return 2
     runner = ScenarioRunner(use_cache=not arguments.no_cache,
                             cache_dir=arguments.cache_dir,
                             log=None if arguments.quiet else _log)
@@ -356,12 +363,9 @@ def _command_design(arguments) -> int:
         print("nothing to scan: give --spec FILE or --demo",
               file=sys.stderr)
         return 2
+    if _unknown_engine(arguments.engine):
+        return 2
     if arguments.engine is not None:
-        known = ["auto"] + engine_names()
-        if arguments.engine not in known:
-            print(f"unknown engine {arguments.engine!r}; registered "
-                  f"engines: {known} (see 'repro engines')", file=sys.stderr)
-            return 2
         spec = spec.replace(engine=arguments.engine)
 
     if arguments.yield_point is not None:

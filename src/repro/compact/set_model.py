@@ -15,8 +15,8 @@ The paper's §4 describes two simulator families.  This module provides the
   charge chain instead, in closed form: the ``master`` engine's device
   batches.
 * :class:`MasterEquationSETModel` — the same terminal interface backed by the
-  full master-equation solver (with a small operating-point cache), used when
-  accuracy matters more than speed.
+  ``master`` engine's device batches (exact sequential tunnelling), used
+  when accuracy matters more than speed.
 * :class:`SETDevice` — the circuit element wrapper that plugs either model
   into the compact Newton solver.
 """
@@ -493,12 +493,17 @@ class AnalyticSETModel:
         return (forward - backward) / (2.0 * probe)
 
 
+@dataclass(eq=False)
 class MasterEquationSETModel:
     """Master-equation-backed SET model with the compact-model interface.
 
-    Slower but exact within sequential tunnelling; used by the simulator
-    comparison experiment (E7) as the accuracy reference and by hybrid
-    circuits when the analytic three-state windows are not good enough.
+    Exact within sequential tunnelling, for hybrid circuits and analyses
+    where the analytic three-state windows are not good enough.  Every
+    call is one ``get_engine("master").solve_devices`` batch on a one-row
+    :class:`~repro.engines.base.DeviceTable` (the closed-form birth-death
+    chain, with the engine's window widening and per-row session
+    fallback).  The device has no capacitance to ground, so the source
+    voltage is folded into the drain and gate voltages.
 
     Parameters
     ----------
@@ -510,30 +515,15 @@ class MasterEquationSETModel:
         Island offset charge in coulomb.
     temperature:
         Operating temperature in kelvin.
-    voltage_resolution:
-        Terminal voltages are quantised to this resolution (volt) for the
-        internal operating-point cache.
     """
 
-    def __init__(self, drain_capacitance: float = 1e-18,
-                 source_capacitance: float = 1e-18,
-                 gate_capacitance: float = 2e-18,
-                 drain_resistance: float = 1e6,
-                 source_resistance: float = 1e6,
-                 background_charge: float = 0.0,
-                 temperature: float = 1.0,
-                 voltage_resolution: float = 1e-7) -> None:
-        if voltage_resolution <= 0.0:
-            raise CircuitError("voltage resolution must be positive")
-        self.drain_capacitance = drain_capacitance
-        self.source_capacitance = source_capacitance
-        self.gate_capacitance = gate_capacitance
-        self.drain_resistance = drain_resistance
-        self.source_resistance = source_resistance
-        self.background_charge = background_charge
-        self.temperature = temperature
-        self.voltage_resolution = voltage_resolution
-        self._cache: Dict[Tuple[int, int, int], float] = {}
+    drain_capacitance: float = 1e-18
+    source_capacitance: float = 1e-18
+    gate_capacitance: float = 2e-18
+    drain_resistance: float = 1e6
+    source_resistance: float = 1e6
+    background_charge: float = 0.0
+    temperature: float = 1.0
 
     @property
     def total_capacitance(self) -> float:
@@ -548,51 +538,15 @@ class MasterEquationSETModel:
     def drain_current(self, drain_voltage: float, gate_voltage: float,
                       source_voltage: float = 0.0) -> float:
         """Drain-to-source current in ampere from the full master equation."""
-        key = (round(drain_voltage / self.voltage_resolution),
-               round(gate_voltage / self.voltage_resolution),
-               round(source_voltage / self.voltage_resolution))
-        if key in self._cache:
-            return self._cache[key]
-        current = self._solve(*[value * self.voltage_resolution for value in key])
-        self._cache[key] = current
-        return current
-
-    def _build_circuit(self, drain_voltage: float, gate_voltage: float,
-                       source_voltage: float):
-        from ..circuit.netlist import Circuit
-
-        circuit = Circuit("set_compact")
-        circuit.add_island("dot", offset_charge=self.background_charge)
-        circuit.add_voltage_source("VD", "drain", drain_voltage)
-        circuit.add_voltage_source("VS", "source", source_voltage)
-        circuit.add_voltage_source("VG", "gate", gate_voltage)
-        circuit.add_junction("J_drain", "drain", "dot", self.drain_capacitance,
-                             self.drain_resistance)
-        circuit.add_junction("J_source", "dot", "source", self.source_capacitance,
-                             self.source_resistance)
-        circuit.add_capacitor("C_gate", "gate", "dot", self.gate_capacitance)
-        return circuit
-
-    def _solve(self, drain_voltage: float, gate_voltage: float,
-               source_voltage: float) -> float:
-        from ..master.steadystate import MasterEquationSolver
-
-        circuit = self._build_circuit(drain_voltage, gate_voltage,
-                                      source_voltage)
-        solver = MasterEquationSolver(circuit, temperature=self.temperature)
-        # Conventional current from drain node into the island equals the
-        # drain-to-source current of the device.
-        return solver.current("J_drain")
+        return float(self.drain_current_map([drain_voltage], [gate_voltage],
+                                            source_voltage)[0, 0])
 
     def drain_current_map(self, drain_voltages, gate_voltages,
                           source_voltage: float = 0.0) -> np.ndarray:
         """Batched ``(drain, gate)`` current map from the master equation.
 
-        One circuit and one
-        :class:`~repro.master.transitions.TransitionTable` serve the whole
-        grid (per point only the rates are refreshed and one linear system is
-        solved), so dense maps no longer pay a full solver construction per
-        pixel.
+        The whole grid is one master device batch (see the class
+        docstring), so a map costs about as much per point as a sweep.
 
         Parameters
         ----------
@@ -606,18 +560,24 @@ class MasterEquationSETModel:
         numpy.ndarray
             Shape ``(len(drain_voltages), len(gate_voltages))``.
         """
-        from ..master.steadystate import MasterEquationSolver
+        from ..devices.set_transistor import SETTransistor
+        from ..engines import DeviceTable, get_engine
 
-        circuit = self._build_circuit(0.0, 0.0, float(source_voltage))
-        solver = MasterEquationSolver(circuit, temperature=self.temperature)
-        _, _, currents = solver.sweep_gate_drain(
-            "VG", "VD", np.asarray(gate_voltages, dtype=float),
-            np.asarray(drain_voltages, dtype=float), "J_drain")
-        return currents
-
-    def clear_cache(self) -> None:
-        """Drop all cached operating points (e.g. after mutating parameters)."""
-        self._cache.clear()
+        drains, gates = np.meshgrid(
+            np.asarray(drain_voltages, dtype=float) - source_voltage,
+            np.asarray(gate_voltages, dtype=float) - source_voltage,
+            indexing="ij")
+        device = SETTransistor(junction_capacitance=self.drain_capacitance,
+                               source_capacitance=self.source_capacitance,
+                               gate_capacitance=self.gate_capacitance,
+                               junction_resistance=self.drain_resistance,
+                               source_resistance=self.source_resistance,
+                               background_charge=self.background_charge)
+        table = DeviceTable(base=device, columns={},
+                            temperature=[self.temperature])
+        return get_engine("master").solve_devices(
+            table, gates.reshape(1, -1),
+            drains.reshape(1, -1)).reshape(drains.shape)
 
 
 class TunableSETModel:

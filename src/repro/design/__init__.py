@@ -51,7 +51,6 @@ from .scan import (
     DeviceScan,
     YieldReport,
     analyze_yield,
-    resolve_engine,
 )
 from .spec import (
     DEVICE_PARAMETERS,
@@ -88,5 +87,4 @@ __all__ = [
     "build_constraint",
     "build_constraints",
     "merge_chunk_payloads",
-    "resolve_engine",
 ]

@@ -48,6 +48,7 @@ import numpy as np
 
 from ..constants import E_CHARGE
 from ..engines.base import DeviceTable, Engine
+from ..engines.registry import select_engine
 from ..errors import ValidationError
 from ..io.results import ResultCache, column_length, content_hash, \
     derive_seed
@@ -67,37 +68,6 @@ from .spec import DesignSpec
 from .tolerance import ToleranceModel
 
 _LOG = logging.getLogger("repro.design")
-
-
-def resolve_engine(name: str) -> Engine:
-    """Resolve a spec's engine name to an engine instance.
-
-    Parameters
-    ----------
-    name:
-        A registered engine name, or ``"auto"`` to pick by capability
-        introspection: the cheapest *available* engine, deterministic
-        engines first (device grids want closed-form throughput, not
-        per-point statistics).
-
-    Returns
-    -------
-    Engine
-        The resolved engine.
-    """
-    from ..engines import get_engine, list_engines
-
-    if name != "auto":
-        return get_engine(name)
-    candidates = [engine for engine in list_engines()
-                  if engine.capabilities().available]
-    if not candidates:
-        raise ValidationError("no available engine to auto-select")
-    candidates.sort(key=lambda engine: (
-        engine.capabilities().stochastic,
-        engine.capabilities().cost.per_point_s,
-        engine.name))
-    return candidates[0]
 
 
 @dataclass(frozen=True)
@@ -426,7 +396,9 @@ class DeviceScan(ChunkCounts):
         self.spec = spec
         self.cache = cache
         self.policy = policy
-        self.engine = resolve_engine(spec.engine)
+        # ``auto``: device grids want closed-form throughput, not per-point
+        # statistics, and a verdict tolerates approximate physics.
+        self.engine = select_engine(spec.engine, approximate=True)
         self._evaluator = _ChunkEvaluator(spec, self.engine)
 
     def __reduce__(self) -> Tuple[Any, Tuple[DesignSpec]]:
@@ -618,7 +590,8 @@ def analyze_yield(spec: DesignSpec, flat_index: int = 0) -> YieldReport:
     YieldReport
         Seeded Monte-Carlo yield plus the worst-case corner sweep.
     """
-    evaluator = _ChunkEvaluator(spec, resolve_engine(spec.engine))
+    evaluator = _ChunkEvaluator(
+        spec, select_engine(spec.engine, approximate=True))
     if not evaluator.tolerance:
         raise ValidationError(
             "yield analysis needs a spec with component tolerances")
@@ -651,5 +624,4 @@ __all__ = [
     "DeviceScan",
     "YieldReport",
     "analyze_yield",
-    "resolve_engine",
 ]

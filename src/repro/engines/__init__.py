@@ -11,6 +11,8 @@ pattern is always the same three steps::
 
 * :func:`get_engine` / :func:`list_engines` / :func:`register_engine` —
   the registry every layer (scenarios, CLI, benchmarks) resolves through;
+* :func:`select_engine` — the one ``auto`` selector (scenarios and design
+  scans): the cheapest available engine that meets a request;
 * :class:`Engine` — ``capabilities()`` for introspection (exactness class,
   stochasticity, ensemble support, cost model), ``bind()`` for creating
   sessions, and ``solve_devices()`` for solving a whole
@@ -43,10 +45,12 @@ from .base import (
     SweepResult,
 )
 from .registry import (
+    ENGINE_ALIASES,
     engine_names,
     get_engine,
     list_engines,
     register_engine,
+    select_engine,
     unregister_engine,
 )
 
@@ -66,6 +70,7 @@ __all__ = [
     "BiasPoint",
     "CostModel",
     "DeviceTable",
+    "ENGINE_ALIASES",
     "EXACTNESS_APPROXIMATE",
     "EXACTNESS_CLASSES",
     "EXACTNESS_EXACT_SEQUENTIAL",
@@ -81,5 +86,6 @@ __all__ = [
     "get_engine",
     "list_engines",
     "register_engine",
+    "select_engine",
     "unregister_engine",
 ]

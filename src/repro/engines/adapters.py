@@ -1,4 +1,4 @@
-"""The six built-in engines expressed as :class:`~repro.engines.base.Engine` adapters.
+"""The five built-in engines expressed as :class:`~repro.engines.base.Engine` adapters.
 
 Each adapter wraps one existing backend without re-implementing any physics:
 
@@ -10,15 +10,16 @@ Each adapter wraps one existing backend without re-implementing any physics:
   closed-form birth-death chain per point;
 * ``montecarlo`` — :class:`repro.montecarlo.simulator.MonteCarloSimulator`,
   warm-started sweeps carrying event tables and trajectory state across
-  bias points;
-* ``ensemble`` — the same simulator advancing ``R`` batched replicas, with
-  replica-spread error bars;
-* ``montecarlo-jit`` / ``ensemble-jit`` — the same simulator with the
-  compiled advance loop of :mod:`repro.montecarlo.jit` (numba or a
-  C/ctypes build, interpreted fallback otherwise).  They replay the numpy
-  engines bit for bit at any given seed and declare themselves
-  ``available`` only when a native backend loaded, so capability-based
-  selection adopts them exactly when the speedup is real.
+  bias points, on the compiled advance loop of :mod:`repro.montecarlo.jit`
+  when a native backend (numba or a C/ctypes build) loaded and on the
+  numpy step path otherwise — the two replay each other bit for bit;
+* ``ensemble`` — the same simulator advancing ``R`` replicas in numpy lock
+  step, with replica-spread error bars;
+* ``ensemble-jit`` — ``R`` replicas advanced one after another by the
+  compiled loop, ``available`` only when a native backend loaded.
+
+The three Monte-Carlo engines are one :class:`MonteCarloEngine` class; the
+retired name ``montecarlo-jit`` resolves to ``montecarlo``.
 
 The adapters are registered with :mod:`repro.engines.registry` on import;
 resolve them with :func:`repro.engines.get_engine` rather than instantiating
@@ -28,7 +29,7 @@ these classes directly.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -540,36 +541,34 @@ def _chain_half_width(table: DeviceTable, tolerance: float) -> int:
 
 
 # ======================================================================
-# montecarlo / ensemble
+# montecarlo / ensemble / ensemble-jit
 # ======================================================================
 
 
 class MonteCarloSession(_CircuitSession):
-    """Bound kinetic Monte-Carlo session (single warm trajectory).
+    """Bound kinetic Monte-Carlo session: one warm trajectory or R replicas.
 
     The simulator is constructed once at bind time, so its event tables,
     memoised rate cache, and seeded random stream persist across
     :meth:`solve` calls and power the warm-started :meth:`sweep`.
+    ``replicas`` of ``0`` runs one trajectory (block-averaged error bars),
+    ``R >= 1`` replicas (replica-spread error bars, infinite at ``R = 1``).
     """
 
-    #: Replica count; ``0`` on the single-trajectory engine, >= 2 on the
-    #: ensemble engine subclass.
-    replicas: int = 0
-
-    def __init__(self, device: SETTransistor, temperature: float,
-                 seed: Optional[int] = None,
+    def __init__(self, engine_name: str, device: SETTransistor,
+                 temperature: float, seed: Optional[int] = None,
                  background_charge: Optional[float] = None,
                  max_events: int = 20_000,
                  warmup_events: int = 1_000,
-                 engine_name: Optional[str] = None,
+                 replicas: int = 0,
                  jit: bool = False) -> None:
         from ..montecarlo.simulator import MonteCarloSimulator
 
-        super().__init__(engine_name or MonteCarloEngine.name, device,
-                         temperature, background_charge)
+        super().__init__(engine_name, device, temperature, background_charge)
         self.seed = seed
         self.max_events = int(max_events)
         self.warmup_events = int(warmup_events)
+        self.replicas = int(replicas)
         self.simulator = MonteCarloSimulator(self._circuit,
                                              temperature=self.temperature,
                                              seed=seed, jit=jit)
@@ -580,7 +579,7 @@ class MonteCarloSession(_CircuitSession):
         estimate = self.simulator.stationary_current(
             DRAIN_JUNCTION, max_events=self.max_events,
             warmup_events=self.warmup_events,
-            replicas=self.replicas if self.replicas >= 1 else None)
+            replicas=self.replicas or None)
         current = inject_value("montecarlo.current", float(estimate.mean))
         return Observables(current=float(current),
                            stderr=float(estimate.stderr),
@@ -590,7 +589,7 @@ class MonteCarloSession(_CircuitSession):
 
     def sweep(self, axes: SweepAxes, *, workers: int = 1,
               policy: Optional[FailurePolicy] = None) -> SweepResult:
-        """Warm-started gate sweep (replica-batched on the ensemble engine).
+        """Warm-started gate sweep (replica-batched on the ensemble engines).
 
         Parameters
         ----------
@@ -614,204 +613,99 @@ class MonteCarloSession(_CircuitSession):
         _, currents, stderrs = self.simulator.sweep_source(
             GATE_SOURCE, axes.gates, DRAIN_JUNCTION,
             max_events=self.max_events, warmup_events=self.warmup_events,
-            warm_start=True, workers=workers,
-            ensemble=self.replicas if self.replicas >= 1 else None)
+            warm_start=True, workers=workers, ensemble=self.replicas or None)
         return SweepResult(axes=axes, currents=currents, stderrs=stderrs,
                            engine=self.engine_name)
 
 
-class EnsembleSession(MonteCarloSession):
-    """Bound batched-replica Monte-Carlo session (replica-spread error bars).
+#: The Monte-Carlo engines: name -> (ensemble, advance loop), the loop
+#: ``True`` compiled, ``False`` numpy, ``None`` compiled exactly when a
+#: native backend loaded (the two replay each other bit for bit; ensembles
+#: of ``R > 1`` do not, so each ensemble engine keeps one loop).
+_MONTECARLO_ENGINES: Dict[str, Tuple[bool, Optional[bool]]] = {
+    "montecarlo": (False, None),
+    "ensemble": (True, False),
+    "ensemble-jit": (True, True)}
 
-    ``replicas`` below 1 is coerced to the smallest statistically useful
-    ensemble (2); an explicit ``replicas=1`` is honoured, giving an
-    ensemble run that replays the single-trajectory engine bit for bit at
-    the same seed (with an infinite error bar, as one replica carries no
-    spread information).
-    """
-
-    def __init__(self, device: SETTransistor, temperature: float,
-                 seed: Optional[int] = None,
-                 background_charge: Optional[float] = None,
-                 max_events: int = 20_000, warmup_events: int = 1_000,
-                 replicas: int = 2,
-                 engine_name: Optional[str] = None,
-                 jit: bool = False) -> None:
-        super().__init__(device, temperature, seed=seed,
-                         background_charge=background_charge,
-                         max_events=max_events, warmup_events=warmup_events,
-                         engine_name=engine_name or EnsembleEngine.name,
-                         jit=jit)
-        self.replicas = int(replicas) if int(replicas) >= 1 else 2
+#: Order-of-magnitude seconds per sweep point, by (ensemble, compiled loop).
+_MONTECARLO_POINT_S = {(False, False): 5e-3, (False, True): 5e-4,
+                       (True, False): 1e-3, (True, True): 1e-4}
 
 
 class MonteCarloEngine(Engine):
-    """The physics-complete kinetic Monte-Carlo simulator as an engine."""
+    """The physics-complete kinetic Monte-Carlo simulator as an engine.
 
-    name = "montecarlo"
+    One class, registered as ``montecarlo``, ``ensemble`` and
+    ``ensemble-jit`` (see the module docstring).  For ``R > 1`` the two
+    ensemble engines draw the random stream in different orders, so they
+    agree statistically, not bit for bit.  Ensemble binds coerce
+    ``replicas < 1`` to 2, the smallest ensemble with a spread.
 
-    def capabilities(self) -> EngineCapabilities:
-        """Stochastic-complete, single-trajectory block-averaged statistics."""
-        return EngineCapabilities(
-            name=self.name,
-            exactness=EXACTNESS_STOCHASTIC_FULL,
-            stochastic=True,
-            supports_ensemble=False,
-            supports_temperature_array=False,
-            cost=CostModel(setup_s=5e-3, per_point_s=5e-3),
-            description="kinetic Monte Carlo: co-tunnelling, traps, "
-                        "transients; warm-started sweeps; block-averaged "
-                        "error bars")
-
-    def bind(self, device: SETTransistor, *, temperature: float,
-             seed: Optional[int] = None,
-             background_charge: Optional[float] = None,
-             max_events: int = 20_000, warmup_events: int = 1_000,
-             replicas: int = 0) -> MonteCarloSession:
-        """Bind a warm single-trajectory session (``replicas`` ignored)."""
-        return MonteCarloSession(device, temperature, seed=seed,
-                                 background_charge=background_charge,
-                                 max_events=max_events,
-                                 warmup_events=warmup_events)
-
-
-class EnsembleEngine(Engine):
-    """Batched multi-replica Monte Carlo as an engine."""
-
-    name = "ensemble"
-
-    def capabilities(self) -> EngineCapabilities:
-        """Stochastic-complete with batched replicas and spread error bars."""
-        return EngineCapabilities(
-            name=self.name,
-            exactness=EXACTNESS_STOCHASTIC_FULL,
-            stochastic=True,
-            supports_ensemble=True,
-            supports_temperature_array=False,
-            cost=CostModel(setup_s=1e-2, per_point_s=1e-3),
-            description="batched R-replica Monte Carlo; replica-spread "
-                        "error bars at amortised interpreter cost")
-
-    def bind(self, device: SETTransistor, *, temperature: float,
-             seed: Optional[int] = None,
-             background_charge: Optional[float] = None,
-             max_events: int = 20_000, warmup_events: int = 1_000,
-             replicas: int = 2) -> EnsembleSession:
-        """Bind a replica-batched session (``replicas`` coerced to >= 2)."""
-        return EnsembleSession(device, temperature, seed=seed,
-                               background_charge=background_charge,
-                               max_events=max_events,
-                               warmup_events=warmup_events,
-                               replicas=replicas)
-
-
-# ======================================================================
-# montecarlo-jit / ensemble-jit
-# ======================================================================
-
-
-class MonteCarloJitEngine(Engine):
-    """Single-trajectory kinetic Monte Carlo on the compiled advance loop.
-
-    Same physics, estimators, and random stream as ``montecarlo`` — a
-    seeded session replays the numpy engine event for event — but the
-    inner loop runs in a numba- or C-compiled kernel.  The engine is
-    registered unconditionally and declares ``available=False`` when no
-    native backend could be loaded, so capability-based selection falls
-    back to the numpy engine instead of paying the interpreted shim.
+    Parameters
+    ----------
+    name:
+        Registry name, a key of :data:`_MONTECARLO_ENGINES`.
     """
 
-    name = "montecarlo-jit"
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.ensemble, self.jit = _MONTECARLO_ENGINES[name]
+
+    def _compiled(self) -> bool:
+        """Whether sessions run the compiled loop on this platform."""
+        from ..montecarlo.jit import jit_compiled
+
+        return jit_compiled() if self.jit is None else self.jit
 
     def capabilities(self) -> EngineCapabilities:
-        """Like ``montecarlo``, but cheaper per point when a backend loaded."""
+        """Stochastic-complete; priced by the advance loop sessions run."""
         from ..montecarlo.jit import jit_backend, jit_compiled
 
+        compiled = self._compiled()
+        loop = f"compiled advance loop ({jit_backend()})" if compiled \
+            else "numpy advance loop"
+        kind = "batched R-replica Monte Carlo; replica-spread error bars" \
+            if self.ensemble else "kinetic Monte Carlo: co-tunnelling, " \
+            "traps, transients; warm-started sweeps; block-averaged error bars"
         return EngineCapabilities(
             name=self.name,
             exactness=EXACTNESS_STOCHASTIC_FULL,
             stochastic=True,
-            supports_ensemble=False,
+            supports_ensemble=self.ensemble,
             supports_temperature_array=False,
-            cost=CostModel(setup_s=5e-3, per_point_s=5e-4),
-            available=jit_compiled(),
-            description="kinetic Monte Carlo on a compiled advance loop "
-                        f"(backend: {jit_backend()}); bit-identical to "
-                        "'montecarlo' at any seed")
+            cost=CostModel(setup_s=1e-2 if self.ensemble else 5e-3,
+                           per_point_s=_MONTECARLO_POINT_S[
+                               self.ensemble, compiled]),
+            available=self.jit is not True or jit_compiled(),
+            description=f"{kind}; {loop}")
 
     def bind(self, device: SETTransistor, *, temperature: float,
              seed: Optional[int] = None,
              background_charge: Optional[float] = None,
              max_events: int = 20_000, warmup_events: int = 1_000,
              replicas: int = 0) -> MonteCarloSession:
-        """Bind a compiled single-trajectory session (``replicas`` ignored)."""
-        return MonteCarloSession(device, temperature, seed=seed,
+        """Bind a warm session (``replicas`` ignored off the ensemble engines)."""
+        replicas = (int(replicas) if int(replicas) >= 1 else 2) \
+            if self.ensemble else 0
+        return MonteCarloSession(self.name, device, temperature, seed=seed,
                                  background_charge=background_charge,
                                  max_events=max_events,
                                  warmup_events=warmup_events,
-                                 engine_name=self.name, jit=True)
-
-
-class EnsembleJitEngine(Engine):
-    """Batched multi-replica Monte Carlo on the compiled advance loop.
-
-    Replicas advance sequentially through the compiled kernel, so an
-    ``R = 1`` session replays the scalar engines bit for bit; larger
-    ensembles agree statistically (the lockstep numpy interleaving
-    consumes the random stream in a different order).  Registered
-    unconditionally; ``available=False`` without a native backend.
-    """
-
-    name = "ensemble-jit"
-
-    def capabilities(self) -> EngineCapabilities:
-        """Like ``ensemble``, but cheaper per point when a backend loaded."""
-        from ..montecarlo.jit import jit_backend, jit_compiled
-
-        return EngineCapabilities(
-            name=self.name,
-            exactness=EXACTNESS_STOCHASTIC_FULL,
-            stochastic=True,
-            supports_ensemble=True,
-            supports_temperature_array=False,
-            cost=CostModel(setup_s=1e-2, per_point_s=1e-4),
-            available=jit_compiled(),
-            description="R-replica Monte Carlo on a compiled advance loop "
-                        f"(backend: {jit_backend()}); replica-spread error "
-                        "bars")
-
-    def bind(self, device: SETTransistor, *, temperature: float,
-             seed: Optional[int] = None,
-             background_charge: Optional[float] = None,
-             max_events: int = 20_000, warmup_events: int = 1_000,
-             replicas: int = 2) -> EnsembleSession:
-        """Bind a compiled replica-batched session (``replicas < 1`` → 2)."""
-        return EnsembleSession(device, temperature, seed=seed,
-                               background_charge=background_charge,
-                               max_events=max_events,
-                               warmup_events=warmup_events,
-                               replicas=replicas,
-                               engine_name=self.name, jit=True)
+                                 replicas=replicas, jit=self._compiled())
 
 
 register_engine(AnalyticEngine())
 register_engine(MasterEngine())
-register_engine(MonteCarloEngine())
-register_engine(EnsembleEngine())
-register_engine(MonteCarloJitEngine())
-register_engine(EnsembleJitEngine())
+for _name in _MONTECARLO_ENGINES:
+    register_engine(MonteCarloEngine(_name))
 
 
 __all__ = [
     "AnalyticEngine",
     "AnalyticSession",
-    "EnsembleEngine",
-    "EnsembleJitEngine",
-    "EnsembleSession",
     "MasterEngine",
     "MasterSession",
     "MonteCarloEngine",
-    "MonteCarloJitEngine",
     "MonteCarloSession",
     "analytic_model_for",
     "analytic_model_for_table",

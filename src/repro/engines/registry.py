@@ -1,12 +1,13 @@
 """The engine registry: resolve simulation backends by name.
 
-The scenario heuristic, the CLI, the benchmarks, and user code all resolve
-engines through this one mapping — adding a backend means registering one
-:class:`~repro.engines.base.Engine` object, after which capability
-introspection, ``auto`` selection, ``python -m repro engines``, and the
-conformance test suite pick it up without further wiring.
+The scenario runner, design scans, the CLI, the benchmarks, and user code
+all resolve engines through this one mapping — adding a backend means
+registering one :class:`~repro.engines.base.Engine` object, after which
+capability introspection, ``auto`` selection (:func:`select_engine`),
+``python -m repro engines``, and the conformance test suite pick it up
+without further wiring.
 
-The six built-in adapters (:mod:`repro.engines.adapters`) are registered
+The five built-in engines (:mod:`repro.engines.adapters`) are registered
 lazily on first access, so importing :mod:`repro` stays cheap.
 """
 
@@ -21,6 +22,11 @@ if TYPE_CHECKING:   # pragma: no cover - import cycle guard for annotations
 
 _REGISTRY: Dict[str, "Engine"] = {}
 _BUILTINS_LOADED = False
+
+#: Retired engine names that still resolve, mapped to the engine that
+#: replaced them.  :func:`get_engine` and spec validation accept them;
+#: :func:`engine_names` and :func:`list_engines` do not list them.
+ENGINE_ALIASES = {"montecarlo-jit": "montecarlo"}
 
 
 def register_engine(engine: "Engine") -> "Engine":
@@ -86,8 +92,8 @@ def get_engine(name: str) -> "Engine":
     ----------
     name:
         Registry name (``"analytic"``, ``"master"``, ``"montecarlo"``,
-        ``"ensemble"``, ``"montecarlo-jit"``, ``"ensemble-jit"``, or any
-        name registered via :func:`register_engine`).
+        ``"ensemble"``, ``"ensemble-jit"``, or any name registered via
+        :func:`register_engine`), or an :data:`ENGINE_ALIASES` key.
 
     Returns
     -------
@@ -95,12 +101,13 @@ def get_engine(name: str) -> "Engine":
         The registered engine.
     """
     _ensure_builtins()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
+    engine = _REGISTRY.get(name) \
+        or _REGISTRY.get(ENGINE_ALIASES.get(name, name))
+    if engine is None:
         raise ValidationError(
             f"unknown engine {name!r}; registered engines: "
-            f"{engine_names()}") from None
+            f"{engine_names()}")
+    return engine
 
 
 def engine_names() -> List[str]:
@@ -115,5 +122,52 @@ def list_engines() -> List["Engine"]:
     return [_REGISTRY[name] for name in sorted(_REGISTRY)]
 
 
-__all__ = ["engine_names", "get_engine", "list_engines", "register_engine",
-           "unregister_engine"]
+def select_engine(name: str = "auto", *, stochastic: bool = False,
+                  replicas: int = 0, approximate: bool = False) -> "Engine":
+    """Resolve an engine request: an explicit name, or ``auto`` by capability.
+
+    ``auto`` considers the ``available`` engines that meet the request:
+    stochastic ones for a stochastic request, deterministic ones otherwise,
+    approximate-sequential ones only if approximate physics is acceptable.
+    It prefers ensemble support exactly when ``replicas >= 2``, then the
+    lowest :attr:`~repro.engines.base.CostModel.per_point_s`, then the name,
+    so an extra engine moves a selection only by declaring itself cheaper.
+
+    Parameters
+    ----------
+    name:
+        A registered engine name (or alias), returned as resolved by
+        :func:`get_engine`, or ``"auto"``.
+    stochastic:
+        Whether the request needs trajectories and error bars.
+    replicas:
+        The request's replica budget.
+    approximate:
+        Whether approximate-sequential physics is acceptable.
+
+    Returns
+    -------
+    Engine
+        The selected engine.
+    """
+    if name != "auto":
+        return get_engine(name)
+    from .base import EXACTNESS_APPROXIMATE
+
+    want_ensemble = stochastic and replicas >= 2
+    ranked = []
+    for engine in list_engines():
+        caps = engine.capabilities()
+        if (caps.available and caps.stochastic == stochastic
+                and (approximate or caps.exactness != EXACTNESS_APPROXIMATE)):
+            ranked.append(((caps.supports_ensemble != want_ensemble,
+                            caps.cost.per_point_s, engine.name), engine))
+    if not ranked:
+        raise ValidationError(
+            f"no available engine meets the request (stochastic="
+            f"{stochastic}, replicas={replicas}, approximate={approximate})")
+    return min(ranked, key=lambda pair: pair[0])[1]
+
+
+__all__ = ["ENGINE_ALIASES", "engine_names", "get_engine", "list_engines",
+           "register_engine", "select_engine", "unregister_engine"]

@@ -37,9 +37,8 @@ ensemble run enter the backend through the same function.
     correctness reference for the re-entry protocol.
 
 :func:`jit_compiled` reports whether a *native* backend (numba or cc) is
-active — that is the availability flag the ``montecarlo-jit`` /
-``ensemble-jit`` engines expose through capability introspection, so
-``select_engine`` adopts them only when the speedup is real.
+active: only then does the ``montecarlo`` engine run this loop (else the
+numpy step path) and does ``ensemble-jit`` declare itself available.
 
 Phase schedule
 --------------
@@ -688,10 +687,9 @@ def jit_backend() -> str:
 def jit_compiled() -> bool:
     """Whether a *native* (numba or C) advance loop is active.
 
-    This is the availability flag of the ``montecarlo-jit`` /
-    ``ensemble-jit`` engines: with only the interpreted loop on offer the
-    engines still work but advertise ``available=False`` so capability-based
-    selection keeps preferring the numpy engines.
+    With only the interpreted loop on offer the ``montecarlo`` engine runs
+    the numpy step path, and ``ensemble-jit`` still works but advertises
+    ``available=False``, so ``auto`` selection prefers ``ensemble``.
     """
     try:
         return jit_backend() != BACKEND_PYTHON

@@ -2,13 +2,12 @@
 
 The execution machinery itself lives in :mod:`repro.engines` — the
 :class:`~repro.engines.base.Engine` protocol, the bound
-:class:`~repro.engines.base.Session` objects, and the registry.  This module
-is the thin scenario-side glue:
+:class:`~repro.engines.base.Session` objects, the registry and its ``auto``
+selector.  This module is the thin scenario-side glue:
 
-* :func:`select_engine` resolves ``engine="auto"`` for a spec by
-  *capability introspection* over the registry (stochasticity, ensemble
-  support, exactness class, cost model) — no engine names are hard-coded in
-  the selection rules;
+* :func:`select_engine` maps a spec to an engine request (stochastic
+  observables, replica budget, approximation tolerance) and resolves it
+  with :func:`repro.engines.select_engine`;
 * :class:`EngineContext` hands every scenario compute function a
   pre-resolved engine plus :meth:`EngineContext.session` /
   :meth:`EngineContext.sweep` conveniences that fold the spec's seed and
@@ -17,18 +16,12 @@ is the thin scenario-side glue:
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 from ..devices.set_transistor import SETTransistor
-from ..engines import (
-    EXACTNESS_APPROXIMATE,
-    Session,
-    SweepAxes,
-    SweepResult,
-    get_engine,
-    list_engines,
-)
-from ..errors import ValidationError
+from ..engines import Session, SweepAxes, SweepResult, get_engine
+from ..engines import select_engine as select_by_capability
 from .spec import ScenarioSpec
 
 #: Observable name fragments that mark a scenario as intrinsically
@@ -37,94 +30,23 @@ from .spec import ScenarioSpec
 _STOCHASTIC_MARKERS = ("stderr", "noise", "bits", "entropy", "telegraph",
                       "trajectory")
 
-#: Above this many sweep points the cheapest approximate engine is preferred
-#: for ``auto`` scenarios that tolerate the sequential-tunnelling
-#: approximation (compact sweeps cost microseconds per point versus
-#: milliseconds for a master-equation solve — the ~100x gap measured in
-#: BENCH_master.json).
+#: Above this many sweep points a scenario that tolerates the
+#: sequential-tunnelling approximation (``params["fidelity"] == "fast"``)
+#: accepts approximate engines (compact sweeps cost microseconds per point).
 _ANALYTIC_POINT_CUTOFF = 4096
-
-
-def _cheapest(engines):
-    """The engine with the lowest declared per-point cost.
-
-    Ties between capability-equivalent candidates (e.g. a third-party
-    backend alongside a built-in) are resolved by the cost model, not by
-    registry order, so registering an extra engine never silently hijacks
-    ``auto`` selection unless it also declares itself cheaper.
-    """
-    return min(engines,
-               key=lambda engine: engine.capabilities().cost.per_point_s)
-
-
-def _selectable_engines():
-    """Registered engines whose capabilities declare them ``available``.
-
-    Engines gated on optional dependencies (e.g. the compiled-kernel
-    engines without a native backend) register unconditionally so that
-    explicit requests give a clear error, but ``auto`` selection only
-    ever considers engines that can actually deliver their declared cost
-    model.
-    """
-    return [engine for engine in list_engines()
-            if engine.capabilities().available]
-
-
-def _stochastic_engine_name(replicas: int) -> str:
-    """The stochastic engine matching a replica budget, by capability.
-
-    Replica budgets >= 2 want an ensemble-capable stochastic engine
-    (replica spread beats block averaging at equal cost); otherwise a
-    plain single-trajectory one.
-    """
-    stochastic = [engine for engine in _selectable_engines()
-                  if engine.capabilities().stochastic]
-    if not stochastic:
-        raise ValidationError("no stochastic engine registered")
-    want_ensemble = replicas >= 2
-    matching = [engine for engine in stochastic
-                if engine.capabilities().supports_ensemble == want_ensemble]
-    return _cheapest(matching or stochastic).name
-
-
-def _cheapest_approximate_name() -> Optional[str]:
-    """The cheapest-per-point approximate engine, or ``None`` if none exists."""
-    approximate = [engine for engine in _selectable_engines()
-                   if engine.capabilities().exactness == EXACTNESS_APPROXIMATE]
-    if not approximate:
-        return None
-    return _cheapest(approximate).name
-
-
-def _exact_deterministic_name() -> str:
-    """The exact deterministic engine (the heuristic's default answer)."""
-    candidates = [engine for engine in _selectable_engines()
-                  if not engine.capabilities().stochastic
-                  and engine.capabilities().exactness != EXACTNESS_APPROXIMATE]
-    if not candidates:
-        raise ValidationError("no exact deterministic engine registered")
-    return _cheapest(candidates).name
 
 
 def select_engine(spec: ScenarioSpec) -> str:
     """Resolve a spec's engine request to a concrete engine name.
 
-    The heuristic works purely on registry capability introspection
-    (:meth:`repro.engines.base.Engine.capabilities`), in priority order:
+    An explicit engine wins (an alias resolves to the engine it names).
+    ``auto`` becomes a request to :func:`repro.engines.select_engine`:
 
-    1. an explicit engine request wins;
-    2. stochastic observables (``*stderr*``, ``*noise*``, ``*bits*``, ...)
-       need trajectories: the ensemble-capable stochastic engine when the
-       budget carries >= 2 replicas (replica spread beats block averaging
-       at equal cost), otherwise the single-trajectory one — always the
-       cheapest *available* candidate, so the compiled-kernel engines are
-       adopted automatically exactly when their backend loaded;
-    3. very large sweeps (> 4096 points) that a scenario marked as
-       approximation-tolerant (``params["fidelity"] == "fast"``) go to the
-       cheapest approximate engine;
-    4. everything else gets the exact deterministic engine — exact
-       sequential tunnelling, and its sparse structure-reusing path keeps
-       even 10^4-state windows routine.
+    * stochastic observables (``*stderr*``, ``*noise*``, ``*bits*``, ...)
+      need trajectories, with the spec budget's replica count;
+    * sweeps of more than 4096 points on scenarios marked
+      ``params["fidelity"] == "fast"`` accept approximate physics;
+    * everything else asks for an exact deterministic engine.
 
     Parameters
     ----------
@@ -134,25 +56,16 @@ def select_engine(spec: ScenarioSpec) -> str:
     Returns
     -------
     str
-        A concrete registered engine name (any entry of
-        :func:`repro.engines.registry.engine_names` whose capabilities
-        declare it available).
+        A registered engine name.
     """
-    if spec.engine != "auto":
-        return spec.engine
     observed = " ".join(spec.observables).lower()
-    if any(marker in observed for marker in _STOCHASTIC_MARKERS):
-        return _stochastic_engine_name(spec.budget.replicas)
-    total_points = 1
-    for axis in spec.sweeps:
-        total_points *= (len(axis.values) if axis.values is not None
-                         else max(axis.points, 1))
-    if (spec.params.get("fidelity") == "fast"
-            and total_points > _ANALYTIC_POINT_CUTOFF):
-        approximate = _cheapest_approximate_name()
-        if approximate is not None:
-            return approximate
-    return _exact_deterministic_name()
+    total_points = math.prod(len(axis.grid()) for axis in spec.sweeps)
+    return select_by_capability(
+        spec.engine,
+        stochastic=any(marker in observed for marker in _STOCHASTIC_MARKERS),
+        replicas=spec.budget.replicas,
+        approximate=(spec.params.get("fidelity") == "fast"
+                     and total_points > _ANALYTIC_POINT_CUTOFF)).name
 
 
 class EngineContext:
@@ -168,10 +81,7 @@ class EngineContext:
 
     def __init__(self, spec: ScenarioSpec, log=None) -> None:
         self.spec = spec
-        self.engine = select_engine(spec)
-        if self.engine == "auto":
-            raise ValidationError(f"unresolvable engine {self.engine!r}")
-        get_engine(self.engine)   # unknown names fail here, not mid-compute
+        self.engine = select_engine(spec)   # unknown names fail here
         self._log = log
 
     def log(self, message: str) -> None:

@@ -1,13 +1,14 @@
 """The scenario runner: cache-aware, engine-dispatching execution.
 
 :class:`ScenarioRunner` is the orchestration layer between the declarative
-registry and the six built-in engines.  Per run it
+registry and the engines of :mod:`repro.engines`.  Per run it
 
 1. resolves the scenario and applies an optional engine override,
 2. consults the content-hash result cache (spec hash + code version); a hit
    is served directly — **no engine is dispatched** — and logged as such,
 3. on a miss builds an :class:`~repro.scenarios.engines.EngineContext`
-   (which resolves ``engine="auto"`` through the selection heuristic) and
+   (which resolves ``engine="auto"`` through
+   :func:`repro.engines.select_engine`) and
    calls the scenario's compute function,
 4. stores the deterministic payload back into the cache and stamps the
    ``meta`` block (engine, elapsed seconds, spec hash, cache status).

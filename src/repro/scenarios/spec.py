@@ -37,11 +37,12 @@ def known_engine_names() -> Tuple[str, ...]:
 
     The single source of truth for spec-level engine validation: a backend
     registered via :func:`repro.engines.register_engine` becomes a legal
-    ``ScenarioSpec.engine`` value immediately.
+    ``ScenarioSpec.engine`` value immediately, and a retired name in
+    :data:`repro.engines.registry.ENGINE_ALIASES` stays legal.
     """
-    from ..engines.registry import engine_names
+    from ..engines.registry import ENGINE_ALIASES, engine_names
 
-    return ("auto",) + tuple(engine_names())
+    return ("auto",) + tuple(engine_names()) + tuple(ENGINE_ALIASES)
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,24 @@ def build_set_circuit(drain_voltage: float = 0.0, gate_voltage: float = 0.0,
     return circuit
 
 
+def session_simulator(device: SETTransistor, drain_voltage: float, *, jit,
+                      temperature: float, seed: int):
+    """A bare simulator on the circuit a bound Monte-Carlo session sweeps.
+
+    ``simulator.sweep_source("VG", gates, "J_drain", max_events=...,
+    warmup_events=..., warm_start=True)`` on it replays
+    ``get_engine("montecarlo").bind(device, temperature=..., seed=...,
+    ...).sweep(SweepAxes(gates, drain_voltage))``, on the advance loop
+    ``jit`` names (``False``: the numpy step path; ``BACKEND_PYTHON``: the
+    interpreted loop) whichever loop the engine would pick.
+    """
+    from repro.montecarlo import MonteCarloSimulator
+
+    return MonteCarloSimulator(
+        device.build_circuit(drain_voltage=drain_voltage),
+        temperature=temperature, seed=seed, jit=jit)
+
+
 def build_double_dot_circuit(bias_voltage: float = 1e-3) -> Circuit:
     """Two islands in series between a biased lead and ground, with gates."""
     circuit = Circuit("double_dot")

@@ -13,7 +13,6 @@ from repro.design import (
     DeviceScan,
     FeasibilityMap,
     analyze_yield,
-    resolve_engine,
 )
 from repro.engines import get_engine
 from repro.errors import ValidationError
@@ -32,10 +31,10 @@ def comparable(feasibility):
 
 class TestResolveEngine:
     def test_explicit_names_pass_through(self):
-        assert resolve_engine("master").name == "master"
+        assert DeviceScan(make_spec(engine="master")).engine.name == "master"
 
     def test_auto_prefers_cheap_deterministic_available_engines(self):
-        engine = resolve_engine("auto")
+        engine = DeviceScan(make_spec(engine="auto")).engine
         capabilities = engine.capabilities()
         assert capabilities.available
         assert not capabilities.stochastic

@@ -16,6 +16,7 @@ from repro.engines import (
     DeviceTable,
     Observables,
     SweepAxes,
+    ENGINE_ALIASES,
     SweepResult,
     engine_names,
     get_engine,
@@ -29,6 +30,11 @@ DRAIN_VOLTAGE = 2e-3
 #: deterministic engines ignore them.
 BIND_KWARGS = dict(temperature=TEMPERATURE, seed=123, max_events=400,
                    warmup_events=50, replicas=3)
+
+#: Every registered engine plus every retired name that still resolves: a
+#: spec may still carry ``montecarlo-jit``, so the protocol must hold
+#: through the alias too.
+NAMES = [*engine_names(), *ENGINE_ALIASES]
 
 
 @pytest.fixture(scope="module")
@@ -50,14 +56,14 @@ def bind(name, device, **overrides):
     return get_engine(name).bind(device, **kwargs)
 
 
-@pytest.mark.parametrize("name", engine_names())
+@pytest.mark.parametrize("name", NAMES)
 class TestEngineContract:
-    """The shared protocol checks, parametrized over every registered engine."""
+    """The shared protocol checks, over every registered engine and alias."""
 
     def test_bind_produces_a_session_named_after_the_engine(self, name,
                                                             device):
         session = bind(name, device)
-        assert session.engine_name == name
+        assert session.engine_name == get_engine(name).name
         assert session.device is device
         assert session.temperature == TEMPERATURE
 
@@ -68,7 +74,7 @@ class TestEngineContract:
         assert isinstance(observed, Observables)
         assert np.isfinite(observed.current)
         assert observed.current > 0.0
-        assert observed.engine == name
+        assert observed.engine == get_engine(name).name
         stochastic = get_engine(name).capabilities().stochastic
         if stochastic:
             assert observed.stderr is not None
@@ -82,7 +88,7 @@ class TestEngineContract:
         result = session.sweep(axes)
         assert isinstance(result, SweepResult)
         assert len(result) == len(axes)
-        assert result.engine == name
+        assert result.engine == get_engine(name).name
         assert np.all(np.isfinite(result.currents))
         stochastic = get_engine(name).capabilities().stochastic
         if stochastic:
@@ -169,7 +175,7 @@ class TestEngineContract:
         result = bind(name, device).sweep(axes)
         record = result.record("contract_sweep", metadata={"k": "v"})
         assert isinstance(record, SweepRecord)
-        assert record.metadata["engine"] == name
+        assert record.metadata["engine"] == get_engine(name).name
         assert record.metadata["k"] == "v"
         assert np.array_equal(record.trace("I_drain [A]"), result.currents)
         if result.stderrs is not None:
@@ -261,16 +267,16 @@ class TestCrossEngineAgreement:
 
     def test_seeded_stochastic_engines_report_bit_identical_currents(
             self, device):
-        # Same (device, seed): the scalar engine, its compiled twin, and
-        # both ensemble engines at R = 1 all consume the random stream in
-        # the same order and share the ratio-of-sums current estimator, so
-        # the reported means are bit-identical — not merely statistically
-        # close.  (max_events must divide evenly into the estimator's 10
-        # blocks so scalar block edges land on the same event boundaries.)
+        # Same (device, seed): the scalar engine and both ensemble engines
+        # at R = 1 all consume the random stream in the same order and
+        # share the ratio-of-sums current estimator, so the reported means
+        # are bit-identical — not merely statistically close.  (max_events
+        # must divide evenly into the estimator's 10 blocks so scalar block
+        # edges land on the same event boundaries.)
         bias = BiasPoint(0.5 * device.gate_period, DRAIN_VOLTAGE)
         currents = {}
-        for name, replicas in (("montecarlo", 0), ("montecarlo-jit", 0),
-                               ("ensemble", 1), ("ensemble-jit", 1)):
+        for name, replicas in (("montecarlo", 0), ("ensemble", 1),
+                               ("ensemble-jit", 1)):
             session = bind(name, device, max_events=400, replicas=replicas)
             currents[name] = session.solve(bias).current
         assert len(set(currents.values())) == 1, currents
@@ -279,9 +285,11 @@ class TestCrossEngineAgreement:
 class TestEnsembleEquivalence:
     def test_r1_ensemble_replays_the_scalar_trajectory(self, device):
         # An R = 1 ensemble run through a protocol-bound simulator must
-        # replay the scalar fast path event for event.
-        scalar = bind("montecarlo", device).simulator
-        batched = bind("montecarlo", device).simulator
+        # replay the scalar fast path event for event (the ensemble
+        # engine's simulators run the numpy step path on every platform).
+        scalar = bind("ensemble", device).simulator
+        batched = bind("ensemble", device).simulator
+        assert scalar.kernel.jit_backend is None
         scalar_result = scalar.run(max_events=1_000)
         ensemble_result = batched.run_ensemble(replicas=1, max_events=1_000)
         assert ensemble_result.event_counts[0] == scalar_result.event_count
@@ -298,7 +306,7 @@ class TestEnsembleEquivalence:
         assert session.replicas == 7
 
 
-@pytest.mark.parametrize("name", engine_names())
+@pytest.mark.parametrize("name", NAMES)
 class TestCapabilityFlags:
     """Every advertised EngineCapabilities flag has a conformance check.
 
@@ -313,7 +321,7 @@ class TestCapabilityFlags:
         assert set(flags) == {"stochastic", "supports_ensemble",
                               "supports_temperature_array", "available"}
         assert all(isinstance(value, bool) for value in flags.values())
-        assert capabilities.name == name
+        assert capabilities.name == get_engine(name).name
 
     def test_ensemble_flag_matches_replica_semantics(self, name, device):
         # Engines advertising ensembles must honour an explicit replica
@@ -330,15 +338,18 @@ class TestCapabilityFlags:
     def test_availability_gates_design_auto_selection(self, name):
         # The design layer's "auto" engine must introspect the available
         # flag: an unavailable engine is never picked, whatever its cost.
-        from repro.design import resolve_engine
+        from repro.design import DesignSpec, DeviceScan
 
-        auto = resolve_engine("auto")
+        auto = DeviceScan(DesignSpec.from_dict({
+            "name": "auto_probe", "engine": "auto",
+            "axes": [{"parameter": "gate_capacitance", "values": [2e-18]}],
+            "constraints": [{"type": "gain", "threshold": 1.0}]})).engine
         assert auto.capabilities().available
         if not get_engine(name).capabilities().available:
-            assert auto.name != name
+            assert auto.name != get_engine(name).name
 
 
-@pytest.mark.parametrize("name", engine_names())
+@pytest.mark.parametrize("name", NAMES)
 class TestDesignScanEntryPoints:
     """Design scans run through every registered engine's session protocol."""
 
@@ -362,7 +373,7 @@ class TestDesignScanEntryPoints:
         from repro.design import DeviceScan
 
         feasibility = DeviceScan(self.design_spec(name)).run()
-        assert feasibility.engine == name
+        assert feasibility.engine == get_engine(name).name
         assert sum(feasibility.counts().values()) == 2
         assert not feasibility.is_partial
         assert np.all(np.isfinite(feasibility.on_currents))

@@ -144,11 +144,18 @@ class TestAutoSelectionTables:
     """
 
     def test_design_auto_and_explicit_names(self):
-        from repro.design.scan import resolve_engine
+        from repro.design import DesignSpec, DeviceScan
 
-        assert resolve_engine("auto").name == "analytic"
+        def design_engine(name):
+            return DeviceScan(DesignSpec.from_dict({
+                "name": "probe", "engine": name,
+                "axes": [{"parameter": "gate_capacitance",
+                          "values": [2e-18]}],
+                "constraints": [{"type": "gain", "threshold": 1.0}]})).engine
+
+        assert design_engine("auto").name == "analytic"
         for name in engine_names():
-            assert resolve_engine(name).name == name
+            assert design_engine(name).name == name
 
     def test_scenario_auto_table(self):
         from repro.montecarlo.jit import jit_compiled
@@ -189,6 +196,60 @@ class TestAutoSelectionTables:
         }
         assert {rule: select_engine(spec) for rule, spec in rules.items()} \
             == {"deterministic": "master",
-                "stochastic": "montecarlo" + suffix,
+                "stochastic": "montecarlo",
                 "replicas": "ensemble" + suffix,
                 "fast_sweep": "analytic"}
+
+
+class TestMonteCarloAlias:
+    """``montecarlo-jit`` resolves to ``montecarlo`` but is not listed."""
+
+    def test_alias_is_the_same_engine_object(self):
+        assert get_engine("montecarlo-jit") is get_engine("montecarlo")
+
+    def test_alias_is_accepted_by_specs_and_resolves_to_montecarlo(self):
+        from repro.scenarios import ScenarioSpec
+        from repro.scenarios.engines import select_engine
+
+        spec = ScenarioSpec(name="x", engine="montecarlo-jit")
+        assert spec.engine == "montecarlo-jit"
+        assert select_engine(spec) == "montecarlo"
+
+    def test_alias_is_not_listed(self, capsys):
+        import json
+
+        from repro.cli import main
+
+        assert engine_names() == ["analytic", "ensemble", "ensemble-jit",
+                                  "master", "montecarlo"]
+        assert "montecarlo-jit" not in [e.name for e in list_engines()]
+        assert main(["engines", "--json"]) == 0
+        listed = [entry["name"] for entry in json.loads(
+            capsys.readouterr().out)]
+        assert listed == ["analytic", "ensemble", "ensemble-jit", "master",
+                          "montecarlo"]
+
+
+def test_montecarlo_sweep_is_the_numpy_sweep_bit_for_bit():
+    # Whichever advance loop the engine picked on this platform, a seeded
+    # sweep equals the numpy step path's.
+    import numpy as np
+
+    from repro.devices import SETTransistor
+    from repro.engines import SweepAxes
+
+    from ..conftest import session_simulator
+
+    device = SETTransistor()
+    axes = SweepAxes(np.linspace(0.0, device.gate_period, 17), 5e-3)
+    result = get_engine("montecarlo").bind(
+        device, temperature=1.0, seed=77, max_events=600,
+        warmup_events=60).sweep(axes)
+    simulator = session_simulator(device, axes.drain_voltage, jit=False,
+                                  temperature=1.0, seed=77)
+    assert simulator.kernel.jit_backend is None
+    _, currents, stderrs = simulator.sweep_source(
+        "VG", axes.gates, "J_drain", max_events=600, warmup_events=60,
+        warm_start=True)
+    assert np.array_equal(result.currents, currents)
+    assert np.array_equal(result.stderrs, stderrs)

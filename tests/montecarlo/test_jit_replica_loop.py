@@ -50,6 +50,8 @@ from repro.montecarlo.jit import (
     jit_backend,
 )
 
+from ..conftest import session_simulator
+
 TEMPERATURE = 1.0
 DRAIN_VOLTAGE = 0.05
 GATE_VOLTAGE = 0.04
@@ -59,7 +61,7 @@ GATE_VOLTAGE = 0.04
 #: Python driver the replica loop replaced (identical on the C and the
 #: interpreted backend).
 PINNED_DIGESTS = {
-    "montecarlo-jit":
+    "montecarlo":
         "e8682e66b9c4b12a0d0256a90b33ac7f0f4a8b790363648dc9a3840811cd3e72",
     "ensemble-jit":
         "bf628920c89d62d2cf686f1c940bd804f04cba6931116fed07dc764f97c11e8b",
@@ -77,22 +79,39 @@ def make_simulator(seed=11, jit=True, drain_voltage=DRAIN_VOLTAGE,
                                jit=jit)
 
 
+PINNED_DEVICE = SETTransistor(junction_capacitance=1e-18,
+                              gate_capacitance=2e-18,
+                              junction_resistance=1e6)
+PINNED_AXES = SweepAxes(
+    np.linspace(0.0, 2.0 * PINNED_DEVICE.gate_period, 129),
+    0.2 * E_CHARGE / (2 * PINNED_DEVICE.junction_capacitance
+                      + PINNED_DEVICE.gate_capacitance))
+PINNED_BUDGET = dict(temperature=2.0, seed=2024, max_events=2000,
+                     warmup_events=200)
+
+
 def pinned_sweep(engine, **options):
-    """Currents and stderrs of a seeded 129-point Id-Vg sweep."""
-    device = SETTransistor(junction_capacitance=1e-18,
-                           gate_capacitance=2e-18, junction_resistance=1e6)
-    c_sigma = 2 * device.junction_capacitance + device.gate_capacitance
-    axes = SweepAxes(np.linspace(0.0, 2.0 * device.gate_period, 129),
-                     0.2 * E_CHARGE / c_sigma)
-    session = get_engine(engine).bind(device, temperature=2.0, seed=2024,
-                                      max_events=2000, warmup_events=200,
+    """Currents and stderrs of a seeded 129-point Id-Vg sweep, and the
+    kernel that ran it."""
+    session = get_engine(engine).bind(PINNED_DEVICE, **PINNED_BUDGET,
                                       **options)
-    return session.sweep(axes)
+    result = session.sweep(PINNED_AXES)
+    return (result.currents, result.stderrs), session.simulator.kernel
 
 
-def digest(result):
-    return hashlib.sha256(result.currents.tobytes()
-                          + result.stderrs.tobytes()).hexdigest()
+def pinned_simulator_sweep(jit):
+    """The pinned ``montecarlo`` sweep on a bare simulator's ``jit`` loop."""
+    simulator = session_simulator(PINNED_DEVICE, PINNED_AXES.drain_voltage,
+                                  jit=jit, temperature=2.0, seed=2024)
+    _, currents, stderrs = simulator.sweep_source(
+        "VG", PINNED_AXES.gates, "J_drain", max_events=2000,
+        warmup_events=200, warm_start=True)
+    return (currents, stderrs), simulator.kernel
+
+
+def digest(arrays):
+    currents, stderrs = arrays
+    return hashlib.sha256(currents.tobytes() + stderrs.tobytes()).hexdigest()
 
 
 def assert_identical_ensembles(native, reference):
@@ -117,19 +136,23 @@ def python_backend(monkeypatch):
 
 class TestPinnedSweepDigests:
     @pytest.mark.parametrize("engine, options", [
-        ("montecarlo-jit", {}), ("ensemble-jit", {"replicas": 16})])
+        ("montecarlo", {}), ("ensemble-jit", {"replicas": 16})])
     def test_active_backend_reproduces_the_pinned_sweep(self, engine,
                                                         options):
-        assert digest(pinned_sweep(engine, **options)) == \
-            PINNED_DIGESTS[engine]
+        arrays, _ = pinned_sweep(engine, **options)
+        assert digest(arrays) == PINNED_DIGESTS[engine]
 
     @pytest.mark.parametrize("engine, options", [
-        ("montecarlo-jit", {}), ("ensemble-jit", {"replicas": 16})])
+        ("montecarlo", {}), ("ensemble-jit", {"replicas": 16})])
     def test_interpreted_loop_reproduces_the_pinned_sweep(
             self, engine, options, python_backend):
         assert jit_backend() == BACKEND_PYTHON
-        assert digest(pinned_sweep(engine, **options)) == \
-            PINNED_DIGESTS[engine]
+        # Without a native backend the montecarlo engine runs the numpy
+        # step path, so the interpreted loop is reached on a bare simulator.
+        arrays, kernel = pinned_simulator_sweep(BACKEND_PYTHON) \
+            if engine == "montecarlo" else pinned_sweep(engine, **options)
+        assert kernel.jit_backend == BACKEND_PYTHON
+        assert digest(arrays) == PINNED_DIGESTS[engine]
 
 
 def run_on_both_backends(run, **simulator_options):
@@ -343,15 +366,27 @@ def count_native_statuses(kernel):
 
 
 def assert_one_run_entry_per_point(engine, options, points=33):
-    """A warm-started sweep makes one finishing native entry per point."""
+    """A warm-started sweep makes one finishing native entry per point.
+
+    The ``montecarlo`` sweep runs on a bare simulator's compiled loop (the
+    engine takes the numpy step path when no native backend loaded).
+    """
     device = SETTransistor(junction_capacitance=1e-18,
                            gate_capacitance=2e-18, junction_resistance=1e6)
     axes = SweepAxes(np.linspace(0.0, device.gate_period, points), 0.02)
-    session = get_engine(engine).bind(device, temperature=2.0, seed=31,
-                                      max_events=1_000, warmup_events=100,
-                                      **options)
-    statuses = count_native_statuses(session.simulator.kernel)
-    session.sweep(axes)
+    if engine == "montecarlo":
+        simulator = session_simulator(device, axes.drain_voltage, jit=True,
+                                      temperature=2.0, seed=31)
+        statuses = count_native_statuses(simulator.kernel)
+        simulator.sweep_source("VG", axes.gates, "J_drain",
+                               max_events=1_000, warmup_events=100,
+                               warm_start=True)
+    else:
+        session = get_engine(engine).bind(device, temperature=2.0, seed=31,
+                                          max_events=1_000,
+                                          warmup_events=100, **options)
+        statuses = count_native_statuses(session.simulator.kernel)
+        session.sweep(axes)
     finishing = [status for status in statuses
                  if status in (STATUS_DONE, STATUS_BLOCKED)]
     assert len(finishing) == points
@@ -359,7 +394,7 @@ def assert_one_run_entry_per_point(engine, options, points=33):
         STATUS_NEED_EXP, STATUS_NEED_UNIFORM, STATUS_NEED_LINK}
 
 
-SWEEP_ENGINES = [("montecarlo-jit", {}), ("ensemble-jit", {"replicas": 8})]
+SWEEP_ENGINES = [("montecarlo", {}), ("ensemble-jit", {"replicas": 8})]
 
 
 class TestNativeEntryBudget:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.devices import SETTransistor
-from repro.engines import SweepAxes, engine_names
+from repro.engines import ENGINE_ALIASES, SweepAxes, engine_names
 from repro.errors import CheckpointError, FaultInjected
 from repro.io.results import ResultCache, derive_seed
 from repro.resilience import (
@@ -99,7 +99,7 @@ class TestChunkPlan:
                          chunk_size=0)
 
 
-@pytest.mark.parametrize("engine", engine_names())
+@pytest.mark.parametrize("engine", [*engine_names(), *ENGINE_ALIASES])
 class TestCrashResume:
     """The acceptance criterion: kill mid-run, resume bit-identically."""
 

@@ -217,7 +217,7 @@ class TestWorkerDegradationEvidence:
     @pytest.mark.skipif(not jit_compiled(),
                         reason="no native jit backend loaded")
     def test_jit_fallback_in_a_worker_is_degraded(self, device):
-        session = get_engine("montecarlo-jit").bind(
+        session = get_engine("montecarlo").bind(
             device, temperature=1.0, seed=5, max_events=100,
             warmup_events=10)
         assert self.policed_statuses(session, device,

@@ -9,6 +9,8 @@ from repro.montecarlo.jit import jit_compiled
 from repro.resilience import FaultInjector
 from repro.resilience.events import capture_degradations
 
+from ..conftest import session_simulator
+
 pytestmark = pytest.mark.skipif(
     not jit_compiled(), reason="no native jit backend loaded")
 
@@ -39,8 +41,11 @@ def chaos_all_compiled_entries():
 class TestJitFallback:
     def test_single_trajectory_fallback_is_bit_identical_to_numpy(
             self, device, axes):
-        jit_session = get_engine("montecarlo-jit").bind(device, **BIND_KWARGS)
-        numpy_session = get_engine("montecarlo").bind(device, **BIND_KWARGS)
+        jit_session = get_engine("montecarlo").bind(device, **BIND_KWARGS)
+        numpy_simulator = session_simulator(
+            device, DRAIN_VOLTAGE, jit=False,
+            temperature=BIND_KWARGS["temperature"], seed=BIND_KWARGS["seed"])
+        assert numpy_simulator.kernel.jit_backend is None
         chaos = chaos_all_compiled_entries()
         with chaos, capture_degradations() as events:
             degraded = jit_session.sweep(axes)
@@ -49,12 +54,15 @@ class TestJitFallback:
                    and e.action == "fallback:numpy" for e in events)
         # The injected fault fires before any random draw, so the numpy
         # fallback replays the interpreted engine bit for bit.
-        reference = numpy_session.sweep(axes)
-        np.testing.assert_array_equal(degraded.currents, reference.currents)
-        np.testing.assert_array_equal(degraded.stderrs, reference.stderrs)
+        _, currents, stderrs = numpy_simulator.sweep_source(
+            "VG", axes.gates, "J_drain",
+            max_events=BIND_KWARGS["max_events"],
+            warmup_events=BIND_KWARGS["warmup_events"], warm_start=True)
+        np.testing.assert_array_equal(degraded.currents, currents)
+        np.testing.assert_array_equal(degraded.stderrs, stderrs)
 
     def test_fallback_disables_the_kernel_jit(self, device, axes):
-        session = get_engine("montecarlo-jit").bind(device, **BIND_KWARGS)
+        session = get_engine("montecarlo").bind(device, **BIND_KWARGS)
         assert session.simulator.kernel.jit_enabled
         with chaos_all_compiled_entries():
             session.sweep(axes)
@@ -65,6 +73,7 @@ class TestJitFallback:
                                                       **BIND_KWARGS)
         numpy_session = get_engine("ensemble").bind(device, replicas=3,
                                                     **BIND_KWARGS)
+        assert numpy_session.simulator.kernel.jit_backend is None
         chaos = chaos_all_compiled_entries()
         with chaos, capture_degradations() as events:
             degraded = jit_session.sweep(axes)
@@ -74,7 +83,7 @@ class TestJitFallback:
         np.testing.assert_array_equal(degraded.stderrs, reference.stderrs)
 
     @pytest.mark.parametrize("engine, options", [
-        ("montecarlo-jit", {}), ("ensemble-jit", {"replicas": 1})])
+        ("montecarlo", {}), ("ensemble-jit", {"replicas": 1})])
     def test_fault_mid_sweep_is_bit_identical_to_the_clean_sweep(
             self, device, engine, options):
         # Every sweep point is one compiled call; failing the fifth leaves
@@ -99,7 +108,7 @@ class TestJitFallback:
         np.testing.assert_array_equal(degraded.stderrs, clean.stderrs)
 
     def test_clean_compiled_run_emits_no_degradation(self, device, axes):
-        session = get_engine("montecarlo-jit").bind(device, **BIND_KWARGS)
+        session = get_engine("montecarlo").bind(device, **BIND_KWARGS)
         with capture_degradations() as events:
             session.sweep(axes)
         assert events == []

@@ -117,7 +117,7 @@ def test_engines_lists_every_registered_engine_with_flags(capsys):
     assert main(["engines"]) == 0
     output = capsys.readouterr().out
     for name in ("analytic", "master", "montecarlo", "ensemble",
-                 "montecarlo-jit", "ensemble-jit"):
+                 "ensemble-jit"):
         assert name in output
     assert "exactness" in output
     assert "stochastic-complete" in output
@@ -130,7 +130,7 @@ def test_engines_json_carries_capabilities_and_cost(capsys):
     payload = json.loads(capsys.readouterr().out)
     names = {entry["name"] for entry in payload}
     assert {"analytic", "ensemble", "master", "montecarlo",
-            "montecarlo-jit", "ensemble-jit"} <= names
+            "ensemble-jit"} <= names
     for entry in payload:
         assert {"exactness", "stochastic", "supports_ensemble",
                 "supports_temperature_array", "available", "cost",

@@ -38,10 +38,8 @@ class TestEngineSelection:
         assert select_engine(spec) == "analytic"
 
     def test_stochastic_observables_pick_monte_carlo(self):
-        from repro.montecarlo.jit import jit_compiled
-
         spec = ScenarioSpec(name="x", observables=("current_stderr_A",))
-        expected = "montecarlo-jit" if jit_compiled() else "montecarlo"
+        expected = "montecarlo"
         assert select_engine(spec) == expected
 
     def test_stochastic_with_replicas_picks_ensemble(self):

@@ -39,6 +39,16 @@ FRONT_DOORS = {
                   "'gate_capacitance', 'start': 1e-18, 'stop': 2e-18, "
                   "'points': 2}], 'constraints': [{'type': 'gain', "
                   "'threshold': 1.0}]})",
+    "select_engine": "from repro.design import DesignSpec, DeviceScan\n"
+                     "from repro.scenarios import iter_scenarios, "
+                     "select_engine\n"
+                     "for scenario in iter_scenarios():\n"
+                     "    select_engine(scenario.spec.with_engine('auto'))\n"
+                     "assert DeviceScan(DesignSpec.from_dict({'name': "
+                     "'probe', 'engine': 'auto', 'axes': [{'parameter': "
+                     "'gate_capacitance', 'start': 1e-18, 'stop': 2e-18, "
+                     "'points': 2}], 'constraints': [{'type': 'gain', "
+                     "'threshold': 1.0}]})).engine.name == 'analytic'",
     "cli list": "import contextlib, io\n"
                 "from repro.cli import main\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"

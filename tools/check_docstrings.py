@@ -79,7 +79,7 @@ SECTIONED_CALLABLES = {
     ("src/repro/compact/set_model.py",
      "MasterEquationSETModel.drain_current_map"),
     ("src/repro/compact/set_model.py", "TunableSETModel.drain_current_map"),
-    ("src/repro/scenarios/engines.py", "select_engine"),
+    ("src/repro/engines/registry.py", "select_engine"),
     ("src/repro/scenarios/engines.py", "EngineContext.session"),
     ("src/repro/scenarios/engines.py", "EngineContext.sweep"),
     ("src/repro/engines/base.py", "Engine.bind"),
