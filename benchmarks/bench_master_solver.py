@@ -28,7 +28,11 @@ a 129-point gate sweep (one stacked solve) and the same points through
 evaluations per point, the rate-kernel calls and ``np.linalg.solve`` calls
 per sweep (all counted outside the timed runs; the benchmark raises when a
 count exceeds its bound) and the cost of one ``orthodox_rate_vec`` call
-over the window's transitions.  A third row (``high_temperature``) sweeps
+over the window's transitions.  The same row times the master session's
+``stream`` plain and under a default failure policy: each is a few stacked
+solves of doubling blocks, counted (the benchmark raises above
+``MAX_STACKS_PER_STREAM``) and checked bit for bit against the sweep.
+A third row (``high_temperature``) sweeps
 the same SET at kT = E_C, where the automatic window widens until its
 boundary states hold no probability, and records the window size chosen
 and the cost per point.
@@ -57,7 +61,9 @@ from repro.constants import BOLTZMANN, E_CHARGE
 from repro.core.rates import orthodox_rate_vec
 from repro.devices import SETTransistor
 from repro.devices.set_transistor import DRAIN_JUNCTION, GATE_SOURCE
+from repro.engines import SweepAxes, get_engine
 from repro.master import MasterEquationSolver, build_state_space, transitions
+from repro.resilience import FailurePolicy
 
 try:
     from .conftest import print_experiment_header
@@ -88,6 +94,9 @@ RATE_CALLS = 2_000
 #: LAPACK solve per group.
 MAX_RATE_CALLS_PER_SWEEP = 3
 MAX_SOLVE_CALLS_PER_SWEEP = 7
+#: A streamed 129-point axis runs blocks of 1, 2, 4, ..., 64 and 2 points:
+#: eight stacked solves.
+MAX_STACKS_PER_STREAM = 8
 
 #: The high-temperature row: the reference SET at kT = E_C.
 HOT_THERMAL_RATIO = 1.0
@@ -276,6 +285,8 @@ def measure_small_window() -> dict:
                                                     DRAIN_JUNCTION))
     solve_s = best_time(solve_points)
 
+    stream = measure_streams(device, gates)
+
     table = solver.builder._cached_table
     _, delta = table.rates()
     rate_s = best_time(lambda: [orthodox_rate_vec(delta, table.resistance,
@@ -295,7 +306,39 @@ def measure_small_window() -> dict:
         "rate_calls_per_sweep": rate_calls_per_sweep,
         "solve_calls_per_sweep": solve_calls_per_sweep,
         "rate_vec_us_per_call": round(rate_s / RATE_CALLS * 1e6, 2),
+        **stream,
     }
+
+
+def measure_streams(device, gates) -> dict:
+    """Points/s of a bound master session's plain and policed ``stream``.
+
+    Both must equal the session's sweep bit for bit and run at most
+    ``MAX_STACKS_PER_STREAM`` stacked solves (counted on
+    ``MasterEquationSolver._solve_stack`` outside the timed runs).
+    """
+    session = get_engine("master").bind(device, temperature=SMALL_TEMPERATURE)
+    axes = SweepAxes(gates, SMALL_DRAIN_VOLTAGE)
+    swept = session.sweep(axes).currents
+    styles = {"stream": {}, "policed_stream": {"policy": FailurePolicy()}}
+
+    def streamed(options):
+        return np.array([observed.current for _, observed
+                         in session.stream(axes, **options)])
+
+    row = {}
+    for name, options in styles.items():
+        with counting(MasterEquationSolver, "_solve_stack") as stacks:
+            currents = streamed(options)
+        if len(stacks) > MAX_STACKS_PER_STREAM:
+            raise AssertionError(f"{len(stacks)} stacked solves per {name}, "
+                                 f"expected at most {MAX_STACKS_PER_STREAM}")
+        if not np.array_equal(currents, swept):
+            raise AssertionError(f"{name} and sweep differ")
+        seconds = best_time(lambda options=options: streamed(options))
+        row[f"{name}_points_per_second"] = round(gates.size / seconds, 1)
+        row[f"stacked_solves_per_{name}"] = len(stacks)
+    return row
 
 
 def measure_high_temperature() -> dict:
@@ -368,6 +411,12 @@ def test_master_sweep_throughput():
     print(f"  rate calls    : {small['rate_calls_per_sweep']:>12d} per sweep")
     print(f"  linear solves : {small['solve_calls_per_sweep']:>12d} per sweep")
     print(f"  rate kernel   : {small['rate_vec_us_per_call']:>12.2f} us per call")
+    print(f"  stream        : "
+          f"{small['stream_points_per_second']:>12,.1f} points/s"
+          f" ({small['stacked_solves_per_stream']} stacked solves)")
+    print(f"  policed stream: "
+          f"{small['policed_stream_points_per_second']:>12,.1f} points/s"
+          f" ({small['stacked_solves_per_policed_stream']} stacked solves)")
     hot = payload["high_temperature"]
     print(f"kT = E_C        : {hot['state_counts']} states, "
           f"{hot['sweep_us_per_point']:.1f} us per swept point")

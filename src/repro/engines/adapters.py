@@ -29,7 +29,7 @@ these classes directly.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from ..devices.set_transistor import (
 from ..errors import ValidationError
 from ..resilience.events import emit_degradation
 from ..resilience.faults import inject_value
-from ..resilience.policy import FailurePolicy
+from ..resilience.policy import FailurePolicy, PointRecord
 from .base import (
     EXACTNESS_APPROXIMATE,
     EXACTNESS_EXACT_SEQUENTIAL,
@@ -59,6 +59,7 @@ from .base import (
     SweepAxes,
     SweepResult,
     _bias_grid,
+    _require_policy,
 )
 from .registry import register_engine
 
@@ -374,7 +375,7 @@ class MasterSession(_CircuitSession):
     across operating points, so per-point :meth:`solve` calls refresh only
     rate values, and :meth:`sweep` solves the whole gate axis as one stacked
     batch through ``sweep_source``, bit-identical to the per-point loop it
-    replaced.
+    replaced.  :meth:`stream` runs the same stacked solve block by block.
     """
 
     def __init__(self, device: SETTransistor, temperature: float,
@@ -420,6 +421,50 @@ class MasterSession(_CircuitSession):
                                                 workers=workers)
         return SweepResult(axes=axes, currents=currents, stderrs=None,
                            engine=self.engine_name)
+
+    def stream(self, axes: SweepAxes, *,
+               policy: Optional[FailurePolicy] = None,
+               on_status: Optional[Callable[[PointRecord], None]] = None,
+               ) -> Iterator[Tuple[float, Observables]]:
+        """Stream the sweep in stacked :meth:`sweep` blocks of doubling size.
+
+        Blocks hold 1, 2, 4, ... points, at most
+        :data:`~repro.resilience.execution.STREAM_BLOCK_POINTS`.  Each is
+        one stacked solve, so the streamed currents equal
+        ``self.sweep(axes).currents`` bit for bit.  The first point comes
+        out after a one-point solve, and a consumer that stops after ``k``
+        points has had fewer than ``2 k`` solved.  Under a ``policy`` a
+        clean block yields ``ok`` points and any other block is replayed
+        point by point through :meth:`solve` under the full policy (see
+        :func:`~repro.resilience.execution.stream_blocks_with_policy`).
+
+        Parameters
+        ----------
+        axes:
+            Gate axis plus fixed drain bias.
+        policy:
+            Optional failure policy (see :meth:`Session.stream`).
+        on_status:
+            Callback receiving each point's typed record (requires
+            ``policy``).
+
+        Yields
+        ------
+        (gate_voltage, Observables)
+            One pair per sweep point, in axis order.
+        """
+        from ..resilience.execution import (
+            stream_blocks,
+            stream_blocks_with_policy,
+        )
+
+        if policy is not None:
+            yield from stream_blocks_with_policy(self, axes, policy,
+                                                 on_status=on_status)
+            return
+        _require_policy(on_status)
+        for _, block in stream_blocks(axes):
+            yield from self.sweep(block)
 
 
 class MasterEngine(Engine):

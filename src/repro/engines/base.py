@@ -695,10 +695,13 @@ class Session(abc.ABC):
                ) -> Iterator[Tuple[float, Observables]]:
         """Iterate the sweep incrementally, yielding each point as computed.
 
-        The default implementation solves point by point through
+        This base implementation solves point by point through
         :meth:`solve` — consumers see partial results immediately (progress
         bars, early stopping) while still profiting from whatever warm
-        state :meth:`solve` reuses.
+        state :meth:`solve` reuses.  Engines may stream in larger steps:
+        the master session solves stacked blocks of 1, 2, 4, ... points
+        through :meth:`sweep` (see
+        :meth:`repro.engines.adapters.MasterSession.stream`).
 
         Parameters
         ----------
@@ -724,12 +727,18 @@ class Session(abc.ABC):
             yield from stream_with_policy(self, axes, policy,
                                           on_status=on_status)
             return
-        if on_status is not None:
-            raise ValidationError(
-                "stream(on_status=...) requires a FailurePolicy: status "
-                "records only exist under policy execution")
+        _require_policy(on_status)
         for bias in axes.bias_points():
             yield bias.gate_voltage, self.solve(bias)
+
+
+def _require_policy(on_status: Optional[Callable[[PointRecord], None]]
+                    ) -> None:
+    """Reject a stream's ``on_status`` callback when it has no policy."""
+    if on_status is not None:
+        raise ValidationError(
+            "stream(on_status=...) requires a FailurePolicy: status "
+            "records only exist under policy execution")
 
 
 class Engine(abc.ABC):

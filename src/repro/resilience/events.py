@@ -19,6 +19,12 @@ Consumers have two channels:
 Emission is cheap and never raises: a failing subscriber is dropped from the
 notification loop for that event rather than poisoning the solve that
 emitted it.
+
+An attempt whose result may be thrown away (the stacked block of a policed
+stream, see :mod:`repro.resilience.execution`) runs inside
+``_withheld_degradations``: its events on that thread are logged and
+collected for the attempt only, so subscribers never hear about a result
+that was replaced.
 """
 
 from __future__ import annotations
@@ -36,6 +42,10 @@ _LOG = logging.getLogger("repro.resilience")
 #: emission loop iterates over a snapshot).
 _SUBSCRIBERS: List[Callable[["DegradationEvent"], None]] = []
 _LOCK = threading.Lock()
+
+#: Per-thread ``sink``: the list a ``_withheld_degradations`` scope collects
+#: into instead of notifying subscribers (absent or ``None`` outside one).
+_LOCAL = threading.local()
 
 
 @dataclass(frozen=True)
@@ -89,6 +99,10 @@ def emit_degradation(site: str, action: str,
                              timestamp=time.time())
     _LOG.warning("degraded [%s] %s%s", site, action,
                  f": {detail}" if detail else "")
+    sink = getattr(_LOCAL, "sink", None)
+    if sink is not None:
+        sink.append(event)
+        return event
     with _LOCK:
         subscribers = list(_SUBSCRIBERS)
     for callback in subscribers:
@@ -129,6 +143,29 @@ def capture_degradations() -> Iterator[List[DegradationEvent]]:
         yield events
     finally:
         unsubscribe(events.append)
+
+
+@contextmanager
+def _withheld_degradations() -> Iterator[List[DegradationEvent]]:
+    """Collect this thread's degradation events instead of notifying anyone.
+
+    Events emitted on the calling thread inside the ``with`` block are still
+    logged, but go only to the yielded list: subscribers (outer
+    :func:`capture_degradations` scopes included) do not see them.  Events
+    of other threads are untouched.
+
+    Yields
+    ------
+    list of DegradationEvent
+        Filled in emission order.
+    """
+    events: List[DegradationEvent] = []
+    outer = getattr(_LOCAL, "sink", None)
+    _LOCAL.sink = events
+    try:
+        yield events
+    finally:
+        _LOCAL.sink = outer
 
 
 __all__ = [

@@ -17,6 +17,18 @@ partial :class:`~repro.engines.base.SweepResult` carries them in its
 ``statuses`` field with NaN currents at abandoned points — a failed point
 degrades the result instead of aborting the sweep.
 
+A policed *stream* stays on the fast path block by block.
+:func:`stream_with_policy` solves every point through ``Session.solve``;
+:func:`stream_blocks_with_policy` (the master session's stream) walks the
+axis in blocks of 1, 2, 4, ... points (at most :data:`STREAM_BLOCK_POINTS`)
+and tries each block as one ``Session.sweep``.  A clean block yields ``ok``
+points; a block whose attempt raises, holds a non-finite current (health
+guard on) or emits a degradation event is replayed point by point under the
+full policy, exactly as :func:`stream_with_policy` would solve it.  The
+attempt's own events are withheld from subscribers (the replay emits each
+point's events again), and the ``max_failures`` budget carries across
+blocks.
+
 Worker-crash recovery: a ``workers > 1`` fan-out that raises is retried
 serially (one ``executor.pool`` degradation event) before per-point salvage
 is considered.
@@ -41,7 +53,12 @@ import numpy as np
 from ..engines.base import BiasPoint, Observables, Session, SweepAxes, \
     SweepResult
 from ..errors import PointTimeout, SolverError
-from .events import DegradationEvent, capture_degradations, emit_degradation
+from .events import (
+    DegradationEvent,
+    _withheld_degradations,
+    capture_degradations,
+    emit_degradation,
+)
 from .faults import inject
 from .policy import (
     STATUS_DEGRADED,
@@ -55,6 +72,16 @@ from .policy import (
     _shared_records,
     empty_records,
 )
+
+
+#: Largest block :func:`stream_blocks` hands out: it bounds the work between
+#: two yields (~2 ms for 64 points of the reference SET).  A 129-point axis
+#: runs 8 stacked solves (1, 2, ..., 64, 2), as many as with no cap; a
+#: 513-point axis pays ~1.5x the uncapped stream's time.
+STREAM_BLOCK_POINTS = 64
+
+#: Statuses of points a failure policy abandoned (they spend the budget).
+_ABANDONED = (STATUS_FAILED, STATUS_TIMEOUT)
 
 
 def _event_detail(events: List[DegradationEvent]) -> str:
@@ -169,16 +196,16 @@ def _fast_sweep(session: Session, axes: SweepAxes,
 
 
 def _solve_points(session: Session, axes: SweepAxes, indices: Sequence[int],
-                  policy: FailurePolicy
+                  policy: FailurePolicy, failures: int = 0
                   ) -> Iterator[Tuple[int, Optional[Observables],
                                       PointRecord]]:
     """Solve ``indices`` one by one: ``(index, observables, record)`` each.
 
     Observables are ``None`` for an abandoned point.  Once more than
-    ``max_failures`` points have been abandoned, the remaining indices are
-    yielded unsolved with ``skipped`` records.
+    ``max_failures`` points have been abandoned (counting the ``failures``
+    spent before these indices), the remaining indices are yielded unsolved
+    with ``skipped`` records.
     """
-    failures = 0
     for index in indices:
         if policy.max_failures is not None \
                 and failures > policy.max_failures:
@@ -272,6 +299,23 @@ def run_policy_sweep(session: Session, axes: SweepAxes,
     return _salvage_sweep(session, fast, unhealthy, policy)
 
 
+def _streamed(session: Session, axes: SweepAxes,
+              points: Iterator[Tuple[int, Optional[Observables],
+                                     PointRecord]],
+              on_status: Optional[Callable[[PointRecord], None]]
+              ) -> Iterator[Tuple[float, Observables]]:
+    """Yield solved ``points`` as stream pairs, reporting every record."""
+    for index, observed, record in points:
+        if on_status is not None:
+            on_status(record)
+        if record.status == STATUS_SKIPPED:
+            continue
+        if observed is None:
+            observed = Observables(current=float("nan"),
+                                   engine=session.engine_name)
+        yield axes.gate_voltages[index], observed
+
+
 def stream_with_policy(session: Session, axes: SweepAxes,
                        policy: FailurePolicy,
                        on_status: Optional[Callable[[PointRecord], None]]
@@ -299,20 +343,122 @@ def stream_with_policy(session: Session, axes: SweepAxes,
     (gate_voltage, Observables)
         One pair per attempted point, in axis order.
     """
-    for index, observed, record in _solve_points(session, axes,
-                                                 range(len(axes)), policy):
-        if on_status is not None:
-            on_status(record)
-        if record.status == STATUS_SKIPPED:
+    yield from _streamed(session, axes,
+                         _solve_points(session, axes, range(len(axes)),
+                                       policy), on_status)
+
+
+def stream_blocks(axes: SweepAxes) -> Iterator[Tuple[range, SweepAxes]]:
+    """Split ``axes`` into consecutive blocks of 1, 2, 4, ... points.
+
+    Block sizes double up to :data:`STREAM_BLOCK_POINTS`; the last block
+    holds what is left.  A consumer that stops after ``k`` points of a
+    block-wise stream has had fewer than ``2 k`` points solved.
+
+    Parameters
+    ----------
+    axes:
+        Gate axis plus fixed drain bias.
+
+    Yields
+    ------
+    (range, SweepAxes)
+        The block's flat indices into ``axes`` and the block as axes.
+    """
+    gates = axes.gate_voltages
+    start, size = 0, 1
+    while start < len(gates):
+        stop = min(len(gates), start + size)
+        yield range(start, stop), SweepAxes(gates[start:stop],
+                                            axes.drain_voltage)
+        start, size = stop, min(2 * size, STREAM_BLOCK_POINTS)
+
+
+def _stacked_block(session: Session, block: SweepAxes,
+                   policy: FailurePolicy) -> Optional[SweepResult]:
+    """One block as one ``Session.sweep``; ``None`` when it must be replayed.
+
+    The attempt's degradation events are withheld from subscribers: a
+    degraded block is replayed, and the replay emits each point's events.
+    """
+    try:
+        with _withheld_degradations() as events:
+            inject("sweep.fast")
+            result = session.sweep(block)
+    except Exception as error:
+        emit_degradation("sweep.fast", "replay:per-point", repr(error))
+        return None
+    if events or (policy.health_guard
+                  and not np.isfinite(result.currents).all()):
+        return None
+    return result
+
+
+def _block_points(session: Session, axes: SweepAxes, policy: FailurePolicy
+                  ) -> Iterator[Tuple[int, Optional[Observables],
+                                      PointRecord]]:
+    """:func:`_solve_points` over ``axes``, a clean block at a time.
+
+    Once the budget is spent, the remaining blocks go straight to
+    :func:`_solve_points`, which skips their points.
+    """
+    failures = 0
+    for indices, block in stream_blocks(axes):
+        stacked = None
+        if policy.max_failures is None or failures <= policy.max_failures:
+            stacked = _stacked_block(session, block, policy)
+        if stacked is not None:
+            for index, (_, observed) in zip(indices, stacked):
+                yield index, observed, PointRecord(index=index,
+                                                   status=STATUS_OK)
             continue
-        if observed is None:
-            observed = Observables(current=float("nan"),
-                                   engine=session.engine_name)
-        yield axes.gate_voltages[index], observed
+        for index, observed, record in _solve_points(session, axes, indices,
+                                                     policy, failures):
+            failures += record.status in _ABANDONED
+            yield index, observed, record
+
+
+def stream_blocks_with_policy(session: Session, axes: SweepAxes,
+                              policy: FailurePolicy,
+                              on_status: Optional[
+                                  Callable[[PointRecord], None]] = None
+                              ) -> Iterator[Tuple[float, Observables]]:
+    """:func:`stream_with_policy` on one stacked ``sweep`` per clean block.
+
+    The axis runs in the blocks of :func:`stream_blocks`.  A clean block
+    yields its points with ``ok`` records; a block whose ``sweep`` raises,
+    holds a non-finite current (health guard on) or emits a degradation
+    event is replayed point by point as :func:`stream_with_policy` solves
+    it, records included.  The ``max_failures`` budget carries across
+    blocks.  The stacked attempt passes the ``sweep.fast`` fault site.
+
+    Parameters
+    ----------
+    session:
+        The bound session; its ``sweep`` must give the same current at a
+        point whatever block the point is solved in.
+    axes:
+        Gate axis plus fixed drain bias.
+    policy:
+        The failure policy.
+    on_status:
+        Optional callback receiving every :class:`PointRecord` (including
+        the trailing ``skipped`` ones) as it is decided.
+
+    Yields
+    ------
+    (gate_voltage, Observables)
+        One pair per attempted point, in axis order.
+    """
+    yield from _streamed(session, axes, _block_points(session, axes, policy),
+                         on_status)
 
 
 __all__ = [
+    "STREAM_BLOCK_POINTS",
     "run_policy_sweep",
     "solve_point_with_policy",
+    "stream_blocks",
+    "stream_blocks_with_policy",
     "stream_with_policy",
 ]

@@ -47,7 +47,9 @@ SITES: Dict[str, str] = {
         "executor (per-point retries, timeouts)",
     "sweep.fast":
         "error before the optimistic whole-sweep fast path of a "
-        "policy-carrying Session.sweep (forces per-point salvage)",
+        "policy-carrying Session.sweep (forces per-point salvage) and "
+        "before each stacked block of a policed master stream (forces "
+        "its per-point replay)",
     "executor.pool":
         "error at process-pool dispatch of a parallel policy sweep "
         "(simulated worker crash; recovery recomputes serially)",
