@@ -14,8 +14,8 @@ engine families:
 * ``montecarlo``: circuit + seeded
   :class:`~repro.montecarlo.MonteCarloSimulator` + warm-started
   ``sweep_source`` versus a bound ``MonteCarloSession`` (identical seeds
-  and the same advance loop — compiled whenever a native backend loaded —
-  so both sides do event-for-event the same stochastic work).
+  and the same advance loop, so both sides do event-for-event the same
+  stochastic work).
 
 Both sides include their setup (model/solver/simulator construction versus
 ``bind``), take the best of ``REPEATS`` interleaved runs, and must produce
@@ -64,7 +64,7 @@ from repro.engines import (
     unregister_engine,
 )
 from repro.master import MasterEquationSolver
-from repro.montecarlo import MonteCarloSimulator, jit_compiled
+from repro.montecarlo import MonteCarloSimulator
 
 try:
     from .conftest import print_experiment_header, standard_transistor
@@ -111,7 +111,7 @@ def direct_montecarlo(device, gates):
     circuit = device.build_circuit()
     circuit.set_source_voltage("VD", DRAIN_VOLTAGE)
     simulator = MonteCarloSimulator(circuit, temperature=TEMPERATURE,
-                                    seed=SEED, jit=jit_compiled())
+                                    seed=SEED)
     _, currents, _ = simulator.sweep_source(
         "VG", gates, "J_drain", max_events=MAX_EVENTS,
         warmup_events=WARMUP_EVENTS, warm_start=True)

@@ -1,20 +1,20 @@
-"""Compiled-kernel throughput — the JIT advance loop versus the numpy fast path.
+"""Compiled-kernel throughput — the native advance loop versus the interpreted one.
 
-PR 1 vectorized the scalar kernel (~6x), PR 3 batched replicas; this
-benchmark measures what compiling the inner advance loop buys on top: the
-:mod:`repro.montecarlo.jit` backend (numba where installed, a cached
-C/ctypes build otherwise) against the numpy fast path it replays bit for
-bit, plus the aggregate throughput of sequential compiled replicas at
-R = 1 / 64 / 256 (near-linear scaling: the per-event cost must not grow
-with the replica count).  Those long runs enter the native loop only once
-per random-block refill, which hides the cost of an entry, so a
-sweep-scale measurement sits beside them: a 129-point Id-Vg sweep at
-2 000 events per point on ``montecarlo`` (which runs the compiled loop
-whenever a native backend loaded) and ``ensemble-jit`` (R = 16), reporting points/s, native entries per point split into run,
-refill and link entries (asserting at most one run entry per point), and
-rate evaluations per point — calls of the rate kernel from the Monte-Carlo
-kernel, which builds a point's rate tables in one stacked evaluation
-(raising above :data:`RATE_EVALUATION_LIMIT`).
+Every Monte-Carlo run goes through the advance loop of
+:mod:`repro.montecarlo.jit`; this benchmark measures what compiling it
+buys: the active backend (numba where installed, a cached C/ctypes build
+otherwise) against the interpreted loop an install without a compiler
+runs, which replays the same events, plus the aggregate throughput of
+sequential replicas at R = 1 / 64 / 256 (near-linear scaling: the
+per-event cost must not grow with the replica count).  Those long runs
+enter the native loop only once per random-block refill, which hides the
+cost of an entry, so a sweep-scale measurement sits beside them: a
+129-point Id-Vg sweep at 2 000 events per point on ``montecarlo`` and
+``ensemble`` (R = 16), reporting points/s, native entries per point split
+into run, refill and link entries (asserting at most one run entry per
+point), and rate evaluations per point — calls of the rate kernel from the
+Monte-Carlo kernel, which builds a point's rate tables in one stacked
+evaluation (raising above :data:`RATE_EVALUATION_LIMIT`).
 
 The numbers go to ``BENCH_jit.json`` in the repository root so the
 performance trajectory is tracked across PRs (``benchmarks/run_all.py``
@@ -34,11 +34,13 @@ from repro.engines import SweepAxes, get_engine
 from repro.montecarlo import MonteCarloSimulator, jit_backend, jit_compiled
 from repro.montecarlo import kernel as kernel_module
 from repro.montecarlo.jit import (
+    BACKEND_PYTHON,
     STATUS_BLOCKED,
     STATUS_DONE,
     STATUS_NEED_EXP,
     STATUS_NEED_LINK,
     STATUS_NEED_UNIFORM,
+    resolve_advance,
 )
 
 try:
@@ -52,7 +54,10 @@ GATE_VOLTAGE = 0.04
 WARMUP_EVENTS = 1_000
 # Event budgets; the CI smoke run shrinks them through the environment.
 JIT_EVENTS = int(os.environ.get("REPRO_BENCH_JIT_EVENTS", "2000000"))
-NUMPY_EVENTS = int(os.environ.get("REPRO_BENCH_JIT_NUMPY_EVENTS", "200000"))
+#: Events of the interpreted-loop run (the variable is named after the
+#: numpy step path this row timed before every run took the advance loop).
+INTERPRETED_EVENTS = int(os.environ.get("REPRO_BENCH_JIT_NUMPY_EVENTS",
+                                        "200000"))
 REPLICA_EVENTS = int(os.environ.get("REPRO_BENCH_JIT_REPLICA_EVENTS", "20000"))
 REPLICA_COUNTS = (1, 64, 256)
 SWEEP_POINTS = int(os.environ.get("REPRO_BENCH_JIT_SWEEP_POINTS", "129"))
@@ -62,7 +67,7 @@ SWEEP_REPEATS = 3
 SWEEP_REPLICAS = 16
 #: Sweep engines and their bind options.
 SWEEP_ENGINES = (("montecarlo", {}),
-                 ("ensemble-jit", {"replicas": SWEEP_REPLICAS}))
+                 ("ensemble", {"replicas": SWEEP_REPLICAS}))
 REQUIRED_SPEEDUP = 10.0
 #: Most rate-kernel calls a sweep point may make: one stacked evaluation of
 #: the point's roots and their successors, plus the rare lazy build.
@@ -74,16 +79,20 @@ RECORDED_BASELINE = 384474.2
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_jit.json"
 
 
-def build_simulator(jit) -> MonteCarloSimulator:
+def build_simulator(backend=None) -> MonteCarloSimulator:
+    """A seeded simulator on the active backend, or on ``backend``."""
     circuit = standard_transistor().build_circuit(drain_voltage=DRAIN_VOLTAGE,
                                                   gate_voltage=GATE_VOLTAGE)
-    return MonteCarloSimulator(circuit, temperature=TEMPERATURE, seed=3,
-                               jit=jit)
+    simulator = MonteCarloSimulator(circuit, temperature=TEMPERATURE, seed=3)
+    if backend is not None:
+        kernel = simulator.kernel
+        kernel._jit_backend, kernel._jit_advance = resolve_advance(backend)
+    return simulator
 
 
-def measure_single(jit, events: int) -> float:
-    """Steady-state events/second of one kernel flavour on the reference SET."""
-    simulator = build_simulator(jit)
+def measure_single(events: int, backend=None) -> float:
+    """Steady-state events/second of one backend on the reference SET."""
+    simulator = build_simulator(backend)
     state = simulator.new_state()
     simulator.run(max_events=WARMUP_EVENTS, state=state)
     start = time.perf_counter()
@@ -94,8 +103,8 @@ def measure_single(jit, events: int) -> float:
 
 
 def measure_replicas(replicas: int, events_per_replica: int) -> float:
-    """Aggregate events/second of a compiled R-replica ensemble run."""
-    simulator = build_simulator(jit=True)
+    """Aggregate events/second of an R-replica ensemble run."""
+    simulator = build_simulator()
     ensemble = simulator.new_ensemble(replicas)
     simulator.run_ensemble(max_events=min(500, events_per_replica),
                            ensemble=ensemble)
@@ -176,8 +185,8 @@ def measure_sweep(engine: str, options: dict) -> dict:
 
 
 def run_benchmark() -> dict:
-    compiled = measure_single(jit=True, events=JIT_EVENTS)
-    numpy_path = measure_single(jit=False, events=NUMPY_EVENTS)
+    compiled = measure_single(JIT_EVENTS)
+    interpreted = measure_single(INTERPRETED_EVENTS, BACKEND_PYTHON)
     scaling = {
         str(replicas): round(measure_replicas(replicas, REPLICA_EVENTS), 1)
         for replicas in REPLICA_COUNTS
@@ -193,14 +202,14 @@ def run_benchmark() -> dict:
         "backend": jit_backend(),
         "compiled": jit_compiled(),
         "jit_events_per_second": round(compiled, 1),
-        "numpy_events_per_second": round(numpy_path, 1),
-        "speedup": round(compiled / numpy_path, 2),
+        "interpreted_events_per_second": round(interpreted, 1),
+        "speedup": round(compiled / interpreted, 2),
         "speedup_vs_recorded_baseline": round(compiled / RECORDED_BASELINE,
                                               2),
         "recorded_baseline_events_per_second": RECORDED_BASELINE,
         "replica_scaling_events_per_second": scaling,
         "jit_event_budget": JIT_EVENTS,
-        "numpy_event_budget": NUMPY_EVENTS,
+        "interpreted_event_budget": INTERPRETED_EVENTS,
         "replica_event_budget": REPLICA_EVENTS,
         "sweep": {
             "points": SWEEP_POINTS,
@@ -217,11 +226,12 @@ def run_benchmark() -> dict:
 def test_jit_kernel_throughput():
     print_experiment_header(
         "JIT", f"compiled advance loop >= {REQUIRED_SPEEDUP:.0f}x the "
-        "numpy fast path on the SET")
+        "interpreted loop on the SET")
     payload = run_benchmark()
     print(f"backend    : {payload['backend']}")
     print(f"compiled   : {payload['jit_events_per_second']:>12,.0f} events/s")
-    print(f"numpy path : {payload['numpy_events_per_second']:>12,.0f} events/s")
+    print(f"interpreted: {payload['interpreted_events_per_second']:>12,.0f} "
+          "events/s")
     print(f"speedup    : {payload['speedup']:>12.2f}x "
           f"({payload['speedup_vs_recorded_baseline']:.1f}x the recorded "
           "PR 1 baseline)")
@@ -238,7 +248,7 @@ def test_jit_kernel_throughput():
     print(f"written to : {OUTPUT_PATH}")
     # One native call per replica-loop run: an R = 16 point (warm-up plus
     # estimate) must not enter the native loop once per replica.
-    ensemble = payload["sweep"]["engines"]["ensemble-jit"]
+    ensemble = payload["sweep"]["engines"]["ensemble"]
     assert ensemble["native_entries_per_point"] < payload["sweep"]["replicas"]
     if not payload["compiled"]:
         import pytest

@@ -1,14 +1,17 @@
-"""Kernel throughput — vectorized fast path versus the scalar reference.
+"""Kernel throughput — the simulator's run path versus the scalar reference.
 
 The ROADMAP's north star asks the detailed Monte-Carlo engine to run "as fast
 as the hardware allows".  This benchmark measures raw kinetic Monte-Carlo
 throughput (executed events per second) on the reference SET transistor for
 
-* the **fast path**: precomputed event tables, incremental electrostatics and
-  memoised per-configuration rate tables, and
+* the **fast path**: a plain ``MonteCarloSimulator.run``, which is the
+  advance loop of :mod:`repro.montecarlo.jit` on the active backend (native
+  where a compiler or numba is available, else interpreted) over
+  precomputed event tables, incremental electrostatics and memoised
+  per-configuration rate tables, and
 * the **reference path**: the original per-candidate scalar implementation,
-  kept as the correctness baseline in the test oracle
-  ``tests/montecarlo/reference_kernel.py``,
+  stepped event by event, kept as the correctness baseline in the test
+  oracle ``tests/montecarlo/reference_kernel.py``,
 
 and writes the numbers to ``BENCH_kernel.json`` in the repository root so the
 performance trajectory is tracked across PRs.  Run it either through pytest
@@ -83,7 +86,7 @@ def run_benchmark() -> dict:
 
 def test_kernel_throughput():
     print_experiment_header(
-        "KERNEL", "vectorized fast path >= 5x scalar reference on the SET")
+        "KERNEL", "simulator run path >= 5x scalar reference on the SET")
     payload = run_benchmark()
     print(f"fast path      : {payload['fast_events_per_second']:>12,.0f} events/s")
     print(f"reference path : {payload['reference_events_per_second']:>12,.0f} events/s")

@@ -37,7 +37,6 @@ TRAJECTORY_PATH = REPO_ROOT / "BENCH_trajectory.json"
 #: performance numbers, and are not part of the trajectory.)
 BENCHMARK_MODULES = (
     "bench_kernel_throughput",
-    "bench_ensemble_throughput",
     "bench_master_solver",
     "bench_engine_dispatch",
     "bench_jit_kernel",

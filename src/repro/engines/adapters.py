@@ -1,4 +1,4 @@
-"""The five built-in engines expressed as :class:`~repro.engines.base.Engine` adapters.
+"""The four built-in engines expressed as :class:`~repro.engines.base.Engine` adapters.
 
 Each adapter wraps one existing backend without re-implementing any physics:
 
@@ -10,16 +10,15 @@ Each adapter wraps one existing backend without re-implementing any physics:
   closed-form birth-death chain per point;
 * ``montecarlo`` — :class:`repro.montecarlo.simulator.MonteCarloSimulator`,
   warm-started sweeps carrying event tables and trajectory state across
-  bias points, on the compiled advance loop of :mod:`repro.montecarlo.jit`
-  when a native backend (numba or a C/ctypes build) loaded and on the
-  numpy step path otherwise — the two replay each other bit for bit;
-* ``ensemble`` — the same simulator advancing ``R`` replicas in numpy lock
-  step, with replica-spread error bars;
-* ``ensemble-jit`` — ``R`` replicas advanced one after another by the
-  compiled loop, ``available`` only when a native backend loaded.
+  bias points, on the advance loop of :mod:`repro.montecarlo.jit` (numba,
+  a C/ctypes build or the interpreted loop — every backend replays the
+  same events);
+* ``ensemble`` — the same simulator advancing ``R`` replicas one after
+  another through the same loop, with replica-spread error bars.
 
-The three Monte-Carlo engines are one :class:`MonteCarloEngine` class; the
-retired name ``montecarlo-jit`` resolves to ``montecarlo``.
+The two Monte-Carlo engines are one :class:`MonteCarloEngine` class; the
+retired names ``montecarlo-jit`` and ``ensemble-jit`` resolve to
+``montecarlo`` and ``ensemble``.
 
 The adapters are registered with :mod:`repro.engines.registry` on import;
 resolve them with :func:`repro.engines.get_engine` rather than instantiating
@@ -586,7 +585,7 @@ def _chain_half_width(table: DeviceTable, tolerance: float) -> int:
 
 
 # ======================================================================
-# montecarlo / ensemble / ensemble-jit
+# montecarlo / ensemble
 # ======================================================================
 
 
@@ -605,8 +604,7 @@ class MonteCarloSession(_CircuitSession):
                  background_charge: Optional[float] = None,
                  max_events: int = 20_000,
                  warmup_events: int = 1_000,
-                 replicas: int = 0,
-                 jit: bool = False) -> None:
+                 replicas: int = 0) -> None:
         from ..montecarlo.simulator import MonteCarloSimulator
 
         super().__init__(engine_name, device, temperature, background_charge)
@@ -616,7 +614,7 @@ class MonteCarloSession(_CircuitSession):
         self.replicas = int(replicas)
         self.simulator = MonteCarloSimulator(self._circuit,
                                              temperature=self.temperature,
-                                             seed=seed, jit=jit)
+                                             seed=seed)
 
     def solve(self, bias: BiasPoint) -> Observables:
         """Stationary-current estimate at one bias point, with error bar."""
@@ -634,7 +632,7 @@ class MonteCarloSession(_CircuitSession):
 
     def sweep(self, axes: SweepAxes, *, workers: int = 1,
               policy: Optional[FailurePolicy] = None) -> SweepResult:
-        """Warm-started gate sweep (replica-batched on the ensemble engines).
+        """Warm-started gate sweep (``R`` replicas per point on ``ensemble``).
 
         Parameters
         ----------
@@ -663,28 +661,17 @@ class MonteCarloSession(_CircuitSession):
                            engine=self.engine_name)
 
 
-#: The Monte-Carlo engines: name -> (ensemble, advance loop), the loop
-#: ``True`` compiled, ``False`` numpy, ``None`` compiled exactly when a
-#: native backend loaded (the two replay each other bit for bit; ensembles
-#: of ``R > 1`` do not, so each ensemble engine keeps one loop).
-_MONTECARLO_ENGINES: Dict[str, Tuple[bool, Optional[bool]]] = {
-    "montecarlo": (False, None),
-    "ensemble": (True, False),
-    "ensemble-jit": (True, True)}
-
-#: Order-of-magnitude seconds per sweep point, by (ensemble, compiled loop).
-_MONTECARLO_POINT_S = {(False, False): 5e-3, (False, True): 5e-4,
-                       (True, False): 1e-3, (True, True): 1e-4}
+#: The Monte-Carlo engines: name -> whether sessions run an ensemble.
+_MONTECARLO_ENGINES: Dict[str, bool] = {"montecarlo": False,
+                                        "ensemble": True}
 
 
 class MonteCarloEngine(Engine):
     """The physics-complete kinetic Monte-Carlo simulator as an engine.
 
-    One class, registered as ``montecarlo``, ``ensemble`` and
-    ``ensemble-jit`` (see the module docstring).  For ``R > 1`` the two
-    ensemble engines draw the random stream in different orders, so they
-    agree statistically, not bit for bit.  Ensemble binds coerce
-    ``replicas < 1`` to 2, the smallest ensemble with a spread.
+    One class, registered as ``montecarlo`` and ``ensemble`` (see the
+    module docstring).  Ensemble binds coerce ``replicas < 1`` to 2, the
+    smallest ensemble with a spread.
 
     Parameters
     ----------
@@ -694,22 +681,13 @@ class MonteCarloEngine(Engine):
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.ensemble, self.jit = _MONTECARLO_ENGINES[name]
-
-    def _compiled(self) -> bool:
-        """Whether sessions run the compiled loop on this platform."""
-        from ..montecarlo.jit import jit_compiled
-
-        return jit_compiled() if self.jit is None else self.jit
+        self.ensemble = _MONTECARLO_ENGINES[name]
 
     def capabilities(self) -> EngineCapabilities:
-        """Stochastic-complete; priced by the advance loop sessions run."""
-        from ..montecarlo.jit import jit_backend, jit_compiled
+        """Stochastic-complete; priced by the native advance loop."""
+        from ..montecarlo.jit import jit_backend
 
-        compiled = self._compiled()
-        loop = f"compiled advance loop ({jit_backend()})" if compiled \
-            else "numpy advance loop"
-        kind = "batched R-replica Monte Carlo; replica-spread error bars" \
+        kind = "R-replica Monte Carlo; replica-spread error bars" \
             if self.ensemble else "kinetic Monte Carlo: co-tunnelling, " \
             "traps, transients; warm-started sweeps; block-averaged error bars"
         return EngineCapabilities(
@@ -719,24 +697,22 @@ class MonteCarloEngine(Engine):
             supports_ensemble=self.ensemble,
             supports_temperature_array=False,
             cost=CostModel(setup_s=1e-2 if self.ensemble else 5e-3,
-                           per_point_s=_MONTECARLO_POINT_S[
-                               self.ensemble, compiled]),
-            available=self.jit is not True or jit_compiled(),
-            description=f"{kind}; {loop}")
+                           per_point_s=1e-4 if self.ensemble else 5e-4),
+            description=f"{kind}; advance loop ({jit_backend()})")
 
     def bind(self, device: SETTransistor, *, temperature: float,
              seed: Optional[int] = None,
              background_charge: Optional[float] = None,
              max_events: int = 20_000, warmup_events: int = 1_000,
              replicas: int = 0) -> MonteCarloSession:
-        """Bind a warm session (``replicas`` ignored off the ensemble engines)."""
+        """Bind a warm session (``replicas`` ignored off ``ensemble``)."""
         replicas = (int(replicas) if int(replicas) >= 1 else 2) \
             if self.ensemble else 0
         return MonteCarloSession(self.name, device, temperature, seed=seed,
                                  background_charge=background_charge,
                                  max_events=max_events,
                                  warmup_events=warmup_events,
-                                 replicas=replicas, jit=self._compiled())
+                                 replicas=replicas)
 
 
 register_engine(AnalyticEngine())

@@ -108,9 +108,8 @@ class EngineCapabilities:
         One-line summary shown by ``python -m repro engines``.
     available:
         Whether the engine's backend is usable in this process.  Engines
-        with optional dependencies (e.g. ``ensemble-jit``'s native advance
-        loop) register unconditionally but declare ``available=False``
-        when the dependency is missing, so capability-based selection
+        with optional dependencies register unconditionally but declare
+        ``available=False`` when the dependency is missing, so capability-based selection
         skips them and scripts can detect them without importing anything.
     """
 

@@ -7,7 +7,7 @@ capability introspection, ``auto`` selection (:func:`select_engine`),
 ``python -m repro engines``, and the conformance test suite pick it up
 without further wiring.
 
-The five built-in engines (:mod:`repro.engines.adapters`) are registered
+The four built-in engines (:mod:`repro.engines.adapters`) are registered
 lazily on first access, so importing :mod:`repro` stays cheap.
 """
 
@@ -26,7 +26,7 @@ _BUILTINS_LOADED = False
 #: Retired engine names that still resolve, mapped to the engine that
 #: replaced them.  :func:`get_engine` and spec validation accept them;
 #: :func:`engine_names` and :func:`list_engines` do not list them.
-ENGINE_ALIASES = {"montecarlo-jit": "montecarlo"}
+ENGINE_ALIASES = {"montecarlo-jit": "montecarlo", "ensemble-jit": "ensemble"}
 
 
 def register_engine(engine: "Engine") -> "Engine":
@@ -92,7 +92,7 @@ def get_engine(name: str) -> "Engine":
     ----------
     name:
         Registry name (``"analytic"``, ``"master"``, ``"montecarlo"``,
-        ``"ensemble"``, ``"ensemble-jit"``, or any name registered via
+        ``"ensemble"``, or any name registered via
         :func:`register_engine`), or an :data:`ENGINE_ALIASES` key.
 
     Returns

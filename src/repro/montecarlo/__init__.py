@@ -7,7 +7,7 @@ from .cotunneling import (
 )
 from .events import CotunnelCandidate, TrapCandidate, TunnelCandidate
 from .jit import jit_backend, jit_compiled, resolve_advance
-from .kernel import Candidate, EnsembleStep, KernelStep, MonteCarloKernel
+from .kernel import Candidate, KernelStep, MonteCarloKernel
 from .observables import (
     CurrentEstimate,
     EnsembleResult,
@@ -31,7 +31,6 @@ __all__ = [
     "CurrentEstimate",
     "EnsembleResult",
     "EnsembleState",
-    "EnsembleStep",
     "EventRecord",
     "KernelStep",
     "MonteCarloKernel",

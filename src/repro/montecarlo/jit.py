@@ -1,12 +1,13 @@
 """Compiled hot loop for the kinetic Monte-Carlo kernel.
 
-The pure-numpy fast path in :mod:`repro.montecarlo.kernel` pays Python-level
-dispatch once per event (scalar path) or once per macro-step (ensemble path).
-This module compiles the *entire* inner loop — rate-table lookup, cumulative-
-row event selection, configuration update, transfer accounting and time
-accumulation — into a single native function that runs thousands of events
-per call over the flat arrays exported by the kernel's
-``_EnsembleCursor`` mirrors.
+The per-event :meth:`~repro.montecarlo.kernel.MonteCarloKernel.step` loop
+pays Python-level dispatch once per event.  This module holds the *entire*
+inner loop — rate-table lookup, cumulative-row event selection,
+configuration update, transfer accounting and time accumulation — as one
+function that runs thousands of events per call over the flat arrays
+exported by the kernel's ``_EnsembleCursor`` mirrors, compiled to native
+code where a compiler is available.  Every Monte-Carlo run without charge
+traps or per-event hooks goes through it.
 
 Backend ladder
 --------------
@@ -37,8 +38,8 @@ ensemble run enter the backend through the same function.
     correctness reference for the re-entry protocol.
 
 :func:`jit_compiled` reports whether a *native* backend (numba or cc) is
-active: only then does the ``montecarlo`` engine run this loop (else the
-numpy step path) and does ``ensemble-jit`` declare itself available.
+active.  The Monte-Carlo engines run this loop on every backend; the
+interpreted one gives the same events at Python speed.
 
 Phase schedule
 --------------
@@ -98,7 +99,7 @@ however many replicas and phases it advances.  ``REG_PHASE`` and
 ``REG_REPLICA`` also tell a driver whose re-entry raised how far the
 schedule got: replicas below ``REG_REPLICA`` have finished phase
 ``REG_PHASE``, the others only the phases before it.  Buffer refills happen
-exactly at the consumption points, preserving the scalar path's interleaved
+exactly at the consumption points, preserving the step loop's interleaved
 draw order from the shared generator — the property that makes an
 event-for-event replay of :meth:`MonteCarloKernel.step` possible.
 """
@@ -186,7 +187,7 @@ def _advance_py(totals, cumulative, last_selectable, successor_slots,
     while True:
         if wait < 0.0:
             # Start a new event: budget checks, blockade handling, waiting
-            # time — the same order as the scalar run()/step() pair.
+            # time — the same order as the run()/step() loop.
             if events >= max_events:
                 status = STATUS_DONE
                 break
@@ -238,7 +239,7 @@ def _advance_py(totals, cumulative, last_selectable, successor_slots,
             uni_pos += 1
             # count(cumulative <= threshold) over the non-decreasing row is
             # exactly searchsorted(..., side="right"), clamped to the last
-            # positive-rate event as in the scalar path.
+            # positive-rate event as in the step loop.
             index = 0
             while index < n_events and cumulative[slot, index] <= threshold:
                 index += 1
@@ -687,9 +688,8 @@ def jit_backend() -> str:
 def jit_compiled() -> bool:
     """Whether a *native* (numba or C) advance loop is active.
 
-    With only the interpreted loop on offer the ``montecarlo`` engine runs
-    the numpy step path, and ``ensemble-jit`` still works but advertises
-    ``available=False``, so ``auto`` selection prefers ``ensemble``.
+    With only the interpreted loop on offer every Monte-Carlo run gives the
+    same events at Python speed.
     """
     try:
         return jit_backend() != BACKEND_PYTHON

@@ -33,16 +33,18 @@ derived potentials equal the speculated ones byte for byte, so discovery
 order, the resync counter and the memo cap behave exactly as with one lazy
 evaluation per discovery.
 
-On top of the scalar path sits the **ensemble mode**
-(:meth:`MonteCarloKernel.step_ensemble`): ``R`` independent replicas advance
-one event each per macro-step, with waiting times, event selection and state
-updates executed as batched NumPy operations over all replicas.  Replicas in
-the same charge configuration share one memoised :class:`_RateEntry`, so the
-rate-table cost is paid once per *configuration* rather than once per
-replica, and the per-event Python overhead is amortised over the whole
-ensemble.  A single-replica ensemble consumes the block random buffers in
-exactly the scalar order, so ``R = 1`` reproduces the scalar path event
-for event — the correctness anchor the test-suite enforces.
+Runs without charge traps or per-event hooks go through
+:meth:`MonteCarloKernel.run_phases`: the advance loop of
+:mod:`repro.montecarlo.jit` (numba, C, or the interpreted reference loop,
+whichever :func:`~repro.montecarlo.jit.resolve_advance` loads) advances
+``R`` replicas one after another — a trajectory is a one-replica ensemble —
+over dense mirrors of the memoised entries.  Replicas in the same charge
+configuration share one :class:`_RateEntry`, so the rate-table cost is paid
+once per *configuration* rather than once per replica.  The loop consumes
+the block random buffers exactly as :meth:`MonteCarloKernel.step` does, so
+a single-replica run replays the step path event for event — the
+correctness anchor the test-suite enforces.  :meth:`~MonteCarloKernel.step`
+itself remains the loop for charge traps and per-event hooks.
 
 The kernel is deliberately separated from the user-facing
 :class:`~repro.montecarlo.simulator.MonteCarloSimulator` so the same stepping
@@ -63,6 +65,7 @@ from ..errors import SimulationError
 from .cotunneling import CotunnelTable, enumerate_cotunnel_candidates
 from .events import CotunnelCandidate, TrapCandidate, TunnelCandidate
 from .jit import (
+    BACKEND_PYTHON,
     FREG_DURATION,
     FREG_SIZE,
     IREG_SIZE,
@@ -76,6 +79,7 @@ from .jit import (
     STATUS_NEED_EXP,
     STATUS_NEED_LINK,
     STATUS_NEED_UNIFORM,
+    resolve_advance,
 )
 from .state import EnsembleState, SimulationState
 
@@ -96,32 +100,6 @@ class KernelStep:
     waiting_time: float
     candidate: Candidate
     total_rate: float
-
-
-@dataclass(slots=True)
-class EnsembleStep:
-    """Outcome of one batched macro-step over all replicas.
-
-    Attributes
-    ----------
-    waiting_times:
-        ``(R,)`` waiting time each replica advanced by an executed event this
-        macro-step (0 for replicas that were inactive, blockaded, or whose
-        drawn waiting time exceeded the budget).
-    event_indices:
-        ``(R,)`` flat event index executed per replica (the kernel's
-        tunnel-then-cotunnel order), ``-1`` when no event was applied.
-    total_rates:
-        ``(R,)`` total escape rate of each replica's configuration before
-        the step.
-    advanced:
-        Number of replicas that executed an event.
-    """
-
-    waiting_times: np.ndarray
-    event_indices: np.ndarray
-    total_rates: np.ndarray
-    advanced: int
 
 
 class PhaseRecord:
@@ -164,12 +142,12 @@ class _EnsembleCursor:
 
     ``slots[r]`` is the index of replica ``r``'s configuration in
     ``entries``; ``slot_of`` maps ``id(entry)`` back to a slot so successor
-    configurations discovered during stepping are registered once.  The
+    configurations discovered during a run are registered once.  The
     per-slot data (total rates, cumulative tables, last-selectable indices,
-    successor slots) is mirrored into dense arrays so a macro-step needs no
-    Python loop over replicas or configurations: event selection is one
-    broadcast comparison against the gathered cumulative rows and successor
-    lookup one 2-D gather, with a slow-path resolution only the first time a
+    successor slots, configurations) is mirrored into dense arrays, which
+    are what the advance loop reads: it selects events from a slot's
+    cumulative row and follows ``successor_slots``, returning to Python
+    (:meth:`MonteCarloKernel._link_compiled`) only the first time a
     (configuration, event) transition is taken.  The mirrors grow by
     capacity doubling and survive :meth:`reset`, so the compiled loop keeps
     receiving the same array objects; only rows of registered slots are
@@ -316,18 +294,16 @@ class MonteCarloKernel:
         Number of incrementally-derived configurations between full
         island-potential re-solves (bounds floating-point drift).  ``1``
         re-solves for every new configuration.
-    jit:
-        Enable the compiled advance loop (:mod:`repro.montecarlo.jit`) for
-        :meth:`run_phases`.  ``True`` picks the best available backend
-        (numba, then C, then the interpreted reference loop); a string pins
-        one backend by name.
+
+    :meth:`run_phases` runs the advance loop that
+    :func:`~repro.montecarlo.jit.resolve_advance` loads (``REPRO_JIT_BACKEND``
+    picks it); :meth:`step` is the per-event loop.
     """
 
     def __init__(self, circuit: Circuit, temperature: float,
                  rng: np.random.Generator,
                  include_cotunneling: bool = False,
-                 resync_interval: int = 1024,
-                 jit: Union[bool, str] = False) -> None:
+                 resync_interval: int = 1024) -> None:
         if temperature < 0.0:
             raise SimulationError("temperature must be non-negative")
         if resync_interval < 1:
@@ -378,21 +354,14 @@ class MonteCarloKernel:
                                       for c in range(self._n_cot)]
         self._event_transfers = [candidate.charge_transfers()
                                  for candidate in self._event_candidates]
-        # Dense per-event matrices for the ensemble path: row k of
-        # ``_delta_n_matrix`` updates all islands of event k at once, row k of
+        # Dense per-event matrices: row k of ``_delta_phi_matrix`` is event
+        # k's potential change (speculated successors), row k of
         # ``_transfer_matrix`` its per-junction electron-transfer tally (the
         # circuit's junction order, matching EnsembleState.junction_names).
-        n_islands = self.model.island_count
         self._junction_order = {junction.name: column for column, junction
                                 in enumerate(circuit.junctions())}
-        if self._n_events:
-            self._delta_n_matrix = np.vstack(
-                [np.asarray(delta, dtype=np.int64)
-                 for delta in self._event_delta_n])
-            self._delta_phi_matrix = np.vstack(self._event_delta_phi)
-        else:
-            self._delta_n_matrix = np.zeros((0, n_islands), dtype=np.int64)
-            self._delta_phi_matrix = np.zeros((0, n_islands))
+        self._delta_phi_matrix = np.vstack(self._event_delta_phi) \
+            if self._n_events else np.zeros((0, self.model.island_count))
         self._transfer_matrix = np.zeros(
             (self._n_events, len(self._junction_order)), dtype=float)
         #: ``k + 1`` per rate-table column (last positive-rate lookups).
@@ -415,8 +384,8 @@ class MonteCarloKernel:
         #: Memoised :class:`_RateEntry` per (configuration, trap occupation).
         self._rate_cache: dict = {}
         self._rate_cache_limit = 65536
-        # Bumped on every cache clear so ensemble cursors (which hold direct
-        # entry references) can detect staleness in O(1).
+        # Bumped on every cache clear so cursors (which hold direct entry
+        # references) can detect staleness in O(1).
         self._cache_epoch = 0
         # Block-drawn randoms (consumed left to right, refilled on demand).
         self._exp_buffer = np.empty(0)
@@ -425,14 +394,8 @@ class MonteCarloKernel:
         self._uniform_position = 0
         self._random_block = 4096
 
-        # ------------------------------------------------ compiled backend
-        self._jit_backend: Optional[str] = None
-        self._jit_advance = None
-        if jit:
-            from .jit import resolve_advance
-
-            requested = None if jit is True else str(jit)
-            self._jit_backend, self._jit_advance = resolve_advance(requested)
+        # ---------------------------------------------------- advance loop
+        self._jit_backend, self._jit_advance = resolve_advance()
         # Native-call arguments kept across calls: the C shim re-reads an
         # argument's address only when a different array object arrives.
         self._ireg = np.zeros(IREG_SIZE, dtype=np.int64)
@@ -440,19 +403,14 @@ class MonteCarloKernel:
         self._phase_record: Optional[PhaseRecord] = None
 
     @property
-    def jit_backend(self) -> Optional[str]:
-        """Name of the active compiled backend, or ``None`` when disabled."""
+    def jit_backend(self) -> str:
+        """Name of the backend :meth:`run_phases` runs on."""
         return self._jit_backend
-
-    @property
-    def jit_enabled(self) -> bool:
-        """Whether :meth:`run_phases` works."""
-        return self._jit_advance is not None
 
     # ---------------------------------------------------------------- caches
 
     def _clear_rate_cache(self) -> None:
-        """Drop all memoised rate entries and invalidate ensemble cursors."""
+        """Drop all memoised rate entries and invalidate cursors."""
         self._rate_cache.clear()
         self._cache_epoch += 1
 
@@ -517,41 +475,6 @@ class MonteCarloKernel:
             position = 0
         self._uniform_position = position + 1
         return float(self._uniform_buffer[position])
-
-    def _drain_buffer(self, sampler, buffer_name: str, position_name: str,
-                      count: int) -> np.ndarray:
-        """``count`` variates from a block buffer, refilling with ``sampler``.
-
-        Consumes the same stream as the scalar one-at-a-time accessors in
-        the same order (including the block refill pattern for ``count`` up
-        to the block size), which is what makes a single-replica ensemble
-        replay the scalar fast path exactly.
-        """
-        out = np.empty(count)
-        filled = 0
-        buffer = getattr(self, buffer_name)
-        position = getattr(self, position_name)
-        while filled < count:
-            if position >= buffer.size:
-                buffer = sampler(max(self._random_block, count - filled))
-                setattr(self, buffer_name, buffer)
-                position = 0
-            take = min(buffer.size - position, count - filled)
-            out[filled:filled + take] = buffer[position:position + take]
-            position += take
-            filled += take
-        setattr(self, position_name, position)
-        return out
-
-    def _draw_exponentials(self, count: int) -> np.ndarray:
-        """``count`` standard-exponential variates from the block buffer."""
-        return self._drain_buffer(self.rng.standard_exponential,
-                                  "_exp_buffer", "_exp_position", count)
-
-    def _draw_uniforms(self, count: int) -> np.ndarray:
-        """``count`` standard-uniform variates from the block buffer."""
-        return self._drain_buffer(self.rng.random,
-                                  "_uniform_buffer", "_uniform_position", count)
 
     # ------------------------------------------------------------------ rates
 
@@ -822,7 +745,7 @@ class MonteCarloKernel:
         return KernelStep(waiting_time=waiting, candidate=chosen,
                           total_rate=total_rate)
 
-    # ------------------------------------------------------------- ensembles
+    # --------------------------------------------------------------- cursors
 
     def _ensure_cursor(self, ensemble: EnsembleState) -> _EnsembleCursor:
         """Resolve (or revalidate) the slot/entry mapping of an ensemble.
@@ -883,188 +806,7 @@ class MonteCarloKernel:
         cursor.seen = electrons.tobytes()
         return cursor
 
-    def step_ensemble(self, ensemble: EnsembleState,
-                      max_waiting_time=None,
-                      active: Optional[np.ndarray] = None) -> EnsembleStep:
-        """Advance every (active) replica by at most one event, batched.
-
-        Per macro-step each replica's memoised rate table is gathered through
-        the cursor's slot mapping (replicas in the same configuration share
-        one :class:`_RateEntry`), then exponential waiting times, event
-        selection (grouped ``searchsorted`` per distinct configuration) and
-        all state updates run as array operations over the whole ensemble.
-
-        Parameters
-        ----------
-        ensemble:
-            The batched replica state, advanced in place.
-        max_waiting_time:
-            Optional per-macro-step time budget — a scalar applied to every
-            replica or a ``(R,)`` array of per-replica budgets.  Replicas
-            whose drawn waiting time exceeds their budget only advance their
-            clock by the budget (no event is applied), exactly like the
-            scalar path.
-        active:
-            Optional ``(R,)`` boolean mask; inactive replicas are left
-            untouched (no clock advance, no random draws).
-
-        Returns the per-replica :class:`EnsembleStep` outcome.
-        """
-        if self._n_traps:
-            raise SimulationError(
-                "ensemble stepping does not support charge traps; use the "
-                "scalar step() path for telegraph-noise simulations")
-
-        circuit = self.circuit
-        if self._voltages is None or circuit.bias_version != self._bias_version:
-            self._refresh_bias()
-        if self._offsets is None or \
-                circuit.charge_version != self._offsets_version:
-            self._refresh_offsets(_TRAPLESS)
-        cursor = self._ensure_cursor(ensemble)
-
-        replicas = ensemble.replica_count
-        slots = cursor.slots
-        totals = cursor.totals[slots]
-
-        budgets: Optional[np.ndarray] = None
-        if max_waiting_time is not None:
-            budgets = np.broadcast_to(
-                np.asarray(max_waiting_time, dtype=float), (replicas,))
-
-        if active is None:
-            unblocked = None          # the common case: everyone can move
-            positive = totals > 0.0
-            if not positive.all():
-                unblocked = np.nonzero(positive)[0]
-                blocked = np.nonzero(~positive)[0]
-                # Blockaded replicas burn their whole time budget, as in the
-                # scalar path (no randoms are consumed for them).
-                if budgets is not None:
-                    ensemble.times[blocked] += budgets[blocked]
-        else:
-            active_indices = np.nonzero(np.asarray(active, dtype=bool))[0]
-            active_positive = totals[active_indices] > 0.0
-            unblocked = active_indices[active_positive]
-            blocked = active_indices[~active_positive]
-            if blocked.size and budgets is not None:
-                ensemble.times[blocked] += budgets[blocked]
-
-        waiting_times = np.zeros(replicas)
-        event_indices = np.full(replicas, -1, dtype=np.int64)
-        advanced = 0
-        count = replicas if unblocked is None else int(unblocked.size)
-        if count:
-            exps = self._draw_exponentials(count)
-            if unblocked is None:
-                waits = exps / totals
-            else:
-                waits = exps / totals[unblocked]
-            proceed: Optional[np.ndarray]
-            if budgets is None:
-                proceed = unblocked
-                proceed_waits = waits
-            else:
-                unblocked_budgets = budgets if unblocked is None \
-                    else budgets[unblocked]
-                over = waits > unblocked_budgets
-                if over.any():
-                    censored = np.nonzero(over)[0] if unblocked is None \
-                        else unblocked[over]
-                    ensemble.times[censored] += unblocked_budgets[over]
-                    proceed = np.nonzero(~over)[0] if unblocked is None \
-                        else unblocked[~over]
-                    proceed_waits = waits[~over]
-                else:
-                    proceed = unblocked
-                    proceed_waits = waits
-            proceed_count = replicas if proceed is None else int(proceed.size)
-            if proceed_count:
-                uniforms = self._draw_uniforms(proceed_count)
-                if proceed is None:
-                    proceed_slots = slots
-                    thresholds = uniforms * totals
-                else:
-                    proceed_slots = slots[proceed]
-                    thresholds = uniforms * totals[proceed]
-                # Event selection: one broadcast comparison against the
-                # gathered cumulative rows — ``count(cum <= threshold)`` is
-                # exactly ``searchsorted(cum, threshold, side="right")`` —
-                # clamped to the last positive-rate event as in the scalar
-                # path.
-                rows = cursor.cumulative[proceed_slots]
-                chosen = np.sum(rows <= thresholds[:, None], axis=1)
-                np.minimum(chosen, cursor.last_selectable[proceed_slots],
-                           out=chosen)
-
-                successor = cursor.successor_slots[proceed_slots, chosen]
-                missing = successor < 0
-                if missing.any():
-                    self._link_successors(cursor, proceed_slots, chosen,
-                                          successor, missing)
-                if proceed is None:
-                    cursor.slots = successor
-                    ensemble.electrons += self._delta_n_matrix[chosen]
-                    ensemble.electron_transfers += self._transfer_matrix[chosen]
-                    ensemble.times += proceed_waits
-                    ensemble.event_counts += 1
-                    waiting_times = proceed_waits
-                    event_indices = chosen
-                else:
-                    cursor.slots[proceed] = successor
-                    ensemble.electrons[proceed] += self._delta_n_matrix[chosen]
-                    ensemble.electron_transfers[proceed] += \
-                        self._transfer_matrix[chosen]
-                    ensemble.times[proceed] += proceed_waits
-                    ensemble.event_counts[proceed] += 1
-                    waiting_times[proceed] = proceed_waits
-                    event_indices[proceed] = chosen
-                advanced = proceed_count
-
-        cursor.seen = ensemble.electrons.tobytes()
-        return EnsembleStep(waiting_times=waiting_times,
-                            event_indices=event_indices,
-                            total_rates=totals, advanced=advanced)
-
-    def _link_successors(self, cursor: _EnsembleCursor, slots: np.ndarray,
-                         chosen: np.ndarray, successor: np.ndarray,
-                         missing: np.ndarray) -> None:
-        """Resolve not-yet-linked (configuration, event) transitions.
-
-        Each distinct missing pair is resolved once through the memoised
-        entry graph (:meth:`_descend`), registered as a cursor slot and
-        written into the dense successor matrix; ``successor`` is patched in
-        place.  After the first few macro-steps of a stationary run every
-        transition is linked and this slow path is never entered.
-        """
-        pairs = slots[missing] * self._n_events + chosen[missing]
-        unique_pairs, inverse = np.unique(pairs, return_inverse=True)
-        resolved = np.empty(unique_pairs.size, dtype=np.int64)
-        for position, pair in enumerate(unique_pairs):
-            slot, event = divmod(int(pair), self._n_events)
-            parent = cursor.entries[slot]
-            child = parent.successors[event]
-            if child is None:
-                child = self._descend(parent, event, _TRAPLESS)
-                parent.successors[event] = child
-            resolved[position] = cursor.register(child)
-        cursor.refresh()
-        for position, pair in enumerate(unique_pairs):
-            slot, event = divmod(int(pair), self._n_events)
-            cursor.successor_slots[slot, event] = resolved[position]
-        successor[missing] = resolved[inverse.reshape(-1)]
-
-    # ------------------------------------------------------- compiled runs
-
-    def disable_jit(self) -> None:
-        """Drop this kernel to the interpreted step path permanently.
-
-        Called by the simulator's fault recovery when a compiled run raises:
-        the kernel state is untouched by a failed compiled call, so the
-        interpreted path continues the same trajectory, and disabling the
-        advance loop keeps one bad kernel from failing on every later call.
-        """
-        self._jit_advance = None
+    # ---------------------------------------------------------- phased runs
 
     def _link_compiled(self, cursor: _EnsembleCursor, slot: int,
                        event: int) -> None:
@@ -1097,12 +839,12 @@ class MonteCarloKernel:
 
     def run_phases(self, ensemble: EnsembleState, record: PhaseRecord,
                    duration: Optional[float] = None) -> None:
-        """Advance every replica through a phased compiled run, in place.
+        """Advance every replica through a phased run of the advance loop.
 
         Replicas run through ``record.schedule`` phase-major (every replica
         finishes phase ``p`` before any starts ``p + 1``), each to its own
         per-phase event budget or ``duration``, sharing the memoised rate
-        tables and the block random buffers.  One native call advances the
+        tables and the block random buffers.  One backend call advances the
         whole schedule, updating the cursor slots, ``ensemble.times``,
         ``event_counts`` and ``electron_transfers`` in place and
         snapshotting them into ``record`` at every phase boundary; ``record``
@@ -1111,48 +853,70 @@ class MonteCarloKernel:
         re-entered with the updated buffers and cursor arrays (re-fetched per
         call because :meth:`_EnsembleCursor.refresh` may grow them); the
         registers resume the interrupted replica mid-event.  Refills
-        replicate the scalar accessors exactly (one ``_random_block`` draw at
-        the consumption point), so a single-replica ensemble replays the
-        scalar :meth:`step` trajectory event for event.
+        replicate the :meth:`step` accessors exactly (one ``_random_block``
+        draw at the consumption point), so a single-replica ensemble replays
+        the :meth:`step` trajectory event for event.
 
-        If a re-entry raises, the interrupted replica's transfer row is
-        restored from its phase-start snapshot, so every replica is left
-        exactly at the phase boundary recorded by ``record.phase``/
-        ``record.replica``.
+        The run starts from the phase boundary ``record.phase``/
+        ``record.replica`` (zero for a fresh :meth:`phase_record`).  If a
+        native backend raises, every replica is left at the boundary those
+        two then record (the interrupted replica's transfer row restored
+        from its phase-start snapshot); the kernel swaps in the interpreted
+        loop for good, emits a ``jit.run_compiled`` / ``fallback:python``
+        degradation and resumes from that boundary on the same random
+        stream.  The ``jit.run_compiled`` fault site fires at the entry of a
+        native run only.
         """
-        from ..resilience.faults import inject
-
-        inject("jit.run_compiled")
-        if self._jit_advance is None:
-            raise SimulationError(
-                "compiled stepping is disabled; construct the kernel with "
-                "jit=True (or a backend name)")
         if self._n_traps:
             raise SimulationError(
-                "compiled stepping does not support charge traps; use the "
-                "scalar step() path for telegraph-noise simulations")
+                "the advance loop does not support charge traps; use the "
+                "step() path for telegraph-noise simulations")
         self._refresh_bias()
         self._refresh_offsets(_TRAPLESS)
         cursor = self._ensure_cursor(ensemble)
         # The native loop writes through raw addresses: hand it contiguous
         # arrays of the exact dtypes (a no-op for kernel-built ensembles).
-        times = ensemble.times = np.ascontiguousarray(ensemble.times,
-                                                      dtype=float)
-        counts = ensemble.event_counts = np.ascontiguousarray(
-            ensemble.event_counts, dtype=np.int64)
-        transfers = ensemble.electron_transfers = np.ascontiguousarray(
+        ensemble.times = np.ascontiguousarray(ensemble.times, dtype=float)
+        ensemble.event_counts = np.ascontiguousarray(ensemble.event_counts,
+                                                     dtype=np.int64)
+        ensemble.electron_transfers = np.ascontiguousarray(
             ensemble.electron_transfers, dtype=float)
-        if record.times.shape[1] != times.shape[0] or \
-                record.transfers.shape[2] != transfers.shape[1]:
+        replicas, junctions = ensemble.electron_transfers.shape
+        if record.transfers.shape[1:] != (replicas, junctions):
             raise SimulationError(
                 f"phase record for {record.times.shape[1]} replica(s) and "
                 f"{record.transfers.shape[2]} junction(s) cannot snapshot "
-                f"{times.shape[0]} replica(s) and {transfers.shape[1]}")
+                f"{replicas} replica(s) and {junctions}")
+        try:
+            if self._jit_backend != BACKEND_PYTHON:
+                from ..resilience.faults import inject
+
+                inject("jit.run_compiled")
+            self._advance(cursor, ensemble, record, duration)
+        except Exception as error:
+            if self._jit_backend == BACKEND_PYTHON:
+                raise
+            from ..resilience.events import emit_degradation
+
+            self._jit_backend, self._jit_advance = \
+                resolve_advance(BACKEND_PYTHON)
+            emit_degradation("jit.run_compiled", "fallback:python",
+                             repr(error))
+            self._advance(cursor, ensemble, record, duration)
+
+    def _advance(self, cursor: _EnsembleCursor, ensemble: EnsembleState,
+                 record: PhaseRecord, duration: Optional[float]) -> None:
+        """The backend calls of :meth:`run_phases`, from ``record``'s boundary."""
         slots = cursor.slots
+        times = ensemble.times
+        counts = ensemble.event_counts
+        transfers = ensemble.electron_transfers
         ireg = self._ireg
         freg = self._freg
         ireg.fill(0)
         freg.fill(0.0)
+        ireg[REG_PHASE] = record.phase
+        ireg[REG_REPLICA] = record.replica
         ireg[REG_EXP_POS] = self._exp_position
         ireg[REG_UNI_POS] = self._uniform_position
         freg[FREG_DURATION] = np.inf if duration is None else float(duration)
@@ -1186,7 +950,7 @@ class MonteCarloKernel:
                 transfers[record.replica] = \
                     record.transfers[record.phase, record.replica]
             # Finished phases keep their progress even if a re-entry
-            # raised, so the interpreted fallback continues from them.
+            # raised, so a resumed run continues from them.
             ensemble.electrons[:] = cursor.configurations[slots]
             cursor.seen = ensemble.electrons.tobytes()
 
@@ -1201,4 +965,4 @@ class MonteCarloKernel:
         return sampler(self._random_block)
 
 
-__all__ = ["Candidate", "EnsembleStep", "KernelStep", "MonteCarloKernel"]
+__all__ = ["Candidate", "KernelStep", "MonteCarloKernel"]

@@ -18,15 +18,17 @@ alike; the sweep keeps every point's phase boundaries in one
 once over all points (:func:`~repro.montecarlo.observables.block_estimates`
 or :func:`~repro.montecarlo.observables.replica_estimates`).
 
-Statistics are batched too: :meth:`MonteCarloSimulator.run_ensemble` advances
-``R`` independent replicas through the kernel's batched
-:meth:`~repro.montecarlo.kernel.MonteCarloKernel.step_ensemble`, so every
-consumer that needs error bars (stationary currents, sweeps, noise floors)
-pays the Python event-loop overhead once per *macro-step* instead of once per
-event per replica.  The replica spread then replaces single-trajectory block
-averaging for the standard error (``stationary_current(replicas=R)``,
-``sweep_source(ensemble=R)``); block averaging is kept as the reference
-estimator.
+Every run without charge traps or per-event hooks — :meth:`run`,
+:meth:`run_ensemble`, :meth:`stationary_current` and :meth:`sweep_source`,
+one trajectory or ``R`` replicas — is one call of the kernel's advance loop
+(:meth:`~repro.montecarlo.kernel.MonteCarloKernel.run_phases`), on whichever
+backend :func:`~repro.montecarlo.jit.resolve_advance` loads.  An ensemble's
+replica spread replaces single-trajectory block averaging for the standard
+error (``stationary_current(replicas=R)``, ``sweep_source(ensemble=R)``);
+block averaging is kept as the reference estimator.  Charge traps, event
+records and occupation statistics run the per-event
+:meth:`~repro.montecarlo.kernel.MonteCarloKernel.step` loop, which the
+advance loop replays event for event.
 """
 
 from __future__ import annotations
@@ -152,35 +154,30 @@ class MonteCarloSimulator:
         deliberately build pathological circuits).
     resync_interval:
         New configurations between full island-potential re-solves.
-    jit:
-        Route trap-free, record-free runs through the kernel's compiled
-        advance loop (:mod:`repro.montecarlo.jit`).  ``True`` picks the
-        best available backend; a string pins one by name.  The compiled
-        paths replay the numpy step path event for event, so results are
-        bit-identical at any given seed.
+
+    ``REPRO_JIT_BACKEND`` picks the backend of the advance loop (see
+    :func:`~repro.montecarlo.jit.resolve_advance`); every backend replays
+    the same events, so seeded results do not depend on it.
     """
 
     def __init__(self, circuit: Circuit, temperature: float,
                  seed: Optional[int] = None,
                  include_cotunneling: bool = False,
                  validate: bool = True,
-                 resync_interval: int = 1024,
-                 jit: "bool | str" = False) -> None:
+                 resync_interval: int = 1024) -> None:
         if validate:
             validate_circuit(circuit).raise_if_invalid()
         self.circuit = circuit
         self.temperature = float(temperature)
         self.seed = seed
-        self.jit = jit
         self.rng = np.random.default_rng(seed)
         self.kernel = MonteCarloKernel(circuit, temperature, self.rng,
                                        include_cotunneling=include_cotunneling,
-                                       resync_interval=resync_interval,
-                                       jit=jit)
+                                       resync_interval=resync_interval)
         #: Transfer column of each junction (the circuit's junction order).
         self._junction_column = {junction.name: column for column, junction
                                  in enumerate(circuit.junctions())}
-        #: One-replica ensemble a trajectory's compiled runs go through.
+        #: One-replica ensemble a trajectory's advance-loop runs go through.
         self._trajectory: Optional[EnsembleState] = None
 
     # ------------------------------------------------------------------- runs
@@ -226,12 +223,12 @@ class MonteCarloSimulator:
             raise SimulationError("specify max_events and/or duration")
         if state is None:
             state = self.new_state()
-        if record_events or occupation is not None or not self._compiled():
-            # Per-event hooks, traps or the numpy kernel: the step loop.
+        if record_events or occupation is not None or self.kernel.traps:
+            # Per-event hooks or traps: the step loop.
             return self._run_interpreted(state, max_events, duration,
                                          record_events, occupation)
-        # Compiled fast path: same trajectory, same random stream, no
-        # per-event Python (and the step loop after a kernel fault).
+        # The advance loop: same trajectory, same random stream, no
+        # per-event Python.
         start_time = state.time
         start_events = state.event_count
         self._run_phases(state, [_budget(max_events)], duration)
@@ -244,17 +241,6 @@ class MonteCarloSimulator:
             trap_flips=0,
         )
 
-    def _compiled(self) -> bool:
-        """Whether runs go through the kernel's compiled advance loop."""
-        return self.kernel.jit_enabled and not self.kernel.traps
-
-    def _fall_back(self, error: Exception) -> None:
-        """Drop to the interpreted path after a compiled-kernel fault."""
-        from ..resilience.events import emit_degradation
-
-        self.kernel.disable_jit()
-        emit_degradation("jit.run_compiled", "fallback:numpy", repr(error))
-
     def _run_phases(self, state: "SimulationState | EnsembleState",
                     schedule: Sequence[int],
                     duration: Optional[float] = None) -> PhaseRecord:
@@ -265,59 +251,44 @@ class MonteCarloSimulator:
         elapsed, or a blockade), phase-major; the returned record holds the
         clocks, event counts and per-junction transfers at every phase
         boundary — an ensemble's absolute counters, a trajectory's counts
-        and transfers relative to the start.  With the compiled kernel the
-        whole schedule is one native call (a trajectory runs as a
-        one-replica ensemble, which replays it bit for bit).  Otherwise —
-        numpy kernel, charge traps, or after a compiled-kernel fault, from
-        the phase boundary each replica reached — the interpreted loops
-        (:meth:`_run_interpreted` for a trajectory,
-        :meth:`_advance_ensemble_interpreted` for an ensemble) run the
-        remaining phases one by one and fill the same record.
+        and transfers relative to the start.  The whole schedule is one
+        :meth:`~repro.montecarlo.kernel.MonteCarloKernel.run_phases` call (a
+        trajectory runs as a one-replica ensemble, which replays it bit for
+        bit); a trajectory with charge traps runs :meth:`_step_phases`.
         """
-        scalar = isinstance(state, SimulationState)
-        if scalar:
-            junctions = list(self._junction_column)
-            start_events = state.event_count
-            start_transfers = [state.electron_transfers[name]
-                               for name in junctions]
-            record = self.kernel.phase_record(schedule)
-            record.store(0, state.time, 0, 0.0)
-        else:
+        if isinstance(state, EnsembleState):
             record = self.kernel.phase_record(schedule, state.replica_count)
             record.store(0, state.times, state.event_counts,
                          state.electron_transfers)
-        if self._compiled():
-            run = self._as_ensemble(state) if scalar else state
-            try:
-                self.kernel.run_phases(run, record, duration)
-            except Exception as error:
-                # Every replica is left at the last phase boundary it
-                # reached; the interpreted loop continues from there.
-                self._fall_back(error)
-            else:
-                return record
-            finally:
-                if scalar:
-                    self._commit(run, state)
-        for phase in range(record.phase, len(schedule)):
-            budget = int(record.schedule[phase])
-            if scalar:
-                self._run_interpreted(state, budget, duration)
-                tallies = state.electron_transfers
-                record.store(phase + 1, state.time,
-                             state.event_count - start_events,
-                             [tallies[name] - start
-                              for name, start in zip(junctions,
-                                                     start_transfers)])
-            else:
-                # Budgets are metered from each replica's phase-start row,
-                # so replicas that already finished this phase natively
-                # stay put.
-                self._advance_ensemble_interpreted(
-                    state, budget, duration, record.times[phase],
-                    record.counts[phase])
-                record.store(phase + 1, state.times, state.event_counts,
-                             state.electron_transfers)
+            self.kernel.run_phases(state, record, duration)
+            return record
+        if self.kernel.traps:
+            return self._step_phases(state, schedule, duration)
+        record = self.kernel.phase_record(schedule)
+        record.store(0, state.time, 0, 0.0)
+        run = self._as_ensemble(state)
+        try:
+            self.kernel.run_phases(run, record, duration)
+        finally:
+            self._commit(run, state)
+        return record
+
+    def _step_phases(self, state: SimulationState, schedule: Sequence[int],
+                     duration: Optional[float] = None) -> PhaseRecord:
+        """:meth:`_run_phases` of a trajectory, phase by phase on the step loop."""
+        record = self.kernel.phase_record(schedule)
+        record.store(0, state.time, 0, 0.0)
+        junctions = list(self._junction_column)
+        start_events = state.event_count
+        start_transfers = [state.electron_transfers[name]
+                           for name in junctions]
+        for phase, budget in enumerate(schedule):
+            self._run_interpreted(state, int(budget), duration)
+            tallies = state.electron_transfers
+            record.store(phase + 1, state.time,
+                         state.event_count - start_events,
+                         [tallies[name] - start
+                          for name, start in zip(junctions, start_transfers)])
         return record
 
     def _as_ensemble(self, state: SimulationState) -> EnsembleState:
@@ -425,10 +396,11 @@ class MonteCarloSimulator:
                      ) -> EnsembleResult:
         """Advance ``R`` independent replicas until each exhausts its budget.
 
-        The batched equivalent of :meth:`run`: every replica follows its own
+        The ensemble equivalent of :meth:`run`: every replica follows its own
         stochastic trajectory (all sharing the circuit, bias point and
-        memoised rate tables), advanced one event per macro-step through
-        :meth:`~repro.montecarlo.kernel.MonteCarloKernel.step_ensemble`.
+        memoised rate tables); the replicas run one after another through
+        the kernel's advance loop
+        (:meth:`~repro.montecarlo.kernel.MonteCarloKernel.run_phases`).
         Budgets apply per replica: each stops after ``max_events`` executed
         events and/or once its clock advances past ``duration`` seconds.
 
@@ -461,55 +433,6 @@ class MonteCarloSimulator:
         record = self._run_phases(ensemble, [_budget(max_events)], duration)
         return _phase_result(record, 0, ensemble)
 
-    def _advance_ensemble_interpreted(self, ensemble: EnsembleState,
-                                      max_events: int,
-                                      duration: Optional[float],
-                                      start_times: np.ndarray,
-                                      start_counts: np.ndarray) -> None:
-        """The batched :meth:`run_ensemble` loop over ``step_ensemble``."""
-        count = ensemble.replica_count
-        finished = np.zeros(count, dtype=bool)
-        step_ensemble = self.kernel.step_ensemble
-        stall_strikes = 0
-
-        if duration is None \
-                and bool((ensemble.event_counts == start_counts).all()):
-            # Lockstep fast path: with an event-only budget every unblocked
-            # replica executes exactly one event per macro-step, so no
-            # per-step budget bookkeeping (and no active mask) is needed
-            # until a replica blockades — then fall through to the general
-            # loop for the stragglers.  Skipped when a faulted compiled run
-            # already advanced some replicas: the general loop below meters
-            # the remaining per-replica budgets correctly.
-            executed = 0
-            while executed < max_events:
-                step = step_ensemble(ensemble)
-                if step.advanced < count:
-                    break
-                executed += 1
-
-        while True:
-            finished |= (ensemble.event_counts - start_counts) >= max_events
-            budgets = None
-            if duration is not None:
-                elapsed = ensemble.times - start_times
-                finished |= elapsed >= duration
-                budgets = duration - elapsed
-            if finished.all():
-                break
-            active = ~finished
-            step = step_ensemble(ensemble, max_waiting_time=budgets,
-                                 active=active)
-            if step.advanced == 0:
-                # Either every active replica is blockaded (T = 0) or the
-                # remaining time budgets round to nothing; as in the scalar
-                # run loop a few strikes end the run instead of spinning.
-                stall_strikes += 1
-                if stall_strikes > 3:
-                    break
-            else:
-                stall_strikes = 0
-
     # -------------------------------------------------------------- stationary
 
     def stationary_current(self, junction_name: str,
@@ -523,11 +446,10 @@ class MonteCarloSimulator:
         junction over the post-warm-up part of a single long trajectory,
         split into ``blocks`` equal event blocks for a standard-error
         estimate.  With ``replicas`` set, the total event budget is instead
-        spread over ``R`` independent replicas advanced in one batched
-        ensemble run, and the replica spread provides the error bar — same
-        physics, far less interpreter overhead, and no block-length
-        correlation caveat (block averaging remains available as the
-        reference estimator).
+        spread over ``R`` independent replicas advanced in one ensemble
+        run, and the replica spread provides the error bar — same physics
+        and no block-length correlation caveat (block averaging remains
+        available as the reference estimator).
 
         Parameters
         ----------
@@ -612,7 +534,7 @@ class MonteCarloSimulator:
             error or a broken pool propagates.
         ensemble:
             Optional replica count.  When set (>= 2), every bias point is
-            estimated from an ``R``-replica batched ensemble run (replica
+            estimated from an ``R``-replica ensemble run (replica
             spread for the error bar) instead of a single block-averaged
             trajectory; with ``warm_start`` the whole ensemble is carried
             from one bias point to the next.
@@ -679,8 +601,7 @@ class MonteCarloSimulator:
         simulator_args = dict(
             circuit=self.circuit.copy(), temperature=self.temperature,
             include_cotunneling=self.kernel.include_cotunneling,
-            validate=False, resync_interval=self.kernel.resync_interval,
-            jit=self.jit)
+            validate=False, resync_interval=self.kernel.resync_interval)
         parts = fan_out(functools.partial(_sweep_chunk, simulator_args,
                                           seeds, sweep_options), chunks)
         return (np.asarray(values, dtype=float),

@@ -7,9 +7,9 @@ Two state representations coexist:
   representation; every ensemble observable can be projected back onto it.
 * :class:`EnsembleState` — ``R`` independent replicas stored as 2-D arrays
   (``(R, islands)`` electron counts, ``(R, junctions)`` transfer tallies,
-  per-replica clocks and event counters), so the kernel can advance all
-  replicas per macro-step with batched NumPy operations
-  (:meth:`~repro.montecarlo.kernel.MonteCarloKernel.step_ensemble`).
+  per-replica clocks and event counters), the flat layout the kernel's
+  advance loop writes in place
+  (:meth:`~repro.montecarlo.kernel.MonteCarloKernel.run_phases`).
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class EnsembleState:
 
     All replicas share one circuit, one bias point and one kernel; only the
     stochastic degrees of freedom are replicated.  The layout is
-    structure-of-arrays so a macro-step touches each field once:
+    structure-of-arrays, which the advance loop updates in place:
 
     Attributes
     ----------
@@ -110,8 +110,8 @@ class EnsembleState:
         order).
     cursor:
         Opaque per-kernel bookkeeping (configuration slots and memo-entry
-        links) owned by :meth:`MonteCarloKernel.step_ensemble`; reset to
-        ``None`` by :meth:`copy`.
+        links) kept by :meth:`MonteCarloKernel.run_phases` between runs;
+        reset to ``None`` by :meth:`copy`.
     """
 
     times: np.ndarray
@@ -163,7 +163,7 @@ def initial_ensemble(circuit: Circuit, model: Optional[EnergyModel] = None,
     (broadcast to all replicas) or as an ``(R, islands)`` array of
     per-replica configurations.  Circuits with charge traps are rejected:
     per-replica trap occupation would break the shared offset-charge vector
-    the batched kernel relies on (use the scalar path for telegraph-noise
+    the advance loop relies on (use the scalar path for telegraph-noise
     studies).
     """
     if replicas < 1:

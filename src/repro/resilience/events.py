@@ -59,7 +59,7 @@ class DegradationEvent:
         ``"steadystate.splu"``).
     action:
         What was done about it (``"fallback:<rung>"``, ``"recover:serial"``,
-        ``"fallback:numpy"``, ...).
+        ``"fallback:python"``, ...).
     detail:
         Free-form context, typically the repr of the triggering exception.
     timestamp:

@@ -8,6 +8,7 @@ voltage 40 mV.
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
@@ -55,22 +56,20 @@ def build_set_circuit(drain_voltage: float = 0.0, gate_voltage: float = 0.0,
     return circuit
 
 
-def session_simulator(device: SETTransistor, drain_voltage: float, *, jit,
+def session_simulator(device: SETTransistor, drain_voltage: float, *,
                       temperature: float, seed: int):
     """A bare simulator on the circuit a bound Monte-Carlo session sweeps.
 
     ``simulator.sweep_source("VG", gates, "J_drain", max_events=...,
     warmup_events=..., warm_start=True)`` on it replays
     ``get_engine("montecarlo").bind(device, temperature=..., seed=...,
-    ...).sweep(SweepAxes(gates, drain_voltage))``, on the advance loop
-    ``jit`` names (``False``: the numpy step path; ``BACKEND_PYTHON``: the
-    interpreted loop) whichever loop the engine would pick.
+    ...).sweep(SweepAxes(gates, drain_voltage))``.
     """
     from repro.montecarlo import MonteCarloSimulator
 
     return MonteCarloSimulator(
         device.build_circuit(drain_voltage=drain_voltage),
-        temperature=temperature, seed=seed, jit=jit)
+        temperature=temperature, seed=seed)
 
 
 def build_double_dot_circuit(bias_voltage: float = 1e-3) -> Circuit:
@@ -87,6 +86,76 @@ def build_double_dot_circuit(bias_voltage: float = 1e-3) -> Circuit:
     circuit.add_capacitor("C_gate_a", "gate_a", "dot_a", 0.4e-18)
     circuit.add_capacitor("C_gate_b", "gate_b", "dot_b", 0.3e-18)
     return circuit
+
+
+@contextlib.contextmanager
+def interpreted_backend():
+    """Kernels built inside the block run the interpreted advance loop.
+
+    Sets ``REPRO_JIT_BACKEND=python`` and clears the backend resolution
+    cache, restoring both on exit; a kernel keeps the backend it resolved
+    at construction, so simulators built before or after the block keep
+    the active one.
+    """
+    from repro.montecarlo.jit import BACKEND_PYTHON, clear_backend_cache
+
+    previous = os.environ.get("REPRO_JIT_BACKEND")
+    os.environ["REPRO_JIT_BACKEND"] = BACKEND_PYTHON
+    clear_backend_cache()
+    try:
+        yield
+    finally:
+        if previous is None:
+            del os.environ["REPRO_JIT_BACKEND"]
+        else:
+            os.environ["REPRO_JIT_BACKEND"] = previous
+        clear_backend_cache()
+
+
+@pytest.fixture
+def python_backend():
+    """Run the test's Monte-Carlo kernels on the interpreted advance loop."""
+    with interpreted_backend():
+        yield
+
+
+def stepped_sweep(simulator, source: str, values, junction_name: str, *,
+                  max_events: int, warmup_events: int):
+    """A warm-started single-trajectory sweep on the per-event step loop.
+
+    Mirrors ``simulator.sweep_source(source, values, junction_name,
+    max_events=..., warmup_events=..., warm_start=True)``, but runs every
+    phase of every point (warm-up, then the estimator's blocks) as a
+    hooked ``run(..., record_events=True)``, which takes the
+    ``MonteCarloKernel.step`` loop.  The advance loop replays that loop
+    event for event, so at equal seeds the returned ``(currents,
+    stderrs)`` equal the plain sweep's bit for bit.
+    """
+    from repro.montecarlo.kernel import PhaseRecord
+    from repro.montecarlo.simulator import SWEEP_BLOCKS, _PointRecords
+
+    junctions = [junction.name for junction in simulator.circuit.junctions()]
+    records = _PointRecords(len(values), max_events, warmup_events,
+                            SWEEP_BLOCKS, None,
+                            junctions.index(junction_name))
+    state = None
+    for point, value in enumerate(values):
+        simulator.circuit.set_source_voltage(source, float(value))
+        if state is None:
+            state = simulator.new_state()
+        state.time = 0.0
+        start_events = state.event_count
+        start = [state.electron_transfers[name] for name in junctions]
+        record = PhaseRecord(records.schedule, 1, len(junctions))
+        for phase, budget in enumerate(records.schedule):
+            simulator.run(max_events=budget, state=state, record_events=True)
+            record.store(phase + 1, state.time,
+                         state.event_count - start_events,
+                         [state.electron_transfers[name] - before
+                          for name, before in zip(junctions, start)])
+        records.store(point, record)
+    estimates = records.estimates()
+    return estimates.means, estimates.stderrs
 
 
 @pytest.fixture

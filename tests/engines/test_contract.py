@@ -32,8 +32,8 @@ BIND_KWARGS = dict(temperature=TEMPERATURE, seed=123, max_events=400,
                    warmup_events=50, replicas=3)
 
 #: Every registered engine plus every retired name that still resolves: a
-#: spec may still carry ``montecarlo-jit``, so the protocol must hold
-#: through the alias too.
+#: spec may still carry ``montecarlo-jit`` or ``ensemble-jit``, so the
+#: protocol must hold through the aliases too.
 NAMES = [*engine_names(), *ENGINE_ALIASES]
 
 
@@ -267,8 +267,9 @@ class TestCrossEngineAgreement:
 
     def test_seeded_stochastic_engines_report_bit_identical_currents(
             self, device):
-        # Same (device, seed): the scalar engine and both ensemble engines
-        # at R = 1 all consume the random stream in the same order and
+        # Same (device, seed): the scalar engine and the ensemble engine
+        # (also through its retired name) at R = 1 all consume the random
+        # stream in the same order and
         # share the ratio-of-sums current estimator, so the reported means
         # are bit-identical — not merely statistically close.  (max_events
         # must divide evenly into the estimator's 10 blocks so scalar block
@@ -285,12 +286,10 @@ class TestCrossEngineAgreement:
 class TestEnsembleEquivalence:
     def test_r1_ensemble_replays_the_scalar_trajectory(self, device):
         # An R = 1 ensemble run through a protocol-bound simulator must
-        # replay the scalar fast path event for event (the ensemble
-        # engine's simulators run the numpy step path on every platform).
+        # replay the step loop event for event (a hooked run takes it).
         scalar = bind("ensemble", device).simulator
         batched = bind("ensemble", device).simulator
-        assert scalar.kernel.jit_backend is None
-        scalar_result = scalar.run(max_events=1_000)
+        scalar_result = scalar.run(max_events=1_000, record_events=True)
         ensemble_result = batched.run_ensemble(replicas=1, max_events=1_000)
         assert ensemble_result.event_counts[0] == scalar_result.event_count
         assert ensemble_result.durations[0] == \

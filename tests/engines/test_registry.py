@@ -158,12 +158,10 @@ class TestAutoSelectionTables:
             assert design_engine(name).name == name
 
     def test_scenario_auto_table(self):
-        from repro.montecarlo.jit import jit_compiled
         from repro.scenarios import Budget, ScenarioSpec, SweepAxis
         from repro.scenarios.engines import select_engine
         from repro.scenarios.registry import iter_scenarios
 
-        suffix = "-jit" if jit_compiled() else ""
         library = {scenario.spec.name: select_engine(scenario.spec)
                    for scenario in iter_scenarios()}
         assert library == {
@@ -197,59 +195,61 @@ class TestAutoSelectionTables:
         assert {rule: select_engine(spec) for rule, spec in rules.items()} \
             == {"deterministic": "master",
                 "stochastic": "montecarlo",
-                "replicas": "ensemble" + suffix,
+                "replicas": "ensemble",
                 "fast_sweep": "analytic"}
 
 
-class TestMonteCarloAlias:
-    """``montecarlo-jit`` resolves to ``montecarlo`` but is not listed."""
+ALIASES = [("montecarlo-jit", "montecarlo"), ("ensemble-jit", "ensemble")]
 
-    def test_alias_is_the_same_engine_object(self):
-        assert get_engine("montecarlo-jit") is get_engine("montecarlo")
 
-    def test_alias_is_accepted_by_specs_and_resolves_to_montecarlo(self):
+class TestMonteCarloAliases:
+    """The retired ``*-jit`` names resolve to their engines, unlisted."""
+
+    @pytest.mark.parametrize("alias, name", ALIASES)
+    def test_alias_is_the_same_engine_object(self, alias, name):
+        assert get_engine(alias) is get_engine(name)
+
+    @pytest.mark.parametrize("alias, name", ALIASES)
+    def test_alias_is_accepted_by_specs_and_resolves_to_its_engine(
+            self, alias, name):
         from repro.scenarios import ScenarioSpec
         from repro.scenarios.engines import select_engine
 
-        spec = ScenarioSpec(name="x", engine="montecarlo-jit")
-        assert spec.engine == "montecarlo-jit"
-        assert select_engine(spec) == "montecarlo"
+        spec = ScenarioSpec(name="x", engine=alias)
+        assert spec.engine == alias
+        assert select_engine(spec) == name
 
-    def test_alias_is_not_listed(self, capsys):
+    def test_aliases_are_not_listed(self, capsys):
         import json
 
         from repro.cli import main
 
-        assert engine_names() == ["analytic", "ensemble", "ensemble-jit",
-                                  "master", "montecarlo"]
-        assert "montecarlo-jit" not in [e.name for e in list_engines()]
+        engines = ["analytic", "ensemble", "master", "montecarlo"]
+        assert engine_names() == engines
         assert main(["engines", "--json"]) == 0
         listed = [entry["name"] for entry in json.loads(
             capsys.readouterr().out)]
-        assert listed == ["analytic", "ensemble", "ensemble-jit", "master",
-                          "montecarlo"]
+        assert listed == engines
 
 
-def test_montecarlo_sweep_is_the_numpy_sweep_bit_for_bit():
-    # Whichever advance loop the engine picked on this platform, a seeded
-    # sweep equals the numpy step path's.
+def test_montecarlo_sweep_is_the_step_sweep_bit_for_bit():
+    # Whichever backend runs the engine's advance loop, a seeded sweep
+    # equals the per-event step loop's.
     import numpy as np
 
     from repro.devices import SETTransistor
     from repro.engines import SweepAxes
 
-    from ..conftest import session_simulator
+    from ..conftest import session_simulator, stepped_sweep
 
     device = SETTransistor()
     axes = SweepAxes(np.linspace(0.0, device.gate_period, 17), 5e-3)
     result = get_engine("montecarlo").bind(
         device, temperature=1.0, seed=77, max_events=600,
         warmup_events=60).sweep(axes)
-    simulator = session_simulator(device, axes.drain_voltage, jit=False,
-                                  temperature=1.0, seed=77)
-    assert simulator.kernel.jit_backend is None
-    _, currents, stderrs = simulator.sweep_source(
-        "VG", axes.gates, "J_drain", max_events=600, warmup_events=60,
-        warm_start=True)
+    currents, stderrs = stepped_sweep(
+        session_simulator(device, axes.drain_voltage, temperature=1.0,
+                          seed=77),
+        "VG", axes.gates, "J_drain", max_events=600, warmup_events=60)
     assert np.array_equal(result.currents, currents)
     assert np.array_equal(result.stderrs, stderrs)

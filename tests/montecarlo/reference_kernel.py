@@ -126,9 +126,16 @@ class ReferenceKernel(MonteCarloKernel):
 def reference_simulator(circuit, temperature: float, seed=None,
                         include_cotunneling: bool = False
                         ) -> MonteCarloSimulator:
-    """A :class:`MonteCarloSimulator` stepping the scalar reference kernel."""
+    """A :class:`MonteCarloSimulator` stepping the scalar reference kernel.
+
+    Its trajectories run phase by phase on the reference ``step`` (the
+    advance loop would bypass it), so ``run``, ``stationary_current`` and
+    ``sweep_source`` all exercise the reference; ensembles are not
+    supported.
+    """
     simulator = MonteCarloSimulator(circuit, temperature, seed=seed,
                                     include_cotunneling=include_cotunneling)
     simulator.kernel = ReferenceKernel(circuit, temperature, simulator.rng,
                                        include_cotunneling=include_cotunneling)
+    simulator._run_phases = simulator._step_phases
     return simulator

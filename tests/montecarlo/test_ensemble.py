@@ -1,10 +1,10 @@
-"""Tests for the batched ensemble Monte-Carlo engine.
+"""Tests for the ensemble Monte-Carlo runs.
 
 The two anchors required by the ensemble design:
 
-* an ``R = 1`` ensemble must reproduce the scalar fast-path trajectory event
-  for event (waiting times, executed events, occupations) under a fixed
-  seed, and
+* an ``R = 1`` ensemble must reproduce the per-event step loop's trajectory
+  event for event (waiting times, executed events, occupations) under a
+  fixed seed, and
 * ensemble (replica-spread) current estimates must agree with the scalar
   block-averaged estimator within combined error bars on the reference SET.
 """
@@ -37,26 +37,25 @@ def make_simulator(seed=11, **kwargs):
 
 class TestSingleReplicaEquivalence:
     def test_trajectory_is_identical_event_for_event(self):
+        # One-event runs of an R = 1 ensemble against kernel.step: the
+        # block random buffers carry over between runs, so every event has
+        # the same waiting time, the same junction and the same occupation.
         scalar = make_simulator(seed=42)
         batched = make_simulator(seed=42)
         state = scalar.new_state()
         ensemble = batched.new_ensemble(1)
-        for _ in range(3_000):
+        columns = [ensemble.junction_column(name)
+                   for name in state.electron_transfers]
+        for _ in range(1_000):
             step = scalar.kernel.step(state)
-            ensemble_step = batched.kernel.step_ensemble(ensemble)
+            result = batched.run_ensemble(max_events=1, ensemble=ensemble)
             assert step is not None
-            assert ensemble_step.advanced == 1
-            # Same waiting time, same executed event, same occupation.
-            assert ensemble_step.waiting_times[0] == step.waiting_time
-            index = int(ensemble_step.event_indices[0])
-            assert batched.kernel._event_candidates[index].label \
-                == step.candidate.label
-            assert np.array_equal(ensemble.electrons[0], state.electrons)
+            assert int(result.event_counts[0]) == 1
             assert ensemble.times[0] == state.time
+            assert np.array_equal(ensemble.electrons[0], state.electrons)
+            assert ensemble.electron_transfers[0, columns].tolist() == \
+                list(state.electron_transfers.values())
         assert int(ensemble.event_counts[0]) == state.event_count
-        for name, transferred in state.electron_transfers.items():
-            column = ensemble.junction_column(name)
-            assert ensemble.electron_transfers[0, column] == transferred
 
     def test_run_ensemble_matches_scalar_run_totals(self):
         scalar = make_simulator(seed=9)
@@ -159,8 +158,8 @@ class TestEnsembleSweeps:
         assert dict(simulator.circuit.source_voltages()) == before
 
     def test_too_few_replicas_rejected(self):
-        # R = 1 is a legal (degenerate) ensemble since the compiled-kernel
-        # work — it replays the scalar path; only R < 1 is nonsensical.
+        # R = 1 is a legal (degenerate) ensemble — it replays the scalar
+        # path; only R < 1 is nonsensical.
         simulator = make_simulator(seed=2)
         with pytest.raises(SimulationError):
             simulator.sweep_source("VD", [0.05], "J_drain", ensemble=0)
@@ -247,23 +246,34 @@ class TestEnsembleStateAndGuards:
         simulator = make_simulator(seed=4)
         ensemble = simulator.new_ensemble(6)
         simulator.run_ensemble(ensemble=ensemble, max_events=100)
+        stale_epoch = ensemble.cursor.epoch
         simulator.circuit.set_source_voltage("VD", 0.08)
-        step = simulator.kernel.step_ensemble(ensemble)
-        assert step.advanced == 6
-        assert np.all(step.total_rates > 0.0)
+        result = simulator.run_ensemble(ensemble=ensemble, max_events=0)
+        assert np.all(result.event_counts == 0)
+        cursor = ensemble.cursor
+        assert cursor.epoch == simulator.kernel._cache_epoch != stale_epoch
+        # Every replica's escape rate is the new bias point's.
+        for replica in range(6):
+            _, rates = simulator.kernel.candidate_rates(
+                ensemble.replica_state(replica))
+            assert cursor.totals[cursor.slots[replica]] == \
+                pytest.approx(rates.sum(), rel=1e-12)
 
     def test_external_electron_mutation_is_detected(self):
         # EnsembleState.electrons is a public attribute; editing it between
-        # runs must re-key the cursor instead of silently stepping replicas
-        # with the rate tables of their old configurations.
+        # runs must re-key the cursor instead of silently running replicas
+        # with the rate tables of their old configurations (a run writes
+        # the cursor's configurations back, so a stale cursor would undo
+        # the edit).
         simulator = make_simulator(seed=6)
         ensemble = simulator.new_ensemble(4)
         simulator.run_ensemble(ensemble=ensemble, max_events=200)
         ensemble.electrons[0] += 3
-        simulator.kernel.step_ensemble(ensemble)
+        edited = ensemble.electrons.copy()
+        simulator.run_ensemble(ensemble=ensemble, max_events=0)
         cursor = ensemble.cursor
-        assert np.array_equal(cursor.configurations[cursor.slots],
-                              ensemble.electrons)
+        assert np.array_equal(ensemble.electrons, edited)
+        assert np.array_equal(cursor.configurations[cursor.slots], edited)
 
     def test_budget_requires_at_least_one_limit(self):
         simulator = make_simulator()

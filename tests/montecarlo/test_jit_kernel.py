@@ -1,12 +1,13 @@
 """Tests for the compiled Monte-Carlo advance kernel (:mod:`repro.montecarlo.jit`).
 
-The compiled loop is only trustworthy if it is *provably* the same
-simulation: a seeded compiled run must replay the numpy scalar path event
-for event (same waiting times, same executed events, same transfers), not
-merely agree statistically.  These tests pin that equivalence on the
-active backend and on the always-available interpreted fallback, plus the
-cache-epoch machinery that keeps compiled runs honest when the bias or
-offset charge changes mid-session.
+The advance loop is only trustworthy if it is *provably* the same
+simulation: a seeded run must replay the per-event step loop
+(:meth:`MonteCarloKernel.step`, which a hooked ``run(..., record_events=True)``
+takes) event for event — same waiting times, same executed events, same
+transfers — not merely agree statistically.  These tests pin that
+equivalence on the active backend and on the always-available interpreted
+loop, plus the cache-epoch machinery that keeps runs honest when the bias
+or offset charge changes mid-session.
 """
 
 import os
@@ -18,16 +19,17 @@ from repro.constants import E_CHARGE
 from repro.devices import SETTransistor
 from repro.devices.set_transistor import ISLAND
 from repro.errors import SimulationError
-from repro.montecarlo import MonteCarloSimulator
+from repro.montecarlo import MonteCarloSimulator, OccupationStatistics
 from repro.montecarlo.jit import (
     BACKEND_CC,
     BACKEND_NUMBA,
     BACKEND_PYTHON,
-    clear_backend_cache,
     jit_backend,
     jit_compiled,
     resolve_advance,
 )
+
+from ..conftest import stepped_sweep
 
 TEMPERATURE = 1.0
 DRAIN_VOLTAGE = 0.05
@@ -44,22 +46,17 @@ def make_simulator(seed=11, drain_voltage=DRAIN_VOLTAGE, **kwargs):
                                **kwargs)
 
 
-def assert_identical_trajectories(compiled, scalar):
+def assert_identical_trajectories(advanced, stepped):
     """Bitwise comparison of two :class:`TrajectoryResult` runs."""
-    assert compiled.event_count == scalar.event_count
-    assert compiled.duration == scalar.duration
-    assert compiled.final_electrons == scalar.final_electrons
-    assert compiled.electron_transfers == scalar.electron_transfers
+    assert advanced.event_count == stepped.event_count
+    assert advanced.duration == stepped.duration
+    assert advanced.final_electrons == stepped.final_electrons
+    assert advanced.electron_transfers == stepped.electron_transfers
 
 
-@pytest.fixture
-def python_backend(monkeypatch):
-    """Force the interpreted backend for one test, restoring afterwards."""
-    monkeypatch.setenv("REPRO_JIT_BACKEND", BACKEND_PYTHON)
-    clear_backend_cache()
-    yield
-    monkeypatch.delenv("REPRO_JIT_BACKEND", raising=False)
-    clear_backend_cache()
+def stepped_run(seed, **budget):
+    """A seeded run on the step loop (the event records are the hook)."""
+    return make_simulator(seed=seed).run(record_events=True, **budget)
 
 
 class TestBackendResolution:
@@ -93,63 +90,64 @@ class TestBackendResolution:
 
 
 class TestEventForEventReplay:
-    def test_compiled_run_replays_the_scalar_path(self):
-        compiled = make_simulator(seed=42, jit=True).run(max_events=5_000)
-        scalar = make_simulator(seed=42).run(max_events=5_000)
-        assert_identical_trajectories(compiled, scalar)
+    def test_advance_loop_replays_the_step_loop(self):
+        advanced = make_simulator(seed=42).run(max_events=5_000)
+        assert_identical_trajectories(advanced,
+                                      stepped_run(42, max_events=5_000))
 
     def test_duration_budget_and_censoring_replay(self):
         # A wall-clock budget exercises the censoring branch (waiting times
         # beyond the remaining window advance time without an event); the
-        # compiled loop must censor at exactly the same events.
+        # advance loop must censor at exactly the same events.
         probe = make_simulator(seed=7).run(max_events=2_000)
         window = 0.5 * probe.duration
-        compiled = make_simulator(seed=7, jit=True).run(duration=window)
-        scalar = make_simulator(seed=7).run(duration=window)
-        assert_identical_trajectories(compiled, scalar)
+        advanced = make_simulator(seed=7).run(duration=window)
+        assert_identical_trajectories(advanced,
+                                      stepped_run(7, duration=window))
 
-    def test_interpreted_fallback_replays_too(self, python_backend):
-        compiled = make_simulator(seed=13, jit=True).run(max_events=1_500)
-        scalar = make_simulator(seed=13).run(max_events=1_500)
-        assert_identical_trajectories(compiled, scalar)
+    def test_interpreted_loop_replays_too(self, python_backend):
+        simulator = make_simulator(seed=13)
+        assert simulator.kernel.jit_backend == BACKEND_PYTHON
+        assert_identical_trajectories(simulator.run(max_events=1_500),
+                                      stepped_run(13, max_events=1_500))
 
     def test_stationary_current_is_bit_identical(self):
-        compiled = make_simulator(seed=3, jit=True).stationary_current(
+        advanced = make_simulator(seed=3).stationary_current(
             "J_drain", max_events=4_000, warmup_events=400)
-        scalar = make_simulator(seed=3).stationary_current(
-            "J_drain", max_events=4_000, warmup_events=400)
-        assert compiled.mean == scalar.mean
-        assert compiled.stderr == scalar.stderr
-        assert compiled.events == scalar.events
+        currents, stderrs = stepped_sweep(
+            make_simulator(seed=3), "VG", [GATE_VOLTAGE], "J_drain",
+            max_events=4_000, warmup_events=400)
+        assert advanced.mean == currents[0]
+        assert advanced.stderr == stderrs[0]
 
-    def test_record_events_falls_back_to_the_scalar_path(self):
-        # Event recording needs per-event control flow, so the compiled
-        # route steps aside — same seed, same trajectory, records intact.
-        recorded = make_simulator(seed=5, jit=True).run(max_events=300,
-                                                        record_events=True)
-        scalar = make_simulator(seed=5).run(max_events=300,
-                                            record_events=True)
-        assert len(recorded.records) == len(scalar.records) > 0
-        assert_identical_trajectories(recorded, scalar)
+    def test_record_events_takes_the_step_loop(self):
+        # Event recording needs per-event control flow, so it runs the
+        # step loop — same seed, same trajectory, records intact.
+        recorded = stepped_run(5, max_events=300)
+        plain = make_simulator(seed=5).run(max_events=300)
+        assert len(recorded.records) == recorded.event_count == 300
+        assert plain.records == []
+        assert_identical_trajectories(plain, recorded)
 
 
-class TestEnsembleJit:
-    def test_r1_ensemble_replays_the_scalar_trajectory(self):
-        batched = make_simulator(seed=21, jit=True).run_ensemble(
+class TestEnsembleRuns:
+    def test_r1_ensemble_replays_the_stepped_trajectory(self):
+        batched = make_simulator(seed=21).run_ensemble(
             replicas=1, max_events=2_000)
-        scalar = make_simulator(seed=21).run(max_events=2_000)
-        assert int(batched.event_counts[0]) == scalar.event_count
-        assert float(batched.durations[0]) == scalar.duration
+        stepped = stepped_run(21, max_events=2_000)
+        assert int(batched.event_counts[0]) == stepped.event_count
+        assert float(batched.durations[0]) == stepped.duration
         for column, junction in enumerate(batched.junction_names):
             assert batched.electron_transfers[0, column] == \
-                scalar.electron_transfers[junction]
-        assert tuple(batched.final_electrons[0]) == scalar.final_electrons
+                stepped.electron_transfers[junction]
+        assert tuple(batched.final_electrons[0]) == stepped.final_electrons
 
     def test_many_replicas_agree_with_the_scalar_estimator(self):
-        # R > 1 consumes the random stream in a different order than the
-        # lockstep numpy ensemble, so the proof is statistical: combined
-        # 3-sigma agreement with the scalar block-averaged estimate.
-        batched = make_simulator(seed=23, jit=True).stationary_current(
+        # R > 1 runs the replicas one after another, a different use of
+        # the random stream than one trajectory, so the proof is
+        # statistical: combined 3-sigma agreement with the block-averaged
+        # estimate.
+        batched = make_simulator(seed=23).stationary_current(
             "J_drain", max_events=4_000, warmup_events=400, replicas=8)
         scalar = make_simulator(seed=29).stationary_current(
             "J_drain", max_events=24_000, warmup_events=800)
@@ -157,7 +155,7 @@ class TestEnsembleJit:
         assert abs(batched.mean - scalar.mean) <= 3.0 * sigma
 
     def test_replica_event_budgets_are_per_replica(self):
-        result = make_simulator(seed=31, jit=True).run_ensemble(
+        result = make_simulator(seed=31).run_ensemble(
             replicas=4, max_events=500)
         assert result.event_counts.shape == (4,)
         assert np.all(result.event_counts == 500)
@@ -166,9 +164,9 @@ class TestEnsembleJit:
 class TestCacheEpochInvalidation:
     def test_bias_change_is_picked_up_mid_session(self):
         # Warm rate tables at one drain bias, then move the bias: the
-        # compiled path must rebuild its tables (fresh cache epoch) and
+        # advance loop must rebuild its tables (fresh cache epoch) and
         # agree with an independent run at the new bias.
-        simulator = make_simulator(seed=17, jit=True)
+        simulator = make_simulator(seed=17)
         before = simulator.stationary_current("J_drain", max_events=4_000,
                                               warmup_events=400)
         simulator.circuit.set_source_voltage("VD", 0.15)
@@ -185,9 +183,9 @@ class TestCacheEpochInvalidation:
 
     def test_offset_charge_change_is_picked_up_mid_session(self):
         # Half an electron of island offset moves the conduction peak into
-        # blockade; a compiled session that kept stale tables would keep
+        # blockade; a session that kept stale tables would keep
         # conducting at the old level.
-        simulator = make_simulator(seed=37, jit=True)
+        simulator = make_simulator(seed=37)
         on_peak = simulator.stationary_current("J_drain", max_events=4_000,
                                                warmup_events=400)
         simulator.circuit.set_offset_charge(ISLAND, 0.5 * E_CHARGE)
@@ -202,11 +200,11 @@ class TestCacheEpochInvalidation:
     def test_stale_bias_tables_would_visibly_corrupt_the_current(self,
                                                                  monkeypatch):
         # Regression guard on the invalidation machinery itself: disable
-        # the bias refresh and show the compiled current stays pinned to
+        # the bias refresh and show the current stays pinned to
         # the old operating point — a visible, physical error.  If this
         # test ever starts failing, the epoch checks above have gone
         # vacuous.
-        simulator = make_simulator(seed=17, jit=True)
+        simulator = make_simulator(seed=17)
         stale = simulator.stationary_current("J_drain", max_events=4_000,
                                              warmup_events=400)
         monkeypatch.setattr(simulator.kernel, "_refresh_bias",
@@ -225,9 +223,8 @@ class TestCacheEpochInvalidation:
 
 
 class TestSimulatorRouting:
-    def test_jit_simulator_routes_runs_through_the_compiled_loop(
-            self, monkeypatch):
-        simulator = make_simulator(seed=2, jit=True)
+    def test_plain_runs_go_through_the_advance_loop(self, monkeypatch):
+        simulator = make_simulator(seed=2)
         calls = []
         original = simulator.kernel.run_phases
         monkeypatch.setattr(
@@ -235,15 +232,21 @@ class TestSimulatorRouting:
             lambda *args, **kwargs: calls.append(1) or
             original(*args, **kwargs))
         simulator.run(max_events=200)
-        assert calls
+        simulator.run_ensemble(replicas=2, max_events=50)
+        simulator.stationary_current("J_drain", max_events=200,
+                                     warmup_events=20)
+        simulator.sweep_source("VG", [0.0, 0.04], "J_drain", max_events=200,
+                               warmup_events=20)
+        assert len(calls) == 5
 
-    def test_plain_simulator_never_touches_the_compiled_loop(
-            self, monkeypatch):
+    def test_hooked_runs_never_touch_the_advance_loop(self, monkeypatch):
         simulator = make_simulator(seed=2)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("compiled path reached without jit=True")
+            raise AssertionError("advance loop reached by a hooked run")
 
         monkeypatch.setattr(simulator.kernel, "run_phases", forbidden)
-        result = simulator.run(max_events=200)
-        assert result.event_count == 200
+        assert simulator.run(max_events=200,
+                             record_events=True).event_count == 200
+        assert simulator.run(max_events=200, occupation=OccupationStatistics()
+                             ).event_count == 200

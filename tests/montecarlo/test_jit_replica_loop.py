@@ -7,13 +7,15 @@ needs (random block refills, successor links).  These tests pin:
 
 * the seeded sweep outputs of the engines, as SHA-256 digests recorded
   before the replica loop moved into the kernel, on the active backend and
-  on the interpreted reference loop;
+  on the interpreted reference loop (``ensemble-jit`` is the retired name
+  of ``ensemble`` and keeps its digest);
 * bit-for-bit agreement of ``R > 1`` ensembles between the active backend
   and the interpreted reference loop (event and duration budgets, a
   blockaded device, a mid-session bias change, an ensemble sweep);
 * the phased call's edge cases: a T = 0 blockade that begins inside the
   estimate window (empty later blocks), and a re-entry fault that must
-  leave every replica at a phase boundary for the interpreted fallback;
+  leave every replica at a phase boundary for the interpreted loop to
+  resume from;
 * the native-entry budget: one finishing entry per sweep point (every other
   entry a refill or a link), a warm ensemble run enters the backend fewer
   times than it has replicas, and a warm scalar run exactly once;
@@ -40,17 +42,19 @@ from repro.montecarlo import MonteCarloSimulator
 from repro.montecarlo.jit import (
     BACKEND_CC,
     BACKEND_PYTHON,
+    REG_PHASE,
+    REG_REPLICA,
     STATUS_BLOCKED,
     STATUS_DONE,
     STATUS_NEED_EXP,
     STATUS_NEED_LINK,
     STATUS_NEED_UNIFORM,
     _find_compiler,
-    clear_backend_cache,
     jit_backend,
+    jit_compiled,
 )
 
-from ..conftest import session_simulator
+from ..conftest import interpreted_backend, stepped_sweep
 
 TEMPERATURE = 1.0
 DRAIN_VOLTAGE = 0.05
@@ -68,15 +72,14 @@ PINNED_DIGESTS = {
 }
 
 
-def make_simulator(seed=11, jit=True, drain_voltage=DRAIN_VOLTAGE,
+def make_simulator(seed=11, drain_voltage=DRAIN_VOLTAGE,
                    gate_voltage=GATE_VOLTAGE, temperature=TEMPERATURE):
     transistor = SETTransistor(junction_capacitance=1e-18,
                                gate_capacitance=2e-18,
                                junction_resistance=1e6)
     circuit = transistor.build_circuit(drain_voltage=drain_voltage,
                                        gate_voltage=gate_voltage)
-    return MonteCarloSimulator(circuit, temperature=temperature, seed=seed,
-                               jit=jit)
+    return MonteCarloSimulator(circuit, temperature=temperature, seed=seed)
 
 
 PINNED_DEVICE = SETTransistor(junction_capacitance=1e-18,
@@ -99,16 +102,6 @@ def pinned_sweep(engine, **options):
     return (result.currents, result.stderrs), session.simulator.kernel
 
 
-def pinned_simulator_sweep(jit):
-    """The pinned ``montecarlo`` sweep on a bare simulator's ``jit`` loop."""
-    simulator = session_simulator(PINNED_DEVICE, PINNED_AXES.drain_voltage,
-                                  jit=jit, temperature=2.0, seed=2024)
-    _, currents, stderrs = simulator.sweep_source(
-        "VG", PINNED_AXES.gates, "J_drain", max_events=2000,
-        warmup_events=200, warm_start=True)
-    return (currents, stderrs), simulator.kernel
-
-
 def digest(arrays):
     currents, stderrs = arrays
     return hashlib.sha256(currents.tobytes() + stderrs.tobytes()).hexdigest()
@@ -124,42 +117,39 @@ def assert_identical_ensembles(native, reference):
                                   reference.final_electrons)
 
 
-@pytest.fixture
-def python_backend(monkeypatch):
-    """Force the interpreted backend for one test, restoring afterwards."""
-    monkeypatch.setenv("REPRO_JIT_BACKEND", BACKEND_PYTHON)
-    clear_backend_cache()
-    yield
-    monkeypatch.delenv("REPRO_JIT_BACKEND", raising=False)
-    clear_backend_cache()
+#: (engine name, bind options, key of :data:`PINNED_DIGESTS`).
+PINNED_SWEEPS = [("montecarlo", {}, "montecarlo"),
+                 ("ensemble-jit", {"replicas": 16}, "ensemble-jit"),
+                 ("ensemble", {"replicas": 16}, "ensemble-jit")]
 
 
 class TestPinnedSweepDigests:
-    @pytest.mark.parametrize("engine, options", [
-        ("montecarlo", {}), ("ensemble-jit", {"replicas": 16})])
+    @pytest.mark.parametrize("engine, options, key", PINNED_SWEEPS)
     def test_active_backend_reproduces_the_pinned_sweep(self, engine,
-                                                        options):
+                                                        options, key):
         arrays, _ = pinned_sweep(engine, **options)
-        assert digest(arrays) == PINNED_DIGESTS[engine]
+        assert digest(arrays) == PINNED_DIGESTS[key]
 
-    @pytest.mark.parametrize("engine, options", [
-        ("montecarlo", {}), ("ensemble-jit", {"replicas": 16})])
+    @pytest.mark.parametrize("engine, options, key", PINNED_SWEEPS)
     def test_interpreted_loop_reproduces_the_pinned_sweep(
-            self, engine, options, python_backend):
+            self, engine, options, key, python_backend):
         assert jit_backend() == BACKEND_PYTHON
-        # Without a native backend the montecarlo engine runs the numpy
-        # step path, so the interpreted loop is reached on a bare simulator.
-        arrays, kernel = pinned_simulator_sweep(BACKEND_PYTHON) \
-            if engine == "montecarlo" else pinned_sweep(engine, **options)
+        arrays, kernel = pinned_sweep(engine, **options)
         assert kernel.jit_backend == BACKEND_PYTHON
-        assert digest(arrays) == PINNED_DIGESTS[engine]
+        assert digest(arrays) == PINNED_DIGESTS[key]
 
 
 def run_on_both_backends(run, **simulator_options):
-    """``run(simulator)`` on the active backend and on the reference loop."""
-    native = run(make_simulator(jit=True, **simulator_options))
-    reference = run(make_simulator(jit=BACKEND_PYTHON, **simulator_options))
-    return native, reference
+    """``run(simulator)`` on the active backend and on the reference loop.
+
+    The native simulator is built first; the reference one is built with
+    the interpreted backend switched on, and keeps it.
+    """
+    native = make_simulator(**simulator_options)
+    with interpreted_backend():
+        reference = make_simulator(**simulator_options)
+    assert reference.kernel.jit_backend == BACKEND_PYTHON
+    return run(native), run(reference)
 
 
 class TestReplicaLoopMatchesTheReference:
@@ -177,8 +167,8 @@ class TestReplicaLoopMatchesTheReference:
         assert np.all(native[1].event_counts == 1_300)
 
     def test_duration_budgets_censor_identically(self):
-        window = 0.5 * make_simulator(seed=53, jit=BACKEND_PYTHON).\
-            run_ensemble(replicas=8, max_events=1_000).durations.mean()
+        window = 0.5 * make_simulator(seed=53).run_ensemble(
+            replicas=8, max_events=1_000).durations.mean()
 
         def run(simulator):
             # The second window starts from each replica's own clock.
@@ -235,12 +225,19 @@ class TestReplicaLoopMatchesTheReference:
 
 
 def fail_after_refills(kernel, refills):
-    """Make the kernel's replica loop raise on re-entry after ``refills`` refills."""
+    """Make the kernel's replica loop raise on re-entry after ``refills`` refills.
+
+    Returns a list that receives the ``(phase, replica)`` registers the
+    loop held when the fault struck.
+    """
     advance = kernel._jit_advance
     seen = []
+    struck = []
 
     def flaky(*arguments):
         if len(seen) >= refills:
+            ireg = arguments[15]
+            struck.append((int(ireg[REG_PHASE]), int(ireg[REG_REPLICA])))
             raise RuntimeError("injected re-entry fault")
         status = advance(*arguments)
         if status in (STATUS_NEED_EXP, STATUS_NEED_UNIFORM):
@@ -248,6 +245,7 @@ def fail_after_refills(kernel, refills):
         return status
 
     kernel._jit_advance = flaky
+    return struck
 
 
 def assert_consistent_phases(kernel, record, replica, initial_electrons,
@@ -261,12 +259,17 @@ def assert_consistent_phases(kernel, record, replica, initial_electrons,
     assert np.all(np.abs(phase_transfers).sum(axis=1) <= phase_events)
     # The island charge moved exactly as the junction tallies say.
     tally_to_islands = np.linalg.lstsq(
-        kernel._transfer_matrix, kernel._delta_n_matrix.astype(float),
-        rcond=None)[0]
+        kernel._transfer_matrix,
+        np.vstack(kernel._event_delta_n).astype(float), rcond=None)[0]
     moved = (record.transfers[-1, replica] - record.transfers[0, replica]) \
         @ tally_to_islands
     np.testing.assert_array_equal(np.rint(moved).astype(np.int64),
                                   final_electrons - initial_electrons)
+
+
+#: Faults of a native backend; the interpreted loop has no fallback.
+NATIVE_ONLY = pytest.mark.skipif(not jit_compiled(),
+                                 reason="no native jit backend loaded")
 
 
 class TestPhasedCall:
@@ -278,12 +281,12 @@ class TestPhasedCall:
     #: events and every later block of the estimate window is empty.
     BLOCKADE_GATES = [0.0, 0.18, 0.0, 0.18, 0.18, 0.0]
 
-    def blockade_simulator(self, jit):
-        return make_simulator(seed=5, jit=jit, temperature=0.0,
-                              drain_voltage=0.002, gate_voltage=0.0)
+    def blockade_simulator(self):
+        return make_simulator(seed=5, temperature=0.0, drain_voltage=0.002,
+                              gate_voltage=0.0)
 
     def test_the_blockade_begins_inside_the_estimate_window(self):
-        simulator = self.blockade_simulator(jit=True)
+        simulator = self.blockade_simulator()
         state = simulator.new_state()
         simulator.circuit.set_source_voltage("VG", 0.18)
         result = simulator.run(max_events=10, state=state)
@@ -292,44 +295,55 @@ class TestPhasedCall:
 
     @pytest.mark.parametrize("ensemble", [None, 2])
     def test_blockade_inside_the_window_is_bit_identical(self, ensemble):
-        def sweep(jit):
-            _, currents, stderrs = self.blockade_simulator(jit).sweep_source(
+        def sweep(simulator):
+            _, currents, stderrs = simulator.sweep_source(
                 "VG", self.BLOCKADE_GATES, "J_drain", max_events=10,
                 warmup_events=0, ensemble=ensemble)
             return currents.tobytes() + stderrs.tobytes()
 
-        native = sweep(True)
-        assert native == sweep(BACKEND_PYTHON)
+        native, interpreted = run_on_both_backends(
+            sweep, seed=5, temperature=0.0, drain_voltage=0.002,
+            gate_voltage=0.0)
+        assert native == interpreted
         if ensemble is None:
-            # The scalar estimator's numpy step path replays it too (an
-            # R > 1 numpy ensemble interleaves replicas per macro-step).
-            assert native == sweep(False)
+            # The scalar estimator's step loop replays it too.
+            currents, stderrs = stepped_sweep(
+                self.blockade_simulator(), "VG", self.BLOCKADE_GATES,
+                "J_drain", max_events=10, warmup_events=0)
+            assert native == currents.tobytes() + stderrs.tobytes()
 
+    @NATIVE_ONLY
     def test_reentry_fault_resumes_a_trajectory_at_a_phase_boundary(self):
         simulator = make_simulator(seed=65)
         state = simulator.new_state()
         initial = state.electrons.copy()
-        fail_after_refills(simulator.kernel, 4)
+        struck = fail_after_refills(simulator.kernel, 4)
         with capture_degradations() as events:
             record = simulator._run_phases(state, [3_000, 3_000, 3_000])
-        assert record.phase == 1
-        assert [event.action for event in events] == ["fallback:numpy"]
-        assert not simulator.kernel.jit_enabled
+        # The fault struck in the second phase; the interpreted loop
+        # resumed at its start and finished the schedule.
+        assert struck == [(1, 0)]
+        assert record.phase == 3
+        assert [event.action for event in events] == ["fallback:python"]
+        assert simulator.kernel.jit_backend == BACKEND_PYTHON
         assert state.event_count == 9_000
         assert_consistent_phases(simulator.kernel, record, 0, initial,
                                  state.electrons)
 
+    @NATIVE_ONLY
     def test_reentry_fault_resumes_every_replica_at_a_phase_boundary(self):
         simulator = make_simulator(seed=67)
         ensemble = simulator.new_ensemble(4)
         initial = ensemble.electrons.copy()
-        fail_after_refills(simulator.kernel, 5)
+        struck = fail_after_refills(simulator.kernel, 5)
         with capture_degradations() as events:
             record = simulator._run_phases(ensemble, [1_500, 1_500])
         # The fault struck in the window phase after some replicas had
         # finished it natively.
-        assert record.phase == 1 and record.replica >= 1
-        assert [event.action for event in events] == ["fallback:numpy"]
+        [(phase, replica)] = struck
+        assert phase == 1 and replica >= 1
+        assert (record.phase, record.replica) == (2, 0)
+        assert [event.action for event in events] == ["fallback:python"]
         np.testing.assert_array_equal(ensemble.event_counts, 3_000)
         for replica in range(4):
             assert_consistent_phases(simulator.kernel, record, replica,
@@ -366,27 +380,15 @@ def count_native_statuses(kernel):
 
 
 def assert_one_run_entry_per_point(engine, options, points=33):
-    """A warm-started sweep makes one finishing native entry per point.
-
-    The ``montecarlo`` sweep runs on a bare simulator's compiled loop (the
-    engine takes the numpy step path when no native backend loaded).
-    """
+    """A warm-started sweep makes one finishing native entry per point."""
     device = SETTransistor(junction_capacitance=1e-18,
                            gate_capacitance=2e-18, junction_resistance=1e6)
     axes = SweepAxes(np.linspace(0.0, device.gate_period, points), 0.02)
-    if engine == "montecarlo":
-        simulator = session_simulator(device, axes.drain_voltage, jit=True,
-                                      temperature=2.0, seed=31)
-        statuses = count_native_statuses(simulator.kernel)
-        simulator.sweep_source("VG", axes.gates, "J_drain",
-                               max_events=1_000, warmup_events=100,
-                               warm_start=True)
-    else:
-        session = get_engine(engine).bind(device, temperature=2.0, seed=31,
-                                          max_events=1_000,
-                                          warmup_events=100, **options)
-        statuses = count_native_statuses(session.simulator.kernel)
-        session.sweep(axes)
+    session = get_engine(engine).bind(device, temperature=2.0, seed=31,
+                                      max_events=1_000, warmup_events=100,
+                                      **options)
+    statuses = count_native_statuses(session.simulator.kernel)
+    session.sweep(axes)
     finishing = [status for status in statuses
                  if status in (STATUS_DONE, STATUS_BLOCKED)]
     assert len(finishing) == points
@@ -394,7 +396,7 @@ def assert_one_run_entry_per_point(engine, options, points=33):
         STATUS_NEED_EXP, STATUS_NEED_UNIFORM, STATUS_NEED_LINK}
 
 
-SWEEP_ENGINES = [("montecarlo", {}), ("ensemble-jit", {"replicas": 8})]
+SWEEP_ENGINES = [("montecarlo", {}), ("ensemble", {"replicas": 8})]
 
 
 class TestNativeEntryBudget:

@@ -172,6 +172,9 @@ class TestFastPathTrajectories:
         fast = current(True)
         reference = current(False)
         assert fast.mean == pytest.approx(reference.mean, rel=0.1)
+        # The reference draws its randoms one at a time: a bit-equal mean
+        # would mean it ran the advance loop instead of its own step.
+        assert fast.mean != reference.mean
 
     def test_fast_path_reproducible_with_seed(self):
         results = []

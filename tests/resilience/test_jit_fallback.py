@@ -1,15 +1,20 @@
-"""Tests for the compiled-kernel -> numpy fallback of the Monte-Carlo engines."""
+"""Tests for the native-to-interpreted fallback of the Monte-Carlo advance loop.
+
+A fault of a native backend swaps the kernel onto the interpreted loop,
+which resumes the run from the last phase boundary on the same random
+stream, so a faulted sweep equals a clean one bit for bit.
+"""
 
 import numpy as np
 import pytest
 
 from repro.devices import SETTransistor
 from repro.engines import SweepAxes, get_engine
-from repro.montecarlo.jit import jit_compiled
+from repro.montecarlo.jit import BACKEND_PYTHON, jit_compiled
 from repro.resilience import FaultInjector
 from repro.resilience.events import capture_degradations
 
-from ..conftest import session_simulator
+from ..conftest import session_simulator, stepped_sweep
 
 pytestmark = pytest.mark.skipif(
     not jit_compiled(), reason="no native jit backend loaded")
@@ -39,57 +44,58 @@ def chaos_all_compiled_entries():
 
 
 class TestJitFallback:
-    def test_single_trajectory_fallback_is_bit_identical_to_numpy(
+    def test_single_trajectory_fallback_is_bit_identical_to_the_step_path(
             self, device, axes):
         jit_session = get_engine("montecarlo").bind(device, **BIND_KWARGS)
-        numpy_simulator = session_simulator(
-            device, DRAIN_VOLTAGE, jit=False,
-            temperature=BIND_KWARGS["temperature"], seed=BIND_KWARGS["seed"])
-        assert numpy_simulator.kernel.jit_backend is None
         chaos = chaos_all_compiled_entries()
         with chaos, capture_degradations() as events:
             degraded = jit_session.sweep(axes)
-        assert chaos.fired("jit.run_compiled") >= 1
+        assert chaos.fired("jit.run_compiled") == 1
         assert any(e.site == "jit.run_compiled"
-                   and e.action == "fallback:numpy" for e in events)
-        # The injected fault fires before any random draw, so the numpy
-        # fallback replays the interpreted engine bit for bit.
-        _, currents, stderrs = numpy_simulator.sweep_source(
+                   and e.action == "fallback:python" for e in events)
+        # The injected fault fires before any random draw, so the
+        # interpreted loop replays the step loop bit for bit.
+        currents, stderrs = stepped_sweep(
+            session_simulator(device, DRAIN_VOLTAGE,
+                              temperature=BIND_KWARGS["temperature"],
+                              seed=BIND_KWARGS["seed"]),
             "VG", axes.gates, "J_drain",
             max_events=BIND_KWARGS["max_events"],
-            warmup_events=BIND_KWARGS["warmup_events"], warm_start=True)
+            warmup_events=BIND_KWARGS["warmup_events"])
         np.testing.assert_array_equal(degraded.currents, currents)
         np.testing.assert_array_equal(degraded.stderrs, stderrs)
 
-    def test_fallback_disables_the_kernel_jit(self, device, axes):
+    def test_fallback_swaps_in_the_interpreted_loop(self, device, axes):
         session = get_engine("montecarlo").bind(device, **BIND_KWARGS)
-        assert session.simulator.kernel.jit_enabled
+        assert session.simulator.kernel.jit_backend != BACKEND_PYTHON
         with chaos_all_compiled_entries():
             session.sweep(axes)
-        assert not session.simulator.kernel.jit_enabled
+        assert session.simulator.kernel.jit_backend == BACKEND_PYTHON
 
-    def test_ensemble_fallback_is_bit_identical_to_numpy(self, device, axes):
-        jit_session = get_engine("ensemble-jit").bind(device, replicas=3,
-                                                      **BIND_KWARGS)
-        numpy_session = get_engine("ensemble").bind(device, replicas=3,
-                                                    **BIND_KWARGS)
-        assert numpy_session.simulator.kernel.jit_backend is None
+    def test_ensemble_fallback_is_bit_identical_to_the_clean_sweep(
+            self, device, axes):
+        clean = get_engine("ensemble").bind(device, replicas=3,
+                                            **BIND_KWARGS).sweep(axes)
+        session = get_engine("ensemble").bind(device, replicas=3,
+                                              **BIND_KWARGS)
         chaos = chaos_all_compiled_entries()
         with chaos, capture_degradations() as events:
-            degraded = jit_session.sweep(axes)
-        assert any(e.site == "jit.run_compiled" for e in events)
-        reference = numpy_session.sweep(axes)
-        np.testing.assert_array_equal(degraded.currents, reference.currents)
-        np.testing.assert_array_equal(degraded.stderrs, reference.stderrs)
+            degraded = session.sweep(axes)
+        assert chaos.fired("jit.run_compiled") == 1
+        assert [(e.site, e.action) for e in events] == [
+            ("jit.run_compiled", "fallback:python")]
+        np.testing.assert_array_equal(degraded.currents, clean.currents)
+        np.testing.assert_array_equal(degraded.stderrs, clean.stderrs)
 
     @pytest.mark.parametrize("engine, options", [
-        ("montecarlo", {}), ("ensemble-jit", {"replicas": 1})])
+        ("montecarlo", {}), ("ensemble-jit", {"replicas": 1}),
+        ("ensemble", {"replicas": 3})])
     def test_fault_mid_sweep_is_bit_identical_to_the_clean_sweep(
             self, device, engine, options):
-        # Every sweep point is one compiled call; failing the fifth leaves
-        # the first four compiled and runs the rest on the numpy path,
-        # which replays the compiled trajectory bit for bit (for R > 1 the
-        # numpy ensemble interleaves replicas per macro-step instead).
+        # Every sweep point is one advance-loop run; failing the fifth
+        # leaves the first four native and resumes the fifth, and runs the
+        # rest, on the interpreted loop from the same phase boundary and
+        # random stream.
         axes = SweepAxes(np.linspace(0.0, device.gate_period, 9),
                          DRAIN_VOLTAGE)
         clean = get_engine(engine).bind(device, **options,
@@ -102,8 +108,8 @@ class TestJitFallback:
             degraded = session.sweep(axes)
         assert chaos.fired("jit.run_compiled") == 1
         assert [(e.site, e.action) for e in events] == [
-            ("jit.run_compiled", "fallback:numpy")]
-        assert not session.simulator.kernel.jit_enabled
+            ("jit.run_compiled", "fallback:python")]
+        assert session.simulator.kernel.jit_backend == BACKEND_PYTHON
         np.testing.assert_array_equal(degraded.currents, clean.currents)
         np.testing.assert_array_equal(degraded.stderrs, clean.stderrs)
 
@@ -112,4 +118,4 @@ class TestJitFallback:
         with capture_degradations() as events:
             session.sweep(axes)
         assert events == []
-        assert session.simulator.kernel.jit_enabled
+        assert session.simulator.kernel.jit_backend != BACKEND_PYTHON

@@ -28,8 +28,10 @@ PINNED_DIGESTS = {
         "9e50058a2a88662b4e278412a5b48f9a1e4c2fdf0b05c04943c48701afab7ac0",
     "montecarlo":
         "796bd7c0134c5263d86bf0043279d649b1ff9dff88f7b274165a17d87e39a61e",
+    # The R = 4 sweep of the replica-sequential ensemble (before the lock
+    # step was retired, the ``ensemble-jit`` engine's).
     "ensemble":
-        "3d42b214c3019ebdd98f1eb5e09e557d52373445d5c32ddfc758cb4594311939",
+        "ad20b4b6a318c109c21af20b11fc172fa3be47ad88d9ddbb90343fc5f0d2680a",
 }
 
 TEMPERATURE = 2.0

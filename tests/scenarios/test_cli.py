@@ -116,8 +116,7 @@ def test_compare_runs_one_scenario_across_engines(tmp_path, capsys):
 def test_engines_lists_every_registered_engine_with_flags(capsys):
     assert main(["engines"]) == 0
     output = capsys.readouterr().out
-    for name in ("analytic", "master", "montecarlo", "ensemble",
-                 "ensemble-jit"):
+    for name in ("analytic", "master", "montecarlo", "ensemble"):
         assert name in output
     assert "exactness" in output
     assert "stochastic-complete" in output
@@ -129,15 +128,14 @@ def test_engines_json_carries_capabilities_and_cost(capsys):
     assert main(["engines", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     names = {entry["name"] for entry in payload}
-    assert {"analytic", "ensemble", "master", "montecarlo",
-            "ensemble-jit"} <= names
+    assert {"analytic", "ensemble", "master", "montecarlo"} <= names
     for entry in payload:
         assert {"exactness", "stochastic", "supports_ensemble",
                 "supports_temperature_array", "available", "cost",
                 "description"} <= set(entry)
         assert isinstance(entry["available"], bool)
         assert entry["cost"]["per_point_s"] > 0
-    # The numpy engines never gate on optional dependencies.
+    # The Monte-Carlo engines run on every backend, interpreted included.
     always_on = {entry["name"]: entry["available"] for entry in payload}
     assert always_on["montecarlo"] and always_on["ensemble"]
 

@@ -43,19 +43,13 @@ class TestEngineSelection:
         assert select_engine(spec) == expected
 
     def test_stochastic_with_replicas_picks_ensemble(self):
-        from repro.montecarlo.jit import jit_compiled
-
         spec = ScenarioSpec(name="x", observables=("shot_noise_A",),
                             budget=Budget(replicas=16))
-        expected = "ensemble-jit" if jit_compiled() else "ensemble"
-        assert select_engine(spec) == expected
+        assert select_engine(spec) == "ensemble"
 
-    def test_selection_only_considers_available_engines(self, monkeypatch):
-        # Force every JIT capability report to "unavailable" and check the
-        # selector falls back to the always-available numpy engines.
-        import repro.montecarlo.jit as jit_module
-
-        monkeypatch.setattr(jit_module, "jit_compiled", lambda: False)
+    def test_selection_does_not_depend_on_the_backend(self, python_backend):
+        # Without a native advance loop the Monte-Carlo engines run the
+        # interpreted one, and auto picks them all the same.
         single = ScenarioSpec(name="x", observables=("current_stderr_A",))
         batched = ScenarioSpec(name="x", observables=("shot_noise_A",),
                                budget=Budget(replicas=16))
