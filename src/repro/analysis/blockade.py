@@ -9,7 +9,7 @@ parts of experiments E1 and E7 and the SET logic analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 

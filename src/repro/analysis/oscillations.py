@@ -11,7 +11,7 @@ quantitatively (experiment E1) and so the AM/FM logic decoder
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 

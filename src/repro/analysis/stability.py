@@ -9,7 +9,7 @@ two numbers the paper keeps coming back to: the gate period ``e/C_g``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 

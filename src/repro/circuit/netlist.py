@@ -9,7 +9,7 @@ types": one netlist, several engines.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from ..constants import E_CHARGE
 from ..errors import CircuitError

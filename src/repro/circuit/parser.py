@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..constants import E_CHARGE
 from ..errors import NetlistParseError
-from .elements import Capacitor, ChargeTrap, TunnelJunction, VoltageSource
+from .elements import Capacitor, ChargeTrap, TunnelJunction
 from .netlist import Circuit
 
 # Multipliers for engineering suffixes.  Longest suffixes must be matched

@@ -15,7 +15,7 @@ from typing import List
 
 from ..constants import ORTHODOX_RESISTANCE_RATIO, R_QUANTUM
 from ..errors import ValidationError
-from .elements import Capacitor, TunnelJunction
+from .elements import TunnelJunction
 from .netlist import Circuit
 
 

@@ -27,7 +27,7 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
-from .engines import engine_names, list_engines
+from .engines import ENGINE_ALIASES, list_engines
 from .errors import ReproError
 from .io.tables import format_table
 from .scenarios import (
@@ -275,12 +275,11 @@ def _command_engines(arguments) -> int:
     rows = [[caps.name, caps.exactness, _flag(caps.stochastic),
              _flag(caps.supports_ensemble),
              _flag(caps.supports_temperature_array),
-             _flag(caps.available),
              f"{caps.cost.per_point_s:.0e}", caps.description]
             for caps in engines]
     print(format_table(
         ["engine", "exactness", "stochastic", "ensemble", "T-array",
-         "available", "~s/point", "description"], rows,
+         "~s/point", "description"], rows,
         title=f"{len(engines)} registered engines"))
     print("\nresolve programmatically: repro.engines.get_engine(NAME)"
           ".bind(device, temperature=...) -> Session")
@@ -413,16 +412,12 @@ def _command_compare(arguments) -> int:
     """Implement ``repro compare``."""
     engines = [engine.strip() for engine in arguments.engines.split(",")
                if engine.strip()]
-    registered = engine_names()
-    for engine in engines:
-        if engine not in registered:
-            print(f"cannot compare on engine {engine!r}; registered "
-                  f"engines: {registered} (see 'repro engines')",
-                  file=sys.stderr)
-            return 2
+    if any(_unknown_engine(engine) for engine in engines):
+        return 2
     scenario = get_scenario(arguments.name)
     allowed = scenario.allowed_engines()
-    unsupported = [engine for engine in engines if engine not in allowed]
+    unsupported = [engine for engine in engines
+                   if ENGINE_ALIASES.get(engine, engine) not in allowed]
     if unsupported:
         print(f"scenario {arguments.name!r} dispatches only on "
               f"{sorted(allowed)}; cannot compare on {unsupported} "

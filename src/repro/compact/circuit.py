@@ -9,7 +9,7 @@ varactors, ...).  The ground node ``"gnd"`` always exists and is fixed at
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
 from ..errors import CircuitError
 from .elements import CapacitorDC, CurrentSource, Resistor

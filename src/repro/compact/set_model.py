@@ -24,8 +24,8 @@ The paper's §4 describes two simulator families.  This module provides the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 

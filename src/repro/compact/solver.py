@@ -17,8 +17,8 @@ Robustness measures:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import SolverError
 from .circuit import CompactCircuit
-from .solver import DCSolution, DCSolver
+from .solver import DCSolver
 
 
 @dataclass

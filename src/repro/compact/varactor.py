@@ -15,7 +15,6 @@ step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 

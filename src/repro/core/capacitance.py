@@ -15,11 +15,10 @@ and exposes the island potentials ``phi = C^-1 (q + B V)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List
 
 import numpy as np
 
-from ..circuit.elements import Capacitor, TunnelJunction
 from ..circuit.netlist import Circuit
 from ..errors import SolverError
 

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from ..constants import BOLTZMANN, E_CHARGE, HBAR, PLANCK
+from ..constants import BOLTZMANN, E_CHARGE, HBAR
 from ..errors import ReproError
 
 #: Energies closer to zero than this fraction of kT use the series expansion.

@@ -18,13 +18,13 @@ canonical string even in the presence of NaN margins).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ValidationError
+from ..io.documents import canonical_json
 
 #: Verdict codes stored in the map's int8 verdict array.
 FEASIBLE = 1
@@ -281,8 +281,7 @@ class FeasibilityMap:
         ``NaN`` token, so two maps are byte-identical iff every finite
         value matches and NaNs sit in the same slots.
         """
-        return json.dumps(self.to_payload(), sort_keys=True,
-                          separators=(",", ":"))
+        return canonical_json(self.to_payload())
 
     # --------------------------------------------------------------- display
 

@@ -6,33 +6,25 @@ A :class:`DesignSpec` is the complete, serialisable description of one
 temperature, background charge, drain bias), the constraint set every grid
 point is classified against, the optional component-tolerance model, and the
 engine/seed/budget knobs.  Like :class:`~repro.scenarios.spec.ScenarioSpec`,
-specs load from plain dicts, JSON, or TOML and canonicalise to a stable JSON
-form whose SHA-256 hash keys the result cache — the same hash discipline
-means checkpointed scan chunks and whole feasibility maps are
-content-addressed artifacts.
+a design spec is a :class:`repro.io.documents.SpecDocument`: it loads from
+plain dicts, JSON, or TOML and canonicalises to a stable JSON form whose
+SHA-256 hash keys the result cache — the same hash discipline means
+checkpointed scan chunks and whole feasibility maps are content-addressed
+artifacts.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..devices.set_transistor import SETTransistor
 from ..errors import ValidationError
-from ..io.results import content_hash
-from ..scenarios.spec import (
-    Budget,
-    _coercion_errors,
-    _read_maybe_path,
-    _reject_unknown_keys,
-    _toml_parser,
-    known_engine_names,
-)
+from ..io.documents import SpecDocument, coercion_errors, reject_unknown_keys
+from ..scenarios.spec import Budget
 
 #: Device-geometry parameters a :class:`DeviceAxis` may sweep (the numeric
 #: fields of :class:`~repro.devices.set_transistor.SETTransistor`).
@@ -144,11 +136,9 @@ class DeviceAxis:
     @classmethod
     def from_dict(cls, payload: Mapping) -> "DeviceAxis":
         """Build an axis from a plain dict (JSON/TOML deserialisation)."""
-        _reject_unknown_keys("design axis", payload,
-                             ("parameter", "start", "stop", "points",
-                              "spacing", "values"))
+        reject_unknown_keys("design axis", payload, cls)
         values = payload.get("values")
-        with _coercion_errors("design axis"):
+        with coercion_errors("design axis"):
             return cls(parameter=str(payload["parameter"]),
                        start=float(payload.get("start", 0.0)),
                        stop=float(payload.get("stop", 0.0)),
@@ -158,7 +148,7 @@ class DeviceAxis:
 
 
 @dataclass(frozen=True)
-class DesignSpec:
+class DesignSpec(SpecDocument):
     """Complete declarative description of one design-space scan.
 
     Parameters
@@ -167,7 +157,7 @@ class DesignSpec:
         Identifier of the scan (``snake_case``).
     engine:
         Any registered engine name, or ``"auto"`` to let the scan pick the
-        cheapest available engine by capability introspection.
+        cheapest engine by capability introspection.
     device:
         Base device parameters (:class:`SETTransistor` keyword arguments);
         swept axes override these per grid point.
@@ -216,14 +206,11 @@ class DesignSpec:
     tolerances: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
     tolerance_samples: int = 64
 
+    kind = "design"
+
     def __post_init__(self) -> None:
         """Validate names, axes, constraints, and tolerance declarations."""
-        if not self.name:
-            raise ValidationError("design spec needs a name")
-        known = known_engine_names()
-        if self.engine not in known:
-            raise ValidationError(
-                f"unknown engine {self.engine!r}; choose from {known}")
+        super().__post_init__()
         object.__setattr__(self, "device", dict(self.device))
         object.__setattr__(self, "axes", tuple(self.axes))
         object.__setattr__(self, "constraints",
@@ -322,23 +309,9 @@ class DesignSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "DesignSpec":
-        """Build a spec from a plain dict (the JSON/TOML document root).
-
-        Unknown keys are rejected rather than silently dropped — a typo in
-        a design document must not fall back to a default and then be
-        content-hashed as if the author's intent had been honoured.
-        """
-        _reject_unknown_keys("design spec", payload,
-                             ("name", "engine", "device", "axes",
-                              "constraints", "temperature", "drain_voltage",
-                              "on_gate_fraction", "off_gate_fraction",
-                              "seed", "budget", "chunk_size", "tolerances",
-                              "tolerance_samples"))
-        try:
-            name = str(payload["name"])
-        except KeyError:
-            raise ValidationError("design document needs a 'name'") from None
-        with _coercion_errors("design spec"):
+        """Build a spec from a plain dict; unknown keys are rejected."""
+        name = cls.document_name(payload)
+        with coercion_errors("design spec"):
             return cls(
                 name=name,
                 engine=str(payload.get("engine", "auto")),
@@ -359,54 +332,9 @@ class DesignSpec:
                 tolerance_samples=int(payload.get("tolerance_samples", 64)),
             )
 
-    @classmethod
-    def from_json(cls, source: Union[str, Path]) -> "DesignSpec":
-        """Parse a spec from JSON text or a ``.json`` file path."""
-        text = _read_maybe_path(source)
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ValidationError(f"invalid design JSON: {error}") from None
-        return cls.from_dict(payload)
-
-    @classmethod
-    def from_toml(cls, source: Union[str, Path]) -> "DesignSpec":
-        """Parse a spec from TOML text or a ``.toml`` file path.
-
-        The document may live at the root or under a ``[design]`` table.
-        """
-        tomllib = _toml_parser()
-        text = _read_maybe_path(source)
-        try:
-            payload = tomllib.loads(text)
-        except tomllib.TOMLDecodeError as error:
-            raise ValidationError(f"invalid design TOML: {error}") from None
-        if "design" in payload and isinstance(payload["design"], dict):
-            payload = payload["design"]
-        return cls.from_dict(payload)
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "DesignSpec":
-        """Load a spec file, picking the parser from the extension."""
-        path = Path(path)
-        if path.suffix.lower() == ".toml":
-            return cls.from_toml(path)
-        return cls.from_json(path)
-
     def replace(self, **changes: Any) -> "DesignSpec":
         """A copy with the given fields replaced (frozen-dataclass update)."""
         return dataclasses.replace(self, **changes)
-
-    # ------------------------------------------------------------- hashing
-
-    def canonical_json(self) -> str:
-        """Stable JSON form: sorted keys, compact separators."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
-    def content_hash(self) -> str:
-        """SHA-256 hash of :meth:`canonical_json` — the cache identity."""
-        return content_hash(self.canonical_json())
 
 
 __all__ = [

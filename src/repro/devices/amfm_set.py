@@ -16,7 +16,7 @@ characteristic.  Both quantities are immune to the random background charge
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 

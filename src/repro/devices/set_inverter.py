@@ -28,7 +28,7 @@ import numpy as np
 from ..circuit.netlist import Circuit
 from ..constants import E_CHARGE
 from ..core.energy import EnergyModel
-from ..errors import AnalysisError, CircuitError
+from ..errors import CircuitError
 
 if TYPE_CHECKING:
     from ..master.steadystate import SteadyStateSolution

@@ -12,7 +12,7 @@ pattern is always the same three steps::
 * :func:`get_engine` / :func:`list_engines` / :func:`register_engine` —
   the registry every layer (scenarios, CLI, benchmarks) resolves through;
 * :func:`select_engine` — the one ``auto`` selector (scenarios and design
-  scans): the cheapest available engine that meets a request;
+  scans): the cheapest engine that meets a request;
 * :class:`Engine` — ``capabilities()`` for introspection (exactness class,
   stochasticity, ensemble support, cost model), ``bind()`` for creating
   sessions, and ``solve_devices()`` for solving a whole

@@ -41,7 +41,6 @@ from ..devices.set_transistor import (
     SETTransistor,
 )
 from ..errors import ValidationError
-from ..resilience.events import emit_degradation
 from ..resilience.faults import inject_value
 from ..resilience.policy import FailurePolicy, PointRecord
 from .base import (

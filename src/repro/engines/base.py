@@ -106,11 +106,6 @@ class EngineCapabilities:
         engine selection.
     description:
         One-line summary shown by ``python -m repro engines``.
-    available:
-        Whether the engine's backend is usable in this process.  Engines
-        with optional dependencies register unconditionally but declare
-        ``available=False`` when the dependency is missing, so capability-based selection
-        skips them and scripts can detect them without importing anything.
     """
 
     name: str
@@ -120,7 +115,6 @@ class EngineCapabilities:
     supports_temperature_array: bool
     cost: CostModel
     description: str = ""
-    available: bool = True
 
     def __post_init__(self) -> None:
         if self.exactness not in EXACTNESS_CLASSES:
@@ -134,7 +128,6 @@ class EngineCapabilities:
             "stochastic": self.stochastic,
             "supports_ensemble": self.supports_ensemble,
             "supports_temperature_array": self.supports_temperature_array,
-            "available": self.available,
         }
 
 

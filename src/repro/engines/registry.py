@@ -126,8 +126,8 @@ def select_engine(name: str = "auto", *, stochastic: bool = False,
                   replicas: int = 0, approximate: bool = False) -> "Engine":
     """Resolve an engine request: an explicit name, or ``auto`` by capability.
 
-    ``auto`` considers the ``available`` engines that meet the request:
-    stochastic ones for a stochastic request, deterministic ones otherwise,
+    ``auto`` considers the engines that meet the request: stochastic ones
+    for a stochastic request, deterministic ones otherwise,
     approximate-sequential ones only if approximate physics is acceptable.
     It prefers ensemble support exactly when ``replicas >= 2``, then the
     lowest :attr:`~repro.engines.base.CostModel.per_point_s`, then the name,
@@ -158,13 +158,13 @@ def select_engine(name: str = "auto", *, stochastic: bool = False,
     ranked = []
     for engine in list_engines():
         caps = engine.capabilities()
-        if (caps.available and caps.stochastic == stochastic
+        if (caps.stochastic == stochastic
                 and (approximate or caps.exactness != EXACTNESS_APPROXIMATE)):
             ranked.append(((caps.supports_ensemble != want_ensemble,
                             caps.cost.per_point_s, engine.name), engine))
     if not ranked:
         raise ValidationError(
-            f"no available engine meets the request (stochastic="
+            f"no registered engine meets the request (stochastic="
             f"{stochastic}, replicas={replicas}, approximate={approximate})")
     return min(ranked, key=lambda pair: pair[0])[1]
 

@@ -20,8 +20,8 @@ debiasing are pure array operations — no per-sample Python loop remains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 

@@ -23,9 +23,9 @@ import numpy as np
 
 from ..compact.circuit import CompactCircuit
 from ..compact.mosfet import MOSFETModel
-from ..compact.set_model import AnalyticSETModel, TunableSETModel
+from ..compact.set_model import AnalyticSETModel
 from ..compact.solver import DCSolver
-from ..compact.sweep import SweepResult, dc_sweep
+from ..compact.sweep import dc_sweep
 from ..constants import E_CHARGE
 from ..errors import CircuitError
 

@@ -41,6 +41,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from ..errors import AnalysisError
+from .documents import canonical_json, content_hash
 
 _LOG = logging.getLogger("repro.io.cache")
 
@@ -167,33 +168,6 @@ class SweepRecord:
                    metadata=metadata)
 
 
-@dataclass
-class ExperimentRecord:
-    """Paper-claim-versus-measured record for one experiment (EXPERIMENTS.md rows)."""
-
-    experiment: str
-    claim: str
-    measured: Dict[str, float] = field(default_factory=dict)
-    verdict: str = ""
-
-    def to_json(self) -> str:
-        """Serialise to a JSON string."""
-        return json.dumps({
-            "experiment": self.experiment,
-            "claim": self.claim,
-            "measured": self.measured,
-            "verdict": self.verdict,
-        }, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentRecord":
-        """Parse a JSON string produced by :meth:`to_json`."""
-        payload = json.loads(text)
-        return cls(experiment=payload["experiment"], claim=payload["claim"],
-                   measured=dict(payload.get("measured", {})),
-                   verdict=payload.get("verdict", ""))
-
-
 #: Bump when the on-disk artifact layout changes; folded into every cache key
 #: so stale-format artifacts read as misses instead of parse errors.
 #: Version 2 embeds the artifact's own cache key (:data:`CACHE_KEY_FIELD`)
@@ -286,30 +260,6 @@ def source_digest(root: Optional[str] = None) -> str:
         digest.update(path.read_bytes())
         digest.update(b"\0")
     return digest.hexdigest()
-
-
-def content_hash(payload: Union[str, bytes, Mapping]) -> str:
-    """SHA-256 content hash of a string, bytes, or JSON-able mapping.
-
-    Mappings are canonicalised (sorted keys, compact separators) before
-    hashing, so two dicts with the same content but different insertion
-    order hash identically.
-
-    Parameters
-    ----------
-    payload:
-        The content to fingerprint.
-
-    Returns
-    -------
-    str
-        Hex digest of the canonical representation.
-    """
-    if isinstance(payload, Mapping):
-        payload = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    if isinstance(payload, str):
-        payload = payload.encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
 
 
 def derive_seed(root: Any, *tokens: Any) -> int:
@@ -506,7 +456,7 @@ class ResultCache:
                    if isinstance(value, np.ndarray) else value
                    for name, value in payload.items()}
         stamped[CACHE_KEY_FIELD] = key
-        text = json.dumps(stamped, sort_keys=True, separators=(",", ":"))
+        text = canonical_json(stamped)
         temp_name: Optional[str] = None
         try:
             inject("cache.store")
@@ -555,6 +505,6 @@ class ResultCache:
         return removed
 
 
-__all__ = ["CACHE_FORMAT_VERSION", "CACHE_KEY_FIELD", "ExperimentRecord",
-           "NDARRAY_TAG", "ResultCache", "SweepRecord", "column_length",
-           "content_hash", "derive_seed", "source_digest"]
+__all__ = ["CACHE_FORMAT_VERSION", "CACHE_KEY_FIELD", "NDARRAY_TAG",
+           "ResultCache", "SweepRecord", "column_length", "content_hash",
+           "derive_seed", "source_digest"]

@@ -28,7 +28,7 @@ encoding, and the error rate is recorded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 

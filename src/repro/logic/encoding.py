@@ -20,9 +20,6 @@ import abc
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
-from ..constants import E_CHARGE
 from ..devices.set_transistor import DRAIN_JUNCTION, SETTransistor
 from ..errors import EncodingError
 

@@ -11,11 +11,11 @@ temperature trade-off table of experiment E3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..constants import BOLTZMANN, E_CHARGE, OPERATING_MARGIN, charging_energy
+from ..constants import BOLTZMANN, OPERATING_MARGIN, charging_energy
 from ..errors import AnalysisError
 
 

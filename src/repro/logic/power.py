@@ -19,7 +19,6 @@ The energy bookkeeping is elementary but worth doing carefully:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
 
 from ..constants import BOLTZMANN, E_CHARGE
 from ..errors import AnalysisError

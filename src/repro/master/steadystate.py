@@ -50,7 +50,6 @@ from scipy.sparse import csgraph
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from ..circuit.netlist import Circuit
-from ..constants import E_CHARGE
 from ..errors import ConvergenceError, SolverError
 from ..resilience.events import emit_degradation
 from ..resilience.faults import inject

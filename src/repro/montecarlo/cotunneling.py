@@ -11,13 +11,13 @@ co-tunnelling channel as one composite event with the second-order rate of
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..circuit.netlist import Circuit
 from ..constants import E_CHARGE
-from ..core.energy import EnergyModel, TunnelEvent
+from ..core.energy import EnergyModel
 from .events import CotunnelCandidate
 
 

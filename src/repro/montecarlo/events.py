@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from ..circuit.elements import ChargeTrap, TunnelJunction
+from ..circuit.elements import ChargeTrap
 from ..core.energy import EnergyModel, TunnelEvent
 from .state import SimulationState
 

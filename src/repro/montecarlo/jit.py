@@ -116,8 +116,6 @@ import tempfile
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
 
-import numpy as np
-
 #: Status codes returned by every backend's advance loop.
 STATUS_DONE = 0
 STATUS_BLOCKED = 1

@@ -34,7 +34,7 @@ advance loop replays event for event.
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -19,6 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from ..errors import AnalysisError
+from ..io.documents import canonical_json
 from ..io.results import SweepRecord
 from ..io.tables import format_table
 
@@ -146,10 +147,7 @@ class ScenarioResult:
 
     def payload_json(self) -> str:
         """Canonical JSON of :meth:`payload_dict` (the byte-match surface)."""
-        import json
-
-        return json.dumps(self.payload_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        return canonical_json(self.payload_dict())
 
     @classmethod
     def from_payload(cls, payload: Mapping,

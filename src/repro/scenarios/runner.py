@@ -21,6 +21,7 @@ import time
 from pathlib import Path
 from typing import Optional, Union
 
+from ..engines import ENGINE_ALIASES
 from ..errors import ValidationError
 from ..io.results import ResultCache
 from .engines import EngineContext
@@ -84,8 +85,9 @@ class ScenarioRunner:
             Registered scenario name, or a :class:`Scenario` object (which
             need not be registered — ad-hoc specs work too).
         engine:
-            Optional engine override; folded into the spec, so it changes
-            the cache identity.
+            Optional engine override; folded into the spec as written, so
+            it changes the cache identity.  An alias is checked against the
+            scenario's supported engines as the engine it names.
 
         Returns
         -------
@@ -97,7 +99,7 @@ class ScenarioRunner:
             scenario = get_scenario(scenario)
         spec = scenario.spec.with_engine(engine)
         allowed = scenario.allowed_engines()
-        if spec.engine not in allowed:
+        if ENGINE_ALIASES.get(spec.engine, spec.engine) not in allowed:
             raise ValidationError(
                 f"scenario {spec.name!r} does not dispatch on engine "
                 f"{spec.engine!r}; supported engine(s): {sorted(allowed)}")

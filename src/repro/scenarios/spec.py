@@ -11,17 +11,19 @@ any field produces a different hash (and therefore a cache miss).
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..errors import ValidationError
-from ..io.results import content_hash
+from ..io.documents import (
+    SpecDocument,
+    coercion_errors,
+    known_engine_names,
+    reject_unknown_keys,
+)
 
 #: The built-in engine names a spec may request.  ``"auto"`` defers the
 #: choice to :func:`repro.scenarios.engines.select_engine`.  Validation goes
@@ -30,19 +32,6 @@ from ..io.results import content_hash
 #: the documented built-in set (and the CLI's completion hint), not the
 #: source of truth.
 ENGINES = ("auto", "montecarlo", "ensemble", "master", "analytic")
-
-
-def known_engine_names() -> Tuple[str, ...]:
-    """``("auto",)`` plus every engine currently in the registry.
-
-    The single source of truth for spec-level engine validation: a backend
-    registered via :func:`repro.engines.register_engine` becomes a legal
-    ``ScenarioSpec.engine`` value immediately, and a retired name in
-    :data:`repro.engines.registry.ENGINE_ALIASES` stays legal.
-    """
-    from ..engines.registry import ENGINE_ALIASES, engine_names
-
-    return ("auto",) + tuple(engine_names()) + tuple(ENGINE_ALIASES)
 
 
 @dataclass(frozen=True)
@@ -109,11 +98,9 @@ class SweepAxis:
     @classmethod
     def from_dict(cls, payload: Mapping) -> "SweepAxis":
         """Build an axis from a plain dict (JSON/TOML deserialisation)."""
-        _reject_unknown_keys("sweep axis", payload,
-                             ("source", "start", "stop", "points", "endpoint",
-                              "values", "unit"))
+        reject_unknown_keys("sweep axis", payload, cls)
         values = payload.get("values")
-        with _coercion_errors("sweep axis"):
+        with coercion_errors("sweep axis"):
             return cls(source=str(payload["source"]),
                        start=float(payload.get("start", 0.0)),
                        stop=float(payload.get("stop", 0.0)),
@@ -164,10 +151,8 @@ class Budget:
     @classmethod
     def from_dict(cls, payload: Mapping) -> "Budget":
         """Build a budget from a plain dict."""
-        _reject_unknown_keys("budget", payload,
-                             ("max_events", "warmup_events", "replicas",
-                              "workers"))
-        with _coercion_errors("budget"):
+        reject_unknown_keys("budget", payload, cls)
+        with coercion_errors("budget"):
             return cls(max_events=int(payload.get("max_events", 20_000)),
                        warmup_events=int(payload.get("warmup_events", 1_000)),
                        replicas=int(payload.get("replicas", 0)),
@@ -175,7 +160,7 @@ class Budget:
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(SpecDocument):
     """Complete declarative description of one workload.
 
     Parameters
@@ -215,13 +200,10 @@ class ScenarioSpec:
     budget: Budget = field(default_factory=Budget)
     params: Mapping[str, Any] = field(default_factory=dict)
 
+    kind = "scenario"
+
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValidationError("scenario spec needs a name")
-        known = known_engine_names()
-        if self.engine not in known:
-            raise ValidationError(
-                f"unknown engine {self.engine!r}; choose from {known}")
+        super().__post_init__()
         object.__setattr__(self, "device", dict(self.device))
         object.__setattr__(self, "params", dict(self.params))
         object.__setattr__(self, "sweeps", tuple(self.sweeps))
@@ -261,25 +243,13 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ScenarioSpec":
-        """Build a spec from a plain dict (the JSON/TOML document root).
-
-        Unknown keys are rejected rather than silently dropped: a typo in a
-        spec document must not fall back to a default and then be cached as
-        if the author's intent had been honoured.
-        """
-        _reject_unknown_keys("scenario spec", payload,
-                             ("name", "engine", "temperature", "device",
-                              "sweeps", "observables", "seed", "budget",
-                              "params"))
-        try:
-            name = str(payload["name"])
-        except KeyError:
-            raise ValidationError("scenario document needs a 'name'") from None
+        """Build a spec from a plain dict; unknown keys are rejected."""
+        name = cls.document_name(payload)
         observables = payload.get("observables", ())
         if isinstance(observables, str):
             raise ValidationError(
                 "'observables' must be a list of names, not a single string")
-        with _coercion_errors("scenario spec"):
+        with coercion_errors("scenario spec"):
             return cls(
                 name=name,
                 engine=str(payload.get("engine", "auto")),
@@ -292,107 +262,6 @@ class ScenarioSpec:
                 budget=Budget.from_dict(payload.get("budget", {})),
                 params=dict(payload.get("params", {})),
             )
-
-    @classmethod
-    def from_json(cls, source: Union[str, Path]) -> "ScenarioSpec":
-        """Parse a spec from JSON text or a ``.json`` file path."""
-        text = _read_maybe_path(source)
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ValidationError(f"invalid scenario JSON: {error}") from None
-        return cls.from_dict(payload)
-
-    @classmethod
-    def from_toml(cls, source: Union[str, Path]) -> "ScenarioSpec":
-        """Parse a spec from TOML text or a ``.toml`` file path.
-
-        Uses the standard-library ``tomllib`` (Python 3.11+) with a
-        ``tomli`` fallback on 3.10; without either, use JSON specs.
-        """
-        tomllib = _toml_parser()
-        text = _read_maybe_path(source)
-        try:
-            payload = tomllib.loads(text)
-        except tomllib.TOMLDecodeError as error:
-            raise ValidationError(f"invalid scenario TOML: {error}") from None
-        # Allow the spec to live under a [scenario] table or at the root.
-        if "scenario" in payload and isinstance(payload["scenario"], dict):
-            payload = payload["scenario"]
-        return cls.from_dict(payload)
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "ScenarioSpec":
-        """Load a spec file, picking the parser from the extension."""
-        path = Path(path)
-        if path.suffix.lower() == ".toml":
-            return cls.from_toml(path)
-        return cls.from_json(path)
-
-    # ----------------------------------------------------------------- hashing
-
-    def canonical_json(self) -> str:
-        """Stable JSON form: sorted keys, compact separators."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
-    def content_hash(self) -> str:
-        """SHA-256 hash of :meth:`canonical_json` — the cache identity."""
-        return content_hash(self.canonical_json())
-
-
-@contextlib.contextmanager
-def _coercion_errors(label: str):
-    """Turn bare ``float()``/``int()`` failures into :class:`ValidationError`.
-
-    :class:`ValidationError` itself passes through untouched (it is not a
-    :class:`ValueError`), so field-validation messages keep their detail.
-    """
-    try:
-        yield
-    except (TypeError, ValueError) as error:
-        raise ValidationError(f"invalid {label} value: {error}") from None
-
-
-def _toml_parser():
-    """The available TOML parser module (``tomllib``, or ``tomli`` on 3.10)."""
-    try:
-        import tomllib
-        return tomllib
-    except ModuleNotFoundError:
-        try:
-            import tomli
-            return tomli
-        except ModuleNotFoundError:
-            raise ValidationError(
-                "TOML spec documents need Python >= 3.11 (tomllib) or the "
-                "'tomli' package; use a JSON spec instead") from None
-
-
-def _reject_unknown_keys(label: str, payload: Mapping,
-                         known: Sequence[str]) -> None:
-    """Raise :class:`ValidationError` when a document carries unknown keys."""
-    unknown = sorted(set(payload) - set(known))
-    if unknown:
-        raise ValidationError(
-            f"unknown {label} key(s) {unknown}; known keys: {sorted(known)}")
-
-
-def _read_maybe_path(source: Union[str, Path]) -> str:
-    """Return file contents when ``source`` is an existing path, else ``source``."""
-    if isinstance(source, Path):
-        try:
-            return source.read_text()
-        except OSError as error:
-            raise ValidationError(
-                f"cannot read scenario spec file {source}: {error}") from None
-    candidate = Path(source)
-    try:
-        if candidate.is_file():
-            return candidate.read_text()
-    except OSError:
-        pass
-    return str(source)
 
 
 __all__ = ["Budget", "ENGINES", "ScenarioSpec", "SweepAxis",

@@ -172,6 +172,12 @@ type = "max_temperature"
         with pytest.raises(ValidationError, match="invalid design TOML"):
             DesignSpec.from_toml("= broken =")
 
+    def test_unreadable_file_error_names_the_design_document(self, tmp_path):
+        # A directory is a path that exists but cannot be read as text.
+        with pytest.raises(ValidationError,
+                           match="cannot read design spec file"):
+            DesignSpec.from_json(tmp_path)
+
 
 class TestDesignSpecHashing:
     def test_canonical_json_ignores_key_insertion_order(self):

@@ -311,14 +311,14 @@ class TestCapabilityFlags:
 
     ``stochastic`` (error bars) and ``supports_temperature_array`` are
     exercised by the contract tests above; these cover the flag surface
-    itself, ``supports_ensemble``, and ``available``.
+    itself and ``supports_ensemble``.
     """
 
     def test_flags_dict_is_complete_and_boolean(self, name):
         capabilities = get_engine(name).capabilities()
         flags = capabilities.flags()
         assert set(flags) == {"stochastic", "supports_ensemble",
-                              "supports_temperature_array", "available"}
+                              "supports_temperature_array"}
         assert all(isinstance(value, bool) for value in flags.values())
         assert capabilities.name == get_engine(name).name
 
@@ -334,17 +334,17 @@ class TestCapabilityFlags:
             assert session.replicas == 3
             assert observed.stderr is not None
 
-    def test_availability_gates_design_auto_selection(self, name):
-        # The design layer's "auto" engine must introspect the available
-        # flag: an unavailable engine is never picked, whatever its cost.
+    def test_design_auto_selection_skips_stochastic_engines(self, name):
+        # The design layer's "auto" engine introspects the stochastic flag:
+        # a stochastic engine is never picked for a scan, whatever its cost.
         from repro.design import DesignSpec, DeviceScan
 
         auto = DeviceScan(DesignSpec.from_dict({
             "name": "auto_probe", "engine": "auto",
             "axes": [{"parameter": "gate_capacitance", "values": [2e-18]}],
             "constraints": [{"type": "gain", "threshold": 1.0}]})).engine
-        assert auto.capabilities().available
-        if not get_engine(name).capabilities().available:
+        assert not auto.capabilities().stochastic
+        if get_engine(name).capabilities().stochastic:
             assert auto.name != get_engine(name).name
 
 

@@ -107,9 +107,7 @@ class TestCapabilityDeclarations:
             assert caps.cost.per_point_s > 0.0
             assert caps.description
             assert set(caps.flags()) == {"stochastic", "supports_ensemble",
-                                         "supports_temperature_array",
-                                         "available"}
-            assert isinstance(caps.available, bool)
+                                         "supports_temperature_array"}
 
     def test_unknown_exactness_class_is_rejected(self):
         with pytest.raises(ValidationError, match="exactness"):

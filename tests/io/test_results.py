@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import AnalysisError
-from repro.io import ExperimentRecord, SweepRecord
+from repro.io import SweepRecord
 
 
 @pytest.fixture
@@ -64,16 +64,3 @@ class TestSweepRecord:
         with pytest.raises(AnalysisError):
             SweepRecord.from_csv("# name=empty\n")
 
-
-class TestExperimentRecord:
-    def test_json_roundtrip(self):
-        record = ExperimentRecord(
-            experiment="E1",
-            claim="period equals e/Cg",
-            measured={"period_mV": 80.1, "relative_error": 0.004},
-            verdict="reproduced",
-        )
-        recovered = ExperimentRecord.from_json(record.to_json())
-        assert recovered.experiment == "E1"
-        assert recovered.measured["period_mV"] == pytest.approx(80.1)
-        assert recovered.verdict == "reproduced"

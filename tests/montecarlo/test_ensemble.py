@@ -14,11 +14,7 @@ import pytest
 
 from repro.devices import SETTransistor
 from repro.errors import SimulationError
-from repro.montecarlo import (
-    EnsembleState,
-    MonteCarloSimulator,
-    initial_ensemble,
-)
+from repro.montecarlo import MonteCarloSimulator, initial_ensemble
 
 TEMPERATURE = 1.0
 DRAIN_VOLTAGE = 0.05

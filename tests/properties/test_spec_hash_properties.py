@@ -10,15 +10,22 @@ cache identity:
   the identical hash;
 * **perturbation sensitivity** — changing any single field changes the
   hash (a typo'd document must never collide with the author's intent).
+
+Both kinds load and hash through one base,
+:class:`~repro.io.documents.SpecDocument`, so a dict, JSON text, TOML text
+and a file path give one hash for either kind.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.design import DesignSpec
 from repro.design.spec import DEVICE_PARAMETERS
+from repro.io.documents import SpecDocument, canonical_json, content_hash
 from repro.scenarios import ScenarioSpec
 
 names = st.from_regex(r"[a-z][a-z0-9_]{0,11}", fullmatch=True)
@@ -241,3 +248,28 @@ class TestPerturbationSensitivity:
         hashes = [DesignSpec.from_dict(p).content_hash() for p in perturbed]
         assert base not in hashes
         assert len(set(hashes)) == len(hashes)
+
+
+class TestSharedDocumentBase:
+    """Both spec kinds load and hash through one :class:`SpecDocument`."""
+
+    @given(spec=st.one_of(scenario_specs(), design_specs()))
+    @settings(max_examples=30, deadline=None)
+    def test_dict_json_toml_and_file_give_one_hash(self, spec):
+        kind = type(spec)
+        assert isinstance(spec, SpecDocument)
+        payload = spec.to_dict()
+        json_text = json.dumps(payload)
+        toml_text = to_toml(payload)
+        expected = spec.content_hash()
+        assert expected == content_hash(canonical_json(payload))
+        with tempfile.TemporaryDirectory() as root:
+            json_path = Path(root) / "spec.json"
+            json_path.write_text(json_text)
+            toml_path = Path(root) / "spec.toml"
+            toml_path.write_text(f"[{kind.kind}]\n{toml_text}")
+            loaded = [kind.from_dict(payload), kind.from_json(json_text),
+                      kind.from_toml(toml_text), kind.load(json_path),
+                      kind.load(toml_path), kind.from_json(str(json_path))]
+            assert [doc.content_hash() for doc in loaded] == \
+                [expected] * len(loaded)

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from repro.cli import main
+from repro.scenarios import get_scenario
 
 
 def test_list_shows_at_least_ten_scenarios(capsys):
@@ -120,7 +121,6 @@ def test_engines_lists_every_registered_engine_with_flags(capsys):
         assert name in output
     assert "exactness" in output
     assert "stochastic-complete" in output
-    assert "available" in output
     assert "get_engine" in output
 
 
@@ -130,20 +130,38 @@ def test_engines_json_carries_capabilities_and_cost(capsys):
     names = {entry["name"] for entry in payload}
     assert {"analytic", "ensemble", "master", "montecarlo"} <= names
     for entry in payload:
-        assert {"exactness", "stochastic", "supports_ensemble",
-                "supports_temperature_array", "available", "cost",
-                "description"} <= set(entry)
-        assert isinstance(entry["available"], bool)
+        assert set(entry) == {"name", "exactness", "stochastic",
+                              "supports_ensemble",
+                              "supports_temperature_array", "cost",
+                              "description"}
         assert entry["cost"]["per_point_s"] > 0
-    # The Monte-Carlo engines run on every backend, interpreted included.
-    always_on = {entry["name"]: entry["available"] for entry in payload}
-    assert always_on["montecarlo"] and always_on["ensemble"]
 
 
 def test_compare_rejects_unknown_engine(capsys):
     assert main(["compare", "coulomb_oscillations", "--engines",
                  "spice"]) == 2
     assert "spice" in capsys.readouterr().err
+
+
+def test_run_accepts_an_engine_alias(tmp_path, capsys):
+    assert main(["run", "coulomb_oscillations", "--engine", "montecarlo-jit",
+                 "--json", "--quiet",
+                 "--cache-dir", str(tmp_path / "cache")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["engine"] == "montecarlo"
+    # The spec keeps the name as written, so the alias is its own identity.
+    spec = get_scenario("coulomb_oscillations").spec
+    assert payload["meta"]["spec_hash"] == \
+        spec.with_engine("montecarlo-jit").content_hash()
+
+
+def test_compare_accepts_an_engine_alias(tmp_path, capsys):
+    assert main(["compare", "coulomb_oscillations", "--engines",
+                 "montecarlo-jit,master",
+                 "--cache-dir", str(tmp_path / "cache")]) == 0
+    output = capsys.readouterr().out
+    assert "montecarlo-jit" in output
+    assert "gate_period_theory_V" in output
 
 
 def test_compare_rejects_pinned_scenarios(capsys):

@@ -34,6 +34,7 @@ SCOPED_MODULES = [
     "src/repro/cli.py",
     "src/repro/__main__.py",
     "src/repro/io/results.py",
+    "src/repro/io/documents.py",
     "src/repro/engines/__init__.py",
     "src/repro/engines/base.py",
     "src/repro/engines/adapters.py",
