@@ -133,7 +133,7 @@ class _NullSession(Session):
         """Zero-cost observables."""
         return Observables(current=0.0, engine=self.engine_name)
 
-    def sweep(self, axes, *, workers=1):
+    def _sweep(self, axes, workers):
         """Zero-cost sweep result of the right shape."""
         return SweepResult(axes=axes, currents=np.zeros(len(axes)),
                            stderrs=None, engine=self.engine_name)
@@ -148,7 +148,7 @@ class _NullEngine(Engine):
         """Placeholder capabilities (never selected by heuristics)."""
         return EngineCapabilities(
             name=self.name, exactness="exact-sequential", stochastic=False,
-            supports_ensemble=False, supports_temperature_array=False,
+            supports_ensemble=False,
             cost=CostModel(setup_s=1e-9, per_point_s=1e-9),
             description="benchmark null engine")
 

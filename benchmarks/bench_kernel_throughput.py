@@ -25,8 +25,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro.montecarlo import MonteCarloSimulator
 
 try:

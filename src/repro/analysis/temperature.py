@@ -27,7 +27,7 @@ from ..constants import (
     VACUUM_PERMITTIVITY,
     charging_energy,
 )
-from ..errors import AnalysisError
+from ..errors import AnalysisError, ValidationError
 
 
 def island_self_capacitance(diameter: float, relative_permittivity: float = 3.9) -> float:
@@ -112,21 +112,22 @@ def simulated_oscillation_visibility(set_model, temperature: float,
     ``set_model`` is any compact model with ``gate_period``,
     ``total_capacitance`` and the broadcast ``drain_current_map`` interface
     — in practice an :class:`~repro.compact.set_model.AnalyticSETModel`
-    created at ``temperature``.  The sweep runs through the uniform
-    :class:`~repro.engines.base.Session` API (the analytic engine's
-    broadcast fast path); scalar-only duck-typed models are no longer
-    accepted — wrap them in a ``drain_current_map`` or use the session
-    layer directly.
+    created at ``temperature``; the whole gate sweep is one
+    ``drain_current_map`` call.  Scalar-only duck-typed models are
+    rejected.
     """
-    from ..engines import SweepAxes
-    from ..engines.adapters import AnalyticSession
-
+    drain_current_map = getattr(set_model, "drain_current_map", None)
+    if drain_current_map is None:
+        raise ValidationError(
+            f"{type(set_model).__name__} has no drain_current_map; the "
+            "oscillation sweep requires the broadcast interface (all "
+            "repro.compact SET models provide it)")
     period = set_model.gate_period
     if drain_voltage is None:
         drain_voltage = 0.1 * E_CHARGE / set_model.total_capacitance
     gates = np.linspace(0.0, period, points)
-    session = AnalyticSession.from_model(set_model)
-    currents = session.sweep(SweepAxes(gates, drain_voltage)).currents
+    currents = np.asarray(drain_current_map([float(drain_voltage)], gates),
+                          dtype=float)[0]
     high, low = currents.max(), currents.min()
     if high + low <= 0.0:
         return 0.0

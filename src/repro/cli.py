@@ -274,12 +274,11 @@ def _command_engines(arguments) -> int:
 
     rows = [[caps.name, caps.exactness, _flag(caps.stochastic),
              _flag(caps.supports_ensemble),
-             _flag(caps.supports_temperature_array),
              f"{caps.cost.per_point_s:.0e}", caps.description]
             for caps in engines]
     print(format_table(
-        ["engine", "exactness", "stochastic", "ensemble", "T-array",
-         "~s/point", "description"], rows,
+        ["engine", "exactness", "stochastic", "ensemble", "~s/point",
+         "description"], rows,
         title=f"{len(engines)} registered engines"))
     print("\nresolve programmatically: repro.engines.get_engine(NAME)"
           ".bind(device, temperature=...) -> Session")

@@ -23,7 +23,13 @@ import numpy as np
 
 from ..devices.set_transistor import SETTransistor
 from ..errors import ValidationError
-from ..io.documents import SpecDocument, coercion_errors, reject_unknown_keys
+from ..io.documents import (
+    SpecDocument,
+    coercion_errors,
+    optional_tuple,
+    present_fields,
+    reject_unknown_keys,
+)
 from ..scenarios.spec import Budget
 
 #: Device-geometry parameters a :class:`DeviceAxis` may sweep (the numeric
@@ -137,14 +143,10 @@ class DeviceAxis:
     def from_dict(cls, payload: Mapping) -> "DeviceAxis":
         """Build an axis from a plain dict (JSON/TOML deserialisation)."""
         reject_unknown_keys("design axis", payload, cls)
-        values = payload.get("values")
         with coercion_errors("design axis"):
-            return cls(parameter=str(payload["parameter"]),
-                       start=float(payload.get("start", 0.0)),
-                       stop=float(payload.get("stop", 0.0)),
-                       points=int(payload.get("points", 0)),
-                       spacing=str(payload.get("spacing", "linear")),
-                       values=None if values is None else tuple(values))
+            return cls(parameter=str(payload["parameter"]), **present_fields(
+                payload, {"start": float, "stop": float, "points": int,
+                          "spacing": str, "values": optional_tuple}))
 
 
 @dataclass(frozen=True)
@@ -312,25 +314,16 @@ class DesignSpec(SpecDocument):
         """Build a spec from a plain dict; unknown keys are rejected."""
         name = cls.document_name(payload)
         with coercion_errors("design spec"):
-            return cls(
-                name=name,
-                engine=str(payload.get("engine", "auto")),
-                device=dict(payload.get("device", {})),
-                axes=tuple(DeviceAxis.from_dict(axis)
-                           for axis in payload.get("axes", ())),
-                constraints=tuple(dict(c)
-                                  for c in payload.get("constraints", ())),
-                temperature=float(payload.get("temperature", 1.0)),
-                drain_voltage=float(payload.get("drain_voltage", 2e-3)),
-                on_gate_fraction=float(payload.get("on_gate_fraction", 0.5)),
-                off_gate_fraction=float(payload.get("off_gate_fraction",
-                                                    0.0)),
-                seed=int(payload.get("seed", 1)),
-                budget=Budget.from_dict(payload.get("budget", {})),
-                chunk_size=int(payload.get("chunk_size", 256)),
-                tolerances=dict(payload.get("tolerances", {})),
-                tolerance_samples=int(payload.get("tolerance_samples", 64)),
-            )
+            return cls(name=name, **present_fields(payload, {
+                "engine": str, "device": dict,
+                "axes": lambda axes: tuple(DeviceAxis.from_dict(axis)
+                                           for axis in axes),
+                "constraints": lambda constraints: tuple(
+                    dict(c) for c in constraints),
+                "temperature": float, "drain_voltage": float,
+                "on_gate_fraction": float, "off_gate_fraction": float,
+                "seed": int, "budget": Budget.from_dict, "chunk_size": int,
+                "tolerances": dict, "tolerance_samples": int}))
 
     def replace(self, **changes: Any) -> "DesignSpec":
         """A copy with the given fields replaced (frozen-dataclass update)."""

@@ -37,6 +37,7 @@ import numpy as np
 
 from ..devices.set_transistor import SETTransistor
 from ..errors import ValidationError
+from ..io.documents import present_fields
 from ..io.results import derive_seed
 
 #: Deviation kinds (mirrors the spicelib ``DeviationType`` vocabulary).
@@ -225,19 +226,17 @@ class ComponentDeviation:
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ComponentDeviation":
         """Build a deviation from its plain-dict declaration."""
-        known = ("kind", "tolerance", "min", "max", "distribution")
-        unknown = sorted(set(payload) - set(known))
+        coercers = {"kind": str, "tolerance": float, "min": float,
+                    "max": float, "distribution": str}
+        unknown = sorted(set(payload) - set(coercers))
         if unknown:
             raise ValidationError(
                 f"unknown deviation key(s) {unknown}; known keys: "
-                f"{sorted(known)}")
+                f"{sorted(coercers)}")
         try:
-            return cls(kind=str(payload.get("kind", "none")),
-                       tolerance=float(payload.get("tolerance", 0.0)),
-                       minimum=float(payload.get("min", 0.0)),
-                       maximum=float(payload.get("max", 0.0)),
-                       distribution=str(payload.get("distribution",
-                                                    "uniform")))
+            return cls(**present_fields(
+                payload, coercers,
+                renamed={"min": "minimum", "max": "maximum"}))
         except (TypeError, ValueError) as error:
             if isinstance(error, ValidationError):
                 raise

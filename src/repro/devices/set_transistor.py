@@ -12,9 +12,11 @@ electrode) and how to compute its characteristic figures of merit:
 * charging energy and maximum operating temperature,
 * intrinsic voltage gain ``C_g / C_j``.
 
-The ``id_vg`` / ``id_vd`` helpers run the master-equation solver so the
+The ``id_vg`` / ``id_vd`` helpers run the master equation so the
 characteristics used throughout the examples and benchmarks come from actual
-simulation rather than canned formulas.
+simulation rather than canned formulas: ``id_vg`` is a sweep of a bound
+``master`` session (:mod:`repro.engines`), ``id_vd`` a drain sweep of the
+master-equation solver.
 """
 
 from __future__ import annotations
@@ -194,21 +196,26 @@ class SETTransistor:
               ) -> Tuple[np.ndarray, np.ndarray]:
         """Drain current vs gate voltage (Coulomb oscillations).
 
-        Returns ``(gate_voltages, currents)`` with currents in ampere,
-        computed with the master-equation solver.
+        Returns ``(gate_voltages, currents)`` with currents in ampere: one
+        sweep of a ``master`` engine session bound to this device.
         """
-        from ..master.steadystate import MasterEquationSolver
+        from ..engines import SweepAxes, get_engine
 
-        circuit = self.build_circuit(drain_voltage=drain_voltage,
-                                     gate_voltage=float(gate_voltages[0]),
-                                     background_charge=background_charge)
-        solver = MasterEquationSolver(circuit, temperature=temperature)
-        return solver.sweep_source(GATE_SOURCE, gate_voltages, DRAIN_JUNCTION)
+        session = get_engine("master").bind(
+            self, temperature=temperature,
+            background_charge=background_charge)
+        axes = SweepAxes(gate_voltages, drain_voltage)
+        return axes.gates, session.sweep(axes).currents
 
     def id_vd(self, drain_voltages: Sequence[float], gate_voltage: float,
               temperature: float, background_charge: Optional[float] = None
               ) -> Tuple[np.ndarray, np.ndarray]:
-        """Drain current vs drain voltage (Coulomb blockade / staircase)."""
+        """Drain current vs drain voltage (Coulomb blockade / staircase).
+
+        One stacked drain sweep of the master-equation solver.  Engine
+        sessions sweep the gate only, and a per-point session loop would be
+        slower and could start a reducible chain from a different state.
+        """
         from ..master.steadystate import MasterEquationSolver
 
         circuit = self.build_circuit(drain_voltage=float(drain_voltages[0]),

@@ -17,9 +17,11 @@ pattern is always the same three steps::
   stochasticity, ensemble support, cost model), ``bind()`` for creating
   sessions, and ``solve_devices()`` for solving a whole
   :class:`DeviceTable` of devices at once (one array evaluation on the
-  analytic engine, a per-device ``bind`` + ``solve`` loop elsewhere);
-* :class:`Session` — ``solve(bias)``, ``sweep(axes, workers=...)``, and the
-  incremental ``stream(axes)`` iterator, all structure-reusing;
+  analytic engine, one closed-form birth-death chain per point on
+  ``master``, a per-device ``bind`` + ``solve`` loop elsewhere);
+* :class:`Session` — ``solve(bias)``, ``sweep(axes, workers=...,
+  policy=...)``, and the incremental ``stream(axes)`` iterator, all
+  structure-reusing; every session is bound from a device;
 * :class:`Observables` / :class:`SweepResult` — the common result model
   (``SweepResult.record(...)`` bridges to the archival
   :class:`~repro.io.results.SweepRecord`).

@@ -40,7 +40,6 @@ from ..devices.set_transistor import (
     ISLAND,
     SETTransistor,
 )
-from ..errors import ValidationError
 from ..resilience.faults import inject_value
 from ..resilience.policy import FailurePolicy, PointRecord
 from .base import (
@@ -143,40 +142,23 @@ class AnalyticSession(Session):
     Parameters
     ----------
     model:
-        Any compact model exposing ``drain_current(vd, vg)`` and the
-        broadcast ``drain_current_map(vds, vgs)`` (every SET model in
+        The compact model of ``device``: any model exposing
+        ``drain_current(vd, vg)`` and the broadcast
+        ``drain_current_map(vds, vgs)`` (every SET model in
         :mod:`repro.compact` does).
     device:
-        The originating device, when the session was bound from one.
+        The bound device; per-point offsets rebuild its model.
     temperature:
         Operating temperature in kelvin.
     background_charge:
         Island offset charge baked into ``model``, for bookkeeping.
     """
 
-    def __init__(self, model, device: Optional[SETTransistor] = None,
-                 temperature: Optional[float] = None,
+    def __init__(self, model, device: SETTransistor, temperature: float,
                  background_charge: Optional[float] = None) -> None:
-        resolved = getattr(model, "temperature", 0.0) if temperature is None \
-            else temperature
-        super().__init__(AnalyticEngine.name, device, resolved,
+        super().__init__(AnalyticEngine.name, device, temperature,
                          background_charge)
         self.model = model
-
-    @classmethod
-    def from_model(cls, model) -> "AnalyticSession":
-        """Wrap a bare compact model (no device) in a session.
-
-        This is how analysis code that already holds an
-        :class:`~repro.compact.set_model.AnalyticSETModel` (or any model
-        with ``drain_current_map``) runs sweeps through the uniform API.
-        """
-        if getattr(model, "drain_current_map", None) is None:
-            raise ValidationError(
-                f"{type(model).__name__} has no drain_current_map; the "
-                "analytic engine session requires the broadcast interface "
-                "(all repro.compact SET models provide it)")
-        return cls(model)
 
     def solve(self, bias: BiasPoint) -> Observables:
         """Closed-form drain current at one bias point."""
@@ -185,91 +167,22 @@ class AnalyticSession(Session):
                                             bias.gate_voltage))
         return Observables(current=current, engine=self.engine_name)
 
-    def sweep(self, axes: SweepAxes, *, workers: int = 1,
-              policy: Optional[FailurePolicy] = None) -> SweepResult:
+    def _sweep(self, axes: SweepAxes, workers: int) -> SweepResult:
         """The whole gate sweep in one broadcast ``drain_current_map`` call.
 
-        Parameters
-        ----------
-        axes:
-            Gate axis plus fixed drain bias.
-        workers:
-            Accepted for signature uniformity; the broadcast evaluation is
-            already a single vectorized call, so it is ignored.
-        policy:
-            Optional failure policy; routes through the fault-tolerant
-            executor (see :meth:`Session.sweep`).
-
-        Returns
-        -------
-        SweepResult
-            Deterministic currents (``stderrs`` is ``None``).
+        ``workers`` is ignored: the broadcast evaluation is already one
+        vectorized call.
         """
-        if policy is not None:
-            return self._sweep_with_policy(axes, policy, workers=workers)
         currents = np.asarray(
             self.model.drain_current_map([axes.drain_voltage], axes.gates),
             dtype=float)[0]
         return SweepResult(axes=axes, currents=currents, stderrs=None,
                            engine=self.engine_name)
 
-    def temperature_sweep(self, bias: BiasPoint,
-                          temperatures) -> np.ndarray:
-        """Closed-form currents at one bias point across many temperatures.
-
-        All temperatures are evaluated in one array-temperature model
-        evaluation — this is what the ``supports_temperature_array``
-        capability advertises.  The currents follow the array path of
-        :meth:`~repro.compact.set_model.AnalyticSETModel.drain_current`, so
-        they may differ from per-temperature :meth:`solve` calls by a few
-        ulp.
-
-        Parameters
-        ----------
-        bias:
-            The fixed operating point (per-point ``offset_charge`` needs a
-            device-bound session, as in :meth:`solve`).
-        temperatures:
-            Temperatures in kelvin.
-
-        Returns
-        -------
-        numpy.ndarray
-            Drain currents in ampere, one per temperature.
-        """
-        import dataclasses
-
-        base_model = self._model_at(bias)
-        # Contract: rebinding the temperature uses dataclasses.replace, so
-        # the model must be a dataclass with a 'temperature' field (every
-        # repro.compact SET model is).  Checking that up front — instead of
-        # the former bare `except TypeError` around replace() — means a
-        # TypeError raised *inside* a model's own __post_init__ validation
-        # propagates as the model bug it is rather than being rewritten
-        # into this ValidationError.
-        fields = getattr(type(base_model), "__dataclass_fields__", None)
-        if fields is None or "temperature" not in fields:
-            raise ValidationError(
-                f"{type(base_model).__name__} cannot be re-evaluated at "
-                "a new temperature (not a dataclass with a "
-                "'temperature' field); bind from a device instead")
-        model = dataclasses.replace(
-            base_model,
-            temperature=np.asarray(temperatures, dtype=float).ravel())
-        return np.asarray(model.drain_current(bias.drain_voltage,
-                                              bias.gate_voltage),
-                          dtype=float)
-
     def _model_at(self, bias: BiasPoint):
         """The session model, rebuilt only when a per-point offset differs."""
         if bias.offset_charge is None:
             return self.model
-        if self.device is None:
-            raise ValidationError(
-                "BiasPoint.offset_charge needs a device-bound analytic "
-                "session (the offset is a device parameter of the compact "
-                "model); bind via get_engine('analytic').bind(device, ...) "
-                "instead of AnalyticSession.from_model")
         return analytic_model_for(self.device, self.temperature,
                                   background_charge=bias.offset_charge)
 
@@ -286,7 +199,6 @@ class AnalyticEngine(Engine):
             exactness=EXACTNESS_APPROXIMATE,
             stochastic=False,
             supports_ensemble=False,
-            supports_temperature_array=True,
             cost=CostModel(setup_s=1e-4, per_point_s=1e-5),
             description="closed-form 3-state orthodox model; smooth, "
                         "broadcast sweeps; blind to co-tunnelling and "
@@ -300,7 +212,7 @@ class AnalyticEngine(Engine):
         """Bind the compact-model twin of ``device`` (stochastic knobs ignored)."""
         model = analytic_model_for(device, temperature,
                                    background_charge=background_charge)
-        return AnalyticSession(model, device=device, temperature=temperature,
+        return AnalyticSession(model, device, temperature,
                                background_charge=background_charge)
 
     def solve_devices(self, table: DeviceTable, gates, drains, *,
@@ -392,27 +304,11 @@ class MasterSession(_CircuitSession):
                                float(self._solver.current(DRAIN_JUNCTION)))
         return Observables(current=float(current), engine=self.engine_name)
 
-    def sweep(self, axes: SweepAxes, *, workers: int = 1,
-              policy: Optional[FailurePolicy] = None) -> SweepResult:
+    def _sweep(self, axes: SweepAxes, workers: int) -> SweepResult:
         """Gate sweep as one stacked solve on the solver's ``sweep_source``.
 
-        Parameters
-        ----------
-        axes:
-            Gate axis plus fixed drain bias.
-        workers:
-            Worker processes partitioning the sweep points.
-        policy:
-            Optional failure policy; routes through the fault-tolerant
-            executor (see :meth:`Session.sweep`).
-
-        Returns
-        -------
-        SweepResult
-            Deterministic currents (``stderrs`` is ``None``).
+        ``workers`` processes partition the sweep points.
         """
-        if policy is not None:
-            return self._sweep_with_policy(axes, policy, workers=workers)
         self._begin_sweep(axes)
         _, currents = self._solver.sweep_source(GATE_SOURCE, axes.gates,
                                                 DRAIN_JUNCTION,
@@ -483,7 +379,6 @@ class MasterEngine(Engine):
             exactness=EXACTNESS_EXACT_SEQUENTIAL,
             stochastic=False,
             supports_ensemble=False,
-            supports_temperature_array=False,
             # A stacked sweep point: BENCH_master.json small_window runs
             # 43 455 sweep points/s (129-point sweep, 7-state window).
             cost=CostModel(setup_s=5e-3, per_point_s=2.3e-5),
@@ -629,28 +524,13 @@ class MonteCarloSession(_CircuitSession):
                            extras={"events": float(estimate.events),
                                    "duration_s": float(estimate.duration)})
 
-    def sweep(self, axes: SweepAxes, *, workers: int = 1,
-              policy: Optional[FailurePolicy] = None) -> SweepResult:
+    def _sweep(self, axes: SweepAxes, workers: int) -> SweepResult:
         """Warm-started gate sweep (``R`` replicas per point on ``ensemble``).
 
-        Parameters
-        ----------
-        axes:
-            Gate axis plus fixed drain bias.
-        workers:
-            Worker processes partitioning the bias points; seeded results
-            depend on ``workers`` but not on the host's CPU count.
-        policy:
-            Optional failure policy; routes through the fault-tolerant
-            executor (see :meth:`Session.sweep`).
-
-        Returns
-        -------
-        SweepResult
-            Current estimates with per-point standard errors.
+        ``workers`` processes partition the bias points; seeded results
+        depend on ``workers`` but not on the host's CPU count.  The
+        estimates carry per-point standard errors.
         """
-        if policy is not None:
-            return self._sweep_with_policy(axes, policy, workers=workers)
         self._begin_sweep(axes)
         _, currents, stderrs = self.simulator.sweep_source(
             GATE_SOURCE, axes.gates, DRAIN_JUNCTION,
@@ -694,7 +574,6 @@ class MonteCarloEngine(Engine):
             exactness=EXACTNESS_STOCHASTIC_FULL,
             stochastic=True,
             supports_ensemble=self.ensemble,
-            supports_temperature_array=False,
             cost=CostModel(setup_s=1e-2 if self.ensemble else 5e-3,
                            per_point_s=1e-4 if self.ensemble else 5e-4),
             description=f"{kind}; advance loop ({jit_backend()})")

@@ -97,10 +97,6 @@ class EngineCapabilities:
     supports_ensemble:
         Whether the engine advances batched replicas and derives error bars
         from the replica spread.
-    supports_temperature_array:
-        Whether bound sessions implement :meth:`Session.temperature_sweep`
-        — evaluating one bias point across a whole temperature array in a
-        single cheap call (closed-form models only, today).
     cost:
         Rough :class:`CostModel` used for documentation and ``auto``
         engine selection.
@@ -112,7 +108,6 @@ class EngineCapabilities:
     exactness: str
     stochastic: bool
     supports_ensemble: bool
-    supports_temperature_array: bool
     cost: CostModel
     description: str = ""
 
@@ -127,7 +122,6 @@ class EngineCapabilities:
         return {
             "stochastic": self.stochastic,
             "supports_ensemble": self.supports_ensemble,
-            "supports_temperature_array": self.supports_temperature_array,
         }
 
 
@@ -306,10 +300,6 @@ class SweepResult:
             else float(self.stderrs[position])
         return Observables(current=float(self.currents[position]),
                            stderr=stderr, engine=self.engine)
-
-    def astuple(self) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """``(gates, currents, stderrs)`` — the legacy ``id_vg`` tuple form."""
-        return self.gates, self.currents, self.stderrs
 
     def record(self, name: str, sweep_label: str = "V_gate [V]",
                trace_label: str = "I_drain [A]",
@@ -572,20 +562,23 @@ class Session(abc.ABC):
     :meth:`Engine.bind`; sessions are single-threaded objects — bind one per
     worker if you parallelise outside :meth:`sweep`'s own ``workers`` fan-out.
 
+    A concrete session implements :meth:`solve` and the fast path
+    :meth:`_sweep`; the failure policy of :meth:`sweep` and :meth:`stream`
+    is this class's.
+
     Parameters
     ----------
     engine_name:
         Registry name of the engine that bound this session.
     device:
-        The bound SET device (``None`` for sessions wrapping a bare compact
-        model, see :meth:`repro.engines.adapters.AnalyticSession.from_model`).
+        The bound SET device.
     temperature:
         Operating temperature in kelvin.
     background_charge:
         Island offset charge in coulomb (``None``: the device's own).
     """
 
-    def __init__(self, engine_name: str, device: Optional[SETTransistor],
+    def __init__(self, engine_name: str, device: SETTransistor,
                  temperature: float,
                  background_charge: Optional[float] = None) -> None:
         self.engine_name = engine_name
@@ -597,22 +590,17 @@ class Session(abc.ABC):
     def solve(self, bias: BiasPoint) -> Observables:
         """Solve one bias point and return its :class:`Observables`."""
 
-    @abc.abstractmethod
-    def sweep(self, axes: SweepAxes, *, workers: int = 1) -> SweepResult:
+    def sweep(self, axes: SweepAxes, *, workers: int = 1,
+              policy: Optional[FailurePolicy] = None) -> SweepResult:
         """Run a gate sweep on the engine's fast path.
 
-        Every adapter keeps this on the backend's structure-reusing
-        machinery: one broadcast evaluation for the analytic model, a
-        transition-table-reusing sweep for the master equation, and
-        warm-started (optionally replica-batched) sweeps for the
-        Monte-Carlo family.
-
-        Every built-in adapter additionally accepts a keyword-only
-        ``policy`` (a :class:`~repro.resilience.policy.FailurePolicy`):
-        the sweep then runs through the fault-tolerant executor — the fast
-        path is still tried first, but per-point failures are retried,
-        time-boxed, and recorded as typed statuses on the result instead
-        of aborting the sweep (see :mod:`repro.resilience`).
+        Without a ``policy`` this is the engine's :meth:`_sweep`.  With one
+        the sweep runs through the fault-tolerant executor
+        (:func:`~repro.resilience.execution.run_policy_sweep`): the fast
+        path is still tried first, through ``sweep`` without a policy, but
+        per-point failures are retried, time-boxed, and recorded as typed
+        statuses on the result instead of aborting the sweep (see
+        :mod:`repro.resilience`).
 
         Parameters
         ----------
@@ -621,65 +609,30 @@ class Session(abc.ABC):
         workers:
             Worker processes for point fan-out (``1`` = in-process).
             Seeded results depend on ``workers`` but not on the host.
+        policy:
+            Optional :class:`~repro.resilience.policy.FailurePolicy`.
 
         Returns
         -------
         SweepResult
             Currents (and, for stochastic engines, standard errors) over
-            the gate axis.
+            the gate axis; with a ``policy``, per-point ``statuses`` too.
         """
-
-    def _sweep_with_policy(self, axes: SweepAxes, policy: FailurePolicy, *,
-                           workers: int = 1) -> SweepResult:
-        """Adapter hook: run ``axes`` through the fault-tolerant executor.
-
-        Concrete ``sweep`` implementations delegate here when called with a
-        ``policy``; the executor re-enters ``sweep`` *without* a policy for
-        its optimistic fast path, so the engine's structure-reusing
-        machinery still does the clean-run work.
-
-        Parameters
-        ----------
-        axes:
-            Gate axis plus fixed drain bias.
-        policy:
-            The per-point failure policy.
-        workers:
-            Worker processes for the fast-path fan-out.
-
-        Returns
-        -------
-        SweepResult
-            With per-point ``statuses`` populated.
-        """
+        if policy is None:
+            return self._sweep(axes, workers)
         from ..resilience.execution import run_policy_sweep
 
         return run_policy_sweep(self, axes, policy, workers=workers)
 
-    def temperature_sweep(self, bias: BiasPoint,
-                          temperatures: Sequence[float]) -> np.ndarray:
-        """Drain currents at one bias point across many temperatures.
+    @abc.abstractmethod
+    def _sweep(self, axes: SweepAxes, workers: int) -> SweepResult:
+        """The engine's fast-path gate sweep (see :meth:`sweep`).
 
-        Only engines whose capabilities declare
-        ``supports_temperature_array`` implement this; the default raises
-        so callers can rely on the capability flag instead of trying.
-
-        Parameters
-        ----------
-        bias:
-            The fixed operating point.
-        temperatures:
-            Temperatures in kelvin.
-
-        Returns
-        -------
-        numpy.ndarray
-            Drain currents in ampere, one per temperature.
+        Every adapter keeps this on the backend's structure-reusing
+        machinery: one broadcast evaluation for the analytic model, a
+        stacked solve for the master equation, and warm-started
+        (optionally replica-batched) sweeps for the Monte-Carlo family.
         """
-        raise ValidationError(
-            f"engine {self.engine_name!r} does not support temperature "
-            "arrays (capabilities().supports_temperature_array is False); "
-            "bind one session per temperature instead")
 
     def stream(self, axes: SweepAxes, *,
                policy: Optional[FailurePolicy] = None,

@@ -15,8 +15,8 @@ import dataclasses
 import hashlib
 import json
 from pathlib import Path
-from typing import (Any, ClassVar, Dict, Iterator, Mapping, Tuple, Type,
-                    TypeVar, Union)
+from typing import (Any, Callable, ClassVar, Dict, Iterator, Mapping,
+                    Optional, Tuple, Type, TypeVar, Union)
 
 from ..errors import ValidationError
 
@@ -92,6 +92,36 @@ def reject_unknown_keys(label: str, payload: Mapping, document: Any) -> None:
     if unknown:
         raise ValidationError(
             f"unknown {label} key(s) {unknown}; known keys: {sorted(known)}")
+
+
+def optional_tuple(values: Optional[Any]) -> Optional[Tuple[Any, ...]]:
+    """An explicit ``values`` list as a tuple (``None`` stays ``None``)."""
+    return None if values is None else tuple(values)
+
+
+def present_fields(payload: Mapping,
+                   coercers: Mapping[str, Callable[[Any], Any]], *,
+                   renamed: Optional[Mapping[str, str]] = None
+                   ) -> Dict[str, Any]:
+    """The ``coercers`` keys present in ``payload``, each coerced.
+
+    A key the payload leaves out is left out here too, so the dataclass
+    supplies its default: a document read from a dict and one built in
+    Python with the same fields are equal and hash the same.
+
+    Parameters
+    ----------
+    payload:
+        The plain-dict document.
+    coercers:
+        Document key -> coercion (``float``, ``str``, a ``from_dict``, ...),
+        applied in this order.
+    renamed:
+        Document key -> dataclass field, for keys spelled differently.
+    """
+    renamed = renamed or {}
+    return {renamed.get(key, key): coerce(payload[key])
+            for key, coerce in coercers.items() if key in payload}
 
 
 class SpecDocument:

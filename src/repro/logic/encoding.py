@@ -20,7 +20,8 @@ import abc
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..devices.set_transistor import DRAIN_JUNCTION, SETTransistor
+from ..devices.set_transistor import SETTransistor
+from ..engines import BiasPoint, get_engine
 from ..errors import EncodingError
 
 
@@ -111,6 +112,8 @@ class DirectCodedSETLogic(LogicEncoding):
         self.drain_voltage = drain_voltage if drain_voltage is not None \
             else 0.4 * transistor.blockade_voltage
         self.temperature = float(temperature)
+        self._session = get_engine("master").bind(
+            transistor, temperature=self.temperature)
         period = transistor.gate_period
         #: Gate voltages representing logic 0 (blockade) and 1 (peak), chosen
         #: assuming zero background charge.
@@ -127,13 +130,9 @@ class DirectCodedSETLogic(LogicEncoding):
         self.threshold_current = 0.5 * (low + high)
 
     def _current(self, gate_voltage: float, background_charge: float) -> float:
-        from ..master.steadystate import MasterEquationSolver
-
-        circuit = self.transistor.build_circuit(
-            drain_voltage=self.drain_voltage, gate_voltage=gate_voltage,
-            background_charge=background_charge)
-        solver = MasterEquationSolver(circuit, temperature=self.temperature)
-        return abs(solver.current(DRAIN_JUNCTION))
+        return abs(self._session.solve(BiasPoint(
+            gate_voltage, self.drain_voltage,
+            offset_charge=background_charge)).current)
 
     def transmit_and_decode(self, bit: int, background_charge: float) -> BitReading:
         """Bias the gate for ``bit``, read the current, compare to the threshold."""

@@ -18,10 +18,9 @@ define
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from ..circuit.netlist import Circuit
 from ..core.energy import EnergyModel
@@ -166,36 +165,14 @@ class RateMatrixBuilder:
         """Dense generator matrix ``M``, transitions and window.
 
         ``dp/dt = M p`` with ``p`` the vector of state probabilities.  This is
-        the correctness-baseline path; use :meth:`generator` with
-        ``method="sparse"`` for large windows.
+        the correctness-baseline path; large windows take the sparse
+        generator of :meth:`transition_table`
+        (:meth:`~repro.master.transitions.TransitionTable.sparse_generator`).
         """
         table = self.transition_table(space, voltages, offsets)
         rates, delta = table.rates(voltages, offsets)
         matrix = table.dense_generator(rates)
         return matrix, table.transitions_list(rates, delta), table.space
-
-    def generator(self, space: Optional[StateSpace] = None,
-                  voltages: Optional[np.ndarray] = None,
-                  offsets: Optional[np.ndarray] = None,
-                  method: str = "sparse"
-                  ) -> Tuple[Union[np.ndarray, sparse.csr_matrix],
-                             TransitionTable]:
-        """Generator matrix in the requested representation plus its table.
-
-        Parameters
-        ----------
-        method:
-            ``"sparse"`` for ``scipy.sparse.csr_matrix`` (the fast path for
-            large windows), ``"dense"`` for a NumPy array.
-        """
-        if method not in ("sparse", "dense"):
-            raise StateSpaceError(
-                f"unknown generator method {method!r}; use 'sparse' or 'dense'")
-        table = self.transition_table(space, voltages, offsets)
-        rates, _ = table.rates(voltages, offsets)
-        if method == "sparse":
-            return table.sparse_generator(rates), table
-        return table.dense_generator(rates), table
 
 
 __all__ = ["Transition", "RateMatrixBuilder"]

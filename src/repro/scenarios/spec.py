@@ -22,6 +22,8 @@ from ..io.documents import (
     SpecDocument,
     coercion_errors,
     known_engine_names,
+    optional_tuple,
+    present_fields,
     reject_unknown_keys,
 )
 
@@ -99,15 +101,11 @@ class SweepAxis:
     def from_dict(cls, payload: Mapping) -> "SweepAxis":
         """Build an axis from a plain dict (JSON/TOML deserialisation)."""
         reject_unknown_keys("sweep axis", payload, cls)
-        values = payload.get("values")
         with coercion_errors("sweep axis"):
-            return cls(source=str(payload["source"]),
-                       start=float(payload.get("start", 0.0)),
-                       stop=float(payload.get("stop", 0.0)),
-                       points=int(payload.get("points", 0)),
-                       endpoint=bool(payload.get("endpoint", True)),
-                       values=None if values is None else tuple(values),
-                       unit=str(payload.get("unit", "V")))
+            return cls(source=str(payload["source"]), **present_fields(
+                payload, {"start": float, "stop": float, "points": int,
+                          "endpoint": bool, "values": optional_tuple,
+                          "unit": str}))
 
 
 @dataclass(frozen=True)
@@ -153,10 +151,9 @@ class Budget:
         """Build a budget from a plain dict."""
         reject_unknown_keys("budget", payload, cls)
         with coercion_errors("budget"):
-            return cls(max_events=int(payload.get("max_events", 20_000)),
-                       warmup_events=int(payload.get("warmup_events", 1_000)),
-                       replicas=int(payload.get("replicas", 0)),
-                       workers=int(payload.get("workers", 1)))
+            return cls(**present_fields(payload, {
+                "max_events": int, "warmup_events": int, "replicas": int,
+                "workers": int}))
 
 
 @dataclass(frozen=True)
@@ -250,18 +247,12 @@ class ScenarioSpec(SpecDocument):
             raise ValidationError(
                 "'observables' must be a list of names, not a single string")
         with coercion_errors("scenario spec"):
-            return cls(
-                name=name,
-                engine=str(payload.get("engine", "auto")),
-                temperature=float(payload.get("temperature", 1.0)),
-                device=dict(payload.get("device", {})),
-                sweeps=tuple(SweepAxis.from_dict(axis)
-                             for axis in payload.get("sweeps", ())),
-                observables=tuple(observables),
-                seed=int(payload.get("seed", 1)),
-                budget=Budget.from_dict(payload.get("budget", {})),
-                params=dict(payload.get("params", {})),
-            )
+            return cls(name=name, **present_fields(payload, {
+                "engine": str, "temperature": float, "device": dict,
+                "sweeps": lambda axes: tuple(SweepAxis.from_dict(axis)
+                                             for axis in axes),
+                "observables": tuple, "seed": int,
+                "budget": Budget.from_dict, "params": dict}))
 
 
 __all__ = ["Budget", "ENGINES", "ScenarioSpec", "SweepAxis",

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import analyze_blockade, conduction_threshold, staircase_steps
-from repro.constants import E_CHARGE
 from repro.devices import SETTransistor
 from repro.errors import AnalysisError
 

@@ -101,17 +101,13 @@ class TestVisibility:
             oscillation_visibility(1e-18, -1.0)
 
     def test_session_sweep_matches_scalar_loop(self):
-        # The analytic engine session's broadcast sweep must reproduce the
-        # per-point scalar evaluation exactly.
-        from repro.engines import SweepAxes
-        from repro.engines.adapters import AnalyticSession
-
+        # The broadcast drain_current_map sweep the visibility runs must
+        # reproduce the per-point scalar evaluation exactly.
         model = AnalyticSETModel(temperature=5.0)
         drain = 0.1 * 1.602176634e-19 / model.total_capacitance
         gates = np.linspace(0.0, model.gate_period, 41)
         scalar = np.array([model.drain_current(drain, vg) for vg in gates])
-        batched = AnalyticSession.from_model(model).sweep(
-            SweepAxes(gates, drain)).currents
+        batched = model.drain_current_map([drain], gates)[0]
         assert np.allclose(batched, scalar, rtol=1e-12, atol=0.0)
 
     def test_scalar_only_models_are_rejected_with_a_clear_error(self):

@@ -1,6 +1,5 @@
 """Tests for the Newton DC solver."""
 
-import numpy as np
 import pytest
 
 from repro.compact import AnalyticSETModel, CompactCircuit, DCSolver, MOSFETModel

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.circuit import Circuit
 from repro.constants import E_CHARGE
 from repro.core import EnergyModel, TunnelEvent
 from repro.errors import CircuitError

@@ -1,7 +1,5 @@
 """Tests for the orthodox and co-tunnelling rate expressions."""
 
-import math
-
 import pytest
 
 from repro.constants import BOLTZMANN, E_CHARGE, HBAR

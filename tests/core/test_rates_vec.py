@@ -7,8 +7,6 @@ series expansion and both exponential-overflow guards.  These tests sweep
 every branch explicitly and then hammer the functions with random inputs.
 """
 
-import math
-
 import numpy as np
 import pytest
 

@@ -14,7 +14,6 @@ from repro.design import (
     FeasibilityMap,
     analyze_yield,
 )
-from repro.engines import get_engine
 from repro.errors import ValidationError
 from repro.io.results import ResultCache
 

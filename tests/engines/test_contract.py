@@ -2,9 +2,9 @@
 
 Every registered engine runs through the same protocol checks:
 ``bind`` -> ``solve`` / ``sweep`` / ``stream`` behaviour, result-model
-invariants, seeded reproducibility, the R = 1 ensemble equivalence, and the
-deprecation shims of the pre-protocol entry points.  A new backend only has
-to register itself to be covered.
+invariants, seeded reproducibility and the R = 1 ensemble equivalence; the
+base :class:`~repro.engines.Session` owns the failure policy of every
+session.  A new backend only has to register itself to be covered.
 """
 
 import numpy as np
@@ -17,11 +17,14 @@ from repro.engines import (
     Observables,
     SweepAxes,
     ENGINE_ALIASES,
+    Session,
     SweepResult,
     engine_names,
     get_engine,
 )
+from repro.errors import SolverError
 from repro.io.results import SweepRecord
+from repro.resilience import FailurePolicy
 
 TEMPERATURE = 1.0
 DRAIN_VOLTAGE = 2e-3
@@ -97,7 +100,7 @@ class TestEngineContract:
             assert np.all(np.isfinite(result.stderrs))
         else:
             assert result.stderrs is None
-        gates, currents, stderrs = result.astuple()
+        gates, currents = result.gates, result.currents
         assert np.array_equal(gates, axes.gates)
         assert currents.shape == gates.shape
 
@@ -125,25 +128,6 @@ class TestEngineContract:
         swept = session.sweep(axes)
         solved = [session.solve(bias).current for bias in axes.bias_points()]
         assert np.allclose(swept.currents, solved, rtol=1e-9, atol=0.0)
-
-    def test_temperature_array_capability_is_honoured(self, name, device):
-        # Engines declaring supports_temperature_array must implement
-        # temperature_sweep; the rest must refuse instead of guessing.
-        from repro.errors import ValidationError
-
-        session = bind(name, device)
-        bias = BiasPoint(0.0, DRAIN_VOLTAGE)   # blockade: thermally activated
-        temperatures = [0.5, 2.0, 20.0]
-        if get_engine(name).capabilities().supports_temperature_array:
-            currents = session.temperature_sweep(bias, temperatures)
-            assert currents.shape == (3,)
-            assert np.all(np.isfinite(currents))
-            # Thermal activation out of blockade: hotter conducts more.
-            assert currents[2] > currents[0]
-        else:
-            with pytest.raises(ValidationError,
-                               match="temperature arrays"):
-                session.temperature_sweep(bias, temperatures)
 
     def test_solve_devices_matches_per_device_sessions(self, name, device):
         # Two devices, each at its own temperature, offset, seed and biases.
@@ -219,29 +203,50 @@ class TestEngineContract:
             assert np.array_equal(after_probe.currents, fresh.currents)
 
 
-class TestModelOnlySessions:
-    def test_from_model_sweep_works_without_a_device(self, axes):
-        from repro.compact import AnalyticSETModel
-        from repro.engines.adapters import AnalyticSession
+class _MinimalSession(Session):
+    """A session with only ``solve`` and ``_sweep``; the fast path is down.
 
-        session = AnalyticSession.from_model(
-            AnalyticSETModel(temperature=TEMPERATURE))
-        result = session.sweep(axes)
-        assert np.all(np.isfinite(result.currents))
+    Its solve returns the gate voltage as the current and fails at
+    ``broken_gate``, so salvaged values and statuses are easy to read.
+    """
 
-    def test_from_model_rejects_offset_charge_instead_of_ignoring_it(self):
-        # No device means the offset cannot be folded into a rebuilt model;
-        # silently ignoring it would return wrong currents.
-        from repro.compact import AnalyticSETModel
-        from repro.constants import E_CHARGE
-        from repro.engines.adapters import AnalyticSession
-        from repro.errors import ValidationError
+    def __init__(self, device, broken_gate):
+        super().__init__("minimal", device, TEMPERATURE)
+        self.broken_gate = broken_gate
+        self.fast_path_workers = []
 
-        session = AnalyticSession.from_model(
-            AnalyticSETModel(temperature=TEMPERATURE))
-        with pytest.raises(ValidationError, match="device-bound"):
-            session.solve(BiasPoint(0.02, DRAIN_VOLTAGE,
-                                    offset_charge=0.5 * E_CHARGE))
+    def solve(self, bias):
+        if bias.gate_voltage == self.broken_gate:
+            raise SolverError("this point never solves")
+        return Observables(current=bias.gate_voltage, engine=self.engine_name)
+
+    def _sweep(self, axes, workers):
+        self.fast_path_workers.append(workers)
+        raise SolverError("the fast path is down")
+
+
+class TestSessionBase:
+    def test_policy_sweep_salvages_a_minimal_session_per_point(self, device,
+                                                               axes):
+        # The base class owns the failure policy: a session that implements
+        # only solve and _sweep gets typed statuses and per-point salvage.
+        broken = axes.gate_voltages[1]
+        session = _MinimalSession(device, broken_gate=broken)
+        result = session.sweep(axes, policy=FailurePolicy())
+        assert session.fast_path_workers == [1]
+        assert [record.status for record in result.statuses] == \
+            ["ok", "failed", "ok"]
+        assert result.statuses[1].attempts == 2
+        assert result.currents[0] == axes.gate_voltages[0]
+        assert np.isnan(result.currents[1])
+        assert result.currents[2] == axes.gate_voltages[2]
+        assert result.engine == "minimal"
+
+    def test_sweep_without_a_policy_is_the_fast_path(self, device, axes):
+        session = _MinimalSession(device, broken_gate=None)
+        with pytest.raises(SolverError, match="fast path is down"):
+            session.sweep(axes, workers=2)
+        assert session.fast_path_workers == [2]
 
 
 class TestCrossEngineAgreement:
@@ -309,16 +314,14 @@ class TestEnsembleEquivalence:
 class TestCapabilityFlags:
     """Every advertised EngineCapabilities flag has a conformance check.
 
-    ``stochastic`` (error bars) and ``supports_temperature_array`` are
-    exercised by the contract tests above; these cover the flag surface
-    itself and ``supports_ensemble``.
+    ``stochastic`` (error bars) is exercised by the contract tests above;
+    these cover the flag surface itself and ``supports_ensemble``.
     """
 
     def test_flags_dict_is_complete_and_boolean(self, name):
         capabilities = get_engine(name).capabilities()
         flags = capabilities.flags()
-        assert set(flags) == {"stochastic", "supports_ensemble",
-                              "supports_temperature_array"}
+        assert set(flags) == {"stochastic", "supports_ensemble"}
         assert all(isinstance(value, bool) for value in flags.values())
         assert capabilities.name == get_engine(name).name
 

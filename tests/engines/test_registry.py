@@ -69,7 +69,6 @@ class TestRegistry:
                 return EngineCapabilities(
                     name=self.name, exactness="exact-sequential",
                     stochastic=False, supports_ensemble=False,
-                    supports_temperature_array=False,
                     cost=CostModel(setup_s=1.0, per_point_s=1.0))
 
             def bind(self, device, *, temperature, seed=None,
@@ -106,15 +105,13 @@ class TestCapabilityDeclarations:
             assert caps.cost.setup_s > 0.0
             assert caps.cost.per_point_s > 0.0
             assert caps.description
-            assert set(caps.flags()) == {"stochastic", "supports_ensemble",
-                                         "supports_temperature_array"}
+            assert set(caps.flags()) == {"stochastic", "supports_ensemble"}
 
     def test_unknown_exactness_class_is_rejected(self):
         with pytest.raises(ValidationError, match="exactness"):
             EngineCapabilities(name="x", exactness="magic",
                                stochastic=False, supports_ensemble=False,
-                               supports_temperature_array=False,
-                               cost=CostModel(setup_s=1.0, per_point_s=1.0))
+                                          cost=CostModel(setup_s=1.0, per_point_s=1.0))
 
     def test_ensemble_support_implies_stochastic(self):
         for engine in list_engines():

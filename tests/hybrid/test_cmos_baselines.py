@@ -1,7 +1,5 @@
 """Tests for the behavioural CMOS baselines."""
 
-import math
-
 import pytest
 
 from repro.errors import AnalysisError

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import AnalysisError
-from repro.hybrid import SETMOSQuantizer, SETMOSStack
-from repro.compact import AnalyticSETModel, MOSFETModel
+from repro.hybrid import SETMOSQuantizer
 
 
 @pytest.fixture(scope="module")

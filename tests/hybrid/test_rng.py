@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import run_randomness_battery
-from repro.constants import E_CHARGE
 from repro.errors import SimulationError
 from repro.hybrid import SETMOSStack, SingleElectronRNG, von_neumann_debias
 from repro.compact import AnalyticSETModel, MOSFETModel

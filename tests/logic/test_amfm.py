@@ -1,6 +1,5 @@
 """Tests for AM/FM coded (background-charge immune) logic."""
 
-import numpy as np
 import pytest
 
 from repro.constants import E_CHARGE

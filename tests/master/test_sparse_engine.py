@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.constants import E_CHARGE
 from repro.errors import CircuitError, SolverError
 from repro.master import (MasterEquationSolver, RateMatrixBuilder,
-                          TransitionTable, build_state_space, steadystate)
+                          build_state_space, steadystate)
 from repro.master.steadystate import (_solve_stationary,
                                       _solve_stationary_sparse)
 

@@ -6,9 +6,9 @@ import pytest
 from repro.core import EnergyModel
 from repro.constants import E_CHARGE
 from repro.errors import StateSpaceError
-from repro.master import StateSpace, auto_state_space, build_state_space
+from repro.master import auto_state_space, build_state_space
 
-from ..conftest import build_double_dot_circuit, build_set_circuit
+from ..conftest import build_set_circuit
 
 
 class TestBuildStateSpace:

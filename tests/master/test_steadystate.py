@@ -12,7 +12,7 @@ from repro.constants import E_CHARGE
 from repro.errors import SolverError
 from repro.master import MasterEquationSolver
 
-from ..conftest import build_double_dot_circuit, build_set_circuit
+from ..conftest import build_set_circuit
 
 GATE_PERIOD = E_CHARGE / 2e-18        # 80 mV for the standard device
 BLOCKADE_VOLTAGE = E_CHARGE / 4e-18   # 40 mV for the standard device

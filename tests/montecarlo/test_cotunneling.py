@@ -11,7 +11,7 @@ from repro.montecarlo import (
     intermediate_energies,
 )
 
-from ..conftest import build_double_dot_circuit, build_set_circuit
+from ..conftest import build_set_circuit
 
 BLOCKADE_VOLTAGE = E_CHARGE / 4e-18
 

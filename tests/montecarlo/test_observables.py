@@ -1,6 +1,5 @@
 """Tests for Monte-Carlo observables and statistics helpers."""
 
-import numpy as np
 import pytest
 
 from repro.constants import E_CHARGE

@@ -1,11 +1,8 @@
 """Tests for the Monte-Carlo simulation state."""
 
 import numpy as np
-import pytest
-
 from repro.constants import E_CHARGE
-from repro.core import EnergyModel
-from repro.montecarlo import SimulationState, initial_state
+from repro.montecarlo import initial_state
 
 from ..conftest import build_set_circuit
 

@@ -1,7 +1,6 @@
 """Property-based tests of the electrostatic free-energy model."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -3,8 +3,6 @@
 import json
 import re
 
-import pytest
-
 from repro.cli import main
 from repro.scenarios import get_scenario
 
@@ -131,8 +129,7 @@ def test_engines_json_carries_capabilities_and_cost(capsys):
     assert {"analytic", "ensemble", "master", "montecarlo"} <= names
     for entry in payload:
         assert set(entry) == {"name", "exactness", "stochastic",
-                              "supports_ensemble",
-                              "supports_temperature_array", "cost",
+                              "supports_ensemble", "cost",
                               "description"}
         assert entry["cost"]["per_point_s"] > 0
 

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro import constants
 from repro.constants import (
     BOLTZMANN,
     E_CHARGE,
