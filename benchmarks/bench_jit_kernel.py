@@ -13,8 +13,8 @@ cost of an entry, so a sweep-scale measurement sits beside them: a
 ``ensemble`` (R = 16), reporting points/s, native entries per point split
 into run, refill and link entries (asserting at most one run entry per
 point), and rate evaluations per point — calls of the rate kernel from the
-Monte-Carlo kernel, which builds a point's rate tables in one stacked
-evaluation (raising above :data:`RATE_EVALUATION_LIMIT`).
+Monte-Carlo kernel, which evaluates a root configuration's rate rows once
+per block of sweep points (raising above :data:`RATE_EVALUATION_LIMIT`).
 
 The numbers go to ``BENCH_jit.json`` in the repository root so the
 performance trajectory is tracked across PRs (``benchmarks/run_all.py``
@@ -69,9 +69,12 @@ SWEEP_REPLICAS = 16
 SWEEP_ENGINES = (("montecarlo", {}),
                  ("ensemble", {"replicas": SWEEP_REPLICAS}))
 REQUIRED_SPEEDUP = 10.0
-#: Most rate-kernel calls a sweep point may make: one stacked evaluation of
-#: the point's roots and their successors, plus the rare lazy build.
-RATE_EVALUATION_LIMIT = 1.2
+#: Most rate-kernel calls a sweep point may make.  A root configuration's
+#: rows are evaluated once per block of sweep points, plus the rare lazy
+#: build: measured 0.16 (montecarlo) and 0.09 (ensemble) per point on the
+#: 129-point sweep, 0.24 and 0.29 on CI's 17-point smoke sweep (fewer
+#: points per configuration); one evaluation per point would read >= 1.
+RATE_EVALUATION_LIMIT = 0.35
 #: The numpy fast path's events/s recorded in BENCH_kernel.json at PR 1 —
 #: the absolute reference the >= 10x ISSUE target is stated against.
 RECORDED_BASELINE = 384474.2
@@ -174,8 +177,9 @@ def measure_sweep(engine: str, options: dict) -> dict:
     if rate_evaluations > RATE_EVALUATION_LIMIT:
         raise RuntimeError(
             f"{engine}: {rate_evaluations:.2f} rate evaluations per point; "
-            f"a point should build its rate tables in one stacked "
-            f"evaluation (limit {RATE_EVALUATION_LIMIT})")
+            f"a root configuration's rate rows should be evaluated once "
+            f"per configuration per sweep block, not once per point (limit "
+            f"{RATE_EVALUATION_LIMIT})")
     return {"points_per_second": round(SWEEP_POINTS / best, 1),
             "rate_evaluations_per_point": round(rate_evaluations, 2),
             "native_entries_per_point": round(len(statuses) / SWEEP_POINTS,

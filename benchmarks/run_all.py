@@ -6,9 +6,12 @@ driver runs them all (or, with ``--merge-only``, just collects the existing
 files) and appends one timestamped snapshot combining every payload to
 ``BENCH_trajectory.json``, so the performance history survives across PRs
 instead of being overwritten.  Each snapshot is stamped with the commit
-(``git rev-parse HEAD``), ``os.cpu_count()``, the Python and NumPy versions
-and the resolved ``jit_backend()``, so snapshots taken on different hosts or
-commits can be told apart:
+(``git rev-parse HEAD``), whether the work tree differs from it (``dirty``)
+and the SHA-256 of that difference (``diff_sha256``, ``git diff HEAD``
+outside the ``BENCH_*.json`` outputs; null when clean), ``os.cpu_count()``,
+the Python and NumPy versions and the resolved ``jit_backend()``, so
+snapshots taken on different hosts, commits or uncommitted trees can be
+told apart:
 
 .. code-block:: console
 
@@ -20,6 +23,7 @@ so every PR leaves a (noisy but monotone-comparable) snapshot behind.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -27,7 +31,7 @@ import subprocess
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TRAJECTORY_PATH = REPO_ROOT / "BENCH_trajectory.json"
@@ -45,26 +49,57 @@ BENCHMARK_MODULES = (
 )
 
 
-def git_commit() -> Optional[str]:
-    """``git rev-parse HEAD`` of the checkout, ``None`` outside a work tree."""
+#: Pathspec of the files the benchmarks rewrite: a difference there says
+#: nothing about the tree that was measured.
+BENCHMARK_OUTPUTS = ":(exclude)BENCH_*.json"
+
+
+def _git(root: Path, *arguments: str) -> Optional[bytes]:
+    """Standard output of ``git arguments`` in ``root``; ``None`` on failure."""
     try:
-        completed = subprocess.run(["git", "rev-parse", "HEAD"],
-                                   cwd=REPO_ROOT, capture_output=True,
-                                   text=True, timeout=10)
+        completed = subprocess.run(["git", *arguments], cwd=root,
+                                   capture_output=True, timeout=10)
     except (OSError, subprocess.SubprocessError):
         return None
-    commit = completed.stdout.strip()
-    return commit if completed.returncode == 0 and commit else None
+    return completed.stdout if completed.returncode == 0 else None
 
 
-def host_metadata() -> dict:
-    """Commit, CPU count, interpreter/NumPy versions and the JIT backend."""
+def git_commit(root: Path = REPO_ROOT) -> Optional[str]:
+    """``git rev-parse HEAD`` of the checkout, ``None`` outside a work tree."""
+    output = _git(root, "rev-parse", "HEAD")
+    commit = output.decode().strip() if output is not None else ""
+    return commit or None
+
+
+def git_tree_state(root: Path = REPO_ROOT
+                   ) -> Tuple[Optional[bool], Optional[str]]:
+    """``(dirty, diff_sha256)`` of the work tree against ``HEAD``.
+
+    ``diff_sha256`` is the SHA-256 of ``git diff HEAD --binary`` outside the
+    ``BENCH_*.json`` outputs, ``None`` when that diff is empty (``dirty``
+    false); untracked files are not part of it.  Both are ``None`` outside
+    a work tree.
+    """
+    diff = _git(root, "diff", "HEAD", "--binary", "--", ".",
+                BENCHMARK_OUTPUTS)
+    if diff is None:
+        return None, None
+    if not diff:
+        return False, None
+    return True, hashlib.sha256(diff).hexdigest()
+
+
+def host_metadata(root: Path = REPO_ROOT) -> dict:
+    """Commit and tree state, CPU count, interpreter/NumPy versions, JIT backend."""
     import numpy
 
     from repro.montecarlo.jit import jit_backend
 
+    dirty, diff_sha256 = git_tree_state(root)
     return {
-        "commit": git_commit(),
+        "commit": git_commit(root),
+        "dirty": dirty,
+        "diff_sha256": diff_sha256,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,

@@ -114,9 +114,13 @@ class EventTable:
         # Gather indices into the concatenated (potentials, voltages) pool.
         self._from_gather = np.empty(self.size, dtype=np.int64)
         self._to_gather = np.empty(self.size, dtype=np.int64)
-        #: Flat gather indices and tiled reorganisation energies per stack
-        #: height, for :meth:`delta_f` over stacked potentials.
-        self._stacked_gathers: Dict[int, Tuple[np.ndarray, ...]] = {}
+        #: Width of a stack's (potentials, voltages) pool row.
+        self._width = n_islands + len(system.source_names)
+        #: :meth:`stacked_tiles` per stack height: views into ``_tallest``,
+        #: the tiles of the tallest stack so far, so the cache stays small
+        #: however many heights are evaluated.
+        self._tiles: Dict[int, Tuple[np.ndarray, ...]] = {}
+        self._tallest: Tuple[np.ndarray, ...] = ()
 
         for k, event in enumerate(events):
             from_node = event.source_node
@@ -147,6 +151,31 @@ class EventTable:
             self.reorg[k] = 0.5 * E_CHARGE**2 * (inv_ff + inv_tt - 2.0 * inv_ft)
             self.resistance[k] = event.junction.resistance
 
+    def stacked_tiles(self, rows: int) -> Tuple[np.ndarray, ...]:
+        """Per-event arrays tiled to a stack of ``rows`` rows.
+
+        Returns the flat indices of every event's from and to terminal in a
+        ``(rows, islands + sources)`` pool (row by row), and the
+        reorganisation energies and junction resistances repeated ``rows``
+        times.  The arrays are read-only views into the tiles of the tallest
+        stack requested so far.
+        """
+        tiles = self._tiles.get(rows)
+        if tiles is None:
+            count = rows * self.size
+            if not self._tallest or self._tallest[0].size < count:
+                starts = np.arange(rows)[:, None] * self._width
+                self._tallest = ((starts + self._from_gather).ravel(),
+                                 (starts + self._to_gather).ravel(),
+                                 np.tile(self.reorg, rows),
+                                 np.tile(self.resistance, rows))
+                for tile in self._tallest:
+                    tile.flags.writeable = False
+                self._tiles.clear()
+            tiles = self._tiles[rows] = tuple(tile[:count]
+                                              for tile in self._tallest)
+        return tiles
+
     def delta_f(self, potentials: np.ndarray,
                 voltages: np.ndarray) -> np.ndarray:
         """Free-energy change of every event, given the island potentials.
@@ -155,24 +184,19 @@ class EventTable:
         :meth:`EnergyModel.free_energy_change_from_potentials` for event ``k``
         exactly (the same floating-point operations in the same order).
         ``potentials`` may also be a ``(rows, islands)`` stack of potential
-        vectors; each output row then equals the single-vector result.  A
-        stack's terminals are gathered from one flat pool of every row's
-        potentials followed by the source voltages.
+        vectors, and ``voltages`` then either one source vector shared by
+        every row or a ``(rows, sources)`` stack of per-row source vectors;
+        each output row equals the single-vector result of its own
+        potentials and voltages.  A stack's terminals are gathered from one
+        flat pool of every row's potentials followed by its source voltages.
         """
         if potentials.ndim == 1:
             pool = np.concatenate((potentials, voltages))
             return E_CHARGE * (pool[self._from_gather]
                                - pool[self._to_gather]) + self.reorg
         rows, islands = potentials.shape
-        width = islands + voltages.size
-        gathers = self._stacked_gathers.get(rows)
-        if gathers is None:
-            starts = np.arange(rows)[:, None] * width
-            gathers = self._stacked_gathers[rows] = (
-                (starts + self._from_gather).ravel(),
-                (starts + self._to_gather).ravel(), np.tile(self.reorg, rows))
-        from_index, to_index, reorg = gathers
-        pool = np.empty((rows, width))
+        from_index, to_index, reorg, _ = self.stacked_tiles(rows)
+        pool = np.empty((rows, self._width))
         pool[:, :islands] = potentials
         pool[:, islands:] = voltages
         flat = pool.ravel()

@@ -25,13 +25,21 @@ so telegraph noise does not thrash it.  Waiting-time and selection randoms
 are drawn in blocks rather than one scalar at a time.
 
 After a bias change the root configurations of a run — the replicas' current
-configurations — get their rate tables from **one stacked rate evaluation**,
-together with *speculated* tables of their one-event successors (root
-potentials plus every event's ``delta_phi``, one broadcast add).  A successor
-discovered later adopts its speculated table only when its incrementally
-derived potentials equal the speculated ones byte for byte, so discovery
-order, the resync counter and the memo cap behave exactly as with one lazy
-evaluation per discovery.
+configurations — get their rate tables together with *speculated* tables of
+their one-event successors (root potentials plus every event's
+``delta_phi``, one broadcast add).  During a sweep the kernel holds the
+source vectors of every point (:meth:`MonteCarloKernel.plan_sweep`), so
+those rows are evaluated **once per root configuration per block of**
+:data:`PLAN_BLOCK_POINTS` **points**, in one stacked evaluation over the
+block, rather than once per point; outside a sweep, or where the plan does
+not hold, a point's roots share one stacked evaluation at the point.  Every
+rate is an element-wise function of its own row, so a planned row equals the
+row the point would evaluate, bit for bit.  A root adopts its planned rows
+only when the planned potentials equal its exactly solved ones byte for
+byte, and a successor discovered later adopts its speculated table only when
+its incrementally derived potentials equal the speculated ones byte for
+byte, so discovery order, the resync counter and the memo cap behave exactly
+as with one lazy evaluation per discovery.
 
 Runs without charge traps or per-event hooks go through
 :meth:`MonteCarloKernel.run_phases`: the advance loop of
@@ -91,6 +99,17 @@ _TRAPLESS = SimulationState(time=0.0, electrons=np.empty(0, dtype=np.int64))
 
 #: Event budget of a phase limited only by time (or by a blockade).
 UNBOUNDED_EVENTS = 1 << 62
+
+#: Sweep points one plan block evaluates a root configuration's rows for
+#: (:meth:`MonteCarloKernel._plan_block`).  A block is one stacked rate
+#: evaluation whose cost is mostly numpy call overhead: over 41-64 points
+#: it costs two to three one-point evaluations, so a configuration that
+#: stays a root for a few points pays it back.  Timing the block shapes of 129-point
+#: reference-SET sweeps and of the 41-point double dot, blocks of 64 cost
+#: 0-20% more than one unbounded block per configuration and less than
+#: blocks of 4-32, while they bound the plan's memory: at most one block,
+#: 64 x (events + 1) rows, per root configuration of the current window.
+PLAN_BLOCK_POINTS = 64
 
 
 @dataclass(slots=True)
@@ -277,6 +296,49 @@ class _RateEntry:
         self.speculation: Optional[tuple] = None
 
 
+class _SweepPlan:
+    """The source voltages of a running sweep and its planned root rows.
+
+    ``voltages`` holds the sweep's distinct source vectors in order of first
+    appearance, ``points`` maps each one's bytes to its index and ``bias``
+    holds ``B V`` of each (one stacked matrix-vector product per point).
+    ``blocks`` maps a root configuration's memo key to the block of points
+    planned for it: ``(start, stop, stack, cumulative, totals, last, base)``
+    with the block's :meth:`MonteCarloKernel._stack_rows` output, in which
+    the root's row at point ``p`` is ``base + (p - start) * (events + 1)``.
+    The plan is valid while the circuit's ``charge_version`` equals
+    ``charge_version``.
+    """
+
+    __slots__ = ("charge_version", "points", "voltages", "bias", "blocks")
+
+    def __init__(self, voltages: np.ndarray, coupling: np.ndarray,
+                 charge_version: int) -> None:
+        self.charge_version = charge_version
+        self.points: dict = {}
+        voltages = np.asarray(voltages, dtype=float)
+        first = []
+        for point, vector in enumerate(voltages):
+            key = vector.tobytes()
+            if key not in self.points:
+                self.points[key] = len(first)
+                first.append(point)
+        self.voltages = voltages[first]
+        self.bias = np.matmul(coupling, self.voltages[..., None])[..., 0]
+        self.blocks: dict = {}
+
+    def covers(self, key, point: int) -> bool:
+        """Whether the configuration ``key`` has rows planned at ``point``."""
+        block = self.blocks.get(key)
+        return block is not None and block[0] <= point < block[1]
+
+    def forget(self, point: int) -> None:
+        """Drop the blocks that end at or before ``point``."""
+        for key in [key for key, block in self.blocks.items()
+                    if block[1] <= point]:
+            del self.blocks[key]
+
+
 class MonteCarloKernel:
     """Rate evaluation and stochastic event selection for one circuit.
 
@@ -366,8 +428,6 @@ class MonteCarloKernel:
             (self._n_events, len(self._junction_order)), dtype=float)
         #: ``k + 1`` per rate-table column (last positive-rate lookups).
         self._positions = np.arange(1, self._n_events + self._n_traps + 1)
-        #: Tunnel resistances tiled to flattened stacked rate tables.
-        self._tiled_resistance: dict = {}
         for index, transfers in enumerate(self._event_transfers):
             for name, direction in transfers:
                 self._transfer_matrix[index, self._junction_order[name]] \
@@ -381,6 +441,7 @@ class MonteCarloKernel:
         self._trap_snapshot: Optional[dict] = None
         self._trap_bits = 0
         self._entries_since_resync = 0
+        self._plan: Optional[_SweepPlan] = None
         #: Memoised :class:`_RateEntry` per (configuration, trap occupation).
         self._rate_cache: dict = {}
         self._rate_cache_limit = 65536
@@ -423,6 +484,7 @@ class MonteCarloKernel:
         self._trap_snapshot = None
         self._trap_bits = 0
         self._entries_since_resync = 0
+        self._plan = None
         self._clear_rate_cache()
 
     def _refresh_bias(self) -> None:
@@ -490,23 +552,24 @@ class MonteCarloKernel:
         assert self._offsets is not None
         return self._offsets.copy()
 
-    def _rates_from_phi(self, phi: np.ndarray,
-                        state: SimulationState) -> np.ndarray:
+    def _rates_from_phi(self, phi: np.ndarray, state: SimulationState,
+                        voltages: Optional[np.ndarray] = None) -> np.ndarray:
         """Rate table (tunnel | cotunnel | trap) of one or many configurations.
 
         ``phi`` is one potential vector or a ``(rows, islands)`` stack of
-        them; every rate is an element-wise function of its own row (the
-        tunnel rates are evaluated over the flattened stack), so a row of a
-        stacked evaluation equals the single-row evaluation bit for bit.
+        them; ``voltages`` is a ``(rows, sources)`` stack of per-row source
+        voltages, or ``None`` for the kernel's current ones.  Every rate is
+        an element-wise function of its own row (the tunnel rates are
+        evaluated over the flattened stack), so a row of a stacked
+        evaluation equals the single-row evaluation bit for bit.
         """
         rows = phi.shape[:-1]
         columns = []
         if self._n_tunnel:
-            delta_f = self._table.delta_f(phi, self._voltages)
-            resistance = self._tiled_resistance.get(delta_f.size)
-            if resistance is None:
-                resistance = self._tiled_resistance[delta_f.size] = np.tile(
-                    self._table.resistance, delta_f.size // self._n_tunnel)
+            delta_f = self._table.delta_f(
+                phi, self._voltages if voltages is None else voltages)
+            resistance = self._table.resistance if delta_f.ndim == 1 \
+                else self._table.stacked_tiles(len(delta_f))[3]
             columns.append(orthodox_rate_vec(
                 delta_f.reshape(-1), resistance,
                 self.temperature).reshape(delta_f.shape))
@@ -615,37 +678,145 @@ class MonteCarloKernel:
         return np.asarray(self.model.island_potentials(
             electrons, self._voltages, self._offsets), dtype=float)
 
+    def _stack_rows(self, phi: np.ndarray,
+                    voltages: Optional[np.ndarray] = None) -> tuple:
+        """Rate rows of root potentials and of their one-event successors.
+
+        ``phi`` is a ``(roots, islands)`` stack of root potentials and
+        ``voltages`` the ``(roots, sources)`` source voltages each root is
+        evaluated at (the kernel's current voltages when ``None``).  A
+        root's event-``k`` successor gets ``phi + delta_phi[k]`` (one
+        broadcast add, the expression :meth:`_descend` evaluates), and every
+        row goes through one :meth:`_rates_from_phi` call.  Returns the
+        potential stack, its cumulative rows, and its totals and
+        last-selectable indices as lists: root ``r`` is row
+        ``r * (events + 1)``, its event-``k`` successor the ``k + 1``-th row
+        after it.
+        """
+        roots, islands = phi.shape
+        stride = self._n_events + 1
+        stack = np.empty((roots, stride, islands))
+        stack[:, 0] = phi
+        np.add(phi[:, None], self._delta_phi_matrix, out=stack[:, 1:])
+        stack = stack.reshape(roots * stride, islands)
+        if voltages is not None:
+            voltages = np.repeat(voltages, stride, axis=0)
+        cumulative, totals, last = self._selection_tables(
+            self._rates_from_phi(stack, _TRAPLESS, voltages))
+        return stack, cumulative, totals.tolist(), last.tolist()
+
     def _build_roots(self, configurations: np.ndarray) -> List["_RateEntry"]:
-        """Memoised entries of root configurations, from one rate evaluation.
+        """Memoised entries of root configurations, with speculated successors.
 
         Called with an empty memo (a fresh bias point).  Every root gets
-        exactly solved potentials, as a lazy build would; its one-event
-        successors get speculated potentials ``phi + delta_phi[k]`` (one
-        broadcast add, the expression :meth:`_descend` evaluates) and all
-        rows share one stacked rate evaluation.  The successor rows are kept
-        on the root entry for :meth:`_descend` to adopt.
+        exactly solved potentials, as a lazy build would.  Its rate row and
+        the speculated rows of its one-event successors come from the sweep
+        plan (:meth:`_planned_rows`) when the plan's potentials equal the
+        exact ones byte for byte; the other roots share one stacked
+        evaluation at this point (:meth:`_stack_rows`).  The successor rows
+        are kept on the root entry for :meth:`_descend` to adopt.
         """
-        roots = len(configurations)
         events = self._n_events
         electrons = np.asarray(configurations, dtype=np.int64)
-        stack = np.empty((roots * (events + 1), electrons.shape[1]))
-        for root in range(roots):
-            stack[root] = self._exact_phi(electrons[root])
-        successors = stack[roots:].reshape(roots, events, -1)
-        np.add(stack[:roots, None, :], self._delta_phi_matrix, out=successors)
-        cumulative, totals, last = self._selection_tables(
-            self._rates_from_phi(stack, _TRAPLESS))
-        totals = totals.tolist()
-        last = last.tolist()
+        phi = np.empty(electrons.shape)
+        for root, row in enumerate(electrons):
+            phi[root] = self._exact_phi(row)
+        rows = self._planned_rows(electrons, phi)
+        missing = [root for root, found in enumerate(rows) if found is None]
+        if missing:
+            evaluated = self._stack_rows(
+                phi if len(missing) == len(rows) else phi[missing])
+            for position, root in enumerate(missing):
+                rows[root] = evaluated + (position * (events + 1),)
         entries = []
-        for root in range(roots):
-            entry = _RateEntry(electrons[root], stack[root], cumulative[root],
-                               totals[root], last[root], events)
-            entry.speculation = (successors[root], cumulative, totals, last,
-                                 roots + root * events)
+        for root, (stack, cumulative, totals, last, row) in enumerate(rows):
+            entry = _RateEntry(electrons[root], phi[root], cumulative[row],
+                               totals[row], last[row], events)
+            entry.speculation = (stack[row + 1:row + 1 + events], cumulative,
+                                 totals, last, row + 1)
             self._store_entry(self._entry_key(electrons[root]), entry)
             entries.append(entry)
         return entries
+
+    # ------------------------------------------------------------ sweep plan
+
+    def plan_sweep(self, voltages: Optional[np.ndarray]) -> None:
+        """Hold the source voltages of a sweep's points, or drop them.
+
+        ``voltages`` is the ``(points, sources)`` stack of the source vectors
+        the circuit will hold at the points of a sweep (columns in the order
+        of ``model.system.source_names``); ``None`` drops it.  While it is held, a root configuration's rate rows are
+        evaluated once per :data:`PLAN_BLOCK_POINTS` points
+        (:meth:`_planned_rows`) instead of once per point.  A point finds
+        its row by the bytes of the circuit's source vector; a point whose
+        voltages are not in the stack is evaluated on its own.  The stack
+        is dropped on an offset-charge change.
+        """
+        self._plan = None
+        if voltages is not None and self.model.island_count:
+            self._plan = _SweepPlan(voltages, self.model.system.coupling,
+                                    self.circuit.charge_version)
+
+    def _planned_rows(self, electrons: np.ndarray,
+                      phi: np.ndarray) -> List[Optional[tuple]]:
+        """Each root's planned rate rows at this point, where they hold.
+
+        Element ``r`` is ``(stack, cumulative, totals, last, row)`` — the
+        :meth:`_stack_rows` output of a plan block and root ``r``'s row in
+        it — or ``None`` when root ``r`` must be evaluated at the point:
+        no plan holds this point, or the planned potentials differ from the
+        exact ones ``phi[r]`` in any byte.  Roots without a block covering
+        this point are planned first, all in one stacked evaluation over
+        a block of :data:`PLAN_BLOCK_POINTS` points (:meth:`_plan_block`).
+        """
+        plan = self._plan
+        if plan is not None \
+                and plan.charge_version != self.circuit.charge_version:
+            plan = self._plan = None
+        point = None if plan is None \
+            else plan.points.get(self._voltages.tobytes())
+        if point is None:
+            return [None] * len(electrons)
+        keys = [self._entry_key(row) for row in electrons]
+        unplanned = [root for root, key in enumerate(keys)
+                     if not plan.covers(key, point)]
+        if unplanned:
+            self._plan_block(plan, point, electrons[unplanned],
+                             [keys[root] for root in unplanned])
+        stride = self._n_events + 1
+        rows: List[Optional[tuple]] = []
+        for root, key in enumerate(keys):
+            start, _, stack, cumulative, totals, last, base = plan.blocks[key]
+            row = base + (point - start) * stride
+            rows.append((stack, cumulative, totals, last, row)
+                        if stack[row].tobytes() == phi[root].tobytes()
+                        else None)
+        return rows
+
+    def _plan_block(self, plan: "_SweepPlan", point: int,
+                    electrons: np.ndarray, keys: list) -> None:
+        """Plan root configurations over the block of points from ``point``.
+
+        The block is the next :data:`PLAN_BLOCK_POINTS` points of the sweep
+        (fewer at its end).  The roots' potentials ``C^-1 (q + B V)`` at
+        every point of the block come
+        from one stacked matrix-vector product per point (``np.matmul``
+        over column vectors, the product :meth:`_exact_phi` makes), and
+        their rows and their successors' from one :meth:`_stack_rows` call.
+        Blocks that end at or before ``point`` are dropped first.
+        """
+        plan.forget(point)
+        stop = min(point + PLAN_BLOCK_POINTS, len(plan.voltages))
+        charges = np.array([self.model.island_charges(row, self._offsets)
+                            for row in electrons])
+        total = charges[:, None, :] + plan.bias[None, point:stop]
+        phi = np.matmul(self.model.system.inverse, total[..., None])[..., 0]
+        rows = self._stack_rows(
+            phi.reshape(-1, phi.shape[-1]),
+            np.tile(plan.voltages[point:stop], (len(electrons), 1)))
+        span = (stop - point) * (self._n_events + 1)
+        for index, key in enumerate(keys):
+            plan.blocks[key] = (point, stop) + rows + (index * span,)
 
     def _descend(self, parent: "_RateEntry", index: int,
                  state: SimulationState) -> "_RateEntry":
@@ -757,7 +928,8 @@ class MonteCarloKernel:
         configurations come from the stale cursor's slots (the common case:
         nobody edited ``ensemble.electrons``), the stale cursor is re-keyed in
         place so its mirror arrays are reused, and the now empty memo gets
-        every root from one stacked build (:meth:`_build_roots`).
+        every root from :meth:`_build_roots` (planned rows, or one stacked
+        build at the point).
         """
         electrons = np.ascontiguousarray(ensemble.electrons, dtype=np.int64)
         ensemble.electrons = electrons

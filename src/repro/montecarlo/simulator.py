@@ -505,7 +505,13 @@ class MonteCarloSimulator:
 
         Every point is one phased run of :meth:`_run_phases`; the sweep keeps
         all points' phase boundaries and runs the estimator of
-        :meth:`stationary_current` once, vectorised over the points.
+        :meth:`stationary_current` once, vectorised over the points.  The
+        kernel holds the ``(points, sources)`` source vectors of the sweep
+        (:meth:`_source_stack`) while it runs, so a root configuration's
+        rate rows are evaluated once per block of points rather than once
+        per point (:meth:`MonteCarloKernel.plan_sweep
+        <repro.montecarlo.kernel.MonteCarloKernel.plan_sweep>`); the
+        results are bit-identical to evaluating every point on its own.
 
         Parameters
         ----------
@@ -522,8 +528,8 @@ class MonteCarloSimulator:
             of re-equilibrating from a cold ground state every time.  The
             kernel's construction-time event tables survive the bias change
             (the per-configuration rate memo is rebuilt, since every rate
-            depends on the bias).  Set to ``False`` for the legacy cold-start
-            behaviour.
+            depends on the bias; its root rows come from the sweep's plan).
+            Set to ``False`` for the legacy cold-start behaviour.
         workers:
             Number of worker processes.  ``1`` (default) runs in-process;
             larger values split the bias points into
@@ -561,6 +567,7 @@ class MonteCarloSimulator:
                                 self._junction_column[junction_name])
         state: "SimulationState | EnsembleState | None" = None
         try:
+            self.kernel.plan_sweep(self._source_stack(source, values))
             for position, value in enumerate(values):
                 self.circuit.set_source_voltage(source, float(value))
                 if state is None or not warm_start:
@@ -577,12 +584,27 @@ class MonteCarloSimulator:
                 records.store(position,
                               self._run_phases(state, records.schedule))
         finally:
+            self.kernel.plan_sweep(None)
             for node_name, voltage in original.items():
                 if node_name != "gnd":
                     self.circuit.set_source_voltage(node_name, voltage)
         estimates = records.estimates()
         return np.asarray(values, dtype=float), estimates.means, \
             estimates.stderrs
+
+    def _source_stack(self, source: str,
+                      values: Sequence[float]) -> np.ndarray:
+        """The ``(points, sources)`` source vectors a sweep of ``source`` visits.
+
+        Each row is the circuit's source vector with ``source``'s column
+        replaced by ``float(value)``, as ``set_source_voltage`` leaves it;
+        the circuit is not written to.
+        """
+        system = self.kernel.model.system
+        stack = np.tile(system.cached_source_voltages(), (len(values), 1))
+        column = system.source_index[self.circuit.source_node(source)]
+        stack[:, column] = [float(value) for value in values]
+        return stack
 
     def _sweep_parallel(self, values: Sequence[float], workers: int,
                         **sweep_options

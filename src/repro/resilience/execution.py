@@ -36,7 +36,13 @@ is considered.
 Timeout caveat: per-attempt timeouts run the solve on a watchdog thread and
 abandon it on expiry — the stuck thread is left to finish in the background.
 This bounds *the sweep's* latency, not the process's thread count; use
-timeouts for genuinely hung solvers, not as a routine budget.
+timeouts for genuinely hung solvers, not as a routine budget.  An abandoned
+solve still owns its session's warm state (a Monte-Carlo session's random
+stream, a solver's caches), so the executor starts no other work on that
+session — the next point, a retry, a stream block, a later policed sweep's
+fast path — until the abandoned solve has returned.  Each such wait is
+bounded by ``point_timeout_s``; a point whose wait runs out is recorded
+``timeout`` without starting a solve.
 """
 
 from __future__ import annotations
@@ -44,8 +50,10 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+import weakref
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
+from concurrent.futures import wait
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -83,21 +91,43 @@ STREAM_BLOCK_POINTS = 64
 #: Statuses of points a failure policy abandoned (they spend the budget).
 _ABANDONED = (STATUS_FAILED, STATUS_TIMEOUT)
 
+#: The solve a timed-out attempt left running, by session.
+_ABANDONED_SOLVES: "weakref.WeakKeyDictionary[Session, Future]" = \
+    weakref.WeakKeyDictionary()
+
 
 def _event_detail(events: List[DegradationEvent]) -> str:
     """Compact ``site->action`` summary of captured degradation events."""
     return "; ".join(f"{e.site}->{e.action}" for e in events)
 
 
-def _call_with_timeout(solve: Callable[[BiasPoint], Observables],
-                       bias: BiasPoint,
+def _await_abandoned(session: Session, timeout_s: Optional[float]) -> None:
+    """Wait for the solve a timed-out attempt left running on ``session``.
+
+    Returns at once when there is none.  Raises :class:`PointTimeout` when
+    it is still running after ``timeout_s`` seconds (``None``: no bound).
+    """
+    pending = _ABANDONED_SOLVES.get(session)
+    if pending is None:
+        return
+    if not wait([pending], timeout=timeout_s).done:
+        raise PointTimeout(
+            f"the session's abandoned solve is still running after "
+            f"point_timeout_s={timeout_s}")
+    del _ABANDONED_SOLVES[session]
+
+
+def _call_with_timeout(session: Session, bias: BiasPoint,
                        timeout_s: Optional[float]) -> Observables:
     """Run one solve, optionally under a wall-clock watchdog.
 
+    A solve that exceeds the budget is abandoned: it keeps running on its
+    thread and is recorded for :func:`_await_abandoned`.
+
     Parameters
     ----------
-    solve:
-        The session's bound ``solve`` method.
+    session:
+        The session whose ``solve`` to call.
     bias:
         The bias point to solve.
     timeout_s:
@@ -109,12 +139,13 @@ def _call_with_timeout(solve: Callable[[BiasPoint], Observables],
         The solved point.
     """
     if timeout_s is None:
-        return solve(bias)
+        return session.solve(bias)
     executor = ThreadPoolExecutor(max_workers=1)
-    future = executor.submit(solve, bias)
+    future = executor.submit(session.solve, bias)
     try:
         return future.result(timeout=timeout_s)
     except _FuturesTimeout:
+        _ABANDONED_SOLVES[session] = future
         raise PointTimeout(
             f"point solve exceeded point_timeout_s={timeout_s}") from None
     finally:
@@ -128,7 +159,10 @@ def solve_point_with_policy(session: Session, bias: BiasPoint, index: int,
 
     Retries (with exponential backoff) on exceptions and — when the health
     guard is on — on non-finite currents; abandons immediately on a
-    per-attempt timeout (a hung solver will hang again).
+    per-attempt timeout (a hung solver will hang again).  Every attempt
+    first waits for a solve an earlier timeout left running on the session
+    (see :func:`_await_abandoned`); a wait that runs out abandons the point
+    as ``timeout`` without starting the attempt.
 
     Parameters
     ----------
@@ -151,11 +185,12 @@ def solve_point_with_policy(session: Session, bias: BiasPoint, index: int,
     budget = 1 + policy.max_retries
     last_error: Optional[BaseException] = None
     while attempts < budget:
-        attempts += 1
         try:
             with capture_degradations() as events:
+                _await_abandoned(session, policy.point_timeout_s)
+                attempts += 1
                 inject("session.solve")
-                observed = _call_with_timeout(session.solve, bias,
+                observed = _call_with_timeout(session, bias,
                                               policy.point_timeout_s)
             if policy.health_guard and not math.isfinite(observed.current):
                 raise SolverError(
@@ -281,6 +316,7 @@ def run_policy_sweep(session: Session, axes: SweepAxes,
     n_points = len(axes)
     try:
         with capture_degradations() as events:
+            _await_abandoned(session, policy.point_timeout_s)
             inject("sweep.fast")
             fast = _fast_sweep(session, axes, workers)
     except Exception as error:
@@ -380,9 +416,12 @@ def _stacked_block(session: Session, block: SweepAxes,
 
     The attempt's degradation events are withheld from subscribers: a
     degraded block is replayed, and the replay emits each point's events.
+    A block that finds an abandoned solve still running on the session
+    is replayed too.
     """
     try:
         with _withheld_degradations() as events:
+            _await_abandoned(session, policy.point_timeout_s)
             inject("sweep.fast")
             result = session.sweep(block)
     except Exception as error:
