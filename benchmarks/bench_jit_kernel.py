@@ -8,13 +8,20 @@ runs, which replays the same events, plus the aggregate throughput of
 sequential replicas at R = 1 / 64 / 256 (near-linear scaling: the
 per-event cost must not grow with the replica count).  Those long runs
 enter the native loop only once per random-block refill, which hides the
-cost of an entry, so a sweep-scale measurement sits beside them: a
-129-point Id-Vg sweep at 2 000 events per point on ``montecarlo`` and
-``ensemble`` (R = 16), reporting points/s, native entries per point split
-into run, refill and link entries (asserting at most one run entry per
-point), and rate evaluations per point — calls of the rate kernel from the
-Monte-Carlo kernel, which evaluates a root configuration's rate rows once
-per block of sweep points (raising above :data:`RATE_EVALUATION_LIMIT`).
+cost of an entry, so sweep-scale measurements sit beside them: a 129-point
+Id-Vg sweep at 2 000 events per point on ``montecarlo`` and ``ensemble``
+(R = 16), and the 41-point gate sweep of the double dot of
+``tests/conftest.py`` (R = None and R = 8).  Each row reports points/s and
+microseconds per point, native entries per point split by kind — *run*
+(the sweep's finishing entry), *root* (a new point's rate tables), *refill*
+and *link* (a configuration not yet met at the point) — and rate
+evaluations per point (calls of the rate kernel from the Monte-Carlo
+kernel, which evaluates a root configuration's rate rows once per block of
+sweep points).  A sweep is one run of the loop, so the benchmark raises
+when a row makes more than one root request per point, when the SET rows
+make no fewer native entries per point than the per-point driver did
+(:data:`ENTRY_LIMITS`), or when they exceed
+:data:`RATE_EVALUATION_LIMIT` rate evaluations per point.
 
 The numbers go to ``BENCH_jit.json`` in the repository root so the
 performance trajectory is tracked across PRs (``benchmarks/run_all.py``
@@ -25,6 +32,7 @@ folds them into ``BENCH_trajectory.json``).  Run it either through pytest
 
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -39,6 +47,7 @@ from repro.montecarlo.jit import (
     STATUS_DONE,
     STATUS_NEED_EXP,
     STATUS_NEED_LINK,
+    STATUS_NEED_ROOTS,
     STATUS_NEED_UNIFORM,
     resolve_advance,
 )
@@ -47,6 +56,9 @@ try:
     from .conftest import print_experiment_header, standard_transistor
 except ImportError:  # executed directly
     from conftest import print_experiment_header, standard_transistor
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from tests.conftest import build_double_dot_circuit
 
 TEMPERATURE = 1.0
 DRAIN_VOLTAGE = 0.05
@@ -68,6 +80,15 @@ SWEEP_REPLICAS = 16
 #: Sweep engines and their bind options.
 SWEEP_ENGINES = (("montecarlo", {}),
                  ("ensemble", {"replicas": SWEEP_REPLICAS}))
+#: Native entries per point of the 129-point SET sweeps when every point
+#: was its own run (BENCH_jit.json before the loop walked the points): a
+#: sweep must now make fewer.
+ENTRY_LIMITS = {"montecarlo": 4.61, "ensemble": 6.10}
+#: The double-dot sweep of ``tests/conftest.py`` (as pinned in
+#: ``tests/montecarlo/test_sweep_point_digests.py``): 41 gate-A points at
+#: 250 mV and 20 K, one trajectory and an eight-replica ensemble.
+DOUBLE_DOT_POINTS = 41
+DOUBLE_DOT_REPLICAS = (None, 8)
 REQUIRED_SPEEDUP = 10.0
 #: Most rate-kernel calls a sweep point may make.  A root configuration's
 #: rows are evaluated once per block of sweep points, plus the rare lazy
@@ -119,25 +140,19 @@ def measure_replicas(replicas: int, events_per_replica: int) -> float:
     return result.total_events / elapsed
 
 
-def measure_sweep(engine: str, options: dict) -> dict:
-    """Points/s and native entries per point of a warm Id-Vg sweep.
+def measure_sweep(sweep, kernel, points: int) -> dict:
+    """Points/s, microseconds and native entries per point of a warm sweep.
 
-    The session sweeps once untimed (native build, estimator set-up), then
-    the best of :data:`SWEEP_REPEATS` timed sweeps is kept.  Entries are
-    counted by wrapping the kernel's replica-loop callable and split by the
-    status each returns: *run* entries finish a point's phase schedule,
-    *refill* entries ask for a random block, *link* entries for a successor
-    configuration.  Every point is one phased call, so a sweep must make at
-    most one run entry per point.
+    ``sweep()`` runs the sweep once; it runs untimed first (native build,
+    estimator set-up), then the best of :data:`SWEEP_REPEATS` timed sweeps
+    is kept.  Entries are counted by wrapping ``kernel``'s loop callable
+    and split by the status each returns: the *run* entry finishes the
+    sweep, a *root* entry asks for a new point's rate tables, a *refill*
+    entry for a random block, a *link* entry for a configuration not yet
+    met at the point.  A sweep is one run, so it must make at most one
+    root request per point.
     """
-    device = standard_transistor()
-    axes = SweepAxes(np.linspace(0.0, 2.0 * device.gate_period,
-                                 SWEEP_POINTS), DRAIN_VOLTAGE)
-    session = get_engine(engine).bind(
-        device, temperature=TEMPERATURE, seed=3, max_events=SWEEP_EVENTS,
-        warmup_events=SWEEP_WARMUP_EVENTS, **options)
-    session.sweep(axes)
-    kernel = session.simulator.kernel
+    sweep()
     advance = kernel._jit_advance
     statuses = []
 
@@ -161,31 +176,64 @@ def measure_sweep(engine: str, options: dict) -> dict:
             statuses.clear()
             evaluations.clear()
             start = time.perf_counter()
-            session.sweep(axes)
+            sweep()
             best = min(best, time.perf_counter() - start)
     finally:
         kernel_module.orthodox_rate_vec = rate_kernel
+        kernel._jit_advance = advance
     kinds = {"run": (STATUS_DONE, STATUS_BLOCKED),
+             "root": (STATUS_NEED_ROOTS,),
              "refill": (STATUS_NEED_EXP, STATUS_NEED_UNIFORM),
              "link": (STATUS_NEED_LINK,)}
-    per_point = {kind: sum(status in codes for status in statuses)
-                 / SWEEP_POINTS for kind, codes in kinds.items()}
-    assert per_point["run"] <= 1.0, (
-        f"{engine}: {per_point['run']:.2f} run entries per point; every "
-        "sweep point should be one phased native call")
-    rate_evaluations = len(evaluations) / SWEEP_POINTS
-    if rate_evaluations > RATE_EVALUATION_LIMIT:
+    per_point = {kind: sum(status in codes for status in statuses) / points
+                 for kind, codes in kinds.items()}
+    if per_point["root"] > 1.0:
         raise RuntimeError(
-            f"{engine}: {rate_evaluations:.2f} rate evaluations per point; "
-            f"a root configuration's rate rows should be evaluated once "
-            f"per configuration per sweep block, not once per point (limit "
-            f"{RATE_EVALUATION_LIMIT})")
-    return {"points_per_second": round(SWEEP_POINTS / best, 1),
-            "rate_evaluations_per_point": round(rate_evaluations, 2),
-            "native_entries_per_point": round(len(statuses) / SWEEP_POINTS,
-                                              2),
+            f"{per_point['root']:.2f} root requests per point; a sweep is "
+            "one run that asks for each point's rate tables once")
+    return {"points_per_second": round(points / best, 1),
+            "us_per_point": round(best / points * 1e6, 1),
+            "rate_evaluations_per_point": round(len(evaluations) / points, 2),
+            "native_entries_per_point": round(len(statuses) / points, 2),
             **{f"{kind}_entries_per_point": round(value, 2)
                for kind, value in per_point.items()}}
+
+
+def measure_set_sweep(engine: str, options: dict) -> dict:
+    """:func:`measure_sweep` of the SET's Id-Vg sweep on ``engine``, gated."""
+    device = standard_transistor()
+    axes = SweepAxes(np.linspace(0.0, 2.0 * device.gate_period,
+                                 SWEEP_POINTS), DRAIN_VOLTAGE)
+    session = get_engine(engine).bind(
+        device, temperature=TEMPERATURE, seed=3, max_events=SWEEP_EVENTS,
+        warmup_events=SWEEP_WARMUP_EVENTS, **options)
+    row = measure_sweep(lambda: session.sweep(axes), session.simulator.kernel,
+                        SWEEP_POINTS)
+    if row["native_entries_per_point"] >= ENTRY_LIMITS[engine]:
+        raise RuntimeError(
+            f"{engine}: {row['native_entries_per_point']:.2f} native entries "
+            f"per point, not below the per-point driver's "
+            f"{ENTRY_LIMITS[engine]}")
+    if row["rate_evaluations_per_point"] > RATE_EVALUATION_LIMIT:
+        raise RuntimeError(
+            f"{engine}: {row['rate_evaluations_per_point']:.2f} rate "
+            f"evaluations per point; a root configuration's rate rows should "
+            f"be evaluated once per configuration per sweep block, not once "
+            f"per point (limit {RATE_EVALUATION_LIMIT})")
+    return row
+
+
+def measure_double_dot_sweep(replicas) -> dict:
+    """:func:`measure_sweep` of the double dot's gate-A sweep."""
+    simulator = MonteCarloSimulator(build_double_dot_circuit(
+        bias_voltage=0.25), temperature=20.0, seed=2031)
+    gates = np.linspace(0.0, 0.4, DOUBLE_DOT_POINTS)
+    return measure_sweep(
+        lambda: simulator.sweep_source("VGA", gates, "J_left",
+                                       max_events=SWEEP_EVENTS,
+                                       warmup_events=SWEEP_WARMUP_EVENTS,
+                                       ensemble=replicas),
+        simulator.kernel, DOUBLE_DOT_POINTS)
 
 
 def run_benchmark() -> dict:
@@ -195,8 +243,12 @@ def run_benchmark() -> dict:
         str(replicas): round(measure_replicas(replicas, REPLICA_EVENTS), 1)
         for replicas in REPLICA_COUNTS
     }
-    sweeps = {engine: measure_sweep(engine, options)
+    sweeps = {engine: measure_set_sweep(engine, options)
               for engine, options in SWEEP_ENGINES}
+    double_dot = {("montecarlo" if replicas is None
+                   else f"ensemble_{replicas}"):
+                  measure_double_dot_sweep(replicas)
+                  for replicas in DOUBLE_DOT_REPLICAS}
     payload = {
         "benchmark": "jit_kernel",
         "device": "reference SET (1 aF junctions, 2 aF gate, 1 Mohm)",
@@ -222,6 +274,13 @@ def run_benchmark() -> dict:
             "replicas": SWEEP_REPLICAS,
             "engines": sweeps,
         },
+        "double_dot_sweep": {
+            "circuit": "tests/conftest.py double dot, 250 mV, 20 K",
+            "points": DOUBLE_DOT_POINTS,
+            "events_per_point": SWEEP_EVENTS,
+            "warmup_events_per_point": SWEEP_WARMUP_EVENTS,
+            "rows": double_dot,
+        },
     }
     OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     return payload
@@ -241,17 +300,21 @@ def test_jit_kernel_throughput():
           "PR 1 baseline)")
     for replicas, rate in payload["replica_scaling_events_per_second"].items():
         print(f"R = {replicas:>4s}   : {rate:>12,.0f} events/s aggregate")
-    for engine, sweep in payload["sweep"]["engines"].items():
-        print(f"{engine:<14s} sweep: {sweep['points_per_second']:>8,.0f} "
-              f"points/s, {sweep['native_entries_per_point']:.2f} native "
+    rows = list(payload["sweep"]["engines"].items()) + [
+        (f"double dot {name}", row) for name, row
+        in payload["double_dot_sweep"]["rows"].items()]
+    for name, sweep in rows:
+        print(f"{name:<22s} sweep: {sweep['us_per_point']:>7,.1f} us/point, "
+              f"{sweep['native_entries_per_point']:.2f} native "
               f"entries/point ({sweep['run_entries_per_point']:.2f} run, "
+              f"{sweep['root_entries_per_point']:.2f} root, "
               f"{sweep['refill_entries_per_point']:.2f} refill, "
               f"{sweep['link_entries_per_point']:.2f} link), "
               f"{sweep['rate_evaluations_per_point']:.2f} rate "
               "evaluations/point")
     print(f"written to : {OUTPUT_PATH}")
-    # One native call per replica-loop run: an R = 16 point (warm-up plus
-    # estimate) must not enter the native loop once per replica.
+    # One native call per run: an R = 16 point (warm-up plus estimate) must
+    # not enter the native loop once per replica.
     ensemble = payload["sweep"]["engines"]["ensemble"]
     assert ensemble["native_entries_per_point"] < payload["sweep"]["replicas"]
     if not payload["compiled"]:

@@ -46,13 +46,21 @@ Runs without charge traps or per-event hooks go through
 :mod:`repro.montecarlo.jit` (numba, C, or the interpreted reference loop,
 whichever :func:`~repro.montecarlo.jit.resolve_advance` loads) advances
 ``R`` replicas one after another — a trajectory is a one-replica ensemble —
-over dense mirrors of the memoised entries.  Replicas in the same charge
-configuration share one :class:`_RateEntry`, so the rate-table cost is paid
-once per *configuration* rather than once per replica.  The loop consumes
-the block random buffers exactly as :meth:`MonteCarloKernel.step` does, so
-a single-replica run replays the step path event for event — the
-correctness anchor the test-suite enforces.  :meth:`~MonteCarloKernel.step`
-itself remains the loop for charge traps and per-event hooks.
+over dense mirrors of the memoised entries, at one bias point or at every
+point of a sweep.  Replicas in the same charge configuration share one
+:class:`_RateEntry`, so the rate-table cost is paid once per
+*configuration* rather than once per replica.  A sweep is one run: the
+loop carries the replicas from point to point and asks Python once per
+point for the point's roots (:meth:`MonteCarloKernel._next_point`: one
+exact solve per root, the plan's rows adopted where they hold, the cursor
+re-keyed); a plan block's rows are mirrored into the cursor once, so an
+adopted row costs no copy.  Inside a point, a transition to a configuration
+already met at that point is linked by the loop itself; only a discovery
+returns to Python.  The loop consumes the block random buffers exactly as
+:meth:`MonteCarloKernel.step` does, so a single-replica run replays the
+step path event for event — the correctness anchor the test-suite
+enforces.  :meth:`~MonteCarloKernel.step` itself remains the loop for
+charge traps and per-event hooks.
 
 The kernel is deliberately separated from the user-facing
 :class:`~repro.montecarlo.simulator.MonteCarloSimulator` so the same stepping
@@ -70,9 +78,30 @@ from ..circuit.netlist import Circuit
 from ..core.energy import EnergyModel
 from ..core.rates import cotunneling_rate_vec, orthodox_rate_vec
 from ..errors import SimulationError
+from ..resilience.faults import inject
 from .cotunneling import CotunnelTable, enumerate_cotunnel_candidates
 from .events import CotunnelCandidate, TrapCandidate, TunnelCandidate
 from .jit import (
+    ARG_CONFIGURATIONS,
+    ARG_COUNTS,
+    ARG_CUMULATIVE,
+    ARG_DELTA_N,
+    ARG_EXP,
+    ARG_FREG,
+    ARG_IREG,
+    ARG_LAST,
+    ARG_PHASE_COUNTS,
+    ARG_PHASE_TIMES,
+    ARG_PHASE_TRANSFERS,
+    ARG_REGISTERED,
+    ARG_SCHEDULE,
+    ARG_SLOTS,
+    ARG_SUCCESSORS,
+    ARG_TIMES,
+    ARG_TOTALS,
+    ARG_TRANSFER_MATRIX,
+    ARG_TRANSFERS,
+    ARG_UNIFORM,
     BACKEND_PYTHON,
     FREG_DURATION,
     FREG_SIZE,
@@ -81,12 +110,17 @@ from .jit import (
     REG_LOADED,
     REG_PENDING_EVENT,
     REG_PHASE,
+    REG_POINT,
+    REG_REGISTERED,
     REG_REPLICA,
+    REG_ROOTED,
     REG_SLOT,
     REG_UNI_POS,
     STATUS_NEED_EXP,
     STATUS_NEED_LINK,
+    STATUS_NEED_ROOTS,
     STATUS_NEED_UNIFORM,
+    LoopArguments,
     resolve_advance,
 )
 from .state import EnsembleState, SimulationState
@@ -122,68 +156,91 @@ class KernelStep:
 
 
 class PhaseRecord:
-    """Replica state at every boundary of a phased run.
+    """Replica state at every boundary of a phased run, at every point.
 
     A phased run advances ``R`` replicas through a *schedule* of per-replica
     event budgets, phase-major (every replica finishes phase ``p`` before
-    any starts ``p + 1``).  Row ``0`` of ``times``/``counts``/``transfers``
-    holds each replica's clock, event count and per-junction transfer row
-    at the start (written by the caller), row ``p + 1`` the same at the end
-    of phase ``p`` — so a phase's duration, events and transferred charge
-    are row differences.  ``phase``/``replica`` record how far a run got:
-    replicas below ``replica`` have finished phase ``phase``, the others
-    only the phases before it (``phase == len(schedule)`` once complete).
+    any starts ``p + 1``), at each of ``points`` bias points in turn.
+    ``stacks`` holds the ``(points, phases + 1, replicas)`` clocks and
+    event counts and the ``(points, phases + 1, replicas, junctions)``
+    transfer rows: row ``0`` of a point holds each replica's clock, event
+    count and per-junction transfer row at its start (the caller writes
+    point 0's, the loop zeroes the later ones), row ``p + 1`` the same at
+    the end of phase ``p`` — so a phase's duration, events and transferred
+    charge are row differences.  ``times``/``counts``/``transfers`` are the
+    first point's rows (all of a one-point run).  ``point``/``phase``/
+    ``replica`` record how far a run got: replicas below ``replica`` have
+    finished phase ``phase`` of point ``point``, the others only the phases
+    before it (``phase == len(schedule)`` at the last point once complete);
+    ``rooted`` is whether point ``point``'s rate tables were in place.
     """
 
-    __slots__ = ("key", "schedule", "times", "counts", "transfers", "phase",
-                 "replica")
+    __slots__ = ("key", "schedule", "stacks", "times", "counts", "transfers",
+                 "point", "phase", "replica", "rooted")
 
     def __init__(self, schedule: Sequence[int], replicas: int,
-                 junctions: int) -> None:
-        self.key = (tuple(schedule), replicas)
+                 junctions: int, points: int = 1) -> None:
+        self.key = (tuple(schedule), replicas, points)
         self.schedule = np.array(schedule, dtype=np.int64)
         rows = self.schedule.size + 1
-        self.times = np.zeros((rows, replicas))
-        self.counts = np.zeros((rows, replicas), dtype=np.int64)
-        self.transfers = np.zeros((rows, replicas, junctions))
-        self.phase = 0
-        self.replica = 0
+        self.stacks = (np.zeros((points, rows, replicas)),
+                       np.zeros((points, rows, replicas), dtype=np.int64),
+                       np.zeros((points, rows, replicas, junctions)))
+        self.times, self.counts, self.transfers = (stack[0]
+                                                   for stack in self.stacks)
+        self.point = self.phase = self.replica = 0
+        self.rooted = 1
 
-    def store(self, row: int, times, counts, transfers) -> None:
+    def store(self, row: int, times, counts, transfers,
+              point: int = 0) -> None:
         """Snapshot the replicas' clocks, counts and transfer rows."""
-        self.times[row] = times
-        self.counts[row] = counts
-        self.transfers[row] = transfers
+        stack_times, stack_counts, stack_transfers = self.stacks
+        stack_times[point, row] = times
+        stack_counts[point, row] = counts
+        stack_transfers[point, row] = transfers
 
 
 class _EnsembleCursor:
     """Per-ensemble bookkeeping linking replicas to memoised rate entries.
 
-    ``slots[r]`` is the index of replica ``r``'s configuration in
-    ``entries``; ``slot_of`` maps ``id(entry)`` back to a slot so successor
-    configurations discovered during a run are registered once.  The
+    ``slots[r]`` is the slot of replica ``r``'s configuration; ``entry_at``
+    maps a slot to its :class:`_RateEntry` and ``slot_of`` maps
+    ``id(entry)`` back to its slot, so an entry is registered once.  The
     per-slot data (total rates, cumulative tables, last-selectable indices,
-    successor slots, configurations) is mirrored into dense arrays, which
+    successor slots, configurations) lives in dense mirror arrays, which
     are what the advance loop reads: it selects events from a slot's
-    cumulative row and follows ``successor_slots``, returning to Python
-    (:meth:`MonteCarloKernel._link_compiled`) only the first time a
-    (configuration, event) transition is taken.  The mirrors grow by
-    capacity doubling and survive :meth:`reset`, so the compiled loop keeps
-    receiving the same array objects; only rows of registered slots are
-    meaningful.  The cursor is valid for one kernel cache epoch; a
-    bias/offset change invalidates it wholesale (detected through
-    ``epoch``) and re-keys it.
+    cumulative row and follows ``successor_slots``.  An unlinked transition
+    to a configuration already registered (``registered[:count]``, the
+    slots registered since the last :meth:`reset`) is linked inside the
+    loop; a new configuration returns to Python
+    (:meth:`MonteCarloKernel._link_compiled`).  The mirrors grow by
+    capacity doubling and survive :meth:`reset`, so the loop keeps
+    receiving the same array objects.
+
+    During a sweep the rows of each planned root configuration's block
+    (:meth:`MonteCarloKernel._plan_block`: the root and its one-event
+    successors at every point of the block) are mirrored once, into a
+    *frame* of ``frame_rows`` slots at the bottom of the mirrors; a root or
+    a speculated successor that adopts a planned row takes that row's
+    frame slot, with nothing copied.  A frame whose block the plan has
+    dropped is reused.  Other entries take the *dynamic* slots above the
+    frames, which every :meth:`reset` hands out afresh.  The cursor is
+    valid for one kernel cache epoch; a bias/offset change re-keys it
+    (detected through ``epoch``).
     """
 
-    __slots__ = ("epoch", "slots", "entries", "slot_of", "n_events",
-                 "n_islands", "totals", "cumulative", "last_selectable",
-                 "successor_slots", "configurations", "seen", "_mirrored")
+    __slots__ = ("epoch", "slots", "entry_at", "slot_of", "n_events",
+                 "n_islands", "stride_delta_n", "totals", "cumulative",
+                 "last_selectable", "successor_slots", "configurations",
+                 "registered", "count", "seen", "plan", "frames",
+                 "free_frames", "frame_rows", "top", "next_slot")
 
-    def __init__(self, epoch: int, slots: np.ndarray,
-                 entries: List["_RateEntry"], n_events: int,
-                 n_islands: int) -> None:
+    def __init__(self, n_events: int, stride_delta_n: np.ndarray) -> None:
         self.n_events = n_events
-        self.n_islands = n_islands
+        self.n_islands = stride_delta_n.shape[1]
+        #: Row 0 zero, row ``k + 1`` event ``k``'s electron-number change:
+        #: the configurations of a root's plan rows, relative to the root.
+        self.stride_delta_n = stride_delta_n
         self.totals = np.empty(0)
         self.cumulative = np.empty((0, n_events))
         self.last_selectable = np.empty(0, dtype=np.int64)
@@ -191,81 +248,153 @@ class _EnsembleCursor:
         #: event ``k``, or ``-1`` when that transition has not been taken yet.
         self.successor_slots = np.empty((0, n_events), dtype=np.int64)
         #: ``configurations[s]`` is slot ``s``'s canonical electron vector.
-        self.configurations = np.empty((0, n_islands), dtype=np.int64)
+        self.configurations = np.empty((0, self.n_islands), dtype=np.int64)
+        #: Slots registered since the last reset, in order (``[:count]``).
+        self.registered = np.empty(0, dtype=np.int64)
+        self.count = 0
         #: Bytes of ``ensemble.electrons`` as the kernel last left them
         #: (always ``configurations[slots]``): a caller editing the public
         #: ``EnsembleState.electrons`` between runs changes them, which
         #: forces a full re-key instead of stepping replicas with the rate
         #: tables of their old configurations.
         self.seen = b""
-        self._mirrored = 0
-        self.slots = slots
-        self.reset(epoch, slots, entries)
+        self.slots = np.empty(0, dtype=np.int64)
+        self.epoch = -1
+        self.plan: Optional["_SweepPlan"] = None
+        #: ``id(block) -> (block, first slot)`` of every mirrored plan block.
+        self.frames: dict = {}
+        self.free_frames: List[int] = []
+        self.frame_rows = 0
+        self.top = 0
+        self.next_slot = 0
 
-    def reset(self, epoch: int, slots: np.ndarray,
-              entries: List["_RateEntry"]) -> None:
-        """Re-key the cursor to ``entries`` of a new epoch, in place.
+    def reset(self, epoch: int, entries: List["_RateEntry"],
+              inverse: np.ndarray, plan: Optional["_SweepPlan"]) -> None:
+        """Re-key the cursor to the root ``entries`` of a new epoch, in place.
 
-        The slot array is updated in place when its length is unchanged,
-        so the compiled loop keeps receiving the same array object.
+        Replica ``r`` takes the slot of ``entries[inverse[r]]``.  The links
+        of every slot registered since the last reset are cleared, and the
+        dynamic slots are handed out afresh.  Entries with planned rows are
+        registered first, so their frames can be mirrored before any
+        dynamic slot is in use.  The slot array is updated in place when
+        its length is unchanged, so the loop keeps receiving the same
+        array object.
         """
-        self.successor_slots[:self._mirrored] = -1
-        self._mirrored = 0
+        if self.count:
+            self.successor_slots[self.registered[:self.count]] = -1
+            self.count = 0
         self.epoch = epoch
-        if self.slots.shape == slots.shape:
-            self.slots[:] = slots
-        else:
-            self.slots = slots
-        self.entries: List["_RateEntry"] = []
+        if plan is not self.plan:
+            self.plan = plan
+            self.frames = {}
+            self.free_frames = []
+            self.top = 0
+            if plan is not None:
+                self.frame_rows = (self.n_events + 1) * min(
+                    PLAN_BLOCK_POINTS, len(plan.voltages))
+        self.next_slot = self.top
+        self.entry_at: dict = {}
         self.slot_of: dict = {}
         for entry in entries:
-            self.register(entry)
-        self.refresh()
+            if entry.planned is not None:
+                self.register(entry)
+        root_slots = [self.register(entry) for entry in entries]
+        if self.slots.shape != inverse.shape:
+            self.slots = np.empty(inverse.shape, dtype=np.int64)
+        if len(root_slots) == 1:
+            self.slots.fill(root_slots[0])
+        else:
+            np.take(root_slots, inverse, out=self.slots)
 
     def register(self, entry: "_RateEntry") -> int:
-        """Slot of ``entry``, assigning a new one on first sight."""
+        """Slot of ``entry``, assigning (and mirroring) one on first sight."""
         slot = self.slot_of.get(id(entry))
+        if slot is not None:
+            return slot
+        slot = self._planned_slot(entry)
         if slot is None:
-            slot = len(self.entries)
-            self.entries.append(entry)
-            self.slot_of[id(entry)] = slot
-        return slot
-
-    def refresh(self) -> None:
-        """Mirror slots registered since the last refresh into the arrays."""
-        known = self._mirrored
-        count = len(self.entries)
-        if count == known:
-            return
-        capacity = self.totals.size
-        if count > capacity:
-            capacity = max(count, 2 * capacity, 4)
-            totals = np.zeros(capacity)
-            # Pad with +inf so a padded column can never be counted by the
-            # threshold comparison (rows always fill the row when trapless).
-            cumulative = np.full((capacity, self.n_events), np.inf)
-            last = np.full(capacity, -1, dtype=np.int64)
-            successors = np.full((capacity, self.n_events), -1,
-                                 dtype=np.int64)
-            configurations = np.zeros((capacity, self.n_islands),
-                                      dtype=np.int64)
-            totals[:known] = self.totals[:known]
-            cumulative[:known] = self.cumulative[:known]
-            last[:known] = self.last_selectable[:known]
-            successors[:known] = self.successor_slots[:known]
-            configurations[:known] = self.configurations[:known]
-            self.totals = totals
-            self.cumulative = cumulative
-            self.last_selectable = last
-            self.successor_slots = successors
-            self.configurations = configurations
-        for slot in range(known, count):
-            entry = self.entries[slot]
+            slot = self.next_slot
+            self.next_slot = slot + 1
+            self._reserve(self.next_slot)
             self.totals[slot] = entry.total
             self.cumulative[slot, :entry.cumulative.size] = entry.cumulative
             self.last_selectable[slot] = entry.last_selectable
             self.configurations[slot] = entry.electrons
-        self._mirrored = count
+        self.entry_at[slot] = entry
+        self.slot_of[id(entry)] = slot
+        if self.count == self.registered.size:
+            registered = np.empty(max(8, 2 * self.count), dtype=np.int64)
+            registered[:self.count] = self.registered
+            self.registered = registered
+        self.registered[self.count] = slot
+        self.count += 1
+        return slot
+
+    def _planned_slot(self, entry: "_RateEntry") -> Optional[int]:
+        """The frame slot of an entry that adopted a planned row, if mirrored."""
+        planned = entry.planned
+        if planned is None or self.plan is None:
+            return None
+        block, row = planned
+        frame = self.frames.get(id(block))
+        first = self._mirror(block) if frame is None else frame[1]
+        return None if first is None else first + row - block[6]
+
+    def _mirror(self, block: tuple) -> Optional[int]:
+        """Mirror a plan block into a frame; its first slot (``None``: no room).
+
+        A frame is reused once its block has left the plan; a new one is
+        only added while no dynamic slot is in use (at a reset).
+        """
+        if not self.free_frames:
+            live = {id(held) for held in self.plan.blocks.values()}
+            for key in [key for key in self.frames if key not in live]:
+                self.free_frames.append(self.frames.pop(key)[1])
+        if self.free_frames:
+            first = self.free_frames.pop()
+        elif self.next_slot == self.top:
+            first = self.top
+            self.top = self.next_slot = first + self.frame_rows
+            self._reserve(self.top)
+        else:
+            return None
+        start, stop, _, cumulative, totals, last, base, electrons = block
+        span = (stop - start) * (self.n_events + 1)
+        rows = slice(first, first + span)
+        self.totals[rows] = totals[base:base + span]
+        self.cumulative[rows] = cumulative[base:base + span]
+        self.last_selectable[rows] = last[base:base + span]
+        self.successor_slots[rows] = -1
+        self.configurations[rows].reshape(
+            stop - start, self.n_events + 1, self.n_islands)[:] = \
+            electrons + self.stride_delta_n
+        self.frames[id(block)] = (block, first)
+        return first
+
+    def _reserve(self, count: int) -> None:
+        """Grow the mirrors to hold at least ``count`` slots."""
+        capacity = self.totals.size
+        if count <= capacity:
+            return
+        capacity = max(count, 2 * capacity, 4)
+        totals = np.zeros(capacity)
+        # Pad with +inf so a padded column can never be counted by the
+        # threshold comparison (rows always fill the row when trapless).
+        cumulative = np.full((capacity, self.n_events), np.inf)
+        last = np.full(capacity, -1, dtype=np.int64)
+        successors = np.full((capacity, self.n_events), -1, dtype=np.int64)
+        configurations = np.zeros((capacity, self.n_islands), dtype=np.int64)
+        known = self.totals.size
+        totals[:known] = self.totals
+        cumulative[:known] = self.cumulative
+        last[:known] = self.last_selectable
+        successors[:known] = self.successor_slots
+        configurations[:known] = self.configurations
+        self.totals = totals
+        self.cumulative = cumulative
+        self.last_selectable = last
+        self.successor_slots = successors
+        self.configurations = configurations
 
 
 class _RateEntry:
@@ -277,12 +406,15 @@ class _RateEntry:
     lazily linked entries reached by each tunnel / co-tunnel event.  A root
     entry of a stacked build also carries ``speculation``: its one-event
     successors' potentials (row ``k`` for event ``k``), the stack's
-    cumulative rows, totals and last-selectable indices, and the stack row
-    of its event-0 successor (``None`` otherwise).
+    cumulative rows, totals and last-selectable indices, the stack row of
+    its event-0 successor and the plan block the stack is (``None`` when
+    evaluated at the point), or ``None`` otherwise.  An entry whose row
+    is a plan block's carries ``planned = (block, row)``, which places it
+    in the block's cursor frame.
     """
 
     __slots__ = ("electrons", "phi", "cumulative", "total", "last_selectable",
-                 "successors", "speculation")
+                 "successors", "speculation", "planned")
 
     def __init__(self, electrons: np.ndarray, phi: np.ndarray,
                  cumulative: np.ndarray, total: float, last_selectable: int,
@@ -294,6 +426,7 @@ class _RateEntry:
         self.last_selectable = last_selectable
         self.successors: List[Optional["_RateEntry"]] = [None] * n_events
         self.speculation: Optional[tuple] = None
+        self.planned: Optional[tuple] = None
 
 
 class _SweepPlan:
@@ -303,9 +436,10 @@ class _SweepPlan:
     appearance, ``points`` maps each one's bytes to its index and ``bias``
     holds ``B V`` of each (one stacked matrix-vector product per point).
     ``blocks`` maps a root configuration's memo key to the block of points
-    planned for it: ``(start, stop, stack, cumulative, totals, last, base)``
-    with the block's :meth:`MonteCarloKernel._stack_rows` output, in which
-    the root's row at point ``p`` is ``base + (p - start) * (events + 1)``.
+    planned for it: ``(start, stop, stack, cumulative, totals, last, base,
+    electrons)`` with the block's :meth:`MonteCarloKernel._stack_rows`
+    output, in which the root's row at point ``p`` is
+    ``base + (p - start) * (events + 1)``, and the root configuration.
     The plan is valid while the circuit's ``charge_version`` equals
     ``charge_version``.
     """
@@ -432,6 +566,13 @@ class MonteCarloKernel:
             for name, direction in transfers:
                 self._transfer_matrix[index, self._junction_order[name]] \
                     += direction
+        #: Row ``k`` is event ``k``'s electron-number change; the stride
+        #: form has a zero row first (a root's plan rows, relative to it).
+        islands = self.model.island_count
+        self._delta_n_matrix = np.array(self._event_delta_n, dtype=np.int64
+                                        ).reshape(self._n_events, islands)
+        self._stride_delta_n = np.vstack(
+            [np.zeros((1, islands), dtype=np.int64), self._delta_n_matrix])
 
         # ----------------------------------------------- cache bookkeeping
         self._voltages: Optional[np.ndarray] = None
@@ -457,11 +598,18 @@ class MonteCarloKernel:
 
         # ---------------------------------------------------- advance loop
         self._jit_backend, self._jit_advance = resolve_advance()
-        # Native-call arguments kept across calls: the C shim re-reads an
-        # argument's address only when a different array object arrives.
+        # The loop's arguments, kept across calls: an entry passes them as
+        # they stand, and an array is re-bound only when another replaces it.
         self._ireg = np.zeros(IREG_SIZE, dtype=np.int64)
         self._freg = np.zeros(FREG_SIZE)
+        self._arguments = LoopArguments()
+        for index, array in ((ARG_TRANSFER_MATRIX, self._transfer_matrix),
+                             (ARG_DELTA_N, self._delta_n_matrix),
+                             (ARG_IREG, self._ireg), (ARG_FREG, self._freg)):
+            self._arguments.set(index, array)
         self._phase_record: Optional[PhaseRecord] = None
+        #: ``(voltages, starts)`` of the sweep a run is advancing, if any.
+        self._sweep: Optional[tuple] = None
 
     @property
     def jit_backend(self) -> str:
@@ -714,7 +862,9 @@ class MonteCarloKernel:
         plan (:meth:`_planned_rows`) when the plan's potentials equal the
         exact ones byte for byte; the other roots share one stacked
         evaluation at this point (:meth:`_stack_rows`).  The successor rows
-        are kept on the root entry for :meth:`_descend` to adopt.
+        are kept on the root entry for :meth:`_descend` to adopt; a root or
+        successor with a planned row carries it as ``planned``, for the
+        cursor to place it in the block's frame.
         """
         events = self._n_events
         electrons = np.asarray(configurations, dtype=np.int64)
@@ -727,13 +877,16 @@ class MonteCarloKernel:
             evaluated = self._stack_rows(
                 phi if len(missing) == len(rows) else phi[missing])
             for position, root in enumerate(missing):
-                rows[root] = evaluated + (position * (events + 1),)
+                rows[root] = evaluated + (position * (events + 1), None)
         entries = []
-        for root, (stack, cumulative, totals, last, row) in enumerate(rows):
+        for root, (stack, cumulative, totals, last, row, block) \
+                in enumerate(rows):
             entry = _RateEntry(electrons[root], phi[root], cumulative[row],
                                totals[row], last[row], events)
             entry.speculation = (stack[row + 1:row + 1 + events], cumulative,
-                                 totals, last, row + 1)
+                                 totals, last, row + 1, block)
+            if block is not None:
+                entry.planned = (block, row)
             self._store_entry(self._entry_key(electrons[root]), entry)
             entries.append(entry)
         return entries
@@ -761,9 +914,10 @@ class MonteCarloKernel:
                       phi: np.ndarray) -> List[Optional[tuple]]:
         """Each root's planned rate rows at this point, where they hold.
 
-        Element ``r`` is ``(stack, cumulative, totals, last, row)`` — the
-        :meth:`_stack_rows` output of a plan block and root ``r``'s row in
-        it — or ``None`` when root ``r`` must be evaluated at the point:
+        Element ``r`` is ``(stack, cumulative, totals, last, row, block)``
+        — the :meth:`_stack_rows` output of a plan block, root ``r``'s row
+        in it and the block — or ``None`` when root ``r`` must be evaluated
+        at the point:
         no plan holds this point, or the planned potentials differ from the
         exact ones ``phi[r]`` in any byte.  Roots without a block covering
         this point are planned first, all in one stacked evaluation over
@@ -786,9 +940,10 @@ class MonteCarloKernel:
         stride = self._n_events + 1
         rows: List[Optional[tuple]] = []
         for root, key in enumerate(keys):
-            start, _, stack, cumulative, totals, last, base = plan.blocks[key]
+            block = plan.blocks[key]
+            start, _, stack, cumulative, totals, last, base, _ = block
             row = base + (point - start) * stride
-            rows.append((stack, cumulative, totals, last, row)
+            rows.append((stack, cumulative, totals, last, row, block)
                         if stack[row].tobytes() == phi[root].tobytes()
                         else None)
         return rows
@@ -816,7 +971,8 @@ class MonteCarloKernel:
             np.tile(plan.voltages[point:stop], (len(electrons), 1)))
         span = (stop - point) * (self._n_events + 1)
         for index, key in enumerate(keys):
-            plan.blocks[key] = (point, stop) + rows + (index * span,)
+            plan.blocks[key] = (point, stop) + rows + (index * span,
+                                                       electrons[index])
 
     def _descend(self, parent: "_RateEntry", index: int,
                  state: SimulationState) -> "_RateEntry":
@@ -843,10 +999,12 @@ class MonteCarloKernel:
         if speculation is None \
                 or phi.tobytes() != speculation[0][index].tobytes():
             return self._build_entry(key, electrons, phi, state)
-        _, cumulative, totals, last, first = speculation
+        _, cumulative, totals, last, first, block = speculation
         row = first + index
         entry = _RateEntry(electrons, phi, cumulative[row], totals[row],
                            last[row], self._n_events)
+        if block is not None:
+            entry.planned = (block, row)
         self._store_entry(key, entry)
         return entry
 
@@ -923,13 +1081,12 @@ class MonteCarloKernel:
 
         Replicas are grouped by configuration first, so each distinct
         configuration is keyed into the memo exactly once no matter how many
-        replicas currently occupy it.  Slots are numbered in lexicographic
-        configuration order.  After a bias change the distinct
+        replicas currently occupy it.  After a bias change the distinct
         configurations come from the stale cursor's slots (the common case:
-        nobody edited ``ensemble.electrons``), the stale cursor is re-keyed in
-        place so its mirror arrays are reused, and the now empty memo gets
-        every root from :meth:`_build_roots` (planned rows, or one stacked
-        build at the point).
+        nobody edited ``ensemble.electrons``, :meth:`_distinct`), the stale
+        cursor is re-keyed in place so its mirror arrays are reused, and
+        the now empty memo gets every root from :meth:`_build_roots`
+        (planned rows, or one stacked build at the point).
         """
         electrons = np.ascontiguousarray(ensemble.electrons, dtype=np.int64)
         ensemble.electrons = electrons
@@ -938,79 +1095,114 @@ class MonteCarloKernel:
         if stale and electrons.tobytes() == cursor.seen:
             if cursor.epoch == self._cache_epoch:
                 return cursor
-            configurations = cursor.configurations
-            if cursor.slots.size == 1:
-                unique = configurations[cursor.slots]
-                inverse = np.zeros(1, dtype=np.int64)
-            else:
-                # The occupied slots in configuration order (ties by slot),
-                # as np.unique would sort the rows; a few Python operations
-                # are far cheaper than it at sweep-point replica counts.
-                occupied = cursor.slots.tolist()
-                distinct = sorted(set(occupied), key=lambda slot: (
-                    configurations[slot].tolist(), slot))
-                rank = {slot: position
-                        for position, slot in enumerate(distinct)}
-                unique = configurations[distinct]
-                inverse = np.array([rank[slot] for slot in occupied],
-                                   dtype=np.int64)
+            unique, inverse = self._distinct(cursor)
         else:
             unique, inverse = np.unique(electrons, axis=0,
                                         return_inverse=True)
-        if not self._rate_cache and len(unique) < self._rate_cache_limit:
-            entries = self._build_roots(unique)
-        else:
-            entries = []
-            for row in unique:
-                row = np.ascontiguousarray(row)
-                key = self._entry_key(row)
-                entry = self._rate_cache.get(key)
-                if entry is None:
-                    entry = self._build_entry(key, row.copy(), None, _TRAPLESS)
-                entries.append(entry)
-        slots = np.asarray(inverse, dtype=np.int64).reshape(-1)
-        if stale:
-            cursor.reset(self._cache_epoch, slots, entries)
-        else:
-            cursor = _EnsembleCursor(self._cache_epoch, slots, entries,
-                                     self._n_events, self.model.island_count)
+            inverse = np.asarray(inverse, dtype=np.int64).reshape(-1)
+        if not stale:
+            cursor = _EnsembleCursor(self._n_events, self._stride_delta_n)
             ensemble.cursor = cursor
+        cursor.reset(self._cache_epoch, self._root_entries(unique), inverse,
+                     self._plan)
         cursor.seen = electrons.tobytes()
         return cursor
+
+    @staticmethod
+    def _distinct(cursor: _EnsembleCursor) -> Tuple[np.ndarray, np.ndarray]:
+        """The replicas' distinct configurations and each replica's index.
+
+        The occupied slots in configuration order (ties by slot), as
+        ``np.unique`` would sort the rows; a few Python operations are far
+        cheaper than it at sweep-point replica counts.
+        """
+        configurations = cursor.configurations
+        if cursor.slots.size == 1:
+            return configurations[cursor.slots], np.zeros(1, dtype=np.int64)
+        occupied = cursor.slots.tolist()
+        distinct = sorted(set(occupied), key=lambda slot: (
+            configurations[slot].tolist(), slot))
+        rank = {slot: position for position, slot in enumerate(distinct)}
+        return configurations[distinct], np.array(
+            [rank[slot] for slot in occupied], dtype=np.int64)
+
+    def _root_entries(self, unique: np.ndarray) -> List["_RateEntry"]:
+        """Memo entries of the distinct configurations ``unique``.
+
+        An empty memo (a fresh bias point) gets them all from
+        :meth:`_build_roots`; otherwise each is looked up, or built on its
+        own.
+        """
+        if not self._rate_cache and len(unique) < self._rate_cache_limit:
+            return self._build_roots(unique)
+        entries = []
+        for row in unique:
+            row = np.ascontiguousarray(row)
+            key = self._entry_key(row)
+            entry = self._rate_cache.get(key)
+            if entry is None:
+                entry = self._build_entry(key, row.copy(), None, _TRAPLESS)
+            entries.append(entry)
+        return entries
 
     # ---------------------------------------------------------- phased runs
 
     def _link_compiled(self, cursor: _EnsembleCursor, slot: int,
                        event: int) -> None:
         """Resolve one unlinked (configuration, event) transition in place."""
-        parent = cursor.entries[slot]
+        parent = cursor.entry_at[slot]
         child = parent.successors[event]
         if child is None:
             child = self._descend(parent, event, _TRAPLESS)
             parent.successors[event] = child
-        child_slot = cursor.register(child)
-        cursor.refresh()
-        cursor.successor_slots[slot, event] = child_slot
+        cursor.successor_slots[slot, event] = cursor.register(child)
 
-    def phase_record(self, schedule: Sequence[int],
-                     replicas: int = 1) -> PhaseRecord:
+    def _next_point(self, cursor: _EnsembleCursor, point: int) -> None:
+        """Answer a root request: point ``point``'s rate tables, in place.
+
+        The point's source voltages replace the last point's and the memo
+        starts afresh, as a bias change does.  The replicas' configurations
+        (or the sweep's cold start at this point) are the roots: each is
+        solved exactly and adopts its planned rows where they hold
+        (:meth:`_build_roots`), and the cursor is re-keyed to them.  The
+        ``jit.run_compiled`` fault site fires here on a native backend, once
+        per point.
+        """
+        if self._jit_backend != BACKEND_PYTHON:
+            inject("jit.run_compiled")
+        voltages, starts = self._sweep
+        self._voltages = voltages[point]
+        self._clear_rate_cache()
+        if starts is None:
+            unique, inverse = self._distinct(cursor)
+        else:
+            unique = starts[point:point + 1]
+            inverse = np.zeros(cursor.slots.size, dtype=np.int64)
+        cursor.reset(self._cache_epoch, self._root_entries(unique), inverse,
+                     self._plan)
+
+    def phase_record(self, schedule: Sequence[int], replicas: int = 1,
+                     points: int = 1) -> PhaseRecord:
         """A :class:`PhaseRecord` for ``schedule`` over ``replicas`` replicas.
 
         The record of the previous request is handed out again when the
-        schedule and replica count repeat (one sweep point after another),
-        so the compiled loop keeps receiving the same output arrays; it is
-        therefore only valid until the next request.
+        schedule, replica count and point count repeat (one run or sweep
+        after another), so the loop keeps receiving the same output arrays;
+        it is therefore only valid until the next request.
         """
         record = self._phase_record
-        if record is None or record.key != (tuple(schedule), replicas):
+        if record is None or record.key != (tuple(schedule), replicas,
+                                            points):
             record = self._phase_record = PhaseRecord(
-                schedule, replicas, len(self._junction_order))
-        record.phase = 0
-        record.replica = 0
+                schedule, replicas, len(self._junction_order), points)
+        record.point = record.phase = record.replica = 0
+        record.rooted = 1
         return record
 
     def run_phases(self, ensemble: EnsembleState, record: PhaseRecord,
-                   duration: Optional[float] = None) -> None:
+                   duration: Optional[float] = None,
+                   voltages: Optional[np.ndarray] = None,
+                   starts: Optional[np.ndarray] = None) -> None:
         """Advance every replica through a phased run of the advance loop.
 
         Replicas run through ``record.schedule`` phase-major (every replica
@@ -1020,121 +1212,176 @@ class MonteCarloKernel:
         whole schedule, updating the cursor slots, ``ensemble.times``,
         ``event_counts`` and ``electron_transfers`` in place and
         snapshotting them into ``record`` at every phase boundary; ``record``
-        row 0 must hold them at the start.  The loop returns early only when
-        it needs Python — a random block refill or a successor link — and is
-        re-entered with the updated buffers and cursor arrays (re-fetched per
-        call because :meth:`_EnsembleCursor.refresh` may grow them); the
-        registers resume the interrupted replica mid-event.  Refills
-        replicate the :meth:`step` accessors exactly (one ``_random_block``
-        draw at the consumption point), so a single-replica ensemble replays
-        the :meth:`step` trajectory event for event.
+        row 0 must hold them at the start.
 
-        The run starts from the phase boundary ``record.phase``/
+        ``voltages`` runs the schedule at every point of ``record``: the
+        ``(points, sources)`` source vector of each point.  ``starts`` is
+        then ``None`` to carry the replicas from point to point, or, for a
+        cold-started sweep, the ``(points, islands)`` configuration every
+        replica starts each point from.  The circuit is not written to.
+        Between points the loop zeroes every replica's clock, count and
+        transfer row and asks for the next point's rate tables once
+        (:meth:`_next_point`); without ``voltages`` the run is one point at
+        the circuit's bias.
+
+        The loop returns early only when it needs Python — a random block
+        refill, a configuration not met before at this point, or a new
+        point — and is re-entered with the updated buffers and cursor
+        arrays (re-bound when they grew); the registers resume the
+        interrupted replica mid-event.  Refills replicate the :meth:`step`
+        accessors exactly (one ``_random_block`` draw at the consumption
+        point), so a single-replica ensemble replays the :meth:`step`
+        trajectory event for event.
+
+        The run starts from the boundary ``record.point``/``record.phase``/
         ``record.replica`` (zero for a fresh :meth:`phase_record`).  If a
         native backend raises, every replica is left at the boundary those
-        two then record (the interrupted replica's transfer row restored
-        from its phase-start snapshot); the kernel swaps in the interpreted
-        loop for good, emits a ``jit.run_compiled`` / ``fallback:python``
+        then record (the interrupted replica's transfer row restored from
+        its phase-start snapshot); the kernel swaps in the interpreted loop
+        for good, emits a ``jit.run_compiled`` / ``fallback:python``
         degradation and resumes from that boundary on the same random
-        stream.  The ``jit.run_compiled`` fault site fires at the entry of a
-        native run only.
+        stream.  The ``jit.run_compiled`` fault site fires at the start of
+        each point of a native run only.
         """
         if self._n_traps:
             raise SimulationError(
                 "the advance loop does not support charge traps; use the "
                 "step() path for telegraph-noise simulations")
-        self._refresh_bias()
-        self._refresh_offsets(_TRAPLESS)
-        cursor = self._ensure_cursor(ensemble)
-        # The native loop writes through raw addresses: hand it contiguous
-        # arrays of the exact dtypes (a no-op for kernel-built ensembles).
-        ensemble.times = np.ascontiguousarray(ensemble.times, dtype=float)
-        ensemble.event_counts = np.ascontiguousarray(ensemble.event_counts,
-                                                     dtype=np.int64)
-        ensemble.electron_transfers = np.ascontiguousarray(
-            ensemble.electron_transfers, dtype=float)
-        replicas, junctions = ensemble.electron_transfers.shape
-        if record.transfers.shape[1:] != (replicas, junctions):
-            raise SimulationError(
-                f"phase record for {record.times.shape[1]} replica(s) and "
-                f"{record.transfers.shape[2]} junction(s) cannot snapshot "
-                f"{replicas} replica(s) and {junctions}")
+        self._sweep = None if voltages is None else (voltages, starts)
         try:
-            if self._jit_backend != BACKEND_PYTHON:
-                from ..resilience.faults import inject
+            if voltages is None:
+                self._refresh_bias()
+            else:
+                self._voltages = voltages[record.point]
+                self._clear_rate_cache()
+            self._refresh_offsets(_TRAPLESS)
+            cursor = self._ensure_cursor(ensemble)
+            # The native loop writes through raw addresses: hand it
+            # contiguous arrays of the exact dtypes (a no-op for
+            # kernel-built ensembles).
+            ensemble.times = np.ascontiguousarray(ensemble.times, dtype=float)
+            ensemble.event_counts = np.ascontiguousarray(
+                ensemble.event_counts, dtype=np.int64)
+            ensemble.electron_transfers = np.ascontiguousarray(
+                ensemble.electron_transfers, dtype=float)
+            replicas, junctions = ensemble.electron_transfers.shape
+            if record.transfers.shape[1:] != (replicas, junctions):
+                raise SimulationError(
+                    f"phase record for {record.times.shape[1]} replica(s) "
+                    f"and {record.transfers.shape[2]} junction(s) cannot "
+                    f"snapshot {replicas} replica(s) and {junctions}")
+            try:
+                if self._jit_backend != BACKEND_PYTHON:
+                    inject("jit.run_compiled")
+                self._advance(cursor, ensemble, record, duration)
+            except Exception as error:
+                if self._jit_backend == BACKEND_PYTHON:
+                    raise
+                from ..resilience.events import emit_degradation
 
-                inject("jit.run_compiled")
-            self._advance(cursor, ensemble, record, duration)
-        except Exception as error:
-            if self._jit_backend == BACKEND_PYTHON:
-                raise
-            from ..resilience.events import emit_degradation
-
-            self._jit_backend, self._jit_advance = \
-                resolve_advance(BACKEND_PYTHON)
-            emit_degradation("jit.run_compiled", "fallback:python",
-                             repr(error))
-            self._advance(cursor, ensemble, record, duration)
+                self._jit_backend, self._jit_advance = \
+                    resolve_advance(BACKEND_PYTHON)
+                emit_degradation("jit.run_compiled", "fallback:python",
+                                 repr(error))
+                self._advance(cursor, ensemble, record, duration)
+        finally:
+            if voltages is not None:
+                # The circuit still holds its own bias: the next run
+                # re-reads it (and starts a fresh memo).
+                self._sweep = None
+                self._voltages = None
 
     def _advance(self, cursor: _EnsembleCursor, ensemble: EnsembleState,
                  record: PhaseRecord, duration: Optional[float]) -> None:
         """The backend calls of :meth:`run_phases`, from ``record``'s boundary."""
-        slots = cursor.slots
-        times = ensemble.times
-        counts = ensemble.event_counts
+        arguments = self._arguments
+        arrays = arguments.arrays
         transfers = ensemble.electron_transfers
+        for index, array in ((ARG_TIMES, ensemble.times),
+                             (ARG_COUNTS, ensemble.event_counts),
+                             (ARG_TRANSFERS, transfers),
+                             (ARG_SCHEDULE, record.schedule),
+                             (ARG_PHASE_TIMES, record.stacks[0]),
+                             (ARG_PHASE_COUNTS, record.stacks[1]),
+                             (ARG_PHASE_TRANSFERS, record.stacks[2]),
+                             (ARG_EXP, self._exp_buffer),
+                             (ARG_UNIFORM, self._uniform_buffer)):
+            if arrays[index] is not array:
+                arguments.set(index, array)
         ireg = self._ireg
         freg = self._freg
         ireg.fill(0)
         freg.fill(0.0)
+        ireg[REG_POINT] = record.point
         ireg[REG_PHASE] = record.phase
         ireg[REG_REPLICA] = record.replica
+        ireg[REG_ROOTED] = record.rooted
         ireg[REG_EXP_POS] = self._exp_position
         ireg[REG_UNI_POS] = self._uniform_position
         freg[FREG_DURATION] = np.inf if duration is None else float(duration)
         try:
             while True:
-                status = self._jit_advance(
-                    cursor.totals, cursor.cumulative, cursor.last_selectable,
-                    cursor.successor_slots, self._transfer_matrix, slots,
-                    times, counts, transfers, record.schedule, record.times,
-                    record.counts, record.transfers, self._exp_buffer,
-                    self._uniform_buffer, ireg, freg)
+                if cursor.totals is not arrays[ARG_TOTALS] \
+                        or cursor.registered is not arrays[ARG_REGISTERED] \
+                        or cursor.slots is not arrays[ARG_SLOTS]:
+                    for index, array in (
+                            (ARG_TOTALS, cursor.totals),
+                            (ARG_CUMULATIVE, cursor.cumulative),
+                            (ARG_LAST, cursor.last_selectable),
+                            (ARG_SUCCESSORS, cursor.successor_slots),
+                            (ARG_CONFIGURATIONS, cursor.configurations),
+                            (ARG_REGISTERED, cursor.registered),
+                            (ARG_SLOTS, cursor.slots)):
+                        arguments.set(index, array)
+                # After a memo-cap clear mid-run the registered slots no
+                # longer are the memo: every link goes through Python.
+                ireg[REG_REGISTERED] = cursor.count \
+                    if cursor.epoch == self._cache_epoch else 0
+                status = self._jit_advance(arguments)
                 if status == STATUS_NEED_EXP:
                     self._exp_buffer = self._refill(
-                        self.rng.standard_exponential, self._exp_buffer)
+                        self.rng.standard_exponential, self._exp_buffer,
+                        ARG_EXP)
                     ireg[REG_EXP_POS] = 0
                 elif status == STATUS_NEED_UNIFORM:
                     self._uniform_buffer = self._refill(
-                        self.rng.random, self._uniform_buffer)
+                        self.rng.random, self._uniform_buffer, ARG_UNIFORM)
                     ireg[REG_UNI_POS] = 0
                 elif status == STATUS_NEED_LINK:
                     self._link_compiled(cursor, int(ireg[REG_SLOT]),
                                         int(ireg[REG_PENDING_EVENT]))
+                elif status == STATUS_NEED_ROOTS:
+                    self._next_point(cursor, int(ireg[REG_POINT]))
+                    ireg[REG_ROOTED] = 1
                 else:
                     break
         finally:
             self._exp_position = int(ireg[REG_EXP_POS])
             self._uniform_position = int(ireg[REG_UNI_POS])
+            record.point = int(ireg[REG_POINT])
             record.phase = int(ireg[REG_PHASE])
             record.replica = int(ireg[REG_REPLICA])
+            record.rooted = int(ireg[REG_ROOTED])
             if ireg[REG_LOADED]:
-                transfers[record.replica] = \
-                    record.transfers[record.phase, record.replica]
+                transfers[record.replica] = record.stacks[2][
+                    record.point, record.phase, record.replica]
             # Finished phases keep their progress even if a re-entry
             # raised, so a resumed run continues from them.
-            ensemble.electrons[:] = cursor.configurations[slots]
+            ensemble.electrons[:] = cursor.configurations[cursor.slots]
             cursor.seen = ensemble.electrons.tobytes()
 
-    def _refill(self, sampler, buffer: np.ndarray) -> np.ndarray:
+    def _refill(self, sampler, buffer: np.ndarray, index: int) -> np.ndarray:
         """One ``_random_block`` draw, into ``buffer`` when it is block-sized.
 
         Filling in place draws the same stream as a fresh block and keeps
-        the array the compiled loop already holds the address of.
+        the array the loop already holds the address of; a fresh block is
+        passed as loop argument ``index``.
         """
         if buffer.size == self._random_block:
             return sampler(out=buffer)
-        return sampler(self._random_block)
+        buffer = sampler(self._random_block)
+        self._arguments.set(index, buffer)
+        return buffer
 
 
 __all__ = ["Candidate", "KernelStep", "MonteCarloKernel"]

@@ -13,14 +13,16 @@ event tables and potentials survive the bias change) and can optionally fan
 the points out over worker processes.  A point is one phased run (warm-up
 plus estimate blocks, or warm-up plus ensemble window) through one driver,
 :meth:`MonteCarloSimulator._run_phases`, for trajectories and ensembles
-alike; the sweep keeps every point's phase boundaries in one
-``(points, phases + 1, replicas)`` record and runs the current estimator
-once over all points (:func:`~repro.montecarlo.observables.block_estimates`
-or :func:`~repro.montecarlo.observables.replica_estimates`).
+alike; a serial sweep is one such run with a point axis, which writes every
+point's phase boundaries into one ``(points, phases + 1, replicas)`` record,
+and the current estimator runs once over all points
+(:func:`~repro.montecarlo.observables.block_estimates` or
+:func:`~repro.montecarlo.observables.replica_estimates`).
 
 Every run without charge traps or per-event hooks — :meth:`run`,
-:meth:`run_ensemble`, :meth:`stationary_current` and :meth:`sweep_source`,
-one trajectory or ``R`` replicas — is one call of the kernel's advance loop
+:meth:`run_ensemble`, :meth:`stationary_current` and a whole serial
+:meth:`sweep_source`, one trajectory or ``R`` replicas — is one call of the
+kernel's advance loop
 (:meth:`~repro.montecarlo.kernel.MonteCarloKernel.run_phases`), on whichever
 backend :func:`~repro.montecarlo.jit.resolve_advance` loads.  An ensemble's
 replica spread replaces single-trajectory block averaging for the standard
@@ -34,7 +36,7 @@ advance loop replays event for event.
 from __future__ import annotations
 
 import functools
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,6 +72,10 @@ def _budget(max_events: Optional[int]) -> int:
 #: Event blocks of a sweep point's single-trajectory estimate.
 SWEEP_BLOCKS = 10
 
+#: Electron-number bound of the ground-state walk a fresh state starts
+#: from (``EnergyModel.ground_state``'s default).
+_GROUND_STATE_LIMIT = 5
+
 
 class _PointRecords:
     """The phase schedule of estimator points and their phase boundaries.
@@ -80,7 +86,9 @@ class _PointRecords:
     ensemble estimates at equal budgets do comparable stochastic work.
     ``times``, ``counts`` and ``transferred`` (the estimated junction's
     tally) are ``(points, phases + 1, replicas)`` stacks of the
-    :class:`PhaseRecord` rows of every point's phased run.
+    :class:`PhaseRecord` rows of every point's phased run, copied in point
+    by point (:meth:`store`) or taken from one record of every point
+    (:meth:`take`).
     """
 
     def __init__(self, points: int, max_events: int, warmup_events: int,
@@ -103,6 +111,11 @@ class _PointRecords:
         self.counts[point] = record.counts
         self.transferred[point] = record.transfers[:, :, self.column]
 
+    def take(self, record: PhaseRecord) -> None:
+        """Read every point's phase boundaries from ``record`` (no copy)."""
+        self.times, self.counts, transfers = record.stacks
+        self.transferred = transfers[..., self.column]
+
     def estimates(self) -> CurrentEstimates:
         """The current estimator, run once over every point.
 
@@ -118,6 +131,21 @@ class _PointRecords:
                 (counts[:, -1] - counts[:, -2]).sum(axis=1))
         return block_estimates(transferred[:, 1:, 0], times[:, 1:, 0],
                                counts[:, -1, 0] - counts[:, 1, 0])
+
+
+class _SweepAxis(NamedTuple):
+    """The bias points of a serial sweep, as ``_run_phases`` takes them.
+
+    ``voltages`` is the ``(points, sources)`` source vector of each point
+    (:meth:`MonteCarloSimulator._source_stack`); ``starts`` is ``None`` for
+    a warm sweep, else the ``(points, islands)`` ground state every point
+    starts from.
+    """
+
+    source: str
+    values: Sequence[float]
+    voltages: np.ndarray
+    starts: Optional[np.ndarray]
 
 
 def _phase_result(record: PhaseRecord, phase: int,
@@ -243,52 +271,77 @@ class MonteCarloSimulator:
 
     def _run_phases(self, state: "SimulationState | EnsembleState",
                     schedule: Sequence[int],
-                    duration: Optional[float] = None) -> PhaseRecord:
+                    duration: Optional[float] = None,
+                    sweep: Optional[_SweepAxis] = None) -> PhaseRecord:
         """Advance a trajectory or an ensemble through a phase schedule.
 
-        The one per-point driver of both estimators.  Phase ``p`` runs until
-        every replica executed ``schedule[p]`` events (or ``duration``
-        elapsed, or a blockade), phase-major; the returned record holds the
-        clocks, event counts and per-junction transfers at every phase
-        boundary — an ensemble's absolute counters, a trajectory's counts
-        and transfers relative to the start.  The whole schedule is one
-        :meth:`~repro.montecarlo.kernel.MonteCarloKernel.run_phases` call (a
-        trajectory runs as a one-replica ensemble, which replays it bit for
-        bit); a trajectory with charge traps runs :meth:`_step_phases`.
+        The one driver of both estimators.  Phase ``p`` runs until every
+        replica executed ``schedule[p]`` events (or ``duration`` elapsed,
+        or a blockade), phase-major; the returned record holds the clocks,
+        event counts and per-junction transfers at every phase boundary —
+        an ensemble's absolute counters, a trajectory's counts and
+        transfers relative to the start.  With ``sweep`` the schedule runs
+        at every point of the axis, the replicas carried from point to
+        point (or restarted from each point's ground state) with their
+        clocks and counters zeroed, one record row block per point.  The
+        whole run is one
+        :meth:`~repro.montecarlo.kernel.MonteCarloKernel.run_phases` call
+        (a trajectory runs as a one-replica ensemble, which replays it bit
+        for bit); a trajectory with charge traps runs :meth:`_step_phases`.
         """
+        if sweep is None:
+            points, voltages, starts = 1, None, None
+        else:
+            points, voltages, starts = (len(sweep.values), sweep.voltages,
+                                        sweep.starts)
         if isinstance(state, EnsembleState):
-            record = self.kernel.phase_record(schedule, state.replica_count)
+            record = self.kernel.phase_record(schedule, state.replica_count,
+                                              points)
             record.store(0, state.times, state.event_counts,
                          state.electron_transfers)
-            self.kernel.run_phases(state, record, duration)
+            self.kernel.run_phases(state, record, duration, voltages, starts)
             return record
         if self.kernel.traps:
-            return self._step_phases(state, schedule, duration)
-        record = self.kernel.phase_record(schedule)
+            return self._step_phases(state, schedule, duration, sweep)
+        record = self.kernel.phase_record(schedule, 1, points)
         record.store(0, state.time, 0, 0.0)
         run = self._as_ensemble(state)
         try:
-            self.kernel.run_phases(run, record, duration)
+            self.kernel.run_phases(run, record, duration, voltages, starts)
         finally:
             self._commit(run, state)
         return record
 
     def _step_phases(self, state: SimulationState, schedule: Sequence[int],
-                     duration: Optional[float] = None) -> PhaseRecord:
-        """:meth:`_run_phases` of a trajectory, phase by phase on the step loop."""
-        record = self.kernel.phase_record(schedule)
-        record.store(0, state.time, 0, 0.0)
+                     duration: Optional[float] = None,
+                     sweep: Optional[_SweepAxis] = None) -> PhaseRecord:
+        """:meth:`_run_phases` of a trajectory, phase by phase on the step loop.
+
+        A sweep sets each point's bias on the circuit (the caller restores
+        it) and zeroes the clock; a cold one starts each point after the
+        first from a fresh state.
+        """
+        points = 1 if sweep is None else len(sweep.values)
+        record = self.kernel.phase_record(schedule, 1, points)
         junctions = list(self._junction_column)
-        start_events = state.event_count
-        start_transfers = [state.electron_transfers[name]
-                           for name in junctions]
-        for phase, budget in enumerate(schedule):
-            self._run_interpreted(state, int(budget), duration)
-            tallies = state.electron_transfers
-            record.store(phase + 1, state.time,
-                         state.event_count - start_events,
-                         [tallies[name] - start
-                          for name, start in zip(junctions, start_transfers)])
+        for point in range(points):
+            if sweep is not None:
+                self.circuit.set_source_voltage(sweep.source,
+                                                float(sweep.values[point]))
+                if point and sweep.starts is not None:
+                    state = self.new_state()
+                state.time = 0.0
+            start_events = state.event_count
+            start_transfers = [state.electron_transfers[name]
+                               for name in junctions]
+            record.store(0, state.time, 0, 0.0, point)
+            for phase, budget in enumerate(schedule):
+                self._run_interpreted(state, int(budget), duration)
+                tallies = state.electron_transfers
+                record.store(phase + 1, state.time,
+                             state.event_count - start_events,
+                             [tallies[name] - start for name, start
+                              in zip(junctions, start_transfers)], point)
         return record
 
     def _as_ensemble(self, state: SimulationState) -> EnsembleState:
@@ -485,7 +538,7 @@ class MonteCarloSimulator:
                                 replicas, self._junction_column[junction_name])
         state = self.new_state() if replicas is None \
             else self.new_ensemble(replicas)
-        records.store(0, self._run_phases(state, records.schedule))
+        records.take(self._run_phases(state, records.schedule))
         return records.estimates().point(0)
 
     def _check_estimator_args(self, junction_name: str, blocks: int) -> None:
@@ -503,13 +556,16 @@ class MonteCarloSimulator:
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sweep a voltage source and estimate the current at every point.
 
-        Every point is one phased run of :meth:`_run_phases`; the sweep keeps
-        all points' phase boundaries and runs the estimator of
-        :meth:`stationary_current` once, vectorised over the points.  The
-        kernel holds the ``(points, sources)`` source vectors of the sweep
-        (:meth:`_source_stack`) while it runs, so a root configuration's
-        rate rows are evaluated once per block of points rather than once
-        per point (:meth:`MonteCarloKernel.plan_sweep
+        The whole serial sweep is one phased run of :meth:`_run_phases`
+        with a point axis: the kernel's advance loop walks the points,
+        carrying the replicas, and returns to Python once per point for the
+        point's rate tables.  The sweep keeps all points' phase boundaries
+        and runs the estimator of :meth:`stationary_current` once,
+        vectorised over the points.  The kernel holds the ``(points,
+        sources)`` source vectors of the sweep (:meth:`_source_stack`)
+        while it runs, so a root configuration's rate rows are evaluated
+        once per block of points rather than once per point
+        (:meth:`MonteCarloKernel.plan_sweep
         <repro.montecarlo.kernel.MonteCarloKernel.plan_sweep>`); the
         results are bit-identical to evaluating every point on its own.
 
@@ -565,24 +621,22 @@ class MonteCarloSimulator:
         records = _PointRecords(len(values), max_events, warmup_events,
                                 SWEEP_BLOCKS, ensemble,
                                 self._junction_column[junction_name])
-        state: "SimulationState | EnsembleState | None" = None
         try:
-            self.kernel.plan_sweep(self._source_stack(source, values))
-            for position, value in enumerate(values):
-                self.circuit.set_source_voltage(source, float(value))
-                if state is None or not warm_start:
-                    state = self.new_state() if ensemble is None \
-                        else self.new_ensemble(ensemble)
-                # Zero the clocks per point: a blockaded point advances the
-                # simulated time by ~1/rate (astronomical), after which
-                # float64 can no longer resolve nanosecond increments and
-                # every elapsed-time difference would collapse to zero.
-                if ensemble is None:
-                    state.time = 0.0
-                else:
-                    state.times[:] = 0.0
-                records.store(position,
-                              self._run_phases(state, records.schedule))
+            if len(values):
+                voltages = self._source_stack(source, values)
+                self.kernel.plan_sweep(voltages)
+                # Every point starts from its own ground state when cold,
+                # the first point when warm (one stacked walk gives each
+                # row exactly as a walk at that point alone).
+                starts = self.kernel.model.ground_states(
+                    (_GROUND_STATE_LIMIT,),
+                    voltages if not warm_start else voltages[:1])[0]
+                state = self.new_state(starts[0]) if ensemble is None \
+                    else self.new_ensemble(ensemble, starts[0])
+                records.take(self._run_phases(
+                    state, records.schedule,
+                    sweep=_SweepAxis(source, values, voltages,
+                                     None if warm_start else starts)))
         finally:
             self.kernel.plan_sweep(None)
             for node_name, voltage in original.items():

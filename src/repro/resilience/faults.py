@@ -69,8 +69,9 @@ SITES: Dict[str, str] = {
         "value site on the Monte-Carlo session's per-point current "
         "(NaN payloads for the health guard)",
     "jit.run_compiled":
-        "error at the entry of a native Monte-Carlo advance-loop run "
-        "(exercises the fallback to the interpreted loop)",
+        "error at the start of each point of a native Monte-Carlo "
+        "advance-loop run (exercises the fallback to the interpreted "
+        "loop)",
     "cache.load":
         "value site on the artifact text read by ResultCache.load "
         "(truncation/mutation simulates on-disk corruption)",

@@ -237,7 +237,8 @@ class TestSimulatorRouting:
                                      warmup_events=20)
         simulator.sweep_source("VG", [0.0, 0.04], "J_drain", max_events=200,
                                warmup_events=20)
-        assert len(calls) == 5
+        # A serial sweep is one run over its points.
+        assert len(calls) == 4
 
     def test_hooked_runs_never_touch_the_advance_loop(self, monkeypatch):
         simulator = make_simulator(seed=2)

@@ -16,9 +16,10 @@ needs (random block refills, successor links).  These tests pin:
   estimate window (empty later blocks), and a re-entry fault that must
   leave every replica at a phase boundary for the interpreted loop to
   resume from;
-* the native-entry budget: one finishing entry per sweep point (every other
-  entry a refill or a link), a warm ensemble run enters the backend fewer
-  times than it has replicas, and a warm scalar run exactly once;
+* the native-entry budget: a sweep is one run — one finishing entry per
+  sweep and exactly one root request per point after the first, every
+  other entry a refill or a link — a warm ensemble run enters the backend
+  fewer times than it has replicas, and a warm scalar run exactly once;
 * kernels driven from several threads at once through the shared backend;
 * concurrent C builds into one empty cache directory.
 """
@@ -48,6 +49,7 @@ from repro.montecarlo.jit import (
     STATUS_DONE,
     STATUS_NEED_EXP,
     STATUS_NEED_LINK,
+    STATUS_NEED_ROOTS,
     STATUS_NEED_UNIFORM,
     _find_compiler,
     jit_backend,
@@ -236,7 +238,7 @@ def fail_after_refills(kernel, refills):
 
     def flaky(*arguments):
         if len(seen) >= refills:
-            ireg = arguments[15]
+            ireg = kernel._ireg
             struck.append((int(ireg[REG_PHASE]), int(ireg[REG_REPLICA])))
             raise RuntimeError("injected re-entry fault")
         status = advance(*arguments)
@@ -379,8 +381,12 @@ def count_native_statuses(kernel):
     return statuses
 
 
-def assert_one_run_entry_per_point(engine, options, points=33):
-    """A warm-started sweep makes one finishing native entry per point."""
+def assert_one_run_per_sweep(engine, options, points=33):
+    """A warm-started sweep is one run of the loop over all its points.
+
+    One entry finishes the sweep, exactly one root request returns per
+    point after the first, and every other entry is a refill or a link.
+    """
     device = SETTransistor(junction_capacitance=1e-18,
                            gate_capacitance=2e-18, junction_resistance=1e6)
     axes = SweepAxes(np.linspace(0.0, device.gate_period, points), 0.02)
@@ -391,8 +397,9 @@ def assert_one_run_entry_per_point(engine, options, points=33):
     session.sweep(axes)
     finishing = [status for status in statuses
                  if status in (STATUS_DONE, STATUS_BLOCKED)]
-    assert len(finishing) == points
-    assert set(statuses) - {STATUS_DONE, STATUS_BLOCKED} <= {
+    assert finishing == [STATUS_DONE] == statuses[-1:]
+    assert statuses.count(STATUS_NEED_ROOTS) == points - 1
+    assert set(statuses) - {STATUS_DONE, STATUS_NEED_ROOTS} <= {
         STATUS_NEED_EXP, STATUS_NEED_UNIFORM, STATUS_NEED_LINK}
 
 
@@ -401,14 +408,15 @@ SWEEP_ENGINES = [("montecarlo", {}), ("ensemble", {"replicas": 8})]
 
 class TestNativeEntryBudget:
     @pytest.mark.parametrize("engine, options", SWEEP_ENGINES)
-    def test_sweep_point_is_one_run_entry(self, engine, options):
-        assert_one_run_entry_per_point(engine, options)
+    def test_sweep_is_one_run_with_one_root_request_per_point(
+            self, engine, options):
+        assert_one_run_per_sweep(engine, options)
 
     @pytest.mark.parametrize("engine, options", SWEEP_ENGINES)
-    def test_sweep_point_is_one_run_entry_on_the_interpreted_loop(
+    def test_sweep_is_one_run_on_the_interpreted_loop(
             self, engine, options, python_backend):
         assert jit_backend() == BACKEND_PYTHON
-        assert_one_run_entry_per_point(engine, options)
+        assert_one_run_per_sweep(engine, options)
 
     def test_warm_ensemble_run_enters_fewer_times_than_replicas(self):
         simulator = make_simulator(seed=61)

@@ -92,10 +92,10 @@ class TestJitFallback:
         ("ensemble", {"replicas": 3})])
     def test_fault_mid_sweep_is_bit_identical_to_the_clean_sweep(
             self, device, engine, options):
-        # Every sweep point is one advance-loop run; failing the fifth
-        # leaves the first four native and resumes the fifth, and runs the
-        # rest, on the interpreted loop from the same phase boundary and
-        # random stream.
+        # A sweep is one advance-loop run that checks the fault site at the
+        # start of every point; failing the fifth leaves the first four
+        # native and runs the fifth and the rest on the interpreted loop
+        # from the same point boundary and random stream.
         axes = SweepAxes(np.linspace(0.0, device.gate_period, 9),
                          DRAIN_VOLTAGE)
         clean = get_engine(engine).bind(device, **options,
@@ -107,6 +107,32 @@ class TestJitFallback:
         with chaos, capture_degradations() as events:
             degraded = session.sweep(axes)
         assert chaos.fired("jit.run_compiled") == 1
+        assert [(e.site, e.action) for e in events] == [
+            ("jit.run_compiled", "fallback:python")]
+        assert session.simulator.kernel.jit_backend == BACKEND_PYTHON
+        np.testing.assert_array_equal(degraded.currents, clean.currents)
+        np.testing.assert_array_equal(degraded.stderrs, clean.stderrs)
+
+    @pytest.mark.parametrize("engine, options", [
+        ("montecarlo", {}), ("ensemble", {"replicas": 3})])
+    def test_fault_in_the_second_plan_block_is_bit_identical(
+            self, device, engine, options):
+        # A sweep is one advance-loop run; the fault site is checked at the
+        # start of each point, so failing point 70 of 130 (inside the
+        # second plan block) runs points 0-69 native and resumes point 70
+        # on the interpreted loop, on the same random stream.
+        axes = SweepAxes(np.linspace(0.0, 3.0 * device.gate_period, 130),
+                         DRAIN_VOLTAGE)
+        clean = get_engine(engine).bind(device, **options,
+                                        **BIND_KWARGS).sweep(axes)
+        session = get_engine(engine).bind(device, **options, **BIND_KWARGS)
+        chaos = FaultInjector()
+        chaos.arm("jit.run_compiled", error=RuntimeError("injected"),
+                  after=70)
+        with chaos, capture_degradations() as events:
+            degraded = session.sweep(axes)
+        assert chaos.fired("jit.run_compiled") == 1
+        assert chaos.calls("jit.run_compiled") == 71
         assert [(e.site, e.action) for e in events] == [
             ("jit.run_compiled", "fallback:python")]
         assert session.simulator.kernel.jit_backend == BACKEND_PYTHON
