@@ -31,6 +31,11 @@ from ..errors import CircuitError
 from .capacitance import CapacitanceSystem
 
 
+#: Default electron-number bound of the greedy ground-state walk
+#: (:meth:`EnergyModel.ground_state`), from which fresh Monte-Carlo states
+#: start.
+GROUND_STATE_LIMIT = 5
+
 #: Longest loop of states the greedy walk recognises (a double dot's
 #: lead -> dot -> dot -> ground cycle has three).
 _LOOP_LENGTH = 4
@@ -472,7 +477,7 @@ class EnergyModel:
         deltas = self.event_delta_f(electrons, voltages, offsets)
         return bool(np.all(deltas > -abs(tolerance)))
 
-    def ground_state(self, max_electrons: int = 5,
+    def ground_state(self, max_electrons: int = GROUND_STATE_LIMIT,
                      voltages: Optional[np.ndarray] = None,
                      offsets: Optional[np.ndarray] = None) -> np.ndarray:
         """Greedy T = 0 ground-state search.
@@ -634,4 +639,4 @@ class EnergyModel:
         return float(0.5 * charges @ inverse @ charges + charges @ inverse @ external)
 
 
-__all__ = ["EnergyModel", "EventTable", "TunnelEvent"]
+__all__ = ["GROUND_STATE_LIMIT", "EnergyModel", "EventTable", "TunnelEvent"]

@@ -176,10 +176,10 @@ _INF = float("inf")
 
 #: Argument indices of the point loop (:func:`_advance_points_py` order).
 (ARG_TOTALS, ARG_CUMULATIVE, ARG_LAST, ARG_SUCCESSORS, ARG_CONFIGURATIONS,
- ARG_REGISTERED, ARG_TRANSFER_MATRIX, ARG_DELTA_N, ARG_SLOTS, ARG_TIMES,
- ARG_COUNTS, ARG_TRANSFERS, ARG_SCHEDULE, ARG_PHASE_TIMES, ARG_PHASE_COUNTS,
- ARG_PHASE_TRANSFERS, ARG_EXP, ARG_UNIFORM, ARG_IREG, ARG_FREG) = range(20)
-ARG_COUNT = 20
+ ARG_TRANSFER_MATRIX, ARG_DELTA_N, ARG_SLOTS, ARG_TIMES, ARG_COUNTS,
+ ARG_TRANSFERS, ARG_SCHEDULE, ARG_PHASE_TIMES, ARG_PHASE_COUNTS,
+ ARG_PHASE_TRANSFERS, ARG_EXP, ARG_UNIFORM, ARG_IREG, ARG_FREG) = range(19)
+ARG_COUNT = 19
 #: Size slots of the address block, after the addresses.
 (SIZE_EXP, SIZE_UNIFORM, SIZE_PHASES, SIZE_REPLICAS, SIZE_EVENTS,
  SIZE_JUNCTIONS, SIZE_ISLANDS, SIZE_POINTS) = range(ARG_COUNT, ARG_COUNT + 8)
@@ -196,7 +196,7 @@ _SIZES = {ARG_EXP: (SIZE_EXP, 0), ARG_UNIFORM: (SIZE_UNIFORM, 0),
 class LoopArguments:
     """The point loop's arguments, as arrays and as one address block.
 
-    ``arrays`` holds the twenty arrays of :func:`_advance_points_py` in its
+    ``arrays`` holds the nineteen arrays of :func:`_advance_points_py` in its
     argument order (indices ``ARG_*``); ``block`` is an int64 array with
     each one's data address at the same index, followed by the sizes the C
     entry cannot read off a pointer (``SIZE_*``).  :meth:`set` replaces one
@@ -225,12 +225,11 @@ class LoopArguments:
             block[position] = array.shape[axis]
 
 
-def _lookup_registered(configurations, registered, delta_n, ireg, slot,
-                       index):
+def _lookup_registered(configurations, delta_n, ireg, slot, index):
     """Registered slot holding the configuration ``slot`` reaches via ``index``.
 
-    Scans the slots registered since the last re-key (``registered[:n]``,
-    ``n = ireg[REG_REGISTERED]``), latest first, for the configuration
+    Scans the slots registered since the last re-key (slots ``0`` to
+    ``ireg[REG_REGISTERED] - 1``), latest first, for the configuration
     ``configurations[slot] + delta_n[index]``; ``-1`` when none holds it.
     The registered slots are exactly the memo entries of the current memo
     epoch the run has met, so a hit is the link the driver would make (a
@@ -238,21 +237,20 @@ def _lookup_registered(configurations, registered, delta_n, ireg, slot,
     must make.
     """
     n_islands = configurations.shape[1]
-    position = ireg[REG_REGISTERED] - 1
-    while position >= 0:
-        candidate = registered[position]
+    candidate = ireg[REG_REGISTERED] - 1
+    while candidate >= 0:
         island = 0
         while island < n_islands and configurations[candidate, island] == \
                 configurations[slot, island] + delta_n[index, island]:
             island += 1
         if island == n_islands:
             return candidate
-        position -= 1
+        candidate -= 1
     return -1
 
 
 def _advance_py(totals, cumulative, last_selectable, successor_slots,
-                configurations, registered, transfer_matrix, delta_n,
+                configurations, transfer_matrix, delta_n,
                 transfers, exp_buf, uni_buf, ireg, freg, max_events):
     """Advance the trajectory until done or the driver is needed.
 
@@ -349,8 +347,8 @@ def _advance_py(totals, cumulative, last_selectable, successor_slots,
             pending_event = -1
         successor = successor_slots[slot, index]
         if successor < 0:
-            successor = _lookup_registered(configurations, registered,
-                                           delta_n, ireg, slot, index)
+            successor = _lookup_registered(configurations, delta_n, ireg,
+                                           slot, index)
             if successor < 0:
                 pending_event = index
                 status = STATUS_NEED_LINK
@@ -376,7 +374,7 @@ def _advance_py(totals, cumulative, last_selectable, successor_slots,
 
 
 def _advance_points_py(totals, cumulative, last_selectable, successor_slots,
-                       configurations, registered, transfer_matrix, delta_n,
+                       configurations, transfer_matrix, delta_n,
                        slots, times, counts, transfers, schedule, phase_times,
                        phase_counts, phase_transfers, exp_buf, uni_buf, ireg,
                        freg):
@@ -424,7 +422,7 @@ def _advance_points_py(totals, cumulative, last_selectable, successor_slots,
                     ireg[REG_LOADED] = 1
                 status = _advance_py(totals, cumulative, last_selectable,
                                      successor_slots, configurations,
-                                     registered, transfer_matrix, delta_n,
+                                     transfer_matrix, delta_n,
                                      transfers[replica], exp_buf, uni_buf,
                                      ireg, freg, schedule[phase])
                 if status != STATUS_DONE and status != STATUS_BLOCKED:
@@ -473,14 +471,13 @@ _C_SOURCE = r"""
 #include <stdint.h>
 
 static long long lookup(
-    const long long *configurations, const long long *registered,
-    const long long *delta_n, const long long *ireg,
-    long long slot, long long index, long long n_islands)
+    const long long *configurations, const long long *delta_n,
+    const long long *ireg, long long slot, long long index,
+    long long n_islands)
 {
     const long long *from = configurations + slot * n_islands;
     const long long *step = delta_n + index * n_islands;
-    for (long long position = ireg[9] - 1; position >= 0; position--) {
-        long long candidate = registered[position];
+    for (long long candidate = ireg[9] - 1; candidate >= 0; candidate--) {
         const long long *row = configurations + candidate * n_islands;
         long long island = 0;
         while (island < n_islands && row[island] == from[island] + step[island])
@@ -496,7 +493,6 @@ static long long advance(
     const long long *last_selectable,
     long long *successor_slots,
     const long long *configurations,
-    const long long *registered,
     const double *transfer_matrix,
     const long long *delta_n,
     double *transfers,
@@ -567,8 +563,8 @@ static long long advance(
         }
         long long successor = successor_slots[slot * n_events + index];
         if (successor < 0) {
-            successor = lookup(configurations, registered, delta_n, ireg,
-                               slot, index, n_islands);
+            successor = lookup(configurations, delta_n, ireg, slot, index,
+                               n_islands);
             if (successor < 0) {
                 pending_event = index;
                 status = 4;  /* NEED_LINK */
@@ -606,29 +602,28 @@ long long repro_mc_advance_points(const long long *block)
     const long long *last_selectable = ARRAY(const long long, 2);
     long long *successor_slots = ARRAY(long long, 3);
     const long long *configurations = ARRAY(const long long, 4);
-    const long long *registered = ARRAY(const long long, 5);
-    const double *transfer_matrix = ARRAY(const double, 6);
-    const long long *delta_n = ARRAY(const long long, 7);
-    long long *slots = ARRAY(long long, 8);
-    double *times = ARRAY(double, 9);
-    long long *counts = ARRAY(long long, 10);
-    double *transfers = ARRAY(double, 11);
-    const long long *schedule = ARRAY(const long long, 12);
-    double *phase_times = ARRAY(double, 13);
-    long long *phase_counts = ARRAY(long long, 14);
-    double *phase_transfers = ARRAY(double, 15);
-    const double *exp_buf = ARRAY(const double, 16);
-    const double *uni_buf = ARRAY(const double, 17);
-    long long *ireg = ARRAY(long long, 18);
-    double *freg = ARRAY(double, 19);
-    long long exp_len = block[20];
-    long long uni_len = block[21];
-    long long n_phases = block[22];
-    long long n_replicas = block[23];
-    long long n_events = block[24];
-    long long n_junctions = block[25];
-    long long n_islands = block[26];
-    long long n_points = block[27];
+    const double *transfer_matrix = ARRAY(const double, 5);
+    const long long *delta_n = ARRAY(const long long, 6);
+    long long *slots = ARRAY(long long, 7);
+    double *times = ARRAY(double, 8);
+    long long *counts = ARRAY(long long, 9);
+    double *transfers = ARRAY(double, 10);
+    const long long *schedule = ARRAY(const long long, 11);
+    double *phase_times = ARRAY(double, 12);
+    long long *phase_counts = ARRAY(long long, 13);
+    double *phase_transfers = ARRAY(double, 14);
+    const double *exp_buf = ARRAY(const double, 15);
+    const double *uni_buf = ARRAY(const double, 16);
+    long long *ireg = ARRAY(long long, 17);
+    double *freg = ARRAY(double, 18);
+    long long exp_len = block[19];
+    long long uni_len = block[20];
+    long long n_phases = block[21];
+    long long n_replicas = block[22];
+    long long n_events = block[23];
+    long long n_junctions = block[24];
+    long long n_islands = block[25];
+    long long n_points = block[26];
     long long rows = n_phases + 1;
     for (;;) {
         long long point = ireg[10];
@@ -650,8 +645,7 @@ long long repro_mc_advance_points(const long long *block)
                 double *row = transfers + replica * n_junctions;
                 long long status = advance(
                     totals, cumulative, last_selectable, successor_slots,
-                    configurations, registered, transfer_matrix, delta_n,
-                    row, exp_buf, exp_len, uni_buf, uni_len, ireg, freg,
+                    configurations, transfer_matrix, delta_n, row, exp_buf, exp_len, uni_buf, uni_len, ireg, freg,
                     schedule[phase], n_events, n_junctions, n_islands);
                 if (status != 0 && status != 1) return status;  /* DONE, BLOCKED */
                 slots[replica] = ireg[0];

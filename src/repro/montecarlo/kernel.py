@@ -53,8 +53,7 @@ point of a sweep.  Replicas in the same charge configuration share one
 loop carries the replicas from point to point and asks Python once per
 point for the point's roots (:meth:`MonteCarloKernel._next_point`: one
 exact solve per root, the plan's rows adopted where they hold, the cursor
-re-keyed); a plan block's rows are mirrored into the cursor once, so an
-adopted row costs no copy.  Inside a point, a transition to a configuration
+re-keyed in place).  Inside a point, a transition to a configuration
 already met at that point is linked by the loop itself; only a discovery
 returns to Python.  The loop consumes the block random buffers exactly as
 :meth:`MonteCarloKernel.step` does, so a single-replica run replays the
@@ -93,7 +92,6 @@ from .jit import (
     ARG_PHASE_COUNTS,
     ARG_PHASE_TIMES,
     ARG_PHASE_TRANSFERS,
-    ARG_REGISTERED,
     ARG_SCHEDULE,
     ARG_SLOTS,
     ARG_SUCCESSORS,
@@ -203,44 +201,29 @@ class PhaseRecord:
 class _EnsembleCursor:
     """Per-ensemble bookkeeping linking replicas to memoised rate entries.
 
-    ``slots[r]`` is the slot of replica ``r``'s configuration; ``entry_at``
-    maps a slot to its :class:`_RateEntry` and ``slot_of`` maps
-    ``id(entry)`` back to its slot, so an entry is registered once.  The
-    per-slot data (total rates, cumulative tables, last-selectable indices,
-    successor slots, configurations) lives in dense mirror arrays, which
-    are what the advance loop reads: it selects events from a slot's
-    cumulative row and follows ``successor_slots``.  An unlinked transition
-    to a configuration already registered (``registered[:count]``, the
-    slots registered since the last :meth:`reset`) is linked inside the
-    loop; a new configuration returns to Python
-    (:meth:`MonteCarloKernel._link_compiled`).  The mirrors grow by
+    ``slots[r]`` is the index of replica ``r``'s configuration in
+    ``entries``, the entries registered since the last :meth:`reset`;
+    ``slot_of`` maps ``id(entry)`` back to its slot, so an entry is
+    registered once.  The per-slot data (total rates, cumulative tables,
+    last-selectable indices, successor slots, configurations) is mirrored
+    into dense arrays on registration, which are what the advance loop
+    reads: it selects events from a slot's cumulative row and follows
+    ``successor_slots``.  An unlinked transition to a configuration already
+    registered is linked inside the loop; a new configuration returns to
+    Python (:meth:`MonteCarloKernel._link_compiled`).  The mirrors grow by
     capacity doubling and survive :meth:`reset`, so the loop keeps
-    receiving the same array objects.
-
-    During a sweep the rows of each planned root configuration's block
-    (:meth:`MonteCarloKernel._plan_block`: the root and its one-event
-    successors at every point of the block) are mirrored once, into a
-    *frame* of ``frame_rows`` slots at the bottom of the mirrors; a root or
-    a speculated successor that adopts a planned row takes that row's
-    frame slot, with nothing copied.  A frame whose block the plan has
-    dropped is reused.  Other entries take the *dynamic* slots above the
-    frames, which every :meth:`reset` hands out afresh.  The cursor is
-    valid for one kernel cache epoch; a bias/offset change re-keys it
-    (detected through ``epoch``).
+    receiving the same array objects.  The cursor is valid for one kernel
+    cache epoch; a bias/offset change re-keys it (detected through
+    ``epoch``).
     """
 
-    __slots__ = ("epoch", "slots", "entry_at", "slot_of", "n_events",
-                 "n_islands", "stride_delta_n", "totals", "cumulative",
-                 "last_selectable", "successor_slots", "configurations",
-                 "registered", "count", "seen", "plan", "frames",
-                 "free_frames", "frame_rows", "top", "next_slot")
+    __slots__ = ("epoch", "slots", "entries", "slot_of", "n_events",
+                 "n_islands", "totals", "cumulative", "last_selectable",
+                 "successor_slots", "configurations", "seen")
 
-    def __init__(self, n_events: int, stride_delta_n: np.ndarray) -> None:
+    def __init__(self, n_events: int, n_islands: int) -> None:
         self.n_events = n_events
-        self.n_islands = stride_delta_n.shape[1]
-        #: Row 0 zero, row ``k + 1`` event ``k``'s electron-number change:
-        #: the configurations of a root's plan rows, relative to the root.
-        self.stride_delta_n = stride_delta_n
+        self.n_islands = n_islands
         self.totals = np.empty(0)
         self.cumulative = np.empty((0, n_events))
         self.last_selectable = np.empty(0, dtype=np.int64)
@@ -248,10 +231,8 @@ class _EnsembleCursor:
         #: event ``k``, or ``-1`` when that transition has not been taken yet.
         self.successor_slots = np.empty((0, n_events), dtype=np.int64)
         #: ``configurations[s]`` is slot ``s``'s canonical electron vector.
-        self.configurations = np.empty((0, self.n_islands), dtype=np.int64)
-        #: Slots registered since the last reset, in order (``[:count]``).
-        self.registered = np.empty(0, dtype=np.int64)
-        self.count = 0
+        self.configurations = np.empty((0, n_islands), dtype=np.int64)
+        self.entries: List["_RateEntry"] = []
         #: Bytes of ``ensemble.electrons`` as the kernel last left them
         #: (always ``configurations[slots]``): a caller editing the public
         #: ``EnsembleState.electrons`` between runs changes them, which
@@ -260,44 +241,21 @@ class _EnsembleCursor:
         self.seen = b""
         self.slots = np.empty(0, dtype=np.int64)
         self.epoch = -1
-        self.plan: Optional["_SweepPlan"] = None
-        #: ``id(block) -> (block, first slot)`` of every mirrored plan block.
-        self.frames: dict = {}
-        self.free_frames: List[int] = []
-        self.frame_rows = 0
-        self.top = 0
-        self.next_slot = 0
 
     def reset(self, epoch: int, entries: List["_RateEntry"],
-              inverse: np.ndarray, plan: Optional["_SweepPlan"]) -> None:
+              inverse: np.ndarray) -> None:
         """Re-key the cursor to the root ``entries`` of a new epoch, in place.
 
         Replica ``r`` takes the slot of ``entries[inverse[r]]``.  The links
-        of every slot registered since the last reset are cleared, and the
-        dynamic slots are handed out afresh.  Entries with planned rows are
-        registered first, so their frames can be mirrored before any
-        dynamic slot is in use.  The slot array is updated in place when
-        its length is unchanged, so the loop keeps receiving the same
+        of every slot registered since the last reset are cleared and slots
+        are handed out afresh from ``0``.  The slot array is updated in place
+        when its length is unchanged, so the loop keeps receiving the same
         array object.
         """
-        if self.count:
-            self.successor_slots[self.registered[:self.count]] = -1
-            self.count = 0
+        self.successor_slots[:len(self.entries)] = -1
         self.epoch = epoch
-        if plan is not self.plan:
-            self.plan = plan
-            self.frames = {}
-            self.free_frames = []
-            self.top = 0
-            if plan is not None:
-                self.frame_rows = (self.n_events + 1) * min(
-                    PLAN_BLOCK_POINTS, len(plan.voltages))
-        self.next_slot = self.top
-        self.entry_at: dict = {}
+        self.entries = []
         self.slot_of: dict = {}
-        for entry in entries:
-            if entry.planned is not None:
-                self.register(entry)
         root_slots = [self.register(entry) for entry in entries]
         if self.slots.shape != inverse.shape:
             self.slots = np.empty(inverse.shape, dtype=np.int64)
@@ -311,65 +269,15 @@ class _EnsembleCursor:
         slot = self.slot_of.get(id(entry))
         if slot is not None:
             return slot
-        slot = self._planned_slot(entry)
-        if slot is None:
-            slot = self.next_slot
-            self.next_slot = slot + 1
-            self._reserve(self.next_slot)
-            self.totals[slot] = entry.total
-            self.cumulative[slot, :entry.cumulative.size] = entry.cumulative
-            self.last_selectable[slot] = entry.last_selectable
-            self.configurations[slot] = entry.electrons
-        self.entry_at[slot] = entry
+        slot = len(self.entries)
+        self._reserve(slot + 1)
+        self.totals[slot] = entry.total
+        self.cumulative[slot, :entry.cumulative.size] = entry.cumulative
+        self.last_selectable[slot] = entry.last_selectable
+        self.configurations[slot] = entry.electrons
+        self.entries.append(entry)
         self.slot_of[id(entry)] = slot
-        if self.count == self.registered.size:
-            registered = np.empty(max(8, 2 * self.count), dtype=np.int64)
-            registered[:self.count] = self.registered
-            self.registered = registered
-        self.registered[self.count] = slot
-        self.count += 1
         return slot
-
-    def _planned_slot(self, entry: "_RateEntry") -> Optional[int]:
-        """The frame slot of an entry that adopted a planned row, if mirrored."""
-        planned = entry.planned
-        if planned is None or self.plan is None:
-            return None
-        block, row = planned
-        frame = self.frames.get(id(block))
-        first = self._mirror(block) if frame is None else frame[1]
-        return None if first is None else first + row - block[6]
-
-    def _mirror(self, block: tuple) -> Optional[int]:
-        """Mirror a plan block into a frame; its first slot (``None``: no room).
-
-        A frame is reused once its block has left the plan; a new one is
-        only added while no dynamic slot is in use (at a reset).
-        """
-        if not self.free_frames:
-            live = {id(held) for held in self.plan.blocks.values()}
-            for key in [key for key in self.frames if key not in live]:
-                self.free_frames.append(self.frames.pop(key)[1])
-        if self.free_frames:
-            first = self.free_frames.pop()
-        elif self.next_slot == self.top:
-            first = self.top
-            self.top = self.next_slot = first + self.frame_rows
-            self._reserve(self.top)
-        else:
-            return None
-        start, stop, _, cumulative, totals, last, base, electrons = block
-        span = (stop - start) * (self.n_events + 1)
-        rows = slice(first, first + span)
-        self.totals[rows] = totals[base:base + span]
-        self.cumulative[rows] = cumulative[base:base + span]
-        self.last_selectable[rows] = last[base:base + span]
-        self.successor_slots[rows] = -1
-        self.configurations[rows].reshape(
-            stop - start, self.n_events + 1, self.n_islands)[:] = \
-            electrons + self.stride_delta_n
-        self.frames[id(block)] = (block, first)
-        return first
 
     def _reserve(self, count: int) -> None:
         """Grow the mirrors to hold at least ``count`` slots."""
@@ -406,15 +314,12 @@ class _RateEntry:
     lazily linked entries reached by each tunnel / co-tunnel event.  A root
     entry of a stacked build also carries ``speculation``: its one-event
     successors' potentials (row ``k`` for event ``k``), the stack's
-    cumulative rows, totals and last-selectable indices, the stack row of
-    its event-0 successor and the plan block the stack is (``None`` when
-    evaluated at the point), or ``None`` otherwise.  An entry whose row
-    is a plan block's carries ``planned = (block, row)``, which places it
-    in the block's cursor frame.
+    cumulative rows, totals and last-selectable indices, and the stack row
+    of its event-0 successor (``None`` otherwise).
     """
 
     __slots__ = ("electrons", "phi", "cumulative", "total", "last_selectable",
-                 "successors", "speculation", "planned")
+                 "successors", "speculation")
 
     def __init__(self, electrons: np.ndarray, phi: np.ndarray,
                  cumulative: np.ndarray, total: float, last_selectable: int,
@@ -426,7 +331,6 @@ class _RateEntry:
         self.last_selectable = last_selectable
         self.successors: List[Optional["_RateEntry"]] = [None] * n_events
         self.speculation: Optional[tuple] = None
-        self.planned: Optional[tuple] = None
 
 
 class _SweepPlan:
@@ -436,10 +340,9 @@ class _SweepPlan:
     appearance, ``points`` maps each one's bytes to its index and ``bias``
     holds ``B V`` of each (one stacked matrix-vector product per point).
     ``blocks`` maps a root configuration's memo key to the block of points
-    planned for it: ``(start, stop, stack, cumulative, totals, last, base,
-    electrons)`` with the block's :meth:`MonteCarloKernel._stack_rows`
-    output, in which the root's row at point ``p`` is
-    ``base + (p - start) * (events + 1)``, and the root configuration.
+    planned for it: ``(start, stop, stack, cumulative, totals, last, base)``
+    with the block's :meth:`MonteCarloKernel._stack_rows` output, in which
+    the root's row at point ``p`` is ``base + (p - start) * (events + 1)``.
     The plan is valid while the circuit's ``charge_version`` equals
     ``charge_version``.
     """
@@ -566,13 +469,10 @@ class MonteCarloKernel:
             for name, direction in transfers:
                 self._transfer_matrix[index, self._junction_order[name]] \
                     += direction
-        #: Row ``k`` is event ``k``'s electron-number change; the stride
-        #: form has a zero row first (a root's plan rows, relative to it).
-        islands = self.model.island_count
-        self._delta_n_matrix = np.array(self._event_delta_n, dtype=np.int64
-                                        ).reshape(self._n_events, islands)
-        self._stride_delta_n = np.vstack(
-            [np.zeros((1, islands), dtype=np.int64), self._delta_n_matrix])
+        #: Row ``k`` is event ``k``'s electron-number change.
+        self._delta_n_matrix = np.array(
+            self._event_delta_n, dtype=np.int64
+        ).reshape(self._n_events, self.model.island_count)
 
         # ----------------------------------------------- cache bookkeeping
         self._voltages: Optional[np.ndarray] = None
@@ -862,9 +762,7 @@ class MonteCarloKernel:
         plan (:meth:`_planned_rows`) when the plan's potentials equal the
         exact ones byte for byte; the other roots share one stacked
         evaluation at this point (:meth:`_stack_rows`).  The successor rows
-        are kept on the root entry for :meth:`_descend` to adopt; a root or
-        successor with a planned row carries it as ``planned``, for the
-        cursor to place it in the block's frame.
+        are kept on the root entry for :meth:`_descend` to adopt.
         """
         events = self._n_events
         electrons = np.asarray(configurations, dtype=np.int64)
@@ -877,16 +775,13 @@ class MonteCarloKernel:
             evaluated = self._stack_rows(
                 phi if len(missing) == len(rows) else phi[missing])
             for position, root in enumerate(missing):
-                rows[root] = evaluated + (position * (events + 1), None)
+                rows[root] = evaluated + (position * (events + 1),)
         entries = []
-        for root, (stack, cumulative, totals, last, row, block) \
-                in enumerate(rows):
+        for root, (stack, cumulative, totals, last, row) in enumerate(rows):
             entry = _RateEntry(electrons[root], phi[root], cumulative[row],
                                totals[row], last[row], events)
             entry.speculation = (stack[row + 1:row + 1 + events], cumulative,
-                                 totals, last, row + 1, block)
-            if block is not None:
-                entry.planned = (block, row)
+                                 totals, last, row + 1)
             self._store_entry(self._entry_key(electrons[root]), entry)
             entries.append(entry)
         return entries
@@ -914,10 +809,9 @@ class MonteCarloKernel:
                       phi: np.ndarray) -> List[Optional[tuple]]:
         """Each root's planned rate rows at this point, where they hold.
 
-        Element ``r`` is ``(stack, cumulative, totals, last, row, block)``
-        — the :meth:`_stack_rows` output of a plan block, root ``r``'s row
-        in it and the block — or ``None`` when root ``r`` must be evaluated
-        at the point:
+        Element ``r`` is ``(stack, cumulative, totals, last, row)`` — the
+        :meth:`_stack_rows` output of a plan block and root ``r``'s row in
+        it — or ``None`` when root ``r`` must be evaluated at the point:
         no plan holds this point, or the planned potentials differ from the
         exact ones ``phi[r]`` in any byte.  Roots without a block covering
         this point are planned first, all in one stacked evaluation over
@@ -940,10 +834,9 @@ class MonteCarloKernel:
         stride = self._n_events + 1
         rows: List[Optional[tuple]] = []
         for root, key in enumerate(keys):
-            block = plan.blocks[key]
-            start, _, stack, cumulative, totals, last, base, _ = block
+            start, _, stack, cumulative, totals, last, base = plan.blocks[key]
             row = base + (point - start) * stride
-            rows.append((stack, cumulative, totals, last, row, block)
+            rows.append((stack, cumulative, totals, last, row)
                         if stack[row].tobytes() == phi[root].tobytes()
                         else None)
         return rows
@@ -971,8 +864,7 @@ class MonteCarloKernel:
             np.tile(plan.voltages[point:stop], (len(electrons), 1)))
         span = (stop - point) * (self._n_events + 1)
         for index, key in enumerate(keys):
-            plan.blocks[key] = (point, stop) + rows + (index * span,
-                                                       electrons[index])
+            plan.blocks[key] = (point, stop) + rows + (index * span,)
 
     def _descend(self, parent: "_RateEntry", index: int,
                  state: SimulationState) -> "_RateEntry":
@@ -999,12 +891,10 @@ class MonteCarloKernel:
         if speculation is None \
                 or phi.tobytes() != speculation[0][index].tobytes():
             return self._build_entry(key, electrons, phi, state)
-        _, cumulative, totals, last, first, block = speculation
+        _, cumulative, totals, last, first = speculation
         row = first + index
         entry = _RateEntry(electrons, phi, cumulative[row], totals[row],
                            last[row], self._n_events)
-        if block is not None:
-            entry.planned = (block, row)
         self._store_entry(key, entry)
         return entry
 
@@ -1101,10 +991,9 @@ class MonteCarloKernel:
                                         return_inverse=True)
             inverse = np.asarray(inverse, dtype=np.int64).reshape(-1)
         if not stale:
-            cursor = _EnsembleCursor(self._n_events, self._stride_delta_n)
+            cursor = _EnsembleCursor(self._n_events, self.model.island_count)
             ensemble.cursor = cursor
-        cursor.reset(self._cache_epoch, self._root_entries(unique), inverse,
-                     self._plan)
+        cursor.reset(self._cache_epoch, self._root_entries(unique), inverse)
         cursor.seen = electrons.tobytes()
         return cursor
 
@@ -1150,7 +1039,7 @@ class MonteCarloKernel:
     def _link_compiled(self, cursor: _EnsembleCursor, slot: int,
                        event: int) -> None:
         """Resolve one unlinked (configuration, event) transition in place."""
-        parent = cursor.entry_at[slot]
+        parent = cursor.entries[slot]
         child = parent.successors[event]
         if child is None:
             child = self._descend(parent, event, _TRAPLESS)
@@ -1178,8 +1067,7 @@ class MonteCarloKernel:
         else:
             unique = starts[point:point + 1]
             inverse = np.zeros(cursor.slots.size, dtype=np.int64)
-        cursor.reset(self._cache_epoch, self._root_entries(unique), inverse,
-                     self._plan)
+        cursor.reset(self._cache_epoch, self._root_entries(unique), inverse)
 
     def phase_record(self, schedule: Sequence[int], replicas: int = 1,
                      points: int = 1) -> PhaseRecord:
@@ -1322,7 +1210,6 @@ class MonteCarloKernel:
         try:
             while True:
                 if cursor.totals is not arrays[ARG_TOTALS] \
-                        or cursor.registered is not arrays[ARG_REGISTERED] \
                         or cursor.slots is not arrays[ARG_SLOTS]:
                     for index, array in (
                             (ARG_TOTALS, cursor.totals),
@@ -1330,12 +1217,11 @@ class MonteCarloKernel:
                             (ARG_LAST, cursor.last_selectable),
                             (ARG_SUCCESSORS, cursor.successor_slots),
                             (ARG_CONFIGURATIONS, cursor.configurations),
-                            (ARG_REGISTERED, cursor.registered),
                             (ARG_SLOTS, cursor.slots)):
                         arguments.set(index, array)
                 # After a memo-cap clear mid-run the registered slots no
                 # longer are the memo: every link goes through Python.
-                ireg[REG_REGISTERED] = cursor.count \
+                ireg[REG_REGISTERED] = len(cursor.entries) \
                     if cursor.epoch == self._cache_epoch else 0
                 status = self._jit_advance(arguments)
                 if status == STATUS_NEED_EXP:

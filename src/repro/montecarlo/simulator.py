@@ -43,6 +43,7 @@ import numpy as np
 from ..circuit.netlist import Circuit
 from ..circuit.validation import validate_circuit
 from ..constants import E_CHARGE
+from ..core.energy import GROUND_STATE_LIMIT
 from ..errors import SimulationError
 from .events import TrapCandidate
 from .kernel import UNBOUNDED_EVENTS, MonteCarloKernel, PhaseRecord
@@ -71,10 +72,6 @@ def _budget(max_events: Optional[int]) -> int:
 
 #: Event blocks of a sweep point's single-trajectory estimate.
 SWEEP_BLOCKS = 10
-
-#: Electron-number bound of the ground-state walk a fresh state starts
-#: from (``EnergyModel.ground_state``'s default).
-_GROUND_STATE_LIMIT = 5
 
 
 class _PointRecords:
@@ -319,7 +316,7 @@ class MonteCarloSimulator:
 
         A sweep sets each point's bias on the circuit (the caller restores
         it) and zeroes the clock; a cold one starts each point after the
-        first from a fresh state.
+        first from a fresh state in that point's row of ``sweep.starts``.
         """
         points = 1 if sweep is None else len(sweep.values)
         record = self.kernel.phase_record(schedule, 1, points)
@@ -329,7 +326,7 @@ class MonteCarloSimulator:
                 self.circuit.set_source_voltage(sweep.source,
                                                 float(sweep.values[point]))
                 if point and sweep.starts is not None:
-                    state = self.new_state()
+                    state = self.new_state(sweep.starts[point])
                 state.time = 0.0
             start_events = state.event_count
             start_transfers = [state.electron_transfers[name]
@@ -629,7 +626,7 @@ class MonteCarloSimulator:
                 # the first point when warm (one stacked walk gives each
                 # row exactly as a walk at that point alone).
                 starts = self.kernel.model.ground_states(
-                    (_GROUND_STATE_LIMIT,),
+                    (GROUND_STATE_LIMIT,),
                     voltages if not warm_start else voltages[:1])[0]
                 state = self.new_state(starts[0]) if ensemble is None \
                     else self.new_ensemble(ensemble, starts[0])
