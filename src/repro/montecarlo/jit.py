@@ -20,7 +20,7 @@ either enter the backend through the same function.
 
 ``numba``
     :func:`numba.njit` with ``cache=True`` applied to the *same* Python
-    source as the interpreted fallback (the event loop and the link lookup
+    source as the interpreted fallback (the event loop and its helpers
     registered as jitable first, then the point loop that calls them), so
     the compiled artefact shares the tested control flow line for line.
     Optional — the import is gated, not ``try/except``-ed at call sites.
@@ -60,11 +60,30 @@ loop).  An optional time budget (``FREG_DURATION``) applies to every
 phase.  A plain run, ``stationary_current`` and every serial sweep are one
 call each: a run is a one-point sweep.
 
+Arguments
+---------
+The point loop takes its arrays in :class:`LoopArguments` order
+(``ARG_*``): the cursor mirrors (``totals``, ``cumulative``,
+``last_selectable``, ``successor_slots``, ``configurations``), the
+per-event ``transfer_matrix`` and ``delta_n``, the replicas (``slots``,
+``times``, ``counts``, ``transfers``), the ``schedule`` and the three
+phase-row outputs, the two random block buffers, the ``ireg``/``freg``
+registers, and for rooting points from the sweep plan: ``slot_rows`` (the
+plan-mirror row of each slot the loop registered, ``-1`` for the
+driver's), ``starts`` (a cold sweep's start configuration per point, no
+rows when warm), ``roots`` (scratch, one row per replica),
+``plan_points`` (each sweep point's plan index) and the plan mirror itself
+— ``plan_configurations`` and ``plan_blocks`` (``start, stop, base`` per
+block) of the held plan blocks, and the ``plan_totals``,
+``plan_cumulative`` and ``plan_last`` rows of their roots and speculated
+successors.
+
 Re-entry protocol
 -----------------
-The native loop cannot call back into Python (for RNG block refills,
-successor discovery or a new point's rate tables), so it runs until it
-either finishes or needs the driver, returning a status code:
+The native loop cannot call back into Python (for RNG block refills, a
+discovery it cannot make from the plan, or a point it cannot root), so it
+runs until it either finishes or needs the driver, returning a status
+code:
 
 ========================  ====================================================
 ``STATUS_DONE``           every phase of every replica ran at every point
@@ -72,7 +91,7 @@ either finishes or needs the driver, returning a status code:
 ``STATUS_NEED_EXP``       the exponential block buffer is exhausted
 ``STATUS_NEED_UNIFORM``   the uniform block buffer is exhausted
 ``STATUS_NEED_LINK``      a transition reaches a configuration not yet met
-``STATUS_NEED_ROOTS``     a new point needs its rate tables (its roots)
+``STATUS_NEED_ROOTS``     a new point needs rate tables the loop cannot take
 ========================  ====================================================
 
 ``STATUS_DONE`` and ``STATUS_BLOCKED`` end one replica's phase inside the
@@ -80,43 +99,62 @@ event loop; the point loop commits and snapshots it and moves on,
 returning ``STATUS_DONE`` after the last phase of the last replica at the
 last point.  The other codes return to the driver at once.  An unlinked
 transition whose target configuration is already registered at this point
-is linked inside the loop (a memo hit has no side effect); only a discovery
-returns ``STATUS_NEED_LINK``, so the driver keeps the discovery order, the
-resync counter and the memo cap.
+is linked inside the loop (a memo hit has no side effect), and one to the
+speculated successor of a root the loop took from the plan is registered
+inside the loop (:func:`_adopt_speculated`); only another discovery
+returns ``STATUS_NEED_LINK``.  At a new point the loop roots the replicas
+from the plan mirror itself (:func:`_root_from_plan`) and returns
+``STATUS_NEED_ROOTS`` only when ``REG_PLANNED`` is off (no sweep plan, or
+a fault injector active), a root has no covering plan block, two slots
+hold one configuration, the roots would reach the memo cap, or a memo-cap
+clear at the last point separated the registered slots from the memo.
+Either way the discovery order, the resync count and the memo cap are the
+driver's: the loop counts them in registers exactly as the driver does.
 
 All resumable state lives in two small register arrays (``ireg``/``freg``)
 so the driver can refill a buffer, link a successor or re-key a point and
 re-enter mid-event:
 
-=========================  ===================================================
-``REG_SLOT``               cursor slot of the advancing replica
-``REG_EVENTS``             events that replica executed in this phase
-``REG_EXP_POS``            read position in the exponential block buffer
-``REG_UNI_POS``            read position in the uniform block buffer
-``REG_PENDING_EVENT``      selected-but-unapplied event (-1: none)
-``REG_STALLS``             consecutive zero-progress iterations
-``REG_REPLICA``            replica currently advancing
-``REG_LOADED``             whether that replica's state is in the registers
-``REG_PHASE``              schedule phase currently running
-``REG_REGISTERED``         registered slots the loop may link to (driver's)
-``REG_POINT``              sweep point currently running
-``REG_ROOTED``             whether that point's rate tables are in place
-``FREG_TIME``              the replica's clock
-``FREG_PENDING_WAIT``      drawn-but-unapplied waiting time (-1.0: none)
-``FREG_START``             the replica's clock at the start of this phase
-``FREG_DURATION``          per-replica, per-phase time budget (+inf: none)
-=========================  ===================================================
+===========================  =================================================
+``REG_SLOT``                 cursor slot of the advancing replica
+``REG_EVENTS``               events that replica executed in this phase
+``REG_EXP_POS``              read position in the exponential block buffer
+``REG_UNI_POS``              read position in the uniform block buffer
+``REG_PENDING_EVENT``        selected-but-unapplied event (-1: none)
+``REG_STALLS``               consecutive zero-progress iterations
+``REG_REPLICA``              replica currently advancing
+``REG_LOADED``               whether that replica's state is in the registers
+``REG_PHASE``                schedule phase currently running
+``REG_REGISTERED``           registered slots the loop may link to (0 after a
+                             memo-cap clear mid-point)
+``REG_POINT``                sweep point currently running
+``REG_ROOTED``               whether that point's rate tables are in place
+``REG_RESYNC``               configurations registered since an exact solve
+``REG_RESYNC_INTERVAL``      the kernel's ``resync_interval`` (driver's)
+``REG_MEMO_LIMIT``           the kernel's memo cap (driver's)
+``REG_PLANNED``              whether the loop may root points from the plan
+``REG_LOOP_ROOTED``          the loop rooted ``REG_POINT`` and the driver has
+                             not yet taken that over
+``FREG_TIME``                the replica's clock
+``FREG_PENDING_WAIT``        drawn-but-unapplied waiting time (-1.0: none)
+``FREG_START``               the replica's clock at the start of this phase
+``FREG_DURATION``            per-replica, per-phase time budget (+inf: none)
+===========================  =================================================
 
 A schedule therefore costs one native entry, plus one per refill, per
-discovered configuration and per point after the first, however many
-replicas, phases and points it advances.  ``REG_POINT``, ``REG_PHASE``
-and ``REG_REPLICA`` also tell a driver whose re-entry raised how far the
-schedule got: replicas below ``REG_REPLICA`` have finished phase
-``REG_PHASE`` of point ``REG_POINT``, the others only the phases before
-it.  Buffer refills happen exactly at the consumption points, preserving
-the step loop's interleaved draw order from the shared generator — the
-property that makes an event-for-event replay of
+discovery the plan does not cover and per point the plan does not root,
+however many replicas, phases and points it advances.  ``REG_POINT``,
+``REG_PHASE`` and ``REG_REPLICA`` also tell a driver whose re-entry raised
+how far the schedule got: replicas below ``REG_REPLICA`` have finished
+phase ``REG_PHASE`` of point ``REG_POINT``, the others only the phases
+before it.  Buffer refills happen exactly at the consumption points,
+preserving the step loop's interleaved draw order from the shared
+generator — the property that makes an event-for-event replay of
 :meth:`MonteCarloKernel.step` possible.
+
+numba is an optional dependency the test suite does not install, so no
+test compiles the loop with it; the loop keeps to numba's nopython subset
+(arrays, integers, floats and plain loops).
 """
 
 from __future__ import annotations
@@ -153,7 +191,12 @@ REG_PHASE = 8           #: schedule phase currently running
 REG_REGISTERED = 9      #: registered slots the loop may link to
 REG_POINT = 10          #: sweep point currently running
 REG_ROOTED = 11         #: whether that point's rate tables are in place
-IREG_SIZE = 12
+REG_RESYNC = 12         #: configurations registered since an exact solve
+REG_RESYNC_INTERVAL = 13  #: the kernel's ``resync_interval``
+REG_MEMO_LIMIT = 14     #: the kernel's memo cap
+REG_PLANNED = 15        #: whether the loop may root points from the plan
+REG_LOOP_ROOTED = 16    #: the loop rooted REG_POINT; the driver has not seen it
+IREG_SIZE = 17
 
 #: ``freg`` (float64) register layout shared by all backends.
 FREG_TIME = 0           #: simulated clock
@@ -178,32 +221,38 @@ _INF = float("inf")
 (ARG_TOTALS, ARG_CUMULATIVE, ARG_LAST, ARG_SUCCESSORS, ARG_CONFIGURATIONS,
  ARG_TRANSFER_MATRIX, ARG_DELTA_N, ARG_SLOTS, ARG_TIMES, ARG_COUNTS,
  ARG_TRANSFERS, ARG_SCHEDULE, ARG_PHASE_TIMES, ARG_PHASE_COUNTS,
- ARG_PHASE_TRANSFERS, ARG_EXP, ARG_UNIFORM, ARG_IREG, ARG_FREG) = range(19)
-ARG_COUNT = 19
+ ARG_PHASE_TRANSFERS, ARG_EXP, ARG_UNIFORM, ARG_IREG, ARG_FREG,
+ ARG_SLOT_ROWS, ARG_STARTS, ARG_ROOTS, ARG_PLAN_POINTS,
+ ARG_PLAN_CONFIGURATIONS, ARG_PLAN_BLOCKS, ARG_PLAN_TOTALS,
+ ARG_PLAN_CUMULATIVE, ARG_PLAN_LAST) = range(28)
+ARG_COUNT = 28
 #: Size slots of the address block, after the addresses.
 (SIZE_EXP, SIZE_UNIFORM, SIZE_PHASES, SIZE_REPLICAS, SIZE_EVENTS,
- SIZE_JUNCTIONS, SIZE_ISLANDS, SIZE_POINTS) = range(ARG_COUNT, ARG_COUNT + 8)
-SIZE_COUNT = 8
+ SIZE_JUNCTIONS, SIZE_ISLANDS, SIZE_POINTS, SIZE_CAPACITY, SIZE_STARTS,
+ SIZE_BLOCKS) = range(ARG_COUNT, ARG_COUNT + 11)
+SIZE_COUNT = 11
 #: Which size each argument carries: ``index -> (size slot, axis)``.
 _SIZES = {ARG_EXP: (SIZE_EXP, 0), ARG_UNIFORM: (SIZE_UNIFORM, 0),
           ARG_SCHEDULE: (SIZE_PHASES, 0), ARG_SLOTS: (SIZE_REPLICAS, 0),
           ARG_CUMULATIVE: (SIZE_EVENTS, 1),
           ARG_TRANSFER_MATRIX: (SIZE_JUNCTIONS, 1),
           ARG_DELTA_N: (SIZE_ISLANDS, 1),
-          ARG_PHASE_TIMES: (SIZE_POINTS, 0)}
+          ARG_PHASE_TIMES: (SIZE_POINTS, 0),
+          ARG_TOTALS: (SIZE_CAPACITY, 0), ARG_STARTS: (SIZE_STARTS, 0),
+          ARG_PLAN_BLOCKS: (SIZE_BLOCKS, 0)}
 
 
 class LoopArguments:
     """The point loop's arguments, as arrays and as one address block.
 
-    ``arrays`` holds the nineteen arrays of :func:`_advance_points_py` in its
+    ``arrays`` holds the arrays of :func:`_advance_points_py` in its
     argument order (indices ``ARG_*``); ``block`` is an int64 array with
     each one's data address at the same index, followed by the sizes the C
     entry cannot read off a pointer (``SIZE_*``).  :meth:`set` replaces one
     array and rewrites its address and sizes, so the block changes only
     when the kernel swaps an array (a grown mirror, a new random buffer,
-    another run's record or replicas); ``pointer`` is the block's address,
-    ready for a foreign call.  Every kernel owns one, so kernels driven
+    another run's record or replicas, a re-planned sweep block);
+    ``pointer`` is the block's address, ready for a foreign call.  Every kernel owns one, so kernels driven
     from several threads never share arguments.
     """
 
@@ -249,8 +298,165 @@ def _lookup_registered(configurations, delta_n, ireg, slot, index):
     return -1
 
 
+def _adopt_speculated(totals, cumulative, last_selectable, configurations,
+                      delta_n, slot_rows, plan_totals, plan_cumulative,
+                      plan_last, ireg, slot, index):
+    """Register the planned successor ``slot`` reaches via ``index``.
+
+    ``slot_rows[slot]`` is the plan-mirror row of a slot the loop registered
+    (a root row is a multiple of ``events + 1``, and the root's event-``k``
+    successor is row ``k + 1`` after it), or ``-1`` for a slot the driver
+    registered.  A successor of a planned root gets the speculated row the
+    driver would adopt (:meth:`MonteCarloKernel._descend`), so the loop
+    registers it in the next slot itself, counting one more configuration
+    since the last exact solve, while the resync count is below the
+    interval, the memo (the registered slots) below its cap and the
+    mirrors have room.  Returns the new slot, or ``-1`` when the driver
+    must discover the configuration.
+    """
+    n_events = cumulative.shape[1]
+    registered = ireg[REG_REGISTERED]
+    row = slot_rows[slot]
+    if row < 0 or row % (n_events + 1) != 0 or registered == 0 \
+            or ireg[REG_RESYNC] >= ireg[REG_RESYNC_INTERVAL] \
+            or registered >= ireg[REG_MEMO_LIMIT] \
+            or registered >= totals.shape[0]:
+        return -1
+    row += index + 1
+    totals[registered] = plan_totals[row]
+    for event in range(n_events):
+        cumulative[registered, event] = plan_cumulative[row, event]
+    last_selectable[registered] = plan_last[row]
+    for island in range(configurations.shape[1]):
+        configurations[registered, island] = configurations[slot, island] \
+            + delta_n[index, island]
+    slot_rows[registered] = row
+    ireg[REG_REGISTERED] = registered + 1
+    ireg[REG_RESYNC] += 1
+    return registered
+
+
+def _root_sorts_after(roots, first, second):
+    """Whether root row ``first`` sorts after ``second`` by (configuration, slot)."""
+    for column in range(2, roots.shape[1]):
+        if roots[first, column] != roots[second, column]:
+            return roots[first, column] > roots[second, column]
+    return roots[first, 0] > roots[second, 0]
+
+
+def _root_from_plan(totals, cumulative, last_selectable, successor_slots,
+                    configurations, slots, slot_rows, starts, roots,
+                    plan_points, plan_configurations, plan_blocks,
+                    plan_totals, plan_cumulative, plan_last, ireg):
+    """Root point ``ireg[REG_POINT]`` from the plan mirror; whether it could.
+
+    The roots are the configuration a cold sweep starts the point from
+    (``starts``), else the replicas' distinct slots ordered by
+    (configuration, slot) — the order the driver gives them — collected
+    in ``roots`` (per row: the old slot, the mirror row, the
+    configuration).  Each root must have a mirror block covering the
+    point's plan index ``plan_points[point]``: block ``b`` holds the
+    configuration ``plan_configurations[b]`` for plan points
+    ``plan_blocks[b, 0]`` to ``plan_blocks[b, 1] - 1`` with its row at the
+    first of them ``plan_blocks[b, 2]``, one ``events + 1`` stride per
+    point.  The point is left to the driver (nothing written) when the
+    plan may not be used (``REG_PLANNED``), the point is not planned, a
+    memo-cap clear took the registered slots out of the memo, two slots
+    hold one configuration, the roots would fill the memo or the mirrors,
+    or a root has no covering block.  Otherwise the cursor is re-keyed in
+    place as the driver re-keys it: the links of the registered slots are
+    cleared, root ``i`` takes slot ``i`` with its planned row, every
+    replica moves to its root's slot, and the resync count restarts.
+    """
+    registered = ireg[REG_REGISTERED]
+    if ireg[REG_PLANNED] == 0 or registered == 0:
+        return False
+    point = ireg[REG_POINT]
+    planned = plan_points[point]
+    if planned < 0:
+        return False
+    n_islands = configurations.shape[1]
+    n_events = cumulative.shape[1]
+    n_replicas = slots.shape[0]
+    cold = starts.shape[0] > 0
+    count = 0
+    if cold:
+        roots[0, 0] = -1
+        for island in range(n_islands):
+            roots[0, island + 2] = starts[point, island]
+        count = 1
+    else:
+        for replica in range(n_replicas):
+            slot = slots[replica]
+            known = False
+            for root in range(count):
+                if roots[root, 0] == slot:
+                    known = True
+            if known:
+                continue
+            roots[count, 0] = slot
+            for island in range(n_islands):
+                roots[count, island + 2] = configurations[slot, island]
+            position = count
+            count += 1
+            while position > 0 and _root_sorts_after(roots, position - 1,
+                                                     position):
+                for column in range(n_islands + 2):
+                    held = roots[position, column]
+                    roots[position, column] = roots[position - 1, column]
+                    roots[position - 1, column] = held
+                position -= 1
+        for root in range(1, count):
+            island = 0
+            while island < n_islands and \
+                    roots[root, island + 2] == roots[root - 1, island + 2]:
+                island += 1
+            if island == n_islands:
+                return False
+    if count >= ireg[REG_MEMO_LIMIT] or count > totals.shape[0]:
+        return False
+    stride = n_events + 1
+    for root in range(count):
+        roots[root, 1] = -1
+        for block in range(plan_blocks.shape[0]):
+            if plan_blocks[block, 0] <= planned < plan_blocks[block, 1]:
+                island = 0
+                while island < n_islands and plan_configurations[
+                        block, island] == roots[root, island + 2]:
+                    island += 1
+                if island == n_islands:
+                    roots[root, 1] = plan_blocks[block, 2] \
+                        + (planned - plan_blocks[block, 0]) * stride
+                    break
+        if roots[root, 1] < 0:
+            return False
+    for slot in range(registered):
+        for event in range(n_events):
+            successor_slots[slot, event] = -1
+    for replica in range(n_replicas):
+        root = 0
+        if not cold:
+            while roots[root, 0] != slots[replica]:
+                root += 1
+        slots[replica] = root
+    for root in range(count):
+        row = roots[root, 1]
+        totals[root] = plan_totals[row]
+        for event in range(n_events):
+            cumulative[root, event] = plan_cumulative[row, event]
+        last_selectable[root] = plan_last[row]
+        for island in range(n_islands):
+            configurations[root, island] = roots[root, island + 2]
+        slot_rows[root] = row
+    ireg[REG_REGISTERED] = count
+    ireg[REG_RESYNC] = 0
+    ireg[REG_LOOP_ROOTED] = 1
+    return True
+
+
 def _advance_py(totals, cumulative, last_selectable, successor_slots,
-                configurations, transfer_matrix, delta_n,
+                configurations, transfer_matrix, delta_n, slot_rows,
+                plan_totals, plan_cumulative, plan_last,
                 transfers, exp_buf, uni_buf, ireg, freg, max_events):
     """Advance the trajectory until done or the driver is needed.
 
@@ -258,10 +464,12 @@ def _advance_py(totals, cumulative, last_selectable, successor_slots,
     block buffers and the linked successor matrix allow, mutating
     ``transfers``/``ireg``/``freg`` in place and returning a ``STATUS_*``
     code.  An unlinked transition whose target is a registered slot is
-    linked here (:func:`_lookup_registered`); only a new configuration
-    returns ``STATUS_NEED_LINK``.  This is the canonical implementation:
-    the numba backend compiles exactly this function and the C backend is
-    its line-for-line translation, so all three consume the random stream
+    linked here (:func:`_lookup_registered`), and one to the speculated
+    successor of a root the loop took from the plan is registered here
+    (:func:`_adopt_speculated`); only another new configuration returns
+    ``STATUS_NEED_LINK``.  This is the canonical implementation: the
+    numba backend compiles exactly this function and the C backend is its
+    line-for-line translation, so all three consume the random stream
     identically.
     """
     n_events = cumulative.shape[1]
@@ -350,6 +558,11 @@ def _advance_py(totals, cumulative, last_selectable, successor_slots,
             successor = _lookup_registered(configurations, delta_n, ireg,
                                            slot, index)
             if successor < 0:
+                successor = _adopt_speculated(
+                    totals, cumulative, last_selectable, configurations,
+                    delta_n, slot_rows, plan_totals, plan_cumulative,
+                    plan_last, ireg, slot, index)
+            if successor < 0:
                 pending_event = index
                 status = STATUS_NEED_LINK
                 break
@@ -377,7 +590,9 @@ def _advance_points_py(totals, cumulative, last_selectable, successor_slots,
                        configurations, transfer_matrix, delta_n,
                        slots, times, counts, transfers, schedule, phase_times,
                        phase_counts, phase_transfers, exp_buf, uni_buf, ireg,
-                       freg):
+                       freg, slot_rows, starts, roots, plan_points,
+                       plan_configurations, plan_blocks, plan_totals,
+                       plan_cumulative, plan_last):
     """Advance every replica through every phase of every point until done
     or the driver is needed.
 
@@ -390,10 +605,11 @@ def _advance_points_py(totals, cumulative, last_selectable, successor_slots,
     ``phase_times``/``phase_counts``/``phase_transfers``.  Every replica
     finishes phase ``p`` before any starts ``p + 1``.  After the last phase
     of a point that is not the last, every replica's clock, count and
-    transfer row are zeroed, row ``0`` of the next point is written, and
-    the loop returns ``STATUS_NEED_ROOTS``: the driver re-keys the replicas'
-    slots to the new point's rate tables and sets ``REG_ROOTED``.
-    ``REG_POINT``, ``REG_PHASE``, ``REG_REPLICA`` and ``REG_LOADED`` persist
+    transfer row are zeroed and row ``0`` of the next point is written.
+    The loop then roots the new point from the plan mirror
+    (:func:`_root_from_plan`); where it cannot, it returns
+    ``STATUS_NEED_ROOTS``: the driver re-keys the replicas' slots to the
+    new point's rate tables and sets ``REG_ROOTED``.  ``REG_POINT``, ``REG_PHASE``, ``REG_REPLICA`` and ``REG_LOADED`` persist
     across re-entries, so a refill or link request mid-replica resumes that
     replica exactly where it stopped.  Replicas run in order and share the
     block buffers, so the random stream is consumed exactly as by one
@@ -406,7 +622,14 @@ def _advance_points_py(totals, cumulative, last_selectable, successor_slots,
     while True:
         point = ireg[REG_POINT]
         if ireg[REG_ROOTED] == 0:
-            return STATUS_NEED_ROOTS
+            if not _root_from_plan(totals, cumulative, last_selectable,
+                                   successor_slots, configurations, slots,
+                                   slot_rows, starts, roots, plan_points,
+                                   plan_configurations, plan_blocks,
+                                   plan_totals, plan_cumulative, plan_last,
+                                   ireg):
+                return STATUS_NEED_ROOTS
+            ireg[REG_ROOTED] = 1
         while ireg[REG_PHASE] < n_phases:
             phase = ireg[REG_PHASE]
             while ireg[REG_REPLICA] < n_replicas:
@@ -422,7 +645,8 @@ def _advance_points_py(totals, cumulative, last_selectable, successor_slots,
                     ireg[REG_LOADED] = 1
                 status = _advance_py(totals, cumulative, last_selectable,
                                      successor_slots, configurations,
-                                     transfer_matrix, delta_n,
+                                     transfer_matrix, delta_n, slot_rows,
+                                     plan_totals, plan_cumulative, plan_last,
                                      transfers[replica], exp_buf, uni_buf,
                                      ireg, freg, schedule[phase])
                 if status != STATUS_DONE and status != STATUS_BLOCKED:
@@ -460,7 +684,10 @@ def _advance_points_py(totals, cumulative, last_selectable, successor_slots,
 # ----------------------------------------------------------------- C backend
 
 #: Line-for-line C translation of :func:`_lookup_registered` (``lookup``),
-#: :func:`_advance_py` (``advance``) and :func:`_advance_points_py` (the
+#: :func:`_adopt_speculated`, :func:`_root_sorts_after`,
+#: :func:`_root_from_plan`, :func:`_advance_py` (``advance``; the plan
+#: mirror's three row arrays travel as one ``plan_rows`` struct) and
+#: :func:`_advance_points_py` (the
 #: exported entry point, which reads every array address and size from one
 #: int64 block laid out as :class:`LoopArguments` documents).  Compiled
 #: without any fast-math flag: IEEE double semantics must match numpy
@@ -487,20 +714,170 @@ static long long lookup(
     return -1;
 }
 
+typedef struct {
+    const double *totals;
+    const double *cumulative;
+    const long long *last;
+} plan_rows;
+
+static long long adopt_speculated(
+    double *totals, double *cumulative, long long *last_selectable,
+    long long *configurations, const long long *delta_n,
+    long long *slot_rows, plan_rows plan, long long *ireg,
+    long long slot, long long index, long long n_events,
+    long long n_islands, long long capacity)
+{
+    long long registered = ireg[9];
+    long long row = slot_rows[slot];
+    if (row < 0 || row % (n_events + 1) != 0 || registered == 0
+            || ireg[12] >= ireg[13] || registered >= ireg[14]
+            || registered >= capacity)
+        return -1;
+    row += index + 1;
+    totals[registered] = plan.totals[row];
+    for (long long event = 0; event < n_events; event++)
+        cumulative[registered * n_events + event] =
+            plan.cumulative[row * n_events + event];
+    last_selectable[registered] = plan.last[row];
+    for (long long island = 0; island < n_islands; island++)
+        configurations[registered * n_islands + island] =
+            configurations[slot * n_islands + island]
+            + delta_n[index * n_islands + island];
+    slot_rows[registered] = row;
+    ireg[9] = registered + 1;
+    ireg[12] += 1;
+    return registered;
+}
+
+static int root_sorts_after(const long long *roots, long long width,
+                            long long first, long long second)
+{
+    for (long long column = 2; column < width; column++)
+        if (roots[first * width + column] != roots[second * width + column])
+            return roots[first * width + column]
+                > roots[second * width + column];
+    return roots[first * width] > roots[second * width];
+}
+
+static int root_from_plan(
+    double *totals, double *cumulative, long long *last_selectable,
+    long long *successor_slots, long long *configurations, long long *slots,
+    long long *slot_rows, const long long *starts, long long n_starts,
+    long long *roots, const long long *plan_points,
+    const long long *plan_configurations, const long long *plan_blocks,
+    long long n_blocks, plan_rows plan, long long *ireg,
+    long long n_replicas, long long n_events, long long n_islands,
+    long long capacity)
+{
+    long long registered = ireg[9];
+    if (ireg[15] == 0 || registered == 0) return 0;
+    long long point = ireg[10];
+    long long planned = plan_points[point];
+    if (planned < 0) return 0;
+    long long width = n_islands + 2;
+    int cold = n_starts > 0;
+    long long count = 0;
+    if (cold) {
+        roots[0] = -1;
+        for (long long island = 0; island < n_islands; island++)
+            roots[island + 2] = starts[point * n_islands + island];
+        count = 1;
+    } else {
+        for (long long replica = 0; replica < n_replicas; replica++) {
+            long long slot = slots[replica];
+            int known = 0;
+            for (long long root = 0; root < count; root++)
+                if (roots[root * width] == slot) known = 1;
+            if (known) continue;
+            roots[count * width] = slot;
+            for (long long island = 0; island < n_islands; island++)
+                roots[count * width + island + 2] =
+                    configurations[slot * n_islands + island];
+            long long position = count;
+            count += 1;
+            while (position > 0
+                   && root_sorts_after(roots, width, position - 1, position)) {
+                for (long long column = 0; column < width; column++) {
+                    long long held = roots[position * width + column];
+                    roots[position * width + column] =
+                        roots[(position - 1) * width + column];
+                    roots[(position - 1) * width + column] = held;
+                }
+                position -= 1;
+            }
+        }
+        for (long long root = 1; root < count; root++) {
+            long long island = 0;
+            while (island < n_islands && roots[root * width + island + 2]
+                   == roots[(root - 1) * width + island + 2])
+                island += 1;
+            if (island == n_islands) return 0;
+        }
+    }
+    if (count >= ireg[14] || count > capacity) return 0;
+    long long stride = n_events + 1;
+    for (long long root = 0; root < count; root++) {
+        roots[root * width + 1] = -1;
+        for (long long block = 0; block < n_blocks; block++) {
+            const long long *span = plan_blocks + block * 3;
+            if (span[0] <= planned && planned < span[1]) {
+                long long island = 0;
+                while (island < n_islands
+                       && plan_configurations[block * n_islands + island]
+                       == roots[root * width + island + 2])
+                    island += 1;
+                if (island == n_islands) {
+                    roots[root * width + 1] =
+                        span[2] + (planned - span[0]) * stride;
+                    break;
+                }
+            }
+        }
+        if (roots[root * width + 1] < 0) return 0;
+    }
+    for (long long slot = 0; slot < registered; slot++)
+        for (long long event = 0; event < n_events; event++)
+            successor_slots[slot * n_events + event] = -1;
+    for (long long replica = 0; replica < n_replicas; replica++) {
+        long long root = 0;
+        if (!cold)
+            while (roots[root * width] != slots[replica]) root += 1;
+        slots[replica] = root;
+    }
+    for (long long root = 0; root < count; root++) {
+        long long row = roots[root * width + 1];
+        totals[root] = plan.totals[row];
+        for (long long event = 0; event < n_events; event++)
+            cumulative[root * n_events + event] =
+                plan.cumulative[row * n_events + event];
+        last_selectable[root] = plan.last[row];
+        for (long long island = 0; island < n_islands; island++)
+            configurations[root * n_islands + island] =
+                roots[root * width + island + 2];
+        slot_rows[root] = row;
+    }
+    ireg[9] = count;
+    ireg[12] = 0;
+    ireg[16] = 1;
+    return 1;
+}
+
 static long long advance(
-    const double *totals,
-    const double *cumulative,
-    const long long *last_selectable,
+    double *totals,
+    double *cumulative,
+    long long *last_selectable,
     long long *successor_slots,
-    const long long *configurations,
+    long long *configurations,
     const double *transfer_matrix,
     const long long *delta_n,
+    long long *slot_rows,
+    plan_rows plan,
     double *transfers,
     const double *exp_buf, long long exp_len,
     const double *uni_buf, long long uni_len,
     long long *ireg, double *freg,
     long long max_events, long long n_events, long long n_junctions,
-    long long n_islands)
+    long long n_islands, long long capacity)
 {
     long long slot = ireg[0];
     long long events = ireg[1];
@@ -565,6 +942,11 @@ static long long advance(
         if (successor < 0) {
             successor = lookup(configurations, delta_n, ireg, slot, index,
                                n_islands);
+            if (successor < 0)
+                successor = adopt_speculated(
+                    totals, cumulative, last_selectable, configurations,
+                    delta_n, slot_rows, plan, ireg, slot, index, n_events,
+                    n_islands, capacity);
             if (successor < 0) {
                 pending_event = index;
                 status = 4;  /* NEED_LINK */
@@ -597,11 +979,11 @@ static long long advance(
 
 long long repro_mc_advance_points(const long long *block)
 {
-    const double *totals = ARRAY(const double, 0);
-    const double *cumulative = ARRAY(const double, 1);
-    const long long *last_selectable = ARRAY(const long long, 2);
+    double *totals = ARRAY(double, 0);
+    double *cumulative = ARRAY(double, 1);
+    long long *last_selectable = ARRAY(long long, 2);
     long long *successor_slots = ARRAY(long long, 3);
-    const long long *configurations = ARRAY(const long long, 4);
+    long long *configurations = ARRAY(long long, 4);
     const double *transfer_matrix = ARRAY(const double, 5);
     const long long *delta_n = ARRAY(const long long, 6);
     long long *slots = ARRAY(long long, 7);
@@ -616,18 +998,38 @@ long long repro_mc_advance_points(const long long *block)
     const double *uni_buf = ARRAY(const double, 16);
     long long *ireg = ARRAY(long long, 17);
     double *freg = ARRAY(double, 18);
-    long long exp_len = block[19];
-    long long uni_len = block[20];
-    long long n_phases = block[21];
-    long long n_replicas = block[22];
-    long long n_events = block[23];
-    long long n_junctions = block[24];
-    long long n_islands = block[25];
-    long long n_points = block[26];
+    long long *slot_rows = ARRAY(long long, 19);
+    const long long *starts = ARRAY(const long long, 20);
+    long long *roots = ARRAY(long long, 21);
+    const long long *plan_points = ARRAY(const long long, 22);
+    const long long *plan_configurations = ARRAY(const long long, 23);
+    const long long *plan_blocks = ARRAY(const long long, 24);
+    plan_rows plan = {ARRAY(const double, 25), ARRAY(const double, 26),
+                      ARRAY(const long long, 27)};
+    long long exp_len = block[28];
+    long long uni_len = block[29];
+    long long n_phases = block[30];
+    long long n_replicas = block[31];
+    long long n_events = block[32];
+    long long n_junctions = block[33];
+    long long n_islands = block[34];
+    long long n_points = block[35];
+    long long capacity = block[36];
+    long long n_starts = block[37];
+    long long n_blocks = block[38];
     long long rows = n_phases + 1;
     for (;;) {
         long long point = ireg[10];
-        if (ireg[11] == 0) return 5;  /* NEED_ROOTS */
+        if (ireg[11] == 0) {
+            if (!root_from_plan(
+                    totals, cumulative, last_selectable, successor_slots,
+                    configurations, slots, slot_rows, starts, n_starts,
+                    roots, plan_points, plan_configurations, plan_blocks,
+                    n_blocks, plan, ireg, n_replicas, n_events, n_islands,
+                    capacity))
+                return 5;  /* NEED_ROOTS */
+            ireg[11] = 1;
+        }
         while (ireg[8] < n_phases) {
             long long phase = ireg[8];
             while (ireg[6] < n_replicas) {
@@ -645,8 +1047,10 @@ long long repro_mc_advance_points(const long long *block)
                 double *row = transfers + replica * n_junctions;
                 long long status = advance(
                     totals, cumulative, last_selectable, successor_slots,
-                    configurations, transfer_matrix, delta_n, row, exp_buf, exp_len, uni_buf, uni_len, ireg, freg,
-                    schedule[phase], n_events, n_junctions, n_islands);
+                    configurations, transfer_matrix, delta_n, slot_rows,
+                    plan, row, exp_buf, exp_len, uni_buf, uni_len, ireg, freg,
+                    schedule[phase], n_events, n_junctions, n_islands,
+                    capacity);
                 if (status != 0 && status != 1) return status;  /* DONE, BLOCKED */
                 slots[replica] = ireg[0];
                 times[replica] = freg[0];
@@ -772,11 +1176,12 @@ def _interpreted_advance(arguments: LoopArguments) -> int:
 def _load_numba_advance() -> Optional[Callable]:
     """Compile the point loop with numba; ``None`` when unavailable.
 
-    ``register_jitable`` makes the event loop and the link lookup compile
-    wherever jitted code calls them, so :func:`_advance_points_py` compiles
-    unchanged while all three stay plain Python for the interpreted
-    backend.  Memoised so re-resolution (``clear_backend_cache``) registers
-    them once.
+    ``register_jitable`` makes the event loop and the helpers it and the
+    point loop call (link lookup, speculated adoption, rooting from the
+    plan) compile wherever jitted code calls them, so
+    :func:`_advance_points_py` compiles unchanged while all of them stay
+    plain Python for the interpreted backend.  Memoised so re-resolution
+    (``clear_backend_cache``) registers them once.
     """
     try:
         import numba
@@ -784,8 +1189,9 @@ def _load_numba_advance() -> Optional[Callable]:
     except ImportError:
         return None
     try:
-        register_jitable(_lookup_registered)
-        register_jitable(_advance_py)
+        for helper in (_lookup_registered, _adopt_speculated,
+                       _root_sorts_after, _root_from_plan, _advance_py):
+            register_jitable(helper)
         compiled = numba.njit(cache=True)(_advance_points_py)
     except Exception:  # pragma: no cover - defensive against numba quirks
         return None
@@ -903,11 +1309,16 @@ __all__ = [
     "REG_EVENTS",
     "REG_EXP_POS",
     "REG_LOADED",
+    "REG_LOOP_ROOTED",
+    "REG_MEMO_LIMIT",
     "REG_PENDING_EVENT",
     "REG_PHASE",
+    "REG_PLANNED",
     "REG_POINT",
     "REG_REGISTERED",
     "REG_REPLICA",
+    "REG_RESYNC",
+    "REG_RESYNC_INTERVAL",
     "REG_ROOTED",
     "REG_SLOT",
     "REG_STALLS",

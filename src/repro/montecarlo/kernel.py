@@ -33,13 +33,16 @@ those rows are evaluated **once per root configuration per block of**
 :data:`PLAN_BLOCK_POINTS` **points**, in one stacked evaluation over the
 block, rather than once per point; outside a sweep, or where the plan does
 not hold, a point's roots share one stacked evaluation at the point.  Every
-rate is an element-wise function of its own row, so a planned row equals the
-row the point would evaluate, bit for bit.  A root adopts its planned rows
-only when the planned potentials equal its exactly solved ones byte for
-byte, and a successor discovered later adopts its speculated table only when
-its incrementally derived potentials equal the speculated ones byte for
-byte, so discovery order, the resync counter and the memo cap behave exactly
-as with one lazy evaluation per discovery.
+rate is an element-wise function of its own row, and a root's potentials
+at a point come from one expression whether it is solved alone or in a
+block (:meth:`MonteCarloKernel._potentials`), so a planned row equals the
+row the point would evaluate, bit for bit.  A root Python answers adopts
+its planned rows when the planned potentials equal its exactly solved ones
+byte for byte (a block enters the loop's native mirror of the plan only
+when they did at the point that planned it), and a successor discovered
+later adopts its speculated table, whose potentials are its incrementally
+derived ones; so discovery order, the resync counter and the memo cap
+behave exactly as with one lazy evaluation per discovery.
 
 Runs without charge traps or per-event hooks go through
 :meth:`MonteCarloKernel.run_phases`: the advance loop of
@@ -50,20 +53,27 @@ over dense mirrors of the memoised entries, at one bias point or at every
 point of a sweep.  Replicas in the same charge configuration share one
 :class:`_RateEntry`, so the rate-table cost is paid once per
 *configuration* rather than once per replica.  A sweep is one run: the
-loop carries the replicas from point to point and asks Python once per
-point for the point's roots (:meth:`MonteCarloKernel._next_point`: one
-exact solve per root, the plan's rows adopted where they hold, the cursor
-re-keyed in place).  Inside a point, a transition to a configuration
-already met at that point is linked by the loop itself; only a discovery
-returns to Python.  The loop consumes the block random buffers exactly as
-:meth:`MonteCarloKernel.step` does, so a single-replica run replays the
-step path event for event — the correctness anchor the test-suite
-enforces.  :meth:`~MonteCarloKernel.step` itself remains the loop for
-charge traps and per-event hooks.
+loop carries the replicas from point to point and roots each point from
+the plan mirror itself — it re-keys the cursor to the replicas' planned
+roots and registers their speculated successors as it meets them,
+counting the resync interval and the memo cap in registers.  Python
+answers a point (:meth:`MonteCarloKernel._next_point`: one exact solve per
+root, the plan's rows adopted where they hold, the cursor re-keyed in
+place) only where a root has no plan block yet, or at every point while a
+fault injector is active, and builds a loop-registered slot's
+:class:`_RateEntry` only when it needs it.  Inside a point, a transition
+to a configuration already met at that point is linked by the loop itself;
+only another discovery returns to Python.  The loop consumes the block
+random buffers exactly as :meth:`MonteCarloKernel.step` does, so a
+single-replica run replays the step path event for event — the
+correctness anchor the test-suite enforces.
+:meth:`~MonteCarloKernel.step` itself remains the loop for charge traps
+and per-event hooks.
 
-The kernel is deliberately separated from the user-facing
-:class:`~repro.montecarlo.simulator.MonteCarloSimulator` so the same stepping
-machinery can be reused by specialised drivers (e.g. the RNG bit sampler).
+The kernel is kept apart from the user-facing
+:class:`~repro.montecarlo.simulator.MonteCarloSimulator`, its one caller:
+the simulator owns the seed policy, circuit validation, sweeps and
+estimators, the kernel the rates, the memo and the loop.
 """
 
 from __future__ import annotations
@@ -74,10 +84,11 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..circuit.netlist import Circuit
+from ..constants import E_CHARGE
 from ..core.energy import EnergyModel
 from ..core.rates import cotunneling_rate_vec, orthodox_rate_vec
 from ..errors import SimulationError
-from ..resilience.faults import inject
+from ..resilience.faults import active_injector, inject
 from .cotunneling import CotunnelTable, enumerate_cotunnel_candidates
 from .events import CotunnelCandidate, TrapCandidate, TunnelCandidate
 from .jit import (
@@ -92,8 +103,17 @@ from .jit import (
     ARG_PHASE_COUNTS,
     ARG_PHASE_TIMES,
     ARG_PHASE_TRANSFERS,
+    ARG_PLAN_BLOCKS,
+    ARG_PLAN_CONFIGURATIONS,
+    ARG_PLAN_CUMULATIVE,
+    ARG_PLAN_LAST,
+    ARG_PLAN_POINTS,
+    ARG_PLAN_TOTALS,
+    ARG_ROOTS,
     ARG_SCHEDULE,
+    ARG_SLOT_ROWS,
     ARG_SLOTS,
+    ARG_STARTS,
     ARG_SUCCESSORS,
     ARG_TIMES,
     ARG_TOTALS,
@@ -106,11 +126,16 @@ from .jit import (
     IREG_SIZE,
     REG_EXP_POS,
     REG_LOADED,
+    REG_LOOP_ROOTED,
+    REG_MEMO_LIMIT,
     REG_PENDING_EVENT,
     REG_PHASE,
+    REG_PLANNED,
     REG_POINT,
     REG_REGISTERED,
     REG_REPLICA,
+    REG_RESYNC,
+    REG_RESYNC_INTERVAL,
     REG_ROOTED,
     REG_SLOT,
     REG_UNI_POS,
@@ -210,16 +235,20 @@ class _EnsembleCursor:
     reads: it selects events from a slot's cumulative row and follows
     ``successor_slots``.  An unlinked transition to a configuration already
     registered is linked inside the loop; a new configuration returns to
-    Python (:meth:`MonteCarloKernel._link_compiled`).  The mirrors grow by
-    capacity doubling and survive :meth:`reset`, so the loop keeps
-    receiving the same array objects.  The cursor is valid for one kernel
-    cache epoch; a bias/offset change re-keys it (detected through
-    ``epoch``).
+    Python (:meth:`MonteCarloKernel._link_compiled`) unless the loop
+    registers it from the sweep plan itself.  Slots the loop registers
+    (a sweep point's planned roots and their speculated successors) record
+    their plan-mirror row in ``slot_rows`` (``-1`` for a slot registered
+    here) and hold ``None`` in ``entries`` until Python needs their entry
+    (:meth:`MonteCarloKernel._loop_entry`).  The mirrors grow by capacity
+    doubling and survive :meth:`reset`, so the loop keeps receiving the
+    same array objects.  The cursor is valid for one kernel cache epoch; a
+    bias/offset change re-keys it (detected through ``epoch``).
     """
 
     __slots__ = ("epoch", "slots", "entries", "slot_of", "n_events",
                  "n_islands", "totals", "cumulative", "last_selectable",
-                 "successor_slots", "configurations", "seen")
+                 "successor_slots", "configurations", "slot_rows", "seen")
 
     def __init__(self, n_events: int, n_islands: int) -> None:
         self.n_events = n_events
@@ -232,7 +261,8 @@ class _EnsembleCursor:
         self.successor_slots = np.empty((0, n_events), dtype=np.int64)
         #: ``configurations[s]`` is slot ``s``'s canonical electron vector.
         self.configurations = np.empty((0, n_islands), dtype=np.int64)
-        self.entries: List["_RateEntry"] = []
+        self.slot_rows = np.empty(0, dtype=np.int64)
+        self.entries: List[Optional["_RateEntry"]] = []
         #: Bytes of ``ensemble.electrons`` as the kernel last left them
         #: (always ``configurations[slots]``): a caller editing the public
         #: ``EnsembleState.electrons`` between runs changes them, which
@@ -275,6 +305,7 @@ class _EnsembleCursor:
         self.cumulative[slot, :entry.cumulative.size] = entry.cumulative
         self.last_selectable[slot] = entry.last_selectable
         self.configurations[slot] = entry.electrons
+        self.slot_rows[slot] = -1
         self.entries.append(entry)
         self.slot_of[id(entry)] = slot
         return slot
@@ -292,17 +323,20 @@ class _EnsembleCursor:
         last = np.full(capacity, -1, dtype=np.int64)
         successors = np.full((capacity, self.n_events), -1, dtype=np.int64)
         configurations = np.zeros((capacity, self.n_islands), dtype=np.int64)
+        slot_rows = np.full(capacity, -1, dtype=np.int64)
         known = self.totals.size
         totals[:known] = self.totals
         cumulative[:known] = self.cumulative
         last[:known] = self.last_selectable
         successors[:known] = self.successor_slots
         configurations[:known] = self.configurations
+        slot_rows[:known] = self.slot_rows
         self.totals = totals
         self.cumulative = cumulative
         self.last_selectable = last
         self.successor_slots = successors
         self.configurations = configurations
+        self.slot_rows = slot_rows
 
 
 class _RateEntry:
@@ -312,10 +346,10 @@ class _RateEntry:
     without a copy), ``phi`` its island potentials, ``cumulative``/``total``
     the inclusive rate table used for event selection, and ``successors`` the
     lazily linked entries reached by each tunnel / co-tunnel event.  A root
-    entry of a stacked build also carries ``speculation``: its one-event
-    successors' potentials (row ``k`` for event ``k``), the stack's
+    entry of a stacked build also carries ``speculation``: the stack's
     cumulative rows, totals and last-selectable indices, and the stack row
-    of its event-0 successor (``None`` otherwise).
+    of its event-0 successor (event ``k``'s is ``k`` rows on; ``None``
+    otherwise).
     """
 
     __slots__ = ("electrons", "phi", "cumulative", "total", "last_selectable",
@@ -334,35 +368,51 @@ class _RateEntry:
 
 
 class _SweepPlan:
-    """The source voltages of a running sweep and its planned root rows.
+    """The source voltages of a running sweep, its planned root rows and
+    their native mirror.
 
     ``voltages`` holds the sweep's distinct source vectors in order of first
-    appearance, ``points`` maps each one's bytes to its index and ``bias``
-    holds ``B V`` of each (one stacked matrix-vector product per point).
-    ``blocks`` maps a root configuration's memo key to the block of points
-    planned for it: ``(start, stop, stack, cumulative, totals, last, base)``
-    with the block's :meth:`MonteCarloKernel._stack_rows` output, in which
-    the root's row at point ``p`` is ``base + (p - start) * (events + 1)``.
-    The plan is valid while the circuit's ``charge_version`` equals
-    ``charge_version``.
+    appearance, ``points`` maps each one's bytes to its index (a *plan
+    index*) and ``indices`` holds the plan index of every row of ``source``,
+    the stack the plan was made for.  ``blocks`` maps a root configuration's
+    memo key to the block of plan indices planned for it: ``(start, stop,
+    stack, cumulative, totals, last, base, electrons)`` with the block's
+    :meth:`MonteCarloKernel._stack_rows` output, in which the root's row at
+    plan index ``p`` is ``base + (p - start) * (events + 1)``.  ``held``
+    keys the blocks whose potentials held at the point that planned them
+    (they equal the exact ones there); the advance loop receives those as
+    ``mirror`` — their configurations, ``(start, stop, base)`` rows, and
+    the totals, cumulative rows and last-selectable indices of their
+    stacks, concatenated — and ``potentials`` holds the same rows'
+    potentials.  The plan is valid while the circuit's ``charge_version``
+    equals ``charge_version``.
     """
 
-    __slots__ = ("charge_version", "points", "voltages", "bias", "blocks")
+    __slots__ = ("charge_version", "points", "voltages", "source", "indices",
+                 "blocks", "held", "mirror", "potentials")
 
-    def __init__(self, voltages: np.ndarray, coupling: np.ndarray,
-                 charge_version: int) -> None:
+    def __init__(self, voltages: np.ndarray, charge_version: int,
+                 events: int, islands: int) -> None:
         self.charge_version = charge_version
         self.points: dict = {}
+        self.source = voltages
         voltages = np.asarray(voltages, dtype=float)
         first = []
+        indices = []
         for point, vector in enumerate(voltages):
             key = vector.tobytes()
             if key not in self.points:
                 self.points[key] = len(first)
                 first.append(point)
+            indices.append(self.points[key])
         self.voltages = voltages[first]
-        self.bias = np.matmul(coupling, self.voltages[..., None])[..., 0]
+        self.indices = np.array(indices, dtype=np.int64)
         self.blocks: dict = {}
+        self.held: set = set()
+        self.potentials = np.empty((0, islands))
+        self.mirror = (np.empty((0, islands), dtype=np.int64),
+                       np.empty((0, 3), dtype=np.int64), np.empty(0),
+                       np.empty((0, events)), np.empty(0, dtype=np.int64))
 
     def covers(self, key, point: int) -> bool:
         """Whether the configuration ``key`` has rows planned at ``point``."""
@@ -374,6 +424,45 @@ class _SweepPlan:
         for key in [key for key, block in self.blocks.items()
                     if block[1] <= point]:
             del self.blocks[key]
+            self.held.discard(key)
+
+    def plan_indices(self, voltages: np.ndarray) -> np.ndarray:
+        """The plan index of every row of ``voltages`` (``-1``: unplanned)."""
+        if voltages is self.source:
+            return self.indices
+        return np.array([self.points.get(vector.tobytes(), -1)
+                         for vector in np.asarray(voltages, dtype=float)],
+                        dtype=np.int64)
+
+    def mirror_held(self) -> None:
+        """Rebuild ``mirror`` and ``potentials`` from the held blocks."""
+        offsets: dict = {}
+        stacks = []
+        spans = []
+        configurations = []
+        size = 0
+        for key, block in self.blocks.items():
+            if key not in self.held:
+                continue
+            start, stop, stack, cumulative, totals, last, base, electrons = \
+                block
+            offset = offsets.get(id(stack))
+            if offset is None:
+                offset = offsets[id(stack)] = size
+                stacks.append((stack, cumulative, totals, last))
+                size += len(totals)
+            spans.append((start, stop, offset + base))
+            configurations.append(electrons)
+        if not stacks:
+            self.potentials = self.potentials[:0]
+            self.mirror = tuple(array[:0] for array in self.mirror)
+            return
+        stack, cumulative, totals, last = (np.concatenate(arrays)
+                                           for arrays in zip(*stacks))
+        self.potentials = stack
+        self.mirror = (np.array(configurations, dtype=np.int64),
+                       np.array(spans, dtype=np.int64), totals, cumulative,
+                       np.ascontiguousarray(last, dtype=np.int64))
 
 
 class MonteCarloKernel:
@@ -486,6 +575,9 @@ class MonteCarloKernel:
         #: Memoised :class:`_RateEntry` per (configuration, trap occupation).
         self._rate_cache: dict = {}
         self._rate_cache_limit = 65536
+        #: Memo entries the advance loop registered that ``_rate_cache``
+        #: does not list (they count towards the memo cap).
+        self._unlisted = 0
         # Bumped on every cache clear so cursors (which hold direct entry
         # references) can detect staleness in O(1).
         self._cache_epoch = 0
@@ -510,6 +602,13 @@ class MonteCarloKernel:
         self._phase_record: Optional[PhaseRecord] = None
         #: ``(voltages, starts)`` of the sweep a run is advancing, if any.
         self._sweep: Optional[tuple] = None
+        #: The loop's sweep arguments when no sweep plan applies: no cold
+        #: starts, no root scratch, no plan mirror.
+        islands = self.model.island_count
+        self._unplanned = _SweepPlan(np.empty((0, 0)), -1, self._n_events,
+                                     islands)
+        self._no_starts = np.empty((0, islands), dtype=np.int64)
+        self._roots = np.empty((0, islands + 2), dtype=np.int64)
 
     @property
     def jit_backend(self) -> str:
@@ -521,6 +620,7 @@ class MonteCarloKernel:
     def _clear_rate_cache(self) -> None:
         """Drop all memoised rate entries and invalidate cursors."""
         self._rate_cache.clear()
+        self._unlisted = 0
         self._cache_epoch += 1
 
     def invalidate_caches(self) -> None:
@@ -699,7 +799,7 @@ class MonteCarloKernel:
         return key
 
     def _store_entry(self, key, entry: "_RateEntry") -> None:
-        if len(self._rate_cache) >= self._rate_cache_limit:
+        if len(self._rate_cache) + self._unlisted >= self._rate_cache_limit:
             self._clear_rate_cache()
         self._rate_cache[key] = entry
 
@@ -720,11 +820,27 @@ class MonteCarloKernel:
         self._store_entry(key, entry)
         return entry
 
+    def _potentials(self, electrons: np.ndarray,
+                    voltages: np.ndarray) -> np.ndarray:
+        """Island potentials ``C^-1 (q + B V)``: every exact solve's expression.
+
+        ``electrons`` is a ``(..., islands)`` stack of configurations and
+        ``voltages`` a ``(..., sources)`` stack of source vectors that
+        broadcasts against it.  Both products are stacked ``np.matmul``
+        calls over column vectors, so a configuration's potentials at one
+        source vector are the same bits whether solved alone
+        (:meth:`_exact_phi`) or in a plan block (:meth:`_plan_block`).
+        """
+        system = self.model.system
+        charges = -np.asarray(electrons, dtype=float) * E_CHARGE \
+            + self._offsets
+        bias = np.matmul(system.coupling, voltages[..., None])[..., 0]
+        return np.matmul(system.inverse, (charges + bias)[..., None])[..., 0]
+
     def _exact_phi(self, electrons: np.ndarray) -> np.ndarray:
         """Exactly solved island potentials (restarts the resync count)."""
         self._entries_since_resync = 0
-        return np.asarray(self.model.island_potentials(
-            electrons, self._voltages, self._offsets), dtype=float)
+        return self._potentials(electrons, self._voltages)
 
     def _stack_rows(self, phi: np.ndarray,
                     voltages: Optional[np.ndarray] = None) -> tuple:
@@ -736,10 +852,9 @@ class MonteCarloKernel:
         root's event-``k`` successor gets ``phi + delta_phi[k]`` (one
         broadcast add, the expression :meth:`_descend` evaluates), and every
         row goes through one :meth:`_rates_from_phi` call.  Returns the
-        potential stack, its cumulative rows, and its totals and
-        last-selectable indices as lists: root ``r`` is row
-        ``r * (events + 1)``, its event-``k`` successor the ``k + 1``-th row
-        after it.
+        potential stack, its cumulative rows, totals and last-selectable
+        indices: root ``r`` is row ``r * (events + 1)``, its event-``k``
+        successor the ``k + 1``-th row after it.
         """
         roots, islands = phi.shape
         stride = self._n_events + 1
@@ -749,9 +864,8 @@ class MonteCarloKernel:
         stack = stack.reshape(roots * stride, islands)
         if voltages is not None:
             voltages = np.repeat(voltages, stride, axis=0)
-        cumulative, totals, last = self._selection_tables(
+        return (stack,) + self._selection_tables(
             self._rates_from_phi(stack, _TRAPLESS, voltages))
-        return stack, cumulative, totals.tolist(), last.tolist()
 
     def _build_roots(self, configurations: np.ndarray) -> List["_RateEntry"]:
         """Memoised entries of root configurations, with speculated successors.
@@ -766,9 +880,7 @@ class MonteCarloKernel:
         """
         events = self._n_events
         electrons = np.asarray(configurations, dtype=np.int64)
-        phi = np.empty(electrons.shape)
-        for root, row in enumerate(electrons):
-            phi[root] = self._exact_phi(row)
+        phi = self._exact_phi(electrons)
         rows = self._planned_rows(electrons, phi)
         missing = [root for root, found in enumerate(rows) if found is None]
         if missing:
@@ -777,11 +889,10 @@ class MonteCarloKernel:
             for position, root in enumerate(missing):
                 rows[root] = evaluated + (position * (events + 1),)
         entries = []
-        for root, (stack, cumulative, totals, last, row) in enumerate(rows):
+        for root, (_, cumulative, totals, last, row) in enumerate(rows):
             entry = _RateEntry(electrons[root], phi[root], cumulative[row],
-                               totals[row], last[row], events)
-            entry.speculation = (stack[row + 1:row + 1 + events], cumulative,
-                                 totals, last, row + 1)
+                               float(totals[row]), int(last[row]), events)
+            entry.speculation = (cumulative, totals, last, row + 1)
             self._store_entry(self._entry_key(electrons[root]), entry)
             entries.append(entry)
         return entries
@@ -793,17 +904,27 @@ class MonteCarloKernel:
 
         ``voltages`` is the ``(points, sources)`` stack of the source vectors
         the circuit will hold at the points of a sweep (columns in the order
-        of ``model.system.source_names``); ``None`` drops it.  While it is held, a root configuration's rate rows are
-        evaluated once per :data:`PLAN_BLOCK_POINTS` points
-        (:meth:`_planned_rows`) instead of once per point.  A point finds
-        its row by the bytes of the circuit's source vector; a point whose
-        voltages are not in the stack is evaluated on its own.  The stack
-        is dropped on an offset-charge change.
+        of ``model.system.source_names``); ``None`` drops it.  While it is
+        held, a root configuration's rate rows are evaluated once per
+        :data:`PLAN_BLOCK_POINTS` points (:meth:`_planned_rows`) instead of
+        once per point, and a sweep run's loop roots a point from those
+        rows itself where every root has a block.  A point finds its row by
+        the bytes of its source vector; a point whose voltages are not in
+        the stack is evaluated on its own.  The stack is dropped on an
+        offset-charge change.
         """
         self._plan = None
         if voltages is not None and self.model.island_count:
-            self._plan = _SweepPlan(voltages, self.model.system.coupling,
-                                    self.circuit.charge_version)
+            self._plan = _SweepPlan(voltages, self.circuit.charge_version,
+                                    self._n_events, self.model.island_count)
+
+    def _held_plan(self) -> Optional[_SweepPlan]:
+        """The sweep plan, unless an offset-charge change dropped it."""
+        plan = self._plan
+        if plan is not None \
+                and plan.charge_version != self.circuit.charge_version:
+            plan = self._plan = None
+        return plan
 
     def _planned_rows(self, electrons: np.ndarray,
                       phi: np.ndarray) -> List[Optional[tuple]]:
@@ -815,12 +936,11 @@ class MonteCarloKernel:
         no plan holds this point, or the planned potentials differ from the
         exact ones ``phi[r]`` in any byte.  Roots without a block covering
         this point are planned first, all in one stacked evaluation over
-        a block of :data:`PLAN_BLOCK_POINTS` points (:meth:`_plan_block`).
+        a block of :data:`PLAN_BLOCK_POINTS` points (:meth:`_plan_block`);
+        a new block that holds here joins the plan's native mirror, from
+        which the loop roots the later points the block covers.
         """
-        plan = self._plan
-        if plan is not None \
-                and plan.charge_version != self.circuit.charge_version:
-            plan = self._plan = None
+        plan = self._held_plan()
         point = None if plan is None \
             else plan.points.get(self._voltages.tobytes())
         if point is None:
@@ -834,11 +954,17 @@ class MonteCarloKernel:
         stride = self._n_events + 1
         rows: List[Optional[tuple]] = []
         for root, key in enumerate(keys):
-            start, _, stack, cumulative, totals, last, base = plan.blocks[key]
+            start, _, stack, cumulative, totals, last, base, _ = \
+                plan.blocks[key]
             row = base + (point - start) * stride
-            rows.append((stack, cumulative, totals, last, row)
-                        if stack[row].tobytes() == phi[root].tobytes()
-                        else None)
+            if stack[row].tobytes() != phi[root].tobytes():
+                rows.append(None)
+                continue
+            rows.append((stack, cumulative, totals, last, row))
+            if start == point:
+                plan.held.add(key)
+        if unplanned:
+            plan.mirror_held()
         return rows
 
     def _plan_block(self, plan: "_SweepPlan", point: int,
@@ -846,25 +972,24 @@ class MonteCarloKernel:
         """Plan root configurations over the block of points from ``point``.
 
         The block is the next :data:`PLAN_BLOCK_POINTS` points of the sweep
-        (fewer at its end).  The roots' potentials ``C^-1 (q + B V)`` at
-        every point of the block come
-        from one stacked matrix-vector product per point (``np.matmul``
-        over column vectors, the product :meth:`_exact_phi` makes), and
-        their rows and their successors' from one :meth:`_stack_rows` call.
-        Blocks that end at or before ``point`` are dropped first.
+        (fewer at its end).  The roots' potentials at every point of the
+        block come from one :meth:`_potentials` call (the expression of
+        every exact solve), and their rows and their successors' from one
+        :meth:`_stack_rows` call.  Blocks that end at or before ``point``
+        are dropped first.
         """
         plan.forget(point)
         stop = min(point + PLAN_BLOCK_POINTS, len(plan.voltages))
-        charges = np.array([self.model.island_charges(row, self._offsets)
-                            for row in electrons])
-        total = charges[:, None, :] + plan.bias[None, point:stop]
-        phi = np.matmul(self.model.system.inverse, total[..., None])[..., 0]
+        phi = self._potentials(electrons[:, None, :],
+                               plan.voltages[point:stop])
         rows = self._stack_rows(
             phi.reshape(-1, phi.shape[-1]),
             np.tile(plan.voltages[point:stop], (len(electrons), 1)))
         span = (stop - point) * (self._n_events + 1)
         for index, key in enumerate(keys):
-            plan.blocks[key] = (point, stop) + rows + (index * span,)
+            plan.blocks[key] = (point, stop) + rows + (index * span,
+                                                       electrons[index])
+            plan.held.discard(key)
 
     def _descend(self, parent: "_RateEntry", index: int,
                  state: SimulationState) -> "_RateEntry":
@@ -875,8 +1000,9 @@ class MonteCarloKernel:
         ``delta_phi`` (a column combination of ``C^-1``), skipping the full
         ``C^-1 (q + B V)`` solve.  Every ``resync_interval`` discoveries the
         potentials are re-solved exactly to stop rounding drift.  A successor
-        of a stacked root adopts its speculated rate row when the potentials
-        derived here equal the speculated ones byte for byte.
+        of a stacked root adopts its speculated rate row: the stack holds
+        the root's potentials plus the same ``delta_phi`` row, so the
+        potentials derived here are the speculated ones, bit for bit.
         """
         electrons = parent.electrons + self._event_delta_n[index]
         key = self._entry_key(electrons)
@@ -888,13 +1014,13 @@ class MonteCarloKernel:
         phi = parent.phi + self._event_delta_phi[index]
         self._entries_since_resync += 1
         speculation = parent.speculation
-        if speculation is None \
-                or phi.tobytes() != speculation[0][index].tobytes():
+        if speculation is None:
             return self._build_entry(key, electrons, phi, state)
-        _, cumulative, totals, last, first = speculation
+        cumulative, totals, last, first = speculation
         row = first + index
-        entry = _RateEntry(electrons, phi, cumulative[row], totals[row],
-                           last[row], self._n_events)
+        entry = _RateEntry(electrons, phi, cumulative[row],
+                           float(totals[row]), int(last[row]),
+                           self._n_events)
         self._store_entry(key, entry)
         return entry
 
@@ -1022,7 +1148,8 @@ class MonteCarloKernel:
         :meth:`_build_roots`; otherwise each is looked up, or built on its
         own.
         """
-        if not self._rate_cache and len(unique) < self._rate_cache_limit:
+        if not self._rate_cache and not self._unlisted \
+                and len(unique) < self._rate_cache_limit:
             return self._build_roots(unique)
         entries = []
         for row in unique:
@@ -1040,22 +1167,46 @@ class MonteCarloKernel:
                        event: int) -> None:
         """Resolve one unlinked (configuration, event) transition in place."""
         parent = cursor.entries[slot]
+        if parent is None:
+            parent = self._loop_entry(cursor, slot)
         child = parent.successors[event]
         if child is None:
             child = self._descend(parent, event, _TRAPLESS)
             parent.successors[event] = child
         cursor.successor_slots[slot, event] = cursor.register(child)
 
+    def _loop_entry(self, cursor: _EnsembleCursor,
+                    slot: int) -> "_RateEntry":
+        """The entry of a slot the loop registered from the plan mirror.
+
+        Built when Python first needs it (as the parent of a discovery):
+        its potentials and rate row are the mirror row
+        ``cursor.slot_rows[slot]``, and a root row (a multiple of
+        ``events + 1``) carries the block's rows as its speculation.
+        """
+        row = int(cursor.slot_rows[slot])
+        _, _, totals, cumulative, last = self._plan.mirror
+        entry = _RateEntry(cursor.configurations[slot].copy(),
+                           self._plan.potentials[row], cumulative[row],
+                           float(totals[row]), int(last[row]), self._n_events)
+        if row % (self._n_events + 1) == 0:
+            entry.speculation = (cumulative, totals, last, row + 1)
+        cursor.entries[slot] = entry
+        cursor.slot_of[id(entry)] = slot
+        return entry
+
     def _next_point(self, cursor: _EnsembleCursor, point: int) -> None:
         """Answer a root request: point ``point``'s rate tables, in place.
 
-        The point's source voltages replace the last point's and the memo
-        starts afresh, as a bias change does.  The replicas' configurations
-        (or the sweep's cold start at this point) are the roots: each is
-        solved exactly and adopts its planned rows where they hold
-        (:meth:`_build_roots`), and the cursor is re-keyed to them.  The
-        ``jit.run_compiled`` fault site fires here on a native backend, once
-        per point.
+        The loop asks only when it cannot root the point from the plan
+        mirror itself (a root without a covering block, or a fault
+        injector active).  The point's source voltages replace the last
+        point's and the memo starts afresh, as a bias change does.  The
+        replicas' configurations (or the sweep's cold start at this point)
+        are the roots: each is solved exactly and adopts its planned rows
+        where they hold (:meth:`_build_roots`), and the cursor is re-keyed
+        to them.  The ``jit.run_compiled`` fault site fires here on a
+        native backend.
         """
         if self._jit_backend != BACKEND_PYTHON:
             inject("jit.run_compiled")
@@ -1068,6 +1219,42 @@ class MonteCarloKernel:
             unique = starts[point:point + 1]
             inverse = np.zeros(cursor.slots.size, dtype=np.int64)
         cursor.reset(self._cache_epoch, self._root_entries(unique), inverse)
+
+    def _take_over(self, cursor: _EnsembleCursor) -> None:
+        """Bring the memo and the cursor's entries up to what the loop did.
+
+        If the loop rooted the current point from the plan
+        (``REG_LOOP_ROOTED``), the point's voltages replace the last
+        point's and the memo and the cursor's entries start afresh, as
+        :meth:`_next_point` leaves them.  Slots the loop registered since
+        get ``None`` entries (built on demand by :meth:`_loop_entry`) and
+        count towards the memo cap.  The resync count is the loop's.
+        """
+        ireg = self._ireg
+        self._entries_since_resync = int(ireg[REG_RESYNC])
+        if ireg[REG_LOOP_ROOTED]:
+            ireg[REG_LOOP_ROOTED] = 0
+            self._voltages = self._sweep[0][int(ireg[REG_POINT])]
+            self._clear_rate_cache()
+            cursor.epoch = self._cache_epoch
+            cursor.entries = []
+            cursor.slot_of = {}
+        entries = cursor.entries
+        registered = int(ireg[REG_REGISTERED])
+        if registered > len(entries):
+            entries.extend([None] * (registered - len(entries)))
+            self._unlisted = registered - len(self._rate_cache)
+
+    def _hand_back(self, cursor: _EnsembleCursor) -> None:
+        """Registers the loop reads of the cursor Python just changed.
+
+        After a memo-cap clear mid-run the registered slots no longer are
+        the memo: every link goes through Python.
+        """
+        ireg = self._ireg
+        ireg[REG_REGISTERED] = len(cursor.entries) \
+            if cursor.epoch == self._cache_epoch else 0
+        ireg[REG_RESYNC] = self._entries_since_resync
 
     def phase_record(self, schedule: Sequence[int], replicas: int = 1,
                      points: int = 1) -> PhaseRecord:
@@ -1108,15 +1295,17 @@ class MonteCarloKernel:
         cold-started sweep, the ``(points, islands)`` configuration every
         replica starts each point from.  The circuit is not written to.
         Between points the loop zeroes every replica's clock, count and
-        transfer row and asks for the next point's rate tables once
-        (:meth:`_next_point`); without ``voltages`` the run is one point at
-        the circuit's bias.
+        transfer row and roots the next point from the sweep plan's native
+        mirror, or asks Python for its rate tables (:meth:`_next_point`)
+        where it cannot; without ``voltages`` the run is one point at the
+        circuit's bias.
 
         The loop returns early only when it needs Python — a random block
-        refill, a configuration not met before at this point, or a new
-        point — and is re-entered with the updated buffers and cursor
-        arrays (re-bound when they grew); the registers resume the
-        interrupted replica mid-event.  Refills replicate the :meth:`step`
+        refill, a configuration not met before at this point that it
+        cannot register from the plan, or a point it cannot root — and is
+        re-entered with the updated buffers and cursor arrays (re-bound
+        when they grew); the registers resume the interrupted replica
+        mid-event.  Refills replicate the :meth:`step`
         accessors exactly (one ``_random_block`` draw at the consumption
         point), so a single-replica ensemble replays the :meth:`step`
         trajectory event for event.
@@ -1129,7 +1318,8 @@ class MonteCarloKernel:
         for good, emits a ``jit.run_compiled`` / ``fallback:python``
         degradation and resumes from that boundary on the same random
         stream.  The ``jit.run_compiled`` fault site fires at the start of
-        each point of a native run only.
+        a native run and at each point Python roots; while a fault
+        injector is active Python roots every point.
         """
         if self._n_traps:
             raise SimulationError(
@@ -1181,10 +1371,26 @@ class MonteCarloKernel:
 
     def _advance(self, cursor: _EnsembleCursor, ensemble: EnsembleState,
                  record: PhaseRecord, duration: Optional[float]) -> None:
-        """The backend calls of :meth:`run_phases`, from ``record``'s boundary."""
+        """The backend calls of :meth:`run_phases`, from ``record``'s boundary.
+
+        In a sweep the loop roots a point from the plan mirror itself
+        unless a fault injector is active: the Python root request is then
+        made at every point, so the ``jit.run_compiled`` site fires once
+        per point.
+        """
         arguments = self._arguments
         arrays = arguments.arrays
         transfers = ensemble.electron_transfers
+        plan = None if self._sweep is None else self._held_plan()
+        planned = plan is not None and active_injector() is None
+        if not planned:
+            plan = self._unplanned
+        starts = self._no_starts if self._sweep is None \
+            or self._sweep[1] is None \
+            else np.ascontiguousarray(self._sweep[1], dtype=np.int64)
+        if len(self._roots) != len(cursor.slots):
+            self._roots = np.empty((len(cursor.slots), self._roots.shape[1]),
+                                   dtype=np.int64)
         for index, array in ((ARG_TIMES, ensemble.times),
                              (ARG_COUNTS, ensemble.event_counts),
                              (ARG_TRANSFERS, transfers),
@@ -1193,9 +1399,13 @@ class MonteCarloKernel:
                              (ARG_PHASE_COUNTS, record.stacks[1]),
                              (ARG_PHASE_TRANSFERS, record.stacks[2]),
                              (ARG_EXP, self._exp_buffer),
-                             (ARG_UNIFORM, self._uniform_buffer)):
+                             (ARG_UNIFORM, self._uniform_buffer),
+                             (ARG_STARTS, starts), (ARG_ROOTS, self._roots),
+                             (ARG_PLAN_POINTS, plan.indices if not planned
+                              else plan.plan_indices(self._sweep[0]))):
             if arrays[index] is not array:
                 arguments.set(index, array)
+        self._bind_plan(plan)
         ireg = self._ireg
         freg = self._freg
         ireg.fill(0)
@@ -1206,6 +1416,10 @@ class MonteCarloKernel:
         ireg[REG_ROOTED] = record.rooted
         ireg[REG_EXP_POS] = self._exp_position
         ireg[REG_UNI_POS] = self._uniform_position
+        ireg[REG_RESYNC_INTERVAL] = self.resync_interval
+        ireg[REG_MEMO_LIMIT] = self._rate_cache_limit
+        ireg[REG_PLANNED] = planned
+        self._hand_back(cursor)
         freg[FREG_DURATION] = np.inf if duration is None else float(duration)
         try:
             while True:
@@ -1217,12 +1431,9 @@ class MonteCarloKernel:
                             (ARG_LAST, cursor.last_selectable),
                             (ARG_SUCCESSORS, cursor.successor_slots),
                             (ARG_CONFIGURATIONS, cursor.configurations),
+                            (ARG_SLOT_ROWS, cursor.slot_rows),
                             (ARG_SLOTS, cursor.slots)):
                         arguments.set(index, array)
-                # After a memo-cap clear mid-run the registered slots no
-                # longer are the memo: every link goes through Python.
-                ireg[REG_REGISTERED] = len(cursor.entries) \
-                    if cursor.epoch == self._cache_epoch else 0
                 status = self._jit_advance(arguments)
                 if status == STATUS_NEED_EXP:
                     self._exp_buffer = self._refill(
@@ -1234,14 +1445,20 @@ class MonteCarloKernel:
                         self.rng.random, self._uniform_buffer, ARG_UNIFORM)
                     ireg[REG_UNI_POS] = 0
                 elif status == STATUS_NEED_LINK:
+                    self._take_over(cursor)
                     self._link_compiled(cursor, int(ireg[REG_SLOT]),
                                         int(ireg[REG_PENDING_EVENT]))
+                    self._hand_back(cursor)
                 elif status == STATUS_NEED_ROOTS:
+                    self._take_over(cursor)
                     self._next_point(cursor, int(ireg[REG_POINT]))
+                    self._hand_back(cursor)
+                    self._bind_plan(plan)
                     ireg[REG_ROOTED] = 1
                 else:
                     break
         finally:
+            self._take_over(cursor)
             self._exp_position = int(ireg[REG_EXP_POS])
             self._uniform_position = int(ireg[REG_UNI_POS])
             record.point = int(ireg[REG_POINT])
@@ -1255,6 +1472,15 @@ class MonteCarloKernel:
             # raised, so a resumed run continues from them.
             ensemble.electrons[:] = cursor.configurations[cursor.slots]
             cursor.seen = ensemble.electrons.tobytes()
+
+    def _bind_plan(self, plan: _SweepPlan) -> None:
+        """Pass ``plan``'s native mirror to the loop (re-bound when rebuilt)."""
+        arguments = self._arguments
+        for index, array in zip((ARG_PLAN_CONFIGURATIONS, ARG_PLAN_BLOCKS,
+                                 ARG_PLAN_TOTALS, ARG_PLAN_CUMULATIVE,
+                                 ARG_PLAN_LAST), plan.mirror):
+            if arguments.arrays[index] is not array:
+                arguments.set(index, array)
 
     def _refill(self, sampler, buffer: np.ndarray, index: int) -> np.ndarray:
         """One ``_random_block`` draw, into ``buffer`` when it is block-sized.

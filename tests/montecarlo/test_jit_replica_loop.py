@@ -17,8 +17,9 @@ needs (random block refills, successor links).  These tests pin:
   leave every replica at a phase boundary for the interpreted loop to
   resume from;
 * the native-entry budget: a sweep is one run — one finishing entry per
-  sweep and exactly one root request per point after the first, every
-  other entry a refill or a link — a warm ensemble run enters the backend
+  sweep and one root request per plan block opened after the first point
+  (one per point after the first inside a fault injector), every other
+  entry a refill or a link — a warm ensemble run enters the backend
   fewer times than it has replicas, and a warm scalar run exactly once;
 * kernels driven from several threads at once through the shared backend;
 * concurrent C builds into one empty cache directory.
@@ -38,6 +39,7 @@ import pytest
 from repro.constants import E_CHARGE
 from repro.devices import SETTransistor
 from repro.engines import SweepAxes, get_engine
+from repro.resilience import FaultInjector
 from repro.resilience.events import capture_degradations
 from repro.montecarlo import MonteCarloSimulator
 from repro.montecarlo.jit import (
@@ -384,23 +386,44 @@ def count_native_statuses(kernel):
 def assert_one_run_per_sweep(engine, options, points=33):
     """A warm-started sweep is one run of the loop over all its points.
 
-    One entry finishes the sweep, exactly one root request returns per
-    point after the first, and every other entry is a refill or a link.
+    One entry finishes the sweep and every other entry is a refill, a link
+    or a root request.  The loop roots a point from the sweep plan itself,
+    so Python answers a root request only where a root has no plan block
+    yet: the requests equal the blocks the sweep opens after its first
+    point.  Inside a fault injector (unarmed) Python answers every point
+    after the first, so the ``jit.run_compiled`` site fires once per point.
     """
     device = SETTransistor(junction_capacitance=1e-18,
                            gate_capacitance=2e-18, junction_resistance=1e6)
     axes = SweepAxes(np.linspace(0.0, device.gate_period, points), 0.02)
-    session = get_engine(engine).bind(device, temperature=2.0, seed=31,
-                                      max_events=1_000, warmup_events=100,
-                                      **options)
-    statuses = count_native_statuses(session.simulator.kernel)
-    session.sweep(axes)
-    finishing = [status for status in statuses
-                 if status in (STATUS_DONE, STATUS_BLOCKED)]
-    assert finishing == [STATUS_DONE] == statuses[-1:]
-    assert statuses.count(STATUS_NEED_ROOTS) == points - 1
-    assert set(statuses) - {STATUS_DONE, STATUS_NEED_ROOTS} <= {
-        STATUS_NEED_EXP, STATUS_NEED_UNIFORM, STATUS_NEED_LINK}
+
+    def statuses_and_blocks():
+        session = get_engine(engine).bind(device, temperature=2.0, seed=31,
+                                          max_events=1_000,
+                                          warmup_events=100, **options)
+        kernel = session.simulator.kernel
+        statuses = count_native_statuses(kernel)
+        plan_block = kernel._plan_block
+        block_starts = []
+
+        def recorded(plan, point, electrons, keys):
+            block_starts.append(point)
+            return plan_block(plan, point, electrons, keys)
+
+        kernel._plan_block = recorded
+        session.sweep(axes)
+        finishing = [status for status in statuses
+                     if status in (STATUS_DONE, STATUS_BLOCKED)]
+        assert finishing == [STATUS_DONE] == statuses[-1:]
+        assert set(statuses) - {STATUS_DONE, STATUS_NEED_ROOTS} <= {
+            STATUS_NEED_EXP, STATUS_NEED_UNIFORM, STATUS_NEED_LINK}
+        return statuses.count(STATUS_NEED_ROOTS), block_starts
+
+    requests, block_starts = statuses_and_blocks()
+    assert requests == sum(start > 0 for start in block_starts)
+    with FaultInjector():
+        requests, _ = statuses_and_blocks()
+    assert requests == points - 1
 
 
 SWEEP_ENGINES = [("montecarlo", {}), ("ensemble", {"replicas": 8})]
@@ -408,7 +431,7 @@ SWEEP_ENGINES = [("montecarlo", {}), ("ensemble", {"replicas": 8})]
 
 class TestNativeEntryBudget:
     @pytest.mark.parametrize("engine, options", SWEEP_ENGINES)
-    def test_sweep_is_one_run_with_one_root_request_per_point(
+    def test_sweep_is_one_run_with_a_root_request_per_plan_block(
             self, engine, options):
         assert_one_run_per_sweep(engine, options)
 
@@ -437,13 +460,13 @@ class TestNativeEntryBudget:
 
 
 def test_threads_sharing_the_backend_keep_their_own_arrays():
-    # The C shim caches the last array and address per argument position
-    # process-wide; kernels driven from several threads at once (the foreign
-    # call releases the interpreter lock) must still each advance their own
-    # arrays.  Every kernel passes its own registers, cursor mirrors and
-    # phase records, so with eight threads the positions change owner
-    # constantly; a shim that stored array and address separately fails
-    # (or crashes) here.
+    # Kernels driven from several threads at once (the foreign call
+    # releases the interpreter lock) must each advance their own arrays.
+    # Every kernel owns its loop arguments — registers, cursor mirrors,
+    # phase records, plan mirror, and the address block the C entry reads
+    # them through — so eight threads sweeping at once must give the
+    # sweeps each gives alone; arguments shared across kernels would mix
+    # them up (or crash) here.
     gates = np.linspace(0.0, 0.08, 100)
     seeds = range(71, 79)
 

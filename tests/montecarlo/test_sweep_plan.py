@@ -165,8 +165,9 @@ def test_cotunnelling_double_dot_plan_equals_the_step_path(monkeypatch):
     tally = _Tally(monkeypatch)
     _, currents, stderrs = build().sweep_source("VGA", values, "J_left",
                                                 **BUDGET)
-    assert tally.adopted == tally.roots == len(values)
-    assert tally.blocks >= 2
+    # Python answers a root only to open its block; the loop roots the
+    # other points from the plan.
+    assert tally.adopted == tally.roots == tally.blocks >= 2
     stepped = stepped_sweep(build(), "VGA", values, "J_left", **BUDGET)
     assert _same((currents, stderrs), stepped)
 
@@ -190,8 +191,7 @@ def test_worker_chunks_are_planned(monkeypatch):
                                                 for part in parts])
     tally = _Tally(monkeypatch)
     assert _same(pooled(), expected)
-    assert tally.blocks >= 2
-    assert tally.adopted == tally.roots == len(values)
+    assert tally.adopted == tally.roots == tally.blocks >= 2
 
 
 def test_reference_sweep_makes_few_rate_calls(monkeypatch):
