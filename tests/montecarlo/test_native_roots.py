@@ -230,10 +230,15 @@ def test_memo_cap_clears_mid_sweep(loop, ensemble):
 
 
 def strike_after_refills(kernel, refills):
-    """Raise on the loop entry after ``refills`` refills; records the point."""
+    """Raise on the loop entry after ``refills`` refills.
+
+    Returns the lists that receive the point of every refill, the point
+    the fault struck at, and the point of every root request before it.
+    """
     advance = kernel._jit_advance
     seen = []
     struck = []
+    requests = []
 
     def flaky(arguments):
         if len(seen) >= refills:
@@ -242,10 +247,12 @@ def strike_after_refills(kernel, refills):
         status = advance(arguments)
         if status in (STATUS_NEED_EXP, STATUS_NEED_UNIFORM):
             seen.append(int(kernel._ireg[REG_POINT]))
+        elif status == STATUS_NEED_ROOTS:
+            requests.append(int(kernel._ireg[REG_POINT]))
         return status
 
     kernel._jit_advance = flaky
-    return seen, struck
+    return seen, struck, requests
 
 
 @pytest.mark.skipif(not jit_compiled(), reason="no native jit backend loaded")
@@ -257,14 +264,14 @@ def test_refill_fault_in_the_second_plan_block(ensemble):
     options = dict(ensemble=ensemble, **BUDGET)
     # Which refill falls in the second plan block of the clean sweep.
     probe = make()
-    points, _ = strike_after_refills(probe.kernel, 10 ** 9)
+    points, _, _ = strike_after_refills(probe.kernel, 10 ** 9)
     probe.sweep_source("gate", values, "J_drain", **options)
     refills = 1 + next(index for index, point in enumerate(points)
                        if point >= PLAN_BLOCK_POINTS)
 
     def faulted(python_roots):
         simulator = make()
-        _, struck = strike_after_refills(simulator.kernel, refills)
+        _, struck, requests = strike_after_refills(simulator.kernel, refills)
         with capture_degradations() as events:
             if python_roots:
                 with FaultInjector():
@@ -275,6 +282,9 @@ def test_refill_fault_in_the_second_plan_block(ensemble):
                                                **options)
         assert [event.action for event in events] == ["fallback:python"]
         assert struck and struck[0] >= PLAN_BLOCK_POINTS
+        # Before the fault Python rooted every point, or only a few.
+        assert len(requests) == struck[0] if python_roots \
+            else len(requests) < struck[0] / 2
         return swept[1].tobytes() + swept[2].tobytes()
 
     # The interpreted loop resumes the loop-rooted sweep from the fault's
