@@ -1383,8 +1383,11 @@ class MonteCarloKernel:
         transfers = ensemble.electron_transfers
         plan = None if self._sweep is None else self._held_plan()
         planned = plan is not None and active_injector() is None
-        if not planned:
+        if planned:
+            plan_points = plan.plan_indices(self._sweep[0])
+        else:
             plan = self._unplanned
+            plan_points = plan.indices
         starts = self._no_starts if self._sweep is None \
             or self._sweep[1] is None \
             else np.ascontiguousarray(self._sweep[1], dtype=np.int64)
@@ -1401,8 +1404,7 @@ class MonteCarloKernel:
                              (ARG_EXP, self._exp_buffer),
                              (ARG_UNIFORM, self._uniform_buffer),
                              (ARG_STARTS, starts), (ARG_ROOTS, self._roots),
-                             (ARG_PLAN_POINTS, plan.indices if not planned
-                              else plan.plan_indices(self._sweep[0]))):
+                             (ARG_PLAN_POINTS, plan_points)):
             if arrays[index] is not array:
                 arguments.set(index, array)
         self._bind_plan(plan)
