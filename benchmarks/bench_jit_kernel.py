@@ -88,8 +88,9 @@ SWEEP_ENGINES = (("montecarlo", {}),
 ENTRY_LIMITS = {"montecarlo": 3.35, "ensemble": 4.71}
 #: Most root requests a SET sweep point may make: the loop roots a point
 #: from the sweep plan itself, so Python answers only where a root opens a
-#: plan block.  A sweep opens a block per charge state its roots reach —
-#: one to three on these rows whatever the point count — so the limit
+#: plan block.  A sweep opens a block per charge state its roots reach
+#: and per :data:`~repro.montecarlo.kernel.PLAN_BLOCK_POINTS` points — two
+#: to five on these rows at 129 points, one to three at 17 — so the limit
 #: holds on sweeps of at least :data:`ROOT_GATE_POINTS` points; CI's
 #: 17-point smoke sweep reads up to 0.18 and is not gated.
 ROOT_REQUEST_LIMIT = 0.1

@@ -48,7 +48,7 @@ budgets, one per phase (the scalar estimator's warm-up and its ten blocks;
 the ensemble estimator's warm-up and its estimate window; a plain run is a
 one-phase schedule), at every point of a sweep.  Phases run phase-major —
 every replica finishes phase ``p`` before any starts ``p + 1`` — so the
-random stream is consumed exactly as by one driver call per phase.  When
+random stream is consumed exactly as by one kernel call per phase.  When
 replica ``r`` finishes phase ``p`` of point ``q`` its clock, cumulative
 event count and transfer row are snapshotted into row ``p + 1`` of point
 ``q`` of the ``phase_times`` / ``phase_counts`` / ``phase_transfers``
@@ -70,7 +70,7 @@ per-event ``transfer_matrix`` and ``delta_n``, the replicas (``slots``,
 phase-row outputs, the two random block buffers, the ``ireg``/``freg``
 registers, and for rooting points from the sweep plan: ``slot_rows`` (the
 plan-mirror row of each slot the loop registered, ``-1`` for the
-driver's), ``starts`` (a cold sweep's start configuration per point, no
+kernel's), ``starts`` (a cold sweep's start configuration per point, no
 rows when warm), ``roots`` (scratch, one row per replica),
 ``plan_points`` (each sweep point's plan index) and the plan mirror itself
 — ``plan_configurations`` and ``plan_blocks`` (``start, stop, base`` per
@@ -82,7 +82,7 @@ Re-entry protocol
 -----------------
 The native loop cannot call back into Python (for RNG block refills, a
 discovery it cannot make from the plan, or a point it cannot root), so it
-runs until it either finishes or needs the driver, returning a status
+runs until it either finishes or needs the kernel, returning a status
 code:
 
 ========================  ====================================================
@@ -97,7 +97,7 @@ code:
 ``STATUS_DONE`` and ``STATUS_BLOCKED`` end one replica's phase inside the
 event loop; the point loop commits and snapshots it and moves on,
 returning ``STATUS_DONE`` after the last phase of the last replica at the
-last point.  The other codes return to the driver at once.  An unlinked
+last point.  The other codes return to the kernel at once.  An unlinked
 transition whose target configuration is already registered at this point
 is linked inside the loop (a memo hit has no side effect), and one to the
 speculated successor of a root the loop took from the plan is registered
@@ -109,10 +109,10 @@ a fault injector active), a root has no covering plan block, two slots
 hold one configuration, the roots would reach the memo cap, or a memo-cap
 clear at the last point separated the registered slots from the memo.
 Either way the discovery order, the resync count and the memo cap are the
-driver's: the loop counts them in registers exactly as the driver does.
+kernel's: the loop counts them in registers exactly as the kernel does.
 
 All resumable state lives in two small register arrays (``ireg``/``freg``)
-so the driver can refill a buffer, link a successor or re-key a point and
+so the kernel can refill a buffer, link a successor or re-key a point and
 re-enter mid-event:
 
 ===========================  =================================================
@@ -130,10 +130,10 @@ re-enter mid-event:
 ``REG_POINT``                sweep point currently running
 ``REG_ROOTED``               whether that point's rate tables are in place
 ``REG_RESYNC``               configurations registered since an exact solve
-``REG_RESYNC_INTERVAL``      the kernel's ``resync_interval`` (driver's)
-``REG_MEMO_LIMIT``           the kernel's memo cap (driver's)
+``REG_RESYNC_INTERVAL``      the kernel's ``resync_interval``
+``REG_MEMO_LIMIT``           the kernel's memo cap
 ``REG_PLANNED``              whether the loop may root points from the plan
-``REG_LOOP_ROOTED``          the loop rooted ``REG_POINT`` and the driver has
+``REG_LOOP_ROOTED``          the loop rooted ``REG_POINT`` and the kernel has
                              not yet taken that over
 ``FREG_TIME``                the replica's clock
 ``FREG_PENDING_WAIT``        drawn-but-unapplied waiting time (-1.0: none)
@@ -144,7 +144,7 @@ re-enter mid-event:
 A schedule therefore costs one native entry, plus one per refill, per
 discovery the plan does not cover and per point the plan does not root,
 however many replicas, phases and points it advances.  ``REG_POINT``,
-``REG_PHASE`` and ``REG_REPLICA`` also tell a driver whose re-entry raised
+``REG_PHASE`` and ``REG_REPLICA`` also tell a kernel whose re-entry raised
 how far the schedule got: replicas below ``REG_REPLICA`` have finished
 phase ``REG_PHASE`` of point ``REG_POINT``, the others only the phases
 before it.  Buffer refills happen exactly at the consumption points,
@@ -195,7 +195,7 @@ REG_RESYNC = 12         #: configurations registered since an exact solve
 REG_RESYNC_INTERVAL = 13  #: the kernel's ``resync_interval``
 REG_MEMO_LIMIT = 14     #: the kernel's memo cap
 REG_PLANNED = 15        #: whether the loop may root points from the plan
-REG_LOOP_ROOTED = 16    #: the loop rooted REG_POINT; the driver has not seen it
+REG_LOOP_ROOTED = 16    #: the loop rooted REG_POINT; the kernel has not seen it
 IREG_SIZE = 17
 
 #: ``freg`` (float64) register layout shared by all backends.
@@ -281,8 +281,8 @@ def _lookup_registered(configurations, delta_n, ireg, slot, index):
     ``ireg[REG_REGISTERED] - 1``), latest first, for the configuration
     ``configurations[slot] + delta_n[index]``; ``-1`` when none holds it.
     The registered slots are exactly the memo entries of the current memo
-    epoch the run has met, so a hit is the link the driver would make (a
-    memo lookup, with no side effect), and a miss is a discovery the driver
+    epoch the run has met, so a hit is the link the kernel would make (a
+    memo lookup, with no side effect), and a miss is a discovery the kernel
     must make.
     """
     n_islands = configurations.shape[1]
@@ -305,13 +305,13 @@ def _adopt_speculated(totals, cumulative, last_selectable, configurations,
 
     ``slot_rows[slot]`` is the plan-mirror row of a slot the loop registered
     (a root row is a multiple of ``events + 1``, and the root's event-``k``
-    successor is row ``k + 1`` after it), or ``-1`` for a slot the driver
+    successor is row ``k + 1`` after it), or ``-1`` for a slot the kernel
     registered.  A successor of a planned root gets the speculated row the
-    driver would adopt (:meth:`MonteCarloKernel._descend`), so the loop
+    kernel would adopt (:meth:`MonteCarloKernel._descend`), so the loop
     registers it in the next slot itself, counting one more configuration
     since the last exact solve, while the resync count is below the
     interval, the memo (the registered slots) below its cap and the
-    mirrors have room.  Returns the new slot, or ``-1`` when the driver
+    mirrors have room.  Returns the new slot, or ``-1`` when the kernel
     must discover the configuration.
     """
     n_events = cumulative.shape[1]
@@ -352,19 +352,19 @@ def _root_from_plan(totals, cumulative, last_selectable, successor_slots,
 
     The roots are the configuration a cold sweep starts the point from
     (``starts``), else the replicas' distinct slots ordered by
-    (configuration, slot) — the order the driver gives them — collected
+    (configuration, slot) — the order the kernel gives them — collected
     in ``roots`` (per row: the old slot, the mirror row, the
     configuration).  Each root must have a mirror block covering the
     point's plan index ``plan_points[point]``: block ``b`` holds the
     configuration ``plan_configurations[b]`` for plan points
     ``plan_blocks[b, 0]`` to ``plan_blocks[b, 1] - 1`` with its row at the
     first of them ``plan_blocks[b, 2]``, one ``events + 1`` stride per
-    point.  The point is left to the driver (nothing written) when the
+    point.  The point is left to the kernel (nothing written) when the
     plan may not be used (``REG_PLANNED``), the point is not planned, a
     memo-cap clear took the registered slots out of the memo, two slots
     hold one configuration, the roots would fill the memo or the mirrors,
     or a root has no covering block.  Otherwise the cursor is re-keyed in
-    place as the driver re-keys it: the links of the registered slots are
+    place as the kernel re-keys it: the links of the registered slots are
     cleared, root ``i`` takes slot ``i`` with its planned row, every
     replica moves to its root's slot, and the resync count restarts.
     """
@@ -458,7 +458,7 @@ def _advance_py(totals, cumulative, last_selectable, successor_slots,
                 configurations, transfer_matrix, delta_n, slot_rows,
                 plan_totals, plan_cumulative, plan_last,
                 transfers, exp_buf, uni_buf, ireg, freg, max_events):
-    """Advance the trajectory until done or the driver is needed.
+    """Advance the trajectory until done or the kernel is needed.
 
     One call executes as many events as the register state, the random
     block buffers and the linked successor matrix allow, mutating
@@ -594,7 +594,7 @@ def _advance_points_py(totals, cumulative, last_selectable, successor_slots,
                        plan_configurations, plan_blocks, plan_totals,
                        plan_cumulative, plan_last):
     """Advance every replica through every phase of every point until done
-    or the driver is needed.
+    or the kernel is needed.
 
     Each backend's single entry point.  At point ``q``, phase ``p`` runs
     replica ``r`` from ``slots[r]``/``times[r]`` for at most
@@ -608,12 +608,12 @@ def _advance_points_py(totals, cumulative, last_selectable, successor_slots,
     transfer row are zeroed and row ``0`` of the next point is written.
     The loop then roots the new point from the plan mirror
     (:func:`_root_from_plan`); where it cannot, it returns
-    ``STATUS_NEED_ROOTS``: the driver re-keys the replicas' slots to the
+    ``STATUS_NEED_ROOTS``: the kernel re-keys the replicas' slots to the
     new point's rate tables and sets ``REG_ROOTED``.  ``REG_POINT``, ``REG_PHASE``, ``REG_REPLICA`` and ``REG_LOADED`` persist
     across re-entries, so a refill or link request mid-replica resumes that
     replica exactly where it stopped.  Replicas run in order and share the
     block buffers, so the random stream is consumed exactly as by one
-    driver call per phase covering all replicas.
+    kernel call per phase covering all replicas.
     """
     n_points = phase_times.shape[0]
     n_phases = schedule.shape[0]

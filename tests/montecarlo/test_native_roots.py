@@ -3,7 +3,7 @@
 During a sweep the loop roots a point itself from the native mirror of the
 sweep plan: it re-keys the cursor to the replicas' planned roots and
 registers their speculated one-event successors, restarting and counting
-the resync interval and the memo cap as the driver does.  Python answers
+the resync interval and the memo cap as the kernel does.  Python answers
 a point only where a root has no plan block, or whenever a fault injector
 is active.  So every sweep here runs twice — plainly, and inside an
 unarmed ``FaultInjector()``, where Python answers every point — and the
