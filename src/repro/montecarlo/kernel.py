@@ -1199,8 +1199,9 @@ class MonteCarloKernel:
         """Answer a root request: point ``point``'s rate tables, in place.
 
         The loop asks only when it cannot root the point from the plan
-        mirror itself (a root without a covering block, or a fault
-        injector active).  The point's source voltages replace the last
+        mirror itself (a root without a held block, a fault injector
+        active, or another case :func:`~repro.montecarlo.jit._root_from_plan`
+        lists).  The point's source voltages replace the last
         point's and the memo starts afresh, as a bias change does.  The
         replicas' configurations (or the sweep's cold start at this point)
         are the roots: each is solved exactly and adopts its planned rows
@@ -1246,10 +1247,12 @@ class MonteCarloKernel:
             self._unlisted = registered - len(self._rate_cache)
 
     def _hand_back(self, cursor: _EnsembleCursor) -> None:
-        """Registers the loop reads of the cursor Python just changed.
+        """Write the registers that tell the loop what Python changed.
 
-        After a memo-cap clear mid-run the registered slots no longer are
-        the memo: every link goes through Python.
+        The registered slot count and the resync count go back to the
+        loop.  After a memo-cap clear mid-run the registered slots no
+        longer are the memo: the count reads 0, so every link goes through
+        Python.
         """
         ireg = self._ireg
         ireg[REG_REGISTERED] = len(cursor.entries) \
