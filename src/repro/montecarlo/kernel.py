@@ -394,19 +394,23 @@ class _SweepPlan:
     def __init__(self, voltages: np.ndarray, charge_version: int,
                  events: int, islands: int) -> None:
         self.charge_version = charge_version
-        self.points: dict = {}
         self.source = voltages
-        voltages = np.asarray(voltages, dtype=float)
-        first = []
-        indices = []
-        for point, vector in enumerate(voltages):
-            key = vector.tobytes()
-            if key not in self.points:
-                self.points[key] = len(first)
-                first.append(point)
-            indices.append(self.points[key])
+        voltages = np.ascontiguousarray(voltages, dtype=float)
+        # Each row as one bytes item, compared byte for byte as its
+        # ``tobytes()`` key is: -0.0 and 0.0 stay distinct.
+        keys = voltages.view(np.dtype(
+            (np.void, voltages.itemsize * voltages.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True,
+                                      return_inverse=True)
+        # Plan indices number the distinct rows by first appearance.
+        order = np.argsort(first)
+        rank = np.empty(order.size, dtype=np.int64)
+        rank[order] = np.arange(order.size)
+        first = first[order]
+        self.points: dict = dict(zip(keys[first].tolist(),
+                                     range(first.size)))
         self.voltages = voltages[first]
-        self.indices = np.array(indices, dtype=np.int64)
+        self.indices = rank[inverse.ravel()]
         self.blocks: dict = {}
         self.held: set = set()
         self.potentials = np.empty((0, islands))

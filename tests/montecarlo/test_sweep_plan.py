@@ -212,3 +212,36 @@ def test_reference_sweep_makes_few_rate_calls(monkeypatch):
     simulator.sweep_source("gate", values, junction, max_events=2_000,
                            warmup_events=200)
     assert len(calls) / len(values) <= 0.2
+
+
+def _walked_plan(voltages):
+    """Distinct rows and plan indices by a walk over the rows' bytes."""
+    points, first, indices = {}, [], []
+    for point, vector in enumerate(np.asarray(voltages, dtype=float)):
+        key = vector.tobytes()
+        if key not in points:
+            points[key] = len(first)
+            first.append(point)
+        indices.append(points[key])
+    return points, first, indices
+
+
+@pytest.mark.parametrize("voltages", [
+    np.column_stack([np.full(9, 5e-3), np.linspace(0.0, 0.1, 9)]),
+    np.column_stack([np.full(9, 5e-3), np.linspace(0.1, 0.0, 9)]),
+    np.array([[0.0, 0.2], [0.0, 0.1], [0.0, 0.2], [0.0, 0.1], [0.0, 0.3]]),
+    np.array([[0.0, 0.1], [-0.0, 0.1], [0.0, -0.0], [-0.0, 0.1],
+              [0.0, 0.0], [0.0, -0.0]]),
+    np.tile([[1e-3, 0.05, 0.0]], (4, 1)),
+    np.empty((0, 0)),
+], ids=["ascending", "reversed", "repeated", "signed-zeros", "constant",
+        "empty"])
+def test_plan_indices_equal_the_walk_over_row_bytes(voltages):
+    plan = kernel_module._SweepPlan(voltages, 0, 4, 1)
+    points, first, indices = _walked_plan(voltages)
+    assert plan.points == points
+    assert plan.indices.dtype == np.int64
+    assert plan.indices.tolist() == indices
+    assert plan.voltages.tobytes() == voltages[first].tobytes()
+    assert plan.plan_indices(voltages) is plan.indices
+    assert plan.plan_indices(np.array(voltages)).tolist() == indices
