@@ -9,8 +9,9 @@ engine families:
 
 * ``analytic``: compact-model twin + one broadcast ``drain_current_map``
   versus a bound :class:`~repro.engines.adapters.AnalyticSession`;
-* ``master``: circuit + :class:`~repro.master.MasterEquationSolver` +
-  structure-reusing ``sweep_source`` versus a bound ``MasterSession``;
+* ``master``: compact-model twin + one windowed birth-death chain
+  (:func:`~repro.engines.adapters.chain_currents`) versus a bound
+  ``MasterSession``;
 * ``montecarlo``: circuit + seeded
   :class:`~repro.montecarlo.MonteCarloSimulator` + warm-started
   ``sweep_source`` versus a bound ``MonteCarloSession`` (identical seeds
@@ -63,7 +64,7 @@ from repro.engines import (
     register_engine,
     unregister_engine,
 )
-from repro.master import MasterEquationSolver
+from repro.engines.adapters import chain_currents, chain_half_width
 from repro.montecarlo import MonteCarloSimulator
 
 try:
@@ -99,10 +100,10 @@ def direct_analytic(device, gates):
 
 
 def direct_master(device, gates):
-    """Fresh solver plus structure-reusing sweep (the old call site)."""
-    circuit = device.build_circuit(drain_voltage=DRAIN_VOLTAGE)
-    solver = MasterEquationSolver(circuit, temperature=TEMPERATURE)
-    _, currents = solver.sweep_source("VG", gates, "J_drain")
+    """Compact-model twin plus one windowed chain (no reducible point here)."""
+    model = analytic_model_for(device, TEMPERATURE)
+    currents, _ = chain_currents(model, np.full(gates.shape, DRAIN_VOLTAGE),
+                                 gates, int(chain_half_width(model)))
     return currents
 
 

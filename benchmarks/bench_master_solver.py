@@ -28,16 +28,20 @@ a 129-point gate sweep (one stacked solve) and the same points through
 evaluations per point, the rate-kernel calls and ``np.linalg.solve`` calls
 per sweep (all counted outside the timed runs; the benchmark raises when a
 count exceeds its bound) and the cost of one ``orthodox_rate_vec`` call
-over the window's transitions.  The same row times the master session's
-``stream`` plain and under a default failure policy: each is a few stacked
-solves of doubling blocks, counted (the benchmark raises above
-``MAX_STACKS_PER_STREAM``) and checked bit for bit against the sweep.
+over the window's transitions.  The same row times a bound master
+session, which solves the closed-form birth-death chain instead: its
+sweep, its ``solve`` at every sweep point, and its ``stream`` plain and
+under a default failure policy.  Each stream is a few chain batches of
+doubling blocks, counted (the benchmark raises above
+``MAX_CHAINS_PER_STREAM``), and the solves and both streams must equal the
+session's sweep bit for bit.
 A third row (``high_temperature``) sweeps
 the same SET at kT = E_C, where the automatic window widens until its
 boundary states hold no probability, and records the window size chosen
 and the cost per point.
 Run it either through pytest (``pytest benchmarks/bench_master_solver.py -s``)
-or directly (``PYTHONPATH=src python benchmarks/bench_master_solver.py``).
+or directly (``PYTHONPATH=src python benchmarks/bench_master_solver.py``);
+both raise when a gate fails.
 
 Environment overrides (used by the CI smoke run):
 
@@ -57,11 +61,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.circuit import Circuit
+from repro.compact.set_model import AnalyticSETModel
 from repro.constants import BOLTZMANN, E_CHARGE
 from repro.core.rates import orthodox_rate_vec
 from repro.devices import SETTransistor
 from repro.devices.set_transistor import DRAIN_JUNCTION, GATE_SOURCE
-from repro.engines import SweepAxes, get_engine
+from repro.engines import BiasPoint, SweepAxes, get_engine
 from repro.master import MasterEquationSolver, build_state_space, transitions
 from repro.resilience import FailurePolicy
 
@@ -95,8 +100,8 @@ RATE_CALLS = 2_000
 MAX_RATE_CALLS_PER_SWEEP = 3
 MAX_SOLVE_CALLS_PER_SWEEP = 7
 #: A streamed 129-point axis runs blocks of 1, 2, 4, ..., 64 and 2 points:
-#: eight stacked solves.
-MAX_STACKS_PER_STREAM = 8
+#: eight chain batches.
+MAX_CHAINS_PER_STREAM = 8
 
 #: The high-temperature row: the reference SET at kT = E_C.
 HOT_THERMAL_RATIO = 1.0
@@ -285,7 +290,7 @@ def measure_small_window() -> dict:
                                                     DRAIN_JUNCTION))
     solve_s = best_time(solve_points)
 
-    stream = measure_streams(device, gates)
+    session = measure_session(device, gates)
 
     table = solver.builder._cached_table
     _, delta = table.rates()
@@ -306,38 +311,51 @@ def measure_small_window() -> dict:
         "rate_calls_per_sweep": rate_calls_per_sweep,
         "solve_calls_per_sweep": solve_calls_per_sweep,
         "rate_vec_us_per_call": round(rate_s / RATE_CALLS * 1e6, 2),
-        **stream,
+        **session,
     }
 
 
-def measure_streams(device, gates) -> dict:
-    """Points/s of a bound master session's plain and policed ``stream``.
+def measure_session(device, gates) -> dict:
+    """Points/s of a bound master session's sweep, ``solve`` and streams.
 
-    Both must equal the session's sweep bit for bit and run at most
-    ``MAX_STACKS_PER_STREAM`` stacked solves (counted on
-    ``MasterEquationSolver._solve_stack`` outside the timed runs).
+    Per-point solves and the plain and policed ``stream`` must equal the
+    session's sweep bit for bit, and each stream may run at most
+    ``MAX_CHAINS_PER_STREAM`` chain batches (counted on
+    ``AnalyticSETModel.chain_current`` outside the timed runs).
     """
     session = get_engine("master").bind(device, temperature=SMALL_TEMPERATURE)
     axes = SweepAxes(gates, SMALL_DRAIN_VOLTAGE)
     swept = session.sweep(axes).currents
+    points = list(axes.bias_points())
+
+    def solve_points():
+        return np.array([session.solve(point).current for point in points])
+
+    if not np.array_equal(solve_points(), swept):
+        raise AssertionError("session sweep and per-point solves differ")
+    row = {
+        "session_sweep_points_per_second": round(
+            gates.size / best_time(lambda: session.sweep(axes)), 1),
+        "session_solve_points_per_second": round(
+            gates.size / best_time(solve_points), 1),
+    }
     styles = {"stream": {}, "policed_stream": {"policy": FailurePolicy()}}
 
     def streamed(options):
         return np.array([observed.current for _, observed
                          in session.stream(axes, **options)])
 
-    row = {}
     for name, options in styles.items():
-        with counting(MasterEquationSolver, "_solve_stack") as stacks:
+        with counting(AnalyticSETModel, "chain_current") as chains:
             currents = streamed(options)
-        if len(stacks) > MAX_STACKS_PER_STREAM:
-            raise AssertionError(f"{len(stacks)} stacked solves per {name}, "
-                                 f"expected at most {MAX_STACKS_PER_STREAM}")
+        if len(chains) > MAX_CHAINS_PER_STREAM:
+            raise AssertionError(f"{len(chains)} chain batches per {name}, "
+                                 f"expected at most {MAX_CHAINS_PER_STREAM}")
         if not np.array_equal(currents, swept):
             raise AssertionError(f"{name} and sweep differ")
         seconds = best_time(lambda options=options: streamed(options))
         row[f"{name}_points_per_second"] = round(gates.size / seconds, 1)
-        row[f"stacked_solves_per_{name}"] = len(stacks)
+        row[f"chain_calls_per_{name}"] = len(chains)
     return row
 
 
@@ -392,6 +410,13 @@ def run_benchmark() -> dict:
     return payload
 
 
+def check(payload: dict) -> None:
+    """Raise unless ``payload`` passes every gate of the benchmark."""
+    assert payload["speedup"] >= REQUIRED_SPEEDUP
+    assert payload["relative_current_agreement"] <= REQUIRED_AGREEMENT
+    assert payload["small_window"]["walks_per_sweep"] == 1
+
+
 def test_master_sweep_throughput():
     print_experiment_header(
         "MASTER", "sparse structure-reusing sweep >= 5x dense rebuild-per-point")
@@ -411,20 +436,24 @@ def test_master_sweep_throughput():
     print(f"  rate calls    : {small['rate_calls_per_sweep']:>12d} per sweep")
     print(f"  linear solves : {small['solve_calls_per_sweep']:>12d} per sweep")
     print(f"  rate kernel   : {small['rate_vec_us_per_call']:>12.2f} us per call")
+    print(f"session sweep   : "
+          f"{small['session_sweep_points_per_second']:>12,.1f} points/s")
+    print(f"session solve   : "
+          f"{small['session_solve_points_per_second']:>12,.1f} points/s")
     print(f"  stream        : "
           f"{small['stream_points_per_second']:>12,.1f} points/s"
-          f" ({small['stacked_solves_per_stream']} stacked solves)")
+          f" ({small['chain_calls_per_stream']} chain batches)")
     print(f"  policed stream: "
           f"{small['policed_stream_points_per_second']:>12,.1f} points/s"
-          f" ({small['stacked_solves_per_policed_stream']} stacked solves)")
+          f" ({small['chain_calls_per_policed_stream']} chain batches)")
     hot = payload["high_temperature"]
     print(f"kT = E_C        : {hot['state_counts']} states, "
           f"{hot['sweep_us_per_point']:.1f} us per swept point")
     print(f"written to      : {OUTPUT_PATH}")
-    assert payload["speedup"] >= REQUIRED_SPEEDUP
-    assert payload["relative_current_agreement"] <= REQUIRED_AGREEMENT
-    assert small["walks_per_sweep"] == 1
+    check(payload)
 
 
 if __name__ == "__main__":
-    print(json.dumps(run_benchmark(), indent=2))
+    payload = run_benchmark()
+    print(json.dumps(payload, indent=2))
+    check(payload)

@@ -51,6 +51,20 @@ def _non_negative_finite(value):
     return (value >= 0.0) & (value < math.inf)
 
 
+def _state_sum(values: np.ndarray) -> np.ndarray:
+    """The sum over the leading (state) axis, added in state order.
+
+    Across the rows of a batch of two or more points ``values.sum(axis=0)``
+    already adds in order, but along the one contiguous axis of a one-point
+    batch it adds pairwise (from eight elements), which rounds differently:
+    there a running sum takes its place, so every point rounds the same way
+    whatever batch it sits in.
+    """
+    if values[0].size > 1:
+        return values.sum(axis=0)
+    return np.add.accumulate(values, axis=0)[-1]
+
+
 @dataclass(frozen=True)
 class AnalyticSETModel:
     """Analytic compact model of a metallic SET (three-charge-state window).
@@ -149,12 +163,14 @@ class AnalyticSETModel:
         q0 = self.background_charge
         scale = E_CHARGE / c_total
 
-        drain_in = scale * (0.5 * E_CHARGE + n * E_CHARGE - q0
-                            + (c_source + c_shunt) * drain_voltage
-                            - c_source * source_voltage - c_gate * gate_voltage)
-        source_in = scale * (0.5 * E_CHARGE + n * E_CHARGE - q0
-                             + (c_drain + c_shunt) * source_voltage
-                             - c_drain * drain_voltage - c_gate * gate_voltage)
+        # The same left-to-right sums as the textbook expressions, with
+        # their common head evaluated once.
+        common = 0.5 * E_CHARGE + n * E_CHARGE - q0
+        gate = c_gate * gate_voltage
+        drain_in = scale * (common + (c_source + c_shunt) * drain_voltage
+                            - c_source * source_voltage - gate)
+        source_in = scale * (common + (c_drain + c_shunt) * source_voltage
+                             - c_drain * drain_voltage - gate)
         return drain_in, source_in
 
     def _induced_charge(self, drain_voltage: float, gate_voltage: float,
@@ -240,16 +256,28 @@ class AnalyticSETModel:
 
     def _broadcast_voltages(self, drain_voltage, gate_voltage,
                             source_voltage):
-        """The voltages broadcast against every parameter.
+        """The voltages at the shape of the whole batch.
 
-        The stacked rate operands of :meth:`_bond_rates` then share one
-        shape however the batch is laid out.
+        That shape is the voltages' broadcast against every array
+        parameter.  The drain and gate voltages are broadcast to it, so the
+        stacked rate operands of :meth:`_bond_rates` share one shape however
+        the batch is laid out; a scalar source voltage (a grounded source)
+        stays a scalar, a constant in every expression it enters.
         """
-        vd, vg, vs, *_ = np.broadcast_arrays(
-            drain_voltage, gate_voltage, source_voltage, self.drain_capacitance,
-            self.source_capacitance, self.gate_capacitance,
-            self.second_gate_capacitance, self.background_charge,
-            self.temperature, self.drain_resistance, self.source_resistance)
+        shape = np.broadcast(drain_voltage, gate_voltage, source_voltage, *(
+            value for value in (self.drain_capacitance,
+                                self.source_capacitance,
+                                self.gate_capacitance,
+                                self.second_gate_capacitance,
+                                self.background_charge, self.temperature,
+                                self.drain_resistance, self.source_resistance)
+            if isinstance(value, np.ndarray))).shape
+        vd, vg = (value if isinstance(value, np.ndarray)
+                  and value.shape == shape
+                  else np.broadcast_to(value, shape)
+                  for value in (drain_voltage, gate_voltage))
+        vs = source_voltage if np.ndim(source_voltage) == 0 \
+            else np.broadcast_to(source_voltage, shape)
         return vd, vg, vs
 
     def _bond_rates(self, offsets, base, vd, vg, vs):
@@ -269,13 +297,20 @@ class AnalyticSETModel:
         """
         drain_in, source_in = self._in_energies(np.add.outer(offsets, base),
                                                 vd, vg, vs)
-        r_drain, r_source, _ = np.broadcast_arrays(
-            self.drain_resistance, self.source_resistance, vd)
-        rates = orthodox_rate_vec(
-            np.stack([drain_in, -drain_in, source_in, -source_in]).reshape(
-                (2, 2) + drain_in.shape),
-            np.stack([r_drain, r_source])[:, None, None], self.temperature)
-        (up_drain, down_drain), (up_source, down_source) = rates
+        delta = np.empty((2, 2) + drain_in.shape)
+        delta[0, 0] = drain_in
+        np.negative(drain_in, out=delta[0, 1])
+        delta[1, 0] = source_in
+        np.negative(source_in, out=delta[1, 1])
+        # One device's resistances fill the stack's shape, so the rate
+        # kernel broadcasts nothing; a batch's stay per-lead columns, which
+        # the kernel broadcasts as views rather than copies.
+        resistance = np.empty(delta.shape if not self.batched
+                              else (2, 1, 1) + drain_in.shape[1:])
+        resistance[0] = self.drain_resistance
+        resistance[1] = self.source_resistance
+        (up_drain, down_drain), (up_source, down_source) = orthodox_rate_vec(
+            delta, resistance, self.temperature)
         return up_drain, down_drain, up_source, down_source
 
     def _drain_current_array(self, drain_voltage, gate_voltage,
@@ -355,7 +390,9 @@ class AnalyticSETModel:
         One :func:`~repro.core.rates.orthodox_rate_vec`
         call evaluates every rate of the ``(lead, direction, bond)`` stack;
         the log-weights are cumulative sums of ``log(Gamma+ / Gamma-)``
-        outward from ``s``, normalised per point.
+        outward from ``s``, normalised per point.  Every sum over the
+        states adds them in order (:func:`_state_sum`), so a point's
+        results do not depend on the other points of the call.
 
         An exactly zero rate leading away from ``s`` cuts the chain: the
         states beyond it are unreachable and get probability 0.  A zero
@@ -384,40 +421,47 @@ class AnalyticSETModel:
         up_drain, down_drain, up_source, down_source = self._bond_rates(
             np.arange(-half_width, half_width, dtype=float), start, vd, vg,
             vs)
-        up = up_drain + up_source
-        down = down_drain + down_source
-
-        # Outward from the start: up the bonds above it, down those below.
-        outward = (up[half_width:], down[half_width - 1::-1])
-        inward = (down[half_width:], up[half_width - 1::-1])
-        log_weights = np.zeros((2 * half_width + 1,) + up.shape[1:])
-        reducible = np.zeros(up.shape[1:], dtype=bool)
-        sides = (log_weights[half_width + 1:],
-                 log_weights[half_width - 1::-1])
+        # The total rates away from the start and back towards it, one side
+        # per row: side 0 up the bonds above the start, side 1 down those
+        # below it.
+        away, back = np.empty((2, 2, half_width) + up_drain.shape[1:])
+        above, below = slice(half_width, None), slice(half_width - 1, None, -1)
+        np.add(up_drain[above], up_source[above], out=away[0])
+        np.add(down_drain[below], down_source[below], out=away[1])
+        np.add(down_drain[above], down_source[above], out=back[0])
+        np.add(up_drain[below], up_source[below], out=back[1])
+        # Running products and sums outward, bond by bond: numpy's own
+        # accumulate along a short middle axis costs far more per point.
         with np.errstate(divide="ignore", invalid="ignore"):
-            for away, back, side in zip(outward, inward, sides):
-                reached = np.logical_and.accumulate(away > 0.0, axis=0)
-                trapped = reached & (back <= 0.0)
-                reducible |= trapped.any(axis=0)
-                reached &= ~trapped
-                np.cumsum(np.where(reached, np.log(away / back), -np.inf),
-                          axis=0, out=side)
+            reached = away > 0.0
+            for bond in range(1, half_width):
+                reached[:, bond] &= reached[:, bond - 1]
+            trapped = reached & (back <= 0.0)
+            reached &= ~trapped
+            steps = np.where(reached, np.log(away / back), -np.inf)
+            for bond in range(1, half_width):
+                steps[:, bond] += steps[:, bond - 1]
+        log_weights = np.empty((2 * half_width + 1,) + up_drain.shape[1:])
+        log_weights[half_width] = 0.0
+        log_weights[half_width + 1:] = steps[0]
+        log_weights[half_width - 1::-1] = steps[1]
         log_weights -= log_weights.max(axis=0)
         probabilities = np.exp(log_weights)
-        probabilities /= probabilities.sum(axis=0)
+        probabilities /= _state_sum(probabilities)
 
         # The stationary current is the same through either junction: the
         # electrons leaving to the drain or arriving from the source.  The
         # junction with the larger resistance carries it with the least
         # cancellation between its forward and backward flows.
-        to_drain = (probabilities[1:] * down_drain
-                    - probabilities[:-1] * up_drain).sum(axis=0)
-        from_source = (probabilities[:-1] * up_source
-                       - probabilities[1:] * down_source).sum(axis=0)
+        to_drain = _state_sum(probabilities[1:] * down_drain
+                              - probabilities[:-1] * up_drain)
+        from_source = _state_sum(probabilities[:-1] * up_source
+                                 - probabilities[1:] * down_source)
         current = E_CHARGE * np.where(
             self.source_resistance > self.drain_resistance, from_source,
             to_drain)
-        return (current, probabilities[0] + probabilities[-1], reducible)
+        return (current, probabilities[0] + probabilities[-1],
+                trapped.any(axis=(0, 1)))
 
     def _window_current(self, centre: int, drain_voltage: float, gate_voltage: float,
                         source_voltage: float) -> float:

@@ -4,10 +4,11 @@ Each adapter wraps one existing backend without re-implementing any physics:
 
 * ``analytic`` — :class:`repro.compact.set_model.AnalyticSETModel`, whole
   sweeps in one broadcast ``drain_current_map`` call;
-* ``master`` — :class:`repro.master.steadystate.MasterEquationSolver`, whose
-  builder caches the transition structure so bound sessions refresh only
-  rate values between operating points; device batches run as one
-  closed-form birth-death chain per point;
+* ``master`` — the closed-form birth-death chain of
+  :meth:`repro.compact.set_model.AnalyticSETModel.chain_current` on an
+  automatic charge-state window (:func:`chain_currents`), for sessions and
+  device batches alike; reducible points fall back to
+  :class:`repro.master.steadystate.MasterEquationSolver`;
 * ``montecarlo`` — :class:`repro.montecarlo.simulator.MonteCarloSimulator`,
   warm-started sweeps carrying event tables and trajectory state across
   bias points, on the advance loop of :mod:`repro.montecarlo.jit` (numba,
@@ -27,6 +28,7 @@ these classes directly.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
@@ -277,60 +279,194 @@ class _CircuitSession(Session):
 # ======================================================================
 
 
-class MasterSession(_CircuitSession):
-    """Bound master-equation session: one solver, cached transition structure.
+def chain_half_width(model) -> np.ndarray:
+    """Half-width of the first chain window at each parameter point of ``model``.
 
-    The underlying :class:`~repro.master.steadystate.MasterEquationSolver`
-    builder caches its :class:`~repro.master.transitions.TransitionTable`
-    across operating points, so per-point :meth:`solve` calls refresh only
-    rate values, and :meth:`sweep` solves the whole gate axis as one stacked
-    batch through ``sweep_source``, bit-identical to the per-point loop it
-    replaced.  :meth:`stream` runs the same stacked solve block by block.
+    The charge distribution falls off about as ``exp(-(n - n_x)^2 E_C /
+    kT)``, so ``K >= 1 + sqrt(ln(1/tolerance) kT / E_C)`` states on each
+    side of the window centre leave less than
+    :data:`~repro.master.steadystate.BOUNDARY_MASS_TOLERANCE` on its
+    boundary; bias can spread the charge further, which the boundary check
+    of :func:`chain_currents` catches.  Never below ``3``.
+
+    Returns
+    -------
+    numpy.ndarray
+        Integer half-widths, of the broadcast shape of ``model``'s
+        temperature and capacitances.
+    """
+    from ..master.steadystate import BOUNDARY_MASS_TOLERANCE
+
+    thermal = BOLTZMANN * np.asarray(model.temperature) * 2.0 \
+        * model.total_capacitance / E_CHARGE ** 2
+    # Invalid parameters (NaN, negative) are left to the model's validation.
+    thermal = np.where(thermal > 0.0, thermal, 0.0)
+    return np.maximum(3, np.ceil(1.0 + np.sqrt(
+        -math.log(BOUNDARY_MASS_TOLERANCE) * thermal))).astype(int)
+
+
+def chain_currents(model, drains: np.ndarray, gates: np.ndarray,
+                   half_widths) -> Tuple[np.ndarray, np.ndarray]:
+    """Birth-death chain currents of single-island bias points.
+
+    The one windowed chain behind every ``master`` session and device
+    batch (:meth:`~repro.compact.set_model.AnalyticSETModel.chain_current`).
+    Each point starts on a window of ``2 K + 1`` states, ``K`` its entry of
+    ``half_widths`` (see :func:`chain_half_width`) capped at
+    :data:`~repro.master.statespace.MAX_STATES` states.  A point whose
+    boundary states hold more than
+    :data:`~repro.master.steadystate.BOUNDARY_MASS_TOLERANCE` is solved
+    again with ``K + 2``, only that point
+    (:func:`~repro.master.steadystate.widened_half`), until a wider window
+    would exceed ``MAX_STATES`` states, where one
+    ``master.window_truncated`` degradation per window size reports the
+    mass and the window is kept.  So a point's current depends on its own
+    bias and parameters only, never on the other points of the call.
+
+    Parameters
+    ----------
+    model:
+        An :class:`~repro.compact.set_model.AnalyticSETModel` whose
+        parameters are scalars or one value per point.
+    drains, gates:
+        Drain and gate voltage of each point, in volt (1-D).
+    half_widths:
+        First-window half-width: one for every point, or one per point.
+
+    Returns
+    -------
+    (numpy.ndarray, numpy.ndarray)
+        The currents in ampere, and the points whose chain is reducible,
+        whose currents are not meaningful.
+    """
+    from ..master.steadystate import (BOUNDARY_MASS_TOLERANCE, MAX_STATES,
+                                      widened_half)
+
+    currents = np.empty(gates.shape)
+    reducible = np.zeros(gates.shape, dtype=bool)
+    cap = (MAX_STATES - 1) // 2
+    if np.ndim(half_widths) == 0:
+        attempts = [(None, min(int(half_widths), cap))]
+    else:
+        half_widths = np.minimum(half_widths, cap)
+        values = np.unique(half_widths)
+        attempts = [(None if values.size == 1
+                     else np.flatnonzero(half_widths == half), int(half))
+                    for half in values]
+    while attempts:
+        points, half = attempts.pop()
+        at = slice(None) if points is None else points
+        currents[at], mass, reducible[at] = _model_at(
+            model, points).chain_current(drains[at], gates[at], half)
+        leaking = mass > BOUNDARY_MASS_TOLERANCE
+        if leaking.any() and (leaking := leaking & ~reducible[at]).any():
+            wider = widened_half(half, 1, mass[leaking], 2 * half + 1)
+            if wider is not None:
+                attempts.append((np.flatnonzero(leaking) if points is None
+                                 else points[leaking], wider))
+    return currents, reducible
+
+
+def _model_at(model, points: Optional[np.ndarray]):
+    """``model`` with its per-point parameters restricted to ``points``."""
+    if points is None:
+        return model
+    arrays = {field.name: value[points]
+              for field in dataclasses.fields(model)
+              if isinstance(value := getattr(model, field.name), np.ndarray)}
+    return dataclasses.replace(model, **arrays) if arrays else model
+
+
+class MasterSession(_CircuitSession):
+    """Bound master-equation session on the closed-form birth-death chain.
+
+    The bound SET is a single island, so under sequential tunnelling its
+    charge is a birth-death chain: :meth:`solve`, :meth:`sweep` and every
+    :meth:`stream` block run :func:`chain_currents` on the device's
+    compact-model twin, one rate call per window attempt for the whole
+    block.  A point's current does not depend on the block it is solved
+    in, so a stream, a sweep and per-point :meth:`solve` calls agree bit
+    for bit.  A point whose chain is reducible (a zero rate traps the mass
+    away from the window centre) is handed, on its own, to the stacked
+    solve of a :class:`~repro.master.steadystate.MasterEquationSolver`,
+    built on first use, which keeps the closed-class answer; so is every
+    point of a ``workers > 1`` sweep.
     """
 
     def __init__(self, device: SETTransistor, temperature: float,
                  background_charge: Optional[float] = None) -> None:
-        from ..master.steadystate import MasterEquationSolver
-
         super().__init__(MasterEngine.name, device, temperature,
                          background_charge)
-        self._solver = MasterEquationSolver(self._circuit,
-                                            temperature=self.temperature)
+        self._model = analytic_model_for(device, self.temperature,
+                                         self._bound_offset)
+        self._half = int(chain_half_width(self._model))
+        self._stack_solver = None
 
     def solve(self, bias: BiasPoint) -> Observables:
-        """Stationary drain current at one bias point (structure-reusing)."""
-        self._apply_bias(bias)
-        current = inject_value("master.current",
-                               float(self._solver.current(DRAIN_JUNCTION)))
+        """Stationary drain current at one bias point (a one-point chain)."""
+        model = self._model if bias.offset_charge is None else \
+            analytic_model_for(self.device, self.temperature,
+                               background_charge=bias.offset_charge)
+        (current,), (reducible,) = chain_currents(
+            model, np.array([bias.drain_voltage]),
+            np.array([bias.gate_voltage]), self._half)
+        if reducible:
+            self._apply_bias(bias)
+            (current,) = self._stacked_currents([bias.gate_voltage])
+        current = inject_value("master.current", float(current))
         return Observables(current=float(current), engine=self.engine_name)
 
     def _sweep(self, axes: SweepAxes, workers: int) -> SweepResult:
-        """Gate sweep as one stacked solve on the solver's ``sweep_source``.
+        """The gate axis as one chain batch.
 
-        ``workers`` processes partition the sweep points.
+        ``workers > 1`` splits the points over processes, each solving its
+        share on the stacked path of the solver's ``sweep_source``.
         """
-        self._begin_sweep(axes)
-        _, currents = self._solver.sweep_source(GATE_SOURCE, axes.gates,
-                                                DRAIN_JUNCTION,
-                                                workers=workers)
+        if workers > 1:
+            self._begin_sweep(axes)
+            currents = self._stacked_currents(axes.gates, workers)
+        else:
+            gates = axes.gates
+            currents, reducible = chain_currents(
+                self._model, np.full(gates.shape, axes.drain_voltage), gates,
+                self._half)
+            if reducible.any():
+                self._begin_sweep(axes)
+                currents[reducible] = self._stacked_currents(gates[reducible])
         return SweepResult(axes=axes, currents=currents, stderrs=None,
                            engine=self.engine_name)
+
+    def _stacked_currents(self, gates, workers: int = 1) -> np.ndarray:
+        """Drain currents of the circuit's stacked solve at ``gates``.
+
+        Each point is solved as in a sweep of the solver, started from its
+        window centre, whatever other points share the stack.
+        """
+        if self._stack_solver is None:
+            from ..master.steadystate import MasterEquationSolver
+
+            self._stack_solver = MasterEquationSolver(
+                self._circuit, temperature=self.temperature)
+        return self._stack_solver.sweep_source(GATE_SOURCE, gates,
+                                               DRAIN_JUNCTION,
+                                               workers=workers)[1]
 
     def stream(self, axes: SweepAxes, *,
                policy: Optional[FailurePolicy] = None,
                on_status: Optional[Callable[[PointRecord], None]] = None,
                ) -> Iterator[Tuple[float, Observables]]:
-        """Stream the sweep in stacked :meth:`sweep` blocks of doubling size.
+        """Stream the sweep in :meth:`sweep` blocks of doubling size.
 
         Blocks hold 1, 2, 4, ... points, at most
         :data:`~repro.resilience.execution.STREAM_BLOCK_POINTS`.  Each is
-        one stacked solve, so the streamed currents equal
-        ``self.sweep(axes).currents`` bit for bit.  The first point comes
-        out after a one-point solve, and a consumer that stops after ``k``
-        points has had fewer than ``2 k`` solved.  Under a ``policy`` a
-        clean block yields ``ok`` points and any other block is replayed
-        point by point through :meth:`solve` under the full policy (see
-        :func:`~repro.resilience.execution.stream_blocks_with_policy`).
+        one chain batch, and a point's current does not depend on its
+        block, so the streamed currents equal ``self.sweep(axes).currents``
+        bit for bit.  The first point comes out after a one-point chain,
+        and a consumer that stops after ``k`` points has had fewer than
+        ``2 k`` solved.  Under a ``policy`` a clean block yields ``ok``
+        points and any other block is replayed point by point through
+        :meth:`solve`, which runs the same chain, under the full policy
+        (see :func:`~repro.resilience.execution.stream_blocks_with_policy`).
 
         Parameters
         ----------
@@ -364,34 +500,38 @@ class MasterSession(_CircuitSession):
 class MasterEngine(Engine):
     """The exact sequential-tunnelling master equation as an engine.
 
-    Sessions solve the circuit's master equation on an automatic
-    charge-state window.  Device batches (:meth:`solve_devices`) skip the
-    per-row sessions: a single-island SET is a birth-death chain, solved in
-    closed form for the whole table at array cost.
+    Every device is a single-island SET, whose charge under sequential
+    tunnelling is a birth-death chain: sessions and device batches
+    (:meth:`solve_devices`) solve it in closed form on an automatic
+    charge-state window (:func:`chain_currents`).  Points whose chain is
+    reducible fall back to the circuit's master-equation solver.
     """
 
     name = "master"
 
     def capabilities(self) -> EngineCapabilities:
-        """Exact-sequential, deterministic, structure-reusing sweeps."""
+        """Exact-sequential, deterministic, closed-form sweeps."""
         return EngineCapabilities(
             name=self.name,
             exactness=EXACTNESS_EXACT_SEQUENTIAL,
             stochastic=False,
             supports_ensemble=False,
-            # A stacked sweep point: BENCH_master.json small_window runs
-            # 43 455 sweep points/s (129-point sweep, 7-state window).
+            # Not the chain's measured cost: one per-point figure cannot
+            # price a one-point solve, a sweep point and a batch row, and
+            # a figure below the analytic engine's would make
+            # select_engine("auto", approximate=True) pick master.  That
+            # choice waits for per-shape costs (ROADMAP items 5 and 6).
             cost=CostModel(setup_s=5e-3, per_point_s=2.3e-5),
             description="exact sequential tunnelling on a charge-state "
-                        "window; sparse structure-reusing sweeps; the "
-                        "correctness reference")
+                        "window; closed-form birth-death chain sweeps; "
+                        "the correctness reference")
 
     def bind(self, device: SETTransistor, *, temperature: float,
              seed: Optional[int] = None,
              background_charge: Optional[float] = None,
              max_events: int = 20_000, warmup_events: int = 1_000,
              replicas: int = 0) -> MasterSession:
-        """Bind a solver-carrying session (stochastic knobs ignored)."""
+        """Bind a chain session (stochastic knobs ignored)."""
         return MasterSession(device, temperature,
                              background_charge=background_charge)
 
@@ -400,59 +540,26 @@ class MasterEngine(Engine):
                       replicas: int = 0) -> np.ndarray:
         """The whole batch as one closed-form birth-death chain per point.
 
-        A single-island SET under sequential tunnelling is a birth-death
-        chain on the island charge, so each point's stationary state
-        follows from rate ratios alone
-        (:meth:`~repro.compact.set_model.AnalyticSETModel.chain_current`
-        on the batched twin of :func:`analytic_model_for_table`).  The
-        window handling mirrors a session's automatic window:
-
-        * ``2 K + 1`` states, with ``K`` from the table's largest
-          ``kT / E_C``; points whose boundary states hold more than
-          :data:`~repro.master.steadystate.BOUNDARY_MASS_TOLERANCE` are
-          solved again with ``K + 2``, only those points, until a wider
-          window would exceed :data:`~repro.master.statespace.MAX_STATES`
-          states, where one ``master.window_truncated`` degradation
-          reports the mass;
-        * a row with a reducible point (a zero rate that traps mass away
-          from the start state) is solved by the per-row session loop of
-          :meth:`Engine.solve_devices`, so it keeps the closed-class answer
-          bit for bit.
-
-        Every other point is within ``1e-12`` of its row's peak current
-        of an exact solution of the chain's rates.  Per-row sessions agree
-        to that on most devices; their dense solve forms the current as a
-        difference of larger junction flows and is off by up to ~1e-11 of
-        peak on random devices and ~1e-9 at a junction resistance ratio of
-        1000 with ``kT >> e|V_d|`` (see PERFORMANCE.md, "Exact
-        single-island tier").  See :meth:`Engine.solve_devices` for the
-        parameters.
+        Each point runs :func:`chain_currents` on the batched twin of
+        :func:`analytic_model_for_table`, with the window of its own row,
+        so a row's currents are bit-identical to a :meth:`bind` +
+        ``solve`` of its points, and do not depend on the other rows of
+        the table.  A row with a reducible point (a zero rate that traps
+        mass away from the start state) is solved by the per-row session
+        loop of :meth:`Engine.solve_devices`, whose sessions hand that
+        point to the circuit's master-equation solver.  Every other point
+        is within ``1e-12`` of its row's peak current of an exact solution
+        of the chain's rates (see PERFORMANCE.md, "Exact single-island
+        tier").  See :meth:`Engine.solve_devices` for the parameters.
         """
-        from ..master.steadystate import (BOUNDARY_MASS_TOLERANCE,
-                                          MAX_STATES, widened_half)
-
         gates, drains = _bias_grid(table, gates, drains)
-        currents = np.empty(gates.shape)
-        if not currents.size:
-            return currents
-        flat = currents.reshape(-1)
+        if not gates.size:
+            return np.empty(gates.shape)
         rows = np.repeat(np.arange(len(table)), gates.shape[1])
-        gate_points, drain_points = gates.ravel(), drains.ravel()
-        reducible = np.zeros(flat.size, dtype=bool)
-        half = min(_chain_half_width(table, BOUNDARY_MASS_TOLERANCE),
-                   (MAX_STATES - 1) // 2)
-        pending = np.arange(flat.size)
-        while pending.size:
-            model = analytic_model_for_table(table, rows[pending])
-            flat[pending], mass, reducible[pending] = model.chain_current(
-                drain_points[pending], gate_points[pending], half)
-            leaking = (mass > BOUNDARY_MASS_TOLERANCE) & ~reducible[pending]
-            pending = pending[leaking]
-            if pending.size:
-                wider = widened_half(half, 1, mass[leaking], 2 * half + 1)
-                if wider is None:
-                    break
-                half = wider
+        model = analytic_model_for_table(table, rows)
+        currents, reducible = chain_currents(
+            model, drains.ravel(), gates.ravel(), chain_half_width(model))
+        currents = currents.reshape(gates.shape)
         fallback = np.unique(rows[reducible])
         if fallback.size:
             currents[fallback] = super().solve_devices(
@@ -460,22 +567,6 @@ class MasterEngine(Engine):
                 max_events=max_events, warmup_events=warmup_events,
                 replicas=replicas)
         return currents
-
-
-def _chain_half_width(table: DeviceTable, tolerance: float) -> int:
-    """Half-width of the first chain window for a device table.
-
-    The charge distribution falls off about as ``exp(-(n - n_x)^2 E_C /
-    kT)``, so a window of ``K >= 1 + sqrt(ln(1/tolerance) kT / E_C)``
-    states on each side leaves less than ``tolerance`` on its boundary at
-    the table's largest ``kT / E_C``; bias can spread the charge further,
-    which the boundary check catches.  Never below a session's ``3``.
-    """
-    thermal = BOLTZMANN * table.temperature * 2.0 \
-        * table.total_capacitance / E_CHARGE ** 2
-    # Invalid rows (NaN, negative) are left to the model's validation.
-    largest = float(np.max(thermal, where=thermal > 0.0, initial=0.0))
-    return max(3, math.ceil(1.0 + math.sqrt(-math.log(tolerance) * largest)))
 
 
 # ======================================================================
@@ -608,4 +699,6 @@ __all__ = [
     "MonteCarloSession",
     "analytic_model_for",
     "analytic_model_for_table",
+    "chain_currents",
+    "chain_half_width",
 ]

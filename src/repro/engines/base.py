@@ -629,8 +629,8 @@ class Session(abc.ABC):
         """The engine's fast-path gate sweep (see :meth:`sweep`).
 
         Every adapter keeps this on the backend's structure-reusing
-        machinery: one broadcast evaluation for the analytic model, a
-        stacked solve for the master equation, and warm-started
+        machinery: one broadcast evaluation for the analytic model, one
+        birth-death chain batch for the master equation, and warm-started
         (optionally replica-batched) sweeps for the Monte-Carlo family.
         """
 
@@ -644,7 +644,7 @@ class Session(abc.ABC):
         :meth:`solve` — consumers see partial results immediately (progress
         bars, early stopping) while still profiting from whatever warm
         state :meth:`solve` reuses.  Engines may stream in larger steps:
-        the master session solves stacked blocks of 1, 2, 4, ... points
+        the master session solves chain blocks of 1, 2, 4, ... points
         through :meth:`sweep` (see
         :meth:`repro.engines.adapters.MasterSession.stream`).
 

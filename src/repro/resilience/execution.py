@@ -83,9 +83,9 @@ from .policy import (
 
 
 #: Largest block :func:`stream_blocks` hands out: it bounds the work between
-#: two yields (~2 ms for 64 points of the reference SET).  A 129-point axis
-#: runs 8 stacked solves (1, 2, ..., 64, 2), as many as with no cap; a
-#: 513-point axis pays ~1.5x the uncapped stream's time.
+#: two yields (~0.25 ms for 64 points of the reference SET on the master
+#: chain).  A 129-point axis runs 8 blocks (1, 2, ..., 64, 2), as many as
+#: with no cap.
 STREAM_BLOCK_POINTS = 64
 
 #: Statuses of points a failure policy abandoned (they spend the budget).

@@ -108,14 +108,17 @@ class TestFallbackEvidence:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sparse_fallback_marks_master_points_degraded(
             self, monkeypatch, workers):
-        # At T = 0 and a -10 mV drain this offset makes the chain at gate 0
-        # reducible (see test_exact_tier), so each row is solved by
-        # per-row sessions; the on point conducts, so their sparse solve
-        # factorises a generator block.
+        # At T = 0 and a -60 mV drain this offset puts the source junction
+        # exactly at degeneracy in state 0 at gate 0 (as in test_exact_tier
+        # at -10 mV): 0 -> 1 has a rate and 1 -> 0 has none, so the chain
+        # is reducible and the point goes to the master-equation solver.
+        # Past -40 mV the drain also feeds 1 -> 2, so the mass settles in
+        # a conducting class {1, 2}, whose sparse solve factorises a
+        # generator block.
         monkeypatch.setattr(steadystate, "DENSE_STATE_CUTOFF", 0)
         spec = make_spec(engine="master", temperature=0.0,
-                         drain_voltage=-0.010000000000000018,
-                         device={"background_charge": 9.010883170000001e-20},
+                         drain_voltage=-0.06,
+                         device={"background_charge": 1.401088317e-19},
                          on_gate_fraction=0.94,
                          axes=[{"parameter": "gate_capacitance",
                                 "start": 2e-18, "stop": 3e-18,

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compact.set_model import AnalyticSETModel
 from repro.devices import SETTransistor
 from repro.engines import SweepAxes, get_engine
 from repro.errors import ValidationError
-from repro.master.steadystate import MasterEquationSolver
 from repro.resilience import STATUS_OK, FailurePolicy
 from repro.resilience.execution import STREAM_BLOCK_POINTS, stream_blocks
 
@@ -37,15 +37,15 @@ def streamed(session, axes, **options):
 
 @pytest.fixture
 def stacked_points(monkeypatch):
-    """Points reaching ``MasterEquationSolver._solve_stack``, per call."""
+    """Points reaching ``AnalyticSETModel.chain_current``, per call."""
     counts = []
-    original = MasterEquationSolver._solve_stack
+    original = AnalyticSETModel.chain_current
 
-    def counted(self, voltages, *args, **kwargs):
-        counts.append(len(voltages))
-        return original(self, voltages, *args, **kwargs)
+    def counted(self, drain_voltage, gate_voltage, *args, **kwargs):
+        counts.append(len(gate_voltage))
+        return original(self, drain_voltage, gate_voltage, *args, **kwargs)
 
-    monkeypatch.setattr(MasterEquationSolver, "_solve_stack", counted)
+    monkeypatch.setattr(AnalyticSETModel, "chain_current", counted)
     return counts
 
 

@@ -11,8 +11,8 @@ per-device ``bind`` + ``solve`` path it replaces:
   ``T = 0`` rows);
 * the default ``solve_devices`` loop *is* the per-row path, so
   ``montecarlo`` returns bit-identical currents; ``master``'s closed-form
-  chain stays within the sessions' own rounding of them
-  (``test_exact_tier.SESSION_BOUND`` of each row's peak);
+  chain runs in its sessions too, so it matches them within
+  ``test_exact_tier.SESSION_BOUND`` (0: bit for bit);
 * batched tolerance deviations equal :meth:`ToleranceModel.sample_device`
   value for value;
 * a batched scan classifies every point as per-point constraint

@@ -9,8 +9,9 @@ sessions.  These tests pin:
   polarity) it is within ``1e-12`` of each row's peak current of an exact
   rational solution of the same rates;
 * its agreement with the per-row ``bind`` + ``solve`` path on the same
-  devices, within the sessions' own rounding (:data:`SESSION_BOUND`), and
-  rows that fall back to sessions bit for bit;
+  devices, bit for bit (:data:`SESSION_BOUND`): sessions run the same
+  chain, and rows that fall back to them are theirs;
+* a row's currents do not depend on the other rows of its table;
 * a reducible chain (a zero rate trapping mass away from the start state)
   falls back, bit for bit;
 * each window attempt makes one rate-kernel call, and a window that would
@@ -45,17 +46,13 @@ from repro.scenarios.registry import get_scenario
 BOUND = 1e-12
 
 #: Agreement of the chain with per-row sessions, relative to a row's peak.
-#: Sessions are the less accurate side.  A session forms the current as
-#: the difference of the one-way flows through the drain junction, solved
-#: with a dense LU; those flows exceed the net current by up to the
-#: junction resistance ratio times ``kT / e|V_d|``, and so does the
-#: rounding.  Both tiers also read ``1 - exp(dF/kT)`` off the rate kernel
-#: at free-energy changes that differ in the last bit, which near ``dF = 0``
-#: makes their rates differ by ~1e-16 kT/|dF|.  Measured over these ranges:
-#: up to 1.2e-11 on 1 500 random rows and 9.2e-10 at the corner (resistance
-#: ratio 1000, ``kT/E_C = 3``, 1 mV drain), where the chain stays within
-#: 1e-14 of the exact solution.
-SESSION_BOUND = 5e-9
+#: Sessions solve each point on the same windowed chain, and a point's
+#: current does not depend on the batch it is solved in, so the two agree
+#: exactly.  (Sessions used to solve a dense master equation, whose
+#: current is a difference of larger junction flows: up to 1.2e-11 of peak
+#: on random rows and 9.2e-10 at a junction resistance ratio of 1000 with
+#: kT/E_C = 3 and a 1 mV drain, where this bound was 5e-9.)
+SESSION_BOUND = 0.0
 
 
 def per_row(table, gates, drains):
@@ -273,6 +270,28 @@ def kernel_calls(function):
                               autospec=True, side_effect=chain) as attempts:
         function()
     return attempts.call_count, kernel.call_count
+
+
+def test_a_row_solves_alike_alone_and_in_a_table():
+    # kT/E_C from 0.5 to 3: first windows of 11 to 23 states, where a
+    # one-point batch's state sums used to round differently from a wider
+    # batch's, and where the table's hottest row used to size every row's
+    # window.
+    rng = np.random.default_rng(2024)
+    count = 40
+    table = table_at(
+        SETTransistor(background_charge=0.13 * E_CHARGE),
+        {"gate_capacitance": rng.uniform(1e-18, 3e-18, count),
+         "junction_resistance": rng.uniform(1e5, 1e7, count)},
+        rng.uniform(0.5, 3.0, count))
+    gates = (rng.uniform(-1.0, 1.5, count) * table.gate_period)[:, None]
+    drains = rng.uniform(-0.08, 0.08, (count, 1))
+    engine = get_engine("master")
+    together = engine.solve_devices(table, gates, drains)
+    for row in range(count):
+        alone = engine.solve_devices(table.take([row]), gates[row:row + 1],
+                                     drains[row:row + 1])
+        np.testing.assert_array_equal(alone[0], together[row])
 
 
 class TestWindow:

@@ -14,9 +14,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.compact.set_model import AnalyticSETModel
 from repro.devices import SETTransistor
 from repro.engines import SweepAxes, get_engine
-from repro.master.steadystate import MasterEquationSolver
 from repro.resilience import (
     STATUS_DEGRADED,
     STATUS_FAILED,
@@ -137,16 +137,16 @@ def test_budget_spent_in_one_block_skips_the_clean_ones(device, axes):
 
 @pytest.fixture
 def degrading_point(monkeypatch, axes):
-    """Every stacked solve holding ``axes`` point 5 emits one degradation."""
+    """Every chain batch holding ``axes`` point 5 emits one degradation."""
     target = axes.gate_voltages[5]
-    original = MasterEquationSolver._solve_stack
+    original = AnalyticSETModel.chain_current
 
-    def degrading(self, voltages, *args, **kwargs):
-        if np.any(voltages == target):
+    def degrading(self, drain_voltage, gate_voltage, *args, **kwargs):
+        if np.any(gate_voltage == target):
             emit_degradation("test.site", "fallback:test", "point 5")
-        return original(self, voltages, *args, **kwargs)
+        return original(self, drain_voltage, gate_voltage, *args, **kwargs)
 
-    monkeypatch.setattr(MasterEquationSolver, "_solve_stack", degrading)
+    monkeypatch.setattr(AnalyticSETModel, "chain_current", degrading)
     return 5
 
 
