@@ -1,8 +1,9 @@
 """Pinned digests of seeded master-equation point solves and sweeps.
 
 ``test_worker_digests.py`` pins the ``workers=2`` sweeps; this file pins the
-in-process paths that share the per-point routine with them: the engine
-``stream``, :meth:`MasterEquationSolver.solve` (currents and probabilities),
+engine ``stream`` (the session's birth-death chain) and the in-process
+solver paths that share the per-point routine with the worker sweeps:
+:meth:`MasterEquationSolver.solve` (currents and probabilities),
 low-temperature sweeps whose chains are reducible (uphill rates underflow
 to zero, so the stationary state depends on the start state) and a dense
 double-dot window.  Every master output is deterministic, so these digests
@@ -25,7 +26,7 @@ from ..conftest import build_double_dot_circuit
 #: SHA-256 of the result arrays' bytes.
 PINNED_DIGESTS = {
     "stream":
-        "c1508f2250433df24a9aa182cf435447df39089d5895b4fe5f0b36b6d68d09ad",
+        "4dfa391d0d31d5ae5a55bcb14791a0ef41449ed2d58a84f856fe4be668660750",
     "solve":
         "c7df60a3274c68b270f6833b71d1ba119d37d632792cf0db2a90fb89043d00d5",
     "reducible.sweep_source":
