@@ -64,7 +64,7 @@ from repro.engines import (
     register_engine,
     unregister_engine,
 )
-from repro.engines.adapters import chain_currents, chain_half_width
+from repro.engines.adapters import chain_currents
 from repro.montecarlo import MonteCarloSimulator
 
 try:
@@ -103,7 +103,7 @@ def direct_master(device, gates):
     """Compact-model twin plus one windowed chain (no reducible point here)."""
     model = analytic_model_for(device, TEMPERATURE)
     currents, _ = chain_currents(model, np.full(gates.shape, DRAIN_VOLTAGE),
-                                 gates, int(chain_half_width(model)))
+                                 gates)
     return currents
 
 

@@ -29,6 +29,7 @@ these classes directly.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
@@ -244,8 +245,8 @@ class AnalyticEngine(Engine):
 class _CircuitSession(Session):
     """Shared base for sessions that drive a bound :class:`Circuit`.
 
-    Owns the one circuit built at bind time and the bias bookkeeping every
-    circuit-backed engine needs: moving to a :class:`BiasPoint` (including
+    Owns the one circuit of the session, built on first use, and the bias
+    bookkeeping every circuit-backed engine needs: moving to a :class:`BiasPoint` (including
     per-point island offsets) and restoring the bound offset before a
     sweep, so a prior offset-probing ``solve`` can never leak into later
     sweeps.
@@ -257,8 +258,11 @@ class _CircuitSession(Session):
         super().__init__(engine_name, device, temperature, background_charge)
         self._bound_offset = device.background_charge \
             if background_charge is None else float(background_charge)
-        self._circuit = device.build_circuit(
-            background_charge=self._bound_offset)
+
+    @functools.cached_property
+    def _circuit(self):
+        """The bound circuit, built on first use."""
+        return self.device.build_circuit(background_charge=self._bound_offset)
 
     def _apply_bias(self, bias: BiasPoint) -> None:
         """Move the bound circuit to ``bias`` (gate, drain, island offset)."""
@@ -279,7 +283,7 @@ class _CircuitSession(Session):
 # ======================================================================
 
 
-def chain_half_width(model) -> np.ndarray:
+def _chain_half_width(model):
     """Half-width of the first chain window at each parameter point of ``model``.
 
     The charge distribution falls off about as ``exp(-(n - n_x)^2 E_C /
@@ -291,28 +295,30 @@ def chain_half_width(model) -> np.ndarray:
 
     Returns
     -------
-    numpy.ndarray
-        Integer half-widths, of the broadcast shape of ``model``'s
-        temperature and capacitances.
+    int or numpy.ndarray
+        The half-width of a model with scalar parameters, else integer
+        half-widths of the broadcast shape of its temperature and
+        capacitances.
     """
     from ..master.steadystate import BOUNDARY_MASS_TOLERANCE
 
-    thermal = BOLTZMANN * np.asarray(model.temperature) * 2.0 \
+    # The model's validation keeps kT / E_C finite and non-negative.
+    thermal = BOLTZMANN * model.temperature * 2.0 \
         * model.total_capacitance / E_CHARGE ** 2
-    # Invalid parameters (NaN, negative) are left to the model's validation.
-    thermal = np.where(thermal > 0.0, thermal, 0.0)
-    return np.maximum(3, np.ceil(1.0 + np.sqrt(
-        -math.log(BOUNDARY_MASS_TOLERANCE) * thermal))).astype(int)
+    spread = -math.log(BOUNDARY_MASS_TOLERANCE) * thermal
+    if not model.batched:
+        return max(3, math.ceil(1.0 + math.sqrt(spread)))
+    return np.maximum(3, np.ceil(1.0 + np.sqrt(spread))).astype(int)
 
 
-def chain_currents(model, drains: np.ndarray, gates: np.ndarray,
-                   half_widths) -> Tuple[np.ndarray, np.ndarray]:
+def chain_currents(model, drains: np.ndarray,
+                   gates: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Birth-death chain currents of single-island bias points.
 
     The one windowed chain behind every ``master`` session and device
     batch (:meth:`~repro.compact.set_model.AnalyticSETModel.chain_current`).
-    Each point starts on a window of ``2 K + 1`` states, ``K`` its entry of
-    ``half_widths`` (see :func:`chain_half_width`) capped at
+    Each point starts on a window of ``2 K + 1`` states, ``K`` growing
+    with ``kT / E_C`` of its parameters, capped at
     :data:`~repro.master.statespace.MAX_STATES` states.  A point whose
     boundary states hold more than
     :data:`~repro.master.steadystate.BOUNDARY_MASS_TOLERANCE` is solved
@@ -330,8 +336,6 @@ def chain_currents(model, drains: np.ndarray, gates: np.ndarray,
         parameters are scalars or one value per point.
     drains, gates:
         Drain and gate voltage of each point, in volt (1-D).
-    half_widths:
-        First-window half-width: one for every point, or one per point.
 
     Returns
     -------
@@ -345,8 +349,9 @@ def chain_currents(model, drains: np.ndarray, gates: np.ndarray,
     currents = np.empty(gates.shape)
     reducible = np.zeros(gates.shape, dtype=bool)
     cap = (MAX_STATES - 1) // 2
-    if np.ndim(half_widths) == 0:
-        attempts = [(None, min(int(half_widths), cap))]
+    half_widths = _chain_half_width(model)
+    if isinstance(half_widths, int):
+        attempts = [(None, min(half_widths, cap))]
     else:
         half_widths = np.minimum(half_widths, cap)
         values = np.unique(half_widths)
@@ -389,8 +394,7 @@ class MasterSession(_CircuitSession):
     for bit.  A point whose chain is reducible (a zero rate traps the mass
     away from the window centre) is handed, on its own, to the stacked
     solve of a :class:`~repro.master.steadystate.MasterEquationSolver`,
-    built on first use, which keeps the closed-class answer; so is every
-    point of a ``workers > 1`` sweep.
+    built on first use, which keeps the closed-class answer.
     """
 
     def __init__(self, device: SETTransistor, temperature: float,
@@ -399,7 +403,6 @@ class MasterSession(_CircuitSession):
                          background_charge)
         self._model = analytic_model_for(device, self.temperature,
                                          self._bound_offset)
-        self._half = int(chain_half_width(self._model))
         self._stack_solver = None
 
     def solve(self, bias: BiasPoint) -> Observables:
@@ -409,7 +412,7 @@ class MasterSession(_CircuitSession):
                                background_charge=bias.offset_charge)
         (current,), (reducible,) = chain_currents(
             model, np.array([bias.drain_voltage]),
-            np.array([bias.gate_voltage]), self._half)
+            np.array([bias.gate_voltage]))
         if reducible:
             self._apply_bias(bias)
             (current,) = self._stacked_currents([bias.gate_voltage])
@@ -419,20 +422,17 @@ class MasterSession(_CircuitSession):
     def _sweep(self, axes: SweepAxes, workers: int) -> SweepResult:
         """The gate axis as one chain batch.
 
-        ``workers > 1`` splits the points over processes, each solving its
-        share on the stacked path of the solver's ``sweep_source``.
+        Only the reducible points reach the solver; ``workers > 1`` splits
+        them over processes, and each point is solved alike wherever it
+        runs, so the currents do not depend on ``workers``.
         """
-        if workers > 1:
+        gates = axes.gates
+        currents, reducible = chain_currents(
+            self._model, np.full(gates.shape, axes.drain_voltage), gates)
+        if reducible.any():
             self._begin_sweep(axes)
-            currents = self._stacked_currents(axes.gates, workers)
-        else:
-            gates = axes.gates
-            currents, reducible = chain_currents(
-                self._model, np.full(gates.shape, axes.drain_voltage), gates,
-                self._half)
-            if reducible.any():
-                self._begin_sweep(axes)
-                currents[reducible] = self._stacked_currents(gates[reducible])
+            currents[reducible] = self._stacked_currents(gates[reducible],
+                                                         workers)
         return SweepResult(axes=axes, currents=currents, stderrs=None,
                            engine=self.engine_name)
 
@@ -557,8 +557,8 @@ class MasterEngine(Engine):
             return np.empty(gates.shape)
         rows = np.repeat(np.arange(len(table)), gates.shape[1])
         model = analytic_model_for_table(table, rows)
-        currents, reducible = chain_currents(
-            model, drains.ravel(), gates.ravel(), chain_half_width(model))
+        currents, reducible = chain_currents(model, drains.ravel(),
+                                             gates.ravel())
         currents = currents.reshape(gates.shape)
         fallback = np.unique(rows[reducible])
         if fallback.size:
@@ -700,5 +700,4 @@ __all__ = [
     "analytic_model_for",
     "analytic_model_for_table",
     "chain_currents",
-    "chain_half_width",
 ]

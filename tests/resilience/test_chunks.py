@@ -141,6 +141,20 @@ def _gates(device, count):
     return np.linspace(0.0, device.gate_period, count)
 
 
+def _reducible_master_sweep():
+    """A cold master session and an axis whose gate-0 points are reducible.
+
+    At T = 0 and a -60 mV drain this offset puts the source junction of
+    the default SET exactly at degeneracy at gate 0 (see
+    test_chaos_design): the chain is reducible there, so the session hands
+    those points, and only those, to its solver's ``workers=N`` fan-out,
+    whose conducting class {1, 2} factorises a generator block.
+    """
+    device = SETTransistor(background_charge=1.401088317e-19)
+    session = get_engine("master").bind(device, temperature=0.0)
+    return session, SweepAxes([0.0, 0.01, 0.0, 0.02, 0.0], -0.06)
+
+
 def _design_scan(device):
     DeviceScan(make_spec()).run(workers=2)
 
@@ -171,12 +185,14 @@ class TestEveryCallerSharesOnePool:
             run(device)
 
     def test_policed_session_sweep_recovers_serially_with_one_event(
-            self, fork_pool, monkeypatch, device):
-        axes = SweepAxes(_gates(device, 4), 2e-3)
-        serial = get_engine("master").bind(device, temperature=1.0).sweep(
-            axes)
+            self, fork_pool, monkeypatch):
+        # The recovered sweep, the clean pool sweep and the serial sweep
+        # give the same bits: the worker count never changes a point.
+        session, axes = _reducible_master_sweep()
+        serial = session.sweep(axes)
+        assert np.array_equal(session.sweep(axes, workers=2).currents,
+                              serial.currents)
         monkeypatch.setattr(chunks, "_attempt", _crash_worker_on_chunk_one)
-        session = get_engine("master").bind(device, temperature=1.0)
         with capture_degradations() as events:
             recovered = session.sweep(axes, workers=2,
                                       policy=FailurePolicy())
@@ -198,8 +214,7 @@ class TestEveryCallerSharesOnePool:
 class TestWorkerDegradationEvidence:
     """A fallback taken inside a pool worker reaches the parent's policy."""
 
-    def policed_statuses(self, session, device, site):
-        axes = SweepAxes(_gates(device, 4), 2e-3)
+    def policed_statuses(self, session, axes, site):
         chaos = FaultInjector()
         chaos.arm(site, error=RuntimeError("injected"), times=None)
         with chaos, capture_degradations() as events:
@@ -208,10 +223,10 @@ class TestWorkerDegradationEvidence:
         return {record.status for record in result.statuses}
 
     def test_master_sparse_fallback_in_a_worker_is_degraded(
-            self, monkeypatch, device):
+            self, monkeypatch):
         monkeypatch.setattr(steadystate, "DENSE_STATE_CUTOFF", 0)
-        session = get_engine("master").bind(device, temperature=1.0)
-        assert self.policed_statuses(session, device,
+        session, axes = _reducible_master_sweep()
+        assert self.policed_statuses(session, axes,
                                      "steadystate.splu") == {STATUS_DEGRADED}
 
     @pytest.mark.skipif(not jit_compiled(),
@@ -220,7 +235,8 @@ class TestWorkerDegradationEvidence:
         session = get_engine("montecarlo").bind(
             device, temperature=1.0, seed=5, max_events=100,
             warmup_events=10)
-        assert self.policed_statuses(session, device,
+        axes = SweepAxes(_gates(device, 4), 2e-3)
+        assert self.policed_statuses(session, axes,
                                      "jit.run_compiled") == {STATUS_DEGRADED}
 
 
