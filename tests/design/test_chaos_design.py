@@ -105,20 +105,19 @@ class TestFallbackEvidence:
         assert set(degraded.statuses) == {"degraded"}
         assert np.array_equal(degraded.verdicts, clean.verdicts)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_sparse_fallback_marks_master_points_degraded(
-            self, monkeypatch, workers):
-        # At T = 0 and a -60 mV drain this offset puts the source junction
-        # exactly at degeneracy in state 0 at gate 0 (as in test_exact_tier
-        # at -10 mV): 0 -> 1 has a rate and 1 -> 0 has none, so the chain
-        # is reducible and the point goes to the master-equation solver.
-        # Past -40 mV the drain also feeds 1 -> 2, so the mass settles in
-        # a conducting class {1, 2}, whose sparse solve factorises a
-        # generator block.
+    @staticmethod
+    def scan_under_failing_splu(monkeypatch, workers, drain, offset):
+        """A T = 0 master scan, clean and with every ``splu`` failing.
+
+        ``offset`` puts the source junction exactly at degeneracy in
+        state 0 at gate 0: 0 -> 1 has a rate and 1 -> 0 has none, so the
+        chain there is reducible and that point, alone, goes to the
+        master-equation solver (see test_exact_tier).
+        """
         monkeypatch.setattr(steadystate, "DENSE_STATE_CUTOFF", 0)
         spec = make_spec(engine="master", temperature=0.0,
-                         drain_voltage=-0.06,
-                         device={"background_charge": 1.401088317e-19},
+                         drain_voltage=drain,
+                         device={"background_charge": offset},
                          on_gate_fraction=0.94,
                          axes=[{"parameter": "gate_capacitance",
                                 "start": 2e-18, "stop": 3e-18,
@@ -131,9 +130,31 @@ class TestFallbackEvidence:
         with chaos, capture_degradations() as events:
             degraded = DeviceScan(spec, policy=FailurePolicy()).run(
                 workers=workers)
-        assert "steadystate.splu" in {event.site for event in events}
-        assert set(degraded.statuses) == {"degraded"}
         assert np.array_equal(degraded.verdicts, clean.verdicts)
+        return {event.site for event in events}, set(degraded.statuses)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sparse_fallback_marks_master_points_degraded(
+            self, monkeypatch, workers):
+        # Past -40 mV the drain also feeds 1 -> 2, so the mass settles in a
+        # conducting class {1, 2}, whose sparse solve factorises a
+        # generator block.
+        sites, statuses = self.scan_under_failing_splu(
+            monkeypatch, workers, -0.06, 1.401088317e-19)
+        assert "steadystate.splu" in sites
+        assert statuses == {"degraded"}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_absorbing_fallback_state_needs_no_factorisation(
+            self, monkeypatch, workers):
+        # At -10 mV the mass is trapped in state 1 alone: the solver's
+        # one-state class needs no factorisation, and the chain solves
+        # every other point, so a failing splu leaves the scan clean.
+        sites, statuses = self.scan_under_failing_splu(
+            monkeypatch, workers, -0.010000000000000018,
+            9.010883170000001e-20)
+        assert not sites
+        assert statuses == {"ok"}
 
 
 class TestPointDegradation:
