@@ -30,10 +30,11 @@ raises unless each evaluation makes exactly one.
 An exact-tier row (``exact_tier``) times ``MasterEngine.solve_devices``
 (one closed-form birth-death chain per point) over the big grid's devices
 at their on/off biases, in blocks of the grid's chunk size, in-process.
-It records the largest deviation from per-row ``master`` sessions on a
-random subsample of rows, as a fraction of each row's peak current, the
-sessions' own rate on that subsample, and the rate-kernel calls per
-block, raising above one.
+It records the largest deviation from an independent reference, the
+stacked solve of ``MasterEquationSolver.sweep_source`` on each row's
+circuit, over a random subsample of rows, as a fraction of each row's
+peak current; the solver's own rate on that subsample; and the
+rate-kernel calls per block, raising above one.
 
 Results go to ``BENCH_design.json``.
 
@@ -64,10 +65,11 @@ import numpy as np
 from repro.compact import AnalyticSETModel, set_model
 from repro.design import DesignSpec, DeviceScan, FeasibilityMap
 from repro.devices import SETTransistor
+from repro.devices.set_transistor import DRAIN_JUNCTION, GATE_SOURCE
 from repro.engines import DeviceTable, get_engine
-from repro.engines.base import Engine
 from repro.errors import FaultInjected
 from repro.io.results import ResultCache, source_digest
+from repro.master import MasterEquationSolver
 from repro.resilience import FaultInjector
 
 try:
@@ -89,7 +91,7 @@ BATCH_ROWS = 512
 SMALL_CALLS = 200
 SMALL_REPEATS = 5
 
-#: Rows of the big grid checked against per-row sessions.
+#: Rows of the big grid checked against the master-equation solver.
 EXACT_SUBSAMPLE = 48
 
 #: Constraint set of every benchmark scan; ``on_off_ratio`` forces the
@@ -376,10 +378,12 @@ def measure_exact_tier() -> dict:
     elapsed = time.perf_counter() - start
     rows = np.random.default_rng(7).choice(
         len(table), min(EXACT_SUBSAMPLE, len(table)), replace=False)
-    sample = table.take(rows)
     start = time.perf_counter()
-    looped = Engine.solve_devices(engine, sample, gates[rows], drain)
-    session_s = time.perf_counter() - start
+    looped = np.array([MasterEquationSolver(
+        table.device(row).build_circuit(drain_voltage=drain),
+        temperature=float(table.temperature[row])).sweep_source(
+            GATE_SOURCE, gates[row], DRAIN_JUNCTION)[1] for row in rows])
+    solver_s = time.perf_counter() - start
     peak = np.abs(looped).max(axis=1)
     deviation = (np.abs(currents[rows] - looped).max(axis=1)
                  / np.where(peak > 0.0, peak, 1.0))
@@ -391,7 +395,7 @@ def measure_exact_tier() -> dict:
         "points_per_s": round(len(table) / elapsed, 1),
         "us_per_point": round(elapsed / len(table) * 1e6, 3),
         "sampled_rows": len(rows),
-        "session_points_per_s": round(len(rows) / session_s, 1),
+        "solver_points_per_s": round(len(rows) / solver_s, 1),
         "max_deviation_of_row_peak": float(f"{deviation.max():.3g}"),
         "rate_calls_per_evaluation": calls,
     }
