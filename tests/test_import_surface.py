@@ -90,3 +90,13 @@ def test_a_master_solve_loads_both_and_returns_the_usual_current():
     assert loaded == "True True"
     assert float(current) == expected
     assert expected > 0.0
+
+
+def test_a_master_solve_loads_only_the_compact_set_model():
+    code = ("from repro.devices import SETTransistor\n"
+            "from repro.engines import BiasPoint, get_engine\n"
+            "get_engine('master').bind(SETTransistor(), temperature=1.0)"
+            ".solve(BiasPoint(0.02, 2e-3))\n"
+            "print(sorted(name for name in sys.modules\n"
+            "             if name.startswith('repro.compact')))")
+    assert run_fresh(code)[0] == "['repro.compact', 'repro.compact.set_model']"
