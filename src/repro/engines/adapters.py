@@ -272,9 +272,9 @@ class _CircuitSession(Session):
             else float(bias.offset_charge)
         self._circuit.set_offset_charge(ISLAND, offset)
 
-    def _begin_sweep(self, axes: SweepAxes) -> None:
+    def _begin_sweep(self, drain_voltage: float) -> None:
         """Set the sweep's drain bias and restore the bound island offset."""
-        self._circuit.set_source_voltage(DRAIN_SOURCE, axes.drain_voltage)
+        self._circuit.set_source_voltage(DRAIN_SOURCE, drain_voltage)
         self._circuit.set_offset_charge(ISLAND, self._bound_offset)
 
 
@@ -289,7 +289,7 @@ def _chain_half_width(model):
     The charge distribution falls off about as ``exp(-(n - n_x)^2 E_C /
     kT)``, so ``K >= 1 + sqrt(ln(1/tolerance) kT / E_C)`` states on each
     side of the window centre leave less than
-    :data:`~repro.master.steadystate.BOUNDARY_MASS_TOLERANCE` on its
+    :data:`~repro.master.statespace.BOUNDARY_MASS_TOLERANCE` on its
     boundary; bias can spread the charge further, which the boundary check
     of :func:`chain_currents` catches.  Never below ``3``.
 
@@ -300,7 +300,7 @@ def _chain_half_width(model):
         half-widths of the broadcast shape of its temperature and
         capacitances.
     """
-    from ..master.steadystate import BOUNDARY_MASS_TOLERANCE
+    from ..master.statespace import BOUNDARY_MASS_TOLERANCE
 
     # The model's validation keeps kT / E_C finite and non-negative.
     thermal = BOLTZMANN * model.temperature * 2.0 \
@@ -321,9 +321,9 @@ def chain_currents(model, drains: np.ndarray,
     with ``kT / E_C`` of its parameters, capped at
     :data:`~repro.master.statespace.MAX_STATES` states.  A point whose
     boundary states hold more than
-    :data:`~repro.master.steadystate.BOUNDARY_MASS_TOLERANCE` is solved
+    :data:`~repro.master.statespace.BOUNDARY_MASS_TOLERANCE` is solved
     again with ``K + 2``, only that point
-    (:func:`~repro.master.steadystate.widened_half`), until a wider window
+    (:func:`~repro.master.statespace.widened_half`), until a wider window
     would exceed ``MAX_STATES`` states, where one
     ``master.window_truncated`` degradation per window size reports the
     mass and the window is kept.  So a point's current depends on its own
@@ -343,8 +343,8 @@ def chain_currents(model, drains: np.ndarray,
         The currents in ampere, and the points whose chain is reducible,
         whose currents are not meaningful.
     """
-    from ..master.steadystate import (BOUNDARY_MASS_TOLERANCE, MAX_STATES,
-                                      widened_half)
+    from ..master.statespace import (BOUNDARY_MASS_TOLERANCE, MAX_STATES,
+                                     widened_half)
 
     currents = np.empty(gates.shape)
     reducible = np.zeros(gates.shape, dtype=bool)
@@ -430,11 +430,25 @@ class MasterSession(_CircuitSession):
         currents, reducible = chain_currents(
             self._model, np.full(gates.shape, axes.drain_voltage), gates)
         if reducible.any():
-            self._begin_sweep(axes)
+            self._begin_sweep(axes.drain_voltage)
             currents[reducible] = self._stacked_currents(gates[reducible],
                                                          workers)
         return SweepResult(axes=axes, currents=currents, stderrs=None,
                            engine=self.engine_name)
+
+    def _solver_currents(self, gates: np.ndarray,
+                         drains: np.ndarray) -> np.ndarray:
+        """Solver currents of reducible points, each at its own drain.
+
+        The bound offset holds at every point; the points of one drain
+        share one :meth:`_stacked_currents` stack.
+        """
+        currents = np.empty(gates.shape)
+        for drain in np.unique(drains):
+            at = drains == drain
+            self._begin_sweep(float(drain))
+            currents[at] = self._stacked_currents(gates[at])
+        return currents
 
     def _stacked_currents(self, gates, workers: int = 1) -> np.ndarray:
         """Drain currents of the circuit's stacked solve at ``gates``.
@@ -544,13 +558,14 @@ class MasterEngine(Engine):
         :func:`analytic_model_for_table`, with the window of its own row,
         so a row's currents are bit-identical to a :meth:`bind` +
         ``solve`` of its points, and do not depend on the other rows of
-        the table.  A row with a reducible point (a zero rate that traps
-        mass away from the start state) is solved by the per-row session
-        loop of :meth:`Engine.solve_devices`, whose sessions hand that
-        point to the circuit's master-equation solver.  Every other point
-        is within ``1e-12`` of its row's peak current of an exact solution
-        of the chain's rates (see PERFORMANCE.md, "Exact single-island
-        tier").  See :meth:`Engine.solve_devices` for the parameters.
+        the table.  A reducible point (a zero rate that traps mass away
+        from the start state) goes, with the other reducible points of its
+        row, to the stacked solve of a session bound to that row, one
+        stack per drain, as :meth:`MasterSession.solve` would send it.
+        Every other point is within ``1e-12`` of its row's peak current of
+        an exact solution of the chain's rates (see PERFORMANCE.md, "Exact
+        single-island tier").  See :meth:`Engine.solve_devices` for the
+        parameters.
         """
         gates, drains = _bias_grid(table, gates, drains)
         if not gates.size:
@@ -560,12 +575,16 @@ class MasterEngine(Engine):
         currents, reducible = chain_currents(model, drains.ravel(),
                                              gates.ravel())
         currents = currents.reshape(gates.shape)
-        fallback = np.unique(rows[reducible])
+        reducible = reducible.reshape(gates.shape)
+        fallback = np.flatnonzero(reducible.any(axis=1))
         if fallback.size:
-            currents[fallback] = super().solve_devices(
-                table.take(fallback), gates[fallback], drains[fallback],
-                max_events=max_events, warmup_events=warmup_events,
-                replicas=replicas)
+            rows_table = table.take(fallback)
+            for position, row in enumerate(fallback):
+                session = self.bind(rows_table.device(position),
+                                    **rows_table.bind_options(position))
+                at = reducible[row]
+                currents[row, at] = session._solver_currents(gates[row, at],
+                                                             drains[row, at])
         return currents
 
 
@@ -622,7 +641,7 @@ class MonteCarloSession(_CircuitSession):
         depend on ``workers`` but not on the host's CPU count.  The
         estimates carry per-point standard errors.
         """
-        self._begin_sweep(axes)
+        self._begin_sweep(axes.drain_voltage)
         _, currents, stderrs = self.simulator.sweep_source(
             GATE_SOURCE, axes.gates, DRAIN_JUNCTION,
             max_events=self.max_events, warmup_events=self.warmup_events,

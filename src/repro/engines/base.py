@@ -57,6 +57,9 @@ EXACTNESS_STOCHASTIC_FULL = "stochastic-complete"
 EXACTNESS_CLASSES = (EXACTNESS_APPROXIMATE, EXACTNESS_EXACT_SEQUENTIAL,
                      EXACTNESS_STOCHASTIC_FULL)
 
+#: The dtype a :class:`SweepResult` keeps its currents in without a copy.
+_FLOAT64 = np.dtype(float)
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -146,9 +149,14 @@ class BiasPoint:
     offset_charge: Optional[float] = None
 
 
-@dataclass(frozen=True)
 class SweepAxes:
     """The axes of one :meth:`Session.sweep` call: a gate sweep at fixed drain.
+
+    An immutable value: equality, hashing, ``repr`` and pickling follow the
+    two fields ``gate_voltages`` and ``drain_voltage``, as for a frozen
+    dataclass.  The constructor sits on the dispatch fast path, so it
+    builds one read-only float array (:attr:`gates`) and the tuple of
+    Python floats only when something asks for it.
 
     Parameters
     ----------
@@ -158,33 +166,73 @@ class SweepAxes:
         Fixed drain bias in volt.
     """
 
-    gate_voltages: Tuple[float, ...]
+    __slots__ = ("_gates", "_values", "drain_voltage")
+
+    _gates: np.ndarray
+    _values: Optional[Tuple[float, ...]]
     drain_voltage: float
 
     def __init__(self, gate_voltages: Sequence[float],
                  drain_voltage: float) -> None:
-        # ndarray.tolist() yields Python floats far faster than a per-value
-        # float() loop — this constructor sits on the dispatch fast path.
-        values = tuple(np.asarray(gate_voltages, dtype=float).ravel().tolist())
-        if not values:
+        # A copy, so the caller's array cannot change the axes.
+        gates = np.array(gate_voltages, dtype=float).ravel()
+        if not gates.size:
             raise ValidationError("sweep axes need at least one gate voltage")
-        object.__setattr__(self, "gate_voltages", values)
+        gates.setflags(write=False)
+        object.__setattr__(self, "_gates", gates)
+        object.__setattr__(self, "_values", None)
         object.__setattr__(self, "drain_voltage", float(drain_voltage))
 
     @property
+    def gate_voltages(self) -> Tuple[float, ...]:
+        """The gate axis as a tuple of Python floats, built on first use."""
+        values = self._values
+        if values is None:
+            # ndarray.tolist() yields Python floats far faster than a
+            # per-value float() loop.
+            values = tuple(self._gates.tolist())
+            object.__setattr__(self, "_values", values)
+        return values
+
+    @property
     def gates(self) -> np.ndarray:
-        """The gate axis as a float array."""
-        return np.asarray(self.gate_voltages, dtype=float)
+        """The gate axis as a read-only float array."""
+        return self._gates
 
     def __len__(self) -> int:
         """Number of sweep points."""
-        return len(self.gate_voltages)
+        return self._gates.size
 
     def bias_points(self) -> Iterator[BiasPoint]:
         """The axes as an ordered iterator of :class:`BiasPoint`."""
         for gate in self.gate_voltages:
             yield BiasPoint(gate_voltage=gate,
                             drain_voltage=self.drain_voltage)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SweepAxes):
+            return NotImplemented
+        return (self.gate_voltages, self.drain_voltage) == \
+            (other.gate_voltages, other.drain_voltage)
+
+    def __hash__(self) -> int:
+        return hash((self.gate_voltages, self.drain_voltage))
+
+    def __repr__(self) -> str:
+        return (f"SweepAxes(gate_voltages={self.gate_voltages!r}, "
+                f"drain_voltage={self.drain_voltage!r})")
+
+    def __reduce__(self):
+        """Pickle the two fields alone; unpickling rebuilds the array."""
+        return type(self), (self.gate_voltages, self.drain_voltage)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise dataclasses.FrozenInstanceError(
+            f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise dataclasses.FrozenInstanceError(
+            f"cannot delete field {name!r}")
 
 
 @dataclass(frozen=True)
@@ -240,27 +288,36 @@ class SweepResult:
     engine: str
     statuses: Optional[Tuple[PointRecord, ...]] = None
 
-    def __post_init__(self) -> None:
-        currents = np.asarray(self.currents, dtype=float)
-        object.__setattr__(self, "currents", currents)
-        if self.stderrs is not None:
-            stderrs = np.asarray(self.stderrs, dtype=float)
-            object.__setattr__(self, "stderrs", stderrs)
+    def __init__(self, axes: SweepAxes, currents: np.ndarray,
+                 stderrs: Optional[np.ndarray], engine: str,
+                 statuses: Optional[Tuple[PointRecord, ...]] = None) -> None:
+        # This constructor sits on the dispatch fast path: float64 currents
+        # are kept as given, and the fields are set in declaration order
+        # (not through ``__dict__``), which keeps attribute reads fast.
+        if type(currents) is not np.ndarray or currents.dtype is not _FLOAT64:
+            currents = np.asarray(currents, dtype=float)
+        if stderrs is not None:
+            stderrs = np.asarray(stderrs, dtype=float)
             if stderrs.shape != currents.shape:
                 raise ValidationError(
                     f"stderrs shape {stderrs.shape} does not match currents "
                     f"shape {currents.shape}")
-        if currents.shape != (len(self.axes),):
+        points = len(axes)
+        if currents.shape != (points,):
             raise ValidationError(
                 f"currents shape {currents.shape} does not match the "
-                f"{len(self.axes)}-point sweep axes")
-        if self.statuses is not None:
-            statuses = tuple(self.statuses)
-            object.__setattr__(self, "statuses", statuses)
-            if len(statuses) != len(self.axes):
+                f"{points}-point sweep axes")
+        if statuses is not None:
+            statuses = tuple(statuses)
+            if len(statuses) != points:
                 raise ValidationError(
                     f"{len(statuses)} status records do not match the "
-                    f"{len(self.axes)}-point sweep axes")
+                    f"{points}-point sweep axes")
+        object.__setattr__(self, "axes", axes)
+        object.__setattr__(self, "currents", currents)
+        object.__setattr__(self, "stderrs", stderrs)
+        object.__setattr__(self, "engine", engine)
+        object.__setattr__(self, "statuses", statuses)
 
     def status_counts(self) -> Dict[str, int]:
         """Histogram of per-point statuses (empty when ``statuses`` is None)."""

@@ -6,6 +6,12 @@ configurations to dense indices.  The window is either given explicitly or
 constructed automatically around the zero-temperature ground state, which for
 the bias ranges of interest keeps the state count tiny (a handful of states
 for a SET, a few hundred for coupled double dots).
+
+This module also owns the policy by which an automatic window grows
+(:data:`BOUNDARY_MASS_TOLERANCE`, :func:`widened_half`).  The
+master-equation solver and the closed-form birth-death chain of the
+``master`` engine both follow it, and it needs numpy alone, so a process
+that only runs the chain never loads scipy.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import numpy as np
 
 from ..core.energy import EnergyModel
 from ..errors import StateSpaceError
+from ..resilience.events import emit_degradation
 
 #: Hard cap on the number of enumerated states.  The sparse engine
 #: (``method="sparse"``) solves windows up to this size; beyond it the master
@@ -25,6 +32,12 @@ from ..errors import StateSpaceError
 #: (The dense path tops out far earlier — an N x N float64 generator needs
 #: ``8 N^2`` bytes, i.e. ~320 GB at this cap.)
 MAX_STATES = 200_000
+
+#: Probability an automatic window may hold on its boundary states; above
+#: it the window grows by :data:`_WIDEN_STEP` electrons per island.
+BOUNDARY_MASS_TOLERANCE = 1e-13
+
+_WIDEN_STEP = 2
 
 
 @dataclass(frozen=True)
@@ -132,6 +145,26 @@ def window_bounds(centre: np.ndarray,
     return [(n - half_width, n + half_width) for n in centre.tolist()]
 
 
+def widened_half(half: int, island_count: int, mass: np.ndarray,
+                 states: int) -> Optional[int]:
+    """The half-width an automatic window grows to for its leaking points.
+
+    A window of ``half`` extra electrons per island grows by
+    :data:`_WIDEN_STEP`.  When the wider box would exceed
+    :data:`MAX_STATES` states, one ``master.window_truncated`` degradation
+    reports the largest boundary ``mass`` on the current ``states``-state
+    window and ``None`` is returned: the window is kept.
+    """
+    wider = half + _WIDEN_STEP
+    if (2 * wider + 1) ** island_count <= MAX_STATES:
+        return wider
+    emit_degradation(
+        "master.window_truncated", "keep:window",
+        f"boundary mass {float(np.max(mass)):.3e} on a {states}-state "
+        f"window; a wider window would exceed {MAX_STATES} states")
+    return None
+
+
 def auto_state_space(model: EnergyModel, extra_electrons: int = 3,
                      voltages: Optional[np.ndarray] = None,
                      offsets: Optional[np.ndarray] = None) -> StateSpace:
@@ -154,4 +187,5 @@ def auto_state_space(model: EnergyModel, extra_electrons: int = 3,
 
 
 __all__ = ["StateSpace", "build_state_space", "auto_state_space",
-           "auto_window", "walk_windows", "window_bounds", "MAX_STATES"]
+           "auto_window", "walk_windows", "window_bounds", "widened_half",
+           "MAX_STATES", "BOUNDARY_MASS_TOLERANCE"]

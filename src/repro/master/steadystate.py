@@ -34,7 +34,8 @@ share a window share its cached
 batched dense solves (one ``np.linalg.solve`` per reachable set), and the
 results equal one-point solves bit for bit.  An automatic window widens
 until its boundary states hold no probability worth keeping
-(:data:`BOUNDARY_MASS_TOLERANCE`); an explicit window is solved as given.
+(:data:`~repro.master.statespace.BOUNDARY_MASS_TOLERANCE`); an explicit
+window is solved as given.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ from ..errors import ConvergenceError, SolverError
 from ..resilience.events import emit_degradation
 from ..resilience.faults import inject
 from .builder import RateMatrixBuilder, Transition
-from .statespace import MAX_STATES, StateSpace, walk_windows, window_bounds
+from .statespace import (_WIDEN_STEP, BOUNDARY_MASS_TOLERANCE, StateSpace,
+                         walk_windows, widened_half, window_bounds)
 from .transitions import TransitionTable
 
 #: ``method="auto"`` switches from the dense to the sparse backend above this
@@ -74,38 +76,11 @@ _DENSE_FALLBACK_LIMIT = 2_000
 #: window or one point of a 400-state one.
 _STACK_ELEMENTS = 2 ** 18
 
-#: Probability an automatic window may hold on its boundary states; above
-#: it the window grows by :data:`_WIDEN_STEP` electrons per island.
-BOUNDARY_MASS_TOLERANCE = 1e-13
-
-_WIDEN_STEP = 2
-
 #: One-point reachability plans (:func:`_stack_plan`) per window table,
 #: at most this many per table.
 _PLANS_PER_WINDOW = 64
 _ONE_POINT_PLANS: "weakref.WeakKeyDictionary[TransitionTable, dict]" = \
     weakref.WeakKeyDictionary()
-
-
-def widened_half(half: int, island_count: int, mass: np.ndarray,
-                 states: int) -> Optional[int]:
-    """The half-width an automatic window grows to for its leaking points.
-
-    A window of ``half`` extra electrons per island grows by
-    :data:`_WIDEN_STEP`.  When the wider box would exceed
-    :data:`~repro.master.statespace.MAX_STATES` states, one
-    ``master.window_truncated`` degradation reports the largest boundary
-    ``mass`` on the current ``states``-state window and ``None`` is
-    returned: the window is kept.
-    """
-    wider = half + _WIDEN_STEP
-    if (2 * wider + 1) ** island_count <= MAX_STATES:
-        return wider
-    emit_degradation(
-        "master.window_truncated", "keep:window",
-        f"boundary mass {float(np.max(mass)):.3e} on a {states}-state "
-        f"window; a wider window would exceed {MAX_STATES} states")
-    return None
 
 
 def validate_solver_method(method: str) -> None:
@@ -270,10 +245,10 @@ class MasterEquationSolver:
         matters only on a reducible chain.
 
         An automatic window whose boundary states hold more than
-        :data:`BOUNDARY_MASS_TOLERANCE` of the probability grows by
-        ``2`` electrons per island and its points are solved again, until
-        the mass is below the tolerance or a wider box would exceed
-        :data:`~repro.master.statespace.MAX_STATES`; then one
+        :data:`~repro.master.statespace.BOUNDARY_MASS_TOLERANCE` of the
+        probability grows by ``2`` electrons per island and its points are
+        solved again, until the mass is below the tolerance or a wider box
+        would exceed :data:`~repro.master.statespace.MAX_STATES`; then one
         ``master.window_truncated`` degradation event reports the mass.
         An explicit window is solved as given.
         """
@@ -1116,5 +1091,4 @@ def _power_iteration_stationary(block: sparse.spmatrix,
         f"{tolerance:g} within {max_iterations} iterations")
 
 
-__all__ = ["MasterEquationSolver", "SteadyStateSolution", "DENSE_STATE_CUTOFF",
-           "BOUNDARY_MASS_TOLERANCE", "widened_half"]
+__all__ = ["MasterEquationSolver", "SteadyStateSolution", "DENSE_STATE_CUTOFF"]

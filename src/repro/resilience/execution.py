@@ -401,7 +401,7 @@ def stream_blocks(axes: SweepAxes) -> Iterator[Tuple[range, SweepAxes]]:
     (range, SweepAxes)
         The block's flat indices into ``axes`` and the block as axes.
     """
-    gates = axes.gate_voltages
+    gates = axes.gates
     start, size = 0, 1
     while start < len(gates):
         stop = min(len(gates), start + size)

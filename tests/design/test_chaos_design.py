@@ -6,7 +6,7 @@ import pytest
 from repro.design import UNKNOWN, DeviceScan
 from repro.errors import FaultInjected
 from repro.io.results import ResultCache
-from repro.master import steadystate
+from repro.master import statespace, steadystate
 from repro.resilience import FailurePolicy, FaultInjector
 from repro.resilience.events import capture_degradations
 from repro.resilience.faults import SITES
@@ -97,7 +97,7 @@ class TestFallbackEvidence:
         assert set(clean.statuses) == {"ok"}
         # Cap the windows at 7 states: the chain cannot widen and keeps
         # the truncated window, as a session would.
-        monkeypatch.setattr(steadystate, "MAX_STATES", 7)
+        monkeypatch.setattr(statespace, "MAX_STATES", 7)
         with capture_degradations() as events:
             degraded = DeviceScan(spec, policy=FailurePolicy()).run(
                 workers=workers)

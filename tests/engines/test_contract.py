@@ -7,6 +7,10 @@ base :class:`~repro.engines.Session` owns the failure policy of every
 session.  A new backend only has to register itself to be covered.
 """
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -22,7 +26,7 @@ from repro.engines import (
     engine_names,
     get_engine,
 )
-from repro.errors import SolverError
+from repro.errors import SolverError, ValidationError
 from repro.io.results import SweepRecord
 from repro.resilience import FailurePolicy
 
@@ -247,6 +251,58 @@ class TestSessionBase:
         with pytest.raises(SolverError, match="fast path is down"):
             session.sweep(axes, workers=2)
         assert session.fast_path_workers == [2]
+
+
+class TestResultModel:
+    """``SweepAxes`` and ``SweepResult`` behave as frozen values."""
+
+    def test_axes_are_a_value_of_their_two_fields(self):
+        gates = np.linspace(0.0, 0.1, 5)
+        axes = SweepAxes(gates, DRAIN_VOLTAGE)
+        same = SweepAxes(gates.tolist(), DRAIN_VOLTAGE)
+        assert axes == same and hash(axes) == hash(same)
+        assert axes != SweepAxes(gates, 2.0 * DRAIN_VOLTAGE)
+        assert axes.gate_voltages == tuple(gates.tolist())
+        assert all(type(value) is float for value in axes.gate_voltages)
+        assert repr(axes) == (f"SweepAxes(gate_voltages="
+                              f"{tuple(gates.tolist())!r}, "
+                              f"drain_voltage={DRAIN_VOLTAGE!r})")
+        for twin in (pickle.loads(pickle.dumps(axes)), copy.deepcopy(axes)):
+            assert twin == axes and hash(twin) == hash(axes)
+            np.testing.assert_array_equal(twin.gates, gates)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            axes.drain_voltage = 0.0
+
+    def test_axes_hold_one_read_only_copy_of_the_gates(self):
+        gates = np.linspace(0.0, 0.1, 5)
+        axes = SweepAxes(gates, DRAIN_VOLTAGE)
+        gates[0] = 1.0
+        assert axes.gates is axes.gates
+        assert axes.gates[0] == 0.0 and axes.gate_voltages[0] == 0.0
+        with pytest.raises(ValueError):
+            axes.gates[0] = 1.0
+        assert len(axes) == 5
+        with pytest.raises(ValidationError):
+            SweepAxes([], DRAIN_VOLTAGE)
+
+    def test_results_keep_float64_currents_and_convert_the_rest(self):
+        axes = SweepAxes([0.0, 0.1], DRAIN_VOLTAGE)
+        currents = np.array([1.0, 2.0])
+        assert SweepResult(axes, currents, None, "x").currents is currents
+        for given in ([1, 2], np.array([1.0, 2.0], dtype=np.float32)):
+            kept = SweepResult(axes, given, [0, 0], "x")
+            assert kept.currents.dtype == kept.stderrs.dtype == np.float64
+            np.testing.assert_array_equal(kept.currents, currents)
+        with pytest.raises(ValidationError, match="2-point sweep axes"):
+            SweepResult(axes, np.zeros(3), None, "x")
+        with pytest.raises(ValidationError, match="stderrs shape"):
+            SweepResult(axes, currents, np.zeros(3), "x")
+        with pytest.raises(ValidationError, match="status records"):
+            SweepResult(axes, currents, None, "x", statuses=())
+        result = SweepResult(axes, currents, None, "x")
+        assert dataclasses.replace(result, engine="y").engine == "y"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.engine = "y"
 
 
 class TestCrossEngineAgreement:

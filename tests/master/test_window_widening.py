@@ -3,7 +3,7 @@
 At high temperature real probability leaves a fixed +-3 window.  The
 stacked solve reads each point's mass on its window's boundary states and
 widens an automatic window by two electrons per island until that mass is
-below :data:`~repro.master.steadystate.BOUNDARY_MASS_TOLERANCE`, or reports
+below :data:`~repro.master.statespace.BOUNDARY_MASS_TOLERANCE`, or reports
 a ``master.window_truncated`` degradation when the state cap stops it.
 Explicit windows are solved as given.
 """
@@ -17,7 +17,7 @@ from repro.constants import BOLTZMANN, E_CHARGE
 from repro.devices import SETTransistor
 from repro.devices.set_transistor import DRAIN_JUNCTION, GATE_SOURCE
 from repro.master import MasterEquationSolver, build_state_space
-from repro.master import steadystate
+from repro.master import statespace, steadystate
 from repro.resilience import capture_degradations
 
 #: Half-width of the explicit reference window: at kT = 3 E_C the charge
@@ -83,7 +83,7 @@ def test_cold_windows_keep_their_size():
 
 
 def test_the_state_cap_reports_the_truncation(monkeypatch):
-    monkeypatch.setattr(steadystate, "MAX_STATES", 9)
+    monkeypatch.setattr(statespace, "MAX_STATES", 9)
     solver = solver_for(SETTransistor(), 2.0, 0.1)
     with capture_degradations() as events:
         solution = solver.solve()

@@ -15,7 +15,8 @@ sessions.  These tests pin:
 * a reducible chain (a zero rate trapping mass away from the start state)
   falls back, bit for bit;
 * each window attempt makes one rate-kernel call, and a window that would
-  outgrow ``MAX_STATES`` reports ``master.window_truncated``;
+  outgrow :data:`~repro.master.statespace.MAX_STATES` reports
+  ``master.window_truncated``;
 * the ``design_margin_map`` scenario grid keeps the verdicts of the
   per-row loop.
 """
@@ -37,7 +38,7 @@ from repro.devices import SETTransistor
 from repro.engines import BiasPoint, DeviceTable, get_engine
 from repro.engines.adapters import analytic_model_for_table
 from repro.engines.base import Engine
-from repro.master import steadystate
+from repro.master import statespace, steadystate
 from repro.resilience.events import capture_degradations
 from repro.scenarios.registry import get_scenario
 
@@ -218,6 +219,31 @@ class TestChainAgainstSessions:
                       <= BOUND * np.abs(looped[1]).max())
 
 
+    def test_only_reducible_points_reach_the_solver(self):
+        # The T = 0 table of test_chaos_design's failing-splu scan: at a
+        # -60 mV drain the off point (gate 0) of each row is reducible.
+        drain = -0.06
+        table = DeviceTable(
+            SETTransistor(background_charge=1.401088317e-19),
+            {"gate_capacitance": [2e-18, 3e-18]}, [0.0, 0.0])
+        gates = np.outer(table.gate_period, [0.94, 0.0])
+        model = analytic_model_for_table(table, np.array([0, 0, 1, 1]))
+        _, _, reducible = model.chain_current(np.full(4, drain),
+                                              gates.ravel(), 3)
+        assert reducible.tolist() == [False, True, False, True]
+        batched = []
+        solver = steadystate.MasterEquationSolver
+        with mock.patch.object(solver, "sweep_source", autospec=True,
+                               side_effect=solver.sweep_source) as solves:
+            attempts, _ = kernel_calls(lambda: batched.append(
+                get_engine("master").solve_devices(table, gates, drain)))
+        assert attempts == 1
+        assert [len(call.args[2]) for call in solves.call_args_list] == [1, 1]
+        looped = Engine.solve_devices(get_engine("master"), table, gates,
+                                      drain)
+        np.testing.assert_array_equal(batched[0], looped)
+
+
 def exact_current(table, row, drain, gate, half):
     """The chain's current in exact rational arithmetic on its own rates.
 
@@ -321,7 +347,7 @@ class TestWindow:
         with capture_degradations() as events:
             widened = engine.solve_devices(table, gates, 0.01)
         assert not events
-        monkeypatch.setattr(steadystate, "MAX_STATES", 7)
+        monkeypatch.setattr(statespace, "MAX_STATES", 7)
         with capture_degradations() as events:
             truncated = engine.solve_devices(table, gates, 0.01)
         assert [event.site for event in events] == ["master.window_truncated"]
