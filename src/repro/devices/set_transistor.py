@@ -205,7 +205,7 @@ class SETTransistor:
             self, temperature=temperature,
             background_charge=background_charge)
         axes = SweepAxes(gate_voltages, drain_voltage)
-        return axes.gates, session.sweep(axes).currents
+        return axes.gates.copy(), session.sweep(axes).currents
 
     def id_vd(self, drain_voltages: Sequence[float], gate_voltage: float,
               temperature: float, background_charge: Optional[float] = None

@@ -578,10 +578,9 @@ class MasterEngine(Engine):
         reducible = reducible.reshape(gates.shape)
         fallback = np.flatnonzero(reducible.any(axis=1))
         if fallback.size:
-            rows_table = table.take(fallback)
-            for position, row in enumerate(fallback):
-                session = self.bind(rows_table.device(position),
-                                    **rows_table.bind_options(position))
+            for row in fallback:
+                session = self.bind(table.device(row),
+                                    **table.bind_options(row))
                 at = reducible[row]
                 currents[row, at] = session._solver_currents(gates[row, at],
                                                              drains[row, at])

@@ -339,8 +339,8 @@ class SweepResult:
 
     @property
     def gates(self) -> np.ndarray:
-        """The swept gate values as a float array."""
-        return self.axes.gates
+        """The swept gate values as a fresh, writable float array."""
+        return self.axes.gates.copy()
 
     def __len__(self) -> int:
         """Number of sweep points."""

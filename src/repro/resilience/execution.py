@@ -7,7 +7,9 @@ whole sweep through ``Session.sweep`` while recording degradation events,
 and only drops to per-point execution to *salvage* — when the fast path
 raises, or when the health guard finds non-finite currents in an otherwise
 successful sweep.  On a healthy sweep the policy costs one try/except, one
-subscriber registration, and one ``isfinite`` scan (<1% of any real sweep).
+subscriber registration, one finiteness check of the currents and one
+:class:`~repro.engines.base.SweepResult` carrying the shared ``ok``
+records: a few microseconds per sweep.
 
 Per-point execution applies the :class:`~repro.resilience.policy.FailurePolicy`
 in full: retries with exponential backoff, per-attempt wall-clock timeouts,
@@ -47,7 +49,6 @@ bounded by ``point_timeout_s``; a point whose wait runs out is recorded
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 import weakref
@@ -328,10 +329,16 @@ def run_policy_sweep(session: Session, axes: SweepAxes,
     # The broadcast path cannot attribute a degradation event to one point,
     # so a degraded fast sweep marks every point degraded (detail says why).
     status = STATUS_DEGRADED if events else STATUS_OK
-    fast = dataclasses.replace(fast, statuses=_shared_records(
-        n_points, status, _event_detail(events)))
-    unhealthy = np.flatnonzero(~np.isfinite(fast.currents)).tolist() \
-        if policy.health_guard else []
+    currents = fast.currents
+    fast = SweepResult(axes=fast.axes, currents=currents,
+                       stderrs=fast.stderrs, engine=fast.engine,
+                       statuses=_shared_records(n_points, status,
+                                                _event_detail(events)))
+    # A finite sum means every current is finite (a NaN or an infinity
+    # carries through it), and it is cheaper than an ``isfinite`` mask.
+    if not policy.health_guard or math.isfinite(np.add.reduce(currents)):
+        return fast
+    unhealthy = np.flatnonzero(~np.isfinite(currents)).tolist()
     return _salvage_sweep(session, fast, unhealthy, policy)
 
 

@@ -285,6 +285,15 @@ class TestResultModel:
         with pytest.raises(ValidationError):
             SweepAxes([], DRAIN_VOLTAGE)
 
+    def test_result_and_id_vg_gates_are_writable_copies(self, device):
+        axes = SweepAxes(np.linspace(0.0, 0.1, 5), DRAIN_VOLTAGE)
+        result = SweepResult(axes, np.zeros(5), None, "x")
+        swept, _ = device.id_vg(axes.gates, DRAIN_VOLTAGE, 2.0)
+        for gates in (result.gates, swept):
+            gates *= 1e3
+            np.testing.assert_array_equal(gates, axes.gates * 1e3)
+        assert axes.gates[-1] == 0.1
+
     def test_results_keep_float64_currents_and_convert_the_rest(self):
         axes = SweepAxes([0.0, 0.1], DRAIN_VOLTAGE)
         currents = np.array([1.0, 2.0])

@@ -72,13 +72,13 @@ def per_row(table, gates, drains):
 def fallback_rows():
     """Collect the rows ``solve_devices`` hands back to per-row sessions."""
     rows = []
-    take = DeviceTable.take
+    device = DeviceTable.device
 
-    def spy(table, index):
-        rows.extend(np.asarray(index).tolist())
-        return take(table, index)
+    def spy(table, row):
+        rows.append(int(row))
+        return device(table, row)
 
-    with mock.patch.object(DeviceTable, "take", spy):
+    with mock.patch.object(DeviceTable, "device", spy):
         yield rows
 
 
