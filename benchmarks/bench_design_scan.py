@@ -36,7 +36,9 @@ circuit, over a random subsample of rows, as a fraction of each row's
 peak current; the solver's own rate on that subsample; and the
 rate-kernel calls per block, raising above one.
 
-Results go to ``BENCH_design.json``.
+Results go to ``BENCH_design.json``.  The pytest function and the script
+entry (``PYTHONPATH=src python benchmarks/bench_design_scan.py``) raise on
+the same gates (:func:`check`).
 
 Environment overrides (used by the CI smoke run):
 
@@ -461,16 +463,35 @@ def test_design_scan_benchmark():
           f"{exact['sampled_rows']} rows, "
           f"{exact['rate_calls_per_evaluation']} rate-kernel call per block")
     print(f"written to     : {OUTPUT_PATH}")
-    assert throughput["points_per_s"] > 0
-    assert throughput["workers_identical"]
-    assert resume["killed_mid_run"]
-    assert resume["bit_identical"]
-    assert resume["chunks_resumed"] > 0
-    assert tolerance["identical_across_workers"]
-    assert small["rate_calls_per_evaluation"] == 1
-    assert exact["rate_calls_per_evaluation"] == 1
-    assert exact["max_deviation_of_row_peak"] <= 1e-12
+    check(payload)
+
+
+def check(payload: dict) -> None:
+    """Raise unless ``payload`` passes every gate of the benchmark."""
+    throughput = payload["throughput"]
+    resume = payload["resume"]
+    exact = payload["exact_tier"]
+    gates = {
+        "throughput points_per_s > 0": throughput["points_per_s"] > 0,
+        "maps identical across workers": throughput["workers_identical"],
+        "resume run killed mid-run": resume["killed_mid_run"],
+        "resumed map bit-identical": resume["bit_identical"],
+        "resume reused chunks": resume["chunks_resumed"] > 0,
+        "tolerance yields identical across workers":
+            payload["tolerance_mc"]["identical_across_workers"],
+        "small batch: one rate-kernel call per evaluation":
+            payload["small_batch"]["rate_calls_per_evaluation"] == 1,
+        "exact tier: one rate-kernel call per block":
+            exact["rate_calls_per_evaluation"] == 1,
+        "exact tier within 1e-12 of row peak":
+            exact["max_deviation_of_row_peak"] <= 1e-12,
+    }
+    failed = [name for name, held in gates.items() if not held]
+    if failed:
+        raise AssertionError("gates failed: " + "; ".join(failed))
 
 
 if __name__ == "__main__":
-    print(json.dumps(run_benchmark(), indent=2))
+    payload = run_benchmark()
+    print(json.dumps(payload, indent=2))
+    check(payload)

@@ -16,7 +16,9 @@ throughput (executed events per second) on the reference SET transistor for
 and writes the numbers to ``BENCH_kernel.json`` in the repository root so the
 performance trajectory is tracked across PRs.  Run it either through pytest
 (``pytest benchmarks/bench_kernel_throughput.py -s``) or directly
-(``PYTHONPATH=src python benchmarks/bench_kernel_throughput.py``).
+(``PYTHONPATH=src python benchmarks/bench_kernel_throughput.py``); both
+raise when the fast path falls below ``REQUIRED_SPEEDUP`` times the
+reference, as does a run whose event count misses its budget.
 """
 
 import json
@@ -90,8 +92,17 @@ def test_kernel_throughput():
     print(f"reference path : {payload['reference_events_per_second']:>12,.0f} events/s")
     print(f"speedup        : {payload['speedup']:>12.2f}x")
     print(f"written to     : {OUTPUT_PATH}")
-    assert payload["speedup"] >= REQUIRED_SPEEDUP
+    check(payload)
+
+
+def check(payload: dict) -> None:
+    """Raise unless ``payload`` passes the benchmark's speedup gate."""
+    if payload["speedup"] < REQUIRED_SPEEDUP:
+        raise AssertionError(f"gates failed: speedup {payload['speedup']} "
+                             f"< {REQUIRED_SPEEDUP}")
 
 
 if __name__ == "__main__":
-    print(json.dumps(run_benchmark(), indent=2))
+    payload = run_benchmark()
+    print(json.dumps(payload, indent=2))
+    check(payload)

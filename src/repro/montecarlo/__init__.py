@@ -7,7 +7,7 @@ from .cotunneling import (
 )
 from .events import CotunnelCandidate, TrapCandidate, TunnelCandidate
 from .jit import jit_backend, jit_compiled, resolve_advance
-from .kernel import Candidate, KernelStep, MonteCarloKernel
+from .kernel import MonteCarloKernel
 from .observables import (
     CurrentEstimate,
     EnsembleResult,
@@ -25,14 +25,12 @@ from .state import (
 )
 
 __all__ = [
-    "Candidate",
     "CotunnelCandidate",
     "CotunnelTable",
     "CurrentEstimate",
     "EnsembleResult",
     "EnsembleState",
     "EventRecord",
-    "KernelStep",
     "MonteCarloKernel",
     "MonteCarloSimulator",
     "OccupationStatistics",

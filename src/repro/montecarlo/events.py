@@ -7,9 +7,9 @@ Three kinds of events can occur in a single-electron circuit:
   island (second order), and
 * a charge trap capturing or emitting an electron (random telegraph noise).
 
-Each candidate knows how to apply itself to a :class:`SimulationState` and
-which junctions it moves charge through, so the simulator can count current
-without caring about the event type.
+Each candidate knows its label and which junctions it moves charge
+through; the kernel turns them into the rows of its event tables (a
+configuration change, a transfer row) and its event records' labels.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..circuit.elements import ChargeTrap
-from ..core.energy import EnergyModel, TunnelEvent
-from .state import SimulationState
+from ..core.energy import TunnelEvent
 
 
 @dataclass(frozen=True)
@@ -37,11 +36,6 @@ class TunnelCandidate:
     def charge_transfers(self) -> List[Tuple[str, int]]:
         """``(junction name, electron direction)`` pairs of this event."""
         return [(self.event.junction.name, self.event.direction)]
-
-    def apply(self, state: SimulationState, model: EnergyModel) -> None:
-        """Execute the event on ``state`` (electron numbers and counters)."""
-        state.electrons = model.apply_event(state.electrons, self.event)
-        state.electron_transfers[self.event.junction.name] += self.event.direction
 
 
 @dataclass(frozen=True)
@@ -68,13 +62,6 @@ class CotunnelCandidate:
         return [(self.first.junction.name, self.first.direction),
                 (self.second.junction.name, self.second.direction)]
 
-    def apply(self, state: SimulationState, model: EnergyModel) -> None:
-        """Execute the composite event on ``state``."""
-        electrons = model.apply_event(state.electrons, self.first)
-        state.electrons = model.apply_event(electrons, self.second)
-        state.electron_transfers[self.first.junction.name] += self.first.direction
-        state.electron_transfers[self.second.junction.name] += self.second.direction
-
 
 @dataclass(frozen=True)
 class TrapCandidate:
@@ -92,10 +79,6 @@ class TrapCandidate:
     def charge_transfers(self) -> List[Tuple[str, int]]:
         """Trap transitions move no charge through any junction."""
         return []
-
-    def apply(self, state: SimulationState, model: EnergyModel) -> None:
-        """Flip the trap occupation."""
-        state.trap_occupancy[self.trap.name] = self.capture
 
 
 __all__ = ["TunnelCandidate", "CotunnelCandidate", "TrapCandidate"]

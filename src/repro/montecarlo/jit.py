@@ -1,13 +1,14 @@
 """Compiled hot loop for the kinetic Monte-Carlo kernel.
 
-The per-event :meth:`~repro.montecarlo.kernel.MonteCarloKernel.step` loop
-pays Python-level dispatch once per event.  This module holds the *entire*
-inner loop — rate-table lookup, cumulative-row event selection,
-configuration update, transfer accounting and time accumulation — as one
-function that runs thousands of events per call over the flat arrays
-exported by the kernel's ``_EnsembleCursor`` mirrors, compiled to native
-code where a compiler is available.  Every Monte-Carlo run without charge
-traps or per-event hooks goes through it, a whole sweep included.
+This module holds the *entire* inner loop of the kinetic Monte-Carlo
+kernel — rate-table lookup, cumulative-row event selection, configuration
+update, transfer accounting and time accumulation — as one function that
+runs thousands of events per call over the flat arrays exported by the
+kernel's ``_EnsembleCursor`` mirrors, compiled to native code where a
+compiler is available.  Every Monte-Carlo run goes through it, a whole
+sweep, a charge-trap run and a run with per-event hooks included: a trap
+flip is one more event of the configuration, and a hooked run has the loop
+write an event log.
 
 Backend ladder
 --------------
@@ -76,7 +77,10 @@ rows when warm), ``roots`` (scratch, one row per replica),
 — ``plan_configurations`` and ``plan_blocks`` (``start, stop, base`` per
 block) of the held plan blocks, and the ``plan_totals``,
 ``plan_cumulative`` and ``plan_last`` rows of their roots and speculated
-successors.
+successors — and the event ``log`` (no rows for a run without hooks): one
+``(time, event, slot)`` row per event-loop iteration, the clock and slot
+after it and the event applied, or ``-1`` for a censored wait, a blockade
+or a zero-time stall (each a ``step`` call of the loop this one replaced).
 
 Re-entry protocol
 -----------------
@@ -92,6 +96,7 @@ code:
 ``STATUS_NEED_UNIFORM``   the uniform block buffer is exhausted
 ``STATUS_NEED_LINK``      a transition reaches a configuration not yet met
 ``STATUS_NEED_ROOTS``     a new point needs rate tables the loop cannot take
+``STATUS_LOG_FULL``       the event log has no row left for an iteration
 ========================  ====================================================
 
 ``STATUS_DONE`` and ``STATUS_BLOCKED`` end one replica's phase inside the
@@ -135,6 +140,8 @@ re-enter mid-event:
 ``REG_PLANNED``              whether the loop may root points from the plan
 ``REG_LOOP_ROOTED``          the loop rooted ``REG_POINT`` and the kernel has
                              not yet taken that over
+``REG_LOG``                  next row of the event log (the kernel drains the
+                             log and zeroes it)
 ``FREG_TIME``                the replica's clock
 ``FREG_PENDING_WAIT``        drawn-but-unapplied waiting time (-1.0: none)
 ``FREG_START``               the replica's clock at the start of this phase
@@ -142,15 +149,16 @@ re-enter mid-event:
 ===========================  =================================================
 
 A schedule therefore costs one native entry, plus one per refill, per
-discovery the plan does not cover and per point the plan does not root,
-however many replicas, phases and points it advances.  ``REG_POINT``,
+discovery the plan does not cover, per point the plan does not root and
+per full event log, however many replicas, phases and points it
+advances.  ``REG_POINT``,
 ``REG_PHASE`` and ``REG_REPLICA`` also tell a kernel whose re-entry raised
 how far the schedule got: replicas below ``REG_REPLICA`` have finished
 phase ``REG_PHASE`` of point ``REG_POINT``, the others only the phases
 before it.  Buffer refills happen exactly at the consumption points,
-preserving the step loop's interleaved draw order from the shared
-generator — the property that makes an event-for-event replay of
-:meth:`MonteCarloKernel.step` possible.
+preserving the interleaved draw order of the per-event step loop the
+advance loop replaced — the property that makes its event-for-event
+replay possible (the test-suite keeps that loop as the oracle).
 
 numba is an optional dependency the test suite does not install, so no
 test compiles the loop with it; the loop keeps to numba's nopython subset
@@ -177,6 +185,7 @@ STATUS_NEED_EXP = 2
 STATUS_NEED_UNIFORM = 3
 STATUS_NEED_LINK = 4
 STATUS_NEED_ROOTS = 5
+STATUS_LOG_FULL = 6
 
 #: ``ireg`` (int64) register layout shared by all backends.
 REG_SLOT = 0            #: current cursor slot
@@ -196,7 +205,8 @@ REG_RESYNC_INTERVAL = 13  #: the kernel's ``resync_interval``
 REG_MEMO_LIMIT = 14     #: the kernel's memo cap
 REG_PLANNED = 15        #: whether the loop may root points from the plan
 REG_LOOP_ROOTED = 16    #: the loop rooted REG_POINT; the kernel has not seen it
-IREG_SIZE = 17
+REG_LOG = 17            #: next row of the event log
+IREG_SIZE = 18
 
 #: ``freg`` (float64) register layout shared by all backends.
 FREG_TIME = 0           #: simulated clock
@@ -224,13 +234,13 @@ _INF = float("inf")
  ARG_PHASE_TRANSFERS, ARG_EXP, ARG_UNIFORM, ARG_IREG, ARG_FREG,
  ARG_SLOT_ROWS, ARG_STARTS, ARG_ROOTS, ARG_PLAN_POINTS,
  ARG_PLAN_CONFIGURATIONS, ARG_PLAN_BLOCKS, ARG_PLAN_TOTALS,
- ARG_PLAN_CUMULATIVE, ARG_PLAN_LAST) = range(28)
-ARG_COUNT = 28
+ ARG_PLAN_CUMULATIVE, ARG_PLAN_LAST, ARG_LOG) = range(29)
+ARG_COUNT = 29
 #: Size slots of the address block, after the addresses.
 (SIZE_EXP, SIZE_UNIFORM, SIZE_PHASES, SIZE_REPLICAS, SIZE_EVENTS,
  SIZE_JUNCTIONS, SIZE_ISLANDS, SIZE_POINTS, SIZE_CAPACITY, SIZE_STARTS,
- SIZE_BLOCKS) = range(ARG_COUNT, ARG_COUNT + 11)
-SIZE_COUNT = 11
+ SIZE_BLOCKS, SIZE_LOG) = range(ARG_COUNT, ARG_COUNT + 12)
+SIZE_COUNT = 12
 #: Which size each argument carries: ``index -> (size slot, axis)``.
 _SIZES = {ARG_EXP: (SIZE_EXP, 0), ARG_UNIFORM: (SIZE_UNIFORM, 0),
           ARG_SCHEDULE: (SIZE_PHASES, 0), ARG_SLOTS: (SIZE_REPLICAS, 0),
@@ -239,7 +249,7 @@ _SIZES = {ARG_EXP: (SIZE_EXP, 0), ARG_UNIFORM: (SIZE_UNIFORM, 0),
           ARG_DELTA_N: (SIZE_ISLANDS, 1),
           ARG_PHASE_TIMES: (SIZE_POINTS, 0),
           ARG_TOTALS: (SIZE_CAPACITY, 0), ARG_STARTS: (SIZE_STARTS, 0),
-          ARG_PLAN_BLOCKS: (SIZE_BLOCKS, 0)}
+          ARG_PLAN_BLOCKS: (SIZE_BLOCKS, 0), ARG_LOG: (SIZE_LOG, 0)}
 
 
 class LoopArguments:
@@ -454,23 +464,34 @@ def _root_from_plan(totals, cumulative, last_selectable, successor_slots,
     return True
 
 
+def _log_row(log, position, time, event, slot):
+    """Write event-log row ``position``; the next position (a log with no
+    rows writes nothing)."""
+    if log.shape[0] == 0:
+        return position
+    log[position, 0] = time
+    log[position, 1] = event
+    log[position, 2] = slot
+    return position + 1
+
+
 def _advance_py(totals, cumulative, last_selectable, successor_slots,
                 configurations, transfer_matrix, delta_n, slot_rows,
                 plan_totals, plan_cumulative, plan_last,
-                transfers, exp_buf, uni_buf, ireg, freg, max_events):
+                transfers, exp_buf, uni_buf, log, ireg, freg, max_events):
     """Advance the trajectory until done or the kernel is needed.
 
     One call executes as many events as the register state, the random
     block buffers and the linked successor matrix allow, mutating
-    ``transfers``/``ireg``/``freg`` in place and returning a ``STATUS_*``
-    code.  An unlinked transition whose target is a registered slot is
-    linked here (:func:`_lookup_registered`), and one to the speculated
-    successor of a root the loop took from the plan is registered here
-    (:func:`_adopt_speculated`); only another new configuration returns
-    ``STATUS_NEED_LINK``.  This is the canonical implementation: the
-    numba backend compiles exactly this function and the C backend is its
-    line-for-line translation, so all three consume the random stream
-    identically.
+    ``transfers``/``log``/``ireg``/``freg`` in place and returning a
+    ``STATUS_*`` code.  An unlinked transition whose target is a registered
+    slot is linked here (:func:`_lookup_registered`), and one to the
+    speculated successor of a root the loop took from the plan is
+    registered here (:func:`_adopt_speculated`); only another new
+    configuration returns ``STATUS_NEED_LINK``.  This is the canonical
+    implementation: the numba backend compiles exactly this function and
+    the C backend is its line-for-line translation, so all three consume
+    the random stream identically.
     """
     n_events = cumulative.shape[1]
     n_junctions = transfer_matrix.shape[1]
@@ -480,29 +501,35 @@ def _advance_py(totals, cumulative, last_selectable, successor_slots,
     uni_pos = ireg[REG_UNI_POS]
     pending_event = ireg[REG_PENDING_EVENT]
     stalls = ireg[REG_STALLS]
+    log_pos = ireg[REG_LOG]
     time = freg[FREG_TIME]
     wait = freg[FREG_PENDING_WAIT]
     start = freg[FREG_START]
     duration = freg[FREG_DURATION]
     exp_len = exp_buf.shape[0]
     uni_len = uni_buf.shape[0]
+    log_len = log.shape[0]
     bounded = duration < _INF
     status = STATUS_DONE
     while True:
         if wait < 0.0:
             # Start a new event: budget checks, blockade handling, waiting
-            # time — the same order as the run()/step() loop.
+            # time — the order of the step loop the advance loop replaced.
             if events >= max_events:
                 status = STATUS_DONE
                 break
             if bounded and time - start >= duration:
                 status = STATUS_DONE
                 break
+            if log_len > 0 and log_pos >= log_len:
+                status = STATUS_LOG_FULL
+                break
             total = totals[slot]
             if total <= 0.0:
                 if bounded:
                     remaining = duration - (time - start)
                     time = time + remaining
+                    log_pos = _log_row(log, log_pos, time, -1, slot)
                     if time - start >= duration:
                         status = STATUS_DONE
                         break
@@ -511,6 +538,7 @@ def _advance_py(totals, cumulative, last_selectable, successor_slots,
                         status = STATUS_DONE
                         break
                     continue
+                log_pos = _log_row(log, log_pos, time, -1, slot)
                 stalls += 1
                 if stalls > 3:
                     status = STATUS_BLOCKED
@@ -527,6 +555,7 @@ def _advance_py(totals, cumulative, last_selectable, successor_slots,
                     # Censored: burn the remaining budget, apply nothing.
                     time = time + remaining
                     wait = -1.0
+                    log_pos = _log_row(log, log_pos, time, -1, slot)
                     if time - start >= duration:
                         status = STATUS_DONE
                         break
@@ -543,7 +572,7 @@ def _advance_py(totals, cumulative, last_selectable, successor_slots,
             uni_pos += 1
             # count(cumulative <= threshold) over the non-decreasing row is
             # exactly searchsorted(..., side="right"), clamped to the last
-            # positive-rate event as in the step loop.
+            # positive-rate event.
             index = 0
             while index < n_events and cumulative[slot, index] <= threshold:
                 index += 1
@@ -572,6 +601,7 @@ def _advance_py(totals, cumulative, last_selectable, successor_slots,
             transfers[junction] = transfers[junction] \
                 + transfer_matrix[index, junction]
         slot = successor
+        log_pos = _log_row(log, log_pos, time, index, slot)
         events += 1
         stalls = 0
         wait = -1.0
@@ -581,6 +611,7 @@ def _advance_py(totals, cumulative, last_selectable, successor_slots,
     ireg[REG_UNI_POS] = uni_pos
     ireg[REG_PENDING_EVENT] = pending_event
     ireg[REG_STALLS] = stalls
+    ireg[REG_LOG] = log_pos
     freg[FREG_TIME] = time
     freg[FREG_PENDING_WAIT] = wait
     return status
@@ -592,7 +623,7 @@ def _advance_points_py(totals, cumulative, last_selectable, successor_slots,
                        phase_counts, phase_transfers, exp_buf, uni_buf, ireg,
                        freg, slot_rows, starts, roots, plan_points,
                        plan_configurations, plan_blocks, plan_totals,
-                       plan_cumulative, plan_last):
+                       plan_cumulative, plan_last, log):
     """Advance every replica through every phase of every point until done
     or the kernel is needed.
 
@@ -648,7 +679,7 @@ def _advance_points_py(totals, cumulative, last_selectable, successor_slots,
                                      transfer_matrix, delta_n, slot_rows,
                                      plan_totals, plan_cumulative, plan_last,
                                      transfers[replica], exp_buf, uni_buf,
-                                     ireg, freg, schedule[phase])
+                                     log, ireg, freg, schedule[phase])
                 if status != STATUS_DONE and status != STATUS_BLOCKED:
                     return status
                 slots[replica] = ireg[REG_SLOT]
@@ -685,7 +716,8 @@ def _advance_points_py(totals, cumulative, last_selectable, successor_slots,
 
 #: Line-for-line C translation of :func:`_lookup_registered` (``lookup``),
 #: :func:`_adopt_speculated`, :func:`_root_sorts_after`,
-#: :func:`_root_from_plan`, :func:`_advance_py` (``advance``; the plan
+#: :func:`_root_from_plan`, :func:`_log_row`, :func:`_advance_py`
+#: (``advance``; the plan
 #: mirror's three row arrays travel as one ``plan_rows`` struct) and
 #: :func:`_advance_points_py` (the
 #: exported entry point, which reads every array address and size from one
@@ -862,6 +894,16 @@ static int root_from_plan(
     return 1;
 }
 
+static long long log_row(double *log, long long log_len, long long position,
+                         double time, long long event, long long slot)
+{
+    if (log_len == 0) return position;
+    log[position * 3] = time;
+    log[position * 3 + 1] = (double)event;
+    log[position * 3 + 2] = (double)slot;
+    return position + 1;
+}
+
 static long long advance(
     double *totals,
     double *cumulative,
@@ -875,6 +917,7 @@ static long long advance(
     double *transfers,
     const double *exp_buf, long long exp_len,
     const double *uni_buf, long long uni_len,
+    double *log, long long log_len,
     long long *ireg, double *freg,
     long long max_events, long long n_events, long long n_junctions,
     long long n_islands, long long capacity)
@@ -885,6 +928,7 @@ static long long advance(
     long long uni_pos = ireg[3];
     long long pending_event = ireg[4];
     long long stalls = ireg[5];
+    long long log_pos = ireg[17];
     double time = freg[0];
     double wait = freg[1];
     double start = freg[2];
@@ -895,16 +939,19 @@ static long long advance(
         if (wait < 0.0) {
             if (events >= max_events) { status = 0; break; }
             if (bounded && time - start >= duration) { status = 0; break; }
+            if (log_len > 0 && log_pos >= log_len) { status = 6; break; }
             double total = totals[slot];
             if (total <= 0.0) {
                 if (bounded) {
                     double remaining = duration - (time - start);
                     time = time + remaining;
+                    log_pos = log_row(log, log_len, log_pos, time, -1, slot);
                     if (time - start >= duration) { status = 0; break; }
                     stalls += 1;
                     if (stalls > 3) { status = 0; break; }
                     continue;
                 }
+                log_pos = log_row(log, log_len, log_pos, time, -1, slot);
                 stalls += 1;
                 if (stalls > 3) { status = 1; break; }  /* BLOCKED */
                 continue;
@@ -917,6 +964,7 @@ static long long advance(
                 if (wait > remaining) {
                     time = time + remaining;
                     wait = -1.0;
+                    log_pos = log_row(log, log_len, log_pos, time, -1, slot);
                     if (time - start >= duration) { status = 0; break; }
                     stalls += 1;
                     if (stalls > 3) { status = 0; break; }
@@ -960,6 +1008,7 @@ static long long advance(
             transfers[junction] = transfers[junction]
                 + transfer_row[junction];
         slot = successor;
+        log_pos = log_row(log, log_len, log_pos, time, index, slot);
         events += 1;
         stalls = 0;
         wait = -1.0;
@@ -970,6 +1019,7 @@ static long long advance(
     ireg[3] = uni_pos;
     ireg[4] = pending_event;
     ireg[5] = stalls;
+    ireg[17] = log_pos;
     freg[0] = time;
     freg[1] = wait;
     return status;
@@ -1006,17 +1056,19 @@ long long repro_mc_advance_points(const long long *block)
     const long long *plan_blocks = ARRAY(const long long, 24);
     plan_rows plan = {ARRAY(const double, 25), ARRAY(const double, 26),
                       ARRAY(const long long, 27)};
-    long long exp_len = block[28];
-    long long uni_len = block[29];
-    long long n_phases = block[30];
-    long long n_replicas = block[31];
-    long long n_events = block[32];
-    long long n_junctions = block[33];
-    long long n_islands = block[34];
-    long long n_points = block[35];
-    long long capacity = block[36];
-    long long n_starts = block[37];
-    long long n_blocks = block[38];
+    double *log = ARRAY(double, 28);
+    long long exp_len = block[29];
+    long long uni_len = block[30];
+    long long n_phases = block[31];
+    long long n_replicas = block[32];
+    long long n_events = block[33];
+    long long n_junctions = block[34];
+    long long n_islands = block[35];
+    long long n_points = block[36];
+    long long capacity = block[37];
+    long long n_starts = block[38];
+    long long n_blocks = block[39];
+    long long log_len = block[40];
     long long rows = n_phases + 1;
     for (;;) {
         long long point = ireg[10];
@@ -1048,7 +1100,8 @@ long long repro_mc_advance_points(const long long *block)
                 long long status = advance(
                     totals, cumulative, last_selectable, successor_slots,
                     configurations, transfer_matrix, delta_n, slot_rows,
-                    plan, row, exp_buf, exp_len, uni_buf, uni_len, ireg, freg,
+                    plan, row, exp_buf, exp_len, uni_buf, uni_len, log,
+                    log_len, ireg, freg,
                     schedule[phase], n_events, n_junctions, n_islands,
                     capacity);
                 if (status != 0 && status != 1) return status;  /* DONE, BLOCKED */
@@ -1190,7 +1243,8 @@ def _load_numba_advance() -> Optional[Callable]:
         return None
     try:
         for helper in (_lookup_registered, _adopt_speculated,
-                       _root_sorts_after, _root_from_plan, _advance_py):
+                       _root_sorts_after, _root_from_plan, _log_row,
+                       _advance_py):
             register_jitable(helper)
         compiled = numba.njit(cache=True)(_advance_points_py)
     except Exception:  # pragma: no cover - defensive against numba quirks
@@ -1309,6 +1363,7 @@ __all__ = [
     "REG_EVENTS",
     "REG_EXP_POS",
     "REG_LOADED",
+    "REG_LOG",
     "REG_LOOP_ROOTED",
     "REG_MEMO_LIMIT",
     "REG_PENDING_EVENT",
@@ -1325,6 +1380,7 @@ __all__ = [
     "REG_UNI_POS",
     "STATUS_BLOCKED",
     "STATUS_DONE",
+    "STATUS_LOG_FULL",
     "STATUS_NEED_EXP",
     "STATUS_NEED_LINK",
     "STATUS_NEED_ROOTS",

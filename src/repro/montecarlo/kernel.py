@@ -20,9 +20,15 @@ obtained *incrementally* from the parent entry — the event's precomputed
 ``delta_phi`` column combination of ``C^-1`` — instead of a full linear solve;
 a full re-solve every ``resync_interval`` new entries bounds floating-point
 drift.  The memo is invalidated on source-voltage or offset changes (detected
-in O(1) through the circuit's version counters) and keyed by trap occupation,
-so telegraph noise does not thrash it.  Waiting-time and selection randoms
-are drawn in blocks rather than one scalar at a time.
+in O(1) through the circuit's version counters).  Waiting-time and selection
+randoms are drawn in blocks rather than one scalar at a time.
+
+A charge trap is one more configuration column (``1`` while it holds an
+electron) and two more events, its capture (``+1`` on that column) and its
+emission (``-1``), each with rate zero in the state where it cannot fire:
+the memo key is the configuration's bytes, and a zero-rate column adds an
+exact ``+0.0`` to the cumulative rate row.  A flip's successor is solved
+exactly under its own trap state's offset charges.
 
 After a bias change the root configurations of a run — the replicas' current
 configurations — get their rate tables together with *speculated* tables of
@@ -44,8 +50,8 @@ later adopts its speculated table, whose potentials are its incrementally
 derived ones; so discovery order, the resync counter and the memo cap
 behave exactly as with one lazy evaluation per discovery.
 
-Runs without charge traps or per-event hooks go through
-:meth:`MonteCarloKernel.run_phases`: the advance loop of
+Every run goes through :meth:`MonteCarloKernel.run_phases`: the advance
+loop of
 :mod:`repro.montecarlo.jit` (numba, C, or the interpreted reference loop,
 whichever :func:`~repro.montecarlo.jit.resolve_advance` loads) advances
 ``R`` replicas one after another — a trajectory is a one-replica ensemble —
@@ -63,12 +69,10 @@ place) only where a root has no plan block yet, or at every point while a
 fault injector is active, and builds a loop-registered slot's
 :class:`_RateEntry` only when it needs it.  Inside a point, a transition
 to a configuration already met at that point is linked by the loop itself;
-only another discovery returns to Python.  The loop consumes the block
-random buffers exactly as :meth:`MonteCarloKernel.step` does, so a
-single-replica run replays the step path event for event — the
-correctness anchor the test-suite enforces.
-:meth:`~MonteCarloKernel.step` itself remains the loop for charge traps
-and per-event hooks.
+only another discovery returns to Python; a hooked run's loop also
+writes an event log.  The loop consumes the block random buffers exactly
+as the per-event step loop it replaced did (the test-suite keeps it as
+its oracle), so a single-replica run replays that loop event for event.
 
 The kernel is kept apart from the user-facing
 :class:`~repro.montecarlo.simulator.MonteCarloSimulator`, its one caller:
@@ -78,8 +82,7 @@ estimators, the kernel the rates, the memo and the loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,6 +103,7 @@ from .jit import (
     ARG_FREG,
     ARG_IREG,
     ARG_LAST,
+    ARG_LOG,
     ARG_PHASE_COUNTS,
     ARG_PHASE_TIMES,
     ARG_PHASE_TRANSFERS,
@@ -126,6 +130,7 @@ from .jit import (
     IREG_SIZE,
     REG_EXP_POS,
     REG_LOADED,
+    REG_LOG,
     REG_LOOP_ROOTED,
     REG_MEMO_LIMIT,
     REG_PENDING_EVENT,
@@ -139,6 +144,7 @@ from .jit import (
     REG_ROOTED,
     REG_SLOT,
     REG_UNI_POS,
+    STATUS_LOG_FULL,
     STATUS_NEED_EXP,
     STATUS_NEED_LINK,
     STATUS_NEED_ROOTS,
@@ -146,13 +152,7 @@ from .jit import (
     LoopArguments,
     resolve_advance,
 )
-from .state import EnsembleState, SimulationState
-
-Candidate = Union[TunnelCandidate, CotunnelCandidate, TrapCandidate]
-
-#: Stand-in state for trapless ensemble rate evaluations (the rate helpers
-#: only consult ``state.trap_occupancy``, which is empty here by design).
-_TRAPLESS = SimulationState(time=0.0, electrons=np.empty(0, dtype=np.int64))
+from .state import EnsembleState
 
 #: Event budget of a phase limited only by time (or by a blockade).
 UNBOUNDED_EVENTS = 1 << 62
@@ -167,15 +167,6 @@ UNBOUNDED_EVENTS = 1 << 62
 #: blocks of 4-32, while they bound the plan's memory: at most one block,
 #: 64 x (events + 1) rows, per root configuration of the current window.
 PLAN_BLOCK_POINTS = 64
-
-
-@dataclass(slots=True)
-class KernelStep:
-    """Outcome of one kinetic Monte-Carlo step."""
-
-    waiting_time: float
-    candidate: Candidate
-    total_rate: float
 
 
 class PhaseRecord:
@@ -247,20 +238,21 @@ class _EnsembleCursor:
     """
 
     __slots__ = ("epoch", "slots", "entries", "slot_of", "n_events",
-                 "n_islands", "totals", "cumulative", "last_selectable",
+                 "width", "totals", "cumulative", "last_selectable",
                  "successor_slots", "configurations", "slot_rows", "seen")
 
-    def __init__(self, n_events: int, n_islands: int) -> None:
+    def __init__(self, n_events: int, width: int) -> None:
         self.n_events = n_events
-        self.n_islands = n_islands
+        self.width = width
         self.totals = np.empty(0)
         self.cumulative = np.empty((0, n_events))
         self.last_selectable = np.empty(0, dtype=np.int64)
         #: ``successor_slots[s, k]`` is the slot reached from slot ``s`` via
         #: event ``k``, or ``-1`` when that transition has not been taken yet.
         self.successor_slots = np.empty((0, n_events), dtype=np.int64)
-        #: ``configurations[s]`` is slot ``s``'s canonical electron vector.
-        self.configurations = np.empty((0, n_islands), dtype=np.int64)
+        #: ``configurations[s]`` is slot ``s``'s canonical configuration
+        #: (the island electron numbers, then the trap occupations).
+        self.configurations = np.empty((0, width), dtype=np.int64)
         self.slot_rows = np.empty(0, dtype=np.int64)
         self.entries: List[Optional["_RateEntry"]] = []
         #: Bytes of ``ensemble.electrons`` as the kernel last left them
@@ -318,11 +310,11 @@ class _EnsembleCursor:
         capacity = max(count, 2 * capacity, 4)
         totals = np.zeros(capacity)
         # Pad with +inf so a padded column can never be counted by the
-        # threshold comparison (rows always fill the row when trapless).
+        # threshold comparison (every entry fills its row).
         cumulative = np.full((capacity, self.n_events), np.inf)
         last = np.full(capacity, -1, dtype=np.int64)
         successors = np.full((capacity, self.n_events), -1, dtype=np.int64)
-        configurations = np.zeros((capacity, self.n_islands), dtype=np.int64)
+        configurations = np.zeros((capacity, self.width), dtype=np.int64)
         slot_rows = np.full(capacity, -1, dtype=np.int64)
         known = self.totals.size
         totals[:known] = self.totals
@@ -489,7 +481,9 @@ class MonteCarloKernel:
 
     :meth:`run_phases` runs the advance loop that
     :func:`~repro.montecarlo.jit.resolve_advance` loads (``REPRO_JIT_BACKEND``
-    picks it); :meth:`step` is the per-event loop.
+    picks it).  A configuration is the island electron numbers followed by
+    one occupation column per charge trap; the events are the tunnel
+    events, the co-tunnel channels, then each trap's capture and emission.
     """
 
     def __init__(self, circuit: Circuit, temperature: float,
@@ -518,65 +512,68 @@ class MonteCarloKernel:
         self._table = self.model.table
         self._n_tunnel = self._table.size
         self._n_cot = len(self.cotunnel_candidates)
-        self._n_events = self._n_tunnel + self._n_cot
         self._cot_table = (CotunnelTable(self.model, self.cotunnel_candidates)
                            if self._n_cot else None)
         self._n_traps = len(self.traps)
-        self._trap_capture_rates = np.array(
-            [1.0 / trap.capture_time for trap in self.traps], dtype=float)
-        self._trap_emission_rates = np.array(
-            [1.0 / trap.emission_time for trap in self.traps], dtype=float)
-        self._trap_capture_candidates = [TrapCandidate(trap, capture=True)
-                                         for trap in self.traps]
-        self._trap_emission_candidates = [TrapCandidate(trap, capture=False)
-                                          for trap in self.traps]
-        # Flat per-event apply data (tunnel events first, then co-tunnels):
-        # candidate object, electron-number delta, potential delta and the
-        # (junction, direction) transfer bookkeeping, each one list index away.
-        self._event_candidates: List[Candidate] = (
-            list(self.tunnel_candidates) + list(self.cotunnel_candidates))
-        self._event_delta_n = [self._table.delta_n[k]
-                               for k in range(self._n_tunnel)]
-        self._event_delta_phi = [self._table.delta_phi[k]
-                                 for k in range(self._n_tunnel)]
+        islands = self.model.island_count
+        #: Width of a configuration row: islands, then trap occupations.
+        self._width = islands + self._n_traps
+        #: Event index of trap 0's capture (its emission is the next one).
+        self.first_trap_event = self._n_tunnel + self._n_cot
+        self._n_events = self.first_trap_event + 2 * self._n_traps
+        #: ``_trap_rates[occupied, t]`` is trap ``t``'s (capture, emission)
+        #: rate pair while empty (``0``) or occupied (``1``).
+        self._trap_rates = np.zeros((2, self._n_traps, 2))
+        self._trap_order = np.arange(self._n_traps)
+        self._trap_islands = [self.model.island_index(trap.island)
+                              for trap in self.traps]
+        #: Candidate of every event (labels of event records).
+        self.event_candidates = (
+            list(self.tunnel_candidates) + list(self.cotunnel_candidates)
+            + [TrapCandidate(trap, capture=flag) for trap in self.traps
+               for flag in (True, False)])
+        # Dense per-event matrices: row k of ``_delta_n_matrix`` is event
+        # k's configuration change, of ``_delta_phi_matrix`` its potential
+        # change (a trap flip's successor is solved exactly instead: zero
+        # rows), of ``_transfer_matrix`` its per-junction electron-transfer
+        # tally (the circuit's junction order, matching
+        # EnsembleState.junction_names).
+        self._delta_n_matrix = np.zeros((self._n_events, self._width),
+                                        dtype=np.int64)
+        self._delta_n_matrix[:self._n_tunnel, :islands] = self._table.delta_n
+        self._delta_phi_matrix = np.zeros((self._n_events, islands))
+        self._delta_phi_matrix[:self._n_tunnel] = self._table.delta_phi
         if self._n_cot:
-            self._event_delta_n += [self._cot_table.delta_n[c]
-                                    for c in range(self._n_cot)]
-            self._event_delta_phi += [self._cot_table.delta_phi[c]
-                                      for c in range(self._n_cot)]
-        self._event_transfers = [candidate.charge_transfers()
-                                 for candidate in self._event_candidates]
-        # Dense per-event matrices: row k of ``_delta_phi_matrix`` is event
-        # k's potential change (speculated successors), row k of
-        # ``_transfer_matrix`` its per-junction electron-transfer tally (the
-        # circuit's junction order, matching EnsembleState.junction_names).
+            moves = slice(self._n_tunnel, self.first_trap_event)
+            self._delta_n_matrix[moves, :islands] = self._cot_table.delta_n
+            self._delta_phi_matrix[moves] = self._cot_table.delta_phi
+        for position, trap in enumerate(self.traps):
+            self._trap_rates[0, position, 0] = 1.0 / trap.capture_time
+            self._trap_rates[1, position, 1] = 1.0 / trap.emission_time
+            event = self.first_trap_event + 2 * position
+            self._delta_n_matrix[event, islands + position] = 1
+            self._delta_n_matrix[event + 1, islands + position] = -1
+        self._event_delta_n = list(self._delta_n_matrix)
+        self._event_delta_phi = list(self._delta_phi_matrix)
         self._junction_order = {junction.name: column for column, junction
                                 in enumerate(circuit.junctions())}
-        self._delta_phi_matrix = np.vstack(self._event_delta_phi) \
-            if self._n_events else np.zeros((0, self.model.island_count))
         self._transfer_matrix = np.zeros(
             (self._n_events, len(self._junction_order)), dtype=float)
-        #: ``k + 1`` per rate-table column (last positive-rate lookups).
-        self._positions = np.arange(1, self._n_events + self._n_traps + 1)
-        for index, transfers in enumerate(self._event_transfers):
-            for name, direction in transfers:
+        for index, candidate in enumerate(self.event_candidates):
+            for name, direction in candidate.charge_transfers():
                 self._transfer_matrix[index, self._junction_order[name]] \
                     += direction
-        #: Row ``k`` is event ``k``'s electron-number change.
-        self._delta_n_matrix = np.array(
-            self._event_delta_n, dtype=np.int64
-        ).reshape(self._n_events, self.model.island_count)
+        #: ``k + 1`` per rate-table column (last positive-rate lookups).
+        self._positions = np.arange(1, self._n_events + 1)
 
         # ----------------------------------------------- cache bookkeeping
         self._voltages: Optional[np.ndarray] = None
         self._bias_version = -1
         self._offsets: Optional[np.ndarray] = None
         self._offsets_version = -1
-        self._trap_snapshot: Optional[dict] = None
-        self._trap_bits = 0
         self._entries_since_resync = 0
         self._plan: Optional[_SweepPlan] = None
-        #: Memoised :class:`_RateEntry` per (configuration, trap occupation).
+        #: Memoised :class:`_RateEntry` per configuration (its bytes).
         self._rate_cache: dict = {}
         self._rate_cache_limit = 65536
         #: Memo entries the advance loop registered that ``_rate_cache``
@@ -591,6 +588,9 @@ class MonteCarloKernel:
         self._uniform_buffer = np.empty(0)
         self._uniform_position = 0
         self._random_block = 4096
+        #: Rows of the event log a hooked run's loop writes between drains.
+        self._log_block = 4096
+        self._log = self._no_log = np.empty((0, 3))
 
         # ---------------------------------------------------- advance loop
         self._jit_backend, self._jit_advance = resolve_advance()
@@ -601,18 +601,18 @@ class MonteCarloKernel:
         self._arguments = LoopArguments()
         for index, array in ((ARG_TRANSFER_MATRIX, self._transfer_matrix),
                              (ARG_DELTA_N, self._delta_n_matrix),
-                             (ARG_IREG, self._ireg), (ARG_FREG, self._freg)):
+                             (ARG_IREG, self._ireg), (ARG_FREG, self._freg),
+                             (ARG_LOG, self._log)):
             self._arguments.set(index, array)
         self._phase_record: Optional[PhaseRecord] = None
         #: ``(voltages, starts)`` of the sweep a run is advancing, if any.
         self._sweep: Optional[tuple] = None
         #: The loop's sweep arguments when no sweep plan applies: no cold
         #: starts, no root scratch, no plan mirror.
-        islands = self.model.island_count
         self._unplanned = _SweepPlan(np.empty((0, 0)), -1, self._n_events,
                                      islands)
-        self._no_starts = np.empty((0, islands), dtype=np.int64)
-        self._roots = np.empty((0, islands + 2), dtype=np.int64)
+        self._no_starts = np.empty((0, self._width), dtype=np.int64)
+        self._roots = np.empty((0, self._width + 2), dtype=np.int64)
 
     @property
     def jit_backend(self) -> str:
@@ -627,18 +627,6 @@ class MonteCarloKernel:
         self._unlisted = 0
         self._cache_epoch += 1
 
-    def invalidate_caches(self) -> None:
-        """Drop all cached bias/offset/rate-table data (full refresh next step)."""
-        self._voltages = None
-        self._bias_version = -1
-        self._offsets = None
-        self._offsets_version = -1
-        self._trap_snapshot = None
-        self._trap_bits = 0
-        self._entries_since_resync = 0
-        self._plan = None
-        self._clear_rate_cache()
-
     def _refresh_bias(self) -> None:
         version = self.circuit.bias_version
         if self._voltages is None or version != self._bias_version:
@@ -646,74 +634,41 @@ class MonteCarloKernel:
             self._bias_version = version
             self._clear_rate_cache()
 
-    def _refresh_offsets(self, state: SimulationState) -> None:
+    def _refresh_offsets(self) -> None:
         version = self.circuit.charge_version
-        trap_state_changed = (self._n_traps > 0
-                              and state.trap_occupancy != self._trap_snapshot)
-        if self._offsets is None or version != self._offsets_version \
-                or trap_state_changed:
-            if version != self._offsets_version:
-                # Static offsets changed: every memoised table is stale.  A
-                # trap flip alone keeps the cache (configurations are keyed by
-                # trap occupation as well).
-                self._clear_rate_cache()
-            offsets = np.array(self.model.system.cached_offset_charges())
-            if self._n_traps:
-                island_index = self.model.island_index
-                bits = 0
-                for position, trap in enumerate(self.traps):
-                    if state.trap_occupancy.get(trap.name, False):
-                        offsets[island_index(trap.island)] += trap.coupling
-                        bits |= 1 << position
-                self._trap_snapshot = dict(state.trap_occupancy)
-                self._trap_bits = bits
-            self._offsets = offsets
+        if self._offsets is None or version != self._offsets_version:
+            self._clear_rate_cache()
+            self._offsets = np.array(self.model.system.cached_offset_charges())
             self._offsets_version = version
 
-    # ------------------------------------------------------- batched randoms
+    def _configuration_offsets(self, configurations: np.ndarray) -> np.ndarray:
+        """The offset charges of each configuration's trap state.
 
-    def _next_exponential(self) -> float:
-        """One standard-exponential variate from the block buffer."""
-        position = self._exp_position
-        if position >= self._exp_buffer.size:
-            self._exp_buffer = self.rng.standard_exponential(self._random_block)
-            position = 0
-        self._exp_position = position + 1
-        return float(self._exp_buffer[position])
-
-    def _next_uniform(self) -> float:
-        """One standard-uniform variate from the block buffer."""
-        position = self._uniform_position
-        if position >= self._uniform_buffer.size:
-            self._uniform_buffer = self.rng.random(self._random_block)
-            position = 0
-        self._uniform_position = position + 1
-        return float(self._uniform_buffer[position])
+        The static offsets plus the coupling of every occupied trap, added
+        in trap order; ``(..., islands)`` for a ``(..., width)`` stack.
+        """
+        islands = self.model.island_count
+        offsets = np.array(np.broadcast_to(
+            self._offsets, configurations.shape[:-1] + (islands,)))
+        for position, trap in enumerate(self.traps):
+            occupied = configurations[..., islands + position] == 1
+            offsets[occupied, self._trap_islands[position]] += trap.coupling
+        return offsets
 
     # ------------------------------------------------------------------ rates
 
-    def effective_offsets(self, state: SimulationState) -> np.ndarray:
-        """Island offset charges including the contribution of occupied traps.
-
-        The static offset vector and the trap contributions are cached; the
-        vector is rebuilt only when an offset charge or a trap occupation
-        actually changed.
-        """
-        self._refresh_bias()
-        self._refresh_offsets(state)
-        assert self._offsets is not None
-        return self._offsets.copy()
-
-    def _rates_from_phi(self, phi: np.ndarray, state: SimulationState,
+    def _rates_from_phi(self, phi: np.ndarray, configurations: np.ndarray,
                         voltages: Optional[np.ndarray] = None) -> np.ndarray:
-        """Rate table (tunnel | cotunnel | trap) of one or many configurations.
+        """Rate table (tunnel | co-tunnel | trap flips) of configurations.
 
         ``phi`` is one potential vector or a ``(rows, islands)`` stack of
-        them; ``voltages`` is a ``(rows, sources)`` stack of per-row source
-        voltages, or ``None`` for the kernel's current ones.  Every rate is
-        an element-wise function of its own row (the tunnel rates are
-        evaluated over the flattened stack), so a row of a stacked
-        evaluation equals the single-row evaluation bit for bit.
+        them, ``configurations`` the matching configuration row(s) (only
+        their trap columns are read); ``voltages`` is a ``(rows, sources)``
+        stack of per-row source voltages, or ``None`` for the kernel's
+        current ones.  Every rate is an element-wise function of its own
+        row (the tunnel rates are evaluated over the flattened stack), so a
+        row of a stacked evaluation equals the single-row evaluation bit
+        for bit.
         """
         rows = phi.shape[:-1]
         columns = []
@@ -732,12 +687,9 @@ class MonteCarloKernel:
                 self._cot_table.resistance_1, self._cot_table.resistance_2,
                 self.temperature))
         if self._n_traps:
-            occupied = np.fromiter(
-                (state.trap_occupancy.get(trap.name, False) for trap in self.traps),
-                dtype=bool, count=self._n_traps)
-            columns.append(np.broadcast_to(np.where(
-                occupied, self._trap_emission_rates, self._trap_capture_rates),
-                rows + (self._n_traps,)))
+            occupied = configurations[..., self.model.island_count:]
+            columns.append(self._trap_rates[occupied, self._trap_order]
+                           .reshape(rows + (2 * self._n_traps,)))
         if len(columns) == 1:
             return columns[0]
         if not columns:
@@ -764,43 +716,7 @@ class MonteCarloKernel:
             last = (positive * self._positions).max(axis=-1) - 1
         return cumulative, cumulative[..., -1], last
 
-    def _compute_rates(self, state: SimulationState) -> np.ndarray:
-        """Full vectorized rate evaluation from an exact potential solve."""
-        self._refresh_bias()
-        self._refresh_offsets(state)
-        phi = np.asarray(self.model.island_potentials(
-            state.electrons, self._voltages, self._offsets), dtype=float)
-        return self._rates_from_phi(phi, state)
-
-    def candidate_rates(self, state: SimulationState
-                        ) -> Tuple[List[Candidate], np.ndarray]:
-        """All candidates and their rates from the current state.
-
-        Tunnel and co-tunnel candidates with zero rate are filtered out (as in
-        the reference implementation); trap candidates are always present.
-        """
-        rates = self._compute_rates(state)
-        candidates: List[Candidate] = []
-        kept: List[float] = []
-        for index in range(self._n_events):
-            rate = rates[index]
-            if rate > 0.0:
-                candidates.append(self._event_candidates[index])
-                kept.append(rate)
-        for position, trap in enumerate(self.traps):
-            occupied = state.trap_occupancy.get(trap.name, False)
-            candidates.append(self._trap_emission_candidates[position] if occupied
-                              else self._trap_capture_candidates[position])
-            kept.append(rates[self._n_events + position])
-        return candidates, np.array(kept, dtype=float)
-
     # --------------------------------------------------------- memo entries
-
-    def _entry_key(self, electrons: np.ndarray):
-        key = electrons.tobytes()
-        if self._n_traps:
-            return (key, self._trap_bits)
-        return key
 
     def _store_entry(self, key, entry: "_RateEntry") -> None:
         if len(self._rate_cache) + self._unlisted >= self._rate_cache_limit:
@@ -808,8 +724,7 @@ class MonteCarloKernel:
         self._rate_cache[key] = entry
 
     def _build_entry(self, key, electrons: np.ndarray,
-                     phi: Optional[np.ndarray],
-                     state: SimulationState) -> "_RateEntry":
+                     phi: Optional[np.ndarray]) -> "_RateEntry":
         """Create (and memoise) the rate table of one configuration.
 
         ``phi = None`` forces an exact potential solve; otherwise the caller
@@ -818,7 +733,7 @@ class MonteCarloKernel:
         if phi is None:
             phi = self._exact_phi(electrons)
         cumulative, total, last = self._selection_tables(
-            self._rates_from_phi(phi, state))
+            self._rates_from_phi(phi, electrons))
         entry = _RateEntry(electrons, phi, cumulative, float(total), int(last),
                            self._n_events)
         self._store_entry(key, entry)
@@ -828,16 +743,21 @@ class MonteCarloKernel:
                     voltages: np.ndarray) -> np.ndarray:
         """Island potentials ``C^-1 (q + B V)``: every exact solve's expression.
 
-        ``electrons`` is a ``(..., islands)`` stack of configurations and
+        ``electrons`` is a ``(..., width)`` stack of configurations and
         ``voltages`` a ``(..., sources)`` stack of source vectors that
-        broadcasts against it.  Both products are stacked ``np.matmul``
-        calls over column vectors, so a configuration's potentials at one
-        source vector are the same bits whether solved alone
-        (:meth:`_exact_phi`) or in a plan block (:meth:`_plan_block`).
+        broadcasts against it; a trap circuit's offsets are each
+        configuration's (:meth:`_configuration_offsets`).  Both products
+        are stacked ``np.matmul`` calls over column vectors, so a
+        configuration's potentials at one source vector are the same bits
+        whether solved alone (:meth:`_exact_phi`) or in a plan block
+        (:meth:`_plan_block`).
         """
         system = self.model.system
-        charges = -np.asarray(electrons, dtype=float) * E_CHARGE \
-            + self._offsets
+        offsets = self._offsets
+        if self._n_traps:
+            offsets = self._configuration_offsets(electrons)
+            electrons = electrons[..., :self.model.island_count]
+        charges = -np.asarray(electrons, dtype=float) * E_CHARGE + offsets
         bias = np.matmul(system.coupling, voltages[..., None])[..., 0]
         return np.matmul(system.inverse, (charges + bias)[..., None])[..., 0]
 
@@ -846,19 +766,21 @@ class MonteCarloKernel:
         self._entries_since_resync = 0
         return self._potentials(electrons, self._voltages)
 
-    def _stack_rows(self, phi: np.ndarray,
+    def _stack_rows(self, phi: np.ndarray, configurations: np.ndarray,
                     voltages: Optional[np.ndarray] = None) -> tuple:
         """Rate rows of root potentials and of their one-event successors.
 
-        ``phi`` is a ``(roots, islands)`` stack of root potentials and
+        ``phi`` is a ``(roots, islands)`` stack of root potentials,
+        ``configurations`` the roots' ``(roots, width)`` configurations and
         ``voltages`` the ``(roots, sources)`` source voltages each root is
         evaluated at (the kernel's current voltages when ``None``).  A
         root's event-``k`` successor gets ``phi + delta_phi[k]`` (one
-        broadcast add, the expression :meth:`_descend` evaluates), and every
-        row goes through one :meth:`_rates_from_phi` call.  Returns the
-        potential stack, its cumulative rows, totals and last-selectable
-        indices: root ``r`` is row ``r * (events + 1)``, its event-``k``
-        successor the ``k + 1``-th row after it.
+        broadcast add, the expression :meth:`_descend` evaluates) and the
+        root's trap state, and every row goes through one
+        :meth:`_rates_from_phi` call (a trap flip's row is never adopted).
+        Returns the potential stack, its cumulative rows, totals and
+        last-selectable indices: root ``r`` is row ``r * (events + 1)``,
+        its event-``k`` successor the ``k + 1``-th row after it.
         """
         roots, islands = phi.shape
         stride = self._n_events + 1
@@ -868,8 +790,10 @@ class MonteCarloKernel:
         stack = stack.reshape(roots * stride, islands)
         if voltages is not None:
             voltages = np.repeat(voltages, stride, axis=0)
+        if self._n_traps:
+            configurations = np.repeat(configurations, stride, axis=0)
         return (stack,) + self._selection_tables(
-            self._rates_from_phi(stack, _TRAPLESS, voltages))
+            self._rates_from_phi(stack, configurations, voltages))
 
     def _build_roots(self, configurations: np.ndarray) -> List["_RateEntry"]:
         """Memoised entries of root configurations, with speculated successors.
@@ -889,7 +813,8 @@ class MonteCarloKernel:
         missing = [root for root, found in enumerate(rows) if found is None]
         if missing:
             evaluated = self._stack_rows(
-                phi if len(missing) == len(rows) else phi[missing])
+                *((phi, electrons) if len(missing) == len(rows)
+                  else (phi[missing], electrons[missing])))
             for position, root in enumerate(missing):
                 rows[root] = evaluated + (position * (events + 1),)
         entries = []
@@ -897,7 +822,7 @@ class MonteCarloKernel:
             entry = _RateEntry(electrons[root], phi[root], cumulative[row],
                                float(totals[row]), int(last[row]), events)
             entry.speculation = (cumulative, totals, last, row + 1)
-            self._store_entry(self._entry_key(electrons[root]), entry)
+            self._store_entry(electrons[root].tobytes(), entry)
             entries.append(entry)
         return entries
 
@@ -915,10 +840,12 @@ class MonteCarloKernel:
         rows itself where every root has a block.  A point finds its row by
         the bytes of its source vector; a point whose voltages are not in
         the stack is evaluated on its own.  The stack is dropped on an
-        offset-charge change.
+        offset-charge change, and no plan is held for a circuit with charge
+        traps (a flip's successor is solved exactly, never speculated).
         """
         self._plan = None
-        if voltages is not None and self.model.island_count:
+        if voltages is not None and self.model.island_count \
+                and not self._n_traps:
             self._plan = _SweepPlan(voltages, self.circuit.charge_version,
                                     self._n_events, self.model.island_count)
 
@@ -949,7 +876,7 @@ class MonteCarloKernel:
             else plan.points.get(self._voltages.tobytes())
         if point is None:
             return [None] * len(electrons)
-        keys = [self._entry_key(row) for row in electrons]
+        keys = [row.tobytes() for row in electrons]
         unplanned = [root for root, key in enumerate(keys)
                      if not plan.covers(key, point)]
         if unplanned:
@@ -987,7 +914,7 @@ class MonteCarloKernel:
         phi = self._potentials(electrons[:, None, :],
                                plan.voltages[point:stop])
         rows = self._stack_rows(
-            phi.reshape(-1, phi.shape[-1]),
+            phi.reshape(-1, phi.shape[-1]), electrons,
             np.tile(plan.voltages[point:stop], (len(electrons), 1)))
         span = (stop - point) * (self._n_events + 1)
         for index, key in enumerate(keys):
@@ -995,31 +922,33 @@ class MonteCarloKernel:
                                                        electrons[index])
             plan.held.discard(key)
 
-    def _descend(self, parent: "_RateEntry", index: int,
-                 state: SimulationState) -> "_RateEntry":
+    def _descend(self, parent: "_RateEntry", index: int) -> "_RateEntry":
         """Entry of the configuration reached from ``parent`` via event ``index``.
 
         This is where the incremental electrostatics happens: the successor's
         island potentials are the parent's plus the event's precomputed
         ``delta_phi`` (a column combination of ``C^-1``), skipping the full
         ``C^-1 (q + B V)`` solve.  Every ``resync_interval`` discoveries the
-        potentials are re-solved exactly to stop rounding drift.  A successor
-        of a stacked root adopts its speculated rate row: the stack holds
-        the root's potentials plus the same ``delta_phi`` row, so the
-        potentials derived here are the speculated ones, bit for bit.
+        potentials are re-solved exactly to stop rounding drift, and a trap
+        flip's successor is always solved exactly, under the offset charges
+        of its own trap state.  A successor of a stacked root adopts its
+        speculated rate row: the stack holds the root's potentials plus the
+        same ``delta_phi`` row, so the potentials derived here are the
+        speculated ones, bit for bit.
         """
         electrons = parent.electrons + self._event_delta_n[index]
-        key = self._entry_key(electrons)
+        key = electrons.tobytes()
         existing = self._rate_cache.get(key)
         if existing is not None:
             return existing
-        if self._entries_since_resync >= self.resync_interval:
-            return self._build_entry(key, electrons, None, state)
+        if index >= self.first_trap_event \
+                or self._entries_since_resync >= self.resync_interval:
+            return self._build_entry(key, electrons, None)
         phi = parent.phi + self._event_delta_phi[index]
         self._entries_since_resync += 1
         speculation = parent.speculation
         if speculation is None:
-            return self._build_entry(key, electrons, phi, state)
+            return self._build_entry(key, electrons, phi)
         cumulative, totals, last, first = speculation
         row = first + index
         entry = _RateEntry(electrons, phi, cumulative[row],
@@ -1027,72 +956,6 @@ class MonteCarloKernel:
                            self._n_events)
         self._store_entry(key, entry)
         return entry
-
-    # ------------------------------------------------------------------ steps
-
-    def step(self, state: SimulationState,
-             max_waiting_time: Optional[float] = None) -> Optional[KernelStep]:
-        """Execute one kinetic Monte-Carlo step in place.
-
-        Returns ``None`` when no event has a positive rate (a completely
-        blockaded circuit at zero temperature) or when the drawn waiting time
-        exceeds ``max_waiting_time`` (in which case the state only advances in
-        time and nothing is applied).
-        """
-        # O(1) invalidation checks before consulting the memoised tables.
-        circuit = self.circuit
-        if self._voltages is None or circuit.bias_version != self._bias_version:
-            self._refresh_bias()
-        if self._offsets is None or circuit.charge_version != self._offsets_version \
-                or (self._n_traps and state.trap_occupancy != self._trap_snapshot):
-            self._refresh_offsets(state)
-
-        key = self._entry_key(state.electrons)
-        entry = self._rate_cache.get(key)
-        if entry is None:
-            entry = self._build_entry(key,
-                                      np.array(state.electrons, dtype=np.int64),
-                                      None, state)
-
-        total_rate = entry.total
-        if total_rate <= 0.0:
-            if max_waiting_time is not None:
-                state.time += max_waiting_time
-            return None
-
-        waiting = self._next_exponential() / total_rate
-        if max_waiting_time is not None and waiting > max_waiting_time:
-            state.time += max_waiting_time
-            return None
-
-        cumulative = entry.cumulative
-        index = cumulative.searchsorted(self._next_uniform() * total_rate,
-                                        side="right")
-        if index > entry.last_selectable:
-            index = entry.last_selectable
-        state.time += waiting
-        if index < self._n_events:
-            successor = entry.successors[index]
-            if successor is None:
-                successor = self._descend(entry, index, state)
-                entry.successors[index] = successor
-            state.electrons = successor.electrons.copy()
-            transfers = state.electron_transfers
-            for name, direction in self._event_transfers[index]:
-                transfers[name] += direction
-            chosen = self._event_candidates[index]
-        else:
-            position = index - self._n_events
-            trap = self.traps[position]
-            occupied = state.trap_occupancy.get(trap.name, False)
-            chosen = (self._trap_emission_candidates[position] if occupied
-                      else self._trap_capture_candidates[position])
-            chosen.apply(state, self.model)
-            # The trap snapshot is now stale; the next step re-derives the
-            # offsets and looks the configuration up under the new trap key.
-        state.event_count += 1
-        return KernelStep(waiting_time=waiting, candidate=chosen,
-                          total_rate=total_rate)
 
     # --------------------------------------------------------------- cursors
 
@@ -1121,7 +984,7 @@ class MonteCarloKernel:
                                         return_inverse=True)
             inverse = np.asarray(inverse, dtype=np.int64).reshape(-1)
         if not stale:
-            cursor = _EnsembleCursor(self._n_events, self.model.island_count)
+            cursor = _EnsembleCursor(self._n_events, self._width)
             ensemble.cursor = cursor
         cursor.reset(self._cache_epoch, self._root_entries(unique), inverse)
         cursor.seen = electrons.tobytes()
@@ -1158,10 +1021,10 @@ class MonteCarloKernel:
         entries = []
         for row in unique:
             row = np.ascontiguousarray(row)
-            key = self._entry_key(row)
+            key = row.tobytes()
             entry = self._rate_cache.get(key)
             if entry is None:
-                entry = self._build_entry(key, row.copy(), None, _TRAPLESS)
+                entry = self._build_entry(key, row.copy(), None)
             entries.append(entry)
         return entries
 
@@ -1175,7 +1038,7 @@ class MonteCarloKernel:
             parent = self._loop_entry(cursor, slot)
         child = parent.successors[event]
         if child is None:
-            child = self._descend(parent, event, _TRAPLESS)
+            child = self._descend(parent, event)
             parent.successors[event] = child
         cursor.successor_slots[slot, event] = cursor.register(child)
 
@@ -1284,7 +1147,8 @@ class MonteCarloKernel:
     def run_phases(self, ensemble: EnsembleState, record: PhaseRecord,
                    duration: Optional[float] = None,
                    voltages: Optional[np.ndarray] = None,
-                   starts: Optional[np.ndarray] = None) -> None:
+                   starts: Optional[np.ndarray] = None,
+                   log: Optional[list] = None) -> None:
         """Advance every replica through a phased run of the advance loop.
 
         Replicas run through ``record.schedule`` phase-major (every replica
@@ -1299,7 +1163,7 @@ class MonteCarloKernel:
         ``voltages`` runs the schedule at every point of ``record``: the
         ``(points, sources)`` source vector of each point.  ``starts`` is
         then ``None`` to carry the replicas from point to point, or, for a
-        cold-started sweep, the ``(points, islands)`` configuration every
+        cold-started sweep, the ``(points, width)`` configuration every
         replica starts each point from.  The circuit is not written to.
         Between points the loop zeroes every replica's clock, count and
         transfer row and roots the next point from the sweep plan's native
@@ -1312,10 +1176,16 @@ class MonteCarloKernel:
         cannot register from the plan, or a point it cannot root — and is
         re-entered with the updated buffers and cursor arrays (re-bound
         when they grew); the registers resume the interrupted replica
-        mid-event.  Refills replicate the :meth:`step`
-        accessors exactly (one ``_random_block`` draw at the consumption
-        point), so a single-replica ensemble replays the :meth:`step`
-        trajectory event for event.
+        mid-event.  Refills replicate the step loop's accessors exactly
+        (one ``_random_block`` draw at the consumption point), so a
+        single-replica ensemble replays the step loop's trajectory event
+        for event.
+
+        ``log`` (a list, for a one-phase run) asks for the event log of
+        :mod:`~repro.montecarlo.jit`: Python drains its rows into ``log``
+        as ``(times, events, configurations)`` chunks whenever its
+        ``_log_block`` rows are full, before the cursor is re-keyed and at
+        the end.
 
         The run starts from the boundary ``record.point``/``record.phase``/
         ``record.replica`` (zero for a fresh :meth:`phase_record`).  If a
@@ -1324,14 +1194,11 @@ class MonteCarloKernel:
         its phase-start snapshot); the kernel swaps in the interpreted loop
         for good, emits a ``jit.run_compiled`` / ``fallback:python``
         degradation and resumes from that boundary on the same random
-        stream.  The ``jit.run_compiled`` fault site fires at the start of
-        a native run and at each point Python roots; while a fault
-        injector is active Python roots every point.
+        stream (a restarted one-phase run starts its ``log`` afresh).  The
+        ``jit.run_compiled`` fault site fires at the start of a native run
+        and at each point Python roots; while a fault injector is active
+        Python roots every point.
         """
-        if self._n_traps:
-            raise SimulationError(
-                "the advance loop does not support charge traps; use the "
-                "step() path for telegraph-noise simulations")
         self._sweep = None if voltages is None else (voltages, starts)
         try:
             if voltages is None:
@@ -1339,7 +1206,7 @@ class MonteCarloKernel:
             else:
                 self._voltages = voltages[record.point]
                 self._clear_rate_cache()
-            self._refresh_offsets(_TRAPLESS)
+            self._refresh_offsets()
             cursor = self._ensure_cursor(ensemble)
             # The native loop writes through raw addresses: hand it
             # contiguous arrays of the exact dtypes (a no-op for
@@ -1358,7 +1225,7 @@ class MonteCarloKernel:
             try:
                 if self._jit_backend != BACKEND_PYTHON:
                     inject("jit.run_compiled")
-                self._advance(cursor, ensemble, record, duration)
+                self._advance(cursor, ensemble, record, duration, log)
             except Exception as error:
                 if self._jit_backend == BACKEND_PYTHON:
                     raise
@@ -1368,7 +1235,9 @@ class MonteCarloKernel:
                     resolve_advance(BACKEND_PYTHON)
                 emit_degradation("jit.run_compiled", "fallback:python",
                                  repr(error))
-                self._advance(cursor, ensemble, record, duration)
+                if log is not None:
+                    log.clear()
+                self._advance(cursor, ensemble, record, duration, log)
         finally:
             if voltages is not None:
                 # The circuit still holds its own bias: the next run
@@ -1377,7 +1246,8 @@ class MonteCarloKernel:
                 self._voltages = None
 
     def _advance(self, cursor: _EnsembleCursor, ensemble: EnsembleState,
-                 record: PhaseRecord, duration: Optional[float]) -> None:
+                 record: PhaseRecord, duration: Optional[float],
+                 log: Optional[list]) -> None:
         """The backend calls of :meth:`run_phases`, from ``record``'s boundary.
 
         In a sweep the loop roots a point from the plan mirror itself
@@ -1401,6 +1271,11 @@ class MonteCarloKernel:
         if len(self._roots) != len(cursor.slots):
             self._roots = np.empty((len(cursor.slots), self._roots.shape[1]),
                                    dtype=np.int64)
+        rows = self._no_log
+        if log is not None:
+            if len(self._log) != self._log_block:
+                self._log = np.empty((self._log_block, 3))
+            rows = self._log
         for index, array in ((ARG_TIMES, ensemble.times),
                              (ARG_COUNTS, ensemble.event_counts),
                              (ARG_TRANSFERS, transfers),
@@ -1411,7 +1286,7 @@ class MonteCarloKernel:
                              (ARG_EXP, self._exp_buffer),
                              (ARG_UNIFORM, self._uniform_buffer),
                              (ARG_STARTS, starts), (ARG_ROOTS, self._roots),
-                             (ARG_PLAN_POINTS, plan_points)):
+                             (ARG_PLAN_POINTS, plan_points), (ARG_LOG, rows)):
             if arrays[index] is not array:
                 arguments.set(index, array)
         self._bind_plan(plan)
@@ -1458,7 +1333,11 @@ class MonteCarloKernel:
                     self._link_compiled(cursor, int(ireg[REG_SLOT]),
                                         int(ireg[REG_PENDING_EVENT]))
                     self._hand_back(cursor)
+                elif status == STATUS_LOG_FULL:
+                    self._drain(cursor, log)
                 elif status == STATUS_NEED_ROOTS:
+                    if log is not None:
+                        self._drain(cursor, log)
                     self._take_over(cursor)
                     self._next_point(cursor, int(ireg[REG_POINT]))
                     self._hand_back(cursor)
@@ -1466,6 +1345,8 @@ class MonteCarloKernel:
                     ireg[REG_ROOTED] = 1
                 else:
                     break
+            if log is not None:
+                self._drain(cursor, log)
         finally:
             self._take_over(cursor)
             self._exp_position = int(ireg[REG_EXP_POS])
@@ -1481,6 +1362,19 @@ class MonteCarloKernel:
             # raised, so a resumed run continues from them.
             ensemble.electrons[:] = cursor.configurations[cursor.slots]
             cursor.seen = ensemble.electrons.tobytes()
+
+    def _drain(self, cursor: _EnsembleCursor, log: list) -> None:
+        """Move the loop's logged rows into ``log`` and empty the log.
+
+        A chunk is the rows' times, events (``-1``: none applied) and the
+        configurations of their slots, so it outlives a re-keyed cursor.
+        """
+        count = int(self._ireg[REG_LOG])
+        if count:
+            rows = self._log[:count]
+            log.append((rows[:, 0].copy(), rows[:, 1].astype(np.int64),
+                        cursor.configurations[rows[:, 2].astype(np.int64)]))
+            self._ireg[REG_LOG] = 0
 
     def _bind_plan(self, plan: _SweepPlan) -> None:
         """Pass ``plan``'s native mirror to the loop (re-bound when rebuilt)."""
@@ -1505,4 +1399,4 @@ class MonteCarloKernel:
         return buffer
 
 
-__all__ = ["Candidate", "KernelStep", "MonteCarloKernel"]
+__all__ = ["MonteCarloKernel"]

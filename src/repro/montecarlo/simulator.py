@@ -19,18 +19,17 @@ and the current estimator runs once over all points
 (:func:`~repro.montecarlo.observables.block_estimates` or
 :func:`~repro.montecarlo.observables.replica_estimates`).
 
-Every run without charge traps or per-event hooks — :meth:`run`,
-:meth:`run_ensemble`, :meth:`stationary_current` and a whole serial
-:meth:`sweep_source`, one trajectory or ``R`` replicas — is one call of the
-kernel's advance loop
+Every run — :meth:`run`, :meth:`run_ensemble`, :meth:`stationary_current`
+and a whole serial :meth:`sweep_source`, one trajectory or ``R`` replicas,
+with or without charge traps — is one call of the kernel's advance loop
 (:meth:`~repro.montecarlo.kernel.MonteCarloKernel.run_phases`), on whichever
 backend :func:`~repro.montecarlo.jit.resolve_advance` loads.  An ensemble's
 replica spread replaces single-trajectory block averaging for the standard
 error (``stationary_current(replicas=R)``, ``sweep_source(ensemble=R)``);
-block averaging is kept as the reference estimator.  Charge traps, event
-records and occupation statistics run the per-event
-:meth:`~repro.montecarlo.kernel.MonteCarloKernel.step` loop, which the
-advance loop replays event for event.
+block averaging is kept as the reference estimator.  A trajectory's trap
+occupations ride in its configuration row; event records, occupation
+statistics and trap-flip counts are folded from the loop's event log, which
+only a :meth:`run` with hooks or traps asks for.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from ..circuit.validation import validate_circuit
 from ..constants import E_CHARGE
 from ..core.energy import GROUND_STATE_LIMIT
 from ..errors import SimulationError
-from .events import TrapCandidate
 from .kernel import UNBOUNDED_EVENTS, MonteCarloKernel, PhaseRecord
 from .observables import (
     CurrentEstimate,
@@ -248,28 +246,62 @@ class MonteCarloSimulator:
             raise SimulationError("specify max_events and/or duration")
         if state is None:
             state = self.new_state()
-        if record_events or occupation is not None or self.kernel.traps:
-            # Per-event hooks or traps: the step loop.
-            return self._run_interpreted(state, max_events, duration,
-                                         record_events, occupation)
-        # The advance loop: same trajectory, same random stream, no
-        # per-event Python.
         start_time = state.time
         start_events = state.event_count
-        self._run_phases(state, [_budget(max_events)], duration)
+        start = self._configuration(state)
+        log = [] if record_events or occupation is not None \
+            or self.kernel.traps else None
+        self._run_phases(state, [_budget(max_events)], duration, log=log)
+        records, trap_flips = self._fold_log(
+            log, start_time, start, record_events, occupation) \
+            if log else ([], 0)
         return TrajectoryResult(
             duration=state.time - start_time,
             event_count=state.event_count - start_events,
             electron_transfers=dict(state.electron_transfers),
             final_electrons=state.electron_tuple(),
-            records=[],
-            trap_flips=0,
+            records=records,
+            trap_flips=trap_flips,
         )
+
+    def _fold_log(self, log: list, start_time: float, start: np.ndarray,
+                  record_events: bool,
+                  occupation: Optional[OccupationStatistics]
+                  ) -> Tuple[List[EventRecord], int]:
+        """Event records and trap flips of a run's event log.
+
+        ``log`` holds the ``(times, events, configurations)`` chunks of a
+        run from ``start_time`` in configuration ``start``; each row's
+        dwell (the time since the row before) goes to the configuration
+        the row left, in row order, into ``occupation``.
+        """
+        times, events, configurations = (np.concatenate(column)
+                                         for column in zip(*log))
+        islands = self.kernel.model.island_count
+        records: List[EventRecord] = []
+        if record_events:
+            labels = [candidate.label
+                      for candidate in self.kernel.event_candidates]
+            applied = events >= 0
+            records = [EventRecord(time=time, label=labels[event],
+                                   electrons=tuple(electrons))
+                       for time, event, electrons in zip(
+                           times[applied].tolist(), events[applied].tolist(),
+                           configurations[applied, :islands].tolist())]
+        if occupation is not None:
+            left = np.vstack([start[None, :islands],
+                              configurations[:-1, :islands]])
+            for electrons, dwell in zip(
+                    left.tolist(), np.diff(times, prepend=start_time).tolist()):
+                occupation.record(tuple(electrons), dwell)
+        return records, int(np.count_nonzero(
+            events >= self.kernel.first_trap_event))
 
     def _run_phases(self, state: "SimulationState | EnsembleState",
                     schedule: Sequence[int],
                     duration: Optional[float] = None,
-                    sweep: Optional[_SweepAxis] = None) -> PhaseRecord:
+                    sweep: Optional[_SweepAxis] = None,
+                    log: Optional[list] = None) -> PhaseRecord:
         """Advance a trajectory or an ensemble through a phase schedule.
 
         The one driver of both estimators.  Phase ``p`` runs until every
@@ -284,7 +316,8 @@ class MonteCarloSimulator:
         whole run is one
         :meth:`~repro.montecarlo.kernel.MonteCarloKernel.run_phases` call
         (a trajectory runs as a one-replica ensemble, which replays it bit
-        for bit); a trajectory with charge traps runs :meth:`_step_phases`.
+        for bit), which fills ``log`` with the event log of a one-phase
+        trajectory run.
         """
         if sweep is None:
             points, voltages, starts = 1, None, None
@@ -298,48 +331,22 @@ class MonteCarloSimulator:
                          state.electron_transfers)
             self.kernel.run_phases(state, record, duration, voltages, starts)
             return record
-        if self.kernel.traps:
-            return self._step_phases(state, schedule, duration, sweep)
         record = self.kernel.phase_record(schedule, 1, points)
         record.store(0, state.time, 0, 0.0)
         run = self._as_ensemble(state)
         try:
-            self.kernel.run_phases(run, record, duration, voltages, starts)
+            self.kernel.run_phases(run, record, duration, voltages, starts,
+                                   log)
         finally:
             self._commit(run, state)
         return record
 
-    def _step_phases(self, state: SimulationState, schedule: Sequence[int],
-                     duration: Optional[float] = None,
-                     sweep: Optional[_SweepAxis] = None) -> PhaseRecord:
-        """:meth:`_run_phases` of a trajectory, phase by phase on the step loop.
-
-        A sweep sets each point's bias on the circuit (the caller restores
-        it) and zeroes the clock; a cold one starts each point after the
-        first from a fresh state in that point's row of ``sweep.starts``.
-        """
-        points = 1 if sweep is None else len(sweep.values)
-        record = self.kernel.phase_record(schedule, 1, points)
-        junctions = list(self._junction_column)
-        for point in range(points):
-            if sweep is not None:
-                self.circuit.set_source_voltage(sweep.source,
-                                                float(sweep.values[point]))
-                if point and sweep.starts is not None:
-                    state = self.new_state(sweep.starts[point])
-                state.time = 0.0
-            start_events = state.event_count
-            start_transfers = [state.electron_transfers[name]
-                               for name in junctions]
-            record.store(0, state.time, 0, 0.0, point)
-            for phase, budget in enumerate(schedule):
-                self._run_interpreted(state, int(budget), duration)
-                tallies = state.electron_transfers
-                record.store(phase + 1, state.time,
-                             state.event_count - start_events,
-                             [tallies[name] - start for name, start
-                              in zip(junctions, start_transfers)], point)
-        return record
+    def _configuration(self, state: SimulationState) -> np.ndarray:
+        """``state``'s configuration row: its electrons, then its traps'
+        occupations (``1`` while a trap holds an electron)."""
+        return np.concatenate([state.electrons, [
+            state.trap_occupancy.get(trap.name, False)
+            for trap in self.kernel.traps]]).astype(np.int64)
 
     def _as_ensemble(self, state: SimulationState) -> EnsembleState:
         """``state`` loaded into the reused one-replica ensemble.
@@ -347,11 +354,16 @@ class MonteCarloSimulator:
         The clock and configuration are copied in; the event count and
         transfers start from zero (:meth:`_commit` adds them back).
         """
+        configuration = self._configuration(state)
         run = self._trajectory
         if run is None:
-            run = self._trajectory = self.new_ensemble(1, state.electrons)
+            run = self._trajectory = EnsembleState(
+                times=np.zeros(1), electrons=configuration[None].copy(),
+                event_counts=np.zeros(1, dtype=np.int64),
+                electron_transfers=np.zeros((1, len(self._junction_column))),
+                junction_names=tuple(self._junction_column))
         else:
-            run.electrons[0] = state.electrons
+            run.electrons[0] = configuration
         run.times[0] = state.time
         run.event_counts[0] = 0
         run.electron_transfers.fill(0.0)
@@ -359,76 +371,20 @@ class MonteCarloSimulator:
 
     def _commit(self, run: EnsembleState, state: SimulationState) -> None:
         """Write a one-replica run's progress back into ``state``."""
+        islands = self.kernel.model.island_count
         state.time = float(run.times[0])
-        state.electrons = run.electrons[0].copy()
+        state.electrons = run.electrons[0, :islands].copy()
+        state.trap_occupancy.update(
+            (trap.name, bool(occupied)) for trap, occupied
+            in zip(self.kernel.traps, run.electrons[0, islands:].tolist()))
         tallies = state.electron_transfers
-        for name, column in self._junction_column.items():
+        for name, transferred in zip(self._junction_column,
+                                     run.electron_transfers[0].tolist()):
             # The per-event transfer values are small integers, so the
-            # aggregated float sums are exact and match the step loop's
-            # one-increment-per-event accumulation bitwise.
-            tallies[name] += run.electron_transfers[0, column]
+            # aggregated float sums are exact and match a one-increment-
+            # per-event accumulation bitwise.
+            tallies[name] += transferred
         state.event_count += int(run.event_counts[0])
-
-    def _run_interpreted(self, state: SimulationState,
-                         max_events: Optional[int],
-                         duration: Optional[float],
-                         record_events: bool = False,
-                         occupation: Optional[OccupationStatistics] = None
-                         ) -> TrajectoryResult:
-        """The per-event :meth:`run` loop over the kernel's ``step``."""
-        start_time = state.time
-        start_events = state.event_count
-        records: List[EventRecord] = []
-        trap_flips = 0
-        stall_strikes = 0
-        kernel_step = self.kernel.step
-        track_occupation = occupation is not None
-
-        while True:
-            if max_events is not None and state.event_count - start_events >= max_events:
-                break
-            if duration is not None and state.time - start_time >= duration:
-                break
-            remaining = None
-            if duration is not None:
-                remaining = duration - (state.time - start_time)
-            if track_occupation:
-                # Snapshot only when a consumer exists: building a tuple per
-                # step would otherwise dominate the fast kernel.
-                previous_electrons = state.electron_tuple()
-                previous_time = state.time
-            step = kernel_step(state, max_waiting_time=remaining)
-            if track_occupation:
-                occupation.record(previous_electrons, state.time - previous_time)
-            if step is None:
-                if duration is not None:
-                    # Time budget consumed (possibly by a blockade); done.
-                    if state.time - start_time >= duration:
-                        break
-                stall_strikes += 1
-                if stall_strikes > 3:
-                    # Completely blockaded at T = 0 with no time budget left to
-                    # burn: the trajectory cannot advance further.
-                    break
-                continue
-            stall_strikes = 0
-            if isinstance(step.candidate, TrapCandidate):
-                trap_flips += 1
-            if record_events:
-                records.append(EventRecord(
-                    time=state.time,
-                    label=step.candidate.label,
-                    electrons=state.electron_tuple(),
-                ))
-
-        return TrajectoryResult(
-            duration=state.time - start_time,
-            event_count=state.event_count - start_events,
-            electron_transfers=dict(state.electron_transfers),
-            final_electrons=state.electron_tuple(),
-            records=records,
-            trap_flips=trap_flips,
-        )
 
     # -------------------------------------------------------------- ensembles
 
@@ -630,6 +586,9 @@ class MonteCarloSimulator:
                     voltages if not warm_start else voltages[:1])[0]
                 state = self.new_state(starts[0]) if ensemble is None \
                     else self.new_ensemble(ensemble, starts[0])
+                if self.kernel.traps:  # each point in the likelier state
+                    starts = np.hstack([starts, np.tile(self._configuration(
+                        state)[starts.shape[1]:], (len(starts), 1))])
                 records.take(self._run_phases(
                     state, records.schedule,
                     sweep=_SweepAxis(source, values, voltages,

@@ -125,15 +125,18 @@ def stepped_sweep(simulator, source: str, values, junction_name: str, *,
 
     Mirrors ``simulator.sweep_source(source, values, junction_name,
     max_events=..., warmup_events=..., warm_start=True)``, but runs every
-    phase of every point (warm-up, then the estimator's blocks) as a
-    hooked ``run(..., record_events=True)``, which takes the
-    ``MonteCarloKernel.step`` loop.  The advance loop replays that loop
-    event for event, so at equal seeds the returned ``(currents,
-    stderrs)`` equal the plain sweep's bit for bit.
+    phase of every point (warm-up, then the estimator's blocks) as a run of
+    the step-loop oracle ``tests.montecarlo.reference_kernel.StepLoop`` over
+    the simulator's kernel.  The advance loop replays that loop event for
+    event, so at equal seeds the returned ``(currents, stderrs)`` equal the
+    plain sweep's bit for bit.
     """
     from repro.montecarlo.kernel import PhaseRecord
     from repro.montecarlo.simulator import SWEEP_BLOCKS, _PointRecords
 
+    from .montecarlo.reference_kernel import StepLoop
+
+    loop = StepLoop(simulator.kernel)
     junctions = [junction.name for junction in simulator.circuit.junctions()]
     records = _PointRecords(len(values), max_events, warmup_events,
                             SWEEP_BLOCKS, None,
@@ -148,7 +151,7 @@ def stepped_sweep(simulator, source: str, values, junction_name: str, *,
         start = [state.electron_transfers[name] for name in junctions]
         record = PhaseRecord(records.schedule, 1, len(junctions))
         for phase, budget in enumerate(records.schedule):
-            simulator.run(max_events=budget, state=state, record_events=True)
+            loop.run(max_events=budget, state=state)
             record.store(phase + 1, state.time,
                          state.event_count - start_events,
                          [state.electron_transfers[name] - before

@@ -356,10 +356,12 @@ class TestCrossEngineAgreement:
 class TestEnsembleEquivalence:
     def test_r1_ensemble_replays_the_scalar_trajectory(self, device):
         # An R = 1 ensemble run through a protocol-bound simulator must
-        # replay the step loop event for event (a hooked run takes it).
+        # replay the step-loop oracle event for event.
+        from ..montecarlo.reference_kernel import StepLoop
+
         scalar = bind("ensemble", device).simulator
         batched = bind("ensemble", device).simulator
-        scalar_result = scalar.run(max_events=1_000, record_events=True)
+        scalar_result = StepLoop(scalar.kernel).run(max_events=1_000)
         ensemble_result = batched.run_ensemble(replicas=1, max_events=1_000)
         assert ensemble_result.event_counts[0] == scalar_result.event_count
         assert ensemble_result.durations[0] == \

@@ -3,7 +3,7 @@
 The two anchors required by the ensemble design:
 
 * an ``R = 1`` ensemble must reproduce the per-event step loop's trajectory
-  event for event (waiting times, executed events, occupations) under a
+  (the oracle ``reference_kernel.StepLoop``) event for event (waiting times, executed events, occupations) under a
   fixed seed, and
 * ensemble (replica-spread) current estimates must agree with the scalar
   block-averaged estimator within combined error bars on the reference SET.
@@ -15,6 +15,8 @@ import pytest
 from repro.devices import SETTransistor
 from repro.errors import SimulationError
 from repro.montecarlo import MonteCarloSimulator, initial_ensemble
+
+from .reference_kernel import StepLoop
 
 TEMPERATURE = 1.0
 DRAIN_VOLTAGE = 0.05
@@ -33,17 +35,18 @@ def make_simulator(seed=11, **kwargs):
 
 class TestSingleReplicaEquivalence:
     def test_trajectory_is_identical_event_for_event(self):
-        # One-event runs of an R = 1 ensemble against kernel.step: the
+        # One-event runs of an R = 1 ensemble against the step loop: the
         # block random buffers carry over between runs, so every event has
         # the same waiting time, the same junction and the same occupation.
         scalar = make_simulator(seed=42)
         batched = make_simulator(seed=42)
+        loop = StepLoop(scalar.kernel)
         state = scalar.new_state()
         ensemble = batched.new_ensemble(1)
         columns = [ensemble.junction_column(name)
                    for name in state.electron_transfers]
         for _ in range(1_000):
-            step = scalar.kernel.step(state)
+            step = loop.step(state)
             result = batched.run_ensemble(max_events=1, ensemble=ensemble)
             assert step is not None
             assert int(result.event_counts[0]) == 1
@@ -250,7 +253,7 @@ class TestEnsembleStateAndGuards:
         assert cursor.epoch == simulator.kernel._cache_epoch != stale_epoch
         # Every replica's escape rate is the new bias point's.
         for replica in range(6):
-            _, rates = simulator.kernel.candidate_rates(
+            _, rates = StepLoop(simulator.kernel).candidate_rates(
                 ensemble.replica_state(replica))
             assert cursor.totals[cursor.slots[replica]] == \
                 pytest.approx(rates.sum(), rel=1e-12)

@@ -1,9 +1,8 @@
 """Tests for the compiled Monte-Carlo advance kernel (:mod:`repro.montecarlo.jit`).
 
 The advance loop is only trustworthy if it is *provably* the same
-simulation: a seeded run must replay the per-event step loop
-(:meth:`MonteCarloKernel.step`, which a hooked ``run(..., record_events=True)``
-takes) event for event — same waiting times, same executed events, same
+simulation: a seeded run must replay the per-event step loop (the oracle
+``tests/montecarlo/reference_kernel.StepLoop``) event for event — same waiting times, same executed events, same
 transfers — not merely agree statistically.  These tests pin that
 equivalence on the active backend and on the always-available interpreted
 loop, plus the cache-epoch machinery that keeps runs honest when the bias
@@ -19,7 +18,11 @@ from repro.constants import E_CHARGE
 from repro.devices import SETTransistor
 from repro.devices.set_transistor import ISLAND
 from repro.errors import SimulationError
-from repro.montecarlo import MonteCarloSimulator, OccupationStatistics
+from repro.montecarlo import (
+    MonteCarloKernel,
+    MonteCarloSimulator,
+    OccupationStatistics,
+)
 from repro.montecarlo.jit import (
     BACKEND_CC,
     BACKEND_NUMBA,
@@ -30,6 +33,7 @@ from repro.montecarlo.jit import (
 )
 
 from ..conftest import stepped_sweep
+from .reference_kernel import StepLoop
 
 TEMPERATURE = 1.0
 DRAIN_VOLTAGE = 0.05
@@ -55,8 +59,8 @@ def assert_identical_trajectories(advanced, stepped):
 
 
 def stepped_run(seed, **budget):
-    """A seeded run on the step loop (the event records are the hook)."""
-    return make_simulator(seed=seed).run(record_events=True, **budget)
+    """A seeded run on the step-loop oracle."""
+    return StepLoop(make_simulator(seed=seed).kernel).run(**budget)
 
 
 class TestBackendResolution:
@@ -120,14 +124,24 @@ class TestEventForEventReplay:
         assert advanced.mean == currents[0]
         assert advanced.stderr == stderrs[0]
 
-    def test_record_events_takes_the_step_loop(self):
-        # Event recording needs per-event control flow, so it runs the
-        # step loop — same seed, same trajectory, records intact.
-        recorded = stepped_run(5, max_events=300)
+    def test_recorded_runs_replay_the_step_loop(self):
+        # Event records and dwell times come from the advance loop's event
+        # log: same seed, same trajectory, and the records and the dwell
+        # dict equal the step loop's, event for event.
+        occupation = OccupationStatistics()
+        expected = OccupationStatistics()
+        recorded = make_simulator(seed=5).run(
+            max_events=300, record_events=True, occupation=occupation)
+        stepped = StepLoop(make_simulator(seed=5).kernel).run(
+            max_events=300, record_events=True, occupation=expected)
         plain = make_simulator(seed=5).run(max_events=300)
         assert len(recorded.records) == recorded.event_count == 300
         assert plain.records == []
+        assert recorded.records == stepped.records
+        assert list(occupation.dwell_times.items()) == \
+            list(expected.dwell_times.items())
         assert_identical_trajectories(plain, recorded)
+        assert_identical_trajectories(recorded, stepped)
 
 
 class TestEnsembleRuns:
@@ -240,14 +254,27 @@ class TestSimulatorRouting:
         # A serial sweep is one run over its points.
         assert len(calls) == 4
 
-    def test_hooked_runs_never_touch_the_advance_loop(self, monkeypatch):
+    def test_hooked_and_trapped_runs_enter_the_advance_loop(self,
+                                                            monkeypatch):
+        # One event loop: records, occupation statistics and charge traps
+        # all run through run_phases, and the kernel has no step path.
         simulator = make_simulator(seed=2)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("advance loop reached by a hooked run")
-
-        monkeypatch.setattr(simulator.kernel, "run_phases", forbidden)
+        trapped = make_simulator(seed=2)
+        trapped.circuit.add_charge_trap("T1", ISLAND, 0.2 * E_CHARGE,
+                                        capture_time=1e-10,
+                                        emission_time=1e-10)
+        trapped = MonteCarloSimulator(trapped.circuit, TEMPERATURE, seed=2)
+        calls = []
+        for kernel in (simulator.kernel, trapped.kernel):
+            original = kernel.run_phases
+            monkeypatch.setattr(
+                kernel, "run_phases",
+                lambda *args, run=original, **kwargs: calls.append(1) or
+                run(*args, **kwargs))
         assert simulator.run(max_events=200,
                              record_events=True).event_count == 200
         assert simulator.run(max_events=200, occupation=OccupationStatistics()
                              ).event_count == 200
+        assert trapped.run(max_events=200).trap_flips > 0
+        assert len(calls) == 3
+        assert not hasattr(MonteCarloKernel, "step")

@@ -1,4 +1,9 @@
-"""Tests for the kinetic Monte-Carlo kernel."""
+"""Tests for the kinetic Monte-Carlo kernel.
+
+Candidate rates, effective offsets and single steps are the step loop's
+(``reference_kernel.StepLoop`` over a kernel's tables), the oracle the
+advance loop is held to.
+"""
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from repro.errors import SimulationError
 from repro.montecarlo import MonteCarloKernel, initial_state
 
 from ..conftest import build_set_circuit
+from .reference_kernel import StepLoop
 
 BLOCKADE_VOLTAGE = E_CHARGE / 4e-18
 
@@ -20,7 +26,7 @@ class TestCandidateRates:
     def test_conducting_point_has_positive_total_rate(self, set_circuit):
         kernel = make_kernel(set_circuit)
         state = initial_state(set_circuit, kernel.model)
-        candidates, rates = kernel.candidate_rates(state)
+        candidates, rates = StepLoop(kernel).candidate_rates(state)
         assert len(candidates) == len(rates)
         assert rates.sum() > 0.0
 
@@ -28,7 +34,7 @@ class TestCandidateRates:
         circuit = build_set_circuit(drain_voltage=0.2 * BLOCKADE_VOLTAGE)
         kernel = make_kernel(circuit, temperature=0.0)
         state = initial_state(circuit, kernel.model)
-        _, rates = kernel.candidate_rates(state)
+        _, rates = StepLoop(kernel).candidate_rates(state)
         assert rates.size == 0 or rates.sum() == 0.0
 
     def test_trap_candidates_present_when_traps_exist(self):
@@ -36,7 +42,7 @@ class TestCandidateRates:
         circuit.add_charge_trap("T1", "dot", 0.2 * E_CHARGE, 1e-6, 1e-6)
         kernel = make_kernel(circuit)
         state = initial_state(circuit, kernel.model)
-        candidates, _ = kernel.candidate_rates(state)
+        candidates, _ = StepLoop(kernel).candidate_rates(state)
         labels = [candidate.label for candidate in candidates]
         assert any(label.startswith("trap:") for label in labels)
 
@@ -44,11 +50,12 @@ class TestCandidateRates:
         circuit = build_set_circuit(drain_voltage=0.05)
         circuit.add_charge_trap("T1", "dot", 0.2 * E_CHARGE, 1e-6, 1e-6)
         kernel = make_kernel(circuit)
+        loop = StepLoop(kernel)
         state = initial_state(circuit, kernel.model)
         state.trap_occupancy["T1"] = False
-        empty = kernel.effective_offsets(state)[0]
+        empty = loop.effective_offsets(state)[0]
         state.trap_occupancy["T1"] = True
-        occupied = kernel.effective_offsets(state)[0]
+        occupied = loop.effective_offsets(state)[0]
         assert occupied - empty == pytest.approx(0.2 * E_CHARGE)
 
     def test_cotunneling_adds_candidates_inside_blockade(self):
@@ -57,8 +64,8 @@ class TestCandidateRates:
         with_cot = make_kernel(circuit, temperature=0.0, include_cotunneling=True)
         state_plain = initial_state(circuit, plain.model)
         state_cot = initial_state(circuit, with_cot.model)
-        _, rates_plain = plain.candidate_rates(state_plain)
-        _, rates_cot = with_cot.candidate_rates(state_cot)
+        _, rates_plain = StepLoop(plain).candidate_rates(state_plain)
+        _, rates_cot = StepLoop(with_cot).candidate_rates(state_cot)
         total_plain = rates_plain.sum() if rates_plain.size else 0.0
         total_cot = rates_cot.sum() if rates_cot.size else 0.0
         assert total_plain == 0.0
@@ -69,7 +76,7 @@ class TestStep:
     def test_step_advances_time_and_counts(self, set_circuit):
         kernel = make_kernel(set_circuit)
         state = initial_state(set_circuit, kernel.model)
-        outcome = kernel.step(state)
+        outcome = StepLoop(kernel).step(state)
         assert outcome is not None
         assert state.time > 0.0
         assert state.event_count == 1
@@ -78,7 +85,7 @@ class TestStep:
         circuit = build_set_circuit(drain_voltage=0.2 * BLOCKADE_VOLTAGE)
         kernel = make_kernel(circuit, temperature=0.0)
         state = initial_state(circuit, kernel.model)
-        outcome = kernel.step(state, max_waiting_time=1e-9)
+        outcome = StepLoop(kernel).step(state, max_waiting_time=1e-9)
         assert outcome is None
         assert state.time == pytest.approx(1e-9)
 
@@ -86,9 +93,10 @@ class TestStep:
         results = []
         for _ in range(2):
             kernel = make_kernel(set_circuit, seed=42)
+            loop = StepLoop(kernel)
             state = initial_state(set_circuit, kernel.model)
             for _ in range(50):
-                kernel.step(state)
+                loop.step(state)
             results.append((state.time, dict(state.electron_transfers)))
         assert results[0][0] == pytest.approx(results[1][0])
         assert results[0][1] == results[1][1]

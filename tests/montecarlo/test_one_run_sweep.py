@@ -4,8 +4,8 @@ The loop walks a sweep's points itself: it carries the replicas from point
 to point, zeroes their clocks and counters, writes each point's phase rows
 into the sweep's record and returns to Python once per point for the
 point's rate tables.  Nothing of that may move a number: a one-trajectory
-sweep must equal ``stepped_sweep`` (every phase a hooked run on the
-per-event step loop), and an ensemble sweep must equal the per-point
+sweep must equal ``stepped_sweep`` (every phase a run of the per-event
+step-loop oracle), and an ensemble sweep must equal the per-point
 driver it replaced (one one-point run per point at the circuit's bias),
 whatever the axis — long enough to cross plan blocks with the root
 configuration changing inside one, reversed, repeated, cold-started, or on
@@ -30,6 +30,7 @@ from ..conftest import (
     interpreted_backend,
     stepped_sweep,
 )
+from .reference_kernel import StepLoop
 
 BUDGET = dict(max_events=120, warmup_events=12)
 
@@ -50,10 +51,11 @@ def per_point_sweep(simulator, source, values, junction, *, ensemble,
     """The sweep one point at a time: the driver the one-run loop replaced.
 
     Each point sets its bias on the circuit, zeroes the clocks and runs the
-    estimator's schedule as its own one-point run — on the step loop for a
-    trajectory (every phase a hooked run), on the advance loop for an
-    ensemble; a cold sweep starts every point from a fresh state.
+    estimator's schedule as its own one-point run — on the step-loop oracle
+    for a trajectory, on the advance loop for an ensemble; a cold sweep
+    starts every point from a fresh state.
     """
+    loop = StepLoop(simulator.kernel)
     junctions = [element.name for element in simulator.circuit.junctions()]
     records = _PointRecords(len(values), max_events, warmup_events,
                             SWEEP_BLOCKS, ensemble, junctions.index(junction))
@@ -65,8 +67,7 @@ def per_point_sweep(simulator, source, values, junction, *, ensemble,
                 else simulator.new_ensemble(ensemble)
         if ensemble is None:
             state.time = 0.0
-            records.store(point, simulator._step_phases(state,
-                                                        records.schedule))
+            records.store(point, loop.phases(state, records.schedule))
         else:
             state.times[:] = 0.0
             records.store(point, simulator._run_phases(state,

@@ -139,10 +139,10 @@ def test_a_one_ulp_mismatch_falls_back_and_still_matches(monkeypatch):
             stack = plan.blocks[key][2]
             stack[:] = np.nextafter(stack, np.inf)
 
-    def counted_rows(kernel, phi, voltages=None):
+    def counted_rows(kernel, phi, configurations, voltages=None):
         if voltages is None:
             evaluated_here.append(len(phi))
-        return stack_rows(kernel, phi, voltages)
+        return stack_rows(kernel, phi, configurations, voltages)
 
     monkeypatch.setattr(MonteCarloKernel, "_plan_block", nudged_block)
     monkeypatch.setattr(MonteCarloKernel, "_stack_rows", counted_rows)

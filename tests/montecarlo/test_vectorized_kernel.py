@@ -16,7 +16,11 @@ from repro.core.rates import orthodox_rate
 from repro.montecarlo import MonteCarloKernel, MonteCarloSimulator, initial_state
 
 from ..conftest import build_double_dot_circuit, build_set_circuit
-from .reference_kernel import candidate_rates_reference, reference_simulator
+from .reference_kernel import (
+    StepLoop,
+    candidate_rates_reference,
+    reference_simulator,
+)
 
 
 def make_kernel(circuit, temperature=1.0, seed=0, **kwargs):
@@ -35,9 +39,10 @@ def random_set_circuit(rng):
     )
 
 
-def assert_rates_match(kernel, state, rtol=1e-12):
-    fast_candidates, fast_rates = kernel.candidate_rates(state)
-    ref_candidates, ref_rates = candidate_rates_reference(kernel, state)
+def assert_rates_match(loop, state, rtol=1e-12):
+    """The step loop's vectorized rates against the scalar reference."""
+    fast_candidates, fast_rates = loop.candidate_rates(state)
+    ref_candidates, ref_rates = candidate_rates_reference(loop.kernel, state)
     assert [c.label for c in fast_candidates] == [c.label for c in ref_candidates]
     np.testing.assert_allclose(fast_rates, ref_rates, rtol=rtol, atol=0.0)
 
@@ -51,7 +56,7 @@ class TestCandidateRateEquivalence:
             kernel = make_kernel(circuit, temperature=temperature)
             state = initial_state(circuit, kernel.model)
             state.electrons = np.array([int(rng.integers(-3, 4))], dtype=np.int64)
-            assert_rates_match(kernel, state)
+            assert_rates_match(StepLoop(kernel), state)
 
     @pytest.mark.parametrize("temperature", [0.0, 0.5, 4.2])
     def test_random_double_island_circuits(self, temperature):
@@ -62,7 +67,7 @@ class TestCandidateRateEquivalence:
             kernel = make_kernel(circuit, temperature=temperature)
             state = initial_state(circuit, kernel.model)
             state.electrons = rng.integers(-2, 3, size=2).astype(np.int64)
-            assert_rates_match(kernel, state)
+            assert_rates_match(StepLoop(kernel), state)
 
     def test_cotunneling_channels_match(self):
         rng = np.random.default_rng(5)
@@ -71,16 +76,17 @@ class TestCandidateRateEquivalence:
             kernel = make_kernel(circuit, temperature=0.2,
                                  include_cotunneling=True)
             state = initial_state(circuit, kernel.model)
-            assert_rates_match(kernel, state)
+            assert_rates_match(StepLoop(kernel), state)
 
     def test_trap_circuit_matches_in_both_occupations(self):
         circuit = build_set_circuit(drain_voltage=0.05, gate_voltage=0.02)
         circuit.add_charge_trap("T1", "dot", 0.2 * E_CHARGE, 1e-6, 2e-6)
         kernel = make_kernel(circuit, temperature=1.0)
+        loop = StepLoop(kernel)
         state = initial_state(circuit, kernel.model)
         for occupied in (False, True, False):
             state.trap_occupancy["T1"] = occupied
-            assert_rates_match(kernel, state)
+            assert_rates_match(loop, state)
 
 
 class TestEventTable:
@@ -139,25 +145,28 @@ class TestIncrementalElectrostatics:
         for entry in kernel._rate_cache.values():
             probe = simulator.new_state()
             probe.electrons = entry.electrons.copy()
-            exact = kernel._compute_rates(probe).copy()  # fresh potential solve
+            # A fresh potential solve.
+            exact = StepLoop(kernel)._compute_rates(probe).copy()
             np.testing.assert_allclose(entry.cumulative, np.cumsum(exact),
                                        rtol=1e-9)
 
     def test_bias_change_invalidates_memo(self):
         circuit = build_set_circuit(drain_voltage=0.05, gate_voltage=0.0)
         kernel = make_kernel(circuit, temperature=1.0)
+        loop = StepLoop(kernel)
         state = initial_state(circuit, kernel.model)
-        kernel.step(state)
+        loop.step(state)
         circuit.set_source_voltage("VG", 0.04)
-        assert_rates_match(kernel, state)
+        assert_rates_match(loop, state)
 
     def test_offset_change_invalidates_memo(self):
         circuit = build_set_circuit(drain_voltage=0.05)
         kernel = make_kernel(circuit, temperature=1.0)
+        loop = StepLoop(kernel)
         state = initial_state(circuit, kernel.model)
-        kernel.step(state)
+        loop.step(state)
         circuit.set_offset_charge("dot", 0.3 * E_CHARGE)
-        assert_rates_match(kernel, state)
+        assert_rates_match(loop, state)
 
 
 class TestFastPathTrajectories:
