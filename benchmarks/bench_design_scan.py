@@ -9,9 +9,11 @@ Four claims of the design layer (``repro.design``), measured and asserted:
   rate is recorded in-process and with the chunk fan-out.
 * **Cached throughput.**  The same grid scanned cold into a fresh
   :class:`~repro.io.results.ResultCache` (every chunk stored) and then
-  replayed warm (every chunk loaded); both rates and the artifact bytes
-  per point are recorded, and both maps must equal the uncached map byte
-  for byte.
+  replayed warm (every chunk loaded); both rates are recorded, and both
+  maps must equal the uncached map byte for byte.  The scan's artifacts
+  (found through ``ResultCache.path_for``) must hold at most two bytes
+  per point beyond their raw column bytes: the headers are all the
+  format adds.
 * **Resume bit-identity.**  A checkpointed scan killed mid-run (armed
   ``design.chunk`` fault) must resume from its persisted chunks and produce
   a feasibility map *byte-identical* to an uninterrupted run, while
@@ -199,6 +201,8 @@ def measure_cached(reference: FeasibilityMap) -> dict:
     Both runs are in-process; the package-source digest folded into cache
     keys (memoised per process) is computed before timing.  Raises
     ``AssertionError`` unless both maps equal ``reference`` byte for byte.
+    The artifact and raw column bytes are read after the timed runs, from
+    each planned chunk's artifact (a missing one raises).
     """
     spec = grid_spec()
     expected = _comparable(reference)
@@ -208,13 +212,17 @@ def measure_cached(reference: FeasibilityMap) -> dict:
         start = time.perf_counter()
         cold = DeviceScan(spec, cache=cache).run()
         cold_s = time.perf_counter() - start
-        artifact_bytes = sum(path.stat().st_size
-                             for path in Path(directory).glob("*.json"))
         start = time.perf_counter()
         replay = DeviceScan(spec, cache=cache)
         warm = replay.run()
         warm_s = time.perf_counter() - start
-    chunks = len(replay.chunk_plan())
+        plan = replay.chunk_plan()
+        artifact_bytes = sum(cache.path_for(chunk.key).stat().st_size
+                             for chunk in plan)
+        column_bytes = sum(value.nbytes for chunk in plan
+                           for value in cache.load(chunk.key).values()
+                           if isinstance(value, np.ndarray))
+    chunks = len(plan)
     assert replay.chunks_resumed == chunks, "warm replay recomputed chunks"
     assert _comparable(cold) == expected, "cached map differs from uncached"
     assert _comparable(warm) == expected, "replayed map differs from uncached"
@@ -226,6 +234,7 @@ def measure_cached(reference: FeasibilityMap) -> dict:
         "warm_elapsed_s": round(warm_s, 3),
         "warm_points_per_s": round(len(spec) / warm_s, 1),
         "artifact_bytes_per_point": round(artifact_bytes / len(spec), 2),
+        "column_bytes_per_point": round(column_bytes / len(spec), 2),
         "identical_to_uncached": True,
     }
 
@@ -440,7 +449,8 @@ def test_design_scan_benchmark():
     cached = payload["cached"]
     print(f"cached         : cold {cached['cold_points_per_s']:.0f} "
           f"points/s, warm {cached['warm_points_per_s']:.0f} points/s, "
-          f"{cached['artifact_bytes_per_point']:.1f} artifact bytes/point")
+          f"{cached['artifact_bytes_per_point']:.1f} artifact bytes/point "
+          f"({cached['column_bytes_per_point']:.1f} of raw columns)")
     resume = payload["resume"]
     print(f"resume         : killed after {resume['chunks_before_kill']} "
           f"chunks, recomputed {resume['chunks_recomputed_on_resume']}, "
@@ -469,9 +479,13 @@ def test_design_scan_benchmark():
 def check(payload: dict) -> None:
     """Raise unless ``payload`` passes every gate of the benchmark."""
     throughput = payload["throughput"]
+    cached = payload["cached"]
     resume = payload["resume"]
     exact = payload["exact_tier"]
     gates = {
+        "artifacts within 2 bytes per point of their raw columns":
+            cached["artifact_bytes_per_point"]
+            <= cached["column_bytes_per_point"] + 2,
         "throughput points_per_s > 0": throughput["points_per_s"] > 0,
         "maps identical across workers": throughput["workers_identical"],
         "resume run killed mid-run": resume["killed_mid_run"],

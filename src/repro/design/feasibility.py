@@ -35,6 +35,13 @@ UNKNOWN = -1
 VERDICT_NAMES = {FEASIBLE: "feasible", INFEASIBLE: "infeasible",
                  UNKNOWN: "unknown"}
 
+#: Point statuses, indexed by the ``uint8`` status codes of scan chunks.
+STATUS_NAMES = ("ok", "degraded", "failed", "skipped")
+STATUS_OK, STATUS_DEGRADED, STATUS_FAILED, STATUS_SKIPPED = range(4)
+
+#: :data:`STATUS_NAMES` as an array, so a code column decodes in one lookup.
+_STATUS_LOOKUP = np.array(STATUS_NAMES, dtype=object)
+
 
 @dataclass(frozen=True)
 class FeasibilityMap:
@@ -326,9 +333,10 @@ def merge_chunk_payloads(chunks: Sequence[Mapping[str, Any]],
     ----------
     chunks:
         Chunk payloads (each with ``start``, ``verdicts``, ``robustness``,
-        ``margins``, ``on_currents``, ``off_currents``, ``statuses``,
-        optional ``yields``), in any order; missing chunks simply leave
-        their slots at the UNKNOWN / NaN / ``"skipped"`` defaults.
+        ``margins``, ``on_currents``, ``off_currents``, ``statuses`` as
+        :data:`STATUS_NAMES` codes, optional ``yields``), in any order;
+        missing chunks simply leave their slots at the UNKNOWN / NaN /
+        ``"skipped"`` defaults.
     total:
         Total number of grid points.
     n_constraints:
@@ -346,7 +354,7 @@ def merge_chunk_payloads(chunks: Sequence[Mapping[str, Any]],
     margins = np.full((n_constraints, total), np.nan)
     on_currents = np.full(total, np.nan)
     off_currents = np.full(total, np.nan)
-    statuses = ["skipped"] * total
+    statuses = np.full(total, STATUS_SKIPPED, dtype=np.uint8)
     any_yields = any(chunk.get("yields") is not None for chunk in chunks)
     yields = np.full(total, np.nan) if any_yields else None
     for chunk in chunks:
@@ -360,12 +368,13 @@ def merge_chunk_payloads(chunks: Sequence[Mapping[str, Any]],
                                              dtype=float)
         off_currents[start:stop] = np.asarray(chunk["off_currents"],
                                               dtype=float)
-        statuses[start:stop] = [str(s) for s in chunk["statuses"]]
+        statuses[start:stop] = chunk["statuses"]
         if yields is not None and chunk.get("yields") is not None:
             yields[start:stop] = np.asarray(chunk["yields"], dtype=float)
     return {"verdicts": verdicts, "robustness": robustness,
             "margins": margins, "on_currents": on_currents,
-            "off_currents": off_currents, "statuses": tuple(statuses),
+            "off_currents": off_currents,
+            "statuses": tuple(_STATUS_LOOKUP[statuses].tolist()),
             "yields": yields}
 
 
@@ -373,6 +382,11 @@ __all__ = [
     "FEASIBLE",
     "FeasibilityMap",
     "INFEASIBLE",
+    "STATUS_DEGRADED",
+    "STATUS_FAILED",
+    "STATUS_NAMES",
+    "STATUS_OK",
+    "STATUS_SKIPPED",
     "UNKNOWN",
     "VERDICT_NAMES",
     "merge_chunk_payloads",

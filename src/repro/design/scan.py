@@ -54,12 +54,17 @@ from ..io.results import ResultCache, column_length, content_hash, \
     derive_seed
 from ..resilience.chunks import ChunkCounts, run_chunks
 from ..resilience.events import capture_degradations
-from ..resilience.faults import inject
+from ..resilience.faults import active_injector, inject
 from ..resilience.policy import FailurePolicy
 from .constraints import Constraint, DesignPoint, build_constraints
 from .feasibility import (
     FEASIBLE,
     INFEASIBLE,
+    STATUS_DEGRADED,
+    STATUS_FAILED,
+    STATUS_NAMES,
+    STATUS_OK,
+    STATUS_SKIPPED,
     UNKNOWN,
     FeasibilityMap,
     merge_chunk_payloads,
@@ -407,21 +412,24 @@ class DeviceScan(ChunkCounts):
 
     # ------------------------------------------------------------- identity
 
-    def _chunk_context(self, start: int, count: int) -> Dict[str, Any]:
-        """Everything that determines one chunk's numbers, JSON-able."""
-        return {
-            "kind": "design-chunk",
+    def _run_hash(self) -> str:
+        """Content hash of everything every chunk's numbers depend on."""
+        return content_hash({
+            "kind": "design-scan",
             "spec": self.spec.to_dict(),
             "engine": self.engine.name,
-            "start": start,
-            "count": count,
             "policy": None if self.policy is None
             else self.policy.as_dict(),
-        }
+        })
 
     def chunk_plan(self) -> List[DesignChunk]:
-        """The scan's chunks, in order, with their cache keys."""
+        """The scan's chunks, in order, with their cache keys.
+
+        A chunk's key hashes the run's hash with its ``start`` and
+        ``count``, so the run context is serialised once per plan.
+        """
         total = len(self.spec)
+        run_hash = "" if self.cache is None else self._run_hash()
         chunks: List[DesignChunk] = []
         for ordinal, start in enumerate(range(0, total,
                                               self.spec.chunk_size)):
@@ -429,7 +437,7 @@ class DeviceScan(ChunkCounts):
             key = ""
             if self.cache is not None:
                 key = self.cache.key_for(
-                    content_hash(self._chunk_context(start, count)))
+                    content_hash(f"{run_hash}:{start}:{count}"))
             chunks.append(DesignChunk(index=ordinal, start=start,
                                       count=count, key=key))
         return chunks
@@ -439,25 +447,56 @@ class DeviceScan(ChunkCounts):
     def _compute_chunk(self, chunk: DesignChunk) -> Dict[str, Any]:
         """Evaluate one chunk's points and assemble its payload.
 
-        The whole chunk is evaluated as one batch first; the per-point
-        policy walk then fires the ``design.point`` fault site once per
-        point in flat-index order and applies retries, ``max_failures`` and
-        skips exactly as a point-by-point evaluation would, re-evaluating
-        a failed point on its own when it is retried.
+        The whole chunk is evaluated as one batch first.  A batch without
+        errors, outside a fault-injection run, takes its statuses straight
+        from the degraded flags.  Otherwise the per-point policy walk fires
+        the ``design.point`` fault site once per point in flat-index order
+        and applies retries, ``max_failures`` and skips exactly as a
+        point-by-point evaluation would, re-evaluating a failed point on
+        its own when it is retried.  Statuses are stored as ``uint8``
+        codes into :data:`~repro.design.feasibility.STATUS_NAMES`.
         """
         inject("design.chunk")
         evaluator = self._evaluator
-        policy = self.policy
         start, count = chunk.start, chunk.count
         outcome = evaluator.evaluate(np.arange(start, start + count))
+        if outcome.errors or active_injector() is not None:
+            statuses = self._walk_points(chunk, outcome)
+        else:
+            statuses = np.where(outcome.degraded, STATUS_DEGRADED,
+                                STATUS_OK).astype(np.uint8)
+        payload: Dict[str, Any] = {
+            "engine": self.engine.name,
+            "start": start,
+            "verdicts": outcome.verdicts,
+            "robustness": outcome.robustness,
+            "margins": outcome.margins,
+            "on_currents": outcome.on_currents,
+            "off_currents": outcome.off_currents,
+            "statuses": statuses,
+        }
+        if outcome.yields is not None:
+            payload["yields"] = outcome.yields
+        return payload
+
+    def _walk_points(self, chunk: DesignChunk,
+                     outcome: _Outcome) -> np.ndarray:
+        """The per-point policy walk over one evaluated chunk.
+
+        Clears the rows that fail or are skipped in ``outcome`` and returns
+        every row's status code.
+        """
+        evaluator = self._evaluator
+        policy = self.policy
+        start = chunk.start
         attempts = 1 if policy is None else 1 + policy.max_retries
-        statuses: List[str] = []
+        statuses = np.empty(chunk.count, dtype=np.uint8)
         failures = 0
-        for row in range(count):
+        for row in range(chunk.count):
             if policy is not None and policy.max_failures is not None \
                     and failures > policy.max_failures:
                 outcome.clear(row)
-                statuses.append("skipped")
+                statuses[row] = STATUS_SKIPPED
                 continue
             for attempt in range(attempts):
                 try:
@@ -476,30 +515,24 @@ class DeviceScan(ChunkCounts):
             else:
                 failures += 1
                 outcome.clear(row)
-                statuses.append("failed")
+                statuses[row] = STATUS_FAILED
                 continue
-            statuses.append("degraded" if outcome.degraded[row] else "ok")
-        payload: Dict[str, Any] = {
-            "engine": self.engine.name,
-            "start": start,
-            "verdicts": outcome.verdicts,
-            "robustness": outcome.robustness,
-            "margins": outcome.margins,
-            "on_currents": outcome.on_currents,
-            "off_currents": outcome.off_currents,
-            "statuses": statuses,
-        }
-        if outcome.yields is not None:
-            payload["yields"] = outcome.yields
-        return payload
+            statuses[row] = STATUS_DEGRADED if outcome.degraded[row] \
+                else STATUS_OK
+        return statuses
 
     def _valid_payload(self, chunk: DesignChunk,
                        payload: Mapping[str, Any]) -> bool:
         """Whether a cached payload is shaped like this chunk's result."""
+        statuses = payload.get("statuses")
         return column_length(payload.get("verdicts")) == chunk.count \
             and column_length(payload.get("margins")) \
             == len(self._evaluator.constraints) \
-            and payload.get("engine") == self.engine.name
+            and payload.get("engine") == self.engine.name \
+            and isinstance(statuses, np.ndarray) \
+            and statuses.dtype == np.uint8 \
+            and statuses.shape == (chunk.count,) \
+            and int(statuses.max()) < len(STATUS_NAMES)
 
     def run(self, *, workers: int = 1) -> FeasibilityMap:
         """Run (or resume) the scan and return its feasibility map.

@@ -48,10 +48,10 @@ def content_hash(payload: Union[str, bytes, Mapping]) -> str:
     str
         Hex digest of the canonical representation.
     """
-    if isinstance(payload, Mapping):
-        payload = canonical_json(payload)
     if isinstance(payload, str):
         payload = payload.encode("utf-8")
+    elif isinstance(payload, Mapping):
+        payload = canonical_json(payload).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()
 
 

@@ -12,19 +12,19 @@ dispatch is skipped entirely.  Writes are atomic (temp file +
 ``os.replace``), so concurrent writers cannot corrupt an artifact, and a
 corrupted or truncated artifact is treated as a miss and evicted.
 
-An artifact is one compact JSON document.  Top-level ``numpy`` array values
-of a payload (the chunk columns of checkpointed sweeps and design scans) are
-stored as typed binary columns, ``{"__ndarray__": [dtype, shape, base64]}``,
-holding the array's raw bytes.  They round-trip bit for bit (NaN payloads,
-signed zeros and subnormals included) and cost a fraction of one JSON
-number per float to write and parse.  Only boolean, integer and
-floating-point dtypes are accepted on load, so a cache file can never make
-the reader build Python objects.
+An artifact is one canonical-JSON header line followed by the raw bytes of
+the payload's top-level ``numpy`` array values (the chunk columns of
+checkpointed sweeps and design scans), in sorted-name order.  The header
+holds every other value plus a ``{"__ndarray__": [dtype, shape]}`` tag per
+column.  Columns round-trip bit for bit (NaN payloads, signed zeros and
+subnormals included) and cost no parsing at all: a load is one read, one
+small ``json.loads`` and one ``numpy.frombuffer`` view per column.  Only
+boolean, integer and floating-point dtypes are accepted on load, so a cache
+file can never make the reader build Python objects.
 """
 
 from __future__ import annotations
 
-import base64
 import csv
 import functools
 import hashlib
@@ -36,7 +36,8 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -172,15 +173,16 @@ class SweepRecord:
 #: so stale-format artifacts read as misses instead of parse errors.
 #: Version 2 embeds the artifact's own cache key (:data:`CACHE_KEY_FIELD`)
 #: so a renamed/copied artifact is detected as corruption instead of served.
-#: Version 3 stores top-level array values as binary columns
-#: (:data:`NDARRAY_TAG`) and writes compact JSON.
-CACHE_FORMAT_VERSION = 3
+#: Version 3 stored top-level array values as base64 columns inside one
+#: compact JSON document.  Version 4 writes a canonical-JSON header line
+#: followed by the columns' raw bytes (:data:`NDARRAY_TAG`).
+CACHE_FORMAT_VERSION = 4
 
 #: Reserved payload field carrying the artifact's own cache key (integrity
 #: check against renamed or copied artifacts); stripped on load.
 CACHE_KEY_FIELD = "__cache_key__"
 
-#: Tag of a binary array column: ``{NDARRAY_TAG: [dtype.str, shape, b64]}``.
+#: Header tag of a raw array column: ``{NDARRAY_TAG: [dtype.str, shape]}``.
 NDARRAY_TAG = "__ndarray__"
 
 #: ``dtype.kind`` codes a column may carry: bool, signed and unsigned
@@ -192,42 +194,72 @@ class _ColumnError(ValueError):
     """A tagged column in an artifact that does not decode to an array."""
 
 
-def _encode_column(array: np.ndarray) -> Dict[str, List[Any]]:
-    """One array as a tagged binary column (see :data:`NDARRAY_TAG`)."""
+def _column_tag(array: np.ndarray) -> Dict[str, List[Any]]:
+    """The header tag of one array column (see :data:`NDARRAY_TAG`)."""
     if array.dtype.kind not in _COLUMN_KINDS:
         raise TypeError(f"cannot cache a {array.dtype} array; column dtypes "
                         f"must be bool, integer or float")
-    raw = np.ascontiguousarray(array).tobytes()
-    return {NDARRAY_TAG: [array.dtype.str, list(array.shape),
-                          base64.b64encode(raw).decode("ascii")]}
+    return {NDARRAY_TAG: [array.dtype.str, list(array.shape)]}
 
 
-def _decode_column(tag: Mapping[str, Any]) -> np.ndarray:
-    """Invert :func:`_encode_column`; :class:`_ColumnError` when malformed."""
-    fields = tag[NDARRAY_TAG]
-    if len(tag) != 1 or not isinstance(fields, list) or len(fields) != 3:
-        raise _ColumnError("malformed column tag")
-    dtype_str, shape, encoded = fields
-    if not isinstance(dtype_str, str) or not isinstance(encoded, str):
-        raise _ColumnError("malformed column tag")
-    if not isinstance(shape, list) or not all(
-            type(extent) is int and extent >= 0 for extent in shape):
-        raise _ColumnError(f"bad column shape {shape!r}")
+@functools.lru_cache(maxsize=None)
+def _column_dtype(dtype_str: str) -> np.dtype:
+    """The accepted dtype spelled ``dtype_str``; :class:`_ColumnError` if not.
+
+    Memoised: only accepted spellings are cached, and there are few.
+    """
     try:
         dtype = np.dtype(dtype_str)
     except (TypeError, ValueError) as error:
         raise _ColumnError(f"unknown column dtype {dtype_str!r}") from error
     if dtype.kind not in _COLUMN_KINDS or dtype.str != dtype_str:
         raise _ColumnError(f"refused column dtype {dtype_str!r}")
-    try:
-        raw = base64.b64decode(encoded, validate=True)
-    except ValueError as error:  # binascii.Error, or non-ASCII text
-        raise _ColumnError(f"invalid base64: {error}") from error
-    expected = dtype.itemsize * math.prod(shape)
-    if len(raw) != expected:
-        raise _ColumnError(f"{len(raw)} bytes for a {dtype_str} column of "
-                           f"shape {tuple(shape)} ({expected} expected)")
-    return np.frombuffer(bytearray(raw), dtype=dtype).reshape(shape)
+    return dtype
+
+
+def _column_layout(tag: Any) -> Tuple[np.dtype, List[int]]:
+    """The dtype and shape of a column tag; :class:`_ColumnError` if malformed."""
+    fields = tag[NDARRAY_TAG]
+    if len(tag) != 1 or not isinstance(fields, list) or len(fields) != 2:
+        raise _ColumnError("malformed column tag")
+    dtype_str, shape = fields
+    if not isinstance(dtype_str, str):
+        raise _ColumnError("malformed column tag")
+    if not isinstance(shape, list) or not all(
+            type(extent) is int and extent >= 0 for extent in shape):
+        raise _ColumnError(f"bad column shape {shape!r}")
+    return _column_dtype(dtype_str), shape
+
+
+def _decode_columns(payload: Dict[str, Any], body: bytearray) -> None:
+    """Replace ``payload``'s column tags with views on ``body``, in place.
+
+    Columns take consecutive slices of ``body`` in sorted-name order and
+    must cover it exactly; :class:`_ColumnError` names the first misfit.
+    """
+    offset = 0
+    for name in sorted(payload):
+        tag = payload[name]
+        if not (isinstance(tag, dict) and NDARRAY_TAG in tag):
+            continue
+        try:
+            dtype, shape = _column_layout(tag)
+        except _ColumnError as error:
+            raise _ColumnError(f"column {name!r}: {error}") from None
+        count = math.prod(shape)
+        if offset + count * dtype.itemsize > len(body):
+            raise _ColumnError(f"column {name!r}: {len(body) - offset} bytes "
+                               f"left for a {dtype.str} column of shape "
+                               f"{tuple(shape)}")
+        try:
+            payload[name] = np.frombuffer(body, dtype, count,
+                                          offset).reshape(shape)
+        except ValueError as error:  # an extent numpy cannot address
+            raise _ColumnError(f"column {name!r}: {error}") from None
+        offset += count * dtype.itemsize
+    if offset != len(body):
+        raise _ColumnError(f"{len(body) - offset} trailing bytes after the "
+                           f"columns")
 
 
 @functools.lru_cache(maxsize=None)
@@ -290,14 +322,19 @@ def column_length(value: Any) -> Optional[int]:
 
 
 class ResultCache:
-    """Content-addressed JSON artifact store (spec hash -> result payload).
+    """Content-addressed artifact store (spec hash -> result payload).
 
-    Each artifact is one compact JSON object: the payload plus its own key
-    under :data:`CACHE_KEY_FIELD`.  Top-level ``numpy`` array values are
-    written as binary columns tagged :data:`NDARRAY_TAG` and come back from
-    :meth:`load` as (writable) arrays with the same dtype, shape and bytes;
-    only bool, integer and float dtypes are accepted.  Everything else in a
-    payload is plain JSON and comes back as plain JSON.
+    Each artifact (format :data:`CACHE_FORMAT_VERSION`) is one
+    canonical-JSON header line, ending in a newline, followed by raw column
+    bytes.  The header holds the payload's plain-JSON values, its own key
+    under :data:`CACHE_KEY_FIELD` and, for every top-level ``numpy`` array
+    value, an :data:`NDARRAY_TAG` tag ``[dtype.str, shape]``; the arrays'
+    C-order bytes follow in sorted-name order and must fill the rest of the
+    file exactly.  :meth:`load` reads the file once and returns every
+    column as a writable view on one ``bytearray``, with the same dtype,
+    shape and bytes; only bool, integer and float dtypes are accepted.
+    Everything else in a payload is plain JSON and comes back as plain
+    JSON.
 
     Failure semantics: the cache *degrades, it never crashes a run*.  A
     corrupted/truncated/mis-keyed artifact is evicted and served as a miss;
@@ -360,8 +397,9 @@ class ResultCache:
         """Load the payload stored under ``key``; ``None`` on miss.
 
         A corrupted artifact (truncated write from a crashed process, manual
-        edit, disk fault, a binary column that does not decode) is evicted
-        and reported as a miss so the caller recomputes instead of crashing.
+        edit, disk fault, a header that does not parse, column bytes that do
+        not match their tags) is evicted and reported as a miss so the
+        caller recomputes instead of crashing.
 
         Parameters
         ----------
@@ -377,7 +415,7 @@ class ResultCache:
 
         path = self.path_for(key)
         try:
-            text = path.read_text()
+            data = path.read_bytes()
         except FileNotFoundError:
             self.misses += 1
             return None
@@ -388,13 +426,14 @@ class ResultCache:
             _LOG.warning("cache read failed for %s (treated as miss): %r",
                          path, error)
             return None
-        except UnicodeDecodeError as error:
-            return self._evict(path, f"binary corruption: {error!r}")
-        text = inject_value("cache.load", text)
+        data = inject_value("cache.load", data)
+        newline = data.find(b"\n")
+        if newline < 0:
+            return self._evict(path, "no header line")
         try:
-            payload = json.loads(text)
-        except (json.JSONDecodeError, ValueError) as error:
-            return self._evict(path, f"unparseable JSON: {error!r}")
+            payload = json.loads(data[:newline])
+        except ValueError as error:  # JSONDecodeError, UnicodeDecodeError
+            return self._evict(path, f"unparseable header: {error!r}")
         if not isinstance(payload, dict):
             return self._evict(
                 path, f"top-level {type(payload).__name__}, expected object")
@@ -403,12 +442,10 @@ class ResultCache:
             return self._evict(
                 path, f"key mismatch: artifact claims {str(embedded)[:16]}…, "
                       f"filed under {key[:16]}…")
-        for name, value in payload.items():
-            if isinstance(value, dict) and NDARRAY_TAG in value:
-                try:
-                    payload[name] = _decode_column(value)
-                except _ColumnError as error:
-                    return self._evict(path, f"column {name!r}: {error}")
+        try:
+            _decode_columns(payload, bytearray(memoryview(data)[newline + 1:]))
+        except _ColumnError as error:
+            return self._evict(path, str(error))
         self.hits += 1
         return payload
 
@@ -441,7 +478,7 @@ class ResultCache:
         payload:
             JSON-serialisable mapping to store (must not already contain
             :data:`CACHE_KEY_FIELD`); top-level array values must have a
-            bool, integer or float dtype and are stored as binary columns.
+            bool, integer or float dtype and are stored as raw columns.
 
         Returns
         -------
@@ -452,19 +489,21 @@ class ResultCache:
         from ..resilience.faults import inject
 
         path = self.path_for(key)
-        stamped = {name: _encode_column(value)
-                   if isinstance(value, np.ndarray) else value
-                   for name, value in payload.items()}
-        stamped[CACHE_KEY_FIELD] = key
-        text = canonical_json(stamped)
+        header = {name: _column_tag(value)
+                  if isinstance(value, np.ndarray) else value
+                  for name, value in payload.items()}
+        header[CACHE_KEY_FIELD] = key
+        data = b"".join([canonical_json(header).encode(), b"\n",
+                         *(payload[name].tobytes() for name in sorted(payload)
+                           if isinstance(payload[name], np.ndarray))])
         temp_name: Optional[str] = None
         try:
             inject("cache.store")
             self.root.mkdir(parents=True, exist_ok=True)
             descriptor, temp_name = tempfile.mkstemp(
                 dir=str(self.root), prefix=f".{key[:16]}-", suffix=".tmp")
-            with os.fdopen(descriptor, "w") as handle:
-                handle.write(text)
+            with os.fdopen(descriptor, "wb") as handle:
+                handle.write(data)
             os.replace(temp_name, path)
         except OSError as error:
             self.store_failures += 1

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -127,36 +127,40 @@ class CheckpointedSweep(ChunkCounts):
 
     # ------------------------------------------------------------ identity
 
-    def _chunk_context(self, start: int,
-                       gates: Tuple[float, ...]) -> Dict[str, Any]:
-        """Everything that determines one chunk's numbers, as a JSON-able dict."""
-        return {
-            "kind": "checkpoint-chunk",
+    def _run_hash(self) -> str:
+        """Content hash of everything every chunk's numbers depend on."""
+        return content_hash({
+            "kind": "checkpoint-sweep",
             "engine": self.engine.name,
             "device": dataclasses.asdict(self.device),
             "temperature": self.temperature,
             "background_charge": self.background_charge,
             "root_seed": self.seed,
             "chunk_size": self.chunk_size,
-            "start": start,
-            "gate_voltages": list(gates),
+            "gate_axis": content_hash(
+                np.asarray(self.axes.gates, dtype="<f8").tobytes()),
             "drain_voltage": self.axes.drain_voltage,
             "max_events": self.max_events,
             "warmup_events": self.warmup_events,
             "replicas": self.replicas,
             "policy": None if self.policy is None else self.policy.as_dict(),
-        }
+        })
 
     def chunk_plan(self) -> List[SweepChunk]:
-        """The sweep's chunks, in order, with derived seeds and cache keys."""
+        """The sweep's chunks, in order, with derived seeds and cache keys.
+
+        A chunk's key hashes the run's hash with its ``start`` and point
+        count, so the run context is serialised once per plan.
+        """
         chunks: List[SweepChunk] = []
-        gates = self.axes.gate_voltages
+        gates = self.axes.gates
+        run_hash = self._run_hash()
         for ordinal, start in enumerate(range(0, len(gates),
                                               self.chunk_size)):
-            slice_gates = gates[start:start + self.chunk_size]
-            axes = SweepAxes(slice_gates, self.axes.drain_voltage)
-            key = self.cache.key_for(
-                content_hash(self._chunk_context(start, slice_gates)))
+            axes = SweepAxes(gates[start:start + self.chunk_size],
+                             self.axes.drain_voltage)
+            key = self.cache.key_for(content_hash(
+                f"{run_hash}:{start}:{len(axes)}"))
             chunks.append(SweepChunk(index=ordinal, start=start, axes=axes,
                                      seed=None if self.seed is None
                                      else derive_seed(self.seed, start),

@@ -6,7 +6,7 @@ line each, zero-cost when the harness is inactive:
 * :func:`inject` sites may raise an armed exception or sleep an armed delay
   (simulated crashes, solver failures, hangs);
 * :func:`inject_value` sites may replace or mutate a value flowing through
-  them (NaN payloads, corrupted cache artifact text).
+  them (NaN payloads, corrupted cache artifact bytes).
 
 Tests build a :class:`FaultInjector`, arm one or more sites with a
 :class:`FaultSpec` (fail the first ``times`` calls, skip the first ``after``,
@@ -73,7 +73,7 @@ SITES: Dict[str, str] = {
         "advance-loop run (exercises the fallback to the interpreted "
         "loop)",
     "cache.load":
-        "value site on the artifact text read by ResultCache.load "
+        "value site on the artifact bytes read by ResultCache.load "
         "(truncation/mutation simulates on-disk corruption)",
     "cache.store":
         "error inside ResultCache.store (simulated unwritable cache "
@@ -118,7 +118,7 @@ class FaultSpec:
         Replacement payload returned by a firing :func:`inject_value` site.
     mutate:
         Alternative to ``value``: callable applied to the flowing value
-        (e.g. truncate artifact text).
+        (e.g. truncate artifact bytes).
     """
 
     site: str

@@ -1,6 +1,5 @@
 """Tests for the content-hash result cache (hit/miss, corruption, concurrency)."""
 
-import base64
 import json
 import shutil
 import subprocess
@@ -17,7 +16,8 @@ from hypothesis.extra import numpy as hnp
 
 import repro
 from repro.io import ResultCache, content_hash
-from repro.io.results import NDARRAY_TAG, source_digest
+from repro.io.documents import canonical_json
+from repro.io.results import CACHE_KEY_FIELD, NDARRAY_TAG, source_digest
 
 #: Prints whether importing repro computed the source digest, then a key.
 _KEY_PROBE = """
@@ -338,10 +338,30 @@ class TestBinaryColumns:
         cache = ResultCache(tmp_path)
         key = cache.key_for("tagged")
         cache.store(key, {"column": np.arange(3, dtype=np.int8),
+                          "flags": np.array([True, False]),
                           "plain": [1.5, 2.5]})
-        artifact = json.loads(cache.path_for(key).read_text())
-        assert artifact["column"] == {NDARRAY_TAG: ["|i1", [3], "AAEC"]}
-        assert artifact["plain"] == [1.5, 2.5]
+        header, body = cache.path_for(key).read_bytes().split(b"\n", 1)
+        # One canonical-JSON header line, then the raw bytes of the
+        # columns in sorted-name order.
+        assert header.decode() == canonical_json({
+            CACHE_KEY_FIELD: key, "column": {NDARRAY_TAG: ["|i1", [3]]},
+            "flags": {NDARRAY_TAG: ["|b1", [2]]}, "plain": [1.5, 2.5]})
+        assert body == b"\x00\x01\x02\x01\x00"
+
+    def test_columns_are_views_on_one_writable_buffer(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = cache.key_for("views")
+        cache.store(key, {"a": np.arange(3.0), "b": np.arange(2)})
+        loaded = cache.load(key)
+        buffers = []
+        for column in (loaded["a"], loaded["b"]):
+            while isinstance(column, np.ndarray):
+                column = column.base
+            buffers.append(column.obj)  # a memoryview of the buffer
+        assert isinstance(buffers[0], bytearray)
+        assert buffers[0] is buffers[1]
+        loaded["a"][0] = 7.0
+        assert loaded["a"][0] == 7.0
 
     def test_object_arrays_are_refused_at_store(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -351,47 +371,103 @@ class TestBinaryColumns:
         assert list(tmp_path.iterdir()) == []
 
 
-def _retag(cache, key, tag):
-    """Replace the stored ``column`` entry with ``tag``, key intact."""
+def _rewrite(cache, key, tag, body):
+    """Re-file the stored ``column`` with ``tag`` and ``body``, key intact."""
     path = cache.path_for(key)
-    artifact = json.loads(path.read_text())
-    artifact["column"] = tag
-    path.write_text(json.dumps(artifact))
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    header["column"] = tag
+    path.write_bytes(canonical_json(header).encode() + b"\n" + body)
 
 
-#: Base64 of 32 zero bytes: the right size for a ``[4]`` column of 8-byte
-#: items, so each case below is malformed in exactly one respect.
-ZEROS_32 = base64.b64encode(bytes(32)).decode("ascii")
+def _column(dtype="<f8", shape=(4,)):
+    """A well-formed tag; 32 bytes is the right body for the default."""
+    return {NDARRAY_TAG: [dtype, list(shape)]}
 
 
 class TestMalformedColumns:
     """A column that does not decode is corruption: evicted, a miss."""
 
-    @pytest.mark.parametrize("tag", [
-        pytest.param({NDARRAY_TAG: ["<f8", [4], ZEROS_32[:20] + "*"
-                                                + ZEROS_32[20:]]},
-                     id="invalid-base64"),
-        pytest.param({NDARRAY_TAG: ["<f8", [5], ZEROS_32]},
+    @pytest.mark.parametrize("tag, body", [
+        pytest.param(_column(shape=(5,)), bytes(32),
                      id="byte-count-mismatch"),
-        pytest.param({NDARRAY_TAG: ["<x8", [4], ZEROS_32]},
-                     id="unknown-dtype"),
-        pytest.param({NDARRAY_TAG: ["|O", [4], ZEROS_32]},
-                     id="object-dtype"),
-        pytest.param({NDARRAY_TAG: ["<f8", [4]]}, id="tag-missing-field"),
-        pytest.param({NDARRAY_TAG: ["<f8", [4], ZEROS_32], "extra": 1},
+        pytest.param(_column(), bytes(31), id="truncated-data"),
+        pytest.param(_column(), bytes(33), id="trailing-bytes"),
+        pytest.param(_column("<x8"), bytes(32), id="unknown-dtype"),
+        pytest.param(_column("|O"), bytes(32), id="object-dtype"),
+        pytest.param({NDARRAY_TAG: ["<f8"]}, bytes(32),
+                     id="tag-missing-field"),
+        pytest.param({NDARRAY_TAG: ["<f8", [4], "AAAA"]}, bytes(32),
+                     id="tag-extra-field"),
+        pytest.param({**_column(), "extra": 1}, bytes(32),
                      id="tag-extra-key"),
-        pytest.param({NDARRAY_TAG: ["<f8", [-2, -2], ZEROS_32]},
-                     id="tag-bad-shape"),
+        pytest.param(_column(shape=(-2, -2)), bytes(32), id="tag-bad-shape"),
     ])
-    def test_malformed_column_is_evicted_as_a_miss(self, tmp_path, tag):
+    def test_malformed_column_is_evicted_as_a_miss(self, tmp_path, tag,
+                                                   body):
         cache = ResultCache(tmp_path)
         key = cache.key_for("column")
         cache.store(key, {"column": np.zeros(4)})
-        _retag(cache, key, tag)
+        _rewrite(cache, key, tag, body)
         assert cache.load(key) is None
         assert not cache.path_for(key).exists()
         assert cache.evictions == 1
         assert cache.misses == 1
+
+    def test_well_formed_rewrite_is_served(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = cache.key_for("column")
+        cache.store(key, {"column": np.zeros(4)})
+        _rewrite(cache, key, _column(), np.arange(4.0).tobytes())
+        assert_bit_identical(cache.load(key)["column"], np.arange(4.0))
+
+
+class TestDamagedArtifacts:
+    """Truncated or garbled artifacts are evicted and never served."""
+
+    PAYLOAD = {"currents": np.array([0.0, -1.5, np.nan]),
+               "codes": np.array([0, 3], dtype=np.uint8), "engine": "x"}
+
+    def stored(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = cache.key_for("damaged")
+        cache.store(key, self.PAYLOAD)
+        return cache, key, cache.path_for(key).read_bytes()
+
+    def test_truncation_at_every_offset_is_evicted(self, tmp_path):
+        cache, key, data = self.stored(tmp_path)
+        for offset in range(len(data)):
+            cache.path_for(key).write_bytes(data[:offset])
+            assert cache.load(key) is None, offset
+            assert not cache.path_for(key).exists()
+        assert cache.stats() == {"hits": 0, "misses": len(data),
+                                 "evictions": len(data), "store_failures": 0}
+
+    def test_garbled_header_byte_is_evicted(self, tmp_path):
+        cache, key, data = self.stored(tmp_path)
+        header_end = data.index(b"\n")
+        for position in range(header_end + 1):
+            garbled = bytearray(data)
+            garbled[position] = 0xFF
+            cache.path_for(key).write_bytes(bytes(garbled))
+            assert cache.load(key) is None, position
+        assert cache.hits == 0
+        assert cache.evictions == header_end + 1
+
+    def test_header_line_alone_is_evicted(self, tmp_path):
+        cache, key, data = self.stored(tmp_path)
+        cache.path_for(key).write_bytes(data[:data.index(b"\n")])
+        assert cache.load(key) is None
+        assert cache.evictions == 1
+
+    def test_intact_artifact_is_served_after_the_damage(self, tmp_path):
+        cache, key, data = self.stored(tmp_path)
+        cache.path_for(key).write_bytes(data[:-1])
+        assert cache.load(key) is None
+        cache.path_for(key).write_bytes(data)
+        loaded = cache.load(key)
+        assert loaded["engine"] == "x"
+        for name in ("currents", "codes"):
+            assert_bit_identical(loaded[name], self.PAYLOAD[name])
 
 
 class TestClearRemovesOrphanedTempFiles:

@@ -112,13 +112,16 @@ class TestRunnerCache:
         assert len(calls) == 2
         assert first.meta["cache"] == "off"
         assert second.meta["cache"] == "off"
-        assert list(tmp_path.glob("*.json")) == []
+        assert runner.cache.root == tmp_path
+        assert not runner.cache.path_for(first.meta["cache_key"]).exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_corrupted_artifact_triggers_recompute(self, tmp_path):
         scenario, calls = counting_scenario()
         runner = ScenarioRunner(cache_dir=tmp_path)
         first = runner.run(scenario)
-        artifact = tmp_path / f"{first.meta['cache_key']}.json"
+        artifact = runner.cache.path_for(first.meta["cache_key"])
+        assert artifact.is_file()
         artifact.write_text("{broken")
         again = runner.run(scenario)
         assert len(calls) == 2
@@ -149,8 +152,9 @@ class TestRunnerCache:
     def test_injected_cache_object_is_used(self, tmp_path):
         scenario, calls = counting_scenario()
         cache = ResultCache(tmp_path, code_version="test")
-        ScenarioRunner(cache=cache).run(scenario)
-        assert len(list(tmp_path.glob("*.json"))) == 1
+        result = ScenarioRunner(cache=cache).run(scenario)
+        assert list(tmp_path.iterdir()) \
+            == [cache.path_for(result.meta["cache_key"])]
 
 
 class TestRoundTrip:
